@@ -17,7 +17,6 @@ from .extprof import (
     window_nat_transform,
 )
 from .homotopy import (
-    HomotopyArrow,
     HomotopySequence,
     apply_homotopy,
     compose_homotopies,

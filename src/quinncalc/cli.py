@@ -1,20 +1,18 @@
 """Batch front end: JSON in, deterministic JSON/CSV out.
 
 Exit codes: 0 success, 2 schema violation, 3 axiom violation, 4 boundary
-mismatch.  All algorithms are exhaustive and deterministic; QUINNCALC_THREADS
-is accepted as a parallelism hint and does not change any output.
+mismatch.  All algorithms are exhaustive and deterministic.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import io as _io
-import os
 import sys
 from fractions import Fraction
 
 from .colouring import enumerate_colourings
-from .errors import AxiomError, BoundaryError, QuinncalcError, SchemaError
+from .errors import BoundaryError, QuinncalcError, SchemaError
 from .extprof import cobordism_profunctor, window_nat_transform
 from .finalg.crossed import chi_pi, validate_crossed_complex
 from .homotopy import crs_pi1
@@ -86,18 +84,16 @@ def _corpus_algebras():
 
 
 def _load_space(path):
-    loaded = simpset_from_json(load_json(path))
+    loaded = simpset_from_json(load_json(path))  # a tagged space is validated there
     if isinstance(loaded, Stratification):
         return loaded
+    loaded.validate().raise_if_failed()
     return Stratification(loaded, {})
 
 
 def _load_algebra(path):
     A = algebra_from_json(load_json(path))
-    report = validate_crossed_complex(A)
-    if not report:
-        kind = SchemaError if report.kind == "malformed" else AxiomError
-        raise kind(f"{report.message} (witness {report.witness})")
+    validate_crossed_complex(A).raise_if_failed()
     return A
 
 
@@ -370,14 +366,6 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("QUINNCALC_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            print("QUINNCALC_THREADS must be a positive integer", file=sys.stderr)
-            return 2
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

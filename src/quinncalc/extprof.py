@@ -17,6 +17,7 @@ from fractions import Fraction
 from .colouring import Colouring, enumerate_relative, value_of_ref
 from .errors import BoundaryError
 from .finalg.crossed import CrossedComplex
+from .finalg.groupoids import partition
 from .homotopy import (
     CrsResult,
     crs_pi1,
@@ -187,42 +188,28 @@ def compose_profunctors(P: Profunctor, Q: Profunctor) -> Profunctor:
     class_members: dict = {}
     for x in GL.objects:
         for z in GR.objects:
-            nodes = []
-            for y in GM.objects:
-                for p in P.basis.get((x, y), ()):
-                    for q in Q.basis.get((y, z), ()):
-                        nodes.append((y, p, q))
-            parent = {n: n for n in nodes}
-
-            def find(n):
-                while parent[n] != n:
-                    parent[n] = parent[parent[n]]
-                    n = parent[n]
-                return n
-
-            def union(a, b):
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-
+            nodes = sorted(
+                (y, p, q)
+                for y in GM.objects
+                for p in P.basis.get((x, y), ())
+                for q in Q.basis.get((y, z), ())
+            )
+            index = {n: i for i, n in enumerate(nodes)}
+            links = []
             for h in GM.arrows:
                 y1, y2 = GM.src[h], GM.tgt[h]
                 for p in P.basis.get((x, y1), ()):
                     ph = P.ract[(p, h)]
                     for q in Q.basis.get((y2, z), ()):
-                        hq = Q.lact[(h, q)]
-                        union((y2, ph, q), (y1, p, hq))
-            classes: dict = {}
-            for n in nodes:
-                classes.setdefault(find(n), []).append(n)
+                        links.append((index[(y2, ph, q)], index[(y1, p, Q.lact[(h, q)])]))
             ids = []
-            for ci, root in enumerate(sorted(classes)):
+            for ci, members in enumerate(partition(len(nodes), links)):
                 eid = (x, z, ci)
                 ids.append(eid)
-                class_reps[eid] = root
-                class_members[eid] = tuple(sorted(classes[root]))
-                for n in classes[root]:
-                    node_class[(x, z, n)] = eid
+                class_reps[eid] = nodes[members[0]]
+                class_members[eid] = tuple(nodes[i] for i in members)
+                for i in members:
+                    node_class[(x, z, nodes[i])] = eid
             basis[(x, z)] = tuple(ids)
     for g in GL.arrows:
         for (x, z), ids in basis.items():

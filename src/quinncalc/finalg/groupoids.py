@@ -8,6 +8,31 @@ from __future__ import annotations
 from .groups import FinGroup, ValidationReport
 
 
+def partition(n: int, links):
+    """Classes of range(n) under the equivalence generated by `links`.
+
+    `links` is an iterable of index pairs.  Classes are tuples of indices,
+    members ascending, ordered by least member.  A disjoint-set forest
+    (Tarjan 1975) whose roots are always the least member of their class.
+    """
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in links:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
+    classes: dict = {}
+    for i in range(n):
+        classes.setdefault(find(i), []).append(i)
+    return tuple(tuple(c) for c in classes.values())
+
+
 class FinGroupoid:
     def __init__(self, objects, arrows, src, tgt, comp, ident, inv=None, name=""):
         self.objects = tuple(objects)
@@ -71,26 +96,11 @@ class FinGroupoid:
 
     def components(self):
         """Connected components as tuples of objects, in canonical order."""
-        seen = set()
-        comps = []
-        for x in self.objects:
-            if x in seen:
-                continue
-            comp = {x}
-            frontier = [x]
-            while frontier:
-                y = frontier.pop()
-                for a in self.arrows:
-                    for z in (
-                        self.tgt[a] if self.src[a] == y else None,
-                        self.src[a] if self.tgt[a] == y else None,
-                    ):
-                        if z is not None and z not in comp:
-                            comp.add(z)
-                            frontier.append(z)
-            seen |= comp
-            comps.append(tuple(o for o in self.objects if o in comp))
-        return tuple(comps)
+        idx = self._obj_index
+        links = ((idx[self.src[a]], idx[self.tgt[a]]) for a in self.arrows)
+        return tuple(
+            tuple(self.objects[i] for i in c) for c in partition(len(self.objects), links)
+        )
 
     def component_of(self):
         out = {}
@@ -153,15 +163,6 @@ def groupoid_from_group(G: FinGroup, obj="*") -> FinGroupoid:
     ident = {obj: G.unit}
     inv = {a: G.inv(a) for a in G.elements}
     return FinGroupoid((obj,), G.elements, src, dict(src), comp, ident, inv, name=G.name)
-
-
-def discrete_groupoid(objects) -> FinGroupoid:
-    objects = tuple(objects)
-    arrows = tuple(("id", x) for x in objects)
-    src = {("id", x): x for x in objects}
-    comp = {((("id", x)), ("id", x)): ("id", x) for x in objects}
-    ident = {x: ("id", x) for x in objects}
-    return FinGroupoid(objects, arrows, src, dict(src), comp, ident, name="discrete")
 
 
 def pair_groupoid(k: int) -> FinGroupoid:

@@ -9,6 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
+from ..errors import AxiomError, SchemaError
+
 
 @dataclass
 class ValidationReport:
@@ -38,6 +40,12 @@ class ValidationReport:
     @classmethod
     def axiom(cls, message, witness=None) -> "ValidationReport":
         return cls(False, "axiom", message, witness)
+
+    def raise_if_failed(self) -> None:
+        """Raise SchemaError (malformed) or AxiomError (axiom) unless the report passed."""
+        if not self.ok:
+            kind = SchemaError if self.kind == "malformed" else AxiomError
+            raise kind(f"{self.message} (witness {self.witness})")
 
 
 class FinGroup:

@@ -26,7 +26,7 @@ from .colouring import (
     value_of_ref,
 )
 from .finalg.crossed import CrossedComplex
-from .finalg.groupoids import FinGroupoid
+from .finalg.groupoids import FinGroupoid, partition
 from .simpset import SimpSet, SimplexRef
 
 
@@ -67,13 +67,6 @@ class HomotopySequence:
         return f"HomotopySequence(k={self.k}, m={self.m})"
 
 
-@dataclass
-class HomotopyArrow:
-    source: Colouring
-    target: Colouring
-    seq: HomotopySequence
-
-
 def _value_base(X, f: Colouring, i, g):
     """Base object of the homotopy value at an i-generator."""
     if i == 0:
@@ -110,12 +103,28 @@ def sequence_domains(X: SimpSet, A: CrossedComplex, f: Colouring, k: int, fixed_
     return domains
 
 
-def identity_sequence(f: Colouring, k: int = 1) -> HomotopySequence:
-    X, A = f.X, f.A
+def expand_sequence(seq: HomotopySequence, X: SimpSet, target: Colouring) -> HomotopySequence:
+    """The k-fold homotopy targeting `target` with the values of `seq`, identities elsewhere.
+
+    Only generators with i + k <= truncation get a slot; values of `seq` on
+    generators outside X are dropped.
+    """
+    A, k = target.A, seq.k
     m: dict = {}
-    for (i, g, dom) in sequence_domains(X, A, f, k, fixed_identity=X.all_gens()):
-        m.setdefault(i, {})[g] = dom[0]
-    return HomotopySequence(k, f, m)
+    for g in X.all_gens():
+        i = X.dim_of[g]
+        if i + k > A.truncation:
+            continue
+        v = seq.value(i, g)
+        if v is None:
+            base = _value_base(X, target, i, g)
+            v = A.base.ident[base] if (i == 0 and k == 1) else A.identity_elem(i + k, base)
+        m.setdefault(i, {})[g] = v
+    return HomotopySequence(k, target, m)
+
+
+def identity_sequence(f: Colouring, k: int = 1) -> HomotopySequence:
+    return expand_sequence(HomotopySequence(k, f, {}), f.X, f)
 
 
 def enumerate_sequences(X, A, f: Colouring, k: int, fixed_identity=()):
@@ -219,10 +228,6 @@ def apply_homotopy(H: HomotopySequence, f: Colouring) -> Colouring:
     return Colouring(X, A, out)
 
 
-def arrow_of(H: HomotopySequence) -> HomotopyArrow:
-    return HomotopyArrow(apply_homotopy(H, H.target), H.target, H)
-
-
 def compose_homotopies(first: HomotopySequence, second: HomotopySequence) -> HomotopySequence:
     """Composite of the arrows `first` then `second` (both 1-fold).
 
@@ -295,15 +300,7 @@ def delta2(H2: HomotopySequence) -> HomotopySequence:
             lower = _h_on_hal(H2, c)
             term = A.mul(n + 1, term, A.pow_elem(n + 1, lower, (-1) ** n))
             m.setdefault(n, {})[c] = term
-    # fill identities for stored dims so the sequence is total where needed
-    out: dict = {}
-    for (i, g, dom) in sequence_domains(X, A, f, 1, fixed_identity=()):
-        val = m.get(i, {}).get(g)
-        if val is None:
-            base = _value_base(X, f, i, g)
-            val = A.base.ident[base] if i == 0 else A.identity_elem(i + 1, base)
-        out.setdefault(i, {})[g] = val
-    return HomotopySequence(1, f, out)
+    return HomotopySequence(1, f, m)
 
 
 # -- the extended groupoid ------------------------------------------------------
@@ -331,8 +328,7 @@ class CrsResult:
         return self._index[col.key()]
 
     def components(self):
-        comps = self.groupoid.components()
-        return tuple(tuple(sorted(c)) for c in comps)
+        return self.groupoid.components()
 
     def class_of_arrow(self, H: HomotopySequence):
         """The groupoid arrow represented by the homotopy H."""
@@ -407,48 +403,18 @@ def rel_classes(X: SimpSet, A: CrossedComplex, boundary_gens, fillings):
     index.
     """
     keys = {col.key(): i for i, col in enumerate(fillings)}
-    parent = list(range(len(fillings)))
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    def links():
+        for i, col in enumerate(fillings):
+            for H in enumerate_sequences(X, A, col, 1, fixed_identity=boundary_gens):
+                j = keys.get(apply_homotopy(H, col).key())
+                if j is None:
+                    raise ValueError("internal homotopy left the filling set")
+                yield i, j
 
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    for i, col in enumerate(fillings):
-        for H in enumerate_sequences(X, A, col, 1, fixed_identity=boundary_gens):
-            other = apply_homotopy(H, col)
-            j = keys.get(other.key())
-            if j is None:
-                raise ValueError("internal homotopy left the filling set")
-            union(i, j)
-    groups: dict[int, list] = {}
-    for i in range(len(fillings)):
-        groups.setdefault(find(i), []).append(i)
-    classes = tuple(tuple(groups[r]) for r in sorted(groups))
-    class_of = {}
-    for ci, members in enumerate(classes):
-        for i in members:
-            class_of[fillings[i].key()] = ci
+    classes = partition(len(fillings), links())
+    class_of = {fillings[i].key(): ci for ci, members in enumerate(classes) for i in members}
     return classes, class_of
-
-
-def expand_sequence(seq: HomotopySequence, X: SimpSet, target: Colouring) -> HomotopySequence:
-    """Extend a homotopy on a subcomplex by identities on the other cells."""
-    A = target.A
-    m: dict = {}
-    for (i, g, dom) in sequence_domains(X, A, target, seq.k, fixed_identity=()):
-        v = seq.m.get(i, {}).get(g)
-        if v is None:
-            base = _value_base(X, target, i, g)
-            v = A.base.ident[base] if (i == 0 and seq.k == 1) else A.identity_elem(i + seq.k, base)
-        m.setdefault(i, {})[g] = v
-    return HomotopySequence(seq.k, target, m)
 
 
 def holonomy_act(X, A, boundary_gens, eta: HomotopySequence, filling: Colouring) -> Colouring:

@@ -50,7 +50,9 @@ def group_from_json(data) -> FinGroup:
         for i in range(len(elements))
         for j in range(len(elements))
     }
-    return FinGroup(tuple(elements), mul, name=str(data.get("name", "group")))
+    G = FinGroup(tuple(elements), mul, name=str(data.get("name", "group")))
+    G.validate().raise_if_failed()
+    return G
 
 
 def group_to_json(G: FinGroup) -> dict:
@@ -222,6 +224,7 @@ def simpset_from_json(data):
         raise SchemaError(f"simplicial set schema: {exc}") from exc
     X = SimpSet(generators, faces, name=str(data.get("name", "")))
     if tags:
+        X.validate().raise_if_failed()  # the tags' face-closure check walks the faces
         return Stratification(X, tags)
     return X
 

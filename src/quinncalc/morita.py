@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .finalg.groups import FinGroup
-from .finalg.groupoids import FinGroupoid, action_groupoid, find_groupoid_iso
+from .finalg.groupoids import FinGroupoid, action_groupoid, find_groupoid_iso, partition
 from .extprof import Profunctor
 
 
@@ -261,9 +261,10 @@ def tensor_over(M: Bimodule, N: Bimodule):
 
     Returns (bimodule, classes) where classes maps each spanning pair to its
     basis label in the quotient (or None when the pair is identified to
-    zero).  When both balancing actions are monomial the quotient is
-    computed by orbit identification; the general path row-reduces the
-    balancing relations over the rationals.
+    zero).  Both balancing actions must be monomial: the quotient is then
+    computed by orbit identification, and a class is zero when any of its
+    pairs is balanced against zero.  Non-monomial balancing raises
+    NotImplementedError.
     """
     if M.right.basis != N.left.basis:
         raise ValueError("middle algebras do not match")
@@ -280,20 +281,7 @@ def tensor_over(M: Bimodule, N: Bimodule):
     if not monomial:
         raise NotImplementedError("non-monomial balancing is outside the desk corpus")
     index = {p: i for i, p in enumerate(pairs)}
-    parent = list(range(len(pairs)))
-    zero = set()
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
+    links, zero_marks = [], []
     for (m, n) in pairs:
         for b in M.right.basis:
             mi = _monomial_image(M.ract.get((m, b), {}))
@@ -301,24 +289,22 @@ def tensor_over(M: Bimodule, N: Bimodule):
             if mi is None and ni is None:
                 continue
             if mi is None:
-                zero.add(find(index[(m, ni)]))
+                zero_marks.append(index[(m, ni)])
             elif ni is None:
-                zero.add(find(index[(mi, n)]))
+                zero_marks.append(index[(mi, n)])
             else:
-                union(index[(mi, n)], index[(m, ni)])
-    zero = {find(i) for i in zero}
-    classes = {}
-    reps = []
-    for i, p in enumerate(pairs):
-        r = find(i)
-        if r in zero:
-            classes[p] = None
-            continue
-        if pairs[r] not in classes or classes[pairs[r]] is None:
-            pass
-        classes[p] = pairs[r]
-        if r == i:
-            reps.append(p)
+                links.append((index[(mi, n)], index[(m, ni)]))
+    parts = partition(len(pairs), links)
+    class_id = [0] * len(pairs)
+    for ci, members in enumerate(parts):
+        for i in members:
+            class_id[i] = ci
+    zero = {class_id[i] for i in zero_marks}
+    classes = {
+        p: None if class_id[i] in zero else pairs[parts[class_id[i]][0]]
+        for i, p in enumerate(pairs)
+    }
+    reps = [pairs[members[0]] for ci, members in enumerate(parts) if ci not in zero]
     basis = tuple(reps)
     lact, ract = {}, {}
     for (m, n) in basis:

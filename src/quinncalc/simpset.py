@@ -479,15 +479,13 @@ class Window:
         return self.tags["frame"]
 
 
-def window_support(top: Stratification, bottom: Stratification, filling=None) -> Window:
+def window_support(top: Stratification, bottom: Stratification) -> Window:
     """Build a window support over a pair of cobordisms with equal boundaries.
 
-    With no filling and identical top and bottom, the canonical vertical
-    identity window prism(top) is returned.  With empty boundaries the frame
-    is the disjoint union of top and bottom (every cell tagged).
+    With identical top and bottom, the canonical vertical identity window
+    prism(top) is returned.  With empty boundaries the frame is the disjoint
+    union of top and bottom (every cell tagged).
     """
-    if filling is not None:
-        raise SchemaError("user-supplied fillings must be provided as Window objects")
     if not top.tagged("in") and not top.tagged("out") and not bottom.tagged("in") and not bottom.tagged("out"):
         glued = glue(
             Stratification(top.simpset, {"in": frozenset(), "out": frozenset()}),

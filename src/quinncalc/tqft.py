@@ -8,27 +8,35 @@ precision 1e-12) takes over.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .colouring import enumerate_relative
+from .colouring import enumerate_colourings, enumerate_relative
 from .errors import BoundaryError, ExactnessError
 from .finalg.crossed import CrossedComplex
-from .homotopy import crs_pi1
+from .homotopy import rel_classes
 from .simpset import SimpSet, Stratification
 
 FLOAT_RTOL = 1e-12
 
 
 def _iroot(n: int, q: int):
-    """Integer q-th root of n >= 0, or None."""
+    """Exact integer q-th root of n >= 0, or None."""
     if n < 0:
         return None
-    r = round(n ** (1.0 / q))
-    for c in (r - 1, r, r + 1):
-        if c >= 0 and c**q == n:
-            return c
-    return None
+    if n < 2:
+        return n
+    if q == 2:
+        r = math.isqrt(n)
+    else:  # integer Newton iteration from above converges to the floor root
+        r = 1 << -(-n.bit_length() // q)
+        while True:
+            s = ((q - 1) * r + n // r ** (q - 1)) // q
+            if s >= r:
+                break
+            r = s
+    return r if r**q == n else None
 
 
 def rational_pow(base: Fraction, expo: Fraction, exact_only=False):
@@ -74,7 +82,7 @@ class StateSpace:
 
     space: SimpSet
     A: CrossedComplex
-    crs: object
+    colourings: list  # all colourings of the space, canonical order
     classes: tuple  # tuples of colouring indices, canonical representative first
 
     @property
@@ -87,16 +95,18 @@ class StateSpace:
         return size * theta_product(self.A, _counts(self.space))
 
     def representative(self, ci):
-        return self.crs.colourings[self.classes[ci][0]]
+        return self.colourings[self.classes[ci][0]]
 
     def labels(self):
         return [str(self.representative(ci).as_dict()) for ci in range(self.dim)]
 
 
 def state_space(X, A: CrossedComplex) -> StateSpace:
+    """Homotopy classes of colourings: pi_0 of the mapping space, as a partition."""
     space = X.simpset if isinstance(X, Stratification) else X
-    crs = crs_pi1(space, A)
-    return StateSpace(space, A, crs, crs.components())
+    colourings = enumerate_colourings(space, A)
+    classes, _ = rel_classes(space, A, frozenset(), colourings)
+    return StateSpace(space, A, colourings, classes)
 
 
 @dataclass
@@ -180,12 +190,11 @@ def quinn_matrix(M: Stratification, A: CrossedComplex, s=Fraction(0), exact_only
 
 def chi_pi_component(X, A: CrossedComplex, f) -> Fraction:
     """Class size of f times the Theta weight of X: the component content."""
-    space = X.simpset if isinstance(X, Stratification) else X
-    crs = crs_pi1(space, A)
-    fi = crs.colouring_index(f)
-    for comp in crs.components():
-        if fi in comp:
-            return len(comp) * theta_product(A, _counts(space))
+    ss = state_space(X, A)
+    key = f.key()
+    for ci, members in enumerate(ss.classes):
+        if any(ss.colourings[i].key() == key for i in members):
+            return ss.class_content(ci)
     raise ValueError("colouring not found")
 
 

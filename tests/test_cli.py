@@ -187,17 +187,36 @@ def test_algebra_cli(files, capsys):
     assert data["dimension"] == 2
 
 
-def test_byte_identical_reruns(files, capsys, monkeypatch):
+def test_byte_identical_reruns(files, capsys):
     args = ["state-space", "--space", files["torus"], "--algebra", files["s3"]]
     _, out1 = run_cli(capsys, *args)
-    monkeypatch.setenv("QUINNCALC_THREADS", "4")
     _, out2 = run_cli(capsys, *args)
     assert out1 == out2
 
 
-def test_threads_hint_validation(monkeypatch, capsys):
-    monkeypatch.setenv("QUINNCALC_THREADS", "zero")
-    assert main(["catalog"]) == 2
+DANGLING_EDGE = {
+    "generators": [{"id": "v", "dim": 0}, {"id": "e", "dim": 1}],
+    "faces": [{"of": "e", "i": 0, "core": "v"}, {"of": "e", "i": 1, "core": "w"}],
+}
+
+
+@pytest.mark.parametrize("tags", [None, {"in": ["v"], "out": []}])
+def test_space_with_dangling_face_exits_2(files, tmp_path, capsys, tags):
+    bad = tmp_path / "dangling.json"
+    bad.write_text(json.dumps(dict(DANGLING_EDGE, tags=tags) if tags else DANGLING_EDGE))
+    code = main(["colour-count", "--space", str(bad), "--algebra", files["z2"]])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "dangling face reference" in captured.err and "Traceback" not in captured.err
+
+
+def test_group_product_outside_elements_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad-group.json"
+    bad.write_text(json.dumps({"elements": ["a", "b"], "table": [["a", "b"], ["b", "c"]]}))
+    code = main(["chi-pi", "--algebra", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "product outside element set" in captured.err
 
 
 def test_console_entrypoint_runs():

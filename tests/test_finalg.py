@@ -21,6 +21,7 @@ from quinncalc.finalg import (
     validate_crossed_complex,
 )
 from quinncalc.finalg.crossed import CrossedModulePresentation
+from quinncalc.finalg.groupoids import partition
 from tests.conftest import corpus_crossed_modules, corpus_groups
 
 
@@ -300,3 +301,9 @@ def test_crossed_module_malformed_vs_axiom(z2):
     M = CrossedModulePresentation(z2, z2, {0: 0}, {})
     rep = M.validate()
     assert not rep and rep.kind == "malformed"
+
+
+def test_partition_orders_classes_by_least_member():
+    assert partition(6, [(4, 1), (5, 3), (3, 0), (1, 1)]) == ((0, 3, 5), (1, 4), (2,))
+    assert partition(3, iter([])) == ((0,), (1,), (2,))
+    assert partition(0, []) == ()

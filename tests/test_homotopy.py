@@ -1,11 +1,17 @@
+import pytest
+
 from quinncalc.colouring import enumerate_colourings, is_valid_colouring, restrict_colouring
 from quinncalc.finalg import (
     action_groupoid,
+    crossed_module_identity,
+    crossed_module_zero,
+    cyclic_group,
     find_groupoid_iso,
     iota1,
     iota2,
     pair_groupoid,
     semidirect,
+    symmetric_group,
 )
 from quinncalc.finalg.groupoids import FinGroupoid
 from quinncalc.homotopy import (
@@ -21,7 +27,8 @@ from quinncalc.homotopy import (
     invert_homotopy,
     rel_classes,
 )
-from quinncalc.simpset import circle, point, prism, sphere, torus
+from quinncalc.simpset import circle, point, prism, sphere, standard_simplex, torus
+from quinncalc.tqft import state_space
 from tests.conftest import corpus_crossed_modules, corpus_groups
 
 
@@ -359,8 +366,41 @@ def test_rel_classes_whole_and_empty_boundary(s3):
     classes_all, _ = rel_classes(X, A, frozenset(X.all_gens()), fillings)
     assert len(classes_all) == len(fillings)
     classes_none, _ = rel_classes(X, A, frozenset(), fillings)
-    crs = crs_pi1(X, A)
-    assert len(classes_none) == len(crs.components())
+    assert classes_none == crs_pi1(X, A).components()
+
+
+ORACLE_SPACES = {
+    "circle": circle,
+    "sphere2": lambda: sphere(2),
+    "torus": torus,
+    "delta2": lambda: standard_simplex(2),
+    "prism-point": lambda: prism(point()).simpset,
+    "prism-circle": lambda: prism(circle()).simpset,
+}
+ORACLE_ALGEBRAS = {
+    "z3": lambda: iota1(cyclic_group(3)),
+    "z4": lambda: iota1(cyclic_group(4)),
+    "s3": lambda: iota1(symmetric_group(3)),
+    "id:Z2": lambda: iota2(crossed_module_identity(cyclic_group(2))),
+    "0:Z2->Z4": lambda: iota2(crossed_module_zero(cyclic_group(4), cyclic_group(2))),
+}
+
+
+@pytest.mark.parametrize(
+    "space, algebra",
+    [
+        ("torus", "id:Z2"),
+        ("circle", "0:Z2->Z4"),
+        ("sphere2", "0:Z2->Z4"),
+        ("delta2", "z3"),
+        ("prism-point", "s3"),
+        ("prism-circle", "z4"),
+    ],
+)
+def test_state_space_classes_match_crs_components(space, algebra):
+    """The partition behind state_space against the components of the full groupoid."""
+    X, A = ORACLE_SPACES[space](), ORACLE_ALGEBRAS[algebra]()
+    assert state_space(X, A).classes == crs_pi1(X, A).components()
 
 
 def test_holonomy_identity_and_composition(s3):

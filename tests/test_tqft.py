@@ -10,7 +10,7 @@ from quinncalc.finalg import (
     iota2,
     symmetric_group,
 )
-from quinncalc.homotopy import crs_homotopy_content
+from quinncalc.homotopy import crs_homotopy_content, crs_pi1
 from quinncalc.simpset import (
     Stratification,
     circle,
@@ -66,6 +66,14 @@ def test_rational_pow_float_channel():
 
 
 # -- state spaces ----------------------------------------------------------------
+
+
+def test_rational_pow_exact_on_large_integers():
+    assert rational_pow(Fraction(10**400), Fraction(1, 2)) == 10**200
+    assert rational_pow(Fraction(3**300, 2**90), Fraction(-2, 3)) == Fraction(2**60, 3**200)
+    v = rational_pow(Fraction(10**40 + 1), Fraction(1, 2))
+    assert isinstance(v, float) and abs(v - 1e20) <= 1e-12 * 1e20
+
 
 
 def test_state_space_circle_dims():
@@ -327,8 +335,9 @@ def test_sphere3_closed_invariant_level3_tower():
 def test_state_space_nonreduced_gate():
     from quinncalc.finalg import iota1, pair_groupoid
 
-    ss = state_space(circle(), iota1(pair_groupoid(3)))
-    assert ss.crs.groupoid.validate()
+    A = iota1(pair_groupoid(3))
+    ss = state_space(circle(), A)
+    assert crs_pi1(circle(), A).groupoid.validate()
     assert ss.dim == 1
 
 
