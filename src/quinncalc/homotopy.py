@@ -127,9 +127,9 @@ def identity_sequence(f: Colouring, k: int = 1) -> HomotopySequence:
     return expand_sequence(HomotopySequence(k, f, {}), f.X, f)
 
 
-def enumerate_sequences(X, A, f: Colouring, k: int, fixed_identity=()):
+def enumerate_sequences(X, A, f: Colouring, k: int):
     """All k-fold homotopies targeting f, in canonical order."""
-    slots = sequence_domains(X, A, f, k, fixed_identity)
+    slots = sequence_domains(X, A, f, k)
     out = []
     for combo in product(*(dom for (_, _, dom) in slots)):
         m: dict = {}
@@ -398,6 +398,15 @@ def crs_pi1(X: SimpSet, A: CrossedComplex) -> CrsResult:
 def rel_classes(X: SimpSet, A: CrossedComplex, boundary_gens, fillings):
     """Partition of `fillings` under homotopies that fix `boundary_gens`.
 
+    Fillings are linked by single-slot moves: homotopies with one
+    non-identity value on one free generator and identities elsewhere.
+    They give the same classes as all relative homotopies: `compose_homotopies`
+    composes vertex values in the base groupoid and a higher slot as
+    second(g) . (first(g) <| second_0(y)), so a relative homotopy factors
+    into single-slot moves by peeling off its vertex slots, after which the
+    higher slots compose untwisted, and every intermediate colouring agrees
+    with the fillings on the boundary.
+
     Returns (classes, class_of): classes are tuples of filling indices with
     the canonical minimum first; class_of maps a colouring key to its class
     index.
@@ -406,11 +415,18 @@ def rel_classes(X: SimpSet, A: CrossedComplex, boundary_gens, fillings):
 
     def links():
         for i, col in enumerate(fillings):
-            for H in enumerate_sequences(X, A, col, 1, fixed_identity=boundary_gens):
-                j = keys.get(apply_homotopy(H, col).key())
-                if j is None:
-                    raise ValueError("internal homotopy left the filling set")
-                yield i, j
+            H = identity_sequence(col)
+            for d, g, dom in sequence_domains(X, A, col, 1, fixed_identity=boundary_gens):
+                unit = H.m[d][g]
+                for v in dom:
+                    if v == unit:
+                        continue
+                    H.m[d][g] = v
+                    j = keys.get(apply_homotopy(H, col).key())
+                    if j is None:
+                        raise ValueError("internal homotopy left the filling set")
+                    yield i, j
+                H.m[d][g] = unit
 
     classes = partition(len(fillings), links())
     class_of = {fillings[i].key(): ci for ci, members in enumerate(classes) for i in members}

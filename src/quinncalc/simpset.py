@@ -212,6 +212,9 @@ class Stratification:
     def __post_init__(self):
         self.tags = {k: frozenset(v) for k, v in self.tags.items()}
         for k, gens in self.tags.items():
+            unknown = sorted(map(str, gens - self.simpset.dim_of.keys()))
+            if unknown:
+                raise SchemaError(f"tagged subcomplex {k!r} names unknown generator {unknown[0]!r}")
             if gens != self.simpset.subcomplex_closure(gens):
                 raise SchemaError(f"tagged subcomplex {k!r} is not closed under faces")
 

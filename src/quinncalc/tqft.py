@@ -56,7 +56,12 @@ def rational_pow(base: Fraction, expo: Fraction, exact_only=False):
         return Fraction(num, den) ** expo.numerator
     if exact_only:
         raise ExactnessError(f"{base}**{expo} is not rational")
-    return float(base) ** float(expo)
+    try:
+        fbase = float(base)
+    except OverflowError:
+        # past float range: go through the logarithms of the exact integers
+        return math.exp(float(expo) * (math.log(base.numerator) - math.log(base.denominator)))
+    return fbase ** float(expo)
 
 
 def theta_product(A: CrossedComplex, counts: dict) -> Fraction:

@@ -210,6 +210,18 @@ def test_space_with_dangling_face_exits_2(files, tmp_path, capsys, tags):
     assert "dangling face reference" in captured.err and "Traceback" not in captured.err
 
 
+def test_space_with_unknown_tagged_generator_exits_2(files, tmp_path, capsys):
+    bad = tmp_path / "unknown-tag.json"
+    data = simpset_to_json(circle())
+    data["tags"] = {"in": ["zz"], "out": []}
+    bad.write_text(json.dumps(data))
+    code = main(["colour-count", "--space", str(bad), "--algebra", files["z2"]])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "'in'" in captured.err and "'zz'" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_group_product_outside_elements_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad-group.json"
     bad.write_text(json.dumps({"elements": ["a", "b"], "table": [["a", "b"], ["b", "c"]]}))

@@ -1,6 +1,16 @@
-import pytest
+from functools import lru_cache
+from itertools import product
 
-from quinncalc.colouring import enumerate_colourings, is_valid_colouring, restrict_colouring
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from quinncalc.colouring import (
+    enumerate_colourings,
+    enumerate_relative,
+    is_valid_colouring,
+    restrict_colouring,
+)
 from quinncalc.finalg import (
     action_groupoid,
     crossed_module_identity,
@@ -13,8 +23,9 @@ from quinncalc.finalg import (
     semidirect,
     symmetric_group,
 )
-from quinncalc.finalg.groupoids import FinGroupoid
+from quinncalc.finalg.groupoids import FinGroupoid, partition
 from quinncalc.homotopy import (
+    HomotopySequence,
     apply_homotopy,
     compose_homotopies,
     crs_homotopy_content,
@@ -26,8 +37,18 @@ from quinncalc.homotopy import (
     identity_sequence,
     invert_homotopy,
     rel_classes,
+    sequence_domains,
 )
-from quinncalc.simpset import circle, point, prism, sphere, standard_simplex, torus
+from quinncalc.simpset import (
+    circle,
+    glue,
+    point,
+    prism,
+    prism_end_matching,
+    sphere,
+    standard_simplex,
+    torus,
+)
 from quinncalc.tqft import state_space
 from tests.conftest import corpus_crossed_modules, corpus_groups
 
@@ -378,9 +399,11 @@ ORACLE_SPACES = {
     "prism-circle": lambda: prism(circle()).simpset,
 }
 ORACLE_ALGEBRAS = {
+    "z2": lambda: iota1(cyclic_group(2)),
     "z3": lambda: iota1(cyclic_group(3)),
     "z4": lambda: iota1(cyclic_group(4)),
     "s3": lambda: iota1(symmetric_group(3)),
+    "0:Z2->Z2": lambda: iota2(crossed_module_zero(cyclic_group(2), cyclic_group(2))),
     "id:Z2": lambda: iota2(crossed_module_identity(cyclic_group(2))),
     "0:Z2->Z4": lambda: iota2(crossed_module_zero(cyclic_group(4), cyclic_group(2))),
 }
@@ -401,6 +424,97 @@ def test_state_space_classes_match_crs_components(space, algebra):
     """The partition behind state_space against the components of the full groupoid."""
     X, A = ORACLE_SPACES[space](), ORACLE_ALGEBRAS[algebra]()
     assert state_space(X, A).classes == crs_pi1(X, A).components()
+
+
+def _rel_classes_product(X, A, boundary_gens, fillings):
+    """Oracle for rel_classes: link each filling to the end of every relative homotopy.
+
+    Walks the full product of the per-generator domains, so its cost is
+    exponential in the number of free cells.
+    """
+    keys = {col.key(): i for i, col in enumerate(fillings)}
+
+    def links():
+        for i, col in enumerate(fillings):
+            slots = sequence_domains(X, A, col, 1, fixed_identity=boundary_gens)
+            for combo in product(*(dom for (_, _, dom) in slots)):
+                m: dict = {}
+                for (d, g, _), v in zip(slots, combo):
+                    m.setdefault(d, {})[g] = v
+                j = keys.get(apply_homotopy(HomotopySequence(1, col, m), col).key())
+                if j is None:
+                    raise ValueError("internal homotopy left the filling set")
+                yield i, j
+
+    classes = partition(len(fillings), links())
+    class_of = {fillings[i].key(): ci for ci, members in enumerate(classes) for i in members}
+    return classes, class_of
+
+
+def _cylinder(name):
+    single = prism(circle())
+    if name == "prism-circle":
+        return single
+    other = prism(circle())
+    return glue(single, other, prism_end_matching(single, other))
+
+
+def _boundary_filling_sets(M, A):
+    """The filling sets of every (in, out) boundary colouring pair of a cobordism."""
+    X = M.simpset
+    in_gens, out_gens = M.tagged("in"), M.tagged("out")
+    for f in enumerate_colourings(X.restrict(in_gens), A):
+        for fp in enumerate_colourings(X.restrict(out_gens), A):
+            yield enumerate_relative(X, A, {**f.values, **fp.values})
+
+
+@pytest.mark.parametrize(
+    "space, algebra",
+    [("prism-circle", name) for name in ORACLE_ALGEBRAS]
+    + [("double-cylinder", name) for name in ("z3", "z4", "s3", "0:Z2->Z2")]
+    + [("torus", "0:Z2->Z4")],
+)
+def test_rel_classes_match_product_oracle(space, algebra):
+    """Single-slot moves give the same classes as every relative homotopy.
+
+    Cylinders are checked on every (in, out) boundary colouring pair, the
+    torus with an empty boundary.  The double cylinder with 0:Z2->Z4 is left
+    out: the product path alone takes about 17 s there.
+    """
+    A = ORACLE_ALGEBRAS[algebra]()
+    if space == "torus":
+        X = torus()
+        cases = [(X, frozenset(), enumerate_colourings(X, A))]
+    else:
+        M = _cylinder(space)
+        cases = [(M.simpset, M.boundary_gens(), fs) for fs in _boundary_filling_sets(M, A)]
+    for X, boundary, fillings in cases:
+        assert rel_classes(X, A, boundary, fillings) == _rel_classes_product(
+            X, A, boundary, fillings
+        )
+
+
+@lru_cache(maxsize=None)
+def _property_case(space, algebra):
+    X, A = ORACLE_SPACES[space](), ORACLE_ALGEBRAS[algebra]()
+    return X, A, enumerate_colourings(X, A)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    space=st.sampled_from(["circle", "torus", "sphere2", "prism-circle"]),
+    algebra=st.sampled_from(["z3", "s3", "0:Z2->Z2", "id:Z2"]),
+    data=st.data(),
+)
+def test_rel_classes_match_product_oracle_on_random_boundaries(space, algebra, data):
+    X, A, colourings = _property_case(space, algebra)
+    seed = data.draw(st.sets(st.sampled_from(X.all_gens())), label="seed")
+    boundary = X.subcomplex_closure(seed)
+    c = data.draw(st.sampled_from(colourings), label="colouring")
+    fillings = enumerate_relative(X, A, {g: v for g, v in c.values.items() if g in boundary})
+    assert rel_classes(X, A, boundary, fillings) == _rel_classes_product(
+        X, A, boundary, fillings
+    )
 
 
 def test_holonomy_identity_and_composition(s3):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -73,6 +74,8 @@ def test_rational_pow_exact_on_large_integers():
     assert rational_pow(Fraction(3**300, 2**90), Fraction(-2, 3)) == Fraction(2**60, 3**200)
     v = rational_pow(Fraction(10**40 + 1), Fraction(1, 2))
     assert isinstance(v, float) and abs(v - 1e20) <= 1e-12 * 1e20
+    v = rational_pow(Fraction(10**400 + 1), Fraction(1, 2))  # base past float range
+    assert isinstance(v, float) and math.isclose(v, 1e200)
 
 
 
