@@ -11,6 +11,15 @@ the test suite):
     n=3:   (f(d0 c) <| f(01)^-1) . f(d2 c) . f(d1 c)^-1 . f(d3 c)^-1
     n>=4:  (f(d0 c) <| f(01)^-1) . prod_{j=1..n} f(dj c)^((-1)^j)
 where f(01) is the value on the leading edge d_2 d_3 ... d_n c.
+
+These labels depend on X alone, so `enumerate_colourings` first compiles
+(X, A) into a private plan, once per call: each generator's leading vertex,
+a label evaluator per generator whose faces and twist edge are resolved to
+"value of a generator" or "identity at a vertex", the schedule of label
+tests along the walk, arrows by (source, target) and the boundary preimages
+of each level.  The backtracking walk then reads only the plan.
+`boundary_label` and `value_of_ref` remain the reference evaluation, used
+by the homotopy layer and by `is_valid_colouring`.
 """
 from __future__ import annotations
 
@@ -164,114 +173,201 @@ def boundary_label(X: SimpSet, A: CrossedComplex, values: dict, c):
     return out
 
 
-def _label_consistent(X, A, values, c):
-    """Whether the boundary condition at c can be (or is) met."""
-    n = X.dim_of[c]
-    label = boundary_label(X, A, values, c)
-    if n == 2:
-        if A.truncation < 2:
-            base = values[X.initial_vertex(c)]
-            return label == A.base.ident[base]
-        base = values[X.initial_vertex(c)]
-        return label in {
-            A.bdry_of(2, (base, e)) for e in A.fibre(2, base).elements
+class _Plan:
+    """(X, A) compiled for `enumerate_colourings`; nothing here depends on a colouring.
+
+    - `lead[g]`: the leading vertex of g;
+    - `label[c](values)`: equals `boundary_label(X, A, values, c)` for c of
+      dimension >= 2;
+    - `slots`: the walk order; `checks[pos]`: the label tests run on arrival
+      at position pos;
+    - `arrows[(x, y)]`: the arrows from x to y;
+    - `preimage[n][x]`: label -> [(x, e), ...] with that boundary, in fibre order.
+    """
+
+    def __init__(self, X: SimpSet, A: CrossedComplex):
+        self.X, self.A = X, A
+        trunc = A.truncation
+        last_level = min(X.dim, trunc)
+        top_constraint_dim = min(X.dim, trunc + 1)
+        base = A.base
+        self.lead = {g: X.initial_vertex(g) for g in X.all_gens()}
+        self.arrows: dict = {}
+        for a in base.arrows:
+            self.arrows.setdefault((base.src[a], base.tgt[a]), []).append(a)
+        self._product: dict = {}
+        self.preimage: dict = {}
+        for n in range(2, last_level + 1):
+            self.preimage[n] = {}
+            for x in A.objects:
+                index = self.preimage[n][x] = {}
+                for e in A.fibre(n, x).elements:
+                    index.setdefault(A.bdry_of(n, (x, e)), []).append((x, e))
+        self.label = {
+            c: self._evaluator(c) for n in range(2, X.dim + 1) for c in X.gens(n)
         }
-    if n > A.truncation + 1:
-        return True
-    if n == A.truncation + 1:
-        base = values[X.initial_vertex(c)]
-        return label == A.identity_elem(n - 1, base)
-    base = values[X.initial_vertex(c)]
-    return label in {A.bdry_of(n, (base, e)) for e in A.fibre(n, base).elements}
+        # the walk visits levels 0..last_level in generator order; the label
+        # test of an (n+1)-generator runs once its last n-face is assigned,
+        # or on entry to level n when all its n-faces are degenerate
+        self.slots = [g for n in range(last_level + 1) for g in X.gens(n)]
+        self.checks: list = [[] for _ in range(len(self.slots) + 1)]
+        pos = 0
+        for n in range(last_level + 1):
+            gens = X.gens(n)
+            if 2 <= n + 1 <= top_constraint_dim:
+                index = {g: pos + k + 1 for k, g in enumerate(gens)}
+                for c in X.gens(n + 1):
+                    faces = (X.face(c, i) for i in range(n + 2))
+                    at = max((index[f.core] for f in faces if not f.word), default=pos)
+                    self.checks[at].append(self._test(c))
+            pos += len(gens)
 
+    def _reader(self, ref: SimplexRef, sign: int = 1):
+        """(key, table): the value on ref is values[key], mapped through table if any.
 
-def _level_domain(X, A, values, c):
-    """All admissible level-n values at the generator c, given lower levels."""
-    n = X.dim_of[c]
-    base = values[X.initial_vertex(c)]
-    label = boundary_label(X, A, values, c)
-    F = A.fibre(n, base)
-    return [(base, e) for e in F.elements if A.bdry_of(n, (base, e)) == label]
+        Degenerate faces and faces above the truncation read the identity at
+        their leading vertex; a negative sign is folded into the table.
+        """
+        X, A = self.X, self.A
+        d = X.ref_dim(ref)
+        base = A.base
+        if not ref.word and not (d >= 2 and d > A.truncation):
+            if sign > 0:
+                return ref.core, None
+            if d == 1:
+                return ref.core, base.inv_table
+            return ref.core, {a: A.inv_elem(d, a) for a in A.level_elements(d)}
+        key = X.initial_vertex(ref)
+        if d == 1:
+            table = base.ident if sign > 0 else {x: base.inv(i) for x, i in base.ident.items()}
+        else:
+            table = {x: A.pow_elem(d, A.identity_elem(d, x), sign) for x in A.objects}
+        return key, table
+
+    def _evaluator(self, c):
+        """values -> boundary_label(X, A, values, c), for c of dimension >= 2."""
+        X, A = self.X, self.A
+        n = X.dim_of[c]
+        terms = hal_word(X, c)
+        comp = A.base.comp_table
+        if n == 2:
+            (k0, t0), (k1, t1), (k2, t2) = (self._reader(r, s) for r, s, _ in terms)
+
+            def label(vals):
+                a0 = vals[k0] if t0 is None else t0[vals[k0]]
+                a1 = vals[k1] if t1 is None else t1[vals[k1]]
+                a2 = vals[k2] if t2 is None else t2[vals[k2]]
+                return comp[comp[a0, a1], a2]
+
+            return label
+        m, lead = n - 1, self.lead[c]
+        if m > A.truncation:
+            ident = {x: A.identity_elem(m, x) for x in A.objects}
+            return lambda vals: ident[vals[lead]]
+        # hal_word twists its leading term, of sign +1, by the inverse leading edge
+        (ref0, _, ((edge, sign),)), rest = terms[0], terms[1:]
+        k0, t0 = self._reader(ref0)
+        k1, t1 = self._reader(edge, sign)
+        rest = [self._reader(r, s) for r, s, _ in rest]
+        act = A.act[m]
+        if m not in self._product:
+            self._product[m] = {
+                x: {(a, b): F.mul(a, b) for a in F.elements for b in F.elements}
+                for x, F in ((x, A.fibre(m, x)) for x in A.objects)
+            }
+        product = self._product[m]
+
+        def label(vals):
+            x = vals[lead]
+            mul = product[x]
+            arrow = vals[k1] if t1 is None else t1[vals[k1]]
+            out = act[(vals[k0] if t0 is None else t0[vals[k0]]), arrow]
+            for key, table in rest:
+                out = mul[out, (vals[key] if table is None else table[vals[key]])[1]]
+            return x, out
+
+        return label
+
+    def _test(self, c):
+        """values -> whether the boundary condition at c can be (or is) met."""
+        A = self.A
+        n, lead, label = self.X.dim_of[c], self.lead[c], self.label[c]
+        if n == A.truncation + 1:
+            if n == 2:
+                flat = A.base.ident
+            else:
+                flat = {x: A.identity_elem(n - 1, x) for x in A.objects}
+            return lambda vals: label(vals) == flat[vals[lead]]
+        image = self.preimage[n]
+        return lambda vals: label(vals) in image[vals[lead]]
+
+    def _domain(self, g, fixed: dict):
+        """values -> the admissible values at g, given every earlier position."""
+        X, A = self.X, self.A
+        n = X.dim_of[g]
+        if n == 0:
+            objects = A.objects
+            if g in fixed:
+                objects = (fixed[g],) if fixed[g] in set(A.objects) else ()
+            return lambda vals: objects
+        if n == 1:
+            s, t = X.edge_ends(g)
+            arrows = self.arrows
+
+            def domain(vals):
+                return arrows.get((vals[s], vals[t]), ())
+        else:
+            lead, label, preimage = self.lead[g], self.label[g], self.preimage[n]
+
+            def domain(vals):
+                return preimage[vals[lead]].get(label(vals), ())
+        if g not in fixed:
+            return domain
+        v = fixed[g]
+        return lambda vals: [a for a in domain(vals) if a == v]
+
+    def colourings(self, fixed: dict) -> list:
+        X, A = self.X, self.A
+        slots, checks = self.slots, self.checks
+        domains = [self._domain(g, fixed) for g in slots]
+        end = len(slots)
+        results = []
+        values: dict = {}
+
+        def walk(pos):
+            for test in checks[pos]:
+                if not test(values):
+                    return
+            if pos == end:
+                results.append(Colouring(X, A, dict(values)))
+                return
+            g = slots[pos]
+            for v in domains[pos](values):
+                values[g] = v
+                walk(pos + 1)
+            values.pop(g, None)
+
+        walk(0)
+        return results
 
 
 def enumerate_colourings(X: SimpSet, A: CrossedComplex, fixed: dict | None = None):
     """All colourings of X by A, in canonical order.
 
     `fixed` pins values on some generators (they must form consistent data);
-    the result is the list of total colourings extending it.
+    the result is the list of total colourings extending it.  The search
+    first compiles (X, A) into a `_Plan`, then assigns generators level by
+    level in declaration order.  Each value is drawn from its domain (the
+    objects, the arrows between the images of the edge's ends, or the
+    boundary preimage of the generator's label) and each (n+1)-generator's
+    label is tested as soon as its last n-face is set: it must lie in the
+    boundary image below the truncation and be the identity just above it.
     """
     fixed = fixed or {}
     for g in fixed:
         if g not in X.dim_of:
             raise BoundaryError(f"fixed value on unknown generator {g!r}")
-    results = []
-    values: dict = {}
-    last_level = min(X.dim, A.truncation)
-    top_constraint_dim = min(X.dim, A.truncation + 1)
-
-    # generators of dimension n+1 whose boundary label becomes checkable once
-    # all their dimension-n faces are assigned; keyed by the last such face
-    def triggers(n):
-        out: dict[int, list] = {}
-        immediate = []
-        for c in X.gens(n + 1):
-            needed = set()
-            ref = SimplexRef(c, ())
-            for i in range(n + 2):
-                f = X.face_of_ref(ref, i)
-                if not f.word:
-                    needed.add(f.core)
-            if not needed:
-                immediate.append(c)
-            else:
-                last = max(X.gens(n).index(g) for g in needed)
-                out.setdefault(last, []).append(c)
-        return immediate, out
-
-    def assign_level(n):
-        if n > last_level:
-            results.append(Colouring(X, A, dict(values)))
-            return
-        gens = X.gens(n)
-        has_checks = 2 <= n + 1 <= top_constraint_dim
-        check_now, trigger_map = triggers(n) if has_checks else ([], {})
-        for c in check_now:
-            if not _label_consistent(X, A, values, c):
-                return
-
-        def walk(k):
-            if k == len(gens):
-                assign_level(n + 1)
-                return
-            g = gens[k]
-            if n == 0:
-                domain = A.objects if g not in fixed else (fixed[g],)
-                if g in fixed and fixed[g] not in set(A.objects):
-                    return
-            elif n == 1:
-                s, t = X.edge_ends(g)
-                domain = A.base.arrows_between(values[s], values[t])
-                if g in fixed:
-                    domain = [a for a in domain if a == fixed[g]]
-            else:
-                domain = _level_domain(X, A, values, g)
-                if g in fixed:
-                    domain = [v for v in domain if v == fixed[g]]
-            for v in domain:
-                values[g] = v
-                ok = True
-                for c in trigger_map.get(k, ()):
-                    if not _label_consistent(X, A, values, c):
-                        ok = False
-                        break
-                if ok:
-                    walk(k + 1)
-                del values[g]
-
-        walk(0)
-
-    assign_level(0)
-    return results
+    return _Plan(X, A).colourings(fixed)
 
 
 def _check_fixed(X: SimpSet, A: CrossedComplex, fixed: dict):

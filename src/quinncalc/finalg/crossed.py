@@ -181,13 +181,22 @@ class CrossedComplex:
                     return ValidationReport(False, rep.kind, f"level {n} fibre at {x}: {rep.message}", rep.witness)
                 if n >= 3 and not groups[x].is_abelian():
                     return ValidationReport.axiom(f"level {n} fibre at {x} is not abelian")
+            arrows = set(self.base.arrows)
             for (x, e) in self.level_elements(n):
                 key = (x, e)
                 if key not in self.bdry.get(n, {}):
                     return ValidationReport.malformed(f"level {n} boundary not total", key)
+                if self.bdry[n][key] not in (arrows if n == 2 else self.levels[n - 1][x]):
+                    return ValidationReport.malformed(
+                        f"level {n} boundary value outside level {n - 1}", key
+                    )
                 for g in self.base.arrows_from(x):
                     if (key, g) not in self.act.get(n, {}):
                         return ValidationReport.malformed(f"level {n} action not total", (key, g))
+                    if self.act[n][(key, g)] not in groups[self.base.tgt[g]]:
+                        return ValidationReport.malformed(
+                            f"level {n} action value outside level {n}", (key, g)
+                        )
         # boundary is a base-preserving groupoid map
         for n in range(2, self.truncation + 1):
             for x in self.objects:

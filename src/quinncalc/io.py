@@ -43,7 +43,10 @@ def group_from_json(data) -> FinGroup:
         table = data["table"]
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"group schema needs 'elements' and 'table': {exc}") from exc
-    if len(table) != len(elements) or any(len(r) != len(elements) for r in table):
+    rows = table if isinstance(table, list) else ()
+    if len(rows) != len(elements) or any(
+        not isinstance(r, list) or len(r) != len(elements) for r in rows
+    ):
         raise SchemaError("group table must be square over the element list")
     mul = {
         (elements[i], elements[j]): str(table[i][j])
@@ -220,7 +223,7 @@ def simpset_from_json(data):
         tags = {
             str(k): frozenset(str(g) for g in v) for k, v in data.get("tags", {}).items()
         }
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"simplicial set schema: {exc}") from exc
     X = SimpSet(generators, faces, name=str(data.get("name", "")))
     if tags:

@@ -164,6 +164,9 @@ class SimpSet:
                 return ValidationReport.malformed("face has wrong dimension", (g, i))
             if self.normalise(ref) != ref:
                 return ValidationReport.malformed("face word not in normal form", (g, i))
+            # s_w of the normal form acts on a simplex of dimension dim(core) + j
+            if any(not 0 <= w <= self.dim_of[ref.core] + j for j, w in enumerate(ref.word)):
+                return ValidationReport.malformed("degeneracy index out of range", (g, i))
         for g, d in self.dim_of.items():
             if d > 0:
                 for i in range(d + 1):

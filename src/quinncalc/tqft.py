@@ -59,7 +59,9 @@ def rational_pow(base: Fraction, expo: Fraction, exact_only=False):
     try:
         fbase = float(base)
     except OverflowError:
-        # past float range: go through the logarithms of the exact integers
+        fbase = math.inf
+    if fbase == 0.0 or math.isinf(fbase):
+        # outside float range: go through the logarithms of the exact integers
         return math.exp(float(expo) * (math.log(base.numerator) - math.log(base.denominator)))
     return fbase ** float(expo)
 

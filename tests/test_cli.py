@@ -1,8 +1,16 @@
+import contextlib
+import copy
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from quinncalc.cli import main
 from quinncalc.io import (
@@ -229,6 +237,128 @@ def test_group_product_outside_elements_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "product outside element set" in captured.err
+
+
+@lru_cache(maxsize=None)
+def _catalog():
+    """The catalog spaces and corpus algebras as JSON data, one entry per name."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["catalog", "--algebras"]) == 0
+    return json.loads(out.getvalue())
+
+
+def _exit_code_and_stderr(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "space, algebra, target, edit, message",
+    [
+        ("circle", "z2", "space", {"tags": ["in"]}, "simplicial set schema"),
+        (
+            "sphere2",
+            "z2",
+            "space",
+            {"faces": [{"of": "c", "i": i, "core": "v", "deg": [5]} for i in range(3)]},
+            "degeneracy index out of range",
+        ),
+        ("circle", "z2", "algebra", {"table": 5}, "group table must be square"),
+        (
+            "circle",
+            "xmod-z2-z2-zero",
+            "algebra",
+            {"boundary": [["0", "0"], ["1", "7"]]},
+            "level 2 boundary value outside level 1",
+        ),
+    ],
+)
+def test_malformed_inputs_exit_2(tmp_path, space, algebra, target, edit, message):
+    """A tag list, a degeneracy past its simplex, a non-list group table, a boundary outside G."""
+    catalog = _catalog()
+    inputs = {"space": dict(catalog[space]), "algebra": dict(catalog["algebras"][algebra])}
+    inputs[target].update(edit)
+    for name, value in inputs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(value))
+    code, err = _exit_code_and_stderr(
+        ["colour-count", "--space", str(tmp_path / "space.json"),
+         "--algebra", str(tmp_path / "algebra.json")]
+    )
+    assert code == 2 and message in err
+
+
+def _paths(node, path=()):
+    """Every position in a JSON tree, as a tuple of keys and indices."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for k, child in items:
+        yield from _paths(child, path + (k,))
+
+
+def _mutate(data, draw):
+    """One random edit: drop, rename, renumber, truncate or retype a node."""
+    paths = list(_paths(data))[1:]
+    if not paths:
+        return
+    path = draw(st.sampled_from(paths), label="path")
+    *parent_path, key = path
+    parent = data
+    for k in parent_path:
+        parent = parent[k]
+    node = parent[key]
+    ops = ["drop", "retype"]
+    if isinstance(node, str):
+        ops.append("rename")
+    if isinstance(node, int) and not isinstance(node, bool):
+        ops.append("renumber")
+    if isinstance(node, list):
+        ops.append("truncate")
+    op = draw(st.sampled_from(ops), label="op")
+    if op == "drop":
+        del parent[key]
+    elif op == "rename":
+        parent[key] = node + draw(st.sampled_from(["'", "x"]), label="suffix")
+    elif op == "renumber":
+        parent[key] = draw(st.integers(-2, 5), label="number")
+    elif op == "truncate":
+        parent[key] = node[: draw(st.integers(0, max(len(node) - 1, 0)), label="length")]
+    else:
+        parent[key] = draw(st.sampled_from([5, "x", [], {}, None, ["in"]]), label="value")
+
+
+FUZZ_SPACES = ["point", "interval", "circle", "sphere2", "torus", "delta2", "prism-point", "prism-circle"]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    space=st.sampled_from(FUZZ_SPACES),
+    algebra=st.sampled_from(["z2", "z3", "s3", "xmod-z2-z2-zero", "xmod-z2-id", "xmod-z4-z2-zero"]),
+    targets=st.sampled_from(["space", "algebra", "both"]),
+    edits=st.integers(1, 3),
+    data=st.data(),
+)
+def test_mutated_catalog_json_never_ends_in_a_traceback(space, algebra, targets, edits, data):
+    """Mutated catalog inputs exit 0, 2, 3 or 4; any other exception fails the test."""
+    catalog = _catalog()
+    inputs = {"space": copy.deepcopy(catalog[space]), "algebra": copy.deepcopy(catalog["algebras"][algebra])}
+    for name in ("space", "algebra") if targets == "both" else (targets,):
+        for _ in range(edits):
+            _mutate(inputs[name], data.draw)
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {}
+        for name, value in inputs.items():
+            files[name] = str(Path(tmp) / f"{name}.json")
+            Path(files[name]).write_text(json.dumps(value))
+        for argv in (
+            ["validate", "--input", files["space"]],
+            ["validate", "--input", files["algebra"]],
+            ["chi-pi", "--algebra", files["algebra"]],
+            ["colour-count", "--space", files["space"], "--algebra", files["algebra"]],
+        ):
+            code, err = _exit_code_and_stderr(argv)
+            assert code in {0, 2, 3, 4}, (argv, code, err)
 
 
 def test_console_entrypoint_runs():

@@ -76,6 +76,10 @@ def test_rational_pow_exact_on_large_integers():
     assert isinstance(v, float) and abs(v - 1e20) <= 1e-12 * 1e20
     v = rational_pow(Fraction(10**400 + 1), Fraction(1, 2))  # base past float range
     assert isinstance(v, float) and math.isclose(v, 1e200)
+    v = rational_pow(Fraction(1, 10**400 + 1), Fraction(1, 2))  # base below float range
+    assert isinstance(v, float) and math.isclose(v, 1e-200)
+    v = rational_pow(Fraction(1, 10**400 + 1), Fraction(-1, 2))
+    assert isinstance(v, float) and math.isclose(v, 1e200)
 
 
 
