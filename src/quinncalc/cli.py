@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io as _io
+import math
 import sys
 from fractions import Fraction
 
@@ -102,9 +103,12 @@ def _parse_s(text):
         return Fraction(text)
     except ValueError:
         try:
-            return float(text)
+            s = float(text)
         except ValueError as exc:
             raise SchemaError(f"cannot parse s parameter {text!r}") from exc
+    if not math.isfinite(s):
+        raise SchemaError(f"s parameter {text!r} is not finite")
+    return s
 
 
 def _emit(args, text):
@@ -249,12 +253,12 @@ def cmd_nat_transform(args):
 
 def cmd_algebra(args):
     data = load_json(getattr(args, "from"))
-    if "arrows" in data:
+    if isinstance(data, dict) and "arrows" in data:
         # groupoid file: reuse the crossed complex level-1 reader
         from .io import crossed_complex_from_json
 
         A = crossed_complex_from_json(
-            {"objects": data["objects"], "level1": data, "truncation": 1}
+            {"objects": data.get("objects"), "level1": data, "truncation": 1}
         )
         G = A.base
     else:

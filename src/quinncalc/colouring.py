@@ -39,19 +39,12 @@ class Colouring:
     def value(self, g):
         return self.values[g]
 
-    def base_obj(self, g):
-        """Image of the leading vertex of the generator g."""
-        return self.values[self.X.initial_vertex(g)]
-
     def value_of_ref(self, ref: SimplexRef):
         """Value on a possibly degenerate simplex (identities on degeneracies)."""
         return value_of_ref(self.X, self.A, self.values, ref)
 
     def key(self):
         return colouring_key(self.X, self.A, self.values)
-
-    def restrict(self, gens) -> dict:
-        return {g: self.values[g] for g in gens}
 
     def as_dict(self):
         levels: dict[str, dict] = {}
@@ -82,22 +75,27 @@ class Colouring:
         return f"Colouring({self.values})"
 
 
-def colouring_key(X: SimpSet, A: CrossedComplex, values: dict) -> tuple:
-    """Canonical sort key: value indices in generator declaration order."""
+def colouring_key(X: SimpSet, A: CrossedComplex, values: dict, k: int = 0) -> tuple:
+    """Canonical sort key: value indices in generator declaration order.
+
+    The value at an i-generator lies at level i + k: k = 0 for a colouring,
+    k for a k-fold homotopy.  Above the truncation it is an implicit
+    identity, indexed 0.
+    """
     out = []
     for g in X.all_gens():
-        d = X.dim_of[g]
-        if d > A.truncation and d >= 2:
-            out.append(0)  # implicit identity above the truncation
+        n = X.dim_of[g] + k
+        if n > A.truncation and n >= 2:
+            out.append(0)
             continue
         v = values[g]
-        if d == 0:
+        if n == 0:
             out.append(A.base.obj_index(v))
-        elif d == 1:
+        elif n == 1:
             out.append(A.base.arr_index(v))
         else:
             x, e = v
-            out.append(A.fibre(d, x).index(e))
+            out.append(A.fibre(n, x).index(e))
     return tuple(out)
 
 
@@ -364,10 +362,14 @@ def enumerate_colourings(X: SimpSet, A: CrossedComplex, fixed: dict | None = Non
     boundary image below the truncation and be the identity just above it.
     """
     fixed = fixed or {}
+    _check_known(X, fixed)
+    return _Plan(X, A).colourings(fixed)
+
+
+def _check_known(X: SimpSet, fixed: dict):
     for g in fixed:
         if g not in X.dim_of:
             raise BoundaryError(f"fixed value on unknown generator {g!r}")
-    return _Plan(X, A).colourings(fixed)
 
 
 def _check_fixed(X: SimpSet, A: CrossedComplex, fixed: dict):
@@ -376,6 +378,7 @@ def _check_fixed(X: SimpSet, A: CrossedComplex, fixed: dict):
     Only conditions fully determined by the fixed set are checked, so partial
     (non-face-closed) data passes through to the enumerator untouched.
     """
+    _check_known(X, fixed)
     objs = set(A.objects)
     for g, v in fixed.items():
         if X.dim_of[g] == 0 and v not in objs:

@@ -237,7 +237,7 @@ def profunctor_iso_check(P: Profunctor, Q: Profunctor):
     Images propagate through the transports, so the search branches only
     over orbit representatives.
     """
-    GL, GR = P.left.groupoid, Q.left.groupoid
+    GL = P.left.groupoid
     if set(GL.arrows) != set(Q.left.groupoid.arrows):
         return None
     if set(P.right.groupoid.arrows) != set(Q.right.groupoid.arrows):
@@ -246,20 +246,7 @@ def profunctor_iso_check(P: Profunctor, Q: Profunctor):
         if len(P.basis.get(pair, ())) != len(Q.basis.get(pair, ())):
             return None
 
-    moves = []  # (pair, elem) -> (pair', elem') generators of the transport action
     GRo = P.right.groupoid
-
-    def p_moves(pf, b, pair):
-        out = []
-        x, y = pair
-        for g in GL.arrows:
-            if GL.tgt[g] == x:
-                out.append(((GL.src[g], y), pf.lact[(g, b)]))
-        for h in GRo.arrows:
-            if GRo.src[h] == y:
-                out.append(((x, GRo.tgt[h]), pf.ract[(b, h)]))
-        return out
-
     assignment = {}
 
     def propagate(pair, b, image):

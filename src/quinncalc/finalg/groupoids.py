@@ -72,14 +72,6 @@ class FinGroupoid:
     def inv(self, a):
         return self.inv_table[a]
 
-    def compose_word(self, word):
-        """Compose a nonempty list of (arrow, sign) pairs left to right."""
-        out = None
-        for a, sign in word:
-            a = self.inv(a) if sign < 0 else a
-            out = a if out is None else self.comp(out, a)
-        return out
-
     def arrows_from(self, x):
         return tuple(a for a in self.arrows if self.src[a] == x)
 

@@ -5,7 +5,8 @@ generator: an arrow into f0(v) at a vertex v (k=1), an element of
 A_{1+k} based at the image of the target vertex at an edge, and an element
 of A_{i+k} based at the image of the leading vertex at an i-generator,
 i >= 2.  Levels with i+k above the truncation carry identities and are not
-stored.
+stored.  `HomotopySequence.values` maps each generator to its value, the
+same shape as `Colouring.values`, and one key function serves both.
 
 The derived operations (the other end of a homotopy, composition,
 inversion, and the boundary of a 2-fold homotopy) are evaluated directly on
@@ -20,6 +21,7 @@ from itertools import product
 
 from .colouring import (
     Colouring,
+    colouring_key,
     enumerate_colourings,
     eval_edge_word,
     hal_word,
@@ -34,50 +36,50 @@ from .simpset import SimpSet, SimplexRef
 class HomotopySequence:
     k: int
     target: Colouring
-    m: dict  # dim -> {generator -> value}
-
-    def value(self, i, g):
-        return self.m.get(i, {}).get(g)
+    values: dict  # generator -> value, for each generator g with dim(g) + k <= truncation
 
     def key(self):
-        X, A = self.target.X, self.target.A
-        out = []
-        for g in X.all_gens():
-            i = X.dim_of[g]
-            if i + self.k > A.truncation:
-                out.append(0)
-                continue
-            v = self.m[i][g]
-            if i == 0 and self.k == 1:
-                out.append(A.base.arr_index(v))
-            else:
-                out.append(A.fibre(i + self.k, v[0]).index(v[1]))
-        return tuple(out)
+        return colouring_key(self.target.X, self.target.A, self.values, self.k)
 
     def as_dict(self):
-        values = {}
-        for i, row in sorted(self.m.items()):
-            values[str(i)] = {
-                str(g): str(v if (i == 0 and self.k == 1) else v[1])
-                for g, v in row.items()
-            }
+        X = self.target.X
+        values: dict = {}
+        for g, v in sorted(self.values.items(), key=lambda gv: X.dim_of[gv[0]]):
+            i = X.dim_of[g]
+            values.setdefault(str(i), {})[str(g)] = str(v if i + self.k == 1 else v[1])
         return {"k": self.k, "target": list(self.target.key()), "values": values}
 
     def __repr__(self):
-        return f"HomotopySequence(k={self.k}, m={self.m})"
+        return f"HomotopySequence(k={self.k}, values={self.values})"
 
 
-def _value_base(X, f: Colouring, i, g):
-    """Base object of the homotopy value at an i-generator."""
+def _base_vertex(X: SimpSet, g):
+    """The vertex over whose image a homotopy value at the generator g lies.
+
+    A vertex is its own base, an edge is based at its target vertex d0, and
+    a higher generator at its leading vertex.
+    """
+    i = X.dim_of[g]
     if i == 0:
-        return f.values[g]
+        return g
     if i == 1:
-        return f.values[X.face(g, 0).core]  # image of the target vertex
-    return f.values[X.initial_vertex(g)]
+        return X.face(g, 0).core
+    return X.initial_vertex(g)
+
+
+def _identity(f: Colouring, g, k: int):
+    """The identity value of a k-fold homotopy targeting f at the generator g.
+
+    It lies at level dim(g) + k: an identity arrow at level one, an identity
+    element above.
+    """
+    n = f.X.dim_of[g] + k
+    x = f.values[_base_vertex(f.X, g)]
+    return f.A.base.ident[x] if n == 1 else f.A.identity_elem(n, x)
 
 
 def sequence_domains(X: SimpSet, A: CrossedComplex, f: Colouring, k: int, fixed_identity=()):
-    """Per-generator value domains for k-fold homotopies targeting f.
+    """(generator, value domain) pairs of the k-fold homotopies targeting f.
 
     Generators in `fixed_identity` are pinned to identity values (used for
     homotopies relative to a subcomplex).
@@ -85,21 +87,17 @@ def sequence_domains(X: SimpSet, A: CrossedComplex, f: Colouring, k: int, fixed_
     fixed_identity = set(fixed_identity)
     domains = []
     for g in X.all_gens():
-        i = X.dim_of[g]
-        base = _value_base(X, f, i, g)
-        if i + k > A.truncation:
+        n = X.dim_of[g] + k
+        if n > A.truncation:
             continue  # implicit identity
-        if i == 0 and k == 1:
-            if g in fixed_identity:
-                dom = (A.base.ident[base],)
-            else:
-                dom = A.base.arrows_into(base)
+        base = f.values[_base_vertex(X, g)]
+        if g in fixed_identity:
+            dom = (_identity(f, g, k),)
+        elif n == 1:
+            dom = A.base.arrows_into(base)
         else:
-            if g in fixed_identity:
-                dom = (A.identity_elem(i + k, base),)
-            else:
-                dom = tuple((base, e) for e in A.fibre(i + k, base).elements)
-        domains.append((i, g, dom))
+            dom = tuple((base, e) for e in A.fibre(n, base).elements)
+        domains.append((g, dom))
     return domains
 
 
@@ -109,18 +107,14 @@ def expand_sequence(seq: HomotopySequence, X: SimpSet, target: Colouring) -> Hom
     Only generators with i + k <= truncation get a slot; values of `seq` on
     generators outside X are dropped.
     """
-    A, k = target.A, seq.k
-    m: dict = {}
+    k = seq.k
+    values = {}
     for g in X.all_gens():
-        i = X.dim_of[g]
-        if i + k > A.truncation:
+        if X.dim_of[g] + k > target.A.truncation:
             continue
-        v = seq.value(i, g)
-        if v is None:
-            base = _value_base(X, target, i, g)
-            v = A.base.ident[base] if (i == 0 and k == 1) else A.identity_elem(i + k, base)
-        m.setdefault(i, {})[g] = v
-    return HomotopySequence(k, target, m)
+        v = seq.values.get(g)
+        values[g] = _identity(target, g, k) if v is None else v
+    return HomotopySequence(k, target, values)
 
 
 def identity_sequence(f: Colouring, k: int = 1) -> HomotopySequence:
@@ -130,26 +124,22 @@ def identity_sequence(f: Colouring, k: int = 1) -> HomotopySequence:
 def enumerate_sequences(X, A, f: Colouring, k: int):
     """All k-fold homotopies targeting f, in canonical order."""
     slots = sequence_domains(X, A, f, k)
-    out = []
-    for combo in product(*(dom for (_, _, dom) in slots)):
-        m: dict = {}
-        for (i, g, _), v in zip(slots, combo):
-            m.setdefault(i, {})[g] = v
-        out.append(HomotopySequence(k, f, m))
-    return out
+    gens = [g for g, _ in slots]
+    return [
+        HomotopySequence(k, f, dict(zip(gens, combo)))
+        for combo in product(*(dom for _, dom in slots))
+    ]
 
 
 def _h_of_ref(H: HomotopySequence, ref: SimplexRef):
     """Value of the (free) homotopy on a possibly degenerate simplex, dim >= 1."""
     X, A, f = H.target.X, H.target.A, H.target
     d = X.ref_dim(ref)
-    if ref.word or d + H.k > A.truncation:
-        if ref.word:
-            base = f.values[X.initial_vertex(ref)]
-        else:
-            base = _value_base(X, f, d, ref.core)
-        return A.identity_elem(d + H.k, base)
-    return H.m[d][ref.core]
+    if ref.word:
+        return A.identity_elem(d + H.k, f.values[X.initial_vertex(ref)])
+    if d + H.k > A.truncation:
+        return _identity(f, ref.core, H.k)
+    return H.values[ref.core]
 
 
 def _h_on_edge_word(H: HomotopySequence, word):
@@ -204,27 +194,22 @@ def apply_homotopy(H: HomotopySequence, f: Colouring) -> Colouring:
         raise ValueError("only 1-fold homotopies connect colourings")
     if f is not H.target and f.values != H.target.values:
         raise ValueError("homotopy does not target this colouring")
-    X, A = f.X, f.A
+    X, A, h = f.X, f.A, H.values
     out: dict = {}
     for v in X.gens(0):
-        out[v] = A.base.src[H.m[0][v]]
+        out[v] = A.base.src[h[v]]
     for e in X.gens(1):
         sv, tv = X.edge_ends(e)
-        h_e = H.value(1, e)
         mid = f.values[e]
-        if h_e is not None:
-            disc = A.bdry_of(2, h_e)
-            mid = A.base.comp(mid, disc)
-        out[e] = A.base.comp(A.base.comp(H.m[0][sv], mid), A.base.inv(H.m[0][tv]))
+        if e in h:
+            mid = A.base.comp(mid, A.bdry_of(2, h[e]))
+        out[e] = A.base.comp(A.base.comp(h[sv], mid), A.base.inv(h[tv]))
     for n in range(2, min(X.dim, A.truncation) + 1):
         for c in X.gens(n):
-            base_gen = X.initial_vertex(c)
-            val = f.values[c]
-            val = A.mul(n, val, _h_on_hal(H, c))
-            h_c = H.value(n, c)
-            if h_c is not None:
-                val = A.mul(n, val, A.bdry_of(n + 1, h_c))
-            out[c] = A.act_elem(n, val, A.base.inv(H.m[0][base_gen]))
+            val = A.mul(n, f.values[c], _h_on_hal(H, c))
+            if c in h:
+                val = A.mul(n, val, A.bdry_of(n + 1, h[c]))
+            out[c] = A.act_elem(n, val, A.base.inv(h[X.initial_vertex(c)]))
     return Colouring(X, A, out)
 
 
@@ -236,34 +221,32 @@ def compose_homotopies(first: HomotopySequence, second: HomotopySequence) -> Hom
     f_mid = apply_homotopy(second, second.target)
     if first.target.values != f_mid.values:
         raise ValueError("homotopies are not composable")
-    X, A = second.target.X, second.target.A
     f = second.target
-    m: dict = {}
-    for v in X.gens(0):
-        m.setdefault(0, {})[v] = A.base.comp(first.m[0][v], second.m[0][v])
-    for i in range(1, min(X.dim, A.truncation - 1) + 1):
-        level = i + 1
-        for g in X.gens(i):
-            y = X.face(g, 0).core if i == 1 else X.initial_vertex(g)
-            twisted = A.act_elem(level, first.m[i][g], second.m[0][y])
-            m.setdefault(i, {})[g] = A.mul(level, second.m[i][g], twisted)
-    return HomotopySequence(1, f, m)
+    X, A = f.X, f.A
+    values = {}
+    for g, h in second.values.items():
+        i = X.dim_of[g]
+        if i == 0:
+            values[g] = A.base.comp(first.values[g], h)
+        else:
+            twisted = A.act_elem(i + 1, first.values[g], second.values[_base_vertex(X, g)])
+            values[g] = A.mul(i + 1, h, twisted)
+    return HomotopySequence(1, f, values)
 
 
 def invert_homotopy(H: HomotopySequence) -> HomotopySequence:
     """The inverse arrow: targets the source of H."""
     X, A = H.target.X, H.target.A
     src = apply_homotopy(H, H.target)
-    m: dict = {}
-    for v in X.gens(0):
-        m.setdefault(0, {})[v] = A.base.inv(H.m[0][v])
-    for i in range(1, min(X.dim, A.truncation - 1) + 1):
-        level = i + 1
-        for g in X.gens(i):
-            y = X.face(g, 0).core if i == 1 else X.initial_vertex(g)
-            inv_h0 = A.base.inv(H.m[0][y])
-            m.setdefault(i, {})[g] = A.act_elem(level, A.inv_elem(level, H.m[i][g]), inv_h0)
-    return HomotopySequence(1, src, m)
+    values = {}
+    for g, h in H.values.items():
+        i = X.dim_of[g]
+        if i == 0:
+            values[g] = A.base.inv(h)
+        else:
+            inv_h0 = A.base.inv(H.values[_base_vertex(X, g)])
+            values[g] = A.act_elem(i + 1, A.inv_elem(i + 1, h), inv_h0)
+    return HomotopySequence(1, src, values)
 
 
 def delta2(H2: HomotopySequence) -> HomotopySequence:
@@ -271,36 +254,24 @@ def delta2(H2: HomotopySequence) -> HomotopySequence:
     if H2.k != 2:
         raise ValueError("expected a 2-fold homotopy")
     X, A, f = H2.target.X, H2.target.A, H2.target
-    m: dict = {}
+    h = H2.values
+    values = {}
     for v in X.gens(0):
-        h0 = H2.value(0, v)
-        if h0 is None:
-            m.setdefault(0, {})[v] = A.base.ident[f.values[v]]
-        else:
-            m.setdefault(0, {})[v] = A.bdry_of(2, h0)
-    if X.dim >= 1 and A.truncation >= 2:
+        values[v] = A.bdry_of(2, h[v]) if v in h else _identity(f, v, 1)
+    if A.truncation >= 2:
         for e in X.gens(1):
             sv, tv = X.edge_ends(e)
-            fx, fy = f.values[sv], f.values[tv]
-            h0x = H2.value(0, sv)
-            h0x = h0x if h0x is not None else A.identity_elem(2, fx)
-            h0y = H2.value(0, tv)
-            h0y = h0y if h0y is not None else A.identity_elem(2, fy)
-            term = A.act_elem(2, A.inv_elem(2, h0x), f.values[e])
-            term = A.mul(2, term, h0y)
-            h1 = H2.value(1, e)
-            if h1 is not None:
-                term = A.mul(2, term, A.bdry_of(3, h1))
-            m.setdefault(1, {})[e] = term
+            term = A.act_elem(2, A.inv_elem(2, h[sv]), f.values[e])
+            term = A.mul(2, term, h[tv])
+            if e in h:
+                term = A.mul(2, term, A.bdry_of(3, h[e]))
+            values[e] = term
     for n in range(2, min(X.dim, A.truncation - 1) + 1):
         for c in X.gens(n):
-            hn = H2.value(n, c)
-            base = f.values[X.initial_vertex(c)]
-            term = A.bdry_of(n + 2, hn) if hn is not None else A.identity_elem(n + 1, base)
+            term = A.bdry_of(n + 2, h[c]) if c in h else _identity(f, c, 1)
             lower = _h_on_hal(H2, c)
-            term = A.mul(n + 1, term, A.pow_elem(n + 1, lower, (-1) ** n))
-            m.setdefault(n, {})[c] = term
-    return HomotopySequence(1, f, m)
+            values[c] = A.mul(n + 1, term, A.pow_elem(n + 1, lower, (-1) ** n))
+    return HomotopySequence(1, f, values)
 
 
 # -- the extended groupoid ------------------------------------------------------
@@ -416,17 +387,17 @@ def rel_classes(X: SimpSet, A: CrossedComplex, boundary_gens, fillings):
     def links():
         for i, col in enumerate(fillings):
             H = identity_sequence(col)
-            for d, g, dom in sequence_domains(X, A, col, 1, fixed_identity=boundary_gens):
-                unit = H.m[d][g]
+            for g, dom in sequence_domains(X, A, col, 1, fixed_identity=boundary_gens):
+                unit = H.values[g]
                 for v in dom:
                     if v == unit:
                         continue
-                    H.m[d][g] = v
+                    H.values[g] = v
                     j = keys.get(apply_homotopy(H, col).key())
                     if j is None:
                         raise ValueError("internal homotopy left the filling set")
                     yield i, j
-                H.m[d][g] = unit
+                H.values[g] = unit
 
     classes = partition(len(fillings), links())
     class_of = {fillings[i].key(): ci for ci, members in enumerate(classes) for i in members}

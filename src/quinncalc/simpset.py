@@ -40,24 +40,19 @@ class SimpSet:
             self.gens_by_dim[d] = self.gens_by_dim[d] + (g,)
         self.faces = {k: SimplexRef(*v) for k, v in faces.items()}
         self.name = name
-        self._gen_index = {g: i for i, g in enumerate(self.all_gens())}
+        self._all_gens = tuple(g for n in sorted(self.gens_by_dim) for g in self.gens_by_dim[n])
+        self._gen_index = {g: i for i, g in enumerate(self._all_gens)}
+        self.dim = max(self.gens_by_dim, default=-1)
 
     # -- basic access ---------------------------------------------------------
     def gens(self, n: int) -> tuple:
         return self.gens_by_dim.get(n, ())
 
     def all_gens(self) -> tuple:
-        return tuple(
-            g for n in sorted(self.gens_by_dim) for g in self.gens_by_dim[n]
-        )
+        return self._all_gens
 
     def gen_index(self, g) -> int:
         return self._gen_index[g]
-
-    @property
-    def dim(self) -> int:
-        dims = [n for n, gs in self.gens_by_dim.items() if gs]
-        return max(dims) if dims else -1
 
     def ref_dim(self, ref: SimplexRef) -> int:
         return self.dim_of[ref.core] + len(ref.word)
@@ -209,7 +204,6 @@ class Stratification:
 
     simpset: SimpSet
     tags: dict = field(default_factory=dict)
-    role: str = "cobordism"
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -371,7 +365,7 @@ def prism(X: SimpSet) -> Stratification:
         in_map[xg] = (SimplexRef(xg, ()), SimplexRef((0,), tuple(range(d))))
         out_map[xg] = (SimplexRef(xg, ()), SimplexRef((1,), tuple(range(d))))
     tags = {"in": frozenset(in_map.values()), "out": frozenset(out_map.values())}
-    strat = Stratification(Z, tags, role="cobordism")
+    strat = Stratification(Z, tags)
     strat.meta.update(
         base=X,
         in_map=in_map,
@@ -443,7 +437,7 @@ def glue(X: Stratification, Y: Stratification, iso: dict) -> Stratification:
         "in": frozenset(lid(g) for g in X.tagged("in")),
         "out": frozenset(rid(h) for h in Y.tagged("out")),
     }
-    strat = Stratification(Z, tags, role="cobordism")
+    strat = Stratification(Z, tags)
     strat.meta.update(
         left_map={g: lid(g) for g in XS.all_gens()},
         right_map={h: rid(h) for h in YS.all_gens()},

@@ -65,6 +65,14 @@ def test_quinn_matrix_identity_csv(files, capsys):
     assert rows == [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
 
 
+@pytest.mark.parametrize("s", ["nan", "inf"])
+def test_quinn_matrix_non_finite_s_exits_2(files, s):
+    code, err = _exit_code_and_stderr(
+        ["quinn-matrix", "--cobordism", files["prism-circle"], "--algebra", files["xmod"], "--s", s]
+    )
+    assert code == 2 and "not finite" in err
+
+
 def test_quinn_matrix_json_carries_class_labels(files, capsys):
     code, out = run_cli(
         capsys,
@@ -193,6 +201,14 @@ def test_algebra_cli(files, capsys):
     assert code == 0
     data = json.loads(out)
     assert data["dimension"] == 2
+
+
+@pytest.mark.parametrize("data", [{"arrows": []}, 5], ids=["groupoid-without-objects", "number"])
+def test_algebra_from_malformed_file_exits_2(tmp_path, data):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, err = _exit_code_and_stderr(["algebra", "--from", str(bad)])
+    assert code == 2 and "schema" in err
 
 
 def test_byte_identical_reruns(files, capsys):
@@ -355,6 +371,7 @@ def test_mutated_catalog_json_never_ends_in_a_traceback(space, algebra, targets,
             ["validate", "--input", files["space"]],
             ["validate", "--input", files["algebra"]],
             ["chi-pi", "--algebra", files["algebra"]],
+            ["algebra", "--from", files["algebra"]],
             ["colour-count", "--space", files["space"], "--algebra", files["algebra"]],
         ):
             code, err = _exit_code_and_stderr(argv)

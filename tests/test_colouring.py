@@ -240,6 +240,15 @@ def test_relative_rejects_invalid_boundary_data():
         enumerate_relative(T, A2, bad)
 
 
+def test_relative_rejects_unknown_generator():
+    from quinncalc.tqft import chi_pi_rel_fibre
+
+    A = iota1(cyclic_group(2))
+    for run in (enumerate_colourings, enumerate_relative, chi_pi_rel_fibre):
+        with pytest.raises(BoundaryError, match="unknown generator 'zz'"):
+            run(circle(), A, {"zz": "*"})
+
+
 def test_relative_sphere_empty_boundary():
     for M in corpus_crossed_modules():
         A = iota2(M)

@@ -82,7 +82,7 @@ def test_circle_group_action_is_conjugation(s3):
     for g in s3.elements:
         col = circle_colouring(A, g)
         for H in enumerate_sequences(X, A, col, 1):
-            h = H.m[0]["v"]
+            h = H.values["v"]
             other = apply_homotopy(H, col)
             assert other.value("e") == s3.mul(s3.mul(h, g), s3.inv(h))
 
@@ -95,8 +95,8 @@ def test_circle_crossed_module_action():
         for g in G.elements:
             col = circle_colouring(A, g)
             for H in enumerate_sequences(X, A, col, 1):
-                h = H.m[0]["v"]
-                e = H.m[1]["e"][1]
+                h = H.values["v"]
+                e = H.values["e"][1]
                 got = apply_homotopy(H, col).value("e")
                 want = G.mul(G.mul(G.mul(h, g), M.bdry[e]), G.inv(h))
                 assert got == want
@@ -137,12 +137,12 @@ def test_compose_matches_semidirect_convention():
         P = semidirect(G, E, M.act)
         col = circle_colouring(A, G.elements[-1])
         for H in enumerate_sequences(X, A, col, 1):
-            h, e = H.m[0]["v"], H.m[1]["e"][1]
+            h, e = H.values["v"], H.values["e"][1]
             mid = apply_homotopy(H, col)
             for Hp in enumerate_sequences(X, A, mid, 1):
-                hp, ep = Hp.m[0]["v"], Hp.m[1]["e"][1]
+                hp, ep = Hp.values["v"], Hp.values["e"][1]
                 J = compose_homotopies(Hp, H)
-                jh, je = J.m[0]["v"], J.m[1]["e"][1]
+                jh, je = J.values["v"], J.values["e"][1]
                 assert (jh, je) == P.mul((hp, ep), (h, e))
 
 
@@ -201,9 +201,9 @@ def test_delta2_circle_formula():
     col = circle_colouring(A, 1)
     count = 0
     for H2 in enumerate_sequences(circle(), A, col, 2):
-        e = H2.m[0]["v"][1]
+        e = H2.values["v"][1]
         d = delta2(H2)
-        assert d.m[0]["v"] == M.bdry[e]
+        assert d.values["v"] == M.bdry[e]
         count += 1
     assert count == len(M.E)
 
@@ -355,7 +355,7 @@ def test_expand_restrict_roundtrip(s3):
         i = sub.dim_of[g]
         if i + 1 > A.truncation:
             continue
-        assert H.m[i][g] == eta.m[i][g]
+        assert H.values[g] == eta.values[g]
 
 
 def test_rel_classes_cylinder(s3):
@@ -437,11 +437,10 @@ def _rel_classes_product(X, A, boundary_gens, fillings):
     def links():
         for i, col in enumerate(fillings):
             slots = sequence_domains(X, A, col, 1, fixed_identity=boundary_gens)
-            for combo in product(*(dom for (_, _, dom) in slots)):
-                m: dict = {}
-                for (d, g, _), v in zip(slots, combo):
-                    m.setdefault(d, {})[g] = v
-                j = keys.get(apply_homotopy(HomotopySequence(1, col, m), col).key())
+            gens = [g for g, _ in slots]
+            for combo in product(*(dom for _, dom in slots)):
+                H = HomotopySequence(1, col, dict(zip(gens, combo)))
+                j = keys.get(apply_homotopy(H, col).key())
                 if j is None:
                     raise ValueError("internal homotopy left the filling set")
                 yield i, j
