@@ -12,7 +12,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .colouring import enumerate_colourings
+from .colouring import Plan, as_simpset, enumerate_colourings
 from .errors import BoundaryError, QuinncalcError, SchemaError
 from .extprof import cobordism_profunctor, window_nat_transform
 from .finalg.crossed import chi_pi, validate_crossed_complex
@@ -122,9 +122,7 @@ def _emit(args, text):
 def cmd_validate(args):
     data = load_json(args.input)
     if isinstance(data, dict) and ("generators" in data):
-        obj = simpset_from_json(data)
-        X = obj.simpset if isinstance(obj, Stratification) else obj
-        report = X.validate()
+        report = as_simpset(simpset_from_json(data)).validate()
     else:
         A = algebra_from_json(data)
         report = validate_crossed_complex(A)
@@ -155,7 +153,7 @@ def cmd_catalog(args):
 def cmd_colour_count(args):
     strat = _load_space(args.space)
     A = _load_algebra(args.algebra)
-    n = len(enumerate_colourings(strat.simpset, A))
+    n = Plan(strat.simpset, A).count()
     _emit(args, dump_json({"count": n}))
     return 0
 

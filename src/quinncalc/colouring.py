@@ -12,20 +12,24 @@ the test suite):
     n>=4:  (f(d0 c) <| f(01)^-1) . prod_{j=1..n} f(dj c)^((-1)^j)
 where f(01) is the value on the leading edge d_2 d_3 ... d_n c.
 
-These labels depend on X alone, so `enumerate_colourings` first compiles
-(X, A) into a private plan, once per call: each generator's leading vertex,
-a label evaluator per generator whose faces and twist edge are resolved to
-"value of a generator" or "identity at a vertex", the schedule of label
-tests along the walk, arrows by (source, target) and the boundary preimages
-of each level.  The backtracking walk then reads only the plan.
-`boundary_label` and `value_of_ref` remain the reference evaluation, used
-by the homotopy layer and by `is_valid_colouring`.
+These labels depend on X alone, so (X, A) is compiled once into a `Plan`:
+each generator's leading vertex, a label evaluator per generator whose faces
+and twist edge are resolved to "value of a generator" or "identity at a
+vertex", the schedule of label tests along the walk, arrows by (source,
+target), the boundary preimages of each level and each slot's domain.
+`Plan.colourings(fixed)` lists the colourings extending some fixed values
+and `Plan.count(fixed)` counts them without building any.  Both run one
+backtracking walk, which reads only the plan, after one check of the fixed
+values.  `enumerate_colourings` and `enumerate_relative` compile a plan per
+call; a caller that walks one X for many boundary values compiles it once.
+`boundary_label` and `value_of_ref` remain the reference evaluation, used by
+the homotopy layer, the fixed-value check and `is_valid_colouring`.
 """
 from __future__ import annotations
 
 from .errors import BoundaryError
 from .finalg.crossed import CrossedComplex
-from .simpset import SimpSet, SimplexRef
+from .simpset import SimpSet, SimplexRef, Stratification
 
 
 class Colouring:
@@ -171,8 +175,15 @@ def boundary_label(X: SimpSet, A: CrossedComplex, values: dict, c):
     return out
 
 
-class _Plan:
-    """(X, A) compiled for `enumerate_colourings`; nothing here depends on a colouring.
+def as_simpset(X) -> SimpSet:
+    """The simplicial set of X, which is a `SimpSet` or a `Stratification`."""
+    return X.simpset if isinstance(X, Stratification) else X
+
+
+class Plan:
+    """(X, A) compiled once for any number of walks; nothing here depends on a colouring.
+
+    X may be a `SimpSet` or a `Stratification`; `self.X` is the `SimpSet`.
 
     - `lead[g]`: the leading vertex of g;
     - `label[c](values)`: equals `boundary_label(X, A, values, c)` for c of
@@ -180,10 +191,13 @@ class _Plan:
     - `slots`: the walk order; `checks[pos]`: the label tests run on arrival
       at position pos;
     - `arrows[(x, y)]`: the arrows from x to y;
-    - `preimage[n][x]`: label -> [(x, e), ...] with that boundary, in fibre order.
+    - `preimage[n][x]`: label -> [(x, e), ...] with that boundary, in fibre order;
+    - `domains[pos](values)`: the admissible values at `slots[pos]`, given
+      every earlier position.
     """
 
-    def __init__(self, X: SimpSet, A: CrossedComplex):
+    def __init__(self, X, A: CrossedComplex):
+        X = as_simpset(X)
         self.X, self.A = X, A
         trunc = A.truncation
         last_level = min(X.dim, trunc)
@@ -219,6 +233,7 @@ class _Plan:
                     at = max((index[f.core] for f in faces if not f.word), default=pos)
                     self.checks[at].append(self._test(c))
             pos += len(gens)
+        self.domains = [self._domain(g) for g in self.slots]
 
     def _reader(self, ref: SimplexRef, sign: int = 1):
         """(key, table): the value on ref is values[key], mapped through table if any.
@@ -299,108 +314,110 @@ class _Plan:
         image = self.preimage[n]
         return lambda vals: label(vals) in image[vals[lead]]
 
-    def _domain(self, g, fixed: dict):
+    def _domain(self, g):
         """values -> the admissible values at g, given every earlier position."""
         X, A = self.X, self.A
         n = X.dim_of[g]
         if n == 0:
             objects = A.objects
-            if g in fixed:
-                objects = (fixed[g],) if fixed[g] in set(A.objects) else ()
             return lambda vals: objects
         if n == 1:
             s, t = X.edge_ends(g)
             arrows = self.arrows
+            return lambda vals: arrows.get((vals[s], vals[t]), ())
+        lead, label, preimage = self.lead[g], self.label[g], self.preimage[n]
+        return lambda vals: preimage[vals[lead]].get(label(vals), ())
 
-            def domain(vals):
-                return arrows.get((vals[s], vals[t]), ())
-        else:
-            lead, label, preimage = self.lead[g], self.label[g], self.preimage[n]
+    def _check_fixed(self, fixed: dict):
+        """Reject fixed values that cannot be part of a colouring.
 
-            def domain(vals):
-                return preimage[vals[lead]].get(label(vals), ())
-        if g not in fixed:
-            return domain
-        v = fixed[g]
-        return lambda vals: [a for a in domain(vals) if a == v]
-
-    def colourings(self, fixed: dict) -> list:
+        Only conditions fully determined by the fixed set are checked, so
+        partial (non-face-closed) data passes through to the walk.
+        """
         X, A = self.X, self.A
-        slots, checks = self.slots, self.checks
-        domains = [self._domain(g, fixed) for g in slots]
+        for g in fixed:
+            if g not in X.dim_of:
+                raise BoundaryError(f"fixed value on unknown generator {g!r}")
+        objs = set(A.objects)
+        for g, v in fixed.items():
+            if X.dim_of[g] == 0 and v not in objs:
+                raise BoundaryError(f"vertex value {v!r} is not an object")
+        for g, v in fixed.items():
+            d = X.dim_of[g]
+            if d == 1:
+                s, t = X.edge_ends(g)
+                if s in fixed and t in fixed:
+                    if A.base.src.get(v) != fixed[s] or A.base.tgt.get(v) != fixed[t]:
+                        raise BoundaryError(f"edge value at {g!r} has wrong endpoints")
+            elif 2 <= d <= A.truncation:
+                if X.subcomplex_closure({g}) - {g} <= set(fixed):
+                    label = boundary_label(X, A, fixed, g)
+                    if A.bdry_of(d, v) != label:
+                        raise BoundaryError(f"value at {g!r} violates its boundary condition")
+
+    def _walk(self, fixed: dict, emit) -> int:
+        """The number of colourings extending `fixed`; each goes to `emit` if given."""
+        if fixed:
+            self._check_fixed(fixed)
+        slots, checks, domains = self.slots, self.checks, list(self.domains)
+        for pos, g in enumerate(slots):
+            if g in fixed:
+                domain, v = domains[pos], fixed[g]
+                domains[pos] = lambda vals, domain=domain, v=v: [a for a in domain(vals) if a == v]
         end = len(slots)
-        results = []
         values: dict = {}
 
         def walk(pos):
             for test in checks[pos]:
                 if not test(values):
-                    return
+                    return 0
             if pos == end:
-                results.append(Colouring(X, A, dict(values)))
-                return
-            g = slots[pos]
+                if emit is not None:
+                    emit(values)
+                return 1
+            g, n = slots[pos], 0
             for v in domains[pos](values):
                 values[g] = v
-                walk(pos + 1)
+                n += walk(pos + 1)
             values.pop(g, None)
+            return n
 
-        walk(0)
-        return results
+        return walk(0)
+
+    def colourings(self, fixed: dict | None = None) -> list:
+        """The colourings extending `fixed`, in canonical order."""
+        X, A, out = self.X, self.A, []
+        self._walk(fixed or {}, lambda values: out.append(Colouring(X, A, dict(values))))
+        return out
+
+    def count(self, fixed: dict | None = None) -> int:
+        """The number of colourings extending `fixed`; no colouring is built."""
+        return self._walk(fixed or {}, None)
 
 
-def enumerate_colourings(X: SimpSet, A: CrossedComplex, fixed: dict | None = None):
+def enumerate_colourings(X, A: CrossedComplex, fixed: dict | None = None):
     """All colourings of X by A, in canonical order.
 
-    `fixed` pins values on some generators (they must form consistent data);
-    the result is the list of total colourings extending it.  The search
-    first compiles (X, A) into a `_Plan`, then assigns generators level by
-    level in declaration order.  Each value is drawn from its domain (the
-    objects, the arrows between the images of the edge's ends, or the
-    boundary preimage of the generator's label) and each (n+1)-generator's
-    label is tested as soon as its last n-face is set: it must lie in the
-    boundary image below the truncation and be the identity just above it.
+    X is a `SimpSet` or a `Stratification`.  `fixed` pins values on some
+    generators; the result is the list of total colourings extending them.
+    Fixed values are checked first, and `BoundaryError` is raised for an
+    unknown generator, a vertex value that is not an object, an edge value
+    whose fixed ends disagree with it, or a value whose faces are all fixed
+    and whose boundary is not their label.  The search compiles (X, A) into
+    a `Plan` for this call, then assigns generators level by level in
+    declaration order.  Each value is drawn from its domain (the objects, the
+    arrows between the images of the edge's ends, or the boundary preimage of
+    the generator's label) and each (n+1)-generator's label is tested as
+    soon as its last n-face is set: it must lie in the boundary image below
+    the truncation and be the identity just above it.  To walk one X for
+    many fixed values, compile one `Plan` and call its `colourings` or `count`.
     """
-    fixed = fixed or {}
-    _check_known(X, fixed)
-    return _Plan(X, A).colourings(fixed)
+    return Plan(X, A).colourings(fixed)
 
 
-def _check_known(X: SimpSet, fixed: dict):
-    for g in fixed:
-        if g not in X.dim_of:
-            raise BoundaryError(f"fixed value on unknown generator {g!r}")
-
-
-def _check_fixed(X: SimpSet, A: CrossedComplex, fixed: dict):
-    """Reject fixed boundary values that are not themselves a valid colouring.
-
-    Only conditions fully determined by the fixed set are checked, so partial
-    (non-face-closed) data passes through to the enumerator untouched.
-    """
-    _check_known(X, fixed)
-    objs = set(A.objects)
-    for g, v in fixed.items():
-        if X.dim_of[g] == 0 and v not in objs:
-            raise BoundaryError(f"vertex value {v!r} is not an object")
-    for g, v in fixed.items():
-        d = X.dim_of[g]
-        if d == 1:
-            s, t = X.edge_ends(g)
-            if s in fixed and t in fixed:
-                if A.base.src.get(v) != fixed[s] or A.base.tgt.get(v) != fixed[t]:
-                    raise BoundaryError(f"edge value at {g!r} has wrong endpoints")
-        elif 2 <= d <= A.truncation:
-            if X.subcomplex_closure({g}) - {g} <= set(fixed):
-                label = boundary_label(X, A, fixed, g)
-                if A.bdry_of(d, v) != label:
-                    raise BoundaryError(f"value at {g!r} violates its boundary condition")
-
-
-def enumerate_relative(X: SimpSet, A: CrossedComplex, fixed: dict):
+def enumerate_relative(X, A: CrossedComplex, fixed: dict):
     """Colourings extending given values on disjoint tagged subcomplexes."""
-    _check_fixed(X, A, fixed)
-    return enumerate_colourings(X, A, fixed=fixed)
+    return Plan(X, A).colourings(fixed)
 
 
 def restrict_colouring(col: Colouring, sub: SimpSet) -> Colouring:

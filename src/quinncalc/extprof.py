@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .colouring import Colouring, enumerate_relative, value_of_ref
+from .colouring import Colouring, Plan, value_of_ref
 from .errors import BoundaryError
 from .finalg.crossed import CrossedComplex
 from .finalg.groupoids import partition
@@ -26,7 +26,7 @@ from .homotopy import (
     rel_classes,
 )
 from .simpset import Stratification, Window
-from .tqft import theta_product, _counts
+from .tqft import theta_weight
 
 
 @dataclass
@@ -114,13 +114,12 @@ def cobordism_profunctor(M: Stratification, A: CrossedComplex) -> Profunctor:
     sub_in, sub_out = X.restrict(in_gens), X.restrict(out_gens)
     left, right = crs_pi1(sub_in, A), crs_pi1(sub_out, A)
     boundary = in_gens | out_gens
+    plan = Plan(X, A)
     basis, sizes, reps = {}, {}, {}
     class_of_key = {}
     for li, f in enumerate(left.colourings):
         for ri, fp in enumerate(right.colourings):
-            fixed = dict(f.values)
-            fixed.update(fp.values)
-            fillings = enumerate_relative(X, A, fixed)
+            fillings = plan.colourings({**f.values, **fp.values})
             classes, class_of = rel_classes(X, A, boundary, fillings)
             ids = []
             for ci, members in enumerate(classes):
@@ -401,12 +400,9 @@ def window_nat_transform(W: Window, A: CrossedComplex) -> NatTransform:
     bottom = cobordism_profunctor(W.bottom_cob, A)
     if not _aligned(top.left, bottom.left) or not _aligned(top.right, bottom.right):
         raise BoundaryError("window top and bottom have different boundaries")
-    Z = W.simpset
-    frame = W.frame_gens()
-    theta_support = theta_product(A, _counts(Z, frame))
-    bottom_rel = theta_product(
-        A, _counts(W.bottom_cob.simpset, W.bottom_cob.boundary_gens())
-    )
+    plan = Plan(W.simpset, A)
+    theta_support = theta_weight(W.simpset, A, W.frame_gens())
+    bottom_rel = theta_weight(W.bottom_cob.simpset, A, W.bottom_cob.boundary_gens())
     blocks = {}
     for pair in top.pairs():
         rows, cols = top.basis[pair], bottom.basis[pair]
@@ -416,8 +412,7 @@ def window_nat_transform(W: Window, A: CrossedComplex) -> NatTransform:
             row = []
             for bp in cols:
                 H_b = bottom.reps[bp]
-                fixed = _frame_assignment(W, A, H_t, H_b)
-                n = len(enumerate_relative(Z, A, fixed))
+                n = plan.count(_frame_assignment(W, A, H_t, H_b))
                 row.append(n * theta_support * bottom.sizes[bp] * bottom_rel)
             m.append(row)
         blocks[pair] = m
@@ -478,8 +473,8 @@ def horizontal_compose_nat(a: NatTransform, b: NatTransform) -> NatTransform:
 
 def decategorified_matrix(P: Profunctor, M: Stratification, A) -> list:
     """Class-pair matrix of filling counts weighted as the state sum at s=0."""
-    theta_rel = theta_product(A, _counts(M.simpset, M.boundary_gens()))
-    theta_out = theta_product(A, _counts(M.simpset.restrict(M.tagged("out"))))
+    theta_rel = theta_weight(M.simpset, A, M.boundary_gens())
+    theta_out = theta_weight(M.simpset.restrict(M.tagged("out")), A)
     lcomps = P.left.components()
     rcomps = P.right.components()
     out = []

@@ -12,6 +12,8 @@ from fractions import Fraction
 from .groups import FinGroup, ValidationReport, is_normal, quotient_group, subgroup, trivial_group
 from .groupoids import FinGroupoid, groupoid_from_group
 
+_TRIVIAL = trivial_group()  # every level above the truncation, at every object
+
 
 class CrossedModulePresentation:
     """A crossed module of groups: bdry: E -> G with a right G-action on E."""
@@ -102,7 +104,7 @@ class CrossedComplex:
     def fibre(self, n, x) -> FinGroup:
         if 2 <= n <= self.truncation:
             return self.levels[n][x]
-        return trivial_group()
+        return _TRIVIAL
 
     def level_elements(self, n):
         """All (x, e) of level n, objects first, fibre order inside."""
@@ -168,6 +170,8 @@ class CrossedComplex:
 
     # -- validation ----------------------------------------------------------
     def validate(self) -> ValidationReport:
+        if self.truncation < 1:
+            return ValidationReport.malformed(f"truncation {self.truncation} is below 1")
         rep = self.base.validate()
         if not rep:
             return rep
@@ -352,7 +356,7 @@ def homotopy_group(A: CrossedComplex, c, n: int) -> FinGroup:
         return quot.vertex_group(c)
     F = A.fibre(n, c)
     if n > A.truncation:
-        return trivial_group()
+        return _TRIVIAL
     if n == 2:
         ker = [e for e in F.elements if A.bdry_of(2, (c, e)) == A.base.ident[c]]
     else:

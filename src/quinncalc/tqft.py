@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .colouring import enumerate_colourings, enumerate_relative
+from .colouring import Plan, as_simpset, enumerate_colourings
 from .errors import BoundaryError, ExactnessError
 from .finalg.crossed import CrossedComplex
 from .homotopy import rel_classes
@@ -79,8 +79,10 @@ def theta_product(A: CrossedComplex, counts: dict) -> Fraction:
     return out
 
 
-def _counts(X: SimpSet, sub=frozenset()):
-    return {i: X.k_count_rel(i, sub) if sub else X.k_count(i) for i in range(X.dim + 1)}
+def theta_weight(X: SimpSet, A: CrossedComplex, sub=frozenset()) -> Fraction:
+    """The Theta product of the cells of X outside the subcomplex sub."""
+    counts = {i: X.k_count_rel(i, sub) if sub else X.k_count(i) for i in range(X.dim + 1)}
+    return theta_product(A, counts)
 
 
 @dataclass
@@ -99,18 +101,15 @@ class StateSpace:
     def class_content(self, ci) -> Fraction:
         """|class| times the Theta weight of the underlying space."""
         size = len(self.classes[ci])
-        return size * theta_product(self.A, _counts(self.space))
+        return size * theta_weight(self.space, self.A)
 
     def representative(self, ci):
         return self.colourings[self.classes[ci][0]]
 
-    def labels(self):
-        return [str(self.representative(ci).as_dict()) for ci in range(self.dim)]
-
 
 def state_space(X, A: CrossedComplex) -> StateSpace:
     """Homotopy classes of colourings: pi_0 of the mapping space, as a partition."""
-    space = X.simpset if isinstance(X, Stratification) else X
+    space = as_simpset(X)
     colourings = enumerate_colourings(space, A)
     classes, _ = rel_classes(space, A, frozenset(), colourings)
     return StateSpace(space, A, colourings, classes)
@@ -142,12 +141,6 @@ class QuinnMatrix:
         return [list(r) for r in self.entries]
 
 
-def _boundary_state_spaces(M: Stratification, A):
-    sub_in = M.simpset.restrict(M.tagged("in"))
-    sub_out = M.simpset.restrict(M.tagged("out"))
-    return state_space(sub_in, A), state_space(sub_out, A)
-
-
 def quinn_matrix(M: Stratification, A: CrossedComplex, s=Fraction(0), exact_only=False) -> QuinnMatrix:
     """Matrix of the state sum for a stratified cobordism.
 
@@ -162,9 +155,9 @@ def quinn_matrix(M: Stratification, A: CrossedComplex, s=Fraction(0), exact_only
     s = Fraction(s) if not isinstance(s, float) else s
     if isinstance(s, float) and exact_only:
         raise ExactnessError("float s with exact-only requested")
-    ss_in, ss_out = _boundary_state_spaces(M, A)
-    boundary = M.boundary_gens()
-    theta_rel = theta_product(A, _counts(M.simpset, boundary))
+    ss_in, ss_out = (state_space(M.simpset.restrict(M.tagged(t)), A) for t in ("in", "out"))
+    plan = Plan(M.simpset, A)
+    theta_rel = theta_weight(M.simpset, A, M.boundary_gens())
     entries = []
     exact = True
     for ci in range(ss_in.dim):
@@ -172,9 +165,7 @@ def quinn_matrix(M: Stratification, A: CrossedComplex, s=Fraction(0), exact_only
         row = []
         for cj in range(ss_out.dim):
             fp = ss_out.representative(cj)
-            fixed = dict(f.values)
-            fixed.update(fp.values)
-            n = len(enumerate_relative(M.simpset, A, fixed))
+            n = plan.count({**f.values, **fp.values})
             if n == 0:
                 row.append(Fraction(0))
                 continue
@@ -182,12 +173,9 @@ def quinn_matrix(M: Stratification, A: CrossedComplex, s=Fraction(0), exact_only
             if isinstance(s, float):
                 val = float(n * theta_rel) * (float(b_in) ** s) * (float(b_out) ** (1.0 - s))
                 exact = False
-            elif b_in == b_out:
-                val = n * theta_rel * b_in
             else:
-                val = n * theta_rel * b_out
                 ratio = rational_pow(b_in / b_out, s, exact_only=exact_only)
-                val = val * ratio
+                val = n * theta_rel * b_out * ratio
                 if not isinstance(ratio, Fraction):
                     exact = False
             row.append(val)
@@ -207,13 +195,11 @@ def chi_pi_component(X, A: CrossedComplex, f) -> Fraction:
 
 def chi_pi_rel_fibre(X, A: CrossedComplex, fixed: dict) -> Fraction:
     """Homotopy content of the space of fillings relative to fixed boundary values."""
-    space = X.simpset if isinstance(X, Stratification) else X
-    boundary = frozenset(fixed)
-    n = len(enumerate_relative(space, A, fixed))
+    plan = Plan(X, A)
+    n = plan.count(fixed)
     if n == 0:
         return Fraction(0)
-    sub = space.subcomplex_closure(boundary)
-    return n * theta_product(A, _counts(space, sub))
+    return n * theta_weight(plan.X, A, plan.X.subcomplex_closure(frozenset(fixed)))
 
 
 def s_conjugation_check(Ms: QuinnMatrix, Mt: QuinnMatrix, exact_only=False) -> bool:

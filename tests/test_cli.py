@@ -14,12 +14,13 @@ from hypothesis import strategies as st
 
 from quinncalc.cli import main
 from quinncalc.io import (
+    crossed_complex_to_json,
     crossed_module_to_json,
     dump_json,
     group_to_json,
     simpset_to_json,
 )
-from quinncalc.finalg import crossed_module_zero, cyclic_group, symmetric_group
+from quinncalc.finalg import crossed_module_zero, cyclic_group, iota2, symmetric_group
 from quinncalc.simpset import circle, prism, torus
 
 
@@ -303,6 +304,21 @@ def test_malformed_inputs_exit_2(tmp_path, space, algebra, target, edit, message
          "--algebra", str(tmp_path / "algebra.json")]
     )
     assert code == 2 and message in err
+
+
+@pytest.mark.parametrize("command", ["state-space", "colour-count"])
+@pytest.mark.parametrize("truncation", [0, -1])
+def test_truncation_below_1_exits_2(files, tmp_path, command, truncation):
+    """A full crossed-complex file truncated below level 1 is rejected on load."""
+    data = crossed_complex_to_json(iota2(crossed_module_zero(cyclic_group(2), cyclic_group(2))))
+    data["truncation"] = truncation
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(data))
+    code, err = _exit_code_and_stderr(
+        [command, "--space", files["circle"], "--algebra", str(path)]
+    )
+    assert code == 2 and f"truncation {truncation} is below 1" in err
+    assert "Traceback" not in err
 
 
 def _paths(node, path=()):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from quinncalc.colouring import (
     Colouring,
-    _Plan,
+    Plan,
     boundary_label,
     enumerate_colourings,
     enumerate_relative,
@@ -35,7 +35,9 @@ from quinncalc.simpset import (
     sphere,
     standard_simplex,
     torus,
+    window_support,
 )
+from quinncalc.tqft import chi_pi_rel_fibre, state_space
 from tests.conftest import corpus_crossed_modules, corpus_groups
 
 
@@ -241,8 +243,6 @@ def test_relative_rejects_invalid_boundary_data():
 
 
 def test_relative_rejects_unknown_generator():
-    from quinncalc.tqft import chi_pi_rel_fibre
-
     A = iota1(cyclic_group(2))
     for run in (enumerate_colourings, enumerate_relative, chi_pi_rel_fibre):
         with pytest.raises(BoundaryError, match="unknown generator 'zz'"):
@@ -491,12 +491,13 @@ def test_plan_matches_seed_walker_on_boundary_pairs(space, algebra):
     """Relative enumerations on every (in, out) boundary colouring pair."""
     M, A = _cylinder(space), CORPUS_ALGEBRAS[algebra]()
     X = M.simpset
+    plan = Plan(X, A)
     for f in enumerate_colourings(X.restrict(M.tagged("in")), A):
         for fp in enumerate_colourings(X.restrict(M.tagged("out")), A):
             fixed = {**f.values, **fp.values}
-            assert _values(enumerate_relative(X, A, fixed)) == _values(
-                _enumerate_colourings_seed(X, A, fixed)
-            )
+            seed = _enumerate_colourings_seed(X, A, fixed)
+            assert _values(enumerate_relative(X, A, fixed)) == _values(seed)
+            assert plan.count(fixed) == len(seed)
 
 
 @lru_cache(maxsize=None)
@@ -517,10 +518,66 @@ def test_plan_matches_seed_walker_on_random_fixed_values(space, algebra, data):
     c = data.draw(st.sampled_from(colourings), label="colouring")
     pinned = data.draw(st.sets(st.sampled_from(sorted(c.values, key=X.gen_index))), label="pinned")
     fixed = {g: c.values[g] for g in pinned}
-    assert _values(enumerate_colourings(X, A, fixed)) == _values(
-        _enumerate_colourings_seed(X, A, fixed)
-    )
-    plan = _Plan(X, A)
+    seed = _enumerate_colourings_seed(X, A, fixed)
+    assert _values(enumerate_colourings(X, A, fixed)) == _values(seed)
+    plan = Plan(X, A)
+    assert plan.count(fixed) == len(seed)
     for n in range(2, X.dim + 1):
         for g in X.gens(n):
             assert plan.label[g](c.values) == boundary_label(X, A, c.values, g)
+
+
+@pytest.mark.parametrize(
+    "space, algebra",
+    [(space, algebra) for space in ("point", "circle") for algebra in CORPUS_ALGEBRAS],
+)
+def test_plan_matches_seed_walker_on_window_frames(space, algebra):
+    """The frames `window_nat_transform` walks: one per pair of class representatives."""
+    from quinncalc.extprof import _frame_assignment, cobordism_profunctor
+
+    base = {"point": point, "circle": circle}[space]
+    W, A = window_support(prism(base()), prism(base())), CORPUS_ALGEBRAS[algebra]()
+    top, bottom = cobordism_profunctor(W.top_cob, A), cobordism_profunctor(W.bottom_cob, A)
+    plan = Plan(W.simpset, A)
+    for pair in top.pairs():
+        for b in top.basis[pair]:
+            for bp in bottom.basis[pair]:
+                fixed = _frame_assignment(W, A, top.reps[b], bottom.reps[bp])
+                seed = _enumerate_colourings_seed(W.simpset, A, fixed)
+                assert _values(plan.colourings(fixed)) == _values(seed)
+                assert plan.count(fixed) == len(seed)
+
+
+def test_inconsistent_fixed_values_raise():
+    """Pinned values that no colouring extends raise instead of giving no colourings."""
+    A = iota1(pair_groupoid(2))
+    P = prism(circle())
+    in_map = P.meta["in_map"]
+    x, y = A.objects
+    # the in-edge is a loop at the in-vertex, pinned here to an arrow leaving the other object
+    wrong = next(g for g in A.base.arrows if A.base.src[g] == y)
+    bad = {in_map["v"]: x, in_map["e"]: wrong}
+    assert _enumerate_colourings_seed(P.simpset, A, bad) == []
+    plan = Plan(P.simpset, A)
+    for run in (plan.count, plan.colourings, lambda f: enumerate_colourings(P.simpset, A, f)):
+        with pytest.raises(BoundaryError, match="wrong endpoints"):
+            run(bad)
+
+
+STRATIFIED_ENTRY_POINTS = {
+    "enumerate_colourings": lambda X, A, fixed: _values(enumerate_colourings(X, A)),
+    "enumerate_relative": lambda X, A, fixed: _values(enumerate_relative(X, A, fixed)),
+    "count": lambda X, A, fixed: Plan(X, A).count(fixed),
+    "state_space": lambda X, A, fixed: state_space(X, A).classes,
+    "chi_pi_rel_fibre": lambda X, A, fixed: chi_pi_rel_fibre(X, A, fixed),
+}
+
+
+@pytest.mark.parametrize("entry", list(STRATIFIED_ENTRY_POINTS))
+@pytest.mark.parametrize("space", ["point", "circle"])
+def test_stratification_and_its_simpset_give_equal_results(entry, space):
+    M = prism({"point": point, "circle": circle}[space]())
+    A = iota1(symmetric_group(3))
+    f = enumerate_colourings(M.simpset.restrict(M.tagged("in")), A)[-1]
+    run = STRATIFIED_ENTRY_POINTS[entry]
+    assert run(M, A, dict(f.values)) == run(M.simpset, A, dict(f.values))

@@ -204,3 +204,35 @@ def test_horizontal_composition_of_identity_cells():
         hc = horizontal_compose_nat(nt1, nt2)
         assert hc.is_identity()
         assert hc.naturality_check()
+
+
+# -- one compiled plan per call ------------------------------------------------------
+
+
+def test_each_cobordism_call_compiles_its_plan_once(monkeypatch):
+    """Every boundary pair of a call is walked on one plan of the call's space."""
+    import quinncalc.extprof
+    import quinncalc.tqft
+    from quinncalc.colouring import Plan
+
+    compiled = []
+
+    class RecordingPlan(Plan):
+        def __init__(self, X, A):
+            super().__init__(X, A)
+            compiled.append(self.X)
+
+    for module in (quinncalc.extprof, quinncalc.tqft):
+        monkeypatch.setattr(module, "Plan", RecordingPlan)
+    A = iota1(cyclic_group(3))
+    M = prism(circle())
+    W = window_support(prism(circle()), prism(circle()))
+    for run, spaces in (
+        (lambda: quinn_matrix(M, A), [M.simpset]),
+        (lambda: cobordism_profunctor(M, A), [M.simpset]),
+        (lambda: window_nat_transform(W, A),
+         [W.top_cob.simpset, W.bottom_cob.simpset, W.simpset]),
+    ):
+        compiled.clear()
+        run()
+        assert [id(X) for X in compiled] == [id(X) for X in spaces]

@@ -225,6 +225,12 @@ def test_action_groupoid_s3_conjugation(s3):
     assert len(AG.components()) == 3 == orbit_count(s3, s3.elements, act)
 
 
+def test_levels_above_the_truncation_share_one_trivial_group():
+    A = iota1(cyclic_group(3))
+    F = A.fibre(2, "*")
+    assert len(F) == 1 and F is A.fibre(5, "*") is homotopy_group(A, "*", 2)
+
+
 def test_action_groupoid_trivial_group():
     from quinncalc.finalg import trivial_group
 
