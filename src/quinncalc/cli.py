@@ -18,9 +18,10 @@ from .extprof import cobordism_profunctor, window_nat_transform
 from .finalg.crossed import chi_pi, validate_crossed_complex
 from .homotopy import crs_pi1
 from .io import (
+    LabelMap,
     algebra_from_json,
+    colour_list_json,
     dump_json,
-    gen_label,
     group_from_json,
     group_to_json,
     groupoid_to_json,
@@ -161,8 +162,8 @@ def cmd_colour_count(args):
 def cmd_colour_list(args):
     strat = _load_space(args.space)
     A = _load_algebra(args.algebra)
-    cols = [c.as_dict() for c in enumerate_colourings(strat.simpset, A)]
-    _emit(args, dump_json({"colourings": cols}))
+    X = strat.simpset
+    _emit(args, colour_list_json(X, A, enumerate_colourings(X, A)))
     return 0
 
 
@@ -214,8 +215,9 @@ def cmd_ext_groupoid(args):
     strat = _load_space(args.space)
     A = _load_algebra(args.algebra)
     crs = crs_pi1(strat.simpset, A)
-    out = groupoid_to_json(crs.groupoid)
-    out["components"] = [list(map(gen_label, comp)) for comp in crs.components()]
+    labels = LabelMap()
+    out = groupoid_to_json(crs.groupoid, labels)
+    out["components"] = [[labels[x] for x in comp] for comp in crs.components()]
     _emit(args, dump_json(out))
     return 0
 

@@ -23,7 +23,7 @@ backtracking walk, which reads only the plan, after one check of the fixed
 values.  `enumerate_colourings` and `enumerate_relative` compile a plan per
 call; a caller that walks one X for many boundary values compiles it once.
 `boundary_label` and `value_of_ref` remain the reference evaluation, used by
-the homotopy layer, the fixed-value check and `is_valid_colouring`.
+the homotopy layer and `is_valid_colouring`.
 """
 from __future__ import annotations
 
@@ -193,7 +193,8 @@ class Plan:
     - `arrows[(x, y)]`: the arrows from x to y;
     - `preimage[n][x]`: label -> [(x, e), ...] with that boundary, in fibre order;
     - `domains[pos](values)`: the admissible values at `slots[pos]`, given
-      every earlier position.
+      every earlier position;
+    - `faces[c]`: the proper faces of c, for c of dimension 2..truncation.
     """
 
     def __init__(self, X, A: CrossedComplex):
@@ -217,6 +218,10 @@ class Plan:
                     index.setdefault(A.bdry_of(n, (x, e)), []).append((x, e))
         self.label = {
             c: self._evaluator(c) for n in range(2, X.dim + 1) for c in X.gens(n)
+        }
+        # the proper faces of each assigned cell, for the check of fixed values
+        self.faces = {
+            c: X.subcomplex_closure({c}) - {c} for n in range(2, last_level + 1) for c in X.gens(n)
         }
         # the walk visits levels 0..last_level in generator order; the label
         # test of an (n+1)-generator runs once its last n-face is assigned,
@@ -349,11 +354,9 @@ class Plan:
                 if s in fixed and t in fixed:
                     if A.base.src.get(v) != fixed[s] or A.base.tgt.get(v) != fixed[t]:
                         raise BoundaryError(f"edge value at {g!r} has wrong endpoints")
-            elif 2 <= d <= A.truncation:
-                if X.subcomplex_closure({g}) - {g} <= set(fixed):
-                    label = boundary_label(X, A, fixed, g)
-                    if A.bdry_of(d, v) != label:
-                        raise BoundaryError(f"value at {g!r} violates its boundary condition")
+            elif 2 <= d <= A.truncation and self.faces[g] <= fixed.keys():
+                if A.bdry_of(d, v) != self.label[g](fixed):
+                    raise BoundaryError(f"value at {g!r} violates its boundary condition")
 
     def _walk(self, fixed: dict, emit) -> int:
         """The number of colourings extending `fixed`; each goes to `emit` if given."""

@@ -21,6 +21,7 @@ from itertools import product
 
 from .colouring import (
     Colouring,
+    as_simpset,
     colouring_key,
     enumerate_colourings,
     eval_edge_word,
@@ -122,7 +123,8 @@ def identity_sequence(f: Colouring, k: int = 1) -> HomotopySequence:
 
 
 def enumerate_sequences(X, A, f: Colouring, k: int):
-    """All k-fold homotopies targeting f, in canonical order."""
+    """All k-fold homotopies targeting f, in canonical order; X may be a `Stratification`."""
+    X = as_simpset(X)
     slots = sequence_domains(X, A, f, k)
     gens = [g for g, _ in slots]
     return [
@@ -309,8 +311,12 @@ class CrsResult:
         return (src, tgt, rep)
 
 
-def crs_pi1(X: SimpSet, A: CrossedComplex) -> CrsResult:
-    """Colourings, homotopies up to 2-fold homotopy, as a finite groupoid."""
+def crs_pi1(X, A: CrossedComplex) -> CrsResult:
+    """Colourings, homotopies up to 2-fold homotopy, as a finite groupoid.
+
+    X is a `SimpSet` or a `Stratification`.
+    """
+    X = as_simpset(X)
     colourings = enumerate_colourings(X, A)
     index = {c.key(): i for i, c in enumerate(colourings)}
     deltas = {}
@@ -366,8 +372,10 @@ def crs_pi1(X: SimpSet, A: CrossedComplex) -> CrsResult:
 # -- homotopies relative to a subcomplex -------------------------------------------
 
 
-def rel_classes(X: SimpSet, A: CrossedComplex, boundary_gens, fillings):
+def rel_classes(X, A: CrossedComplex, boundary_gens, fillings):
     """Partition of `fillings` under homotopies that fix `boundary_gens`.
+
+    X is a `SimpSet` or a `Stratification`.
 
     Fillings are linked by single-slot moves: homotopies with one
     non-identity value on one free generator and identities elsewhere.
@@ -382,6 +390,7 @@ def rel_classes(X: SimpSet, A: CrossedComplex, boundary_gens, fillings):
     the canonical minimum first; class_of maps a colouring key to its class
     index.
     """
+    X = as_simpset(X)
     keys = {col.key(): i for i, col in enumerate(fillings)}
 
     def links():
@@ -410,6 +419,7 @@ def holonomy_act(X, A, boundary_gens, eta: HomotopySequence, filling: Colouring)
     `eta` targets the restriction of `filling` to the boundary subcomplex;
     the result restricts to the other end of `eta`.
     """
+    X = as_simpset(X)
     for g in boundary_gens:
         i = X.dim_of[g]
         if i + 1 > A.truncation:

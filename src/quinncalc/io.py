@@ -7,8 +7,10 @@ byte-identical.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
+from .colouring import Colouring, as_simpset
 from .errors import SchemaError
 from .finalg.crossed import CrossedComplex, CrossedModulePresentation, iota1, iota2
 from .finalg.groupoids import FinGroupoid
@@ -273,42 +275,109 @@ def simpset_to_json(X, tags=None, name="") -> dict:
 # -- groupoids and profunctors ---------------------------------------------------------
 
 
-def groupoid_to_json(G: FinGroupoid) -> dict:
-    arrows = [
-        {"id": gen_label(a), "src": gen_label(G.src[a]), "tgt": gen_label(G.tgt[a])}
-        for a in G.arrows
-    ]
+class LabelMap(dict):
+    """id -> gen_label(id), each label built on first use.
+
+    One map serves one serialisation call, so an id that occurs in many
+    entries (or in sort keys) is labelled once.
+    """
+
+    def __missing__(self, g):
+        label = self[g] = gen_label(g)
+        return label
+
+
+def groupoid_to_json(G: FinGroupoid, labels: LabelMap | None = None) -> dict:
+    lab = LabelMap() if labels is None else labels
+    arrows = [{"id": lab[a], "src": lab[G.src[a]], "tgt": lab[G.tgt[a]]} for a in G.arrows]
+    # sort on the labels alone: gen_label is not injective, so ties keep table order
     compose = [
-        [gen_label(a), gen_label(b), gen_label(c)] for (a, b), c in sorted(
-            G.comp_table.items(), key=lambda kv: (gen_label(kv[0][0]), gen_label(kv[0][1]))
-        )
+        [lab[a], lab[b], lab[c]]
+        for (a, b), c in sorted(G.comp_table.items(), key=lambda kv: (lab[kv[0][0]], lab[kv[0][1]]))
     ]
     return {
-        "objects": [gen_label(x) for x in G.objects],
+        "objects": [lab[x] for x in G.objects],
         "arrows": arrows,
         "compose": compose,
-        "inv": [[gen_label(a), gen_label(b)] for a, b in sorted(
-            G.inv_table.items(), key=lambda kv: gen_label(kv[0])
-        )],
+        "inv": [[lab[a], lab[b]] for a, b in sorted(G.inv_table.items(), key=lambda kv: lab[kv[0]])],
     }
 
 
 def profunctor_to_json(P) -> dict:
-    basis = {
-        f"({li},{ri})": [gen_label(b) for b in els] for (li, ri), els in sorted(P.basis.items())
-    }
-    left_act = [
-        [gen_label(g), gen_label(b), gen_label(out)]
-        for (g, b), out in sorted(P.lact.items(), key=lambda kv: (gen_label(kv[0][0]), gen_label(kv[0][1])))
-    ]
-    right_act = [
-        [gen_label(b), gen_label(h), gen_label(out)]
-        for (b, h), out in sorted(P.ract.items(), key=lambda kv: (gen_label(kv[0][0]), gen_label(kv[0][1])))
-    ]
+    lab = LabelMap()
+    basis = {f"({li},{ri})": [lab[b] for b in els] for (li, ri), els in sorted(P.basis.items())}
+
+    def action(table):
+        return [
+            [lab[x], lab[y], lab[out]]
+            for (x, y), out in sorted(table.items(), key=lambda kv: (lab[kv[0][0]], lab[kv[0][1]]))
+        ]
+
     return {
-        "left": groupoid_to_json(P.left.groupoid),
-        "right": groupoid_to_json(P.right.groupoid),
+        "left": groupoid_to_json(P.left.groupoid, lab),
+        "right": groupoid_to_json(P.right.groupoid, lab),
         "basis": basis,
-        "leftAct": left_act,
-        "rightAct": right_act,
+        "leftAct": action(P.lact),
+        "rightAct": action(P.ract),
     }
+
+
+# -- colour lists -----------------------------------------------------------------------
+
+# a leaf of the marker colouring.  Inside an encoded string '"' is escaped, and a key's
+# opening quote follows indentation, so a '"' after ': ' and before the marker text opens
+# a string value; every string value of the template is a marker "\x00<i>\x00"
+_MARKER_LEAF = re.compile(r'(?<=: )"\\u0000(\d+)\\u0000"')
+
+
+class _Leaves(dict):
+    """value -> the encoder's text for its leaf, at one depth; one map per (depth, level kind).
+
+    Values of generators of dimension >= 2 are pairs (object, element), and
+    their leaf is the element.
+    """
+
+    def __init__(self, indent: str, element: bool):
+        super().__init__()
+        self.newline, self.element = "\n" + indent, element
+
+    def __missing__(self, v):
+        text = json.dumps(v[1] if self.element else v, sort_keys=True, indent=2)
+        text = self[v] = text.replace("\n", self.newline)
+        return text
+
+
+def colour_list_json(X: SimpSet, A: CrossedComplex, colourings) -> str:
+    """`dump_json({"colourings": [c.as_dict() for c in colourings]})`, byte for byte.
+
+    The colourings are colourings of X by A; X may be a `Stratification`.
+    The encoder renders one marker colouring, whose leaves are distinct
+    marker strings, at its depth in `{"colourings": [...]}`; that text is the
+    template, so `Colouring.as_dict` stays the one definition of the shape.
+    Each colouring fills the template straight from its `values`: a leaf is
+    the encoding of its value, re-indented to the leaf's depth and built once
+    per distinct value.
+    """
+    X = as_simpset(X)
+    gens = list(X.all_gens())
+    marks = {g: f"\x00{i}\x00" for i, g in enumerate(gens)}
+    marks.update({g: (None, m) for g, m in marks.items() if X.dim_of[g] >= 2})
+    doc = dump_json({"colourings": [Colouring(X, A, marks).as_dict()]})
+    # doc = head "[" "\n" item "\n  " "]" tail, with one item
+    start, end = doc.index("["), doc.rindex("]")
+    cut = doc.rindex("\n", 0, end)
+    head, item, foot = doc[: start + 1], doc[start + 2 : cut], doc[cut:]
+    if not colourings:
+        return head + doc[end:]
+    parts = _MARKER_LEAF.split(item)
+    literals, slots, leaves = parts[::2], [], {}
+    for lit, i in zip(literals, parts[1::2]):
+        g = gens[int(i)]
+        line = lit[lit.rindex("\n") + 1 :]
+        key = (line[: len(line) - len(line.lstrip(" "))], X.dim_of[g] >= 2)
+        if key not in leaves:
+            leaves[key] = _Leaves(*key)
+        slots.append((g, leaves[key]))
+    fmt = "%s".join(lit.replace("%", "%%") for lit in literals)
+    items = [fmt % tuple([leaf[vals[g]] for g, leaf in slots]) for vals in (c.values for c in colourings)]
+    return head + "\n" + ",\n".join(items) + foot

@@ -60,10 +60,13 @@ def rational_pow(base: Fraction, expo: Fraction, exact_only=False):
         fbase = float(base)
     except OverflowError:
         fbase = math.inf
-    if fbase == 0.0 or math.isinf(fbase):
-        # outside float range: go through the logarithms of the exact integers
-        return math.exp(float(expo) * (math.log(base.numerator) - math.log(base.denominator)))
-    return fbase ** float(expo)
+    try:
+        if fbase == 0.0 or math.isinf(fbase):
+            # outside float range: go through the logarithms of the exact integers
+            return math.exp(float(expo) * (math.log(base.numerator) - math.log(base.denominator)))
+        return fbase ** float(expo)
+    except OverflowError:
+        raise ExactnessError(f"{base}**{expo} is not rational and lies outside float range") from None
 
 
 def theta_product(A: CrossedComplex, counts: dict) -> Fraction:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from quinncalc.colouring import (
     Colouring,
     Plan,
+    as_simpset,
     boundary_label,
     enumerate_colourings,
     enumerate_relative,
@@ -37,6 +38,7 @@ from quinncalc.simpset import (
     torus,
     window_support,
 )
+from quinncalc.homotopy import crs_pi1, enumerate_sequences, holonomy_act, rel_classes
 from quinncalc.tqft import chi_pi_rel_fibre, state_space
 from tests.conftest import corpus_crossed_modules, corpus_groups
 
@@ -564,12 +566,31 @@ def test_inconsistent_fixed_values_raise():
             run(bad)
 
 
+def _crs_data(X, A, fixed):
+    # S3 on prism(circle) takes about a second per call; Z2 takes the same path
+    G = crs_pi1(X, iota1(cyclic_group(2))).groupoid
+    return G.arrows, G.comp_table, G.inv_table
+
+
+def _holonomy(X, A, fixed):
+    """Transport the first filling along the last homotopy of the fixed end."""
+    B = as_simpset(X).restrict(fixed)
+    eta = enumerate_sequences(B, A, Colouring(B, A, fixed), 1)[-1]
+    return holonomy_act(X, A, fixed, eta, enumerate_relative(X, A, fixed)[0]).values
+
+
 STRATIFIED_ENTRY_POINTS = {
     "enumerate_colourings": lambda X, A, fixed: _values(enumerate_colourings(X, A)),
     "enumerate_relative": lambda X, A, fixed: _values(enumerate_relative(X, A, fixed)),
     "count": lambda X, A, fixed: Plan(X, A).count(fixed),
     "state_space": lambda X, A, fixed: state_space(X, A).classes,
     "chi_pi_rel_fibre": lambda X, A, fixed: chi_pi_rel_fibre(X, A, fixed),
+    "crs_pi1": _crs_data,
+    "rel_classes": lambda X, A, fixed: rel_classes(X, A, fixed, enumerate_relative(X, A, fixed)),
+    "enumerate_sequences": lambda X, A, fixed: [
+        H.values for H in enumerate_sequences(X, A, enumerate_colourings(X, A)[-1], 1)
+    ],
+    "holonomy_act": _holonomy,
 }
 
 

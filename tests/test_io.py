@@ -1,17 +1,42 @@
+import json
+from functools import lru_cache
+
 import pytest
 
+from quinncalc import cli
+from quinncalc.colouring import enumerate_colourings
 from quinncalc.errors import SchemaError
+from quinncalc.extprof import cobordism_profunctor
 from quinncalc.finalg import chi_pi, validate_crossed_complex
+from quinncalc.finalg import (
+    crossed_module_identity,
+    crossed_module_zero,
+    cyclic_group,
+    iota1,
+    iota2,
+    pair_groupoid,
+    symmetric_group,
+)
+from quinncalc.finalg.crossed import CrossedComplex, semidirect
+from quinncalc.finalg.groupoids import FinGroupoid
+from quinncalc.homotopy import crs_pi1
 from quinncalc.io import (
     algebra_from_json,
+    colour_list_json,
     crossed_complex_from_json,
+    crossed_complex_to_json,
+    crossed_module_to_json,
+    dump_json,
+    gen_label,
     group_from_json,
     group_to_json,
+    groupoid_to_json,
+    profunctor_to_json,
+    scalar_str,
     simpset_from_json,
     simpset_to_json,
 )
-from quinncalc.finalg import cyclic_group
-from quinncalc.simpset import SimplexRef, SimpSet, prism, circle
+from quinncalc.simpset import SimplexRef, SimpSet, circle, point, prism, standard_simplex, torus
 
 
 def full_complex_payload():
@@ -123,3 +148,258 @@ def test_dangling_face_reported():
     X = SimpSet({"e": 1}, {("e", 0): SimplexRef("nope"), ("e", 1): SimplexRef("nope")})
     report = X.validate()
     assert not report and report.kind == "malformed"
+
+
+# -- byte-for-byte oracles for the emitters ------------------------------------------------
+#
+# The oracle is the general encoder applied to the data the emitters built before they
+# shared one label map and before colour-list was rendered from a template.
+
+
+def oracle(data) -> str:
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
+def old_groupoid_to_json(G, label=gen_label):
+    arrows = [{"id": label(a), "src": label(G.src[a]), "tgt": label(G.tgt[a])} for a in G.arrows]
+    compose = [
+        [label(a), label(b), label(c)] for (a, b), c in sorted(
+            G.comp_table.items(), key=lambda kv: (label(kv[0][0]), label(kv[0][1]))
+        )
+    ]
+    return {
+        "objects": [label(x) for x in G.objects],
+        "arrows": arrows,
+        "compose": compose,
+        "inv": [[label(a), label(b)] for a, b in sorted(
+            G.inv_table.items(), key=lambda kv: label(kv[0])
+        )],
+    }
+
+
+def old_profunctor_to_json(P, label=gen_label):
+    basis = {
+        f"({li},{ri})": [label(b) for b in els] for (li, ri), els in sorted(P.basis.items())
+    }
+    left_act = [
+        [label(g), label(b), label(out)]
+        for (g, b), out in sorted(P.lact.items(), key=lambda kv: (label(kv[0][0]), label(kv[0][1])))
+    ]
+    right_act = [
+        [label(b), label(h), label(out)]
+        for (b, h), out in sorted(P.ract.items(), key=lambda kv: (label(kv[0][0]), label(kv[0][1])))
+    ]
+    return {
+        "left": old_groupoid_to_json(P.left.groupoid, label),
+        "right": old_groupoid_to_json(P.right.groupoid, label),
+        "basis": basis,
+        "leftAct": left_act,
+        "rightAct": right_act,
+    }
+
+
+def old_colour_list(cols):
+    return oracle({"colourings": [c.as_dict() for c in cols]})
+
+
+CATALOG = cli._builders()
+_GROUPS, _XMODS = cli._corpus_algebras()
+CORPUS = {**{n: iota1(G) for n, G in _GROUPS.items()}, **{n: iota2(M) for n, M in _XMODS.items()}}
+# 16 384 colourings: the oracle encoder alone takes about 1.5 s
+SLOW_COLOUR_LISTS = {("prism-torus", "xmod-z4-z2-zero")}
+
+
+@pytest.mark.parametrize(
+    "space, algebra",
+    [(s, a) for s in CATALOG for a in CORPUS if (s, a) not in SLOW_COLOUR_LISTS],
+)
+def test_colour_list_matches_the_encoder_on_the_catalog(space, algebra):
+    """Library-built algebras: S3 elements are tuples, so leaves span several lines."""
+    X, A = CATALOG[space], CORPUS[algebra]
+    cols = enumerate_colourings(X, A)
+    assert colour_list_json(X, A, cols) == old_colour_list(cols)
+
+
+def _abelian_tower():
+    z2 = cyclic_group(2)
+    A2 = iota2(crossed_module_zero(z2, z2))
+    return CrossedComplex(
+        A2.base,
+        levels={2: {"*": z2}, 3: {"*": z2}},
+        bdry={2: A2.bdry[2], 3: {("*", e): z2.unit for e in z2.elements}},
+        act={2: A2.act[2], 3: {(("*", e), g): e for e in z2.elements for g in z2.elements}},
+        truncation=3,
+    )
+
+
+def _klein_level_two():
+    """0: Z2 -> Z2 x Z2, whose level-2 elements are pairs."""
+    z2 = cyclic_group(2)
+    V = semidirect(z2, z2, {(e, g): e for e in z2.elements for g in z2.elements})
+    return iota2(crossed_module_zero(z2, V))
+
+
+def _odd_names():
+    """A space and a group whose ids need escaping, or contain '%' or non-ASCII text."""
+    X = SimpSet(
+        {"v%s": 0, 'w"\\': 0, "e%%é": 1, "f☃": 1, "t%d": 2},
+        {
+            ("e%%é", 0): SimplexRef('w"\\'), ("e%%é", 1): SimplexRef("v%s"),
+            ("f☃", 0): SimplexRef("v%s"), ("f☃", 1): SimplexRef("v%s"),
+            ("t%d", 0): SimplexRef("f☃"), ("t%d", 1): SimplexRef("f☃"),
+            ("t%d", 2): SimplexRef("f☃"),
+        },
+    )
+    G = group_from_json({
+        "elements": ["1", "%s", 'a"\\é'],
+        "table": [["1", "%s", 'a"\\é'], ["%s", 'a"\\é', "1"], ['a"\\é', "1", "%s"]],
+    })
+    return X, iota2(crossed_module_zero(G, G))
+
+
+COLOUR_LIST_EDGE_CASES = {
+    "point, empty levels": lambda: (point(), CORPUS["z3"]),
+    "truncation 2 on delta3": lambda: (standard_simplex(3), CORPUS["xmod-z2-id"]),
+    "truncation 3 tower on delta3": lambda: (standard_simplex(3), _abelian_tower()),
+    "pair groupoid, tuple arrows": lambda: (torus(), iota1(pair_groupoid(2))),
+    "pair level-2 elements": lambda: (standard_simplex(2), _klein_level_two()),
+    "escaped and %-bearing ids": _odd_names,
+}
+
+
+@pytest.mark.parametrize("case", list(COLOUR_LIST_EDGE_CASES))
+def test_colour_list_edge_cases_match_the_encoder(case):
+    X, A = COLOUR_LIST_EDGE_CASES[case]()
+    cols = enumerate_colourings(X, A)
+    assert cols
+    assert colour_list_json(X, A, cols) == old_colour_list(cols)
+    assert colour_list_json(X, A, []) == old_colour_list([])
+
+
+def test_colour_list_of_point_has_empty_levels():
+    X, A = point(), CORPUS["z2"]
+    text = colour_list_json(X, A, enumerate_colourings(X, A))
+    assert '"levels": {}' in text and text == old_colour_list(enumerate_colourings(X, A))
+
+
+def _colliding_groupoid():
+    """Z3 on the arrows "1", ("a", "b") and "(a,b)": the last two share one label.
+
+    Every composite of the two has the same sort key, so only a stable sort on
+    the label pairs keeps the table order of the composites.
+    """
+    x, y = ("a", "b"), "(a,b)"
+    arrows = ("1", x, y)
+    comp = {
+        (x, x): y, (x, y): "1", (y, x): "1", (y, y): x,
+        ("1", "1"): "1", ("1", x): x, ("1", y): y, (x, "1"): x, (y, "1"): y,
+    }
+    src = {a: "o%\\é" for a in arrows}
+    G = FinGroupoid(("o%\\é",), arrows, src, src, comp, {"o%\\é": "1"})
+    assert gen_label(x) == gen_label(y)
+    return G
+
+
+def test_groupoid_with_colliding_labels_matches_the_old_emitter():
+    G = _colliding_groupoid()
+    assert dump_json(groupoid_to_json(G)) == oracle(old_groupoid_to_json(G))
+    # sorting label triples instead would put the identity composites first
+    tied = [c for a, b, c in groupoid_to_json(G)["compose"] if (a, b) == ("(a,b)", "(a,b)")]
+    assert tied == ["(a,b)", "1", "1", "(a,b)"]
+
+
+@pytest.mark.parametrize(
+    "space, algebra",
+    [("circle", a) for a in CORPUS] + [("prism-circle", "z4")],
+)
+def test_groupoid_to_json_matches_the_old_emitter(space, algebra):
+    G = crs_pi1(CATALOG[space], CORPUS[algebra]).groupoid
+    assert dump_json(groupoid_to_json(G)) == oracle(old_groupoid_to_json(G))
+
+
+@pytest.mark.parametrize(
+    "cylinder, algebra",
+    # prism-torus with a crossed module takes 1.4-6 s, with 0:Z2->Z4 over 30 s
+    [(c, a) for c in ("prism-point", "prism-circle") for a in ("z2", "s3", "xmod-z2-id")]
+    + [("prism-torus", "z2"), ("prism-torus", "z4")],
+)
+def test_profunctor_to_json_matches_the_old_emitter(cylinder, algebra):
+    P = cobordism_profunctor(CATALOG[cylinder], CORPUS[algebra])
+    assert dump_json(profunctor_to_json(P)) == oracle(old_profunctor_to_json(P))
+
+
+# -- the same through the command line, on files ------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def catalog_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("catalog")
+    out = {}
+    for name, X in CATALOG.items():
+        out[name] = root / f"{name}.json"
+        out[name].write_text(dump_json(simpset_to_json(X, name=name)))
+    for name, G in _GROUPS.items():
+        out[name] = root / f"{name}.json"
+        out[name].write_text(dump_json(group_to_json(G)))
+    for name, M in _XMODS.items():
+        out[name] = root / f"{name}.json"
+        out[name].write_text(dump_json(crossed_module_to_json(M)))
+    return {k: str(v) for k, v in out.items()}
+
+
+def run_capturing(monkeypatch, capsys, name, argv):
+    """Run the CLI; return its stdout and the value its call of cli.<name> returned."""
+    seen, real = [], getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *args: seen.append(real(*args)) or seen[-1])
+    assert cli.main(argv) == 0
+    return capsys.readouterr().out, seen[0]
+
+
+def test_ext_groupoid_cli_matches_the_old_emitter(catalog_files, monkeypatch, capsys):
+    """prism-circle x S3: 1 296 arrows and 46 656 composites with long tuple ids."""
+    argv = ["ext-groupoid", "--space", catalog_files["prism-circle"], "--algebra", catalog_files["s3"]]
+    out, crs = run_capturing(monkeypatch, capsys, "crs_pi1", argv)
+    label = lru_cache(maxsize=None)(gen_label)  # a pure function: caching changes no label
+    data = old_groupoid_to_json(crs.groupoid, label)
+    data["components"] = [list(map(gen_label, comp)) for comp in crs.components()]
+    assert out == oracle(data)
+
+
+@pytest.mark.parametrize("cylinder", ["prism-point", "prism-circle", "prism-torus"])
+def test_profunctor_cli_matches_the_old_emitter(catalog_files, monkeypatch, capsys, cylinder):
+    argv = ["profunctor", "--cobordism", catalog_files[cylinder], "--algebra", catalog_files["s3"]]
+    out, P = run_capturing(monkeypatch, capsys, "cobordism_profunctor", argv)
+    assert out == oracle(old_profunctor_to_json(P))
+
+
+@pytest.mark.parametrize("space", ["point", "circle", "torus", "delta2", "prism-circle"])
+@pytest.mark.parametrize("algebra", ["s3", "xmod-z2-z2-zero"])
+def test_colour_list_cli_matches_the_encoder(catalog_files, monkeypatch, capsys, space, algebra):
+    argv = ["colour-list", "--space", catalog_files[space], "--algebra", catalog_files[algebra]]
+    out, cols = run_capturing(monkeypatch, capsys, "enumerate_colourings", argv)
+    assert out == old_colour_list(cols)
+
+
+# the three prism-torus crossed-module state spaces take 3-7 s each
+SLOW_STATE_SPACES = {("prism-torus", a) for a in _XMODS} | {("delta3", "xmod-z4-z2-zero")}
+
+
+@pytest.mark.parametrize(
+    "space, algebra",
+    [(s, a) for s in CATALOG for a in CORPUS if (s, a) not in SLOW_STATE_SPACES],
+)
+def test_state_space_cli_matches_the_encoder(catalog_files, monkeypatch, capsys, space, algebra):
+    argv = ["state-space", "--space", catalog_files[space], "--algebra", catalog_files[algebra]]
+    out, ss = run_capturing(monkeypatch, capsys, "state_space", argv)
+    data = {
+        "dimension": ss.dim,
+        "classes": [
+            {
+                "representative": ss.representative(ci).as_dict(),
+                "size": len(ss.classes[ci]),
+                "content": scalar_str(ss.class_content(ci)),
+            }
+            for ci in range(ss.dim)
+        ],
+    }
+    assert out == oracle(data)

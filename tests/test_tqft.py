@@ -82,6 +82,19 @@ def test_rational_pow_exact_on_large_integers():
     assert isinstance(v, float) and math.isclose(v, 1e200)
 
 
+@pytest.mark.parametrize(
+    "base, expo",
+    [
+        (Fraction(2) ** 6001, Fraction(1, 3)),  # the logarithm path overflows in exp
+        (Fraction(2**1000 + 1), Fraction(3, 2)),  # the base fits a float, the power does not
+        (Fraction(1, 2**6001), Fraction(-1, 3)),
+    ],
+)
+def test_rational_pow_past_float_range_raises_exactness_error(base, expo):
+    with pytest.raises(ExactnessError, match=rf"\*\*{expo} is not rational and lies outside float range"):
+        rational_pow(base, expo)
+
+
 
 def test_state_space_circle_dims():
     for G in corpus_groups():
