@@ -20,9 +20,9 @@ from .finalg.crossed import CrossedComplex
 from .finalg.groupoids import partition
 from .homotopy import (
     CrsResult,
+    _invert,
     crs_pi1,
     holonomy_act,
-    invert_homotopy,
     rel_classes,
 )
 from .simpset import Stratification, Window
@@ -140,7 +140,7 @@ def cobordism_profunctor(M: Stratification, A: CrossedComplex) -> Profunctor:
                 lact[(eta, b)] = class_of_key[(si, ri, moved.key())]
     for zeta in right.groupoid.arrows:
         si, ti = zeta[0], zeta[1]
-        inv_seq = invert_homotopy(right.arrow_reps[zeta])
+        inv_seq = _invert(right.arrow_reps[zeta], right.colourings[si])
         for li in left.groupoid.objects:
             for b in basis[(li, si)]:
                 moved = holonomy_act(X, A, out_gens, inv_seq, reps[b])

@@ -223,6 +223,11 @@ def compose_homotopies(first: HomotopySequence, second: HomotopySequence) -> Hom
     f_mid = apply_homotopy(second, second.target)
     if first.target.values != f_mid.values:
         raise ValueError("homotopies are not composable")
+    return _compose(first, second)
+
+
+def _compose(first: HomotopySequence, second: HomotopySequence) -> HomotopySequence:
+    """`compose_homotopies` for a pair already known to be composable."""
     f = second.target
     X, A = f.X, f.A
     values = {}
@@ -238,8 +243,12 @@ def compose_homotopies(first: HomotopySequence, second: HomotopySequence) -> Hom
 
 def invert_homotopy(H: HomotopySequence) -> HomotopySequence:
     """The inverse arrow: targets the source of H."""
+    return _invert(H, apply_homotopy(H, H.target))
+
+
+def _invert(H: HomotopySequence, src: Colouring) -> HomotopySequence:
+    """`invert_homotopy` given the source `src` of H."""
     X, A = H.target.X, H.target.A
-    src = apply_homotopy(H, H.target)
     values = {}
     for g, h in H.values.items():
         i = X.dim_of[g]
@@ -296,6 +305,7 @@ class CrsResult:
         self.arrow_reps = arrow_reps  # arrow id -> HomotopySequence
         self.deltas = deltas  # target index -> list of boundary endo-homotopies
         self._index = {c.key(): i for i, c in enumerate(colourings)}
+        self._arrow = {(a[1], a[2]): a for a in groupoid.arrows}
 
     def colouring_index(self, col: Colouring) -> int:
         return self._index[col.key()]
@@ -306,9 +316,7 @@ class CrsResult:
     def class_of_arrow(self, H: HomotopySequence):
         """The groupoid arrow represented by the homotopy H."""
         tgt = self.colouring_index(H.target)
-        src = self.colouring_index(apply_homotopy(H, H.target))
-        rep = min(compose_homotopies(H, d).key() for d in self.deltas[tgt])
-        return (src, tgt, rep)
+        return self._arrow[(tgt, min(_compose(H, d).key() for d in self.deltas[tgt]))]
 
 
 def crs_pi1(X, A: CrossedComplex) -> CrsResult:
@@ -338,7 +346,7 @@ def crs_pi1(X, A: CrossedComplex) -> CrsResult:
             hk = H.key()
             if (ti, hk) in seq_class:
                 continue
-            orbit = [compose_homotopies(H, d) for d in deltas[ti]]
+            orbit = [_compose(H, d) for d in deltas[ti]]
             keys = sorted(J.key() for J in orbit)
             rep_key = keys[0]
             si = index[apply_homotopy(H, f).key()]
@@ -351,20 +359,20 @@ def crs_pi1(X, A: CrossedComplex) -> CrsResult:
     src = {a: a[0] for a in arrows}
     tgt = {a: a[1] for a in arrows}
     objects = tuple(range(len(colourings)))
+    leaving = {}
+    for b in arrows:
+        leaving.setdefault(b[0], []).append(b)
     comp = {}
     for a in arrows:
-        for b in arrows:
-            if a[1] != b[0]:
-                continue
-            J = compose_homotopies(arrow_reps[a], arrow_reps[b])
-            comp[(a, b)] = seq_class[(b[1], J.key())]
+        Ha = arrow_reps[a]
+        for b in leaving[a[1]]:
+            comp[(a, b)] = seq_class[(b[1], _compose(Ha, arrow_reps[b]).key())]
     ident = {}
     for ti, f in enumerate(colourings):
         ident[ti] = seq_class[(ti, identity_sequence(f).key())]
     inv = {}
     for a in arrows:
-        Hinv = invert_homotopy(arrow_reps[a])
-        inv[a] = seq_class[(a[0], Hinv.key())]
+        inv[a] = seq_class[(a[0], _invert(arrow_reps[a], colourings[a[0]]).key())]
     G = FinGroupoid(objects, tuple(arrows), src, tgt, comp, ident, inv, name=f"pi1CRS({X.name})")
     return CrsResult(X, A, colourings, G, arrow_reps, deltas)
 

@@ -152,6 +152,9 @@ class SimpSet:
 
     # -- validation ---------------------------------------------------------
     def validate(self) -> ValidationReport:
+        for g, d in self.dim_of.items():
+            if d < 0:
+                return ValidationReport.malformed("negative generator dimension", (g,))
         for (g, i), ref in self.faces.items():
             if g not in self.dim_of or ref.core not in self.dim_of:
                 return ValidationReport.malformed("dangling face reference", (g, i))

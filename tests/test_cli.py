@@ -282,6 +282,7 @@ def _exit_code_and_stderr(argv):
             {"faces": [{"of": "c", "i": i, "core": "v", "deg": [5]} for i in range(3)]},
             "degeneracy index out of range",
         ),
+        ("point", "z2", "space", {"generators": [{"dim": -1, "id": "v"}]}, "negative generator dimension"),
         ("circle", "z2", "algebra", {"table": 5}, "group table must be square"),
         (
             "circle",
@@ -293,7 +294,8 @@ def _exit_code_and_stderr(argv):
     ],
 )
 def test_malformed_inputs_exit_2(tmp_path, space, algebra, target, edit, message):
-    """A tag list, a degeneracy past its simplex, a non-list group table, a boundary outside G."""
+    """A tag list, a degeneracy past its simplex, a negative dimension, a non-list group table,
+    a boundary outside G."""
     catalog = _catalog()
     inputs = {"space": dict(catalog[space]), "algebra": dict(catalog["algebras"][algebra])}
     inputs[target].update(edit)
@@ -389,6 +391,38 @@ def test_mutated_catalog_json_never_ends_in_a_traceback(space, algebra, targets,
             ["chi-pi", "--algebra", files["algebra"]],
             ["algebra", "--from", files["algebra"]],
             ["colour-count", "--space", files["space"], "--algebra", files["algebra"]],
+        ):
+            code, err = _exit_code_and_stderr(argv)
+            assert code in {0, 2, 3, 4}, (argv, code, err)
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    space=st.sampled_from(["point", "interval", "circle", "prism-point"]),
+    algebra=st.sampled_from(["z2", "z3", "s3", "xmod-z2-z2-zero"]),
+    targets=st.sampled_from(["space", "algebra", "both"]),
+    edits=st.integers(1, 3),
+    data=st.data(),
+)
+def test_mutated_catalog_json_never_ends_in_a_traceback_in_groupoid_commands(
+    space, algebra, targets, edits, data
+):
+    """The groupoid and cobordism subcommands on mutated inputs exit 0, 2, 3 or 4."""
+    catalog = _catalog()
+    inputs = {"space": copy.deepcopy(catalog[space]), "algebra": copy.deepcopy(catalog["algebras"][algebra])}
+    for name in ("space", "algebra") if targets == "both" else (targets,):
+        for _ in range(edits):
+            _mutate(inputs[name], data.draw)
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {}
+        for name, value in inputs.items():
+            files[name] = str(Path(tmp) / f"{name}.json")
+            Path(files[name]).write_text(json.dumps(value))
+        for argv in (
+            ["ext-groupoid", "--space", files["space"], "--algebra", files["algebra"]],
+            ["state-space", "--space", files["space"], "--algebra", files["algebra"]],
+            ["profunctor", "--cobordism", files["space"], "--algebra", files["algebra"]],
+            ["quinn-matrix", "--cobordism", files["space"], "--algebra", files["algebra"]],
         ):
             code, err = _exit_code_and_stderr(argv)
             assert code in {0, 2, 3, 4}, (argv, code, err)

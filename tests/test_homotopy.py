@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quinncalc import cli
 from quinncalc.colouring import (
+    as_simpset,
     enumerate_colourings,
     enumerate_relative,
     is_valid_colouring,
@@ -25,6 +27,7 @@ from quinncalc.finalg import (
 )
 from quinncalc.finalg.groupoids import FinGroupoid, partition
 from quinncalc.homotopy import (
+    CrsResult,
     HomotopySequence,
     apply_homotopy,
     compose_homotopies,
@@ -156,6 +159,20 @@ def test_inverse_homotopy_composes_to_identity(s3):
         assert J.key() == identity_sequence(Hinv.target).key()
         J2 = compose_homotopies(Hinv, H)
         assert J2.key() == identity_sequence(col).key()
+
+
+def test_compose_homotopies_rejects_a_non_composable_pair(s3):
+    A = iota1(s3)
+    f, other = enumerate_colourings(circle(), A)[:2]
+    with pytest.raises(ValueError, match="homotopies are not composable"):
+        compose_homotopies(identity_sequence(other), identity_sequence(f))
+
+
+def test_invert_homotopy_targets_the_other_end():
+    for X, A in [(torus(), iota1(symmetric_group(3))), (circle(), iota2(corpus_crossed_modules()[2]))]:
+        for col in enumerate_colourings(X, A)[:4]:
+            for H in enumerate_sequences(X, A, col, 1)[:8]:
+                assert invert_homotopy(H).target.values == apply_homotopy(H, H.target).values
 
 
 def test_associativity_of_composition():
@@ -336,6 +353,121 @@ def test_crs_pi1_quotient_composition_well_defined():
         for d in crs.deltas[a[1]]:
             other = compose_homotopies(Ha, d)
             assert crs.class_of_arrow(other) == a
+
+
+def _crs_pi1_seed(X, A):
+    """Oracle for crs_pi1: the original construction through the checked public operations.
+
+    It tries every arrow pair for the composition table, and each composite
+    and inverse recomputes the other end of a homotopy with apply_homotopy.
+    """
+    X = as_simpset(X)
+    colourings = enumerate_colourings(X, A)
+    index = {c.key(): i for i, c in enumerate(colourings)}
+    deltas = {}
+    for ti, f in enumerate(colourings):
+        ds = []
+        seen = set()
+        for H2 in enumerate_sequences(X, A, f, 2):
+            d = delta2(H2)
+            k = d.key()
+            if k not in seen:
+                seen.add(k)
+                ds.append(d)
+        deltas[ti] = ds
+    arrows = []
+    arrow_reps = {}
+    seq_class = {}
+    for ti, f in enumerate(colourings):
+        for H in enumerate_sequences(X, A, f, 1):
+            hk = H.key()
+            if (ti, hk) in seq_class:
+                continue
+            orbit = [compose_homotopies(H, d) for d in deltas[ti]]
+            keys = sorted(J.key() for J in orbit)
+            rep_key = keys[0]
+            si = index[apply_homotopy(H, f).key()]
+            aid = (si, ti, rep_key)
+            for k in keys:
+                seq_class[(ti, k)] = aid
+            arrows.append(aid)
+            rep = next(J for J in orbit if J.key() == rep_key)
+            arrow_reps[aid] = rep
+    src = {a: a[0] for a in arrows}
+    tgt = {a: a[1] for a in arrows}
+    objects = tuple(range(len(colourings)))
+    comp = {}
+    for a in arrows:
+        for b in arrows:
+            if a[1] != b[0]:
+                continue
+            J = compose_homotopies(arrow_reps[a], arrow_reps[b])
+            comp[(a, b)] = seq_class[(b[1], J.key())]
+    ident = {}
+    for ti, f in enumerate(colourings):
+        ident[ti] = seq_class[(ti, identity_sequence(f).key())]
+    inv = {}
+    for a in arrows:
+        Hinv = invert_homotopy(arrow_reps[a])
+        inv[a] = seq_class[(a[0], Hinv.key())]
+    G = FinGroupoid(objects, tuple(arrows), src, tgt, comp, ident, inv, name=f"pi1CRS({X.name})")
+    return CrsResult(X, A, colourings, G, arrow_reps, deltas)
+
+
+CATALOG = cli._builders()
+_GROUPS, _XMODS = cli._corpus_algebras()
+CORPUS = {**{n: iota1(G) for n, G in _GROUPS.items()}, **{n: iota2(M) for n, M in _XMODS.items()}}
+# pairs on which the seed construction takes 0.5 s or more (up to minutes)
+SLOW_SEED_CRS = (
+    {("delta3", a) for a in CORPUS if a != "z2"}
+    | {("prism-torus", a) for a in CORPUS if a not in ("z2", "z3")}
+    | {("delta2", a) for a in ("z4", "s3", "xmod-z4-z2-zero")}
+    | {("prism-circle", a) for a in ("s3", "xmod-z2-z2-zero", "xmod-z4-z2-zero")}
+    | {("torus", "xmod-z4-z2-zero")}
+)
+
+
+@pytest.mark.parametrize(
+    "space, algebra",
+    [(s, a) for s in CATALOG for a in CORPUS if (s, a) not in SLOW_SEED_CRS],
+)
+def test_crs_pi1_matches_the_seed_construction(space, algebra):
+    """Same colourings, arrows, table (in insertion order), identities, inverses and deltas."""
+    X, A = CATALOG[space], CORPUS[algebra]
+    got, want = crs_pi1(X, A), _crs_pi1_seed(X, A)
+    assert [c.values for c in got.colourings] == [c.values for c in want.colourings]
+    G, W = got.groupoid, want.groupoid
+    assert G.objects == W.objects and G.arrows == W.arrows
+    assert G.src == W.src and G.tgt == W.tgt
+    # groupoid_to_json sorts stably on labels that need not be injective,
+    # so the table's insertion order reaches the output
+    assert list(G.comp_table.items()) == list(W.comp_table.items())
+    assert G.ident == W.ident and G.inv_table == W.inv_table
+    assert list(got.arrow_reps) == list(want.arrow_reps)
+    assert all(got.arrow_reps[a].key() == want.arrow_reps[a].key() for a in W.arrows)
+    assert got.deltas.keys() == want.deltas.keys()
+    for ti, ds in want.deltas.items():
+        assert {d.key() for d in got.deltas[ti]} == {d.key() for d in ds}
+
+
+@pytest.mark.parametrize("space, algebra", [("prism-circle", "z3"), ("circle", "xmod-z2-z2-zero")])
+def test_crs_pi1_composes_once_per_table_entry_and_orbit_member(monkeypatch, space, algebra):
+    """One composite per table entry and per (arrow, delta) pair, one apply per arrow."""
+    import quinncalc.homotopy as homotopy
+
+    calls = {"_compose": 0, "apply_homotopy": 0}
+    for name in calls:
+        real = getattr(homotopy, name)
+
+        def counted(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(homotopy, name, counted)
+    crs = crs_pi1(CATALOG[space], CORPUS[algebra])
+    G = crs.groupoid
+    assert calls["_compose"] == len(G.comp_table) + sum(len(crs.deltas[a[1]]) for a in G.arrows)
+    assert calls["apply_homotopy"] == len(G.arrows)
 
 
 # -- Extend / Restrict / rel classes ------------------------------------------------
