@@ -316,7 +316,8 @@ class CrsResult:
     def class_of_arrow(self, H: HomotopySequence):
         """The groupoid arrow represented by the homotopy H."""
         tgt = self.colouring_index(H.target)
-        return self._arrow[(tgt, min(_compose(H, d).key() for d in self.deltas[tgt]))]
+        rep = min(_compose(H, d).key() for d in self.deltas[tgt])
+        return self._arrow[(tgt, rep)]
 
 
 def crs_pi1(X, A: CrossedComplex) -> CrsResult:
