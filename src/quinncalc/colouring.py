@@ -22,10 +22,15 @@ and `Plan.count(fixed)` counts them without building any.  Both run one
 backtracking walk, which reads only the plan, after one check of the fixed
 values.  `enumerate_colourings` and `enumerate_relative` compile a plan per
 call; a caller that walks one X for many boundary values compiles it once.
-`boundary_label` and `value_of_ref` remain the reference evaluation, used by
-the homotopy layer and `is_valid_colouring`.
+The homotopy layer reads the same compilation: `Plan.terms` resolves the
+homotopy addition word of each cell to slot reads once, and `Plan.key_slots`
+places each generator's value in its `colouring_key`.  `boundary_label` and
+`value_of_ref` remain the reference evaluation, used by `apply_homotopy` and
+`is_valid_colouring`.
 """
 from __future__ import annotations
+
+from functools import cached_property
 
 from .errors import BoundaryError
 from .finalg.crossed import CrossedComplex
@@ -194,7 +199,8 @@ class Plan:
     - `preimage[n][x]`: label -> [(x, e), ...] with that boundary, in fibre order;
     - `domains[pos](values)`: the admissible values at `slots[pos]`, given
       every earlier position;
-    - `faces[c]`: the proper faces of c, for c of dimension 2..truncation.
+    - `faces[c]`: the proper faces of c, for c of dimension 2..truncation;
+    - `terms[c]`, `key_slots[g]`: built on first use, for the homotopy layer.
     """
 
     def __init__(self, X, A: CrossedComplex):
@@ -261,6 +267,58 @@ class Plan:
         else:
             table = {x: A.pow_elem(d, A.identity_elem(d, x), sign) for x in A.objects}
         return key, table
+
+    @cached_property
+    def terms(self) -> dict:
+        """c -> [(face, sign, reads)], for c of dimension 2..truncation.
+
+        One entry for each occurrence of a nondegenerate face in the homotopy
+        addition word of c, in word order, so a face that repeats appears
+        once per occurrence.  A 1-fold homotopy h targeting a colouring f
+        takes the word to the product of the terms h(face)^sign, each acted
+        on by the composite of the edge values that its `reads` give on f
+        (no action when there are none).  For a 2-generator the derivation
+        rule acts on a term by the edges after it, and first by its own
+        inverse edge when its sign is negative; above, only the leading term
+        is twisted, by the inverse leading edge.
+        """
+        X = self.X
+        out = {}
+        for n in range(2, min(X.dim, self.A.truncation) + 1):
+            for c in X.gens(n):
+                word = hal_word(X, c)
+                out[c] = occurrences = []
+                for j, (ref, sign, twist) in enumerate(word):
+                    if ref.word:
+                        continue  # degenerate: the homotopy is an identity there
+                    if n == 2:
+                        reads = [self._reader(r, s) for r, s, _ in word[j + 1 :]]
+                        if sign < 0:
+                            reads.insert(0, self._reader(ref, -1))
+                    else:
+                        reads = [self._reader(r, s) for r, s in twist or ()]
+                    occurrences.append((ref.core, sign, tuple(reads)))
+        return out
+
+    @cached_property
+    def key_slots(self) -> dict:
+        """g -> (position, index): `colouring_key` holds index[v] at `position` when g has value v.
+
+        Only generators of dimension up to max(1, truncation) are listed;
+        higher ones are keyed 0 whatever the colouring.
+        """
+        X, A = self.X, self.A
+        index = {
+            0: {x: i for i, x in enumerate(A.objects)},
+            1: {a: i for i, a in enumerate(A.base.arrows)},
+        }
+        for n in range(2, A.truncation + 1):
+            index[n] = {(x, e): A.fibre(n, x).index(e) for x, e in A.level_elements(n)}
+        return {
+            g: (pos, index[X.dim_of[g]])
+            for pos, g in enumerate(X.all_gens())
+            if X.dim_of[g] in index
+        }
 
     def _evaluator(self, c):
         """values -> boundary_label(X, A, values, c), for c of dimension >= 2."""
@@ -396,6 +454,15 @@ class Plan:
     def count(self, fixed: dict | None = None) -> int:
         """The number of colourings extending `fixed`; no colouring is built."""
         return self._walk(fixed or {}, None)
+
+
+def as_plan(X, A: CrossedComplex) -> Plan:
+    """X compiled for A: X itself when it is a `Plan` for A, else `Plan(X, A)`."""
+    if isinstance(X, Plan):
+        if X.A is not A:
+            raise ValueError("the plan was compiled for another algebra")
+        return X
+    return Plan(X, A)
 
 
 def enumerate_colourings(X, A: CrossedComplex, fixed: dict | None = None):

@@ -120,7 +120,7 @@ def cobordism_profunctor(M: Stratification, A: CrossedComplex) -> Profunctor:
     for li, f in enumerate(left.colourings):
         for ri, fp in enumerate(right.colourings):
             fillings = plan.colourings({**f.values, **fp.values})
-            classes, class_of = rel_classes(X, A, boundary, fillings)
+            classes, class_of = rel_classes(plan, A, boundary, fillings)
             ids = []
             for ci, members in enumerate(classes):
                 eid = (li, ri, ci)
@@ -136,14 +136,14 @@ def cobordism_profunctor(M: Stratification, A: CrossedComplex) -> Profunctor:
         seq = left.arrow_reps[eta]
         for ri in right.groupoid.objects:
             for b in basis[(ti, ri)]:
-                moved = holonomy_act(X, A, in_gens, seq, reps[b])
+                moved = holonomy_act(plan, A, in_gens, seq, reps[b])
                 lact[(eta, b)] = class_of_key[(si, ri, moved.key())]
     for zeta in right.groupoid.arrows:
         si, ti = zeta[0], zeta[1]
         inv_seq = _invert(right.arrow_reps[zeta], right.colourings[si])
         for li in left.groupoid.objects:
             for b in basis[(li, si)]:
-                moved = holonomy_act(X, A, out_gens, inv_seq, reps[b])
+                moved = holonomy_act(plan, A, out_gens, inv_seq, reps[b])
                 ract[(b, zeta)] = class_of_key[(li, ti, moved.key())]
     return Profunctor(left, right, basis, lact, ract, sizes, reps)
 

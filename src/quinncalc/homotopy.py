@@ -12,6 +12,9 @@ The derived operations (the other end of a homotopy, composition,
 inversion, and the boundary of a 2-fold homotopy) are evaluated directly on
 these cell values, extending along the homotopy addition words by the
 derivation rule at level one and by equivariant homomorphisms above.
+`apply_homotopy` is the reference evaluation of the other end; `crs_pi1`,
+`holonomy_act` and the moves of `rel_classes` evaluate it on the terms that
+a `Plan` of (X, A) compiles once.
 """
 from __future__ import annotations
 
@@ -21,6 +24,8 @@ from itertools import product
 
 from .colouring import (
     Colouring,
+    Plan,
+    as_plan,
     as_simpset,
     colouring_key,
     enumerate_colourings,
@@ -30,6 +35,7 @@ from .colouring import (
 )
 from .finalg.crossed import CrossedComplex
 from .finalg.groupoids import FinGroupoid, partition
+from .finalg.groups import _generating_sequence
 from .simpset import SimpSet, SimplexRef
 
 
@@ -215,6 +221,46 @@ def apply_homotopy(H: HomotopySequence, f: Colouring) -> Colouring:
     return Colouring(X, A, out)
 
 
+def _arrow(comp: dict, reads, f: dict):
+    """The composite of the edge values that `reads` give on f; None when there are none."""
+    out = None
+    for key, table in reads:
+        a = f[key] if table is None else table[f[key]]
+        out = a if out is None else comp[out, a]
+    return out
+
+
+def _term(A: CrossedComplex, n: int, h, sign: int, arrow):
+    """h^sign acted on by arrow (if any), at level n."""
+    if sign < 0:
+        h = A.inv_elem(n, h)
+    return h if arrow is None else A.act_elem(n, h, arrow)
+
+
+def _apply(plan: Plan, f: dict, h: dict) -> dict:
+    """`apply_homotopy` on the compiled terms: the values of the other end of h, which targets f.
+
+    `h` holds a value on every generator of dimension below the truncation,
+    as `HomotopySequence.values` does; nothing is checked.
+    """
+    X, A = plan.X, plan.A
+    comp, inv = A.base.comp_table, A.base.inv_table
+    out = {v: A.base.src[h[v]] for v in X.gens(0)}
+    for e in X.gens(1):
+        s, t = X.edge_ends(e)
+        mid = f[e] if e not in h else comp[f[e], A.bdry_of(2, h[e])]
+        out[e] = comp[comp[h[s], mid], inv[h[t]]]
+    for c, terms in plan.terms.items():
+        n = X.dim_of[c]
+        val = f[c]
+        for face, sign, reads in terms:
+            val = A.mul(n, val, _term(A, n, h[face], sign, _arrow(comp, reads, f)))
+        if c in h:
+            val = A.mul(n, val, A.bdry_of(n + 1, h[c]))
+        out[c] = A.act_elem(n, val, inv[h[plan.lead[c]]])
+    return out
+
+
 def compose_homotopies(first: HomotopySequence, second: HomotopySequence) -> HomotopySequence:
     """Composite of the arrows `first` then `second` (both 1-fold).
 
@@ -327,6 +373,7 @@ def crs_pi1(X, A: CrossedComplex) -> CrsResult:
     """
     X = as_simpset(X)
     colourings = enumerate_colourings(X, A)
+    plan = Plan(X, A)
     index = {c.key(): i for i, c in enumerate(colourings)}
     deltas = {}
     for ti, f in enumerate(colourings):
@@ -350,7 +397,7 @@ def crs_pi1(X, A: CrossedComplex) -> CrsResult:
             orbit = [_compose(H, d) for d in deltas[ti]]
             keys = sorted(J.key() for J in orbit)
             rep_key = keys[0]
-            si = index[apply_homotopy(H, f).key()]
+            si = index[colouring_key(X, A, _apply(plan, f.values, H.values))]
             aid = (si, ti, rep_key)
             for k in keys:
                 seq_class[(ti, k)] = aid
@@ -381,10 +428,119 @@ def crs_pi1(X, A: CrossedComplex) -> CrsResult:
 # -- homotopies relative to a subcomplex -------------------------------------------
 
 
+def _stars(plan: Plan) -> dict:
+    """g -> what a single-slot move at g rewrites besides g, for every g below the truncation.
+
+    A move at a vertex v rewrites the edges with v as an end, as
+    [(edge, v is its source, v is its target)], and the cells of dimension
+    2..truncation led by v, as [(cell, dimension)].  A move at a generator g
+    of dimension i >= 1 rewrites the (i+1)-cells with g as a nondegenerate
+    face, as [(cell, [(sign, reads), ...])] with one entry per occurrence
+    of g in the cell's `Plan.terms`.
+    """
+    X, A = plan.X, plan.A
+    stars: dict = {v: ([], []) for v in X.gens(0)}
+    for e in X.gens(1):
+        s, t = X.edge_ends(e)
+        stars[s][0].append((e, True, s == t))
+        if t != s:
+            stars[t][0].append((e, False, True))
+    for g in X.all_gens():
+        if 1 <= X.dim_of[g] < A.truncation:
+            stars[g] = []
+    for c, terms in plan.terms.items():
+        stars[plan.lead[c]][1].append((c, X.dim_of[c]))
+        at: dict = {}
+        for face, sign, reads in terms:
+            at.setdefault(face, []).append((sign, reads))
+        for face, occurrences in at.items():
+            stars[face].append((c, occurrences))
+    return stars
+
+
+def _mover(plan: Plan, stars: dict, f: dict, g):
+    """h -> {generator: value}: the values of f that the single-slot move by h at g changes.
+
+    The move is the homotopy targeting f with value h at g and identities
+    elsewhere; its other end agrees with f outside the returned star.
+    """
+    A = plan.A
+    comp, inv = A.base.comp_table, A.base.inv_table
+    n = plan.X.dim_of[g] + 1  # the level of h
+    if n == 1:
+        edges, cells = stars[g]
+
+        def move(a):
+            a_inv = inv[a]
+            out = {g: A.base.src[a]}
+            for e, at_src, at_tgt in edges:
+                x = comp[a, f[e]] if at_src else f[e]
+                out[e] = comp[x, a_inv] if at_tgt else x
+            for c, m in cells:
+                out[c] = A.act_elem(m, f[c], a_inv)
+            return out
+
+        return move
+    fg = f[g]
+    cofaces = [
+        (c, [(sign, _arrow(comp, reads, f)) for sign, reads in occurrences])
+        for c, occurrences in stars[g]
+    ]
+
+    def move(h):
+        d = A.bdry_of(n, h)
+        out = {g: comp[fg, d] if n == 2 else A.mul(n - 1, fg, d)}
+        for c, occurrences in cofaces:
+            val = f[c]
+            for sign, arrow in occurrences:
+                val = A.mul(n, val, _term(A, n, h, sign, arrow))
+            out[c] = val
+        return out
+
+    return move
+
+
+def _moved_key(slots: dict, key: tuple, star: dict) -> tuple:
+    """`key` with the positions of the star's generators rewritten to its values."""
+    out = list(key)
+    for g, v in star.items():
+        pos, index = slots[g]
+        out[pos] = index[v]
+    return tuple(out)
+
+
+def _move_generators(A: CrossedComplex):
+    """Generating values of each slot domain: (at a vertex, at a higher generator).
+
+    At a vertex whose image is x: generators of the vertex group at x, then
+    the first arrow into x from the least object of its component unless x
+    is that object.  Moves by these link every arrow into x (the vertex
+    group acts, and each object reaches the root's vertex group through its
+    tree arrow).  At a generator of level n over x: generators of A_n(x).
+    Orbits under generators of a finite group are its orbits, so the
+    classes do not change.
+    """
+    base = A.base
+    vertex = {}
+    for component in base.components():
+        root = component[0]
+        for x in component:
+            moves = _generating_sequence(base.vertex_group(x))
+            if x != root:
+                moves.append(base.arrows_between(root, x)[0])
+            vertex[x] = tuple(moves)
+    fibre = {
+        (n, x): tuple((x, e) for e in _generating_sequence(A.fibre(n, x)))
+        for n in range(2, A.truncation + 1)
+        for x in A.objects
+    }
+    return vertex, fibre
+
+
 def rel_classes(X, A: CrossedComplex, boundary_gens, fillings):
     """Partition of `fillings` under homotopies that fix `boundary_gens`.
 
-    X is a `SimpSet` or a `Stratification`.
+    X is a `SimpSet`, a `Stratification` or a `Plan` of one for A.
 
     Fillings are linked by single-slot moves: homotopies with one
     non-identity value on one free generator and identities elsewhere.
@@ -393,42 +549,55 @@ def rel_classes(X, A: CrossedComplex, boundary_gens, fillings):
     second(g) . (first(g) <| second_0(y)), so a relative homotopy factors
     into single-slot moves by peeling off its vertex slots, after which the
     higher slots compose untwisted, and every intermediate colouring agrees
-    with the fillings on the boundary.
+    with the fillings on the boundary.  Moves at one slot compose as the
+    slot's group (or, at a vertex, groupoid) does, so only the generating
+    values of `_move_generators` are applied.  A move rewrites the star of
+    its slot (`_stars`) in the filling's key, and no colouring is built.
 
     Returns (classes, class_of): classes are tuples of filling indices with
     the canonical minimum first; class_of maps a colouring key to its class
     index.
     """
-    X = as_simpset(X)
-    keys = {col.key(): i for i, col in enumerate(fillings)}
+    if not fillings:
+        return (), {}
+    plan = as_plan(X, A)
+    X = plan.X
+    fkeys = [col.key() for col in fillings]
+    keys = {k: i for i, k in enumerate(fkeys)}
+    free = [g for g in X.all_gens() if g not in boundary_gens and X.dim_of[g] < A.truncation]
+    base_of = {g: _base_vertex(X, g) for g in free}
+    stars, slots = _stars(plan), plan.key_slots
+    vertex_moves, fibre_moves = _move_generators(A)
 
     def links():
         for i, col in enumerate(fillings):
-            H = identity_sequence(col)
-            for g, dom in sequence_domains(X, A, col, 1, fixed_identity=boundary_gens):
-                unit = H.values[g]
-                for v in dom:
-                    if v == unit:
-                        continue
-                    H.values[g] = v
-                    j = keys.get(apply_homotopy(H, col).key())
+            f, key = col.values, fkeys[i]
+            for g in free:
+                n, x = X.dim_of[g] + 1, f[base_of[g]]
+                moves = vertex_moves[x] if n == 1 else fibre_moves[n, x]
+                if not moves:
+                    continue
+                move = _mover(plan, stars, f, g)
+                for h in moves:
+                    j = keys.get(_moved_key(slots, key, move(h)))
                     if j is None:
                         raise ValueError("internal homotopy left the filling set")
                     yield i, j
-                H.values[g] = unit
 
     classes = partition(len(fillings), links())
-    class_of = {fillings[i].key(): ci for ci, members in enumerate(classes) for i in members}
+    class_of = {fkeys[i]: ci for ci, members in enumerate(classes) for i in members}
     return classes, class_of
 
 
 def holonomy_act(X, A, boundary_gens, eta: HomotopySequence, filling: Colouring) -> Colouring:
     """Transport a filling along a boundary homotopy, by identity expansion.
 
+    X is a `SimpSet`, a `Stratification` or a `Plan` of one for A.
     `eta` targets the restriction of `filling` to the boundary subcomplex;
     the result restricts to the other end of `eta`.
     """
-    X = as_simpset(X)
+    plan = as_plan(X, A)
+    X = plan.X
     for g in boundary_gens:
         i = X.dim_of[g]
         if i + 1 > A.truncation:
@@ -437,7 +606,7 @@ def holonomy_act(X, A, boundary_gens, eta: HomotopySequence, filling: Colouring)
         if eta.target.values[g] != want:
             raise ValueError("boundary homotopy does not target the filling's restriction")
     H = expand_sequence(eta, X, filling)
-    return apply_homotopy(H, filling)
+    return Colouring(X, A, _apply(plan, filling.values, H.values))
 
 
 # -- homotopy content of the mapping complex ---------------------------------------

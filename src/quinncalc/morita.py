@@ -82,18 +82,28 @@ def groupoid_algebra(G: FinGroupoid) -> Algebra:
 
 
 def check_algebra_iso(A: Algebra, B: Algebra, bij: dict) -> bool:
-    """Whether a basis bijection matches the structure constants exactly."""
+    """Whether a basis bijection matches the structure constants exactly.
+
+    Each non-empty row of A must map to B's row at the image pair.  The
+    image pairs of distinct pairs are distinct, so B matches on every pair
+    when it also has no more non-empty rows than A: the walk is over the
+    non-zero products, not over all pairs of basis elements.
+    """
     if set(bij) != set(A.basis) or set(bij.values()) != set(B.basis):
         return False
-    for a in A.basis:
-        for b in A.basis:
-            row = A.mul.get((a, b), {})
-            want = {bij[k]: c for k, c in row.items()}
-            if B.mul.get((bij[a], bij[b]), {}) != want:
-                return False
-    if {bij[k]: c for k, c in A.unit.items()} != B.unit:
+    if len(set(bij.values())) != len(bij):
         return False
-    return True
+    rows = 0
+    for (a, b), row in A.mul.items():
+        if not row or a not in bij or b not in bij:
+            continue
+        if B.mul.get((bij[a], bij[b]), {}) != {bij[k]: c for k, c in row.items()}:
+            return False
+        rows += 1
+    in_B = set(B.basis)
+    if rows != sum(1 for (a, b), row in B.mul.items() if row and a in in_B and b in in_B):
+        return False
+    return {bij[k]: c for k, c in A.unit.items()} == B.unit
 
 
 def quantum_double(G: FinGroup) -> Algebra:

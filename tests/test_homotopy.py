@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from quinncalc import cli
 from quinncalc.colouring import (
+    Plan,
     as_simpset,
     enumerate_colourings,
     enumerate_relative,
@@ -25,10 +26,15 @@ from quinncalc.finalg import (
     semidirect,
     symmetric_group,
 )
-from quinncalc.finalg.groupoids import FinGroupoid, partition
+from quinncalc.finalg.crossed import CrossedComplex
+from quinncalc.finalg.groupoids import FinGroupoid, groupoid_from_group, partition
 from quinncalc.homotopy import (
     CrsResult,
     HomotopySequence,
+    _apply,
+    _moved_key,
+    _mover,
+    _stars,
     apply_homotopy,
     compose_homotopies,
     crs_homotopy_content,
@@ -43,6 +49,7 @@ from quinncalc.homotopy import (
     sequence_domains,
 )
 from quinncalc.simpset import (
+    SimpSet,
     circle,
     glue,
     point,
@@ -452,10 +459,10 @@ def test_crs_pi1_matches_the_seed_construction(space, algebra):
 
 @pytest.mark.parametrize("space, algebra", [("prism-circle", "z3"), ("circle", "xmod-z2-z2-zero")])
 def test_crs_pi1_composes_once_per_table_entry_and_orbit_member(monkeypatch, space, algebra):
-    """One composite per table entry and per (arrow, delta) pair, one apply per arrow."""
+    """One composite per table entry and per (arrow, delta) pair, one compiled apply per arrow."""
     import quinncalc.homotopy as homotopy
 
-    calls = {"_compose": 0, "apply_homotopy": 0}
+    calls = {"_compose": 0, "_apply": 0, "apply_homotopy": 0}
     for name in calls:
         real = getattr(homotopy, name)
 
@@ -467,7 +474,8 @@ def test_crs_pi1_composes_once_per_table_entry_and_orbit_member(monkeypatch, spa
     crs = crs_pi1(CATALOG[space], CORPUS[algebra])
     G = crs.groupoid
     assert calls["_compose"] == len(G.comp_table) + sum(len(crs.deltas[a[1]]) for a in G.arrows)
-    assert calls["apply_homotopy"] == len(G.arrows)
+    assert calls["_apply"] == len(G.arrows)
+    assert calls["apply_homotopy"] == 0
 
 
 # -- Extend / Restrict / rel classes ------------------------------------------------
@@ -582,6 +590,35 @@ def _rel_classes_product(X, A, boundary_gens, fillings):
     return classes, class_of
 
 
+def _rel_classes_all_values(X, A, boundary_gens, fillings):
+    """Oracle for rel_classes: link each filling by a single-slot move of every value.
+
+    Each move runs the reference apply_homotopy and keys the whole moved
+    colouring.
+    """
+    X = as_simpset(X)
+    keys = {col.key(): i for i, col in enumerate(fillings)}
+
+    def links():
+        for i, col in enumerate(fillings):
+            H = identity_sequence(col)
+            for g, dom in sequence_domains(X, A, col, 1, fixed_identity=boundary_gens):
+                unit = H.values[g]
+                for v in dom:
+                    if v == unit:
+                        continue
+                    H.values[g] = v
+                    j = keys.get(apply_homotopy(H, col).key())
+                    if j is None:
+                        raise ValueError("internal homotopy left the filling set")
+                    yield i, j
+                H.values[g] = unit
+
+    classes = partition(len(fillings), links())
+    class_of = {fillings[i].key(): ci for ci, members in enumerate(classes) for i in members}
+    return classes, class_of
+
+
 def _cylinder(name):
     single = prism(circle())
     if name == "prism-circle":
@@ -620,9 +657,9 @@ def test_rel_classes_match_product_oracle(space, algebra):
         M = _cylinder(space)
         cases = [(M.simpset, M.boundary_gens(), fs) for fs in _boundary_filling_sets(M, A)]
     for X, boundary, fillings in cases:
-        assert rel_classes(X, A, boundary, fillings) == _rel_classes_product(
-            X, A, boundary, fillings
-        )
+        got = rel_classes(X, A, boundary, fillings)
+        assert got == _rel_classes_product(X, A, boundary, fillings)
+        assert got == _rel_classes_all_values(X, A, boundary, fillings)
 
 
 @lru_cache(maxsize=None)
@@ -643,9 +680,153 @@ def test_rel_classes_match_product_oracle_on_random_boundaries(space, algebra, d
     boundary = X.subcomplex_closure(seed)
     c = data.draw(st.sampled_from(colourings), label="colouring")
     fillings = enumerate_relative(X, A, {g: v for g, v in c.values.items() if g in boundary})
-    assert rel_classes(X, A, boundary, fillings) == _rel_classes_product(
-        X, A, boundary, fillings
+    got = rel_classes(X, A, boundary, fillings)
+    assert got == _rel_classes_product(X, A, boundary, fillings)
+    assert got == _rel_classes_all_values(X, A, boundary, fillings)
+
+
+def _permutation_groupoid():
+    """S3 acting on three points: one component whose vertex groups have order 2."""
+    s3 = symmetric_group(3)
+    return action_groupoid(s3, (0, 1, 2), lambda g, x: s3.inv(g)[x])
+
+
+NON_REDUCED = {
+    "I(3)": lambda: iota1(pair_groupoid(3)),
+    "S3-action": lambda: iota1(_permutation_groupoid()),
+}
+
+
+@pytest.mark.parametrize(
+    "space, algebra",
+    [(s, a) for s in ("prism-point", "prism-circle", "torus") for a in NON_REDUCED],
+)
+def test_rel_classes_on_non_reduced_algebras_match_both_oracles(space, algebra):
+    """Several objects: vertex moves need the spanning-tree arrows between them.
+
+    Cylinders are checked on every (in, out) boundary colouring pair, the
+    torus with an empty boundary.
+    """
+    A = NON_REDUCED[algebra]()
+    if space == "torus":
+        X = torus()
+        cases = [(X, frozenset(), enumerate_colourings(X, A))]
+    else:
+        M = prism(point() if space == "prism-point" else circle())
+        cases = [(M.simpset, M.boundary_gens(), fs) for fs in _boundary_filling_sets(M, A)]
+    for X, boundary, fillings in cases:
+        got = rel_classes(X, A, boundary, fillings)
+        assert got == _rel_classes_all_values(X, A, boundary, fillings)
+        assert got == _rel_classes_product(X, A, boundary, fillings)
+
+
+def test_rel_classes_applies_no_homotopy(monkeypatch):
+    """The moves rewrite keys from the compiled plan; apply_homotopy is never called."""
+    import quinncalc.homotopy as homotopy
+
+    A = ORACLE_ALGEBRAS["0:Z2->Z4"]()
+    M = prism(circle())
+    fillings = next(fs for fs in _boundary_filling_sets(M, A) if len(fs) > 1)
+    want = _rel_classes_all_values(M.simpset, A, M.boundary_gens(), fillings)
+    calls = []
+    real = homotopy.apply_homotopy
+    monkeypatch.setattr(homotopy, "apply_homotopy", lambda *args: calls.append(args) or real(*args))
+    assert rel_classes(M.simpset, A, M.boundary_gens(), fillings) == want
+    assert calls == []
+
+
+def test_a_plan_stands_for_its_space_only_with_its_algebra():
+    M = prism(circle())
+    A, other = ORACLE_ALGEBRAS["s3"](), ORACLE_ALGEBRAS["z3"]()
+    fillings = enumerate_colourings(M.simpset, A)
+    boundary = M.boundary_gens()
+    plan = Plan(M, A)
+    assert rel_classes(plan, A, boundary, fillings) == rel_classes(M, A, boundary, fillings)
+    with pytest.raises(ValueError, match="compiled for another algebra"):
+        rel_classes(plan, other, boundary, fillings)
+
+
+def test_rel_classes_rejects_a_move_out_of_the_filling_set():
+    A = ORACLE_ALGEBRAS["s3"]()
+    X = torus()
+    with pytest.raises(ValueError, match="internal homotopy left the filling set"):
+        rel_classes(X, A, frozenset(), enumerate_colourings(X, A)[:3])
+
+
+def _one_vertex_space(name, faces_of_c):
+    """A vertex v, a loop e and one 2-generator c with the given faces."""
+    faces = {("e", 0): ("v", ()), ("e", 1): ("v", ())}
+    faces.update({("c", i): ref for i, ref in enumerate(faces_of_c)})
+    return SimpSet({"v": 0, "e": 1, "c": 2}, faces, name=name)
+
+
+def _inversion_tower():
+    """Z2 acting on Z3 by inversion at levels 2 and 3, with zero boundaries (truncation 3)."""
+    z2, z3 = cyclic_group(2), cyclic_group(3)
+    inv = {(e, g): e if g == 0 else (-e) % 3 for e in z3.elements for g in z2.elements}
+    return CrossedComplex(
+        groupoid_from_group(z2),
+        levels={2: {"*": z3}, 3: {"*": z3}},
+        bdry={2: {("*", e): 0 for e in z3.elements}, 3: {("*", e): 0 for e in z3.elements}},
+        act={n: {(("*", e), g): inv[e, g] for e in z3.elements for g in z2.elements} for n in (2, 3)},
+        truncation=3,
     )
+
+
+MOVE_SPACES = {
+    **ORACLE_SPACES,
+    # faces that repeat in one cell: every occurrence moves with the face
+    "dunce-hat": lambda: _one_vertex_space("dunce-hat", [("e", ())] * 3),
+    "rp2": lambda: _one_vertex_space("rp2", [("e", ()), ("v", (0,)), ("e", ())]),
+    "delta3": lambda: standard_simplex(3),
+}
+MOVE_ALGEBRAS = {
+    **ORACLE_ALGEBRAS,
+    **NON_REDUCED,
+    "id:S3": lambda: iota2(crossed_module_identity(symmetric_group(3))),
+    "inversion-tower": _inversion_tower,
+}
+
+
+# delta3 x id:S3 has 46 656 colourings
+MOVE_CASES = [(s, a) for s in MOVE_SPACES for a in MOVE_ALGEBRAS if (s, a) != ("delta3", "id:S3")]
+
+
+@lru_cache(maxsize=None)
+def _move_case(space, algebra):
+    X, A = MOVE_SPACES[space](), MOVE_ALGEBRAS[algebra]()
+    return X, A, Plan(X, A), enumerate_colourings(X, A)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.sampled_from(MOVE_CASES), data=st.data())
+def test_compiled_move_rewrites_the_star_as_apply_homotopy(case, data):
+    """A single-slot move changes only its slot's star, to the values and key of apply_homotopy."""
+    X, A, plan, colourings = _move_case(*case)
+    col = data.draw(st.sampled_from(colourings), label="colouring")
+    domains = dict(sequence_domains(X, A, col, 1))
+    g = data.draw(st.sampled_from(sorted(domains, key=X.gen_index)), label="slot")
+    h = data.draw(st.sampled_from(domains[g]), label="value")
+    H = identity_sequence(col)
+    H.values[g] = h
+    want = apply_homotopy(H, col)
+    star = _mover(plan, _stars(plan), col.values, g)(h)
+    assert {**col.values, **star} == want.values
+    assert _moved_key(plan.key_slots, col.key(), star) == want.key()
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.sampled_from(MOVE_CASES), data=st.data())
+def test_compiled_apply_matches_apply_homotopy(case, data):
+    """The whole-homotopy evaluation behind crs_pi1 and holonomy_act, on random homotopies."""
+    X, A, plan, colourings = _move_case(*case)
+    col = data.draw(st.sampled_from(colourings), label="colouring")
+    values = {
+        g: data.draw(st.sampled_from(dom), label=str(g))
+        for g, dom in sequence_domains(X, A, col, 1)
+    }
+    H = HomotopySequence(1, col, values)
+    assert _apply(plan, col.values, values) == apply_homotopy(H, col).values
 
 
 def test_holonomy_identity_and_composition(s3):

@@ -91,6 +91,46 @@ def test_quantum_double_oracle_corpus():
         assert check_algebra_iso(res.crs_algebra, res.double, res.bijection)
 
 
+def _check_algebra_iso_pairs(A, B, bij):
+    """Oracle for check_algebra_iso: compare the structure constants on every pair of basis elements."""
+    if set(bij) != set(A.basis) or set(bij.values()) != set(B.basis):
+        return False
+    for a in A.basis:
+        for b in A.basis:
+            row = A.mul.get((a, b), {})
+            want = {bij[k]: c for k, c in row.items()}
+            if B.mul.get((bij[a], bij[b]), {}) != want:
+                return False
+    return {bij[k]: c for k, c in A.unit.items()} == B.unit
+
+
+def _broken_products(res):
+    """The genuine bijection with two images swapped so that a product breaks and the unit holds."""
+    A, B, bij = res.crs_algebra, res.double, res.bijection
+    units = set(A.unit)
+    rest = [a for a in A.basis if a not in units]
+    for i, a1 in enumerate(rest):
+        for a2 in rest[i + 1 :]:
+            bad = {**bij, a1: bij[a2], a2: bij[a1]}
+            if not _check_algebra_iso_pairs(A, B, bad):
+                return bad
+    raise AssertionError("every swap is an automorphism")
+
+
+def test_check_algebra_iso_matches_the_all_pairs_oracle():
+    """Both accept the genuine isomorphisms and reject a broken product, an extra product and a wrong unit."""
+    for G in [*corpus_groups(), symmetric_group(4)]:
+        res = quantum_double_oracle(G)
+        A, B, bij = res.crs_algebra, res.double, res.bijection
+        assert check_algebra_iso(A, B, bij) and _check_algebra_iso_pairs(A, B, bij)
+        empty = next((p, q) for p in B.basis for q in B.basis if (p, q) not in B.mul)
+        extra = Algebra(B.basis, {**B.mul, empty: {B.basis[0]: Fraction(1)}}, B.unit)
+        wrong_unit = Algebra(B.basis, B.mul, dict(list(B.unit.items())[1:]))
+        for other, m in [(B, _broken_products(res)), (extra, bij), (wrong_unit, bij)]:
+            assert not _check_algebra_iso_pairs(A, other, m)
+            assert not check_algebra_iso(A, other, m)
+
+
 def test_quantum_double_oracle_s3_dimension(s3):
     res = quantum_double_oracle(s3)
     assert res.double.dim == 36 and res.ok
