@@ -20,7 +20,6 @@ from .homotopy import (
     HomotopySequence,
     apply_homotopy,
     compose_homotopies,
-    crs_homotopy_content,
     crs_pi1,
     delta2,
     holonomy_act,

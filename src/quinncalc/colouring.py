@@ -24,9 +24,9 @@ values.  `enumerate_colourings` and `enumerate_relative` compile a plan per
 call; a caller that walks one X for many boundary values compiles it once.
 The homotopy layer reads the same compilation: `Plan.terms` resolves the
 homotopy addition word of each cell to slot reads once, and `Plan.key_slots`
-places each generator's value in its `colouring_key`.  `boundary_label` and
-`value_of_ref` remain the reference evaluation, used by `apply_homotopy` and
-`is_valid_colouring`.
+places each generator's value in its `colouring_key`.  Every homotopy
+addition word in the program is evaluated on a plan; `boundary_label`
+compiles one per call, and `value_of_ref` reads a single simplex.
 """
 from __future__ import annotations
 
@@ -121,17 +121,6 @@ def value_of_ref(X: SimpSet, A: CrossedComplex, values: dict, ref: SimplexRef):
     return values[ref.core]
 
 
-def eval_edge_word(X: SimpSet, A: CrossedComplex, values: dict, word) -> object:
-    """Compose edge values along a word of (edge ref, sign) pairs."""
-    out = None
-    for ref, sign in word:
-        a = value_of_ref(X, A, values, ref)
-        if sign < 0:
-            a = A.base.inv(a)
-        out = a if out is None else A.base.comp(out, a)
-    return out
-
-
 def hal_word(X: SimpSet, c) -> list:
     """The homotopy addition label of c as (face ref, sign, twist) terms.
 
@@ -160,24 +149,12 @@ def boundary_label(X: SimpSet, A: CrossedComplex, values: dict, c):
     """The homotopy addition label of the n-generator c, n >= 2.
 
     Returns an A1 loop for n = 2 and a level-(n-1) element for n >= 3, based
-    at the image of the leading vertex of c.
+    at the image of the leading vertex of c.  (X, A) is compiled into a
+    `Plan` for this call.
     """
-    n = X.dim_of[c]
-    if n < 2:
+    if X.dim_of[c] < 2:
         raise ValueError("labels are defined for generators of dimension >= 2")
-    terms = hal_word(X, c)
-    if n == 2:
-        word = [(ref, sign) for ref, sign, _ in terms]
-        return eval_edge_word(X, A, values, word)
-    out = None
-    for ref, sign, twist in terms:
-        v = value_of_ref(X, A, values, ref)
-        if twist is not None:
-            arrow = eval_edge_word(X, A, values, twist)
-            v = A.act_elem(n - 1, v, arrow)
-        v = A.pow_elem(n - 1, v, sign)
-        out = v if out is None else A.mul(n - 1, out, v)
-    return out
+    return Plan(X, A).label[c](values)
 
 
 def as_simpset(X) -> SimpSet:
@@ -191,8 +168,8 @@ class Plan:
     X may be a `SimpSet` or a `Stratification`; `self.X` is the `SimpSet`.
 
     - `lead[g]`: the leading vertex of g;
-    - `label[c](values)`: equals `boundary_label(X, A, values, c)` for c of
-      dimension >= 2;
+    - `label[c](values)`: the homotopy addition label of c under `values`,
+      for c of dimension >= 2;
     - `slots`: the walk order; `checks[pos]`: the label tests run on arrival
       at position pos;
     - `arrows[(x, y)]`: the arrows from x to y;
@@ -270,17 +247,18 @@ class Plan:
 
     @cached_property
     def terms(self) -> dict:
-        """c -> [(face, sign, reads)], for c of dimension 2..truncation.
+        """c -> [(face, sign, reads)], for c of dimension n = 2..truncation.
 
         One entry for each occurrence of a nondegenerate face in the homotopy
         addition word of c, in word order, so a face that repeats appears
-        once per occurrence.  A 1-fold homotopy h targeting a colouring f
-        takes the word to the product of the terms h(face)^sign, each acted
-        on by the composite of the edge values that its `reads` give on f
-        (no action when there are none).  For a 2-generator the derivation
-        rule acts on a term by the edges after it, and first by its own
-        inverse edge when its sign is negative; above, only the leading term
-        is twisted, by the inverse leading edge.
+        once per occurrence.  A k-fold homotopy h targeting a colouring f
+        takes the word to the product, at level n + k - 1, of the terms
+        h(face)^sign, each acted on by the composite of the edge values that
+        its `reads` give on f (no action when there are none).  k = 1 gives
+        the other end of h, k = 2 its boundary.  For a 2-generator the
+        derivation rule acts on a term by the edges after it, and first by
+        its own inverse edge when its sign is negative; above, only the
+        leading term is twisted, by the inverse leading edge.
         """
         X = self.X
         out = {}
@@ -321,7 +299,7 @@ class Plan:
         }
 
     def _evaluator(self, c):
-        """values -> boundary_label(X, A, values, c), for c of dimension >= 2."""
+        """values -> the homotopy addition label of c, for c of dimension >= 2."""
         X, A = self.X, self.A
         n = X.dim_of[c]
         terms = hal_word(X, c)
@@ -494,33 +472,3 @@ def restrict_colouring(col: Colouring, sub: SimpSet) -> Colouring:
     """Restriction to a subcomplex sharing generator ids with col.X."""
     vals = {g: col.values[g] for g in sub.all_gens() if g in col.values}
     return Colouring(sub, col.A, vals)
-
-
-def is_valid_colouring(col: Colouring) -> bool:
-    X, A, values = col.X, col.A, col.values
-    for g in X.all_gens():
-        d = X.dim_of[g]
-        if d == 0:
-            if values[g] not in set(A.objects):
-                return False
-        elif d == 1:
-            s, t = X.edge_ends(g)
-            a = values[g]
-            if A.base.src[a] != values[s] or A.base.tgt[a] != values[t]:
-                return False
-        elif d <= A.truncation:
-            base = values[X.initial_vertex(g)]
-            x, e = values[g]
-            if x != base or e not in A.fibre(d, base):
-                return False
-            if A.bdry_of(d, values[g]) != boundary_label(X, A, values, g):
-                return False
-    n = A.truncation + 1
-    if n <= X.dim:
-        for g in X.gens(n):
-            base = values[X.initial_vertex(g)]
-            label = boundary_label(X, A, values, g)
-            trivial = A.base.ident[base] if n == 2 else A.identity_elem(n - 1, base)
-            if label != trivial:
-                return False
-    return True

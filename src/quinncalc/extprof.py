@@ -469,20 +469,3 @@ def horizontal_compose_nat(a: NatTransform, b: NatTransform) -> NatTransform:
             m.append(out_row)
         blocks[pair] = m
     return NatTransform(top, bottom, blocks)
-
-
-def decategorified_matrix(P: Profunctor, M: Stratification, A) -> list:
-    """Class-pair matrix of filling counts weighted as the state sum at s=0."""
-    theta_rel = theta_weight(M.simpset, A, M.boundary_gens())
-    theta_out = theta_weight(M.simpset.restrict(M.tagged("out")), A)
-    lcomps = P.left.components()
-    rcomps = P.right.components()
-    out = []
-    for lc in lcomps:
-        row = []
-        for rc in rcomps:
-            li, ri = lc[0], rc[0]
-            n = sum(P.sizes[b] for b in P.basis[(li, ri)])
-            row.append(n * theta_rel * len(rc) * theta_out)
-        out.append(row)
-    return out

@@ -11,32 +11,24 @@ same shape as `Colouring.values`, and one key function serves both.
 The derived operations (the other end of a homotopy, composition,
 inversion, and the boundary of a 2-fold homotopy) are evaluated directly on
 these cell values, extending along the homotopy addition words by the
-derivation rule at level one and by equivariant homomorphisms above.
-`apply_homotopy` is the reference evaluation of the other end; `crs_pi1`,
-`holonomy_act` and the moves of `rel_classes` evaluate it on the terms that
-a `Plan` of (X, A) compiles once.
+derivation rule at level one and by equivariant homomorphisms above.  Every
+such word is read from the terms that a `Plan` of (X, A) compiles once:
+`_apply` gives the other end and `_delta2` the boundary, and the public
+`apply_homotopy`, `compose_homotopies`, `invert_homotopy` and `delta2` check
+their arguments and compile a plan per call.  `crs_pi1`, `holonomy_act` and
+`rel_classes` evaluate on one plan per call, however many homotopies they
+apply.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
-from .colouring import (
-    Colouring,
-    Plan,
-    as_plan,
-    as_simpset,
-    colouring_key,
-    enumerate_colourings,
-    eval_edge_word,
-    hal_word,
-    value_of_ref,
-)
+from .colouring import Colouring, Plan, as_plan, as_simpset, colouring_key
 from .finalg.crossed import CrossedComplex
 from .finalg.groupoids import FinGroupoid, partition
 from .finalg.groups import _generating_sequence
-from .simpset import SimpSet, SimplexRef
+from .simpset import SimpSet
 
 
 @dataclass
@@ -139,86 +131,13 @@ def enumerate_sequences(X, A, f: Colouring, k: int):
     ]
 
 
-def _h_of_ref(H: HomotopySequence, ref: SimplexRef):
-    """Value of the (free) homotopy on a possibly degenerate simplex, dim >= 1."""
-    X, A, f = H.target.X, H.target.A, H.target
-    d = X.ref_dim(ref)
-    if ref.word:
-        return A.identity_elem(d + H.k, f.values[X.initial_vertex(ref)])
-    if d + H.k > A.truncation:
-        return _identity(f, ref.core, H.k)
-    return H.values[ref.core]
-
-
-def _h_on_edge_word(H: HomotopySequence, word):
-    """Derivation rule along a word of (edge ref, sign) pairs.
-
-    h(g g') = (h(g) <| f(g')) . h(g'),  h(g^-1) = h(g)^-1 <| f(g)^-1.
-    """
-    X, A, f = H.target.X, H.target.A, H.target
-    level = 1 + H.k
-    out = None
-    for ref, sign in word:
-        fg = value_of_ref(X, A, f.values, ref)
-        hg = _h_of_ref(H, ref)
-        if sign > 0:
-            if out is None:
-                out = hg
-            else:
-                out = A.mul(level, A.act_elem(level, out, fg), hg)
-        else:
-            inv_part = A.inv_elem(level, hg)
-            if out is None:
-                out = A.act_elem(level, inv_part, A.base.inv(fg))
-            else:
-                out = A.act_elem(level, A.mul(level, out, inv_part), A.base.inv(fg))
-    if out is None:
-        raise ValueError("empty edge word")
-    return out
-
-
-def _h_on_hal(H: HomotopySequence, c):
-    """Value of the homotopy on the boundary word of an n-generator, n >= 2."""
-    X, A, f = H.target.X, H.target.A, H.target
-    n = X.dim_of[c]
-    terms = hal_word(X, c)
-    if n == 2:
-        return _h_on_edge_word(H, [(ref, sign) for ref, sign, _ in terms])
-    level = (n - 1) + H.k
-    out = None
-    for ref, sign, twist in terms:
-        v = _h_of_ref(H, ref)
-        if twist is not None:
-            arrow = eval_edge_word(X, A, f.values, twist)
-            v = A.act_elem(level, v, arrow)
-        v = A.pow_elem(level, v, sign)
-        out = v if out is None else A.mul(level, out, v)
-    return out
-
-
 def apply_homotopy(H: HomotopySequence, f: Colouring) -> Colouring:
     """The other end of a 1-fold homotopy targeting f."""
     if H.k != 1:
         raise ValueError("only 1-fold homotopies connect colourings")
     if f is not H.target and f.values != H.target.values:
         raise ValueError("homotopy does not target this colouring")
-    X, A, h = f.X, f.A, H.values
-    out: dict = {}
-    for v in X.gens(0):
-        out[v] = A.base.src[h[v]]
-    for e in X.gens(1):
-        sv, tv = X.edge_ends(e)
-        mid = f.values[e]
-        if e in h:
-            mid = A.base.comp(mid, A.bdry_of(2, h[e]))
-        out[e] = A.base.comp(A.base.comp(h[sv], mid), A.base.inv(h[tv]))
-    for n in range(2, min(X.dim, A.truncation) + 1):
-        for c in X.gens(n):
-            val = A.mul(n, f.values[c], _h_on_hal(H, c))
-            if c in h:
-                val = A.mul(n, val, A.bdry_of(n + 1, h[c]))
-            out[c] = A.act_elem(n, val, A.base.inv(h[X.initial_vertex(c)]))
-    return Colouring(X, A, out)
+    return Colouring(f.X, f.A, _apply(Plan(f.X, f.A), f.values, H.values))
 
 
 def _arrow(comp: dict, reads, f: dict):
@@ -310,25 +229,38 @@ def delta2(H2: HomotopySequence) -> HomotopySequence:
     """Boundary of a 2-fold homotopy: an endo-arrow at its target."""
     if H2.k != 2:
         raise ValueError("expected a 2-fold homotopy")
-    X, A, f = H2.target.X, H2.target.A, H2.target
-    h = H2.values
-    values = {}
-    for v in X.gens(0):
-        values[v] = A.bdry_of(2, h[v]) if v in h else _identity(f, v, 1)
+    f = H2.target
+    return HomotopySequence(1, f, _delta2(Plan(f.X, f.A), f.values, H2.values))
+
+
+def _delta2(plan: Plan, f: dict, h: dict) -> dict:
+    """`delta2` on the compiled terms: the values of the boundary of the 2-fold homotopy h at f.
+
+    At a cell c of dimension n < truncation the terms of c are evaluated at
+    level n + 1, on the values of h, from the identity at the image of the
+    leading vertex; nothing is checked.
+    """
+    X, A = plan.X, plan.A
+    comp = A.base.comp_table
+    out = {v: A.bdry_of(2, h[v]) if v in h else A.base.ident[f[v]] for v in X.gens(0)}
     if A.truncation >= 2:
         for e in X.gens(1):
-            sv, tv = X.edge_ends(e)
-            term = A.act_elem(2, A.inv_elem(2, h[sv]), f.values[e])
-            term = A.mul(2, term, h[tv])
+            s, t = X.edge_ends(e)
+            val = A.mul(2, A.act_elem(2, A.inv_elem(2, h[s]), f[e]), h[t])
             if e in h:
-                term = A.mul(2, term, A.bdry_of(3, h[e]))
-            values[e] = term
-    for n in range(2, min(X.dim, A.truncation - 1) + 1):
-        for c in X.gens(n):
-            term = A.bdry_of(n + 2, h[c]) if c in h else _identity(f, c, 1)
-            lower = _h_on_hal(H2, c)
-            values[c] = A.mul(n + 1, term, A.pow_elem(n + 1, lower, (-1) ** n))
-    return HomotopySequence(1, f, values)
+                val = A.mul(2, val, A.bdry_of(3, h[e]))
+            out[e] = val
+    for c, terms in plan.terms.items():
+        n = X.dim_of[c]
+        if n >= A.truncation:
+            continue
+        unit = A.identity_elem(n + 1, f[plan.lead[c]])
+        lower = unit
+        for face, sign, reads in terms:
+            lower = A.mul(n + 1, lower, _term(A, n + 1, h[face], sign, _arrow(comp, reads, f)))
+        val = A.bdry_of(n + 2, h[c]) if c in h else unit
+        out[c] = A.mul(n + 1, val, A.pow_elem(n + 1, lower, (-1) ** n))
+    return out
 
 
 # -- the extended groupoid ------------------------------------------------------
@@ -371,16 +303,16 @@ def crs_pi1(X, A: CrossedComplex) -> CrsResult:
 
     X is a `SimpSet` or a `Stratification`.
     """
-    X = as_simpset(X)
-    colourings = enumerate_colourings(X, A)
     plan = Plan(X, A)
+    X = plan.X
+    colourings = plan.colourings()
     index = {c.key(): i for i, c in enumerate(colourings)}
     deltas = {}
     for ti, f in enumerate(colourings):
         ds = []
         seen = set()
         for H2 in enumerate_sequences(X, A, f, 2):
-            d = delta2(H2)
+            d = HomotopySequence(1, f, _delta2(plan, f.values, H2.values))
             k = d.key()
             if k not in seen:
                 seen.add(k)
@@ -607,30 +539,3 @@ def holonomy_act(X, A, boundary_gens, eta: HomotopySequence, filling: Colouring)
             raise ValueError("boundary homotopy does not target the filling's restriction")
     H = expand_sequence(eta, X, filling)
     return Colouring(X, A, _apply(plan, filling.values, H.values))
-
-
-# -- homotopy content of the mapping complex ---------------------------------------
-
-
-def crs_homotopy_content(X: SimpSet, A: CrossedComplex) -> Fraction:
-    """Homotopy content of the colouring complex, via homotopy group orders.
-
-    Only valid when 3-fold homotopies are forced trivial (truncation <= 2),
-    which covers every corpus algebra; the level-2 homotopy group is then
-    the kernel of the 2-fold boundary.
-    """
-    if A.truncation > 2:
-        raise NotImplementedError("homotopy-group path implemented for truncation <= 2")
-    crs = crs_pi1(X, A)
-    total = Fraction(0)
-    for comp in crs.components():
-        rep = comp[0]
-        f = crs.colourings[rep]
-        pi1 = len(crs.groupoid.arrows_between(rep, rep))
-        pi2 = 0
-        ident_key = identity_sequence(f).key()
-        for H2 in enumerate_sequences(X, A, f, 2):
-            if delta2(H2).key() == ident_key:
-                pi2 += 1
-        total += Fraction(pi2, pi1)
-    return total

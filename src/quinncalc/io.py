@@ -116,8 +116,9 @@ def crossed_complex_from_json(data) -> CrossedComplex:
             if all(comp.get((a, b)) == b for b in arrows if src[b] == x):
                 ident[x] = a
                 break
-    if set(ident) != set(objects):
-        raise SchemaError("level 1 lacks an identity at some object")
+    for x in objects:
+        if x not in ident:
+            raise SchemaError(f"level 1 lacks an identity at object {x!r}")
     base = FinGroupoid(objects, arrows, src, tgt, comp, ident, inv, name="level1")
     levels, bdry, act = {}, {}, {}
     elem_owner = {}

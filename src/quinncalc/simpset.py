@@ -66,8 +66,7 @@ class SimpSet:
         missing = sub - set(self.dim_of)
         if missing:
             raise SchemaError(f"unknown generators in subcomplex: {sorted(map(str, missing))}")
-        if sub != self.subcomplex_closure(sub):
-            raise SchemaError("generator set is not closed under faces")
+        self._check_closed(sub, "generator set")
         return sum(1 for g in self.gens(i) if g not in sub)
 
     def euler(self) -> int:
@@ -136,11 +135,22 @@ class SimpSet:
                     stack.append(c)
         return frozenset(out)
 
+    def _check_closed(self, gens, what: str):
+        """Raise `SchemaError` naming the first generator of gens with a face outside gens."""
+        for g in sorted(gens, key=self.gen_index):
+            if self.dim_of[g] == 0:
+                continue
+            for i in range(self.dim_of[g] + 1):
+                c = self.face(g, i).core
+                if c not in gens:
+                    raise SchemaError(
+                        f"{what} is not closed under faces: {str(g)!r} has face {str(c)!r} outside it"
+                    )
+
     def restrict(self, gens) -> "SimpSet":
         """The subcomplex on a face-closed generator set, keeping the ids."""
         gens = set(gens)
-        if gens != self.subcomplex_closure(gens):
-            raise SchemaError("generator set is not closed under faces")
+        self._check_closed(gens, "generator set")
         generators = {g: self.dim_of[g] for g in self.all_gens() if g in gens}
         faces = {
             (g, i): self.faces[(g, i)]
@@ -215,8 +225,7 @@ class Stratification:
             unknown = sorted(map(str, gens - self.simpset.dim_of.keys()))
             if unknown:
                 raise SchemaError(f"tagged subcomplex {k!r} names unknown generator {unknown[0]!r}")
-            if gens != self.simpset.subcomplex_closure(gens):
-                raise SchemaError(f"tagged subcomplex {k!r} is not closed under faces")
+            self.simpset._check_closed(gens, f"tagged subcomplex {k!r}")
 
     def tagged(self, key) -> frozenset:
         return self.tags.get(key, frozenset())

@@ -69,8 +69,13 @@ def rational_pow(base: Fraction, expo: Fraction, exact_only=False):
         raise ExactnessError(f"{base}**{expo} is not rational and lies outside float range") from None
 
 
-def theta_product(A: CrossedComplex, counts: dict) -> Fraction:
-    """prod_k (prod_i |A_{i+k}|^counts[i])^((-1)^k) for a reduced complex."""
+def theta_weight(X: SimpSet, A: CrossedComplex, sub=frozenset()) -> Fraction:
+    """The Theta product of the cells of X outside the subcomplex sub.
+
+    It is prod_k (prod_i |A_{i+k}|^(c_i))^((-1)^k), where c_i counts the
+    i-cells outside sub; the formula needs a reduced complex.
+    """
+    counts = {i: X.k_count_rel(i, sub) if sub else X.k_count(i) for i in range(X.dim + 1)}
     if not A.is_reduced:
         raise ValueError("closed weight formulas need a reduced coefficient complex")
     out = Fraction(1)
@@ -80,12 +85,6 @@ def theta_product(A: CrossedComplex, counts: dict) -> Fraction:
             inner *= A.level_size(i + k) ** c
         out *= Fraction(inner) ** ((-1) ** k)
     return out
-
-
-def theta_weight(X: SimpSet, A: CrossedComplex, sub=frozenset()) -> Fraction:
-    """The Theta product of the cells of X outside the subcomplex sub."""
-    counts = {i: X.k_count_rel(i, sub) if sub else X.k_count(i) for i in range(X.dim + 1)}
-    return theta_product(A, counts)
 
 
 @dataclass

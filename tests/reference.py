@@ -1,0 +1,255 @@
+"""Reference evaluations of homotopy addition words, by walking `SimplexRef`s.
+
+The program evaluates every homotopy addition word on the terms that a
+`Plan` of (X, A) compiles once.  The functions here evaluate the same words
+again from the simplicial set itself: each face, degeneracy and twist edge is
+looked up through its `SimplexRef` on every call.  They are the oracles of the
+compiled paths: `boundary_label` of `Plan.label`, `apply_homotopy` of
+`homotopy._apply` and `delta2` of `homotopy._delta2`.  Oracle loops call these,
+not the public wrappers, which compile a plan per call.
+
+Also here: test-only checks that build on them (`is_valid_colouring`,
+`crs_homotopy_content`, `decategorified_matrix`).
+"""
+from fractions import Fraction
+
+from quinncalc.colouring import Colouring, hal_word, value_of_ref
+from quinncalc.homotopy import (
+    HomotopySequence,
+    _compose,
+    _identity,
+    _invert,
+    crs_pi1,
+    enumerate_sequences,
+    identity_sequence,
+)
+from quinncalc.tqft import theta_weight
+
+# -- colourings ----------------------------------------------------------------------
+
+
+def eval_edge_word(X, A, values: dict, word):
+    """Compose edge values along a word of (edge ref, sign) pairs."""
+    out = None
+    for ref, sign in word:
+        a = value_of_ref(X, A, values, ref)
+        if sign < 0:
+            a = A.base.inv(a)
+        out = a if out is None else A.base.comp(out, a)
+    return out
+
+
+def boundary_label(X, A, values: dict, c):
+    """The homotopy addition label of the n-generator c, n >= 2."""
+    n = X.dim_of[c]
+    if n < 2:
+        raise ValueError("labels are defined for generators of dimension >= 2")
+    terms = hal_word(X, c)
+    if n == 2:
+        word = [(ref, sign) for ref, sign, _ in terms]
+        return eval_edge_word(X, A, values, word)
+    out = None
+    for ref, sign, twist in terms:
+        v = value_of_ref(X, A, values, ref)
+        if twist is not None:
+            arrow = eval_edge_word(X, A, values, twist)
+            v = A.act_elem(n - 1, v, arrow)
+        v = A.pow_elem(n - 1, v, sign)
+        out = v if out is None else A.mul(n - 1, out, v)
+    return out
+
+
+def is_valid_colouring(col: Colouring) -> bool:
+    X, A, values = col.X, col.A, col.values
+    for g in X.all_gens():
+        d = X.dim_of[g]
+        if d == 0:
+            if values[g] not in set(A.objects):
+                return False
+        elif d == 1:
+            s, t = X.edge_ends(g)
+            a = values[g]
+            if A.base.src[a] != values[s] or A.base.tgt[a] != values[t]:
+                return False
+        elif d <= A.truncation:
+            base = values[X.initial_vertex(g)]
+            x, e = values[g]
+            if x != base or e not in A.fibre(d, base):
+                return False
+            if A.bdry_of(d, values[g]) != boundary_label(X, A, values, g):
+                return False
+    n = A.truncation + 1
+    if n <= X.dim:
+        for g in X.gens(n):
+            base = values[X.initial_vertex(g)]
+            label = boundary_label(X, A, values, g)
+            trivial = A.base.ident[base] if n == 2 else A.identity_elem(n - 1, base)
+            if label != trivial:
+                return False
+    return True
+
+
+# -- homotopies ----------------------------------------------------------------------
+
+
+def _h_of_ref(H: HomotopySequence, ref):
+    """Value of the (free) homotopy on a possibly degenerate simplex, dim >= 1."""
+    X, A, f = H.target.X, H.target.A, H.target
+    d = X.ref_dim(ref)
+    if ref.word:
+        return A.identity_elem(d + H.k, f.values[X.initial_vertex(ref)])
+    if d + H.k > A.truncation:
+        return _identity(f, ref.core, H.k)
+    return H.values[ref.core]
+
+
+def _h_on_edge_word(H: HomotopySequence, word):
+    """Derivation rule along a word of (edge ref, sign) pairs.
+
+    h(g g') = (h(g) <| f(g')) . h(g'),  h(g^-1) = h(g)^-1 <| f(g)^-1.
+    """
+    X, A, f = H.target.X, H.target.A, H.target
+    level = 1 + H.k
+    out = None
+    for ref, sign in word:
+        fg = value_of_ref(X, A, f.values, ref)
+        hg = _h_of_ref(H, ref)
+        if sign > 0:
+            if out is None:
+                out = hg
+            else:
+                out = A.mul(level, A.act_elem(level, out, fg), hg)
+        else:
+            inv_part = A.inv_elem(level, hg)
+            if out is None:
+                out = A.act_elem(level, inv_part, A.base.inv(fg))
+            else:
+                out = A.act_elem(level, A.mul(level, out, inv_part), A.base.inv(fg))
+    if out is None:
+        raise ValueError("empty edge word")
+    return out
+
+
+def _h_on_hal(H: HomotopySequence, c):
+    """Value of the homotopy on the boundary word of an n-generator, n >= 2."""
+    X, A, f = H.target.X, H.target.A, H.target
+    n = X.dim_of[c]
+    terms = hal_word(X, c)
+    if n == 2:
+        return _h_on_edge_word(H, [(ref, sign) for ref, sign, _ in terms])
+    level = (n - 1) + H.k
+    out = None
+    for ref, sign, twist in terms:
+        v = _h_of_ref(H, ref)
+        if twist is not None:
+            arrow = eval_edge_word(X, A, f.values, twist)
+            v = A.act_elem(level, v, arrow)
+        v = A.pow_elem(level, v, sign)
+        out = v if out is None else A.mul(level, out, v)
+    return out
+
+
+def apply_homotopy(H: HomotopySequence, f: Colouring) -> Colouring:
+    """The other end of a 1-fold homotopy targeting f."""
+    if H.k != 1:
+        raise ValueError("only 1-fold homotopies connect colourings")
+    if f is not H.target and f.values != H.target.values:
+        raise ValueError("homotopy does not target this colouring")
+    X, A, h = f.X, f.A, H.values
+    out: dict = {}
+    for v in X.gens(0):
+        out[v] = A.base.src[h[v]]
+    for e in X.gens(1):
+        sv, tv = X.edge_ends(e)
+        mid = f.values[e]
+        if e in h:
+            mid = A.base.comp(mid, A.bdry_of(2, h[e]))
+        out[e] = A.base.comp(A.base.comp(h[sv], mid), A.base.inv(h[tv]))
+    for n in range(2, min(X.dim, A.truncation) + 1):
+        for c in X.gens(n):
+            val = A.mul(n, f.values[c], _h_on_hal(H, c))
+            if c in h:
+                val = A.mul(n, val, A.bdry_of(n + 1, h[c]))
+            out[c] = A.act_elem(n, val, A.base.inv(h[X.initial_vertex(c)]))
+    return Colouring(X, A, out)
+
+
+def compose_homotopies(first: HomotopySequence, second: HomotopySequence) -> HomotopySequence:
+    """Composite of the arrows `first` then `second`, checked by `apply_homotopy` here."""
+    if first.target.values != apply_homotopy(second, second.target).values:
+        raise ValueError("homotopies are not composable")
+    return _compose(first, second)
+
+
+def invert_homotopy(H: HomotopySequence) -> HomotopySequence:
+    """The inverse arrow, its target found by `apply_homotopy` here."""
+    return _invert(H, apply_homotopy(H, H.target))
+
+
+def delta2(H2: HomotopySequence) -> HomotopySequence:
+    """Boundary of a 2-fold homotopy: an endo-arrow at its target."""
+    if H2.k != 2:
+        raise ValueError("expected a 2-fold homotopy")
+    X, A, f = H2.target.X, H2.target.A, H2.target
+    h = H2.values
+    values = {}
+    for v in X.gens(0):
+        values[v] = A.bdry_of(2, h[v]) if v in h else _identity(f, v, 1)
+    if A.truncation >= 2:
+        for e in X.gens(1):
+            sv, tv = X.edge_ends(e)
+            term = A.act_elem(2, A.inv_elem(2, h[sv]), f.values[e])
+            term = A.mul(2, term, h[tv])
+            if e in h:
+                term = A.mul(2, term, A.bdry_of(3, h[e]))
+            values[e] = term
+    for n in range(2, min(X.dim, A.truncation - 1) + 1):
+        for c in X.gens(n):
+            term = A.bdry_of(n + 2, h[c]) if c in h else _identity(f, c, 1)
+            lower = _h_on_hal(H2, c)
+            values[c] = A.mul(n + 1, term, A.pow_elem(n + 1, lower, (-1) ** n))
+    return HomotopySequence(1, f, values)
+
+
+# -- invariants ------------------------------------------------------------------------
+
+
+def crs_homotopy_content(X, A) -> Fraction:
+    """Homotopy content of the colouring complex, via homotopy group orders.
+
+    Only valid when 3-fold homotopies are forced trivial (truncation <= 2),
+    which covers every corpus algebra; the level-2 homotopy group is then
+    the kernel of the 2-fold boundary.
+    """
+    if A.truncation > 2:
+        raise NotImplementedError("homotopy-group path implemented for truncation <= 2")
+    crs = crs_pi1(X, A)
+    total = Fraction(0)
+    for comp in crs.components():
+        rep = comp[0]
+        f = crs.colourings[rep]
+        pi1 = len(crs.groupoid.arrows_between(rep, rep))
+        pi2 = 0
+        ident_key = identity_sequence(f).key()
+        for H2 in enumerate_sequences(X, A, f, 2):
+            if delta2(H2).key() == ident_key:
+                pi2 += 1
+        total += Fraction(pi2, pi1)
+    return total
+
+
+def decategorified_matrix(P, M, A) -> list:
+    """Class-pair matrix of filling counts weighted as the state sum at s=0."""
+    theta_rel = theta_weight(M.simpset, A, M.boundary_gens())
+    theta_out = theta_weight(M.simpset.restrict(M.tagged("out")), A)
+    lcomps = P.left.components()
+    rcomps = P.right.components()
+    out = []
+    for lc in lcomps:
+        row = []
+        for rc in rcomps:
+            li, ri = lc[0], rc[0]
+            n = sum(P.sizes[b] for b in P.basis[(li, ri)])
+            row.append(n * theta_rel * len(rc) * theta_out)
+        out.append(row)
+    return out

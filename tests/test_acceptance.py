@@ -24,7 +24,7 @@ from quinncalc.finalg import (
     quotient_group,
     symmetric_group,
 )
-from quinncalc.homotopy import crs_homotopy_content, crs_pi1
+from quinncalc.homotopy import crs_pi1
 from quinncalc.morita import (
     check_algebra_iso,
     frobenius_data,
@@ -47,6 +47,7 @@ from quinncalc.simpset import (
 )
 from quinncalc.tqft import closed_invariant, quinn_matrix, s_conjugation_check, state_space
 from tests.conftest import corpus_crossed_modules, corpus_groups
+from tests.reference import crs_homotopy_content
 
 
 def report(number, text):

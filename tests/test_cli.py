@@ -291,11 +291,26 @@ def _exit_code_and_stderr(argv):
             "level 2 boundary value outside level 1",
         ),
         ("point", "z2", "space", {"generators": [{"dim": -1, "id": "v"}]}, "negative generator dimension"),
+        ("circle", "z2", "space", {"tags": {"in": ["e"]}}, "'in' is not closed under faces: 'e' has face 'v'"),
+        (
+            "circle",
+            "z2",
+            "algebra",
+            {
+                "objects": ["x", "y"],
+                "level1": {
+                    "arrows": [{"id": "a", "src": "x", "tgt": "x"}],
+                    "compose": [["a", "a", "a"]],
+                    "inv": [["a", "a"]],
+                },
+            },
+            "level 1 lacks an identity at object 'y'",
+        ),
     ],
 )
 def test_malformed_inputs_exit_2(tmp_path, space, algebra, target, edit, message):
     """A tag list, a degeneracy past its simplex, a non-list group table, a boundary outside G,
-    a negative dimension."""
+    a negative dimension, a tag missing a face, an object without an identity arrow."""
     catalog = _catalog()
     inputs = {"space": dict(catalog[space]), "algebra": dict(catalog["algebras"][algebra])}
     inputs[target].update(edit)

@@ -13,7 +13,6 @@ from quinncalc.colouring import (
     boundary_label,
     enumerate_colourings,
     enumerate_relative,
-    is_valid_colouring,
     restrict_colouring,
 )
 from quinncalc.errors import BoundaryError
@@ -41,7 +40,8 @@ from quinncalc.simpset import (
 )
 from quinncalc.homotopy import crs_pi1, enumerate_sequences, holonomy_act, rel_classes
 from quinncalc.tqft import chi_pi_rel_fibre, state_space
-from tests.conftest import corpus_crossed_modules, corpus_groups
+from tests import reference
+from tests.conftest import abelian_tower, corpus_crossed_modules, corpus_groups
 
 
 def commuting_pairs(G):
@@ -80,7 +80,7 @@ def test_all_enumerated_colourings_are_valid():
     for X in spaces:
         for A in algebras:
             for col in enumerate_colourings(X, A):
-                assert is_valid_colouring(col)
+                assert reference.is_valid_colouring(col)
 
 
 # -- boundary labels -----------------------------------------------------------
@@ -127,22 +127,12 @@ def test_boundary_consistency_oracle():
     D = standard_simplex(3)
     A = iota2(crossed_module_identity(s3))
     for col in enumerate_colourings(D, A):
-        lab = boundary_label(D, A, col.values, (0, 1, 2, 3))
+        lab = reference.boundary_label(D, A, col.values, (0, 1, 2, 3))
         assert A.bdry_of(2, lab) == A.base.ident["*"]
 
 
 def test_boundary_consistency_dim4_abelian_tower():
-    from quinncalc.finalg.crossed import CrossedComplex
-
-    z2 = cyclic_group(2)
-    A2 = iota2(crossed_module_zero(z2, z2))
-    tower = CrossedComplex(
-        A2.base,
-        levels={2: {"*": z2}, 3: {"*": z2}},
-        bdry={2: A2.bdry[2], 3: {("*", e): z2.unit for e in z2.elements}},
-        act={2: A2.act[2], 3: {(("*", e), g): e for e in z2.elements for g in z2.elements}},
-        truncation=3,
-    )
+    tower = abelian_tower()
     D = standard_simplex(4)
     cols = enumerate_colourings(D, tower)
     # independent count over GF(2): 2^(edge rank) * 2^(triangle rank) * 2^(tet rank)
@@ -286,7 +276,7 @@ def test_restrict_identity_and_skeleton():
     skel = T.restrict(T.subcomplex_closure({"a", "b", "c"}))
     r = restrict_colouring(col, skel)
     assert set(r.values) == {"v", "a", "b", "c"}
-    assert is_valid_colouring(r)
+    assert reference.is_valid_colouring(r)
 
 
 def test_degenerate_face_rule_idempotent():
@@ -305,7 +295,7 @@ def test_degenerate_face_rule_idempotent():
 def _label_consistent(X, A, values, c):
     """Whether the boundary condition at c can be (or is) met."""
     n = X.dim_of[c]
-    label = boundary_label(X, A, values, c)
+    label = reference.boundary_label(X, A, values, c)
     if n == 2:
         if A.truncation < 2:
             base = values[X.initial_vertex(c)]
@@ -327,7 +317,7 @@ def _level_domain(X, A, values, c):
     """All admissible level-n values at the generator c, given lower levels."""
     n = X.dim_of[c]
     base = values[X.initial_vertex(c)]
-    label = boundary_label(X, A, values, c)
+    label = reference.boundary_label(X, A, values, c)
     F = A.fibre(n, base)
     return [(base, e) for e in F.elements if A.bdry_of(n, (base, e)) == label]
 
@@ -439,21 +429,6 @@ CORPUS_ALGEBRAS = {
 SLOW_SEED_CASES = {("prism-torus", a) for a in ("0:Z2->Z4", "0:Z2->Z2", "id:Z2")}
 
 
-def _abelian_tower():
-    """The truncation-3 tower of test_boundary_consistency_dim4_abelian_tower."""
-    from quinncalc.finalg.crossed import CrossedComplex
-
-    z2 = cyclic_group(2)
-    A2 = iota2(crossed_module_zero(z2, z2))
-    return CrossedComplex(
-        A2.base,
-        levels={2: {"*": z2}, 3: {"*": z2}},
-        bdry={2: A2.bdry[2], 3: {("*", e): z2.unit for e in z2.elements}},
-        act={2: A2.act[2], 3: {(("*", e), g): e for e in z2.elements for g in z2.elements}},
-        truncation=3,
-    )
-
-
 @pytest.mark.parametrize(
     "space, algebra",
     [
@@ -501,7 +476,7 @@ def _on_fresh_thread(fn, *args):
 
 
 def test_plan_matches_seed_walker_on_abelian_tower():
-    X, A = standard_simplex(4), _abelian_tower()
+    X, A = standard_simplex(4), abelian_tower()
     seed = _on_fresh_thread(_enumerate_colourings_seed, X, A)
     assert _values(enumerate_colourings(X, A)) == _values(seed)
 
@@ -555,7 +530,7 @@ def test_plan_matches_seed_walker_on_random_fixed_values(space, algebra, data):
     assert plan.count(fixed) == len(seed)
     for n in range(2, X.dim + 1):
         for g in X.gens(n):
-            assert plan.label[g](c.values) == boundary_label(X, A, c.values, g)
+            assert plan.label[g](c.values) == reference.boundary_label(X, A, c.values, g)
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,6 @@ from fractions import Fraction
 from quinncalc.extprof import (
     cobordism_profunctor,
     compose_profunctors,
-    decategorified_matrix,
     identity_profunctor,
     profunctor_iso_check,
     window_nat_transform,
@@ -22,6 +21,7 @@ from quinncalc.simpset import (
 )
 from quinncalc.tqft import quinn_matrix
 from tests.conftest import corpus_crossed_modules, corpus_groups
+from tests.reference import decategorified_matrix
 
 
 def algebras_small():

@@ -1,5 +1,5 @@
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +11,6 @@ from quinncalc.colouring import (
     as_simpset,
     enumerate_colourings,
     enumerate_relative,
-    is_valid_colouring,
     restrict_colouring,
 )
 from quinncalc.finalg import (
@@ -26,18 +25,17 @@ from quinncalc.finalg import (
     semidirect,
     symmetric_group,
 )
-from quinncalc.finalg.crossed import CrossedComplex
-from quinncalc.finalg.groupoids import FinGroupoid, groupoid_from_group, partition
+from quinncalc.finalg.groupoids import FinGroupoid, partition
 from quinncalc.homotopy import (
     CrsResult,
     HomotopySequence,
     _apply,
+    _delta2,
     _moved_key,
     _mover,
     _stars,
     apply_homotopy,
     compose_homotopies,
-    crs_homotopy_content,
     crs_pi1,
     delta2,
     enumerate_sequences,
@@ -60,7 +58,8 @@ from quinncalc.simpset import (
     torus,
 )
 from quinncalc.tqft import state_space
-from tests.conftest import corpus_crossed_modules, corpus_groups
+from tests import reference
+from tests.conftest import abelian_tower, corpus_crossed_modules, corpus_groups, inversion_tower
 
 
 def conj_action(G):
@@ -118,7 +117,7 @@ def test_apply_homotopy_yields_valid_colourings(s3):
             cols = enumerate_colourings(X, A)
             for col in cols[:3]:
                 for H in enumerate_sequences(X, A, col, 1)[:8]:
-                    assert is_valid_colouring(apply_homotopy(H, col))
+                    assert reference.is_valid_colouring(apply_homotopy(H, col))
 
 
 # -- composition and inversion ---------------------------------------------------
@@ -363,10 +362,11 @@ def test_crs_pi1_quotient_composition_well_defined():
 
 
 def _crs_pi1_seed(X, A):
-    """Oracle for crs_pi1: the original construction through the checked public operations.
+    """Oracle for crs_pi1: the original construction through the reference operations.
 
     It tries every arrow pair for the composition table, and each composite
-    and inverse recomputes the other end of a homotopy with apply_homotopy.
+    and inverse recomputes the other end of a homotopy with the reference
+    apply_homotopy, which walks the simplicial set instead of a `Plan`.
     """
     X = as_simpset(X)
     colourings = enumerate_colourings(X, A)
@@ -376,7 +376,7 @@ def _crs_pi1_seed(X, A):
         ds = []
         seen = set()
         for H2 in enumerate_sequences(X, A, f, 2):
-            d = delta2(H2)
+            d = reference.delta2(H2)
             k = d.key()
             if k not in seen:
                 seen.add(k)
@@ -390,10 +390,10 @@ def _crs_pi1_seed(X, A):
             hk = H.key()
             if (ti, hk) in seq_class:
                 continue
-            orbit = [compose_homotopies(H, d) for d in deltas[ti]]
+            orbit = [reference.compose_homotopies(H, d) for d in deltas[ti]]
             keys = sorted(J.key() for J in orbit)
             rep_key = keys[0]
-            si = index[apply_homotopy(H, f).key()]
+            si = index[reference.apply_homotopy(H, f).key()]
             aid = (si, ti, rep_key)
             for k in keys:
                 seq_class[(ti, k)] = aid
@@ -408,14 +408,14 @@ def _crs_pi1_seed(X, A):
         for b in arrows:
             if a[1] != b[0]:
                 continue
-            J = compose_homotopies(arrow_reps[a], arrow_reps[b])
+            J = reference.compose_homotopies(arrow_reps[a], arrow_reps[b])
             comp[(a, b)] = seq_class[(b[1], J.key())]
     ident = {}
     for ti, f in enumerate(colourings):
         ident[ti] = seq_class[(ti, identity_sequence(f).key())]
     inv = {}
     for a in arrows:
-        Hinv = invert_homotopy(arrow_reps[a])
+        Hinv = reference.invert_homotopy(arrow_reps[a])
         inv[a] = seq_class[(a[0], Hinv.key())]
     G = FinGroupoid(objects, tuple(arrows), src, tgt, comp, ident, inv, name=f"pi1CRS({X.name})")
     return CrsResult(X, A, colourings, G, arrow_reps, deltas)
@@ -439,9 +439,17 @@ SLOW_SEED_CRS = (
     [(s, a) for s in CATALOG for a in CORPUS if (s, a) not in SLOW_SEED_CRS],
 )
 def test_crs_pi1_matches_the_seed_construction(space, algebra):
-    """Same colourings, arrows, table (in insertion order), identities, inverses and deltas."""
+    """Same colourings, arrows, table (in insertion order), identities, inverses and deltas.
+
+    The boundary of every 2-fold homotopy is also checked one by one, the
+    compiled `_delta2` against the reference `delta2`.
+    """
     X, A = CATALOG[space], CORPUS[algebra]
     got, want = crs_pi1(X, A), _crs_pi1_seed(X, A)
+    plan = Plan(X, A)
+    for f in want.colourings:
+        for H2 in enumerate_sequences(X, A, f, 2):
+            assert _delta2(plan, f.values, H2.values) == reference.delta2(H2).values
     assert [c.values for c in got.colourings] == [c.values for c in want.colourings]
     G, W = got.groupoid, want.groupoid
     assert G.objects == W.objects and G.arrows == W.arrows
@@ -580,7 +588,7 @@ def _rel_classes_product(X, A, boundary_gens, fillings):
             gens = [g for g, _ in slots]
             for combo in product(*(dom for _, dom in slots)):
                 H = HomotopySequence(1, col, dict(zip(gens, combo)))
-                j = keys.get(apply_homotopy(H, col).key())
+                j = keys.get(reference.apply_homotopy(H, col).key())
                 if j is None:
                     raise ValueError("internal homotopy left the filling set")
                 yield i, j
@@ -593,8 +601,8 @@ def _rel_classes_product(X, A, boundary_gens, fillings):
 def _rel_classes_all_values(X, A, boundary_gens, fillings):
     """Oracle for rel_classes: link each filling by a single-slot move of every value.
 
-    Each move runs the reference apply_homotopy and keys the whole moved
-    colouring.
+    Each move runs the reference apply_homotopy, which walks the simplicial
+    set, and keys the whole moved colouring.
     """
     X = as_simpset(X)
     keys = {col.key(): i for i, col in enumerate(fillings)}
@@ -608,7 +616,7 @@ def _rel_classes_all_values(X, A, boundary_gens, fillings):
                     if v == unit:
                         continue
                     H.values[g] = v
-                    j = keys.get(apply_homotopy(H, col).key())
+                    j = keys.get(reference.apply_homotopy(H, col).key())
                     if j is None:
                         raise ValueError("internal homotopy left the filling set")
                     yield i, j
@@ -760,19 +768,6 @@ def _one_vertex_space(name, faces_of_c):
     return SimpSet({"v": 0, "e": 1, "c": 2}, faces, name=name)
 
 
-def _inversion_tower():
-    """Z2 acting on Z3 by inversion at levels 2 and 3, with zero boundaries (truncation 3)."""
-    z2, z3 = cyclic_group(2), cyclic_group(3)
-    inv = {(e, g): e if g == 0 else (-e) % 3 for e in z3.elements for g in z2.elements}
-    return CrossedComplex(
-        groupoid_from_group(z2),
-        levels={2: {"*": z3}, 3: {"*": z3}},
-        bdry={2: {("*", e): 0 for e in z3.elements}, 3: {("*", e): 0 for e in z3.elements}},
-        act={n: {(("*", e), g): inv[e, g] for e in z3.elements for g in z2.elements} for n in (2, 3)},
-        truncation=3,
-    )
-
-
 MOVE_SPACES = {
     **ORACLE_SPACES,
     # faces that repeat in one cell: every occurrence moves with the face
@@ -784,7 +779,7 @@ MOVE_ALGEBRAS = {
     **ORACLE_ALGEBRAS,
     **NON_REDUCED,
     "id:S3": lambda: iota2(crossed_module_identity(symmetric_group(3))),
-    "inversion-tower": _inversion_tower,
+    "inversion-tower": inversion_tower,
 }
 
 
@@ -801,7 +796,7 @@ def _move_case(space, algebra):
 @settings(max_examples=200, deadline=None)
 @given(case=st.sampled_from(MOVE_CASES), data=st.data())
 def test_compiled_move_rewrites_the_star_as_apply_homotopy(case, data):
-    """A single-slot move changes only its slot's star, to the values and key of apply_homotopy."""
+    """A single-slot move changes only its slot's star, to the values and key of the reference."""
     X, A, plan, colourings = _move_case(*case)
     col = data.draw(st.sampled_from(colourings), label="colouring")
     domains = dict(sequence_domains(X, A, col, 1))
@@ -809,7 +804,7 @@ def test_compiled_move_rewrites_the_star_as_apply_homotopy(case, data):
     h = data.draw(st.sampled_from(domains[g]), label="value")
     H = identity_sequence(col)
     H.values[g] = h
-    want = apply_homotopy(H, col)
+    want = reference.apply_homotopy(H, col)
     star = _mover(plan, _stars(plan), col.values, g)(h)
     assert {**col.values, **star} == want.values
     assert _moved_key(plan.key_slots, col.key(), star) == want.key()
@@ -818,7 +813,7 @@ def test_compiled_move_rewrites_the_star_as_apply_homotopy(case, data):
 @settings(max_examples=100, deadline=None)
 @given(case=st.sampled_from(MOVE_CASES), data=st.data())
 def test_compiled_apply_matches_apply_homotopy(case, data):
-    """The whole-homotopy evaluation behind crs_pi1 and holonomy_act, on random homotopies."""
+    """The whole-homotopy evaluation behind crs_pi1, holonomy_act and the public apply_homotopy."""
     X, A, plan, colourings = _move_case(*case)
     col = data.draw(st.sampled_from(colourings), label="colouring")
     values = {
@@ -826,7 +821,36 @@ def test_compiled_apply_matches_apply_homotopy(case, data):
         for g, dom in sequence_domains(X, A, col, 1)
     }
     H = HomotopySequence(1, col, values)
-    assert _apply(plan, col.values, values) == apply_homotopy(H, col).values
+    want = reference.apply_homotopy(H, col).values
+    assert _apply(plan, col.values, values) == want
+    assert apply_homotopy(H, col).values == want
+
+
+TOWERS = {"inversion-tower": inversion_tower, "abelian-tower": abelian_tower}
+
+
+@pytest.mark.parametrize("tower", list(TOWERS))
+@pytest.mark.parametrize("space", [*MOVE_SPACES, "delta4"])
+def test_compiled_delta2_matches_the_reference_on_towers(space, tower):
+    """At truncation 3 a 2-fold homotopy has level-3 values on edges, so `_delta2` runs its
+    per-cell branch on every 2-cell.
+
+    The boundary reads a colouring on its vertices and edges only, so the
+    cells above are pinned to identities: one colouring per 1-skeleton.  For
+    each, every 7th of the first 350 2-fold homotopies in product order is
+    checked; the product is read lazily, as delta4 has 3^15 of them under
+    the inversion tower.
+    """
+    X = standard_simplex(4) if space == "delta4" else MOVE_SPACES[space]()
+    A = TOWERS[tower]()
+    plan = Plan(X, A)
+    cells = (c for n in range(2, A.truncation + 1) for c in X.gens(n))
+    for f in plan.colourings({c: A.identity_elem(X.dim_of[c], "*") for c in cells}):
+        slots = sequence_domains(X, A, f, 2)
+        gens = [g for g, _ in slots]
+        for combo in islice(product(*(dom for _, dom in slots)), 0, 350, 7):
+            H2 = HomotopySequence(2, f, dict(zip(gens, combo)))
+            assert _delta2(plan, f.values, H2.values) == reference.delta2(H2).values
 
 
 def test_holonomy_identity_and_composition(s3):
@@ -902,9 +926,9 @@ def test_sequence_serialisation():
 
 
 def test_crs_homotopy_content_torus_s3(s3):
-    assert crs_homotopy_content(torus(), iota1(s3)) == 3
+    assert reference.crs_homotopy_content(torus(), iota1(s3)) == 3
 
 
 def test_crs_homotopy_content_sphere_crossed_module():
     M = corpus_crossed_modules()[0]
-    assert crs_homotopy_content(sphere(2), iota2(M)) == 2
+    assert reference.crs_homotopy_content(sphere(2), iota2(M)) == 2

@@ -17,7 +17,7 @@ from quinncalc.finalg import (
     pair_groupoid,
     symmetric_group,
 )
-from quinncalc.finalg.crossed import CrossedComplex, semidirect
+from quinncalc.finalg.crossed import semidirect
 from quinncalc.finalg.groupoids import FinGroupoid
 from quinncalc.homotopy import crs_pi1
 from quinncalc.io import (
@@ -37,6 +37,7 @@ from quinncalc.io import (
     simpset_to_json,
 )
 from quinncalc.simpset import SimplexRef, SimpSet, circle, point, prism, standard_simplex, torus
+from tests.conftest import abelian_tower
 
 
 def full_complex_payload():
@@ -116,19 +117,8 @@ def test_expand_shorthand_to_full_schema():
 
 def test_expand_tower_to_full_schema():
     from quinncalc.finalg import chi_pi as chi
-    from quinncalc.finalg import crossed_module_zero, iota2
-    from quinncalc.finalg.crossed import CrossedComplex
-    from quinncalc.io import crossed_complex_to_json
 
-    z2 = cyclic_group(2)
-    A2 = iota2(crossed_module_zero(z2, z2))
-    tower = CrossedComplex(
-        A2.base,
-        levels={2: {"*": z2}, 3: {"*": z2}},
-        bdry={2: A2.bdry[2], 3: {("*", e): z2.unit for e in z2.elements}},
-        act={2: A2.act[2], 3: {(("*", e), g): e for e in z2.elements for g in z2.elements}},
-        truncation=3,
-    )
+    tower = abelian_tower()
     back = crossed_complex_from_json(crossed_complex_to_json(tower))
     assert validate_crossed_complex(back)
     assert chi(back) == chi(tower)
@@ -220,18 +210,6 @@ def test_colour_list_matches_the_encoder_on_the_catalog(space, algebra):
     assert colour_list_json(X, A, cols) == old_colour_list(cols)
 
 
-def _abelian_tower():
-    z2 = cyclic_group(2)
-    A2 = iota2(crossed_module_zero(z2, z2))
-    return CrossedComplex(
-        A2.base,
-        levels={2: {"*": z2}, 3: {"*": z2}},
-        bdry={2: A2.bdry[2], 3: {("*", e): z2.unit for e in z2.elements}},
-        act={2: A2.act[2], 3: {(("*", e), g): e for e in z2.elements for g in z2.elements}},
-        truncation=3,
-    )
-
-
 def _klein_level_two():
     """0: Z2 -> Z2 x Z2, whose level-2 elements are pairs."""
     z2 = cyclic_group(2)
@@ -260,7 +238,7 @@ def _odd_names():
 COLOUR_LIST_EDGE_CASES = {
     "point, empty levels": lambda: (point(), CORPUS["z3"]),
     "truncation 2 on delta3": lambda: (standard_simplex(3), CORPUS["xmod-z2-id"]),
-    "truncation 3 tower on delta3": lambda: (standard_simplex(3), _abelian_tower()),
+    "truncation 3 tower on delta3": lambda: (standard_simplex(3), abelian_tower()),
     "pair groupoid, tuple arrows": lambda: (torus(), iota1(pair_groupoid(2))),
     "pair level-2 elements": lambda: (standard_simplex(2), _klein_level_two()),
     "escaped and %-bearing ids": _odd_names,

@@ -11,7 +11,7 @@ from quinncalc.finalg import (
     iota2,
     symmetric_group,
 )
-from quinncalc.homotopy import crs_homotopy_content, crs_pi1
+from quinncalc.homotopy import crs_pi1
 from quinncalc.simpset import (
     Stratification,
     circle,
@@ -30,8 +30,9 @@ from quinncalc.tqft import (
     rational_pow,
     s_conjugation_check,
     state_space,
-    theta_product,
+    theta_weight,
 )
+from tests import reference
 from tests.conftest import corpus_crossed_modules, corpus_groups
 
 
@@ -223,13 +224,13 @@ def test_closed_sphere_crossed_module():
     A = iota2(M)
     val = closed_invariant(sphere(2), A)
     assert val == 2  # |ker| * |E| / |G|
-    assert val == crs_homotopy_content(sphere(2), A)
+    assert val == reference.crs_homotopy_content(sphere(2), A)
 
 
 def test_closed_invariant_matches_crs_content():
     for G in corpus_groups():
         A = iota1(G)
-        assert closed_invariant(torus(), A) == crs_homotopy_content(torus(), A)
+        assert closed_invariant(torus(), A) == reference.crs_homotopy_content(torus(), A)
 
 
 # -- multiplicativity -----------------------------------------------------------------
@@ -374,5 +375,5 @@ def test_s_conjugation_shape_mismatch():
 def test_theta_product_requires_reduced():
     from quinncalc.finalg import iota1, pair_groupoid
 
-    with pytest.raises(ValueError):
-        theta_product(iota1(pair_groupoid(2)), {0: 1})
+    with pytest.raises(ValueError, match="reduced"):
+        theta_weight(point(), iota1(pair_groupoid(2)))
