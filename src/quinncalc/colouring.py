@@ -23,8 +23,9 @@ backtracking walk, which reads only the plan, after one check of the fixed
 values.  `enumerate_colourings` and `enumerate_relative` compile a plan per
 call; a caller that walks one X for many boundary values compiles it once.
 The homotopy layer reads the same compilation: `Plan.terms` resolves the
-homotopy addition word of each cell to slot reads once, and `Plan.key_slots`
-places each generator's value in its `colouring_key`.  Every homotopy
+homotopy addition word of each cell to slot reads once, `Plan.key_slots`
+places each generator's value in its `colouring_key`, and `Plan.key_tables`
+holds the operations of A on those value indices.  Every homotopy
 addition word in the program is evaluated on a plan; `boundary_label`
 compiles one per call, and `value_of_ref` reads a single simplex.
 """
@@ -177,7 +178,8 @@ class Plan:
     - `domains[pos](values)`: the admissible values at `slots[pos]`, given
       every earlier position;
     - `faces[c]`: the proper faces of c, for c of dimension 2..truncation;
-    - `terms[c]`, `key_slots[g]`: built on first use, for the homotopy layer.
+    - `terms[c]`, `key_slots[g]`, `key_tables`: built on first use, for the
+      homotopy layer.
     """
 
     def __init__(self, X, A: CrossedComplex):
@@ -297,6 +299,40 @@ class Plan:
             for pos, g in enumerate(X.all_gens())
             if X.dim_of[g] in index
         }
+
+    @cached_property
+    def key_tables(self) -> tuple:
+        """(comp, act, mul): the operations of A on the value indices of `key_slots`.
+
+        - `comp[a][b]`: the index of the composite of the arrows indexed a
+          then b, None when they do not compose;
+        - `act[n][a][i]`, n >= 2: the index, in the fibre at the target of
+          the arrow a, of the level-n element of index i at its source acted
+          on by a;
+        - `mul[n][a][i][j]`: the index of the product of the elements of
+          indices i and j in the level-n fibre at the target of the arrow a.
+        """
+        A, base = self.A, self.A.base
+        arr = {a: i for i, a in enumerate(base.arrows)}
+        comp = [[None] * len(arr) for _ in arr]
+        for (a, b), c in base.comp_table.items():
+            comp[arr[a]][arr[b]] = arr[c]
+        act, mul = {}, {}
+        for n in range(2, A.truncation + 1):
+            fibre = {x: A.fibre(n, x) for x in A.objects}
+            table = {
+                x: [[F.index(F.mul(e1, e2)) for e2 in F.elements] for e1 in F.elements]
+                for x, F in fibre.items()
+            }
+            act[n] = [
+                [
+                    fibre[base.tgt[a]].index(A.act[n][(base.src[a], e), a])
+                    for e in fibre[base.src[a]].elements
+                ]
+                for a in base.arrows
+            ]
+            mul[n] = [table[base.tgt[a]] for a in base.arrows]
+        return comp, act, mul
 
     def _evaluator(self, c):
         """values -> the homotopy addition label of c, for c of dimension >= 2."""

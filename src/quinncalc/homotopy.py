@@ -17,11 +17,15 @@ such word is read from the terms that a `Plan` of (X, A) compiles once:
 `apply_homotopy`, `compose_homotopies`, `invert_homotopy` and `delta2` check
 their arguments and compile a plan per call.  `crs_pi1`, `holonomy_act` and
 `rel_classes` evaluate on one plan per call, however many homotopies they
-apply.
+apply.  Composition needs no word: `_compose_keys` composes two 1-fold
+homotopies on their keys, cell by cell, with the integer tables of
+`Plan.key_tables`, and `_sequence` decodes a key into values when a
+`HomotopySequence` is wanted.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from .colouring import Colouring, Plan, as_plan, as_simpset, colouring_key
@@ -185,24 +189,63 @@ def compose_homotopies(first: HomotopySequence, second: HomotopySequence) -> Hom
 
     `first` runs f'' -> f', `second` runs f' -> f; the composite targets f.
     """
-    f_mid = apply_homotopy(second, second.target)
-    if first.target.values != f_mid.values:
-        raise ValueError("homotopies are not composable")
-    return _compose(first, second)
-
-
-def _compose(first: HomotopySequence, second: HomotopySequence) -> HomotopySequence:
-    """`compose_homotopies` for a pair already known to be composable."""
+    if first.k != 1 or second.k != 1:
+        raise ValueError("only 1-fold homotopies compose")
     f = second.target
-    X, A = f.X, f.A
+    plan = Plan(f.X, f.A)
+    if first.target.values != _apply(plan, f.values, second.values):
+        raise ValueError("homotopies are not composable")
+    return _sequence(plan, f, _compose_keys(_compose_tables(plan), first.key(), second.key()))
+
+
+def _compose_tables(plan: Plan) -> tuple:
+    """(vertices, comp, higher, tail): what `_compose_keys` reads, for 1-fold homotopies on plan.X.
+
+    The key of a 1-fold homotopy (`colouring_key` with k = 1) holds an arrow
+    index at each of the first `vertices` positions, then a fibre index at
+    each generator whose values lie at a level 2..truncation, then the zeros
+    `tail` of the generators above.  `higher` lists (position, position of
+    the base vertex, mul, act) for the middle positions in order, with the
+    level's tables from `Plan.key_tables`; `comp` is its level-1 table.
+    """
+    X, A = plan.X, plan.A
+    comp, act, mul = plan.key_tables
+    pos = {g: p for p, g in enumerate(X.all_gens())}
+    higher = [
+        (pos[g], pos[_base_vertex(X, g)], mul[n], act[n])
+        for g in X.all_gens()
+        if 2 <= (n := X.dim_of[g] + 1) <= A.truncation
+    ]
+    vertices = len(X.gens(0))
+    return vertices, comp, higher, (0,) * (len(pos) - vertices - len(higher))
+
+
+def _compose_keys(tables: tuple, first: tuple, second: tuple) -> tuple:
+    """The key of the composite of `first` then `second`, given the keys of a composable pair.
+
+    `tables` is `_compose_tables` of the plan.  At a vertex the arrows compose;
+    at a higher generator g with base vertex y the value is
+    second(g) . (first(g) <| second(y)), as `compose_homotopies` defines it.
+    """
+    vertices, comp, higher, tail = tables
+    out = [comp[first[p]][second[p]] for p in range(vertices)]
+    for p, y, mul, act in higher:
+        a = second[y]
+        out.append(mul[a][second[p]][act[a][first[p]]])
+    return (*out, *tail)
+
+
+def _sequence(plan: Plan, f: Colouring, key: tuple) -> HomotopySequence:
+    """The 1-fold homotopy targeting f whose key is `key`."""
+    X, A = plan.X, plan.A
     values = {}
-    for g, h in second.values.items():
-        i = X.dim_of[g]
-        if i == 0:
-            values[g] = A.base.comp(first.values[g], h)
-        else:
-            twisted = A.act_elem(i + 1, first.values[g], second.values[_base_vertex(X, g)])
-            values[g] = A.mul(i + 1, h, twisted)
+    for g, i in zip(X.all_gens(), key):
+        n = X.dim_of[g] + 1
+        if n == 1:
+            values[g] = A.base.arrows[i]
+        elif n <= A.truncation:
+            x = f.values[_base_vertex(X, g)]
+            values[g] = (x, A.fibre(n, x).elements[i])
     return HomotopySequence(1, f, values)
 
 
@@ -285,6 +328,10 @@ class CrsResult:
         self._index = {c.key(): i for i, c in enumerate(colourings)}
         self._arrow = {(a[1], a[2]): a for a in groupoid.arrows}
 
+    @cached_property
+    def _tables(self) -> tuple:
+        return _compose_tables(Plan(self.X, self.A))
+
     def colouring_index(self, col: Colouring) -> int:
         return self._index[col.key()]
 
@@ -294,65 +341,67 @@ class CrsResult:
     def class_of_arrow(self, H: HomotopySequence):
         """The groupoid arrow represented by the homotopy H."""
         tgt = self.colouring_index(H.target)
-        rep = min(_compose(H, d).key() for d in self.deltas[tgt])
+        hk = H.key()
+        rep = min(_compose_keys(self._tables, hk, d.key()) for d in self.deltas[tgt])
         return self._arrow[(tgt, rep)]
 
 
 def crs_pi1(X, A: CrossedComplex) -> CrsResult:
     """Colourings, homotopies up to 2-fold homotopy, as a finite groupoid.
 
-    X is a `SimpSet` or a `Stratification`.
+    X is a `SimpSet` or a `Stratification`.  Homotopies are held by their
+    keys, and every composite (an arrow's orbit under the boundaries of
+    2-fold homotopies, a table entry) is one `_compose_keys` on two keys, on
+    integer tables compiled once on the plan; only the arrow representatives
+    are built as `HomotopySequence`s.
     """
     plan = Plan(X, A)
     X = plan.X
     colourings = plan.colourings()
     index = {c.key(): i for i, c in enumerate(colourings)}
-    deltas = {}
+    tables = _compose_tables(plan)
+    deltas, delta_keys = {}, {}
     for ti, f in enumerate(colourings):
-        ds = []
-        seen = set()
+        ds, keys = [], {}
         for H2 in enumerate_sequences(X, A, f, 2):
             d = HomotopySequence(1, f, _delta2(plan, f.values, H2.values))
             k = d.key()
-            if k not in seen:
-                seen.add(k)
+            if k not in keys:
+                keys[k] = None
                 ds.append(d)
-        deltas[ti] = ds
+        deltas[ti], delta_keys[ti] = ds, list(keys)
     arrows = []
     arrow_reps = {}
-    seq_class = {}
+    classes = [{} for _ in colourings]  # target index -> {homotopy key: arrow id}
     for ti, f in enumerate(colourings):
         for H in enumerate_sequences(X, A, f, 1):
             hk = H.key()
-            if (ti, hk) in seq_class:
+            if hk in classes[ti]:
                 continue
-            orbit = [_compose(H, d) for d in deltas[ti]]
-            keys = sorted(J.key() for J in orbit)
-            rep_key = keys[0]
+            keys = sorted(_compose_keys(tables, hk, dk) for dk in delta_keys[ti])
             si = index[colouring_key(X, A, _apply(plan, f.values, H.values))]
-            aid = (si, ti, rep_key)
+            aid = (si, ti, keys[0])
             for k in keys:
-                seq_class[(ti, k)] = aid
+                classes[ti][k] = aid
             arrows.append(aid)
-            rep = next(J for J in orbit if J.key() == rep_key)
-            arrow_reps[aid] = rep
+            arrow_reps[aid] = _sequence(plan, f, keys[0])
     src = {a: a[0] for a in arrows}
     tgt = {a: a[1] for a in arrows}
     objects = tuple(range(len(colourings)))
     leaving = {}
     for b in arrows:
-        leaving.setdefault(b[0], []).append(b)
+        leaving.setdefault(b[0], []).append((b, b[2], classes[b[1]]))
     comp = {}
     for a in arrows:
-        Ha = arrow_reps[a]
-        for b in leaving[a[1]]:
-            comp[(a, b)] = seq_class[(b[1], _compose(Ha, arrow_reps[b]).key())]
+        ka = a[2]
+        for b, kb, classes_b in leaving[a[1]]:
+            comp[(a, b)] = classes_b[_compose_keys(tables, ka, kb)]
     ident = {}
     for ti, f in enumerate(colourings):
-        ident[ti] = seq_class[(ti, identity_sequence(f).key())]
+        ident[ti] = classes[ti][identity_sequence(f).key()]
     inv = {}
     for a in arrows:
-        inv[a] = seq_class[(a[0], _invert(arrow_reps[a], colourings[a[0]]).key())]
+        inv[a] = classes[a[0]][_invert(arrow_reps[a], colourings[a[0]]).key()]
     G = FinGroupoid(objects, tuple(arrows), src, tgt, comp, ident, inv, name=f"pi1CRS({X.name})")
     return CrsResult(X, A, colourings, G, arrow_reps, deltas)
 

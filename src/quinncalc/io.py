@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from itertools import chain
 
 from .colouring import Colouring, as_simpset
 from .errors import SchemaError
@@ -27,7 +28,64 @@ def load_json(path):
 
 
 def dump_json(data) -> str:
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    """`json.dumps(data, sort_keys=True, indent=2) + "\\n"`, byte for byte.
+
+    The one encoder of every CLI document.  Dicts with string keys, lists,
+    tuples, strings, ints, bools and None are written here, strings by the
+    C string encoder.  A list of flat rows (non-empty lists or tuples of
+    strings, as in groupoid tables) is laid out by `_rows`.  Every other
+    node (a float, a dict with a key that is not a string, any other type)
+    goes to `json.dumps` whole and is re-indented to its depth.
+    """
+    return _text(data, "\n") + "\n"
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+_ROW_TYPES = frozenset((list, tuple))
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _text(node, newline: str) -> str:
+    """The encoder's text for node; `newline` ends a line at node's depth."""
+    kind = type(node)
+    if kind is str:
+        return _encode_str(node)
+    if kind is int:
+        return int.__repr__(node)
+    if node is None or kind is bool:
+        return _CONSTANTS[node]
+    if (kind is dict or kind in _ROW_TYPES) and not node:
+        return "{}" if kind is dict else "[]"
+    inner = newline + "  "
+    if kind is dict and set(map(type, node)) == {str}:
+        items = [_encode_str(k) + ": " + _text(node[k], inner) for k in sorted(node)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind in _ROW_TYPES:
+        rows = _rows(node, inner)
+        if rows is None:
+            rows = ("," + inner).join([_text(item, inner) for item in node])
+        return "[" + inner + rows + newline + "]"
+    return json.dumps(node, sort_keys=True, indent=2).replace("\n", newline)
+
+
+def _rows(node, newline: str):
+    """The encoder's text for the items of a list of flat rows, or None if node is not one.
+
+    A flat row is a non-empty list or tuple of strings; `newline` ends a
+    line at the depth of the rows.  Every string is encoded in one pass, and
+    one format string per row length lays the rows out.
+    """
+    if not set(map(type, node)) <= _ROW_TYPES or not all(node):
+        return None
+    try:
+        cells = tuple(map(_encode_str, chain.from_iterable(node)))
+    except TypeError:  # an item that is not a string
+        return None
+    inner = newline + "  "
+    layout = {
+        n: "[" + inner + ("," + inner).join(["%s"] * n) + newline + "]" for n in set(map(len, node))
+    }
+    return ("," + newline).join(map(layout.__getitem__, map(len, node))) % cells
 
 
 def scalar_str(v) -> str:
@@ -122,9 +180,15 @@ def crossed_complex_from_json(data) -> CrossedComplex:
     base = FinGroupoid(objects, arrows, src, tgt, comp, ident, inv, name="level1")
     levels, bdry, act = {}, {}, {}
     elem_owner = {}
-    for lvl in data.get("levels", ()):
+    levels_data = data.get("levels", [])
+    if not isinstance(levels_data, list):
+        kind = type(levels_data).__name__
+        raise SchemaError(f"crossed complex schema: 'levels' must be a list of levels, not {kind}")
+    for pos, lvl in enumerate(levels_data):
+        where = f"levels[{pos}]"
         try:
             n = int(lvl["n"])
+            where = f"level {n}"
             groups = {}
             for x, g in lvl["groups"].items():
                 groups[str(x)] = group_from_json(g)
@@ -141,8 +205,8 @@ def crossed_complex_from_json(data) -> CrossedComplex:
             for e, g, ep in lvl["action"]:
                 x = elem_owner[(n, str(e))]
                 a[((x, str(e)), str(g))] = str(ep)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"crossed complex level schema: {exc}") from exc
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(f"crossed complex {where} schema: {exc}") from exc
         levels[n] = groups
         bdry[n] = b
         act[n] = a
@@ -289,17 +353,27 @@ class LabelMap(dict):
 
 
 def groupoid_to_json(G: FinGroupoid, labels: LabelMap | None = None) -> dict:
+    """Objects, arrows, the composition table and inverses, labelled by `gen_label`.
+
+    Each arrow is labelled once, by its position.  The table is sorted on the
+    ranks of the labels of its pairs; gen_label is not injective, so equal
+    labels share a rank and ties keep table order.
+    """
     lab = LabelMap() if labels is None else labels
-    arrows = [{"id": lab[a], "src": lab[G.src[a]], "tgt": lab[G.tgt[a]]} for a in G.arrows]
-    # sort on the labels alone: gen_label is not injective, so ties keep table order
-    compose = [
-        [lab[a], lab[b], lab[c]]
-        for (a, b), c in sorted(G.comp_table.items(), key=lambda kv: (lab[kv[0][0]], lab[kv[0][1]]))
+    names = [lab[a] for a in G.arrows]
+    at = {a: i for i, a in enumerate(G.arrows)}
+    rank_of = {name: r for r, name in enumerate(sorted(set(names)))}
+    rank = [rank_of[name] for name in names]
+    n = len(names)
+    entries = [(at[a], at[b], at[c]) for (a, b), c in G.comp_table.items()]
+    entries.sort(key=lambda e: rank[e[0]] * n + rank[e[1]])
+    arrows = [
+        {"id": name, "src": lab[G.src[a]], "tgt": lab[G.tgt[a]]} for a, name in zip(G.arrows, names)
     ]
     return {
         "objects": [lab[x] for x in G.objects],
         "arrows": arrows,
-        "compose": compose,
+        "compose": [[names[i], names[j], names[k]] for i, j, k in entries],
         "inv": [[lab[a], lab[b]] for a, b in sorted(G.inv_table.items(), key=lambda kv: lab[kv[0]])],
     }
 

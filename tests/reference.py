@@ -5,8 +5,10 @@ The program evaluates every homotopy addition word on the terms that a
 again from the simplicial set itself: each face, degeneracy and twist edge is
 looked up through its `SimplexRef` on every call.  They are the oracles of the
 compiled paths: `boundary_label` of `Plan.label`, `apply_homotopy` of
-`homotopy._apply` and `delta2` of `homotopy._delta2`.  Oracle loops call these,
-not the public wrappers, which compile a plan per call.
+`homotopy._apply` and `delta2` of `homotopy._delta2`.  `compose_homotopies`
+composes cell values one generator at a time, the oracle of
+`homotopy._compose_keys`, which composes keys.  Oracle loops call these, not
+the public wrappers, which compile a plan per call.
 
 Also here: test-only checks that build on them (`is_valid_colouring`,
 `crs_homotopy_content`, `decategorified_matrix`).
@@ -16,7 +18,7 @@ from fractions import Fraction
 from quinncalc.colouring import Colouring, hal_word, value_of_ref
 from quinncalc.homotopy import (
     HomotopySequence,
-    _compose,
+    _base_vertex,
     _identity,
     _invert,
     crs_pi1,
@@ -175,10 +177,24 @@ def apply_homotopy(H: HomotopySequence, f: Colouring) -> Colouring:
 
 
 def compose_homotopies(first: HomotopySequence, second: HomotopySequence) -> HomotopySequence:
-    """Composite of the arrows `first` then `second`, checked by `apply_homotopy` here."""
+    """Composite of the arrows `first` then `second`, checked by `apply_homotopy` here.
+
+    The values are composed one generator at a time on the cell values, the
+    oracle of `homotopy._compose_keys`, which composes keys on index tables.
+    """
     if first.target.values != apply_homotopy(second, second.target).values:
         raise ValueError("homotopies are not composable")
-    return _compose(first, second)
+    f = second.target
+    X, A = f.X, f.A
+    values = {}
+    for g, h in second.values.items():
+        i = X.dim_of[g]
+        if i == 0:
+            values[g] = A.base.comp(first.values[g], h)
+        else:
+            twisted = A.act_elem(i + 1, first.values[g], second.values[_base_vertex(X, g)])
+            values[g] = A.mul(i + 1, h, twisted)
+    return HomotopySequence(1, f, values)
 
 
 def invert_homotopy(H: HomotopySequence) -> HomotopySequence:

@@ -22,6 +22,7 @@ from quinncalc.io import (
 )
 from quinncalc.finalg import crossed_module_zero, cyclic_group, iota2, symmetric_group
 from quinncalc.simpset import circle, prism, torus
+from tests.conftest import abelian_tower, inversion_tower
 
 
 @pytest.fixture()
@@ -377,10 +378,10 @@ def _mutate(data, draw):
         parent[key] = draw(st.sampled_from([5, "x", [], {}, None, ["in"]]), label="value")
 
 
-def _assert_mutated_catalog_exits_cleanly(space, algebra, targets, edits, draw, commands):
-    """Mutate catalog files, run `commands(files)` on them, and require exit 0, 2, 3 or 4."""
-    catalog = _catalog()
-    inputs = {"space": copy.deepcopy(catalog[space]), "algebra": copy.deepcopy(catalog["algebras"][algebra])}
+def _assert_mutated_inputs_exit_cleanly(inputs, targets, edits, draw, commands):
+    """Mutate the JSON `inputs` ("space", "algebra"), run `commands(files)` on them, and require
+    exit 0, 2, 3 or 4."""
+    inputs = copy.deepcopy(inputs)
     for name in ("space", "algebra") if targets == "both" else (targets,):
         for _ in range(edits):
             _mutate(inputs[name], draw)
@@ -392,6 +393,13 @@ def _assert_mutated_catalog_exits_cleanly(space, algebra, targets, edits, draw, 
         for argv in commands(files):
             code, err = _exit_code_and_stderr(argv)
             assert code in {0, 2, 3, 4}, (argv, code, err)
+
+
+def _assert_mutated_catalog_exits_cleanly(space, algebra, targets, edits, draw, commands):
+    """`_assert_mutated_inputs_exit_cleanly` on a catalog space and a corpus algebra."""
+    catalog = _catalog()
+    inputs = {"space": catalog[space], "algebra": catalog["algebras"][algebra]}
+    _assert_mutated_inputs_exit_cleanly(inputs, targets, edits, draw, commands)
 
 
 FUZZ_SPACES = ["point", "interval", "circle", "sphere2", "torus", "delta2", "prism-point", "prism-circle"]
@@ -435,8 +443,75 @@ def test_mutated_catalog_json_never_ends_in_a_traceback_in_groupoid_commands(
             ("state-space", "--space"),
             ("profunctor", "--cobordism"),
             ("quinn-matrix", "--cobordism"),
+            ("nat-transform", "--space"),
         )
     ])
+
+
+@lru_cache(maxsize=None)
+def _towers():
+    """The two truncation-3 towers as full crossed-complex files."""
+    return {
+        "abelian-tower": crossed_complex_to_json(abelian_tower()),
+        "inversion-tower": crossed_complex_to_json(inversion_tower()),
+    }
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    space=st.sampled_from(["point", "interval", "circle", "sphere2", "prism-point"]),
+    tower=st.sampled_from(["abelian-tower", "inversion-tower"]),
+    edits=st.integers(1, 3),
+    data=st.data(),
+)
+def test_mutated_tower_json_never_ends_in_a_traceback(space, tower, edits, data):
+    """Mutated full crossed-complex files exit 0, 2, 3 or 4 in every command that loads them."""
+    inputs = {"space": _catalog()[space], "algebra": _towers()[tower]}
+    _assert_mutated_inputs_exit_cleanly(inputs, "algebra", edits, data.draw, lambda files: [
+        ["validate", "--input", files["algebra"]],
+        *(
+            [command, "--space", files["space"], "--algebra", files["algebra"]]
+            for command in ("colour-count", "state-space", "ext-groupoid")
+        ),
+    ])
+
+
+@pytest.mark.parametrize(
+    "tower, edit, message",
+    [
+        pytest.param(
+            "abelian-tower",
+            lambda data: data.update(levels=None),
+            "'levels' must be a list of levels",
+            id="null-levels",
+        ),
+        pytest.param(
+            "inversion-tower",
+            lambda data: data["levels"][1].update(groups=["in"]),
+            "crossed complex level 3 schema",
+            id="groups-not-an-object",
+        ),
+        pytest.param(
+            "abelian-tower",
+            lambda data: data["levels"][0].update(n="x"),
+            "crossed complex levels[0] schema",
+            id="n-not-a-number",
+        ),
+    ],
+)
+@pytest.mark.parametrize("command", ["validate", "colour-count", "state-space"])
+def test_malformed_tower_levels_exit_2(files, tmp_path, tower, edit, message, command):
+    """A null level list, a level whose groups are not an object, a level whose n is not a number."""
+    data = copy.deepcopy(_towers()[tower])
+    edit(data)
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(data))
+    if command == "validate":
+        argv = ["validate", "--input", str(path)]
+    else:
+        argv = [command, "--space", files["circle"], "--algebra", str(path)]
+    code, err = _exit_code_and_stderr(argv)
+    assert code == 2 and message in err and "Traceback" not in err
 
 
 def test_console_entrypoint_runs():

@@ -1,3 +1,5 @@
+import math
+import random
 from functools import lru_cache
 from itertools import islice, product
 
@@ -30,9 +32,12 @@ from quinncalc.homotopy import (
     CrsResult,
     HomotopySequence,
     _apply,
+    _compose_keys,
+    _compose_tables,
     _delta2,
     _moved_key,
     _mover,
+    _sequence,
     _stars,
     apply_homotopy,
     compose_homotopies,
@@ -434,9 +439,14 @@ SLOW_SEED_CRS = (
 )
 
 
+# truncation 3: a 1-fold homotopy has a level-3 value on the 2-cell of delta2
+TOWERS = {"inversion-tower": inversion_tower, "abelian-tower": abelian_tower}
+
+
 @pytest.mark.parametrize(
     "space, algebra",
-    [(s, a) for s in CATALOG for a in CORPUS if (s, a) not in SLOW_SEED_CRS],
+    [(s, a) for s in CATALOG for a in CORPUS if (s, a) not in SLOW_SEED_CRS]
+    + [(s, t) for s in ("point", "circle", "delta2") for t in TOWERS],
 )
 def test_crs_pi1_matches_the_seed_construction(space, algebra):
     """Same colourings, arrows, table (in insertion order), identities, inverses and deltas.
@@ -444,7 +454,8 @@ def test_crs_pi1_matches_the_seed_construction(space, algebra):
     The boundary of every 2-fold homotopy is also checked one by one, the
     compiled `_delta2` against the reference `delta2`.
     """
-    X, A = CATALOG[space], CORPUS[algebra]
+    X = CATALOG[space]
+    A = TOWERS[algebra]() if algebra in TOWERS else CORPUS[algebra]
     got, want = crs_pi1(X, A), _crs_pi1_seed(X, A)
     plan = Plan(X, A)
     for f in want.colourings:
@@ -459,7 +470,7 @@ def test_crs_pi1_matches_the_seed_construction(space, algebra):
     assert list(G.comp_table.items()) == list(W.comp_table.items())
     assert G.ident == W.ident and G.inv_table == W.inv_table
     assert list(got.arrow_reps) == list(want.arrow_reps)
-    assert all(got.arrow_reps[a].key() == want.arrow_reps[a].key() for a in W.arrows)
+    assert all(got.arrow_reps[a].values == want.arrow_reps[a].values for a in W.arrows)
     assert got.deltas.keys() == want.deltas.keys()
     for ti, ds in want.deltas.items():
         assert {d.key() for d in got.deltas[ti]} == {d.key() for d in ds}
@@ -470,7 +481,7 @@ def test_crs_pi1_composes_once_per_table_entry_and_orbit_member(monkeypatch, spa
     """One composite per table entry and per (arrow, delta) pair, one compiled apply per arrow."""
     import quinncalc.homotopy as homotopy
 
-    calls = {"_compose": 0, "_apply": 0, "apply_homotopy": 0}
+    calls = {"_compose_keys": 0, "_apply": 0, "apply_homotopy": 0}
     for name in calls:
         real = getattr(homotopy, name)
 
@@ -481,7 +492,7 @@ def test_crs_pi1_composes_once_per_table_entry_and_orbit_member(monkeypatch, spa
         monkeypatch.setattr(homotopy, name, counted)
     crs = crs_pi1(CATALOG[space], CORPUS[algebra])
     G = crs.groupoid
-    assert calls["_compose"] == len(G.comp_table) + sum(len(crs.deltas[a[1]]) for a in G.arrows)
+    assert calls["_compose_keys"] == len(G.comp_table) + sum(len(crs.deltas[a[1]]) for a in G.arrows)
     assert calls["_apply"] == len(G.arrows)
     assert calls["apply_homotopy"] == 0
 
@@ -826,9 +837,6 @@ def test_compiled_apply_matches_apply_homotopy(case, data):
     assert apply_homotopy(H, col).values == want
 
 
-TOWERS = {"inversion-tower": inversion_tower, "abelian-tower": abelian_tower}
-
-
 @pytest.mark.parametrize("tower", list(TOWERS))
 @pytest.mark.parametrize("space", [*MOVE_SPACES, "delta4"])
 def test_compiled_delta2_matches_the_reference_on_towers(space, tower):
@@ -851,6 +859,42 @@ def test_compiled_delta2_matches_the_reference_on_towers(space, tower):
         for combo in islice(product(*(dom for _, dom in slots)), 0, 350, 7):
             H2 = HomotopySequence(2, f, dict(zip(gens, combo)))
             assert _delta2(plan, f.values, H2.values) == reference.delta2(H2).values
+
+
+def _sampled_sequences(X, A, f, count, rng):
+    """`count` 1-fold homotopies targeting f drawn by `rng` (all of them if there are fewer)."""
+    slots = sequence_domains(X, A, f, 1)
+    total = math.prod(len(dom) for _, dom in slots)
+    for i in rng.sample(range(total), min(count, total)):
+        combo = []
+        for _, dom in reversed(slots):
+            i, r = divmod(i, len(dom))
+            combo.append(dom[r])
+        yield HomotopySequence(1, f, dict(zip((g for g, _ in slots), reversed(combo))))
+
+
+@pytest.mark.parametrize("tower", list(TOWERS))
+@pytest.mark.parametrize("space", ["delta2", "prism-circle"])
+def test_composed_keys_match_the_reference_on_towers(space, tower):
+    """Composites with level-3 values, from `_compose_keys` and `_sequence`, against the reference.
+
+    On these towers the boundaries of 2-fold homotopies absorb every level-3
+    value of a 1-fold homotopy, so no `crs_pi1` table can show a wrong
+    level-3 composite; here composites are compared value by value, on a
+    sample of composable pairs: prism-circle has 2-cells led by two vertices.
+    """
+    X, A = as_simpset(CATALOG[space]), TOWERS[tower]()
+    plan = Plan(X, A)
+    tables = _compose_tables(plan)
+    colourings = plan.colourings()
+    rng = random.Random(f"{space}-{tower}")
+    for f in colourings[:: max(1, len(colourings) // 4)]:
+        for second in _sampled_sequences(X, A, f, 12, rng):
+            mid = reference.apply_homotopy(second, f)
+            for first in _sampled_sequences(X, A, mid, 12, rng):
+                got = _sequence(plan, f, _compose_keys(tables, first.key(), second.key()))
+                assert got.values == reference.compose_homotopies(first, second).values
+    assert compose_homotopies(first, second).values == got.values
 
 
 def test_holonomy_identity_and_composition(s3):

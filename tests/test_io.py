@@ -2,6 +2,8 @@ import json
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quinncalc import cli
 from quinncalc.colouring import enumerate_colourings
@@ -148,6 +150,66 @@ def test_dangling_face_reported():
 
 def oracle(data) -> str:
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
+# strings that need escaping, carry format directives, or leave ASCII
+_TEXT = st.one_of(st.text(max_size=4), st.text(alphabet='a"\\%s\x00\n\t\x1fé☃\ud800\U0001f600', max_size=6))
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.floats(),
+)
+# rows of one or several lengths, all strings or mixed, as lists or tuples; empty rows too
+_ROWS = st.lists(
+    st.one_of(
+        st.lists(_TEXT, min_size=1, max_size=4),
+        st.lists(_TEXT, min_size=1, max_size=3).map(tuple),
+        st.lists(st.one_of(_TEXT, _SCALARS), max_size=3),
+    ),
+    max_size=5,
+)
+_TREES = st.recursive(
+    st.one_of(_SCALARS, _TEXT, _ROWS),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(_TEXT, children, max_size=4),
+        # int keys are sorted and written as strings; mixed with strings they cannot be sorted
+        st.dictionaries(st.one_of(_TEXT, st.integers(-2, 2)), children, max_size=3),
+    ),
+    max_leaves=24,
+)
+
+
+def _text_or_error(encode, data):
+    try:
+        return encode(data)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=250, deadline=None)
+@given(data=_TREES)
+def test_dump_json_matches_the_encoder_on_random_trees(data):
+    assert _text_or_error(dump_json, data) == _text_or_error(oracle, data)
+
+
+def test_dump_json_writes_each_shape_as_the_encoder_does():
+    """A string is not a row, a row of a string list is laid out, a one-char string stays whole."""
+    for data in (
+        ["ab", "c"],
+        [["ab"], ("c", "d"), ["e"]],
+        {"rows": [["a", "b", "c"]] * 3, "": [], "k": {}, "n": [1, [True, None, 2.5]]},
+        [["a", 1], ["b"]],
+        [[], ["a"]],
+        {1: "a", 2: [["b"]]},
+        ("x", ("y",)),
+        10**50,
+        "%s%%",
+    ):
+        assert dump_json(data) == oracle(data)
 
 
 def old_groupoid_to_json(G, label=gen_label):
