@@ -110,6 +110,13 @@ class FinGroupoid:
             e = self.ident.get(x)
             if e is None or self.src.get(e) != x or self.tgt.get(e) != x:
                 return ValidationReport.malformed("missing or misplaced identity", (x,))
+        arrows = set(self.arrows)
+        for (a, b), c in self.comp_table.items():
+            if not {a, b, c} <= arrows:
+                return ValidationReport.malformed("composition names an unknown arrow", (a, b, c))
+        for a, b in self.inv_table.items():
+            if not {a, b} <= arrows:
+                return ValidationReport.malformed("inverse names an unknown arrow", (a, b))
         for a in self.arrows:
             for b in self.arrows:
                 defined = (a, b) in self.comp_table

@@ -126,6 +126,15 @@ def test_expand_tower_to_full_schema():
     assert chi(back) == chi(tower)
 
 
+def test_composition_naming_a_dropped_arrow_is_malformed():
+    """Dropping an arrow from level 1 while its compose and inverse rows stay must not validate."""
+    data = crossed_complex_to_json(abelian_tower())
+    dropped = data["level1"]["arrows"].pop()["id"]
+    assert any(dropped in row for row in data["level1"]["compose"])
+    report = validate_crossed_complex(crossed_complex_from_json(data))
+    assert not report and report.kind == "malformed"
+
+
 def test_simpset_roundtrip_preserves_structure():
     P = prism(circle())
     data = simpset_to_json(P)
