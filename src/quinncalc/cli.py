@@ -261,6 +261,7 @@ def cmd_algebra(args):
             {"objects": data.get("objects"), "level1": data, "truncation": 1}
         )
         G = A.base
+        G.validate().raise_if_failed()
     else:
         from .finalg.groupoids import groupoid_from_group
 

@@ -173,7 +173,6 @@ class Plan:
       for c of dimension >= 2;
     - `slots`: the walk order; `checks[pos]`: the label tests run on arrival
       at position pos;
-    - `arrows[(x, y)]`: the arrows from x to y;
     - `preimage[n][x]`: label -> [(x, e), ...] with that boundary, in fibre order;
     - `domains[pos](values)`: the admissible values at `slots[pos]`, given
       every earlier position;
@@ -188,11 +187,7 @@ class Plan:
         trunc = A.truncation
         last_level = min(X.dim, trunc)
         top_constraint_dim = min(X.dim, trunc + 1)
-        base = A.base
         self.lead = {g: X.initial_vertex(g) for g in X.all_gens()}
-        self.arrows: dict = {}
-        for a in base.arrows:
-            self.arrows.setdefault((base.src[a], base.tgt[a]), []).append(a)
         self._product: dict = {}
         self.preimage: dict = {}
         for n in range(2, last_level + 1):
@@ -400,8 +395,8 @@ class Plan:
             return lambda vals: objects
         if n == 1:
             s, t = X.edge_ends(g)
-            arrows = self.arrows
-            return lambda vals: arrows.get((vals[s], vals[t]), ())
+            between = A.base.ends[2]  # the base groupoid's arrows by (source, target)
+            return lambda vals: between.get((vals[s], vals[t]), ())
         lead, label, preimage = self.lead[g], self.label[g], self.preimage[n]
         return lambda vals: preimage[vals[lead]].get(label(vals), ())
 
@@ -482,21 +477,22 @@ def as_plan(X, A: CrossedComplex) -> Plan:
 def enumerate_colourings(X, A: CrossedComplex, fixed: dict | None = None):
     """All colourings of X by A, in canonical order.
 
-    X is a `SimpSet` or a `Stratification`.  `fixed` pins values on some
-    generators; the result is the list of total colourings extending them.
-    Fixed values are checked first, and `BoundaryError` is raised for an
-    unknown generator, a vertex value that is not an object, an edge value
-    whose fixed ends disagree with it, or a value whose faces are all fixed
-    and whose boundary is not their label.  The search compiles (X, A) into
-    a `Plan` for this call, then assigns generators level by level in
-    declaration order.  Each value is drawn from its domain (the objects, the
-    arrows between the images of the edge's ends, or the boundary preimage of
-    the generator's label) and each (n+1)-generator's label is tested as
-    soon as its last n-face is set: it must lie in the boundary image below
-    the truncation and be the identity just above it.  To walk one X for
-    many fixed values, compile one `Plan` and call its `colourings` or `count`.
+    X is a `SimpSet`, a `Stratification` or a `Plan` of one for A.  `fixed`
+    pins values on some generators; the result is the list of total
+    colourings extending them.  Fixed values are checked first, and
+    `BoundaryError` is raised for an unknown generator, a vertex value that
+    is not an object, an edge value whose fixed ends disagree with it, or a
+    value whose faces are all fixed and whose boundary is not their label.
+    The search compiles (X, A) into a `Plan` for this call unless X is one,
+    then assigns generators level by level in declaration order.  Each value
+    is drawn from its domain (the objects, the arrows between the images of
+    the edge's ends, or the boundary preimage of the generator's label) and
+    each (n+1)-generator's label is tested as soon as its last n-face is
+    set: it must lie in the boundary image below the truncation and be the
+    identity just above it.  To walk one X for many fixed values, compile
+    one `Plan` and call its `colourings` or `count`.
     """
-    return Plan(X, A).colourings(fixed)
+    return as_plan(X, A).colourings(fixed)
 
 
 def enumerate_relative(X, A: CrossedComplex, fixed: dict):

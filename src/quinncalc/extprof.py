@@ -61,48 +61,32 @@ class Profunctor:
                     return False
                 if self.ract[(b, GR.ident[ri])] != b:
                     return False
-        for g1 in GL.arrows:
-            for g2 in GL.arrows:
-                if GL.tgt[g1] != GL.src[g2]:
-                    continue
-                g12 = GL.comp(g1, g2)
-                for ri in GR.objects:
-                    for b in self.basis.get((GL.tgt[g2], ri), ()):
-                        if self.lact[(g12, b)] != self.lact[(g1, self.lact[(g2, b)])]:
-                            return False
-        for h1 in GR.arrows:
-            for h2 in GR.arrows:
-                if GR.tgt[h1] != GR.src[h2]:
-                    continue
-                h12 = GR.comp(h1, h2)
-                for li in GL.objects:
-                    for b in self.basis.get((li, GR.src[h1]), ()):
-                        if self.ract[(b, h12)] != self.ract[(self.ract[(b, h1)], h2)]:
-                            return False
-        for g in GL.arrows:
-            for h in GR.arrows:
-                for b in self.basis.get((GL.tgt[g], GR.src[h]), ()):
-                    if self.ract[(self.lact[(g, b)], h)] != self.lact[(g, self.ract[(b, h)])]:
+        for (g1, g2), g12 in GL.comp_table.items():
+            for ri in GR.objects:
+                for b in self.basis.get((GL.tgt[g2], ri), ()):
+                    if self.lact[(g12, b)] != self.lact[(g1, self.lact[(g2, b)])]:
                         return False
+        for (h1, h2), h12 in GR.comp_table.items():
+            for li in GL.objects:
+                for b in self.basis.get((li, GR.src[h1]), ()):
+                    if self.ract[(b, h12)] != self.ract[(self.ract[(b, h1)], h2)]:
+                        return False
+        for (x, y), els in self.basis.items():
+            for g in GL.arrows_into(x):
+                for h in GR.arrows_from(y):
+                    for b in els:
+                        if self.ract[(self.lact[(g, b)], h)] != self.lact[(g, self.ract[(b, h)])]:
+                            return False
         return True
 
 
 def identity_profunctor(crs: CrsResult) -> Profunctor:
     """The hom profunctor of a groupoid: basis(x, y) = arrows x -> y."""
     G = crs.groupoid
-    basis = {
-        (x, y): tuple(G.arrows_between(x, y)) for x in G.objects for y in G.objects
-    }
-    lact, ract = {}, {}
-    for g in G.arrows:
-        for (x, y), els in basis.items():
-            for b in els:
-                if G.tgt[g] == x:
-                    lact[(g, b)] = G.comp(g, b)
-                if G.src[g] == y:
-                    ract[(b, g)] = G.comp(b, g)
-    sizes = {b: 1 for els in basis.values() for b in els}
-    return Profunctor(crs, crs, basis, lact, ract, sizes)
+    basis = {(x, y): G.arrows_between(x, y) for x in G.objects for y in G.objects}
+    sizes = {b: 1 for b in G.arrows}
+    # g acts on b by g.b on the left and b.g on the right: both tables are the composition table
+    return Profunctor(crs, crs, basis, dict(G.comp_table), dict(G.comp_table), sizes)
 
 
 def cobordism_profunctor(M: Stratification, A: CrossedComplex) -> Profunctor:
@@ -159,18 +143,13 @@ def reverse_profunctor(P: Profunctor) -> Profunctor:
     GL, GR = P.left.groupoid, P.right.groupoid
     basis = {(y, x): els for (x, y), els in P.basis.items()}
     lact, ract = {}, {}
-    for h in GR.arrows:
-        hinv = GR.inv(h)
-        for (x, y), els in P.basis.items():
-            if GR.tgt[h] != y:
-                continue
+    for (x, y), els in P.basis.items():
+        for h in GR.arrows_into(y):
+            hinv = GR.inv(h)
             for b in els:
                 lact[(h, b)] = P.ract[(b, hinv)]
-    for g in GL.arrows:
-        ginv = GL.inv(g)
-        for (x, y), els in P.basis.items():
-            if GL.src[g] != x:
-                continue
+        for g in GL.arrows_from(x):
+            ginv = GL.inv(g)
             for b in els:
                 ract[(b, g)] = P.lact[(ginv, b)]
     return Profunctor(P.right, P.left, basis, lact, ract, dict(P.sizes), dict(P.reps))
@@ -210,19 +189,12 @@ def compose_profunctors(P: Profunctor, Q: Profunctor) -> Profunctor:
                 for i in members:
                     node_class[(x, z, nodes[i])] = eid
             basis[(x, z)] = tuple(ids)
-    for g in GL.arrows:
-        for (x, z), ids in basis.items():
-            if GL.tgt[g] != x:
-                continue
-            for eid in ids:
-                y, p, q = class_reps[eid]
+    for (x, z), ids in basis.items():
+        for eid in ids:
+            y, p, q = class_reps[eid]
+            for g in GL.arrows_into(x):
                 lact[(g, eid)] = node_class[(GL.src[g], z, (y, P.lact[(g, p)], q))]
-    for k in GR.arrows:
-        for (x, z), ids in basis.items():
-            if GR.src[k] != z:
-                continue
-            for eid in ids:
-                y, p, q = class_reps[eid]
+            for k in GR.arrows_from(z):
                 ract[(eid, k)] = node_class[(x, GR.tgt[k], (y, p, Q.ract[(q, k)]))]
     return Profunctor(
         P.left, Q.right, basis, lact, ract, reps=class_reps, members=class_members
@@ -263,12 +235,10 @@ def profunctor_iso_check(P: Profunctor, Q: Profunctor):
             assignment[(pr, e)] = (pr, im)
             added.append((pr, e))
             x, y = pr
-            for g in GL.arrows:
-                if GL.tgt[g] == x:
-                    stack.append(((GL.src[g], y), P.lact[(g, e)], Q.lact[(g, im)]))
-            for h in GRo.arrows:
-                if GRo.src[h] == y:
-                    stack.append(((x, GRo.tgt[h]), P.ract[(e, h)], Q.ract[(im, h)]))
+            for g in GL.arrows_into(x):
+                stack.append(((GL.src[g], y), P.lact[(g, e)], Q.lact[(g, im)]))
+            for h in GRo.arrows_from(y):
+                stack.append(((x, GRo.tgt[h]), P.ract[(e, h)], Q.ract[(im, h)]))
         return added
 
     slots = [(pair, e) for pair in sorted(P.basis) for e in P.basis[pair]]

@@ -5,6 +5,8 @@ when `tgt(a) == src(b)` and is the arrow "a then b".
 """
 from __future__ import annotations
 
+from functools import cached_property
+
 from .groups import FinGroup, ValidationReport
 
 
@@ -50,15 +52,29 @@ class FinGroupoid:
         inv = {}
         for a in self.arrows:
             x, y = self.src[a], self.tgt[a]
-            for b in self.arrows:
-                if self.src[b] == y and self.tgt[b] == x:
-                    if (
-                        self.comp_table.get((a, b)) == self.ident.get(x)
-                        and self.comp_table.get((b, a)) == self.ident.get(y)
-                    ):
-                        inv[a] = b
-                        break
+            for b in self.arrows_between(y, x):
+                if (
+                    self.comp_table.get((a, b)) == self.ident.get(x)
+                    and self.comp_table.get((b, a)) == self.ident.get(y)
+                ):
+                    inv[a] = b
+                    break
         return inv
+
+    @cached_property
+    def ends(self) -> tuple:
+        """(out, into, between): the arrows by source, by target and by (source, target).
+
+        Each lists arrows in declaration order.  The index is built on first
+        use, so a groupoid that is never asked for incident arrows costs nothing.
+        """
+        out, into, between = {}, {}, {}
+        for a in self.arrows:
+            x, y = self.src[a], self.tgt[a]
+            out.setdefault(x, []).append(a)
+            into.setdefault(y, []).append(a)
+            between.setdefault((x, y), []).append(a)
+        return tuple({k: tuple(v) for k, v in d.items()} for d in (out, into, between))
 
     def obj_index(self, x):
         return self._obj_index[x]
@@ -73,13 +89,13 @@ class FinGroupoid:
         return self.inv_table[a]
 
     def arrows_from(self, x):
-        return tuple(a for a in self.arrows if self.src[a] == x)
+        return self.ends[0].get(x, ())
 
     def arrows_into(self, x):
-        return tuple(a for a in self.arrows if self.tgt[a] == x)
+        return self.ends[1].get(x, ())
 
     def arrows_between(self, x, y):
-        return tuple(a for a in self.arrows if self.src[a] == x and self.tgt[a] == y)
+        return self.ends[2].get((x, y), ())
 
     def vertex_group(self, x) -> FinGroup:
         loops = self.arrows_between(x, x)
@@ -141,12 +157,8 @@ class FinGroupoid:
             ):
                 return ValidationReport.axiom("inverse table wrong", (a, b))
         for a in self.arrows:
-            for b in self.arrows:
-                if self.tgt[a] != self.src[b]:
-                    continue
-                for c in self.arrows:
-                    if self.tgt[b] != self.src[c]:
-                        continue
+            for b in self.arrows_from(self.tgt[a]):
+                for c in self.arrows_from(self.tgt[b]):
                     if self.comp(self.comp(a, b), c) != self.comp(a, self.comp(b, c)):
                         return ValidationReport.axiom("associativity fails", (a, b, c))
         return ValidationReport.passed()
@@ -243,8 +255,8 @@ def quotient_groupoid(G: FinGroupoid, normal: dict) -> tuple[FinGroupoid, dict]:
     reps = tuple(a for a in G.arrows if proj[a] == a)
     comp = {}
     for a in reps:
-        for b in reps:
-            if G.tgt[a] == G.src[b]:
+        for b in G.arrows_from(G.tgt[a]):
+            if proj[b] == b:
                 comp[(a, b)] = proj[G.comp(a, b)]
     ident = {x: proj[G.ident[x]] for x in G.objects}
     inv = {a: proj[G.inv(a)] for a in reps}
@@ -304,11 +316,9 @@ def find_groupoid_iso(G: FinGroupoid, H: FinGroupoid):
     for cg in comps_G:
         if not match_component(cg):
             return None
-    for a in G.arrows:
-        for b in G.arrows:
-            if G.tgt[a] == G.src[b]:
-                if arr_map[G.comp(a, b)] != H.comp(arr_map[a], arr_map[b]):
-                    return None
+    for (a, b), ab in G.comp_table.items():
+        if arr_map[ab] != H.comp(arr_map[a], arr_map[b]):
+            return None
     if len(set(arr_map.values())) != len(H.arrows):
         return None
     return obj_map, arr_map

@@ -25,7 +25,6 @@ homotopies on their keys, cell by cell, with the integer tables of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import product
 
 from .colouring import Colouring, Plan, as_plan, as_simpset, colouring_key
@@ -315,10 +314,10 @@ class CrsResult:
     Objects are colourings of X (canonical order); arrows are equivalence
     classes of homotopies under right composition with boundaries of 2-fold
     homotopies.  Arrow ids are triples (source index, target index, class
-    representative key).
+    representative key).  `tables` is `_compose_tables` of a plan of (X, A).
     """
 
-    def __init__(self, X, A, colourings, groupoid, arrow_reps, deltas):
+    def __init__(self, X, A, colourings, groupoid, arrow_reps, deltas, tables):
         self.X = X
         self.A = A
         self.colourings = colourings
@@ -327,10 +326,7 @@ class CrsResult:
         self.deltas = deltas  # target index -> list of boundary endo-homotopies
         self._index = {c.key(): i for i, c in enumerate(colourings)}
         self._arrow = {(a[1], a[2]): a for a in groupoid.arrows}
-
-    @cached_property
-    def _tables(self) -> tuple:
-        return _compose_tables(Plan(self.X, self.A))
+        self._tables = tables
 
     def colouring_index(self, col: Colouring) -> int:
         return self._index[col.key()]
@@ -403,7 +399,7 @@ def crs_pi1(X, A: CrossedComplex) -> CrsResult:
     for a in arrows:
         inv[a] = classes[a[0]][_invert(arrow_reps[a], colourings[a[0]]).key()]
     G = FinGroupoid(objects, tuple(arrows), src, tgt, comp, ident, inv, name=f"pi1CRS({X.name})")
-    return CrsResult(X, A, colourings, G, arrow_reps, deltas)
+    return CrsResult(X, A, colourings, G, arrow_reps, deltas, tables)
 
 
 # -- homotopies relative to a subcomplex -------------------------------------------

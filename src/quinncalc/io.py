@@ -167,17 +167,14 @@ def crossed_complex_from_json(data) -> CrossedComplex:
         truncation = int(data.get("truncation", 1))
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"crossed complex schema: {exc}") from exc
-    ident = {}
+    base = FinGroupoid(objects, arrows, src, tgt, comp, {}, inv, name="level1")
     for x in objects:
-        loops = [a for a in arrows if src[a] == x == tgt[a] and comp.get((a, a)) == a]
-        for a in loops:
-            if all(comp.get((a, b)) == b for b in arrows if src[b] == x):
-                ident[x] = a
+        for a in base.arrows_between(x, x):
+            if comp.get((a, a)) == a and all(comp.get((a, b)) == b for b in base.arrows_from(x)):
+                base.ident[x] = a
                 break
-    for x in objects:
-        if x not in ident:
+        else:
             raise SchemaError(f"level 1 lacks an identity at object {x!r}")
-    base = FinGroupoid(objects, arrows, src, tgt, comp, ident, inv, name="level1")
     levels, bdry, act = {}, {}, {}
     elem_owner = {}
     levels_data = data.get("levels", [])
@@ -352,28 +349,31 @@ class LabelMap(dict):
         return label
 
 
-def groupoid_to_json(G: FinGroupoid, labels: LabelMap | None = None) -> dict:
-    """Objects, arrows, the composition table and inverses, labelled by `gen_label`.
+def _label_sorted_rows(table: dict, ids, lab: LabelMap) -> list:
+    """The rows [a, b, c] of a table {(a, b): c}, as labels, sorted on the labels of (a, b).
 
-    Each arrow is labelled once, by its position.  The table is sorted on the
-    ranks of the labels of its pairs; gen_label is not injective, so equal
-    labels share a rank and ties keep table order.
+    `ids` lists every id the table names, each labelled once.  Rows are
+    sorted on the integer ranks of their labels; gen_label is not injective,
+    so equal labels share a rank and ties keep table order.
     """
-    lab = LabelMap() if labels is None else labels
-    names = [lab[a] for a in G.arrows]
-    at = {a: i for i, a in enumerate(G.arrows)}
+    at = {g: i for i, g in enumerate(ids)}
+    names = [lab[g] for g in ids]
     rank_of = {name: r for r, name in enumerate(sorted(set(names)))}
     rank = [rank_of[name] for name in names]
     n = len(names)
-    entries = [(at[a], at[b], at[c]) for (a, b), c in G.comp_table.items()]
-    entries.sort(key=lambda e: rank[e[0]] * n + rank[e[1]])
-    arrows = [
-        {"id": name, "src": lab[G.src[a]], "tgt": lab[G.tgt[a]]} for a, name in zip(G.arrows, names)
-    ]
+    rows = [(at[a], at[b], at[c]) for (a, b), c in table.items()]
+    rows.sort(key=lambda e: rank[e[0]] * n + rank[e[1]])
+    return [[names[i], names[j], names[k]] for i, j, k in rows]
+
+
+def groupoid_to_json(G: FinGroupoid, labels: LabelMap | None = None) -> dict:
+    """Objects, arrows, the composition table and inverses, labelled by `gen_label`."""
+    lab = LabelMap() if labels is None else labels
+    arrows = [{"id": lab[a], "src": lab[G.src[a]], "tgt": lab[G.tgt[a]]} for a in G.arrows]
     return {
         "objects": [lab[x] for x in G.objects],
         "arrows": arrows,
-        "compose": [[names[i], names[j], names[k]] for i, j, k in entries],
+        "compose": _label_sorted_rows(G.comp_table, G.arrows, lab),
         "inv": [[lab[a], lab[b]] for a, b in sorted(G.inv_table.items(), key=lambda kv: lab[kv[0]])],
     }
 
@@ -381,19 +381,13 @@ def groupoid_to_json(G: FinGroupoid, labels: LabelMap | None = None) -> dict:
 def profunctor_to_json(P) -> dict:
     lab = LabelMap()
     basis = {f"({li},{ri})": [lab[b] for b in els] for (li, ri), els in sorted(P.basis.items())}
-
-    def action(table):
-        return [
-            [lab[x], lab[y], lab[out]]
-            for (x, y), out in sorted(table.items(), key=lambda kv: (lab[kv[0][0]], lab[kv[0][1]]))
-        ]
-
+    elements = P.elements()
     return {
         "left": groupoid_to_json(P.left.groupoid, lab),
         "right": groupoid_to_json(P.right.groupoid, lab),
         "basis": basis,
-        "leftAct": action(P.lact),
-        "rightAct": action(P.ract),
+        "leftAct": _label_sorted_rows(P.lact, (*P.left.groupoid.arrows, *elements), lab),
+        "rightAct": _label_sorted_rows(P.ract, (*elements, *P.right.groupoid.arrows), lab),
     }
 
 

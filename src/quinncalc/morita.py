@@ -72,11 +72,7 @@ class Algebra:
 
 def groupoid_algebra(G: FinGroupoid) -> Algebra:
     """Arrows as basis; the product concatenates when endpoints match."""
-    mul = {}
-    for a in G.arrows:
-        for b in G.arrows:
-            if G.tgt[a] == G.src[b]:
-                mul[(a, b)] = {G.comp(a, b): Fraction(1)}
+    mul = {ab: {c: Fraction(1)} for ab, c in G.comp_table.items()}
     unit = {G.ident[x]: Fraction(1) for x in G.objects}
     return Algebra(tuple(G.arrows), mul, unit, name=f"Lin2({G.name})")
 
@@ -117,9 +113,8 @@ def quantum_double(G: FinGroup) -> Algebra:
     mul = {}
     for (g, a) in els:
         target = G.mul(G.mul(a, g), G.inv(a))
-        for (gp, ap) in els:
-            if gp == target:
-                mul[((g, a), (gp, ap))] = {(g, G.mul(ap, a)): Fraction(1)}
+        for ap in G.elements:
+            mul[((g, a), (target, ap))] = {(g, G.mul(ap, a)): Fraction(1)}
     unit = {(g, G.unit): Fraction(1) for g in G.elements}
     return Algebra(els, mul, unit, name=f"D({G.name})")
 
@@ -247,12 +242,10 @@ def lin2_bimodule(P: Profunctor) -> Bimodule:
     lact, ract = {}, {}
     for (x, y), els in P.basis.items():
         for m in els:
-            for g in GL.arrows:
-                if GL.tgt[g] == x:
-                    lact[(g, m)] = {P.lact[(g, m)]: Fraction(1)}
-            for h in GR.arrows:
-                if GR.src[h] == y:
-                    ract[(m, h)] = {P.ract[(m, h)]: Fraction(1)}
+            for g in GL.arrows_into(x):
+                lact[(g, m)] = {P.lact[(g, m)]: Fraction(1)}
+            for h in GR.arrows_from(y):
+                ract[(m, h)] = {P.ract[(m, h)]: Fraction(1)}
     return Bimodule(AL, AR, basis, lact, ract, name="Lin2(P)")
 
 
@@ -266,36 +259,44 @@ def _monomial_image(row: dict):
     return ...
 
 
+def _images(table: dict, side: int) -> dict:
+    """Module element -> {algebra element: image} over the rows of a monomial action table.
+
+    `side` is the position of the module element in the table's keys.  An
+    empty row has image None; a row that is not monomial raises
+    NotImplementedError.
+    """
+    out: dict = {}
+    for key, row in table.items():
+        img = _monomial_image(row)
+        if img is ...:
+            raise NotImplementedError("non-monomial actions are outside the desk corpus")
+        out.setdefault(key[side], {})[key[1 - side]] = img
+    return out
+
+
 def tensor_over(M: Bimodule, N: Bimodule):
     """M tensor N over the shared middle algebra.
 
     Returns (bimodule, classes) where classes maps each spanning pair to its
     basis label in the quotient (or None when the pair is identified to
-    zero).  Both balancing actions must be monomial: the quotient is then
-    computed by orbit identification, and a class is zero when any of its
-    pairs is balanced against zero.  Non-monomial balancing raises
-    NotImplementedError.
+    zero).  Every action must be monomial: the quotient is then computed by
+    orbit identification, and a class is zero when any of its pairs is
+    balanced against zero.  A pair (m, n) is balanced only over the middle
+    elements with a row at m or at n, read from the keys of the action
+    tables.  Non-monomial actions raise NotImplementedError.
     """
     if M.right.basis != N.left.basis:
         raise ValueError("middle algebras do not match")
+    m_left, m_right = _images(M.lact, 1), _images(M.ract, 0)
+    n_left, n_right = _images(N.lact, 1), _images(N.ract, 0)
     pairs = tuple((m, n) for m in M.basis for n in N.basis)
-    monomial = True
-    for m in M.basis:
-        for b in M.right.basis:
-            if _monomial_image(M.ract.get((m, b), {})) is ...:
-                monomial = False
-    for n in N.basis:
-        for b in N.left.basis:
-            if _monomial_image(N.lact.get((b, n), {})) is ...:
-                monomial = False
-    if not monomial:
-        raise NotImplementedError("non-monomial balancing is outside the desk corpus")
     index = {p: i for i, p in enumerate(pairs)}
     links, zero_marks = [], []
     for (m, n) in pairs:
-        for b in M.right.basis:
-            mi = _monomial_image(M.ract.get((m, b), {}))
-            ni = _monomial_image(N.lact.get((b, n), {}))
+        mrow, nrow = m_right.get(m, {}), n_left.get(n, {})
+        for b in mrow.keys() | nrow.keys():
+            mi, ni = mrow.get(b), nrow.get(b)
             if mi is None and ni is None:
                 continue
             if mi is None:
@@ -318,18 +319,12 @@ def tensor_over(M: Bimodule, N: Bimodule):
     basis = tuple(reps)
     lact, ract = {}, {}
     for (m, n) in basis:
-        for a in M.left.basis:
-            img = _monomial_image(M.lact.get((a, m), {}))
-            if img is not None:
-                tgt = classes[(img, n)]
-                if tgt is not None:
-                    lact[(a, (m, n))] = {tgt: Fraction(1)}
-        for c in N.right.basis:
-            img = _monomial_image(N.ract.get((n, c), {}))
-            if img is not None:
-                tgt = classes[(m, img)]
-                if tgt is not None:
-                    ract[((m, n), c)] = {tgt: Fraction(1)}
+        for a, img in m_left.get(m, {}).items():
+            if img is not None and (tgt := classes[(img, n)]) is not None:
+                lact[(a, (m, n))] = {tgt: Fraction(1)}
+        for c, img in n_right.get(n, {}).items():
+            if img is not None and (tgt := classes[(m, img)]) is not None:
+                ract[((m, n), c)] = {tgt: Fraction(1)}
     T = Bimodule(M.left, N.right, basis, lact, ract, name="tensor")
     return T, classes
 

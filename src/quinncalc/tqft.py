@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .colouring import Plan, as_simpset, enumerate_colourings
+from .colouring import Plan, enumerate_colourings
 from .errors import BoundaryError, ExactnessError
 from .finalg.crossed import CrossedComplex
 from .homotopy import rel_classes
@@ -111,10 +111,10 @@ class StateSpace:
 
 def state_space(X, A: CrossedComplex) -> StateSpace:
     """Homotopy classes of colourings: pi_0 of the mapping space, as a partition."""
-    space = as_simpset(X)
-    colourings = enumerate_colourings(space, A)
-    classes, _ = rel_classes(space, A, frozenset(), colourings)
-    return StateSpace(space, A, colourings, classes)
+    plan = Plan(X, A)
+    colourings = enumerate_colourings(plan, A)
+    classes, _ = rel_classes(plan, A, frozenset(), colourings)
+    return StateSpace(plan.X, A, colourings, classes)
 
 
 @dataclass

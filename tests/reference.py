@@ -12,10 +12,17 @@ the public wrappers, which compile a plan per call.
 
 Also here: test-only checks that build on them (`is_valid_colouring`,
 `crs_homotopy_content`, `decategorified_matrix`).
+
+The last section keeps the groupoid and Morita code that found incident
+arrows and composable pairs by scanning every arrow, or every pair of
+arrows, and filtering: the oracles of `FinGroupoid.ends`, of the walks of
+`comp_table`, and of `tensor_over`'s walk of the action tables' rows.
 """
 from fractions import Fraction
 
 from quinncalc.colouring import Colouring, hal_word, value_of_ref
+from quinncalc.finalg.groupoids import partition
+from quinncalc.finalg.groups import find_group_iso
 from quinncalc.homotopy import (
     HomotopySequence,
     _base_vertex,
@@ -25,6 +32,7 @@ from quinncalc.homotopy import (
     enumerate_sequences,
     identity_sequence,
 )
+from quinncalc.morita import Algebra, Bimodule, _monomial_image
 from quinncalc.tqft import theta_weight
 
 # -- colourings ----------------------------------------------------------------------
@@ -269,3 +277,155 @@ def decategorified_matrix(P, M, A) -> list:
             row.append(n * theta_rel * len(rc) * theta_out)
         out.append(row)
     return out
+
+
+# -- groupoid incidence and the Morita layer, by scanning every arrow -----------------
+
+
+def arrows_from(G, x):
+    return tuple(a for a in G.arrows if G.src[a] == x)
+
+
+def arrows_into(G, x):
+    return tuple(a for a in G.arrows if G.tgt[a] == x)
+
+
+def arrows_between(G, x, y):
+    return tuple(a for a in G.arrows if G.src[a] == x and G.tgt[a] == y)
+
+
+def groupoid_algebra(G) -> Algebra:
+    """The groupoid algebra, testing every pair of arrows for composability."""
+    mul = {}
+    for a in G.arrows:
+        for b in G.arrows:
+            if G.tgt[a] == G.src[b]:
+                mul[(a, b)] = {G.comp(a, b): Fraction(1)}
+    unit = {G.ident[x]: Fraction(1) for x in G.objects}
+    return Algebra(tuple(G.arrows), mul, unit, name=f"Lin2({G.name})")
+
+
+def quantum_double(G) -> Algebra:
+    """The quantum double, testing all |G|^4 pairs of basis elements."""
+    els = tuple((g, a) for g in G.elements for a in G.elements)
+    mul = {}
+    for (g, a) in els:
+        target = G.mul(G.mul(a, g), G.inv(a))
+        for (gp, ap) in els:
+            if gp == target:
+                mul[((g, a), (gp, ap))] = {(g, G.mul(ap, a)): Fraction(1)}
+    unit = {(g, G.unit): Fraction(1) for g in G.elements}
+    return Algebra(els, mul, unit, name=f"D({G.name})")
+
+
+def find_groupoid_iso(G, H):
+    """The groupoid isomorphism search, whose final check tests every pair of arrows."""
+    comps_G, comps_H = list(G.components()), list(H.components())
+    if len(G.objects) != len(H.objects) or len(G.arrows) != len(H.arrows):
+        return None
+    if len(comps_G) != len(comps_H):
+        return None
+
+    def invariant(K, comp):
+        return (len(comp), len(K.vertex_group(comp[0])))
+
+    used = [False] * len(comps_H)
+    obj_map, arr_map = {}, {}
+
+    def match_component(cg):
+        base = cg[0]
+        VG = G.vertex_group(base)
+        for j, ch in enumerate(comps_H):
+            if used[j] or invariant(G, cg) != invariant(H, ch):
+                continue
+            VH = H.vertex_group(ch[0])
+            phi = find_group_iso(VG, VH)
+            if phi is None:
+                continue
+            used[j] = True
+            tree_G = {x: min(arrows_between(G, base, x), key=G.arr_index) for x in cg}
+            tree_H = {y: min(arrows_between(H, ch[0], y), key=H.arr_index) for y in ch}
+            for x, y in zip(cg, ch):
+                obj_map[x] = y
+            for x in cg:
+                for z in cg:
+                    for a in arrows_between(G, x, z):
+                        loop = G.comp(G.comp(tree_G[x], a), G.inv(tree_G[z]))
+                        img_loop = phi[loop]
+                        arr_map[a] = H.comp(
+                            H.comp(H.inv(tree_H[obj_map[x]]), img_loop), tree_H[obj_map[z]]
+                        )
+            return True
+        return False
+
+    for cg in comps_G:
+        if not match_component(cg):
+            return None
+    for a in G.arrows:
+        for b in G.arrows:
+            if G.tgt[a] == G.src[b]:
+                if arr_map[G.comp(a, b)] != H.comp(arr_map[a], arr_map[b]):
+                    return None
+    if len(set(arr_map.values())) != len(H.arrows):
+        return None
+    return obj_map, arr_map
+
+
+def tensor_over(M, N):
+    """M tensor N over the middle algebra, balancing every pair over the whole middle basis."""
+    if M.right.basis != N.left.basis:
+        raise ValueError("middle algebras do not match")
+    pairs = tuple((m, n) for m in M.basis for n in N.basis)
+    monomial = True
+    for m in M.basis:
+        for b in M.right.basis:
+            if _monomial_image(M.ract.get((m, b), {})) is ...:
+                monomial = False
+    for n in N.basis:
+        for b in N.left.basis:
+            if _monomial_image(N.lact.get((b, n), {})) is ...:
+                monomial = False
+    if not monomial:
+        raise NotImplementedError("non-monomial balancing is outside the desk corpus")
+    index = {p: i for i, p in enumerate(pairs)}
+    links, zero_marks = [], []
+    for (m, n) in pairs:
+        for b in M.right.basis:
+            mi = _monomial_image(M.ract.get((m, b), {}))
+            ni = _monomial_image(N.lact.get((b, n), {}))
+            if mi is None and ni is None:
+                continue
+            if mi is None:
+                zero_marks.append(index[(m, ni)])
+            elif ni is None:
+                zero_marks.append(index[(mi, n)])
+            else:
+                links.append((index[(mi, n)], index[(m, ni)]))
+    parts = partition(len(pairs), links)
+    class_id = [0] * len(pairs)
+    for ci, members in enumerate(parts):
+        for i in members:
+            class_id[i] = ci
+    zero = {class_id[i] for i in zero_marks}
+    classes = {
+        p: None if class_id[i] in zero else pairs[parts[class_id[i]][0]]
+        for i, p in enumerate(pairs)
+    }
+    reps = [pairs[members[0]] for ci, members in enumerate(parts) if ci not in zero]
+    basis = tuple(reps)
+    lact, ract = {}, {}
+    for (m, n) in basis:
+        for a in M.left.basis:
+            img = _monomial_image(M.lact.get((a, m), {}))
+            if img is not None:
+                tgt = classes[(img, n)]
+                if tgt is not None:
+                    lact[(a, (m, n))] = {tgt: Fraction(1)}
+        for c in N.right.basis:
+            img = _monomial_image(N.ract.get((n, c), {}))
+            if img is not None:
+                tgt = classes[(m, img)]
+                if tgt is not None:
+                    ract[((m, n), c)] = {tgt: Fraction(1)}
+    T = Bimodule(M.left, N.right, basis, lact, ract, name="tensor")
+    return T, classes

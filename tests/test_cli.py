@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import subprocess
@@ -18,9 +19,16 @@ from quinncalc.io import (
     crossed_module_to_json,
     dump_json,
     group_to_json,
+    groupoid_to_json,
     simpset_to_json,
 )
-from quinncalc.finalg import crossed_module_zero, cyclic_group, iota2, symmetric_group
+from quinncalc.finalg import (
+    crossed_module_zero,
+    cyclic_group,
+    iota2,
+    pair_groupoid,
+    symmetric_group,
+)
 from quinncalc.simpset import circle, prism, torus
 from tests.conftest import abelian_tower, inversion_tower
 
@@ -213,6 +221,49 @@ def test_algebra_from_malformed_file_exits_2(tmp_path, data):
     assert code == 2 and "schema" in err
 
 
+def _arrow(name, src, tgt):
+    return {"id": name, "src": src, "tgt": tgt}
+
+
+# two objects, identities ix and iy, f: x -> y and its inverse g; the
+# composable pair (f, iy) has no row
+GROUPOID_WITHOUT_A_COMPOSITE = {
+    "objects": ["x", "y"],
+    "arrows": [
+        _arrow("ix", "x", "x"), _arrow("iy", "y", "y"), _arrow("f", "x", "y"), _arrow("g", "y", "x"),
+    ],
+    "compose": [
+        ["ix", "ix", "ix"], ["ix", "f", "f"], ["iy", "iy", "iy"], ["iy", "g", "g"],
+        ["f", "g", "ix"], ["g", "ix", "g"], ["g", "f", "iy"],
+    ],
+    "inv": [["ix", "ix"], ["iy", "iy"], ["f", "g"], ["g", "f"]],
+}
+
+# one object, the identity e and a loop a with a.a = a and inv a = a
+IDEMPOTENT_LOOP = {
+    "objects": ["*"],
+    "arrows": [_arrow("e", "*", "*"), _arrow("a", "*", "*")],
+    "compose": [["e", "e", "e"], ["e", "a", "a"], ["a", "e", "a"], ["a", "a", "a"]],
+    "inv": [["e", "e"], ["a", "a"]],
+}
+
+
+@pytest.mark.parametrize(
+    "data, exit_code, message",
+    [
+        pytest.param(GROUPOID_WITHOUT_A_COMPOSITE, 2, "composition defined iff tgt=src",
+                     id="composite-missing"),
+        pytest.param(IDEMPOTENT_LOOP, 3, "inverse table wrong", id="idempotent-loop"),
+    ],
+)
+def test_algebra_from_groupoid_file_is_validated(tmp_path, data, exit_code, message):
+    """A groupoid file with a missing composite exits 2, one that fails an axiom exits 3."""
+    path = tmp_path / "groupoid.json"
+    path.write_text(json.dumps(data))
+    code, err = _exit_code_and_stderr(["algebra", "--from", str(path)])
+    assert code == exit_code and message in err
+
+
 def test_byte_identical_reruns(files, capsys):
     args = ["state-space", "--space", files["torus"], "--algebra", files["s3"]]
     _, out1 = run_cli(capsys, *args)
@@ -395,10 +446,15 @@ def _assert_mutated_inputs_exit_cleanly(inputs, targets, edits, draw, commands):
             assert code in {0, 2, 3, 4}, (argv, code, err)
 
 
+# groupoid files, which only `algebra --from` reads
+GROUPOID_FILES = {"pair-groupoid-2": groupoid_to_json(pair_groupoid(2))}
+
+
 def _assert_mutated_catalog_exits_cleanly(space, algebra, targets, edits, draw, commands):
-    """`_assert_mutated_inputs_exit_cleanly` on a catalog space and a corpus algebra."""
+    """`_assert_mutated_inputs_exit_cleanly` on a catalog space and a corpus algebra or groupoid file."""
     catalog = _catalog()
-    inputs = {"space": catalog[space], "algebra": catalog["algebras"][algebra]}
+    algebras = {**catalog["algebras"], **GROUPOID_FILES}
+    inputs = {"space": catalog[space], "algebra": algebras[algebra]}
     _assert_mutated_inputs_exit_cleanly(inputs, targets, edits, draw, commands)
 
 
@@ -408,7 +464,9 @@ FUZZ_SPACES = ["point", "interval", "circle", "sphere2", "torus", "delta2", "pri
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     space=st.sampled_from(FUZZ_SPACES),
-    algebra=st.sampled_from(["z2", "z3", "s3", "xmod-z2-z2-zero", "xmod-z2-id", "xmod-z4-z2-zero"]),
+    algebra=st.sampled_from(
+        ["z2", "z3", "s3", "xmod-z2-z2-zero", "xmod-z2-id", "xmod-z4-z2-zero", "pair-groupoid-2"]
+    ),
     targets=st.sampled_from(["space", "algebra", "both"]),
     edits=st.integers(1, 3),
     data=st.data(),
@@ -522,3 +580,57 @@ def test_console_entrypoint_runs():
     )
     assert proc.returncode == 0
     assert "circle" in proc.stdout
+
+
+# sha256 of "<exit code>\n<stdout>" for runs whose bytes no other tier-1 test
+# pins: profunctor actions, algebra triples and the double's verdict.  The
+# output does not depend on PYTHONHASHSEED.
+PINNED_RUNS = {
+    "profunctor prism-point z2":
+        "832e75f7652288cf34887e703792a3a3f6adeed05959ec39e90e6975565068cd",
+    "profunctor prism-point s3":
+        "b9bd58d36cfe4a55c78988220edd78826e982a3b62503c184bf87cfde1c67261",
+    "profunctor prism-point xmod-z2-id":
+        "611abb2246c632fdf1695a1dc892426270bedb1bb55b0ae5df7933425f1a4fe7",
+    "profunctor prism-circle z2":
+        "252dc0191ae42f9fa98dd1ea6b5ead43c4c76c164ff54638668a15ef6a494726",
+    "profunctor prism-circle s3":
+        "5f39040438ec8419a028afde46ece4a35b8cafda539cc8c37546576287256cf5",
+    "profunctor prism-circle xmod-z2-id":
+        "44c208da2c69da33dcc02b03466e09de3649dfaffbe3d069148303e00d4d24b9",
+    "algebra z3":
+        "3381d7362392b91c26267c8ce0bee64461c874d294a5840e3f0306ed5080dbd3",
+    "algebra s3":
+        "537fe4c256f0e6de7f89c4707390398056e7f16cfcf4f3e9b0f717781a39c410",
+    "algebra pair-groupoid-2":
+        "efd893fe867d055befe13bb291c4c89bc48feece8690915edab03325a0716761",
+    "double z3":
+        "9e8a3a912434340bab598989be82c2a88a9cf9b80e764f721bc88b414bab17af",
+    "double s3":
+        "70d22ad8f1a2504659f1dac545dd49d15f34348fb404e256c683c2a7c5d12513",
+}
+
+
+def _pinned_argv(run, files):
+    command, *names = run.split()
+    if command == "profunctor":
+        return ["profunctor", "--cobordism", files[names[0]], "--algebra", files[names[1]]]
+    if command == "algebra":
+        return ["algebra", "--from", files[names[0]]]
+    return ["double", "--group", files[names[0]]]
+
+
+def test_pinned_outputs_keep_their_bytes(tmp_path):
+    catalog = _catalog()
+    inputs = {**catalog.pop("algebras"), **catalog, **GROUPOID_FILES}
+    files = {}
+    for name, data in inputs.items():
+        files[name] = str(tmp_path / f"{name}.json")
+        Path(files[name]).write_text(dump_json(data))
+    digests = {}
+    for run in PINNED_RUNS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(_pinned_argv(run, files))
+        digests[run] = hashlib.sha256(f"{code}\n{out.getvalue()}".encode()).hexdigest()
+    assert digests == PINNED_RUNS

@@ -210,8 +210,11 @@ def test_horizontal_composition_of_identity_cells():
 
 
 def test_each_cobordism_call_compiles_its_plan_once(monkeypatch):
-    """Every boundary pair of a call is walked on one plan of the call's space."""
+    """Every boundary pair of a call is walked on one plan of the call's space,
+    and no space, the boundaries' included, is compiled twice in one call."""
+    import quinncalc.colouring
     import quinncalc.extprof
+    import quinncalc.homotopy
     import quinncalc.tqft
     from quinncalc.colouring import Plan
 
@@ -222,17 +225,21 @@ def test_each_cobordism_call_compiles_its_plan_once(monkeypatch):
             super().__init__(X, A)
             compiled.append(self.X)
 
-    for module in (quinncalc.extprof, quinncalc.tqft):
+    for module in (quinncalc.colouring, quinncalc.homotopy, quinncalc.extprof, quinncalc.tqft):
         monkeypatch.setattr(module, "Plan", RecordingPlan)
     A = iota1(cyclic_group(3))
     M = prism(circle())
     W = window_support(prism(circle()), prism(circle()))
-    for run, spaces in (
-        (lambda: quinn_matrix(M, A), [M.simpset]),
-        (lambda: cobordism_profunctor(M, A), [M.simpset]),
+    # each call also compiles its in and out boundaries once: for their state
+    # spaces (quinn_matrix) or their crs_pi1 groupoids (cobordism_profunctor)
+    for run, spaces, total in (
+        (lambda: quinn_matrix(M, A), [M.simpset], 3),
+        (lambda: cobordism_profunctor(M, A), [M.simpset], 3),
         (lambda: window_nat_transform(W, A),
-         [W.top_cob.simpset, W.bottom_cob.simpset, W.simpset]),
+         [W.top_cob.simpset, W.bottom_cob.simpset, W.simpset], 7),
     ):
         compiled.clear()
         run()
-        assert [id(X) for X in compiled] == [id(X) for X in spaces]
+        assert len(compiled) == total
+        assert len({id(X) for X in compiled}) == total
+        assert [X for X in compiled if any(X is S for S in spaces)] == spaces

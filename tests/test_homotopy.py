@@ -423,7 +423,7 @@ def _crs_pi1_seed(X, A):
         Hinv = reference.invert_homotopy(arrow_reps[a])
         inv[a] = seq_class[(a[0], Hinv.key())]
     G = FinGroupoid(objects, tuple(arrows), src, tgt, comp, ident, inv, name=f"pi1CRS({X.name})")
-    return CrsResult(X, A, colourings, G, arrow_reps, deltas)
+    return CrsResult(X, A, colourings, G, arrow_reps, deltas, _compose_tables(Plan(X, A)))
 
 
 CATALOG = cli._builders()

@@ -1,0 +1,183 @@
+"""The endpoint index of `FinGroupoid` and the walks that read it, against the
+all-arrow and all-pair scans they replace (kept in `tests/reference.py`)."""
+import random
+from functools import lru_cache
+
+import pytest
+
+from quinncalc.extprof import cobordism_profunctor
+from quinncalc.finalg import (
+    action_groupoid,
+    crossed_module_zero,
+    cyclic_group,
+    find_groupoid_iso,
+    groupoid_from_group,
+    iota1,
+    iota2,
+    pair_groupoid,
+    symmetric_group,
+)
+from quinncalc.finalg.groupoids import FinGroupoid
+from quinncalc.homotopy import crs_pi1
+from quinncalc.io import groupoid_to_json
+from quinncalc.morita import Bimodule, groupoid_algebra, lin2_bimodule, quantum_double, tensor_over
+from quinncalc.simpset import circle, point, prism
+from tests import reference
+from tests.conftest import corpus_crossed_modules, corpus_groups
+
+
+def _conjugation_groupoid(G):
+    conj = {(g, x): G.mul(G.mul(g, x), G.inv(g)) for g in G.elements for x in G.elements}
+    return action_groupoid(G, G.elements, conj)
+
+
+@lru_cache(maxsize=None)
+def _groupoids():
+    out = {f"group-{G.name}": groupoid_from_group(G) for G in corpus_groups()}
+    out.update({f"pair-{k}": pair_groupoid(k) for k in (2, 3, 4)})
+    out["s3-conjugation"] = _conjugation_groupoid(symmetric_group(3))
+    out["circle-s3"] = crs_pi1(circle(), iota1(symmetric_group(3))).groupoid
+    out["circle-s4"] = crs_pi1(circle(), iota1(symmetric_group(4))).groupoid
+    zero = iota2(crossed_module_zero(cyclic_group(4), cyclic_group(2)))
+    out["prism-circle-z2-z4-zero"] = crs_pi1(prism(circle()), zero).groupoid
+    return out
+
+
+# groupoids small enough for the all-pairs oracles; the prism-circle one has
+# 8192 arrows and over a million composites
+SMALL = [
+    "group-Z2", "group-Z3", "group-Z4", "group-S3", "pair-2", "pair-3", "pair-4",
+    "s3-conjugation", "circle-s3", "circle-s4",
+]
+
+
+@pytest.mark.parametrize("name", [*SMALL, "prism-circle-z2-z4-zero"])
+def test_incident_arrows_match_the_filtered_scans_in_order(name):
+    G = _groupoids()[name]
+    for x in G.objects:
+        assert G.arrows_from(x) == reference.arrows_from(G, x)
+        assert G.arrows_into(x) == reference.arrows_into(G, x)
+    pairs = [(x, y) for x in G.objects for y in G.objects]
+    if len(G.arrows) > 1000:
+        # all pairs from the first object, and a seeded sample of the rest
+        pairs = [p for p in pairs if p[0] == G.objects[0]] + random.Random(7).sample(pairs, 100)
+    for x, y in pairs:
+        assert G.arrows_between(x, y) == reference.arrows_between(G, x, y)
+    assert G.arrows_from("no such object") == () == G.arrows_between("no", "such")
+
+
+def test_the_index_is_built_on_first_use():
+    G = pair_groupoid(3)
+    assert "ends" not in vars(G)
+    assert G.arrows_between(1, 2) == ((1, 2),)
+    assert "ends" in vars(G)
+    # ext-groupoid builds and writes a groupoid without asking for incident arrows
+    H = crs_pi1(circle(), iota1(symmetric_group(3))).groupoid
+    groupoid_to_json(H)
+    assert "ends" not in vars(H)
+
+
+@pytest.mark.parametrize("name", SMALL)
+def test_groupoid_algebra_matches_the_all_pairs_scan(name):
+    G = _groupoids()[name]
+    new, old = groupoid_algebra(G), reference.groupoid_algebra(G)
+    assert (new.basis, new.mul, new.unit) == (old.basis, old.mul, old.unit)
+    assert new.structure_triples() == old.structure_triples()
+
+
+@pytest.mark.parametrize("G", corpus_groups(), ids=lambda G: G.name)
+def test_quantum_double_matches_the_quartic_scan(G):
+    new, old = quantum_double(G), reference.quantum_double(G)
+    assert new.basis == old.basis and new.unit == old.unit
+    assert list(new.mul.items()) == list(old.mul.items())
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        ("circle-s3", "s3-conjugation"),
+        ("circle-s4", "s4-conjugation"),
+        ("pair-3", "pair-3"),
+        ("group-S3", "group-S3"),
+        ("circle-s3", "pair-3"),
+    ],
+)
+def test_groupoid_iso_matches_the_all_pairs_check(left, right):
+    groupoids = {**_groupoids(), "s4-conjugation": _conjugation_groupoid(symmetric_group(4))}
+    G, H = groupoids[left], groupoids[right]
+    new, old = find_groupoid_iso(G, H), reference.find_groupoid_iso(G, H)
+    assert new == old
+    assert (new is None) == ((left, right) == ("circle-s3", "pair-3"))
+
+
+def test_groupoid_iso_rejects_one_broken_composite():
+    """One composite away from the base objects is changed to another arrow with
+    the same ends; only the final check of the search sees it."""
+    G, H = _groupoids()["circle-s3"], _groupoids()["s3-conjugation"]
+    assert find_groupoid_iso(G, H) is not None
+    bases = {comp[0] for comp in G.components()}
+    a = next(a for a in G.arrows if G.src[a] not in bases)
+    b = G.arrows_from(G.tgt[a])[0]
+    wrong = next(c for c in G.arrows_between(G.src[a], G.tgt[b]) if c != G.comp(a, b))
+    comp = {**G.comp_table, (a, b): wrong}
+    broken = FinGroupoid(G.objects, G.arrows, G.src, G.tgt, comp, G.ident, G.inv_table)
+    assert find_groupoid_iso(broken, H) is None
+    assert reference.find_groupoid_iso(broken, H) is None
+
+
+def _cylinder_bimodules():
+    algebras = [iota1(G) for G in corpus_groups()] + [iota2(M) for M in corpus_crossed_modules()]
+    for A in algebras:
+        for X in (point(), circle()):
+            yield f"{X.name}-{A.name}", lin2_bimodule(cobordism_profunctor(prism(X), A))
+
+
+def _same_tensor(M, N):
+    (T, classes), (T_old, classes_old) = tensor_over(M, N), reference.tensor_over(M, N)
+    assert classes == classes_old
+    assert T.basis == T_old.basis
+    assert (T.lact, T.ract) == (T_old.lact, T_old.ract)
+    return T, classes
+
+
+def test_tensor_matches_the_all_middle_scan_on_the_cylinders():
+    for _, M in _cylinder_bimodules():
+        _same_tensor(M, M)
+
+
+def _regular_z2_bimodule():
+    return lin2_bimodule(cobordism_profunctor(prism(circle()), iota1(cyclic_group(2))))
+
+
+def test_tensor_matches_the_all_middle_scan_with_empty_or_missing_rows():
+    """One module element of either factor acts by zero on the middle algebra,
+    through explicit empty rows or through no rows at all.  Its pairs are
+    balanced against zero either way, from the other factor's rows too."""
+    M = _regular_z2_bimodule()
+    m0, n0 = M.basis[0], M.basis[-1]
+
+    def with_actions(lact, ract):
+        return Bimodule(M.left, M.right, M.basis, lact, ract)
+
+    empty_right = {**M.ract, **{(m0, b): {} for b in M.right.basis}}
+    empty_left = {**M.lact, **{(b, n0): {} for b in M.left.basis}}
+    cases = {
+        "empty right rows": (with_actions(M.lact, empty_right), M),
+        "missing right rows": (with_actions(M.lact, {k: r for k, r in M.ract.items() if k[0] != m0}), M),
+        "empty left rows": (M, with_actions(empty_left, M.ract)),
+        "missing left rows": (M, with_actions({k: r for k, r in M.lact.items() if k[1] != n0}, M.ract)),
+    }
+    classes = {name: _same_tensor(*pair)[1] for name, pair in cases.items()}
+    for side in ("right", "left"):
+        assert classes[f"empty {side} rows"] == classes[f"missing {side} rows"]
+        assert None in classes[f"empty {side} rows"].values()
+
+
+def test_non_monomial_balancing_still_raises():
+    M = _regular_z2_bimodule()
+    key, row = next(iter(M.ract.items()))
+    (img,) = row
+    bad = Bimodule(M.left, M.right, M.basis, M.lact, {**M.ract, key: {img: 2}})
+    for tensor in (tensor_over, reference.tensor_over):
+        with pytest.raises(NotImplementedError):
+            tensor(bad, M)

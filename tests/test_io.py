@@ -1,5 +1,6 @@
 import json
 from functools import lru_cache
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from quinncalc import cli
 from quinncalc.colouring import enumerate_colourings
 from quinncalc.errors import SchemaError
-from quinncalc.extprof import cobordism_profunctor
+from quinncalc.extprof import cobordism_profunctor, identity_profunctor
 from quinncalc.finalg import chi_pi, validate_crossed_complex
 from quinncalc.finalg import (
     crossed_module_identity,
@@ -355,6 +356,17 @@ def test_groupoid_with_colliding_labels_matches_the_old_emitter():
     # sorting label triples instead would put the identity composites first
     tied = [c for a, b, c in groupoid_to_json(G)["compose"] if (a, b) == ("(a,b)", "(a,b)")]
     assert tied == ["(a,b)", "1", "1", "(a,b)"]
+
+
+def test_profunctor_with_colliding_labels_matches_the_old_emitter():
+    """The hom profunctor of that groupoid: both actions are its composition table, and
+    the action rows are sorted by the same label ranks as the table."""
+    P = identity_profunctor(SimpleNamespace(groupoid=_colliding_groupoid()))
+    data = profunctor_to_json(P)
+    assert dump_json(data) == oracle(old_profunctor_to_json(P))
+    for act in ("leftAct", "rightAct"):
+        tied = [c for a, b, c in data[act] if (a, b) == ("(a,b)", "(a,b)")]
+        assert tied == ["(a,b)", "1", "1", "(a,b)"]
 
 
 @pytest.mark.parametrize(
