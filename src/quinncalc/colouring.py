@@ -12,22 +12,29 @@ the test suite):
     n>=4:  (f(d0 c) <| f(01)^-1) . prod_{j=1..n} f(dj c)^((-1)^j)
 where f(01) is the value on the leading edge d_2 d_3 ... d_n c.
 
-These labels depend on X alone, so (X, A) is compiled once into a `Plan`:
-each generator's leading vertex, a label evaluator per generator whose faces
-and twist edge are resolved to "value of a generator" or "identity at a
-vertex", the schedule of label tests along the walk, arrows by (source,
-target), the boundary preimages of each level and each slot's domain.
-`Plan.colourings(fixed)` lists the colourings extending some fixed values
-and `Plan.count(fixed)` counts them without building any.  Both run one
-backtracking walk, which reads only the plan, after one check of the fixed
-values.  `enumerate_colourings` and `enumerate_relative` compile a plan per
-call; a caller that walks one X for many boundary values compiles it once.
-The homotopy layer reads the same compilation: `Plan.terms` resolves the
+These labels depend on X alone, so (X, A) is compiled once into a `Plan`.
+Its walk runs on value indices, the ones `colouring_key` uses: a colouring
+in progress is one list holding, at each walk position, the index of an
+object, of an arrow, or of an element in the fibre over the image of the
+generator's leading vertex.  Each generator's label is evaluated from list
+positions and the nested-list tables of A (composition, inverses and
+identities, the fibres' products, inverses and units, the actions, the
+arrows between two objects and the boundary preimages), compiled once per
+plan; so are the schedule of label tests and each slot's domain.  A label
+test that exactness makes vacuous (pi_n(A, x) trivial at every object x)
+is left out.  `Plan.colourings(fixed)` lists the colourings extending some
+fixed values, decoding each vector into a values dict, and
+`Plan.count(fixed)` counts them without decoding any.  Both run one
+backtracking walk after one check and encoding of the fixed values.
+`enumerate_colourings` and `enumerate_relative` compile a plan per call; a
+caller that walks one X for many boundary values compiles it once.  The
+homotopy layer reads the same compilation: `Plan.terms` resolves the
 homotopy addition word of each cell to slot reads once, `Plan.key_slots`
 places each generator's value in its `colouring_key`, and `Plan.key_tables`
-holds the operations of A on those value indices.  Every homotopy
-addition word in the program is evaluated on a plan; `boundary_label`
-compiles one per call, and `value_of_ref` reads a single simplex.
+holds the operations of A on those value indices, the walk's own tables.
+Every homotopy addition word in the program is evaluated on a plan;
+`boundary_label` compiles one per call, and `value_of_ref` reads a single
+simplex.
 """
 from __future__ import annotations
 
@@ -163,62 +170,416 @@ def as_simpset(X) -> SimpSet:
     return X.simpset if isinstance(X, Stratification) else X
 
 
+class _Ops:
+    """The operations of A on value indices, as nested lists.
+
+    Objects, arrows and the elements of each fibre are indexed in declaration
+    order, as in `colouring_key`.
+
+    - `obj[x]`, `arr[a]`, `index[n][x][e]`: the index of an object, an arrow
+      and an element e of the level-n fibre at the object indexed x;
+    - `src[a]`, `tgt[a]`, `inv[a]`: the source, target and inverse of an arrow;
+      `ident[x]`: the identity arrow at an object;
+    - `comp[a][b]`: the composite of a then b, None when they do not compose;
+    - for n = 2..truncation, at the object indexed x: `mul[n][x][i][j]`,
+      `finv[n][x][i]` and `unit[n][x]`, the fibre's product, inverse and
+      unit; `bdry[n][x][i]`, the boundary of element i, an arrow for n = 2
+      and an element of the level-(n-1) fibre at x above;
+    - `act[n][a][i]`: element i of the fibre at the source of the arrow a,
+      acted on by a, in the fibre at its target.
+    """
+
+    def __init__(self, A: CrossedComplex):
+        base = A.base
+        obj = self.obj = {x: i for i, x in enumerate(A.objects)}
+        arr = self.arr = {a: i for i, a in enumerate(base.arrows)}
+        self.src = [obj[base.src[a]] for a in base.arrows]
+        self.tgt = [obj[base.tgt[a]] for a in base.arrows]
+        self.inv = [arr[base.inv_table[a]] for a in base.arrows]
+        self.ident = [arr[base.ident[x]] for x in A.objects]
+        self.comp = [[None] * len(arr) for _ in arr]
+        for (a, b), c in base.comp_table.items():
+            self.comp[arr[a]][arr[b]] = arr[c]
+        self.index, self.mul, self.finv, self.unit, self.bdry, self.act = {}, {}, {}, {}, {}, {}
+        for n in range(2, A.truncation + 1):
+            fibres = [A.fibre(n, x) for x in A.objects]
+            index = self.index[n] = [{e: i for i, e in enumerate(F.elements)} for F in fibres]
+            self.mul[n] = [
+                [[ix[F.mul(e1, e2)] for e2 in F.elements] for e1 in F.elements]
+                for F, ix in zip(fibres, index)
+            ]
+            self.finv[n] = [[ix[F.inv(e)] for e in F.elements] for F, ix in zip(fibres, index)]
+            self.unit[n] = [ix[F.unit] for F, ix in zip(fibres, index)]
+            lower = [arr] * len(fibres) if n == 2 else self.index[n - 1]
+            self.bdry[n] = [
+                [lower[i][A.bdry[n][x, e]] for e in F.elements]
+                for i, (x, F) in enumerate(zip(A.objects, fibres))
+            ]
+            self.act[n] = [
+                [index[t][A.act[n][(base.src[a], e), a]] for e in fibres[s].elements]
+                for a, s, t in zip(base.arrows, self.src, self.tgt)
+            ]
+
+
 class Plan:
     """(X, A) compiled once for any number of walks; nothing here depends on a colouring.
 
     X may be a `SimpSet` or a `Stratification`; `self.X` is the `SimpSet`.
+    The walk runs on value indices: a colouring is a list `v` with, at each
+    position of `slots`, the index of its value there (an object, an arrow,
+    or an element of the fibre at the image of the generator's leading
+    vertex), as `colouring_key` indexes it.  Labels, label tests and domains
+    read positions of `v` and the nested lists of `_Ops`, and the homotopy
+    layer's `key_tables` are built from the same lists.
 
     - `lead[g]`: the leading vertex of g;
-    - `label[c](values)`: the homotopy addition label of c under `values`,
-      for c of dimension >= 2;
-    - `slots`: the walk order; `checks[pos]`: the label tests run on arrival
-      at position pos;
-    - `preimage[n][x]`: label -> [(x, e), ...] with that boundary, in fibre order;
-    - `domains[pos](values)`: the admissible values at `slots[pos]`, given
-      every earlier position;
+    - `label[c](values)`: the homotopy addition label of c under the values
+      dict `values`, for c of dimension >= 2; it encodes `values` and calls
+      the index evaluator of c;
+    - `slots`: the walk order, levels 0..min(dim X, truncation) in generator
+      order, which is a prefix of `X.all_gens()`;
     - `faces[c]`: the proper faces of c, for c of dimension 2..truncation;
-    - `terms[c]`, `key_slots[g]`, `key_tables`: built on first use, for the
-      homotopy layer.
+    - `terms[c]`, `key_slots[g]`, `key_tables`: for the homotopy layer.
+
+    Everything but `lead` is built on first use, so a plan that evaluates a
+    homotopy or a label never builds the walk's domains and tests.
     """
 
     def __init__(self, X, A: CrossedComplex):
         X = as_simpset(X)
         self.X, self.A = X, A
-        trunc = A.truncation
-        last_level = min(X.dim, trunc)
-        top_constraint_dim = min(X.dim, trunc + 1)
         self.lead = {g: X.initial_vertex(g) for g in X.all_gens()}
-        self._product: dict = {}
-        self.preimage: dict = {}
-        for n in range(2, last_level + 1):
-            self.preimage[n] = {}
-            for x in A.objects:
-                index = self.preimage[n][x] = {}
-                for e in A.fibre(n, x).elements:
-                    index.setdefault(A.bdry_of(n, (x, e)), []).append((x, e))
-        self.label = {
-            c: self._evaluator(c) for n in range(2, X.dim + 1) for c in X.gens(n)
+        self._last_level = min(X.dim, A.truncation)  # the top level the walk assigns
+
+    @cached_property
+    def slots(self) -> list:
+        X = self.X
+        return [g for n in range(self._last_level + 1) for g in X.gens(n)]
+
+    @cached_property
+    def faces(self) -> dict:
+        """c -> the proper faces of c, for the check of fixed values."""
+        X = self.X
+        return {
+            c: X.subcomplex_closure({c}) - {c}
+            for n in range(2, self._last_level + 1)
+            for c in X.gens(n)
         }
-        # the proper faces of each assigned cell, for the check of fixed values
-        self.faces = {
-            c: X.subcomplex_closure({c}) - {c} for n in range(2, last_level + 1) for c in X.gens(n)
-        }
-        # the walk visits levels 0..last_level in generator order; the label
-        # test of an (n+1)-generator runs once its last n-face is assigned,
-        # or on entry to level n when all its n-faces are degenerate
-        self.slots = [g for n in range(last_level + 1) for g in X.gens(n)]
-        self.checks: list = [[] for _ in range(len(self.slots) + 1)]
+
+    @cached_property
+    def _ops(self) -> _Ops:
+        return _Ops(self.A)
+
+    @cached_property
+    def _evaluators(self) -> dict:
+        """c -> v -> the homotopy addition label of c as a value index, for c of dimension >= 2.
+
+        The label of a 2-generator is an arrow; above, it is an element of
+        the level-(n-1) fibre at the image of the leading vertex.
+        """
+        X = self.X
+        return {c: self._evaluator(c) for n in range(2, X.dim + 1) for c in X.gens(n)}
+
+    def _arrow_read(self, ref: SimplexRef, sign: int) -> tuple:
+        """(position, table): the arrow on the edge ref, to the power sign, is table[v[position]].
+
+        table is None when it is v[position] itself.  A degenerate edge
+        reads the identity at its vertex.
+        """
+        ops, X = self._ops, self.X
+        if ref.word:
+            return X.gen_index(X.initial_vertex(ref)), ops.ident
+        return X.gen_index(ref.core), (None if sign > 0 else ops.inv)
+
+    def _evaluator(self, c):
+        """v -> the homotopy addition label of c, for c of dimension n >= 2, on value indices."""
+        X, ops = self.X, self._ops
+        n = X.dim_of[c]
+        word = hal_word(X, c)
+        if n == 2:
+            comp = ops.comp
+            (k0, t0), (k1, t1), (k2, t2) = (self._arrow_read(r, s) for r, s, _ in word)
+
+            def label(v):
+                a0 = v[k0] if t0 is None else t0[v[k0]]
+                a1 = v[k1] if t1 is None else t1[v[k1]]
+                a2 = v[k2] if t2 is None else t2[v[k2]]
+                return comp[comp[a0][a1]][a2]
+
+            return label
+        m = n - 1
+        if m > self.A.truncation:
+            return lambda v: 0  # the unit of the trivial fibre
+        # the leading term, of sign +1, is twisted by the inverse leading edge;
+        # degenerate faces carry units, which leave the product unchanged
+        (ref0, _, ((edge, sign),)), rest = word[0], word[1:]
+        k1, t1 = self._arrow_read(edge, sign)
+        k0 = None if ref0.word else X.gen_index(ref0.core)
+        rest = [(X.gen_index(r.core), s < 0) for r, s, _ in rest if not r.word]
+        lead = X.gen_index(self.lead[c])
+        act, mul, finv, unit = ops.act[m], ops.mul[m], ops.finv[m], ops.unit[m]
+
+        def label(v):
+            x = v[lead]
+            out = unit[x] if k0 is None else act[t1[v[k1]]][v[k0]]
+            table, inv = mul[x], finv[x]
+            for k, negative in rest:
+                out = table[out][inv[v[k]] if negative else v[k]]
+            return out
+
+        return label
+
+    @cached_property
+    def label(self) -> dict:
+        return {c: self._decoded(c) for c in self._evaluators}
+
+    def _decoded(self, c):
+        """values -> the label of c under the values dict `values`, through its index evaluator."""
+        evaluate, m = self._evaluators[c], self.X.dim_of[c] - 1
+        vector = self._vector
+        if m == 1:
+            arrows = self.A.base.arrows
+            return lambda values: arrows[evaluate(vector(values))]
+        lead, fibre = self.lead[c], self.A.fibre
+
+        def label(values):
+            x = values[lead]
+            return x, fibre(m, x).elements[evaluate(vector(values))]
+
+        return label
+
+    @cached_property
+    def _preimage(self) -> dict:
+        """n -> pre[x][k]: the level-n elements at the object x with boundary k, in fibre order.
+
+        k is an arrow for n = 2 and an element of the level-(n-1) fibre at
+        x above; n runs over 2..min(dim X, truncation).
+        """
+        ops = self._ops
+        out = {}
+        for n in range(2, self._last_level + 1):
+            lower = [ops.arr] * len(ops.unit[n]) if n == 2 else ops.index[n - 1]
+            out[n] = table = []
+            for x, bdry in enumerate(ops.bdry[n]):
+                row = [[] for _ in lower[x]]
+                for i, k in enumerate(bdry):
+                    row[k].append(i)
+                table.append([tuple(r) for r in row])
+        return out
+
+    def _passes(self, n: int, between: list):
+        """ok[x][k]: whether the label k, at the object x, passes the test of an (n+1)-cell.
+
+        Below the truncation the label must be a boundary, and just above it
+        an identity.  Once the n-faces of a cell meet their conditions, its
+        label lies in the kernel of the boundary (a loop, for n = 1).  When
+        every kernel element passes at every object, that is when pi_n(A, x)
+        is trivial everywhere, the test can never fail and None is returned.
+        """
+        ops, A = self._ops, self.A
+        objects = range(len(ops.ident))
+        if n + 1 <= A.truncation:
+            ok = [[bool(r) for r in row] for row in self._preimage[n + 1]]
+        elif n == 1:
+            ok = [[a == ops.ident[x] for a in range(len(ops.arr))] for x in objects]
+        else:
+            ok = [[i == ops.unit[n][x] for i in range(len(ops.finv[n][x]))] for x in objects]
+        if n == 1:
+            kernel = [between[x][x] for x in objects]
+        else:
+            flat = ops.ident if n == 2 else ops.unit[n - 1]
+            kernel = [[i for i, k in enumerate(ops.bdry[n][x]) if k == flat[x]] for x in objects]
+        if all(ok[x][k] for x in objects for k in kernel[x]):
+            return None
+        return ok
+
+    @cached_property
+    def _schedule(self) -> tuple:
+        """(checks, domains) of the walk, on value indices.
+
+        `checks[pos]`: the label tests run on arrival at position pos;
+        `domains[pos](v)`: the admissible value indices at `slots[pos]`,
+        given every earlier position.  The label test of an (n+1)-generator
+        runs once its last n-face is assigned, or on entry to level n when
+        all its n-faces are degenerate; a test that `_passes` shows can never
+        fail is left out.
+        """
+        X, A, ops = self.X, self.A, self._ops
+        where = X.gen_index
+        between = [
+            [tuple(ops.arr[a] for a in A.base.arrows_between(x, y)) for y in A.objects]
+            for x in A.objects
+        ]
+        top_constraint_dim = min(X.dim, A.truncation + 1)
+        checks: list = [[] for _ in range(len(self.slots) + 1)]
         pos = 0
-        for n in range(last_level + 1):
+        for n in range(self._last_level + 1):
             gens = X.gens(n)
-            if 2 <= n + 1 <= top_constraint_dim:
+            if 2 <= n + 1 <= top_constraint_dim and (ok := self._passes(n, between)) is not None:
                 index = {g: pos + k + 1 for k, g in enumerate(gens)}
                 for c in X.gens(n + 1):
                     faces = (X.face(c, i) for i in range(n + 2))
                     at = max((index[f.core] for f in faces if not f.word), default=pos)
-                    self.checks[at].append(self._test(c))
+                    checks[at].append(self._test(c, ok))
             pos += len(gens)
-        self.domains = [self._domain(g) for g in self.slots]
+        objects = tuple(range(len(A.objects)))
+        domains = []
+        for g in self.slots:
+            n = X.dim_of[g]
+            if n == 0:
+                domains.append(lambda v: objects)
+            elif n == 1:
+                s, t = (where(u) for u in X.edge_ends(g))
+                domains.append(lambda v, s=s, t=t: between[v[s]][v[t]])
+            else:
+                domains.append(self._domain(g))
+        return checks, domains
+
+    def _test(self, c, ok):
+        lead, label = self.X.gen_index(self.lead[c]), self._evaluators[c]
+        return lambda v: ok[v[lead]][label(v)]
+
+    def _domain(self, g):
+        """v -> the elements at g whose boundary is its label, g of dimension >= 2."""
+        lead, label = self.X.gen_index(self.lead[g]), self._evaluators[g]
+        preimage = self._preimage[self.X.dim_of[g]]
+        return lambda v: preimage[v[lead]][label(v)]
+
+    def _encode(self, values: dict) -> dict:
+        """position -> code, for the generators of `values` at a position of `slots`.
+
+        The code of an object or an arrow is its index; that of a level-n
+        element (x, e) is (index of x, index of e in the fibre at x).  A
+        value that A does not have is coded None.
+        """
+        X, ops, end = self.X, self._ops, len(self.slots)
+        out = {}
+        for g, value in values.items():
+            pos = X.gen_index(g)
+            if pos >= end:
+                continue
+            n = X.dim_of[g]
+            if n == 0:
+                out[pos] = ops.obj.get(value)
+            elif n == 1:
+                out[pos] = ops.arr.get(value)
+            else:
+                x, e = value
+                i = None if (x := ops.obj.get(x)) is None else ops.index[n][x].get(e)
+                out[pos] = None if i is None else (x, i)
+        return out
+
+    def _vector(self, values: dict, codes: dict | None = None) -> list:
+        """The value indices of `values` at the positions of `slots`, as the walk holds them.
+
+        A position is None where `values` has no value, A does not have it,
+        or it does not fit the values below: an arrow whose ends are not the
+        images of the edge's ends, or a level-n element that does not lie
+        over the image of the generator's leading vertex.  `codes` is
+        `_encode(values)` when already made.
+        """
+        X, ops, slots = self.X, self._ops, self.slots
+        if codes is None:
+            codes = self._encode(values)
+        v = [None] * len(slots)
+        for pos in sorted(codes):
+            code, g = codes[pos], slots[pos]
+            n = X.dim_of[g]
+            if code is None:
+                continue
+            if n == 0:
+                v[pos] = code
+            elif n == 1:
+                s, t = X.edge_ends(g)
+                if ops.src[code] == v[X.gen_index(s)] and ops.tgt[code] == v[X.gen_index(t)]:
+                    v[pos] = code
+            elif code[0] == v[X.gen_index(self.lead[g])]:
+                v[pos] = code[1]
+        return v
+
+    def _check_fixed(self, fixed: dict) -> dict:
+        """Reject fixed values that cannot be part of a colouring; return their `_encode` codes.
+
+        Only conditions fully determined by the fixed set are checked, so
+        partial (non-face-closed) data passes through to the walk.
+        """
+        X, A = self.X, self.A
+        for g in fixed:
+            if g not in X.dim_of:
+                raise BoundaryError(f"fixed value on unknown generator {g!r}")
+        codes = self._encode(fixed)
+        for g, v in fixed.items():
+            if X.dim_of[g] == 0 and codes[X.gen_index(g)] is None:
+                raise BoundaryError(f"vertex value {v!r} is not an object")
+        vector = None
+        for g, v in fixed.items():
+            d = X.dim_of[g]
+            if d == 1:
+                s, t = X.edge_ends(g)
+                if s in fixed and t in fixed:
+                    if A.base.src.get(v) != fixed[s] or A.base.tgt.get(v) != fixed[t]:
+                        raise BoundaryError(f"edge value at {g!r} has wrong endpoints")
+            elif 2 <= d <= A.truncation and self.faces[g] <= fixed.keys():
+                if vector is None:
+                    vector = self._vector(fixed, codes)
+                if not self._meets(g, vector):
+                    raise BoundaryError(f"value at {g!r} violates its boundary condition")
+        return codes
+
+    def _meets(self, g, v: list) -> bool:
+        """Whether the value at g has its label as boundary, in the fixed vector v that holds g's faces.
+
+        When a face's value does not fit, that face's own check fails, so g
+        is not blamed for it.
+        """
+        where = self.X.gen_index
+        i = v[where(g)]
+        if i is None:
+            return False
+        if any(v[where(f)] is None for f in self.faces[g]):
+            return True
+        preimage = self._preimage[self.X.dim_of[g]]
+        return i in preimage[v[where(self.lead[g])]][self._evaluators[g](v)]
+
+    def _pinned(self, pos: int, code, domain):
+        """`domain` at slots[pos], cut down to the fixed value whose `_encode` code is `code`."""
+        g = self.slots[pos]
+        n = self.X.dim_of[g]
+        if n == 0:
+            return lambda v: (code,)
+        if n == 1:
+            return lambda v: (code,) if code in domain(v) else ()
+        lead = self.X.gen_index(self.lead[g])
+        x, i = code or (None, None)
+        return lambda v: (i,) if v[lead] == x and i in domain(v) else ()
+
+    @cached_property
+    def _decode(self):
+        """v -> the values dict of the colouring whose value indices at `slots` are v.
+
+        The level-n values (x, e) are read from tables built here, so a
+        colouring allocates its dict and nothing else.
+        """
+        X, A = self.X, self.A
+        pairs = {
+            n: [tuple((x, e) for e in A.fibre(n, x).elements) for x in A.objects]
+            for n in range(2, self._last_level + 1)
+        }
+        low, high = [], []
+        for pos, g in enumerate(self.slots):
+            n = X.dim_of[g]
+            if n < 2:
+                low.append((g, pos, A.objects if n == 0 else A.base.arrows))
+            else:
+                high.append((g, pos, X.gen_index(self.lead[g]), pairs[n]))
+
+        def decode(v):
+            values = {g: table[v[pos]] for g, pos, table in low}
+            for g, pos, lead, table in high:
+                values[g] = table[v[lead]][v[pos]]
+            return values
+
+        return decode
 
     def _reader(self, ref: SimplexRef, sign: int = 1):
         """(key, table): the value on ref is values[key], mapped through table if any.
@@ -259,7 +620,7 @@ class Plan:
         """
         X = self.X
         out = {}
-        for n in range(2, min(X.dim, self.A.truncation) + 1):
+        for n in range(2, self._last_level + 1):
             for c in X.gens(n):
                 word = hal_word(X, c)
                 out[c] = occurrences = []
@@ -306,158 +667,47 @@ class Plan:
           on by a;
         - `mul[n][a][i][j]`: the index of the product of the elements of
           indices i and j in the level-n fibre at the target of the arrow a.
+
+        These are the walk's tables (`_Ops`), with the products listed by arrow.
         """
-        A, base = self.A, self.A.base
-        arr = {a: i for i, a in enumerate(base.arrows)}
-        comp = [[None] * len(arr) for _ in arr]
-        for (a, b), c in base.comp_table.items():
-            comp[arr[a]][arr[b]] = arr[c]
-        act, mul = {}, {}
-        for n in range(2, A.truncation + 1):
-            fibre = {x: A.fibre(n, x) for x in A.objects}
-            table = {
-                x: [[F.index(F.mul(e1, e2)) for e2 in F.elements] for e1 in F.elements]
-                for x, F in fibre.items()
-            }
-            act[n] = [
-                [
-                    fibre[base.tgt[a]].index(A.act[n][(base.src[a], e), a])
-                    for e in fibre[base.src[a]].elements
-                ]
-                for a in base.arrows
-            ]
-            mul[n] = [table[base.tgt[a]] for a in base.arrows]
-        return comp, act, mul
-
-    def _evaluator(self, c):
-        """values -> the homotopy addition label of c, for c of dimension >= 2."""
-        X, A = self.X, self.A
-        n = X.dim_of[c]
-        terms = hal_word(X, c)
-        comp = A.base.comp_table
-        if n == 2:
-            (k0, t0), (k1, t1), (k2, t2) = (self._reader(r, s) for r, s, _ in terms)
-
-            def label(vals):
-                a0 = vals[k0] if t0 is None else t0[vals[k0]]
-                a1 = vals[k1] if t1 is None else t1[vals[k1]]
-                a2 = vals[k2] if t2 is None else t2[vals[k2]]
-                return comp[comp[a0, a1], a2]
-
-            return label
-        m, lead = n - 1, self.lead[c]
-        if m > A.truncation:
-            ident = {x: A.identity_elem(m, x) for x in A.objects}
-            return lambda vals: ident[vals[lead]]
-        # hal_word twists its leading term, of sign +1, by the inverse leading edge
-        (ref0, _, ((edge, sign),)), rest = terms[0], terms[1:]
-        k0, t0 = self._reader(ref0)
-        k1, t1 = self._reader(edge, sign)
-        rest = [self._reader(r, s) for r, s, _ in rest]
-        act = A.act[m]
-        if m not in self._product:
-            self._product[m] = {
-                x: {(a, b): F.mul(a, b) for a in F.elements for b in F.elements}
-                for x, F in ((x, A.fibre(m, x)) for x in A.objects)
-            }
-        product = self._product[m]
-
-        def label(vals):
-            x = vals[lead]
-            mul = product[x]
-            arrow = vals[k1] if t1 is None else t1[vals[k1]]
-            out = act[(vals[k0] if t0 is None else t0[vals[k0]]), arrow]
-            for key, table in rest:
-                out = mul[out, (vals[key] if table is None else table[vals[key]])[1]]
-            return x, out
-
-        return label
-
-    def _test(self, c):
-        """values -> whether the boundary condition at c can be (or is) met."""
-        A = self.A
-        n, lead, label = self.X.dim_of[c], self.lead[c], self.label[c]
-        if n == A.truncation + 1:
-            if n == 2:
-                flat = A.base.ident
-            else:
-                flat = {x: A.identity_elem(n - 1, x) for x in A.objects}
-            return lambda vals: label(vals) == flat[vals[lead]]
-        image = self.preimage[n]
-        return lambda vals: label(vals) in image[vals[lead]]
-
-    def _domain(self, g):
-        """values -> the admissible values at g, given every earlier position."""
-        X, A = self.X, self.A
-        n = X.dim_of[g]
-        if n == 0:
-            objects = A.objects
-            return lambda vals: objects
-        if n == 1:
-            s, t = X.edge_ends(g)
-            between = A.base.ends[2]  # the base groupoid's arrows by (source, target)
-            return lambda vals: between.get((vals[s], vals[t]), ())
-        lead, label, preimage = self.lead[g], self.label[g], self.preimage[n]
-        return lambda vals: preimage[vals[lead]].get(label(vals), ())
-
-    def _check_fixed(self, fixed: dict):
-        """Reject fixed values that cannot be part of a colouring.
-
-        Only conditions fully determined by the fixed set are checked, so
-        partial (non-face-closed) data passes through to the walk.
-        """
-        X, A = self.X, self.A
-        for g in fixed:
-            if g not in X.dim_of:
-                raise BoundaryError(f"fixed value on unknown generator {g!r}")
-        objs = set(A.objects)
-        for g, v in fixed.items():
-            if X.dim_of[g] == 0 and v not in objs:
-                raise BoundaryError(f"vertex value {v!r} is not an object")
-        for g, v in fixed.items():
-            d = X.dim_of[g]
-            if d == 1:
-                s, t = X.edge_ends(g)
-                if s in fixed and t in fixed:
-                    if A.base.src.get(v) != fixed[s] or A.base.tgt.get(v) != fixed[t]:
-                        raise BoundaryError(f"edge value at {g!r} has wrong endpoints")
-            elif 2 <= d <= A.truncation and self.faces[g] <= fixed.keys():
-                if A.bdry_of(d, v) != self.label[g](fixed):
-                    raise BoundaryError(f"value at {g!r} violates its boundary condition")
+        ops = self._ops
+        mul = {n: [table[t] for t in ops.tgt] for n, table in ops.mul.items()}
+        return ops.comp, ops.act, mul
 
     def _walk(self, fixed: dict, emit) -> int:
-        """The number of colourings extending `fixed`; each goes to `emit` if given."""
+        """The number of colourings extending `fixed`; each goes to `emit` if given.
+
+        `emit` receives the list of value indices at `slots`, which the walk
+        goes on to overwrite.
+        """
+        checks, domains = self._schedule
         if fixed:
-            self._check_fixed(fixed)
-        slots, checks, domains = self.slots, self.checks, list(self.domains)
-        for pos, g in enumerate(slots):
-            if g in fixed:
-                domain, v = domains[pos], fixed[g]
-                domains[pos] = lambda vals, domain=domain, v=v: [a for a in domain(vals) if a == v]
-        end = len(slots)
-        values: dict = {}
+            domains = list(domains)
+            for pos, code in self._check_fixed(fixed).items():
+                domains[pos] = self._pinned(pos, code, domains[pos])
+        end = len(domains)
+        v: list = [None] * end
 
         def walk(pos):
             for test in checks[pos]:
-                if not test(values):
+                if not test(v):
                     return 0
             if pos == end:
                 if emit is not None:
-                    emit(values)
+                    emit(v)
                 return 1
-            g, n = slots[pos], 0
-            for v in domains[pos](values):
-                values[g] = v
+            n = 0
+            for i in domains[pos](v):
+                v[pos] = i
                 n += walk(pos + 1)
-            values.pop(g, None)
             return n
 
         return walk(0)
 
     def colourings(self, fixed: dict | None = None) -> list:
         """The colourings extending `fixed`, in canonical order."""
-        X, A, out = self.X, self.A, []
-        self._walk(fixed or {}, lambda values: out.append(Colouring(X, A, dict(values))))
+        X, A, decode, out = self.X, self.A, self._decode, []
+        self._walk(fixed or {}, lambda v: out.append(Colouring(X, A, decode(v))))
         return out
 
     def count(self, fixed: dict | None = None) -> int:

@@ -190,11 +190,12 @@ def pair_groupoid(k: int) -> FinGroupoid:
 
 def validate_left_action(G: FinGroup, points, act) -> ValidationReport:
     points = tuple(points)
+    members = set(points)
     for g in G.elements:
         for x in points:
             if (g, x) not in act:
                 return ValidationReport.malformed("action not total", (g, x))
-            if act[(g, x)] not in set(points):
+            if act[(g, x)] not in members:
                 return ValidationReport.malformed("action leaves the set", (g, x))
     for x in points:
         if act[(G.unit, x)] != x:

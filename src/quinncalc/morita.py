@@ -13,6 +13,10 @@ from .finalg.groups import FinGroup
 from .finalg.groupoids import FinGroupoid, action_groupoid, find_groupoid_iso, partition
 from .extprof import Profunctor
 
+# the one coefficient of every basis product and action; sharing it lets equal
+# rows compare by identity instead of through Fraction.__eq__
+_ONE = Fraction(1)
+
 
 def _addinto(acc: dict, key, coeff):
     c = acc.get(key, Fraction(0)) + coeff
@@ -43,7 +47,7 @@ class Algebra:
 
     def validate(self) -> bool:
         for a in self.basis:
-            va = {a: Fraction(1)}
+            va = {a: _ONE}
             if self.product(self.unit, va) != va or self.product(va, self.unit) != va:
                 return False
         for a in self.basis:
@@ -72,8 +76,8 @@ class Algebra:
 
 def groupoid_algebra(G: FinGroupoid) -> Algebra:
     """Arrows as basis; the product concatenates when endpoints match."""
-    mul = {ab: {c: Fraction(1)} for ab, c in G.comp_table.items()}
-    unit = {G.ident[x]: Fraction(1) for x in G.objects}
+    mul = {ab: {c: _ONE} for ab, c in G.comp_table.items()}
+    unit = {G.ident[x]: _ONE for x in G.objects}
     return Algebra(tuple(G.arrows), mul, unit, name=f"Lin2({G.name})")
 
 
@@ -114,8 +118,8 @@ def quantum_double(G: FinGroup) -> Algebra:
     for (g, a) in els:
         target = G.mul(G.mul(a, g), G.inv(a))
         for ap in G.elements:
-            mul[((g, a), (target, ap))] = {(g, G.mul(ap, a)): Fraction(1)}
-    unit = {(g, G.unit): Fraction(1) for g in G.elements}
+            mul[((g, a), (target, ap))] = {(g, G.mul(ap, a)): _ONE}
+    unit = {(g, G.unit): _ONE for g in G.elements}
     return Algebra(els, mul, unit, name=f"D({G.name})")
 
 
@@ -188,7 +192,7 @@ class Bimodule:
 
     def validate(self) -> bool:
         for m in self.basis:
-            vm = {m: Fraction(1)}
+            vm = {m: _ONE}
             lhs: dict = {}
             for a, ca in self.left.unit.items():
                 for k, c in self._lapply(a, vm).items():
@@ -205,7 +209,7 @@ class Bimodule:
             for a2 in self.left.basis:
                 prod = self.left.mul.get((a1, a2), {})
                 for m in self.basis:
-                    vm = {m: Fraction(1)}
+                    vm = {m: _ONE}
                     lhs = {}
                     for k, ck in prod.items():
                         for mp, c in self._lapply(k, vm).items():
@@ -216,7 +220,7 @@ class Bimodule:
             for b2 in self.right.basis:
                 prod = self.right.mul.get((b1, b2), {})
                 for m in self.basis:
-                    vm = {m: Fraction(1)}
+                    vm = {m: _ONE}
                     lhs = {}
                     for k, ck in prod.items():
                         for mp, c in self._rapply(vm, k).items():
@@ -226,7 +230,7 @@ class Bimodule:
         for a in self.left.basis:
             for b in self.right.basis:
                 for m in self.basis:
-                    vm = {m: Fraction(1)}
+                    vm = {m: _ONE}
                     if self._rapply(self._lapply(a, vm), b) != self._lapply(
                         a, self._rapply(vm, b)
                     ):
@@ -243,9 +247,9 @@ def lin2_bimodule(P: Profunctor) -> Bimodule:
     for (x, y), els in P.basis.items():
         for m in els:
             for g in GL.arrows_into(x):
-                lact[(g, m)] = {P.lact[(g, m)]: Fraction(1)}
+                lact[(g, m)] = {P.lact[(g, m)]: _ONE}
             for h in GR.arrows_from(y):
-                ract[(m, h)] = {P.ract[(m, h)]: Fraction(1)}
+                ract[(m, h)] = {P.ract[(m, h)]: _ONE}
     return Bimodule(AL, AR, basis, lact, ract, name="Lin2(P)")
 
 
@@ -321,10 +325,10 @@ def tensor_over(M: Bimodule, N: Bimodule):
     for (m, n) in basis:
         for a, img in m_left.get(m, {}).items():
             if img is not None and (tgt := classes[(img, n)]) is not None:
-                lact[(a, (m, n))] = {tgt: Fraction(1)}
+                lact[(a, (m, n))] = {tgt: _ONE}
         for c, img in n_right.get(n, {}).items():
             if img is not None and (tgt := classes[(m, img)]) is not None:
-                ract[((m, n), c)] = {tgt: Fraction(1)}
+                ract[((m, n), c)] = {tgt: _ONE}
     T = Bimodule(M.left, N.right, basis, lact, ract, name="tensor")
     return T, classes
 
@@ -343,8 +347,8 @@ class FrobeniusData:
 def frobenius_data(G: FinGroupoid) -> FrobeniusData:
     """The symmetric Frobenius and separability structure on a groupoid algebra."""
     A = groupoid_algebra(G)
-    lam = {a: Fraction(1) if a in set(G.ident.values()) else Fraction(0) for a in G.arrows}
-    casimir = [(a, G.inv(a), Fraction(1)) for a in G.arrows]
+    lam = {a: _ONE if a in set(G.ident.values()) else Fraction(0) for a in G.arrows}
+    casimir = [(a, G.inv(a), _ONE) for a in G.arrows]
     sep = [
         (a, G.inv(a), Fraction(1, len(G.arrows_from(G.src[a])))) for a in G.arrows
     ]

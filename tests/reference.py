@@ -13,14 +13,19 @@ the public wrappers, which compile a plan per call.
 Also here: test-only checks that build on them (`is_valid_colouring`,
 `crs_homotopy_content`, `decategorified_matrix`).
 
-The last section keeps the groupoid and Morita code that found incident
+The groupoid and Morita section keeps the code that found incident
 arrows and composable pairs by scanning every arrow, or every pair of
 arrows, and filtering: the oracles of `FinGroupoid.ends`, of the walks of
 `comp_table`, and of `tensor_over`'s walk of the action tables' rows.
+
+The last section keeps the colouring walk on values (`DictPlan`), with its
+dict-based labels, tests and domains: the oracle of `Plan`'s walk on value
+indices.
 """
 from fractions import Fraction
 
-from quinncalc.colouring import Colouring, hal_word, value_of_ref
+from quinncalc.colouring import Colouring, as_simpset, hal_word, value_of_ref
+from quinncalc.errors import BoundaryError
 from quinncalc.finalg.groupoids import partition
 from quinncalc.finalg.groups import find_group_iso
 from quinncalc.homotopy import (
@@ -429,3 +434,194 @@ def tensor_over(M, N):
                     ract[((m, n), c)] = {tgt: Fraction(1)}
     T = Bimodule(M.left, N.right, basis, lact, ract, name="tensor")
     return T, classes
+
+
+# -- the colouring walk on values, by dicts keyed by generator ----------------------------
+
+
+class DictPlan:
+    """The colouring walk as it ran on values: the oracle of `Plan`'s walk on value indices.
+
+    Labels, tests and domains read a dict from generator to value and look
+    values up in tuple-keyed tables of A (`comp_table`, `act`, fibre
+    products); every label test runs, including those that exactness makes
+    vacuous.  The schedule is `Plan`'s: levels in generator order, the test
+    of an (n+1)-generator once its last n-face is assigned.
+    """
+
+    def __init__(self, X, A):
+        X = as_simpset(X)
+        self.X, self.A = X, A
+        trunc = A.truncation
+        last_level = min(X.dim, trunc)
+        top_constraint_dim = min(X.dim, trunc + 1)
+        self.lead = {g: X.initial_vertex(g) for g in X.all_gens()}
+        self._product: dict = {}
+        self.preimage: dict = {}
+        for n in range(2, last_level + 1):
+            self.preimage[n] = {}
+            for x in A.objects:
+                index = self.preimage[n][x] = {}
+                for e in A.fibre(n, x).elements:
+                    index.setdefault(A.bdry_of(n, (x, e)), []).append((x, e))
+        self.label = {
+            c: self._evaluator(c) for n in range(2, X.dim + 1) for c in X.gens(n)
+        }
+        self.faces = {
+            c: X.subcomplex_closure({c}) - {c} for n in range(2, last_level + 1) for c in X.gens(n)
+        }
+        self.slots = [g for n in range(last_level + 1) for g in X.gens(n)]
+        self.checks: list = [[] for _ in range(len(self.slots) + 1)]
+        pos = 0
+        for n in range(last_level + 1):
+            gens = X.gens(n)
+            if 2 <= n + 1 <= top_constraint_dim:
+                index = {g: pos + k + 1 for k, g in enumerate(gens)}
+                for c in X.gens(n + 1):
+                    faces = (X.face(c, i) for i in range(n + 2))
+                    at = max((index[f.core] for f in faces if not f.word), default=pos)
+                    self.checks[at].append(self._test(c))
+            pos += len(gens)
+        self.domains = [self._domain(g) for g in self.slots]
+
+    def _reader(self, ref, sign: int = 1):
+        """(key, table): the value on ref is values[key], mapped through table if any."""
+        X, A = self.X, self.A
+        d = X.ref_dim(ref)
+        base = A.base
+        if not ref.word and not (d >= 2 and d > A.truncation):
+            if sign > 0:
+                return ref.core, None
+            if d == 1:
+                return ref.core, base.inv_table
+            return ref.core, {a: A.inv_elem(d, a) for a in A.level_elements(d)}
+        key = X.initial_vertex(ref)
+        if d == 1:
+            table = base.ident if sign > 0 else {x: base.inv(i) for x, i in base.ident.items()}
+        else:
+            table = {x: A.pow_elem(d, A.identity_elem(d, x), sign) for x in A.objects}
+        return key, table
+
+    def _evaluator(self, c):
+        """values -> the homotopy addition label of c, for c of dimension >= 2."""
+        X, A = self.X, self.A
+        n = X.dim_of[c]
+        terms = hal_word(X, c)
+        comp = A.base.comp_table
+        if n == 2:
+            (k0, t0), (k1, t1), (k2, t2) = (self._reader(r, s) for r, s, _ in terms)
+
+            def label(vals):
+                a0 = vals[k0] if t0 is None else t0[vals[k0]]
+                a1 = vals[k1] if t1 is None else t1[vals[k1]]
+                a2 = vals[k2] if t2 is None else t2[vals[k2]]
+                return comp[comp[a0, a1], a2]
+
+            return label
+        m, lead = n - 1, self.lead[c]
+        if m > A.truncation:
+            ident = {x: A.identity_elem(m, x) for x in A.objects}
+            return lambda vals: ident[vals[lead]]
+        (ref0, _, ((edge, sign),)), rest = terms[0], terms[1:]
+        k0, t0 = self._reader(ref0)
+        k1, t1 = self._reader(edge, sign)
+        rest = [self._reader(r, s) for r, s, _ in rest]
+        act = A.act[m]
+        if m not in self._product:
+            self._product[m] = {
+                x: {(a, b): F.mul(a, b) for a in F.elements for b in F.elements}
+                for x, F in ((x, A.fibre(m, x)) for x in A.objects)
+            }
+        product = self._product[m]
+
+        def label(vals):
+            x = vals[lead]
+            mul = product[x]
+            arrow = vals[k1] if t1 is None else t1[vals[k1]]
+            out = act[(vals[k0] if t0 is None else t0[vals[k0]]), arrow]
+            for key, table in rest:
+                out = mul[out, (vals[key] if table is None else table[vals[key]])[1]]
+            return x, out
+
+        return label
+
+    def _test(self, c):
+        A = self.A
+        n, lead, label = self.X.dim_of[c], self.lead[c], self.label[c]
+        if n == A.truncation + 1:
+            if n == 2:
+                flat = A.base.ident
+            else:
+                flat = {x: A.identity_elem(n - 1, x) for x in A.objects}
+            return lambda vals: label(vals) == flat[vals[lead]]
+        image = self.preimage[n]
+        return lambda vals: label(vals) in image[vals[lead]]
+
+    def _domain(self, g):
+        X, A = self.X, self.A
+        n = X.dim_of[g]
+        if n == 0:
+            objects = A.objects
+            return lambda vals: objects
+        if n == 1:
+            s, t = X.edge_ends(g)
+            between = A.base.ends[2]
+            return lambda vals: between.get((vals[s], vals[t]), ())
+        lead, label, preimage = self.lead[g], self.label[g], self.preimage[n]
+        return lambda vals: preimage[vals[lead]].get(label(vals), ())
+
+    def _check_fixed(self, fixed: dict):
+        X, A = self.X, self.A
+        for g in fixed:
+            if g not in X.dim_of:
+                raise BoundaryError(f"fixed value on unknown generator {g!r}")
+        objs = set(A.objects)
+        for g, v in fixed.items():
+            if X.dim_of[g] == 0 and v not in objs:
+                raise BoundaryError(f"vertex value {v!r} is not an object")
+        for g, v in fixed.items():
+            d = X.dim_of[g]
+            if d == 1:
+                s, t = X.edge_ends(g)
+                if s in fixed and t in fixed:
+                    if A.base.src.get(v) != fixed[s] or A.base.tgt.get(v) != fixed[t]:
+                        raise BoundaryError(f"edge value at {g!r} has wrong endpoints")
+            elif 2 <= d <= A.truncation and self.faces[g] <= fixed.keys():
+                if A.bdry_of(d, v) != self.label[g](fixed):
+                    raise BoundaryError(f"value at {g!r} violates its boundary condition")
+
+    def _walk(self, fixed: dict, emit) -> int:
+        if fixed:
+            self._check_fixed(fixed)
+        slots, checks, domains = self.slots, self.checks, list(self.domains)
+        for pos, g in enumerate(slots):
+            if g in fixed:
+                domain, v = domains[pos], fixed[g]
+                domains[pos] = lambda vals, domain=domain, v=v: [a for a in domain(vals) if a == v]
+        end = len(slots)
+        values: dict = {}
+
+        def walk(pos):
+            for test in checks[pos]:
+                if not test(values):
+                    return 0
+            if pos == end:
+                if emit is not None:
+                    emit(values)
+                return 1
+            g, n = slots[pos], 0
+            for v in domains[pos](values):
+                values[g] = v
+                n += walk(pos + 1)
+            values.pop(g, None)
+            return n
+
+        return walk(0)
+
+    def colourings(self, fixed: dict | None = None) -> list:
+        X, A, out = self.X, self.A, []
+        self._walk(fixed or {}, lambda values: out.append(Colouring(X, A, dict(values))))
+        return out
+
+    def count(self, fixed: dict | None = None) -> int:
+        return self._walk(fixed or {}, None)
