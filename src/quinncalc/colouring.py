@@ -335,16 +335,15 @@ class Plan:
 
     def _decoded(self, c):
         """values -> the label of c under the values dict `values`, through its index evaluator."""
-        evaluate, m = self._evaluators[c], self.X.dim_of[c] - 1
-        vector = self._vector
+        evaluate, m, encode = self._evaluators[c], self.X.dim_of[c] - 1, self._encode
         if m == 1:
             arrows = self.A.base.arrows
-            return lambda values: arrows[evaluate(vector(values))]
+            return lambda values: arrows[evaluate(encode(values)[0])]
         lead, fibre = self.lead[c], self.A.fibre
 
         def label(values):
             x = values[lead]
-            return x, fibre(m, x).elements[evaluate(vector(values))]
+            return x, fibre(m, x).elements[evaluate(encode(values)[0])]
 
         return label
 
@@ -445,112 +444,70 @@ class Plan:
         preimage = self._preimage[self.X.dim_of[g]]
         return lambda v: preimage[v[lead]][label(v)]
 
-    def _encode(self, values: dict) -> dict:
-        """position -> code, for the generators of `values` at a position of `slots`.
+    def _encode(self, values: dict) -> tuple:
+        """(v, base): the value indices of `values` at the positions of `slots`, and the objects below.
 
-        The code of an object or an arrow is its index; that of a level-n
-        element (x, e) is (index of x, index of e in the fibre at x).  A
-        value that A does not have is coded None.
+        v[pos] indexes the value at slots[pos] as the walk holds it: an
+        object, an arrow, or an element of the fibre over the object of
+        index base[pos].  It is None where `values` has no value or A does
+        not have it.
         """
         X, ops, end = self.X, self._ops, len(self.slots)
-        out = {}
+        v, base = [None] * end, {}
         for g, value in values.items():
             pos = X.gen_index(g)
             if pos >= end:
                 continue
             n = X.dim_of[g]
             if n == 0:
-                out[pos] = ops.obj.get(value)
+                v[pos] = ops.obj.get(value)
             elif n == 1:
-                out[pos] = ops.arr.get(value)
+                v[pos] = ops.arr.get(value)
             else:
                 x, e = value
-                i = None if (x := ops.obj.get(x)) is None else ops.index[n][x].get(e)
-                out[pos] = None if i is None else (x, i)
-        return out
+                base[pos] = x = ops.obj.get(x)
+                v[pos] = None if x is None else ops.index[n][x].get(e)
+        return v, base
 
-    def _vector(self, values: dict, codes: dict | None = None) -> list:
-        """The value indices of `values` at the positions of `slots`, as the walk holds them.
-
-        A position is None where `values` has no value, A does not have it,
-        or it does not fit the values below: an arrow whose ends are not the
-        images of the edge's ends, or a level-n element that does not lie
-        over the image of the generator's leading vertex.  `codes` is
-        `_encode(values)` when already made.
-        """
-        X, ops, slots = self.X, self._ops, self.slots
-        if codes is None:
-            codes = self._encode(values)
-        v = [None] * len(slots)
-        for pos in sorted(codes):
-            code, g = codes[pos], slots[pos]
-            n = X.dim_of[g]
-            if code is None:
-                continue
-            if n == 0:
-                v[pos] = code
-            elif n == 1:
-                s, t = X.edge_ends(g)
-                if ops.src[code] == v[X.gen_index(s)] and ops.tgt[code] == v[X.gen_index(t)]:
-                    v[pos] = code
-            elif code[0] == v[X.gen_index(self.lead[g])]:
-                v[pos] = code[1]
-        return v
-
-    def _check_fixed(self, fixed: dict) -> dict:
-        """Reject fixed values that cannot be part of a colouring; return their `_encode` codes.
+    def _check_fixed(self, fixed: dict) -> tuple:
+        """Reject fixed values that cannot be part of a colouring; return their `_encode`.
 
         Only conditions fully determined by the fixed set are checked, so
-        partial (non-face-closed) data passes through to the walk.
+        partial (non-face-closed) data passes through to the walk.  Lower
+        dimensions are checked first, so a label is evaluated only on faces
+        whose values have passed.
         """
         X, A = self.X, self.A
         for g in fixed:
             if g not in X.dim_of:
                 raise BoundaryError(f"fixed value on unknown generator {g!r}")
-        codes = self._encode(fixed)
-        for g, v in fixed.items():
-            if X.dim_of[g] == 0 and codes[X.gen_index(g)] is None:
-                raise BoundaryError(f"vertex value {v!r} is not an object")
-        vector = None
-        for g, v in fixed.items():
-            d = X.dim_of[g]
-            if d == 1:
+        v, base = self._encode(fixed)
+        where = X.gen_index
+        for g in sorted(fixed, key=X.dim_of.__getitem__):
+            d, value = X.dim_of[g], fixed[g]
+            if d == 0:
+                if v[where(g)] is None:
+                    raise BoundaryError(f"vertex value {value!r} is not an object")
+            elif d == 1:
                 s, t = X.edge_ends(g)
                 if s in fixed and t in fixed:
-                    if A.base.src.get(v) != fixed[s] or A.base.tgt.get(v) != fixed[t]:
+                    if A.base.src.get(value) != fixed[s] or A.base.tgt.get(value) != fixed[t]:
                         raise BoundaryError(f"edge value at {g!r} has wrong endpoints")
             elif 2 <= d <= A.truncation and self.faces[g] <= fixed.keys():
-                if vector is None:
-                    vector = self._vector(fixed, codes)
-                if not self._meets(g, vector):
+                pos, x = where(g), v[where(self.lead[g])]
+                if base[pos] != x or v[pos] not in self._preimage[d][x][self._evaluators[g](v)]:
                     raise BoundaryError(f"value at {g!r} violates its boundary condition")
-        return codes
+        return v, base
 
-    def _meets(self, g, v: list) -> bool:
-        """Whether the value at g has its label as boundary, in the fixed vector v that holds g's faces.
-
-        When a face's value does not fit, that face's own check fails, so g
-        is not blamed for it.
-        """
-        where = self.X.gen_index
-        i = v[where(g)]
-        if i is None:
-            return False
-        if any(v[where(f)] is None for f in self.faces[g]):
-            return True
-        preimage = self._preimage[self.X.dim_of[g]]
-        return i in preimage[v[where(self.lead[g])]][self._evaluators[g](v)]
-
-    def _pinned(self, pos: int, code, domain):
-        """`domain` at slots[pos], cut down to the fixed value whose `_encode` code is `code`."""
+    def _pinned(self, pos: int, i, x, domain):
+        """`domain` at slots[pos], cut down to the fixed value of index i (over the object x)."""
         g = self.slots[pos]
         n = self.X.dim_of[g]
         if n == 0:
-            return lambda v: (code,)
+            return lambda v: (i,)
         if n == 1:
-            return lambda v: (code,) if code in domain(v) else ()
+            return lambda v: (i,) if i in domain(v) else ()
         lead = self.X.gen_index(self.lead[g])
-        x, i = code or (None, None)
         return lambda v: (i,) if v[lead] == x and i in domain(v) else ()
 
     @cached_property
@@ -683,8 +640,10 @@ class Plan:
         checks, domains = self._schedule
         if fixed:
             domains = list(domains)
-            for pos, code in self._check_fixed(fixed).items():
-                domains[pos] = self._pinned(pos, code, domains[pos])
+            pinned, base = self._check_fixed(fixed)
+            for g in fixed:
+                if (pos := self.X.gen_index(g)) < len(domains):
+                    domains[pos] = self._pinned(pos, pinned[pos], base.get(pos), domains[pos])
         end = len(domains)
         v: list = [None] * end
 
