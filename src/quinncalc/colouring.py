@@ -450,13 +450,12 @@ class Plan:
         v[pos] indexes the value at slots[pos] as the walk holds it: an
         object, an arrow, or an element of the fibre over the object of
         index base[pos].  It is None where `values` has no value or A does
-        not have it.
+        not have it.  Generators that are not in X are ignored.
         """
         X, ops, end = self.X, self._ops, len(self.slots)
         v, base = [None] * end, {}
         for g, value in values.items():
-            pos = X.gen_index(g)
-            if pos >= end:
+            if g not in X.dim_of or (pos := X.gen_index(g)) >= end:
                 continue
             n = X.dim_of[g]
             if n == 0:
