@@ -583,8 +583,9 @@ def test_console_entrypoint_runs():
 
 
 # sha256 of "<exit code>\n<stdout>" for runs whose bytes no other tier-1 test
-# pins: profunctor actions, algebra triples and the double's verdict.  The
-# output does not depend on PYTHONHASHSEED.
+# pins: profunctor actions, algebra triples, the double's verdict and the
+# window blocks and verdicts of nat-transform.  The output does not depend on
+# PYTHONHASHSEED.
 PINNED_RUNS = {
     "profunctor prism-point z2":
         "832e75f7652288cf34887e703792a3a3f6adeed05959ec39e90e6975565068cd",
@@ -598,6 +599,14 @@ PINNED_RUNS = {
         "5f39040438ec8419a028afde46ece4a35b8cafda539cc8c37546576287256cf5",
     "profunctor prism-circle xmod-z2-id":
         "44c208da2c69da33dcc02b03466e09de3649dfaffbe3d069148303e00d4d24b9",
+    "profunctor prism-circle z3":
+        "a9431a85426b22942103759e2f8c5e61205a959f50fc4abf0ce243637312ee8c",
+    "profunctor prism-circle z4":
+        "704be9349623c46423e3904433f3e679ca605108f45e51ee18a79ae310f45241",
+    "profunctor prism-circle xmod-z2-z2-zero":
+        "29ff7244c47416529e36ac67f1d417949f3b984838cb24788a613bb7619e5b47",
+    "profunctor prism-circle xmod-z4-z2-zero":
+        "16254d00a1502f0a0c99aa3e8ee0684c33503081ab12590d05a7ed1aa611ebd6",
     "algebra z3":
         "3381d7362392b91c26267c8ce0bee64461c874d294a5840e3f0306ed5080dbd3",
     "algebra s3":
@@ -608,6 +617,34 @@ PINNED_RUNS = {
         "9e8a3a912434340bab598989be82c2a88a9cf9b80e764f721bc88b414bab17af",
     "double s3":
         "70d22ad8f1a2504659f1dac545dd49d15f34348fb404e256c683c2a7c5d12513",
+    "nat-transform point z2":
+        "cf82a9bd1cb21039bffba94b62e3979764a6c8ce3b6cea1e3f7065f4bd77a5e5",
+    "nat-transform point z3":
+        "b33da7cb5f202419b8b22716241b1a91bee084bf0b2b400a429e8a95ed8387c4",
+    "nat-transform point z4":
+        "d6731b8bd1ce98e8b67380e7707e0714d6c966827c63e28e098edabb5a7d57f0",
+    "nat-transform point s3":
+        "7ffe1c33371a8c6fdf42812b32c6646ab223233976c9ab7b3caddf5a8daaa554",
+    "nat-transform point xmod-z2-z2-zero":
+        "cf82a9bd1cb21039bffba94b62e3979764a6c8ce3b6cea1e3f7065f4bd77a5e5",
+    "nat-transform point xmod-z2-id":
+        "ec0c56ee68a651c5203abc0a7bdad86aa08daee4c5174f6f6cb9e2dda4b4281a",
+    "nat-transform point xmod-z4-z2-zero":
+        "d6731b8bd1ce98e8b67380e7707e0714d6c966827c63e28e098edabb5a7d57f0",
+    "nat-transform circle z2":
+        "b9b2dcade966cdc706f6f08efefeda7f41254fda4d2a4f8f56e3c85fbbd674ab",
+    "nat-transform circle z3":
+        "3e35b4bbdf43f2c2d12490e4ac50998322956f65b829106018697a8c01587832",
+    "nat-transform circle z4":
+        "89a75e3bd6961ff6c1c7c65f6a49265a86b1cc5fd5d8a5e06e8997ed473810f5",
+    "nat-transform circle s3":
+        "480bc88e99272123695cb4eb2ebea2341a57f9df64fed6f4a6ce855d3cf0ce50",
+    "nat-transform circle xmod-z2-z2-zero":
+        "3a1944dfb41131d144a3a3d15e81df4c79b4fd16906ef8fedfc89aeb953f9922",
+    "nat-transform circle xmod-z2-id":
+        "33644660be8f3738b27e1aeb24faac606c3a69dfa06eea675a66a8cdcdf516a6",
+    "nat-transform circle xmod-z4-z2-zero":
+        "31763d909e70167c78831377107207f260c0a719cd1acbd1eacd55c0bc3b2909",
 }
 
 
@@ -617,6 +654,8 @@ def _pinned_argv(run, files):
         return ["profunctor", "--cobordism", files[names[0]], "--algebra", files[names[1]]]
     if command == "algebra":
         return ["algebra", "--from", files[names[0]]]
+    if command == "nat-transform":
+        return ["nat-transform", "--space", files[names[0]], "--algebra", files[names[1]]]
     return ["double", "--group", files[names[0]]]
 
 
