@@ -6,8 +6,12 @@ A profunctor here is contravariant on the left: `lact[(g, b)]` transports a
 basis element of (tgt g, y) to one of (src g, y), and `ract[(b, h)]`
 transports (x, src h) to (x, tgt h).  For a cobordism the basis over a pair
 of boundary colourings is the set of classes of fillings relative to the
-boundary, and the transports act by expanding boundary homotopies with
-identities on the interior.
+boundary.  A transport moves a class representative along a boundary
+homotopy, extended by identities on the interior; it is evaluated on the
+representative's key, on the boundary slots and their star, and only for
+the generators of each boundary groupoid.  Transports along the other
+arrows are composed from those.  Naturality of a window's 2-cell is checked
+on the squares of generators.
 """
 from __future__ import annotations
 
@@ -18,13 +22,7 @@ from .colouring import Colouring, Plan, value_of_ref
 from .errors import BoundaryError
 from .finalg.crossed import CrossedComplex
 from .finalg.groupoids import partition
-from .homotopy import (
-    CrsResult,
-    _invert,
-    crs_pi1,
-    holonomy_act,
-    rel_classes,
-)
+from .homotopy import CrsResult, _key_movers, crs_pi1, rel_classes
 from .simpset import Stratification, Window
 from .tqft import theta_weight
 
@@ -99,7 +97,7 @@ def cobordism_profunctor(M: Stratification, A: CrossedComplex) -> Profunctor:
     left, right = crs_pi1(sub_in, A), crs_pi1(sub_out, A)
     boundary = in_gens | out_gens
     plan = Plan(X, A)
-    basis, sizes, reps = {}, {}, {}
+    basis, sizes, reps, rep_keys = {}, {}, {}, {}
     class_of_key = {}
     for li, f in enumerate(left.colourings):
         for ri, fp in enumerate(right.colourings):
@@ -111,25 +109,77 @@ def cobordism_profunctor(M: Stratification, A: CrossedComplex) -> Profunctor:
                 ids.append(eid)
                 sizes[eid] = len(members)
                 reps[eid] = fillings[members[0]]
+                rep_keys[eid] = reps[eid].key()
             basis[(li, ri)] = tuple(ids)
             for key, ci in class_of.items():
-                class_of_key[(li, ri, key)] = (li, ri, ci)
-    lact, ract = {}, {}
-    for eta in left.groupoid.arrows:
-        si, ti = eta[0], eta[1]
-        seq = left.arrow_reps[eta]
-        for ri in right.groupoid.objects:
-            for b in basis[(ti, ri)]:
-                moved = holonomy_act(plan, A, in_gens, seq, reps[b])
-                lact[(eta, b)] = class_of_key[(si, ri, moved.key())]
-    for zeta in right.groupoid.arrows:
-        si, ti = zeta[0], zeta[1]
-        inv_seq = _invert(right.arrow_reps[zeta], right.colourings[si])
-        for li in left.groupoid.objects:
-            for b in basis[(li, si)]:
-                moved = holonomy_act(plan, A, out_gens, inv_seq, reps[b])
-                ract[(b, zeta)] = class_of_key[(li, ti, moved.key())]
+                class_of_key[key] = (li, ri, ci)
+    GL, GR = left.groupoid, right.groupoid
+    over_left = {x: [b for y in GR.objects for b in basis[(x, y)]] for x in GL.objects}
+    over_right = {y: [b for x in GL.objects for b in basis[(x, y)]] for y in GR.objects}
+    move_in = _transports(left, plan, over_left, rep_keys, class_of_key)
+    move_out = _transports(right, plan, over_right, rep_keys, class_of_key)
+    lact = {
+        (eta, b): over_left[GL.src[eta]][j]
+        for eta in GL.arrows
+        for b, j in zip(over_left[GL.tgt[eta]], move_in[eta])
+    }
+    # a right transport along zeta is the transport along its inverse
+    ract = {
+        (b, zeta): over_right[GR.tgt[zeta]][j]
+        for zeta in GR.arrows
+        for b, j in zip(over_right[GR.src[zeta]], move_out[GR.inv(zeta)])
+    }
     return Profunctor(left, right, basis, lact, ract, sizes, reps)
+
+
+def _transports(crs: CrsResult, plan: Plan, over: dict, rep_keys: dict, class_of_key: dict) -> dict:
+    """arrow -> T: the transports along the arrows of the groupoid of one boundary.
+
+    `over[x]` lists the basis elements whose boundary colouring there is
+    the object x, `rep_keys` holds the keys of their representative fillings
+    and `class_of_key` the basis element of each filling key.  A transport
+    along an arrow takes the elements over its target to those over its
+    source: T[i] is the position in over[source] of the transport of the
+    i-th element over the target.  Transports compose, T(g . a) = T(g) o T(a),
+    so only the generators of the groupoid are evaluated: the representative
+    homotopy of a generator, extended by identities off the boundary, moves
+    the key of each representative (`_key_movers`, which rewrites the
+    boundary slots and their star), and the moved key names its class.  A
+    generator's inverse is the inverse permutation.  Every other arrow is
+    g . a for a generator or inverse g and an arrow a already done, breadth
+    first from the identities: Schreier vectors (Holt, Eick and O'Brien,
+    Handbook of Computational Group Theory, 2005, section 4.1).
+    """
+    G, X, sub, trunc = crs.groupoid, plan.X, crs.X, crs.A.truncation
+    slots = [(i, X.gen_index(g)) for i, g in enumerate(sub.all_gens()) if sub.dim_of[g] < trunc]
+    move = _key_movers(plan)([p for _, p in slots])
+    position = {b: i for els in over.values() for i, b in enumerate(els)}
+    done = {G.ident[x]: list(range(len(over[x]))) for x in G.objects}
+    into = {}  # object -> the generators and their inverses that end there
+    for g in G.generators:
+        g_inv = G.inv(g)
+        if g not in done:
+            hk = crs.arrow_reps[g].key()
+            h = {p: hk[i] for i, p in slots}
+            t = done[g] = [position[class_of_key[move(rep_keys[b], h)]] for b in over[G.tgt[g]]]
+            done[g_inv] = back = [0] * len(t)
+            for i, j in enumerate(t):
+                back[j] = i
+        into.setdefault(G.tgt[g], []).append(g)
+        into.setdefault(G.tgt[g_inv], []).append(g_inv)
+    frontier = list(done)
+    while frontier:
+        new = []
+        for a in frontier:
+            ta = done[a]
+            for g in into.get(G.src[a], ()):
+                c = G.comp_table[(g, a)]
+                if c not in done:
+                    tg = done[g]
+                    done[c] = [tg[j] for j in ta]
+                    new.append(c)
+        frontier = new
+    return done
 
 
 def _aligned(crs1: CrsResult, crs2: CrsResult) -> bool:
@@ -299,34 +349,39 @@ class NatTransform:
         return True
 
     def naturality_check(self) -> bool:
-        """phi(transported b) against transported phi(b), over all arrow pairs."""
+        """phi(transported b) against transported phi(b), on the squares of generators.
+
+        Both profunctors are functors: transports along a composite compose,
+        and along an inverse they invert.  So if the squares of two arrows
+        commute, so do those of their composite and of their inverses, and
+        the square of (eta, zeta) is that of (eta, identity) followed by that
+        of (identity, zeta).  The squares of (generator, identity) and
+        (identity, generator), over the generators of each boundary groupoid
+        (`FinGroupoid.generators`) and every object of the other, therefore
+        decide naturality for every pair of arrows.
+        """
         GL = self.top.left.groupoid
         GR = self.top.right.groupoid
-        tindex = {
-            (pair, b): i for pair in self.top.basis for i, b in enumerate(self.top.basis[pair])
-        }
-        bindex = {
-            (pair, b): j
-            for pair in self.bottom.basis
-            for j, b in enumerate(self.bottom.basis[pair])
-        }
-        for eta in GL.arrows:
-            for zeta in GR.arrows:
-                src_pair = (GL.tgt[eta], GR.src[zeta])
-                dst_pair = (GL.src[eta], GR.tgt[zeta])
-                for b in self.top.basis.get(src_pair, ()):
-                    tb = self.top.transport(eta, b, zeta)
-                    for bp in self.bottom.basis.get(src_pair, ()):
-                        tbp = self.bottom.transport(eta, bp, zeta)
-                        lhs = self.blocks[dst_pair][tindex[(dst_pair, tb)]][
-                            bindex[(dst_pair, tbp)]
-                        ]
-                        rhs = self.blocks[src_pair][tindex[(src_pair, b)]][
-                            bindex[(src_pair, bp)]
-                        ]
-                        if lhs != rhs:
-                            return False
+        tpos, bpos = _positions(self.top), _positions(self.bottom)
+        squares = [(g, GR.ident[y]) for g in GL.generators for y in GR.objects]
+        squares += [(GL.ident[x], h) for h in GR.generators for x in GL.objects]
+        for eta, zeta in squares:
+            src_pair = (GL.tgt[eta], GR.src[zeta])
+            dst_pair = (GL.src[eta], GR.tgt[zeta])
+            for b in self.top.basis.get(src_pair, ()):
+                tb = self.top.transport(eta, b, zeta)
+                moved_row = self.blocks[dst_pair][tpos[dst_pair][tb]]
+                row = self.blocks[src_pair][tpos[src_pair][b]]
+                for bp in self.bottom.basis.get(src_pair, ()):
+                    tbp = self.bottom.transport(eta, bp, zeta)
+                    if moved_row[bpos[dst_pair][tbp]] != row[bpos[src_pair][bp]]:
+                        return False
         return True
+
+
+def _positions(P: Profunctor) -> dict:
+    """pair -> {basis element: its position in the basis of the pair}."""
+    return {pair: {b: i for i, b in enumerate(els)} for pair, els in P.basis.items()}
 
 
 def _frame_assignment(W: Window, A, H_top: Colouring, H_bottom: Colouring) -> dict:
@@ -416,10 +471,11 @@ def horizontal_compose_nat(a: NatTransform, b: NatTransform) -> NatTransform:
     top = compose_profunctors(a.top, b.top)
     bottom = compose_profunctors(a.bottom, b.bottom)
 
-    def block_entry(nt, pair, r, c):
-        ri = nt.top.basis[pair].index(r)
-        ci = nt.bottom.basis[pair].index(c)
-        return nt.blocks[pair][ri][ci]
+    def entries(nt):
+        rows, cols = _positions(nt.top), _positions(nt.bottom)
+        return lambda pair, r, c: nt.blocks[pair][rows[pair][r]][cols[pair][c]]
+
+    a_entry, b_entry = entries(a), entries(b)
 
     blocks = {}
     for pair, rows in top.basis.items():
@@ -434,7 +490,7 @@ def horizontal_compose_nat(a: NatTransform, b: NatTransform) -> NatTransform:
                 for (y2, p2, q2) in bottom.members[col]:
                     if y2 != y:
                         continue
-                    total += block_entry(a, (x, y), p, p2) * block_entry(b, (y, z), q, q2)
+                    total += a_entry((x, y), p, p2) * b_entry((y, z), q, q2)
                 out_row.append(total)
             m.append(out_row)
         blocks[pair] = m

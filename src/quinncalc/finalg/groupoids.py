@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .groups import FinGroup, ValidationReport
+from .groups import FinGroup, ValidationReport, _generating_sequence
 
 
 def partition(n: int, links):
@@ -101,6 +101,24 @@ class FinGroupoid:
         loops = self.arrows_between(x, x)
         mul = {(a, b): self.comp(a, b) for a in loops for b in loops}
         return FinGroup(loops, mul, name=f"{self.name}({x})")
+
+    @cached_property
+    def generators(self) -> tuple:
+        """Arrows that generate the groupoid, built on first use.
+
+        For each component, in canonical order: generators of the vertex
+        group at its least object, then for each other object x the first
+        arrow into x from that object.  Every arrow a: x -> y is
+        t_x^-1 . (t_x . a . t_y^-1) . t_y, with t the tree arrows and the
+        middle factor a loop at the least object (Schreier; Holt, Eick and
+        O'Brien, Handbook of Computational Group Theory, 2005, section 4.1).
+        """
+        out = []
+        for component in self.components():
+            root = component[0]
+            out.extend(_generating_sequence(self.vertex_group(root)))
+            out.extend(self.arrows_between(root, x)[0] for x in component[1:])
+        return tuple(out)
 
     def components(self):
         """Connected components as tuples of objects, in canonical order."""

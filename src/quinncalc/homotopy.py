@@ -15,12 +15,16 @@ derivation rule at level one and by equivariant homomorphisms above.  Every
 such word is read from the terms that a `Plan` of (X, A) compiles once:
 `_apply` gives the other end and `_delta2` the boundary, and the public
 `apply_homotopy`, `compose_homotopies`, `invert_homotopy` and `delta2` check
-their arguments and compile a plan per call.  `crs_pi1`, `holonomy_act` and
-`rel_classes` evaluate on one plan per call, however many homotopies they
-apply.  Composition needs no word: `_compose_keys` composes two 1-fold
-homotopies on their keys, cell by cell, with the integer tables of
-`Plan.key_tables`, and `_sequence` decodes a key into values when a
-`HomotopySequence` is wanted.
+their arguments and compile a plan per call.  `crs_pi1` and `holonomy_act`
+evaluate `_apply` on one plan per call, however many homotopies they apply.
+A homotopy with values on a few slots only needs no values dict:
+`_key_movers` evaluates the same terms on the key of the colouring, with the
+integer tables of the plan, and rewrites only the slots and their star.
+`rel_classes` moves fillings by one slot at a time this way, and
+`extprof.cobordism_profunctor` transports them along boundary homotopies.
+Composition needs no word: `_compose_keys` composes two 1-fold homotopies on
+their keys, cell by cell, with the integer tables of `Plan.key_tables`, and
+`_sequence` decodes a key into values when a `HomotopySequence` is wanted.
 """
 from __future__ import annotations
 
@@ -405,111 +409,137 @@ def crs_pi1(X, A: CrossedComplex) -> CrsResult:
 # -- homotopies relative to a subcomplex -------------------------------------------
 
 
-def _stars(plan: Plan) -> dict:
-    """g -> what a single-slot move at g rewrites besides g, for every g below the truncation.
+def _key_reads(plan: Plan, reads) -> tuple:
+    """`Plan.terms` reads as (key position, table) on value indices.
 
-    A move at a vertex v rewrites the edges with v as an end, as
-    [(edge, v is its source, v is its target)], and the cells of dimension
-    2..truncation led by v, as [(cell, dimension)].  A move at a generator g
-    of dimension i >= 1 rewrites the (i+1)-cells with g as a nondegenerate
-    face, as [(cell, [(sign, reads), ...])] with one entry per occurrence
-    of g in the cell's `Plan.terms`.
+    A read keyed at a vertex is a degenerate edge and reads its identity
+    arrow; a read of an edge through a table reads the inverse arrow.
     """
-    X, A = plan.X, plan.A
-    stars: dict = {v: ([], []) for v in X.gens(0)}
-    for e in X.gens(1):
-        s, t = X.edge_ends(e)
-        stars[s][0].append((e, True, s == t))
-        if t != s:
-            stars[t][0].append((e, False, True))
-    for g in X.all_gens():
-        if 1 <= X.dim_of[g] < A.truncation:
-            stars[g] = []
-    for c, terms in plan.terms.items():
-        stars[plan.lead[c]][1].append((c, X.dim_of[c]))
-        at: dict = {}
-        for face, sign, reads in terms:
-            at.setdefault(face, []).append((sign, reads))
-        for face, occurrences in at.items():
-            stars[face].append((c, occurrences))
-    return stars
-
-
-def _mover(plan: Plan, stars: dict, f: dict, g):
-    """h -> {generator: value}: the values of f that the single-slot move by h at g changes.
-
-    The move is the homotopy targeting f with value h at g and identities
-    elsewhere; its other end agrees with f outside the returned star.
-    """
-    A = plan.A
-    comp, inv = A.base.comp_table, A.base.inv_table
-    n = plan.X.dim_of[g] + 1  # the level of h
-    if n == 1:
-        edges, cells = stars[g]
-
-        def move(a):
-            a_inv = inv[a]
-            out = {g: A.base.src[a]}
-            for e, at_src, at_tgt in edges:
-                x = comp[a, f[e]] if at_src else f[e]
-                out[e] = comp[x, a_inv] if at_tgt else x
-            for c, m in cells:
-                out[c] = A.act_elem(m, f[c], a_inv)
-            return out
-
-        return move
-    fg = f[g]
-    cofaces = [
-        (c, [(sign, _arrow(comp, reads, f)) for sign, reads in occurrences])
-        for c, occurrences in stars[g]
-    ]
-
-    def move(h):
-        d = A.bdry_of(n, h)
-        out = {g: comp[fg, d] if n == 2 else A.mul(n - 1, fg, d)}
-        for c, occurrences in cofaces:
-            val = f[c]
-            for sign, arrow in occurrences:
-                val = A.mul(n, val, _term(A, n, h, sign, arrow))
-            out[c] = val
-        return out
-
-    return move
-
-
-def _moved_key(slots: dict, key: tuple, star: dict) -> tuple:
-    """`key` with the positions of the star's generators rewritten to its values."""
-    out = list(key)
-    for g, v in star.items():
-        pos, index = slots[g]
-        out[pos] = index[v]
+    X, ops = plan.X, plan._ops
+    out = []
+    for g, table in reads:
+        if X.dim_of[g] == 0:
+            table = ops.ident
+        elif table is not None:
+            table = ops.inv
+        out.append((X.gen_index(g), table))
     return tuple(out)
 
 
-def _move_generators(A: CrossedComplex):
-    """Generating values of each slot domain: (at a vertex, at a higher generator).
+def _key_movers(plan: Plan):
+    """positions -> move: 1-fold homotopies with values at `positions` only, on colouring keys.
 
-    At a vertex whose image is x: generators of the vertex group at x, then
-    the first arrow into x from the least object of its component unless x
-    is that object.  Moves by these link every arrow into x (the vertex
-    group acts, and each object reaches the root's vertex group through its
-    tree arrow).  At a generator of level n over x: generators of A_n(x).
-    Orbits under generators of a finite group are its orbits, so the
-    classes do not change.
+    `move(key, h)` is the key of the other end of the 1-fold homotopy that
+    targets the colouring with key `key`, has the value index h[p] at each
+    key position p of `positions` (h holds one at every one of them, as
+    `colouring_key` with k = 1 indexes it) and identities elsewhere.  It is
+    `_apply` evaluated on value indices with the tables of `Plan._ops`, and
+    only where those values change the colouring: at the positions, at the
+    edges with a vertex among them as an end, at the cells led by such a
+    vertex and at the cells with one of them as a face (their star).  The
+    stars are compiled once per call of `_key_movers`, each mover's terms
+    once per call of `mover`; no colouring or values dict is built.
     """
+    X, A, ops = plan.X, plan.A, plan._ops
+    where = X.gen_index
+    comp, inv, src = ops.comp, ops.inv, ops.src
+    star = {where(g): set() for g in X.all_gens() if X.dim_of[g] < A.truncation}
+    edges, cells = {}, {}
+    for e in X.gens(1):
+        p, (s, t) = where(e), (where(u) for u in X.edge_ends(e))
+        edges[p] = s, t
+        for q in (s, t, p):
+            if q in star:
+                star[q].add(p)
+    for c, terms in plan.terms.items():
+        p, lead = where(c), where(plan.lead[c])
+        cells[p] = lead, X.dim_of[c], [
+            (where(face), where(_base_vertex(X, face)), sign < 0, _key_reads(plan, reads))
+            for face, sign, reads in terms
+        ]
+        for q in (lead, p, *(where(face) for face, _, _ in terms)):
+            if q in star:
+                star[q].add(p)
+
+    def mover(positions):
+        moved = set(positions)
+        vertices, edge_moves, cell_moves = [], [], []
+        for p in sorted(moved.union(*(star[p] for p in moved))):
+            if p in edges:
+                s, t = edges[p]
+                edge_moves.append((p, s, t, s in moved, t in moved, p in moved))
+            elif p in cells:
+                lead, m, terms = cells[p]
+                finv = ops.finv[m]
+                cell_moves.append((
+                    p, lead, lead in moved, ops.mul[m], ops.act[m],
+                    ops.bdry[m + 1] if p in moved else None,
+                    [(face, base, finv if negative else None, reads)
+                     for face, base, negative, reads in terms if face in moved],
+                ))
+            else:
+                vertices.append(p)
+        bdry2 = ops.bdry.get(2)
+
+        def move(key, h):
+            out = list(key)
+            for p in vertices:
+                out[p] = src[h[p]]
+            for p, s, t, s_moved, t_moved, own in edge_moves:
+                a = key[p]
+                if own:
+                    a = comp[a][bdry2[key[t]][h[p]]]
+                if s_moved:
+                    a = comp[h[s]][a]
+                if t_moved:
+                    a = comp[a][inv[h[t]]]
+                out[p] = a
+            for p, lead, lead_moved, mul, act, up, terms in cell_moves:
+                x = key[lead]
+                val, table = key[p], mul[x]
+                for face, base, finv, reads in terms:
+                    e = h[face] if finv is None else finv[key[base]][h[face]]
+                    if reads:
+                        arrow = None
+                        for q, t in reads:
+                            a = key[q] if t is None else t[key[q]]
+                            arrow = a if arrow is None else comp[arrow][a]
+                        e = act[arrow][e]
+                    val = table[val][e]
+                if up is not None:
+                    val = table[val][up[x][h[p]]]
+                out[p] = act[inv[h[lead]]][val] if lead_moved else val
+            return tuple(out)
+
+        return move
+
+    return mover
+
+
+def _move_generators(plan: Plan) -> tuple:
+    """(vertex, fibre): generating values of each slot domain, as value indices by object index.
+
+    `vertex[x]`: the arrows of `A.base.generators` into the object of index
+    x, that is generators of the vertex group at the least object of its
+    component there, and the tree arrow from that object elsewhere.  Moves
+    link both ways, so a filling reaches the least object's image by the
+    tree arrow, the vertex group acts there and the tree arrow of any other
+    object leads back out: every arrow into x is reached.  `fibre[n][x]`:
+    generators of A_n at the object of index x, as fibre indices.  Orbits
+    under generators of a finite group(oid) are its orbits, so the classes
+    do not change.
+    """
+    A, ops = plan.A, plan._ops
     base = A.base
-    vertex = {}
-    for component in base.components():
-        root = component[0]
-        for x in component:
-            moves = _generating_sequence(base.vertex_group(x))
-            if x != root:
-                moves.append(base.arrows_between(root, x)[0])
-            vertex[x] = tuple(moves)
+    vertex = [[] for _ in A.objects]
+    for a in base.generators:
+        vertex[ops.obj[base.tgt[a]]].append(ops.arr[a])
     fibre = {
-        (n, x): tuple((x, e) for e in _generating_sequence(A.fibre(n, x)))
+        n: [
+            [ops.index[n][i][e] for e in _generating_sequence(A.fibre(n, x))]
+            for i, x in enumerate(A.objects)
+        ]
         for n in range(2, A.truncation + 1)
-        for x in A.objects
     }
     return vertex, fibre
 
@@ -528,8 +558,9 @@ def rel_classes(X, A: CrossedComplex, boundary_gens, fillings):
     higher slots compose untwisted, and every intermediate colouring agrees
     with the fillings on the boundary.  Moves at one slot compose as the
     slot's group (or, at a vertex, groupoid) does, so only the generating
-    values of `_move_generators` are applied.  A move rewrites the star of
-    its slot (`_stars`) in the filling's key, and no colouring is built.
+    values of `_move_generators` are applied.  Each free slot's star is
+    compiled once per call (`_key_movers`), and a move rewrites the
+    filling's key there with list lookups; no colouring is built.
 
     Returns (classes, class_of): classes are tuples of filling indices with
     the canonical minimum first; class_of maps a colouring key to its class
@@ -541,22 +572,22 @@ def rel_classes(X, A: CrossedComplex, boundary_gens, fillings):
     X = plan.X
     fkeys = [col.key() for col in fillings]
     keys = {k: i for i, k in enumerate(fkeys)}
-    free = [g for g in X.all_gens() if g not in boundary_gens and X.dim_of[g] < A.truncation]
-    base_of = {g: _base_vertex(X, g) for g in free}
-    stars, slots = _stars(plan), plan.key_slots
-    vertex_moves, fibre_moves = _move_generators(A)
+    mover = _key_movers(plan)
+    vertex_moves, fibre_moves = _move_generators(plan)
+    slots = []
+    for g in X.all_gens():
+        n = X.dim_of[g] + 1
+        if g in boundary_gens or n > A.truncation:
+            continue
+        p = X.gen_index(g)
+        moves = vertex_moves if n == 1 else fibre_moves[n]
+        slots.append((p, X.gen_index(_base_vertex(X, g)), moves, mover((p,))))
 
     def links():
-        for i, col in enumerate(fillings):
-            f, key = col.values, fkeys[i]
-            for g in free:
-                n, x = X.dim_of[g] + 1, f[base_of[g]]
-                moves = vertex_moves[x] if n == 1 else fibre_moves[n, x]
-                if not moves:
-                    continue
-                move = _mover(plan, stars, f, g)
-                for h in moves:
-                    j = keys.get(_moved_key(slots, key, move(h)))
+        for i, key in enumerate(fkeys):
+            for p, base, moves, move in slots:
+                for h in moves[key[base]]:
+                    j = keys.get(move(key, {p: h}))
                     if j is None:
                         raise ValueError("internal homotopy left the filling set")
                     yield i, j
@@ -571,7 +602,9 @@ def holonomy_act(X, A, boundary_gens, eta: HomotopySequence, filling: Colouring)
 
     X is a `SimpSet`, a `Stratification` or a `Plan` of one for A.
     `eta` targets the restriction of `filling` to the boundary subcomplex;
-    the result restricts to the other end of `eta`.
+    the result restricts to the other end of `eta`.  The whole colouring is
+    evaluated and built; `extprof.cobordism_profunctor` moves keys instead,
+    through `_key_movers`.
     """
     plan = as_plan(X, A)
     X = plan.X

@@ -18,23 +18,33 @@ arrows and composable pairs by scanning every arrow, or every pair of
 arrows, and filtering: the oracles of `FinGroupoid.ends`, of the walks of
 `comp_table`, and of `tensor_over`'s walk of the action tables' rows.
 
-The last section keeps the colouring walk on values (`DictPlan`), with its
-dict-based labels, tests and domains: the oracle of `Plan`'s walk on value
-indices.
+The colouring walk on values (`DictPlan`), with its dict-based labels, tests
+and domains, is the oracle of `Plan`'s walk on value indices.
+
+The last section keeps relative classes by dict moves (`rel_classes`, with
+`_stars`, `_mover` and `_moved_key`), the profunctor of a cobordism with one
+`holonomy_act` per (boundary arrow, basis element) (`cobordism_profunctor`)
+and the naturality check over every pair of arrows (`naturality_check`): the
+oracles of the key-vector moves, the transports by Schreier composition and
+the check on generating squares.
 """
 from fractions import Fraction
 
-from quinncalc.colouring import Colouring, as_simpset, hal_word, value_of_ref
+from quinncalc.colouring import Colouring, Plan, as_plan, as_simpset, hal_word, value_of_ref
 from quinncalc.errors import BoundaryError
+from quinncalc.extprof import Profunctor
 from quinncalc.finalg.groupoids import partition
-from quinncalc.finalg.groups import find_group_iso
+from quinncalc.finalg.groups import _generating_sequence, find_group_iso
 from quinncalc.homotopy import (
     HomotopySequence,
+    _arrow,
     _base_vertex,
     _identity,
     _invert,
+    _term,
     crs_pi1,
     enumerate_sequences,
+    holonomy_act,
     identity_sequence,
 )
 from quinncalc.morita import Algebra, Bimodule, _monomial_image
@@ -625,3 +635,216 @@ class DictPlan:
 
     def count(self, fixed: dict | None = None) -> int:
         return self._walk(fixed or {}, None)
+
+
+# -- relative classes, profunctor transports and naturality, as they ran before ---------------
+
+
+def _stars(plan) -> dict:
+    """g -> what a single-slot move at g rewrites besides g, for every g below the truncation.
+
+    A move at a vertex v rewrites the edges with v as an end, as
+    [(edge, v is its source, v is its target)], and the cells of dimension
+    2..truncation led by v, as [(cell, dimension)].  A move at a generator g
+    of dimension i >= 1 rewrites the (i+1)-cells with g as a nondegenerate
+    face, as [(cell, [(sign, reads), ...])] with one entry per occurrence
+    of g in the cell's `Plan.terms`.
+    """
+    X, A = plan.X, plan.A
+    stars: dict = {v: ([], []) for v in X.gens(0)}
+    for e in X.gens(1):
+        s, t = X.edge_ends(e)
+        stars[s][0].append((e, True, s == t))
+        if t != s:
+            stars[t][0].append((e, False, True))
+    for g in X.all_gens():
+        if 1 <= X.dim_of[g] < A.truncation:
+            stars[g] = []
+    for c, terms in plan.terms.items():
+        stars[plan.lead[c]][1].append((c, X.dim_of[c]))
+        at: dict = {}
+        for face, sign, reads in terms:
+            at.setdefault(face, []).append((sign, reads))
+        for face, occurrences in at.items():
+            stars[face].append((c, occurrences))
+    return stars
+
+
+def _mover(plan, stars: dict, f: dict, g):
+    """h -> {generator: value}: the values of f that the single-slot move by h at g changes.
+
+    The move is the homotopy targeting f with value h at g and identities
+    elsewhere; its other end agrees with f outside the returned star.
+    Values are read and combined through the dict tables of A.
+    """
+    A = plan.A
+    comp, inv = A.base.comp_table, A.base.inv_table
+    n = plan.X.dim_of[g] + 1  # the level of h
+    if n == 1:
+        edges, cells = stars[g]
+
+        def move(a):
+            a_inv = inv[a]
+            out = {g: A.base.src[a]}
+            for e, at_src, at_tgt in edges:
+                x = comp[a, f[e]] if at_src else f[e]
+                out[e] = comp[x, a_inv] if at_tgt else x
+            for c, m in cells:
+                out[c] = A.act_elem(m, f[c], a_inv)
+            return out
+
+        return move
+    fg = f[g]
+    cofaces = [
+        (c, [(sign, _arrow(comp, reads, f)) for sign, reads in occurrences])
+        for c, occurrences in stars[g]
+    ]
+
+    def move(h):
+        d = A.bdry_of(n, h)
+        out = {g: comp[fg, d] if n == 2 else A.mul(n - 1, fg, d)}
+        for c, occurrences in cofaces:
+            val = f[c]
+            for sign, arrow in occurrences:
+                val = A.mul(n, val, _term(A, n, h, sign, arrow))
+            out[c] = val
+        return out
+
+    return move
+
+
+def _moved_key(slots: dict, key: tuple, star: dict) -> tuple:
+    """`key` with the positions of the star's generators rewritten to its values."""
+    out = list(key)
+    for g, v in star.items():
+        pos, index = slots[g]
+        out[pos] = index[v]
+    return tuple(out)
+
+
+def _move_generators(A):
+    """Generating values of each slot domain: (at a vertex, at a higher generator).
+
+    At a vertex whose image is x: generators of the vertex group at x, then
+    the first arrow into x from the least object of its component unless x
+    is that object.  At a generator of level n over x: generators of A_n(x).
+    """
+    base = A.base
+    vertex = {}
+    for component in base.components():
+        root = component[0]
+        for x in component:
+            moves = _generating_sequence(base.vertex_group(x))
+            if x != root:
+                moves.append(base.arrows_between(root, x)[0])
+            vertex[x] = tuple(moves)
+    fibre = {
+        (n, x): tuple((x, e) for e in _generating_sequence(A.fibre(n, x)))
+        for n in range(2, A.truncation + 1)
+        for x in A.objects
+    }
+    return vertex, fibre
+
+
+def rel_classes(X, A, boundary_gens, fillings):
+    """`homotopy.rel_classes` by dict moves: each single-slot move builds a dict of the
+    star's new values through `_mover` and rewrites the key through `_moved_key`."""
+    if not fillings:
+        return (), {}
+    plan = as_plan(X, A)
+    X = plan.X
+    fkeys = [col.key() for col in fillings]
+    keys = {k: i for i, k in enumerate(fkeys)}
+    free = [g for g in X.all_gens() if g not in boundary_gens and X.dim_of[g] < A.truncation]
+    base_of = {g: _base_vertex(X, g) for g in free}
+    stars, slots = _stars(plan), plan.key_slots
+    vertex_moves, fibre_moves = _move_generators(A)
+
+    def links():
+        for i, col in enumerate(fillings):
+            f, key = col.values, fkeys[i]
+            for g in free:
+                n, x = X.dim_of[g] + 1, f[base_of[g]]
+                moves = vertex_moves[x] if n == 1 else fibre_moves[n, x]
+                if not moves:
+                    continue
+                move = _mover(plan, stars, f, g)
+                for h in moves:
+                    j = keys.get(_moved_key(slots, key, move(h)))
+                    if j is None:
+                        raise ValueError("internal homotopy left the filling set")
+                    yield i, j
+
+    classes = partition(len(fillings), links())
+    class_of = {fkeys[i]: ci for ci, members in enumerate(classes) for i in members}
+    return classes, class_of
+
+
+def cobordism_profunctor(M, A):
+    """`extprof.cobordism_profunctor` with one `holonomy_act` per (arrow, basis element).
+
+    Classes come from the dict-move `rel_classes` above; `lact` and `ract`
+    are filled in (arrow, object, basis element) order.
+    """
+    X = M.simpset
+    in_gens, out_gens = M.tagged("in"), M.tagged("out")
+    if in_gens & out_gens:
+        raise BoundaryError("in and out subcomplexes must be disjoint")
+    sub_in, sub_out = X.restrict(in_gens), X.restrict(out_gens)
+    left, right = crs_pi1(sub_in, A), crs_pi1(sub_out, A)
+    boundary = in_gens | out_gens
+    plan = Plan(X, A)
+    basis, sizes, reps = {}, {}, {}
+    class_of_key = {}
+    for li, f in enumerate(left.colourings):
+        for ri, fp in enumerate(right.colourings):
+            fillings = plan.colourings({**f.values, **fp.values})
+            classes, class_of = rel_classes(plan, A, boundary, fillings)
+            ids = []
+            for ci, members in enumerate(classes):
+                eid = (li, ri, ci)
+                ids.append(eid)
+                sizes[eid] = len(members)
+                reps[eid] = fillings[members[0]]
+            basis[(li, ri)] = tuple(ids)
+            for key, ci in class_of.items():
+                class_of_key[(li, ri, key)] = (li, ri, ci)
+    lact, ract = {}, {}
+    for eta in left.groupoid.arrows:
+        si, ti = eta[0], eta[1]
+        seq = left.arrow_reps[eta]
+        for ri in right.groupoid.objects:
+            for b in basis[(ti, ri)]:
+                moved = holonomy_act(plan, A, in_gens, seq, reps[b])
+                lact[(eta, b)] = class_of_key[(si, ri, moved.key())]
+    for zeta in right.groupoid.arrows:
+        si, ti = zeta[0], zeta[1]
+        inv_seq = _invert(right.arrow_reps[zeta], right.colourings[si])
+        for li in left.groupoid.objects:
+            for b in basis[(li, si)]:
+                moved = holonomy_act(plan, A, out_gens, inv_seq, reps[b])
+                ract[(b, zeta)] = class_of_key[(li, ti, moved.key())]
+    return Profunctor(left, right, basis, lact, ract, sizes, reps)
+
+
+def naturality_check(nt) -> bool:
+    """`NatTransform.naturality_check` over every (left arrow, right arrow) pair."""
+    GL = nt.top.left.groupoid
+    GR = nt.top.right.groupoid
+    tindex = {(pair, b): i for pair in nt.top.basis for i, b in enumerate(nt.top.basis[pair])}
+    bindex = {
+        (pair, b): j for pair in nt.bottom.basis for j, b in enumerate(nt.bottom.basis[pair])
+    }
+    for eta in GL.arrows:
+        for zeta in GR.arrows:
+            src_pair = (GL.tgt[eta], GR.src[zeta])
+            dst_pair = (GL.src[eta], GR.tgt[zeta])
+            for b in nt.top.basis.get(src_pair, ()):
+                tb = nt.top.transport(eta, b, zeta)
+                for bp in nt.bottom.basis.get(src_pair, ()):
+                    tbp = nt.bottom.transport(eta, bp, zeta)
+                    lhs = nt.blocks[dst_pair][tindex[(dst_pair, tb)]][bindex[(dst_pair, tbp)]]
+                    rhs = nt.blocks[src_pair][tindex[(src_pair, b)]][bindex[(src_pair, bp)]]
+                    if lhs != rhs:
+                        return False
+    return True

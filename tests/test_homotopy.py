@@ -35,10 +35,8 @@ from quinncalc.homotopy import (
     _compose_keys,
     _compose_tables,
     _delta2,
-    _moved_key,
-    _mover,
+    _key_movers,
     _sequence,
-    _stars,
     apply_homotopy,
     compose_homotopies,
     crs_pi1,
@@ -807,7 +805,7 @@ def _move_case(space, algebra):
 @settings(max_examples=200, deadline=None)
 @given(case=st.sampled_from(MOVE_CASES), data=st.data())
 def test_compiled_move_rewrites_the_star_as_apply_homotopy(case, data):
-    """A single-slot move changes only its slot's star, to the values and key of the reference."""
+    """A single-slot move on the key gives the key of the reference's other end."""
     X, A, plan, colourings = _move_case(*case)
     col = data.draw(st.sampled_from(colourings), label="colouring")
     domains = dict(sequence_domains(X, A, col, 1))
@@ -816,9 +814,34 @@ def test_compiled_move_rewrites_the_star_as_apply_homotopy(case, data):
     H = identity_sequence(col)
     H.values[g] = h
     want = reference.apply_homotopy(H, col)
-    star = _mover(plan, _stars(plan), col.values, g)(h)
-    assert {**col.values, **star} == want.values
-    assert _moved_key(plan.key_slots, col.key(), star) == want.key()
+    p = X.gen_index(g)
+    move = _key_movers(plan)((p,))
+    assert move(col.key(), {p: H.key()[p]}) == want.key()
+    assert reference._moved_key(
+        plan.key_slots, col.key(), reference._mover(plan, reference._stars(plan), col.values, g)(h)
+    ) == want.key()
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.sampled_from(MOVE_CASES), data=st.data())
+def test_key_moves_on_several_slots_match_apply_homotopy(case, data):
+    """A homotopy with values on a set of slots and identities elsewhere, moved on the key.
+
+    This is how `cobordism_profunctor` transports a filling along a boundary
+    homotopy: the set of slots is the boundary's.
+    """
+    X, A, plan, colourings = _move_case(*case)
+    col = data.draw(st.sampled_from(colourings), label="colouring")
+    domains = sequence_domains(X, A, col, 1)
+    chosen = data.draw(st.sets(st.sampled_from([g for g, _ in domains])), label="slots")
+    H = identity_sequence(col)
+    for g, dom in domains:
+        if g in chosen:
+            H.values[g] = data.draw(st.sampled_from(dom), label=str(g))
+    positions = [X.gen_index(g) for g in chosen]
+    hk = H.key()
+    move = _key_movers(plan)(positions)
+    assert move(col.key(), {p: hk[p] for p in positions}) == reference.apply_homotopy(H, col).key()
 
 
 @settings(max_examples=100, deadline=None)
