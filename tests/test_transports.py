@@ -20,15 +20,17 @@ from quinncalc.extprof import (
     cobordism_profunctor,
     window_nat_transform,
 )
-from quinncalc.finalg import action_groupoid, pair_groupoid, symmetric_group
+from quinncalc.finalg import pair_groupoid, symmetric_group
 from quinncalc.finalg.groupoids import groupoid_from_group
 from quinncalc.homotopy import crs_pi1, rel_classes
 from quinncalc.simpset import circle, point, prism, window_support
 from tests import reference
 from tests.test_colouring import CORPUS_ALGEBRAS, _cylinder
+from tests.test_homotopy import NON_REDUCED, _permutation_groupoid
 from tests.test_index_walk import pair_module
 
-ALGEBRAS = {**CORPUS_ALGEBRAS, "pair-module": pair_module}
+# the corpus, a two-object crossed module and two groupoids with several objects
+ALGEBRAS = {**CORPUS_ALGEBRAS, "pair-module": pair_module, **NON_REDUCED}
 COBORDISMS = {
     "prism-point": lambda: prism(point()),
     "prism-circle": lambda: prism(circle()),
@@ -43,9 +45,7 @@ WINDOWS = {
 GROUPOIDS = {
     "S3": lambda: groupoid_from_group(symmetric_group(3)),
     "I(3)": lambda: pair_groupoid(3),
-    "S3-on-3-points": lambda: action_groupoid(
-        symmetric_group(3), (0, 1, 2), lambda g, x: symmetric_group(3).inv(g)[x]
-    ),
+    "S3-on-3-points": _permutation_groupoid,
     "circle-s3": lambda: crs_pi1(circle(), CORPUS_ALGEBRAS["s3"]()).groupoid,
     "prism-circle-0:Z2->Z2": lambda: crs_pi1(
         prism(circle()).simpset, CORPUS_ALGEBRAS["0:Z2->Z2"]()
