@@ -22,7 +22,6 @@ from .homotopy import (
     compose_homotopies,
     crs_pi1,
     delta2,
-    holonomy_act,
     invert_homotopy,
     rel_classes,
 )

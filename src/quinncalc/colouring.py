@@ -29,9 +29,8 @@ backtracking walk after one check and encoding of the fixed values.
 `enumerate_colourings` and `enumerate_relative` compile a plan per call; a
 caller that walks one X for many boundary values compiles it once.  The
 homotopy layer reads the same compilation: `Plan.terms` resolves the
-homotopy addition word of each cell to slot reads once, `Plan.key_slots`
-places each generator's value in its `colouring_key`, and `Plan.key_tables`
-holds the operations of A on those value indices, the walk's own tables.
+homotopy addition word of each cell to reads of key positions once, and
+evaluates them on colouring keys with the walk's own tables (`_Ops`).
 Every homotopy addition word in the program is evaluated on a plan;
 `boundary_label` compiles one per call, and `value_of_ref` reads a single
 simplex.
@@ -229,8 +228,8 @@ class Plan:
     position of `slots`, the index of its value there (an object, an arrow,
     or an element of the fibre at the image of the generator's leading
     vertex), as `colouring_key` indexes it.  Labels, label tests and domains
-    read positions of `v` and the nested lists of `_Ops`, and the homotopy
-    layer's `key_tables` are built from the same lists.
+    read positions of `v` and the nested lists of `_Ops`, and so does the
+    homotopy layer, on colouring keys.
 
     - `lead[g]`: the leading vertex of g;
     - `label[c](values)`: the homotopy addition label of c under the values
@@ -239,7 +238,7 @@ class Plan:
     - `slots`: the walk order, levels 0..min(dim X, truncation) in generator
       order, which is a prefix of `X.all_gens()`;
     - `faces[c]`: the proper faces of c, for c of dimension 2..truncation;
-    - `terms[c]`, `key_slots[g]`, `key_tables`: for the homotopy layer.
+    - `terms[c]`: for the homotopy layer.
 
     Everything but `lead` is built on first use, so a plan that evaluates a
     homotopy or a label never builds the walk's domains and tests.
@@ -537,28 +536,6 @@ class Plan:
 
         return decode
 
-    def _reader(self, ref: SimplexRef, sign: int = 1):
-        """(key, table): the value on ref is values[key], mapped through table if any.
-
-        Degenerate faces and faces above the truncation read the identity at
-        their leading vertex; a negative sign is folded into the table.
-        """
-        X, A = self.X, self.A
-        d = X.ref_dim(ref)
-        base = A.base
-        if not ref.word and not (d >= 2 and d > A.truncation):
-            if sign > 0:
-                return ref.core, None
-            if d == 1:
-                return ref.core, base.inv_table
-            return ref.core, {a: A.inv_elem(d, a) for a in A.level_elements(d)}
-        key = X.initial_vertex(ref)
-        if d == 1:
-            table = base.ident if sign > 0 else {x: base.inv(i) for x, i in base.ident.items()}
-        else:
-            table = {x: A.pow_elem(d, A.identity_elem(d, x), sign) for x in A.objects}
-        return key, table
-
     @cached_property
     def terms(self) -> dict:
         """c -> [(face, sign, reads)], for c of dimension n = 2..truncation.
@@ -568,8 +545,9 @@ class Plan:
         once per occurrence.  A k-fold homotopy h targeting a colouring f
         takes the word to the product, at level n + k - 1, of the terms
         h(face)^sign, each acted on by the composite of the edge values that
-        its `reads` give on f (no action when there are none).  k = 1 gives
-        the other end of h, k = 2 its boundary.  For a 2-generator the
+        its `reads` give on f (no action when there are none).  A read is
+        an `_arrow_read` (position, table) of the value indices of f.  k = 1
+        gives the other end of h, k = 2 its boundary.  For a 2-generator the
         derivation rule acts on a term by the edges after it, and first by
         its own inverse edge when its sign is negative; above, only the
         leading term is twisted, by the inverse leading edge.
@@ -584,51 +562,13 @@ class Plan:
                     if ref.word:
                         continue  # degenerate: the homotopy is an identity there
                     if n == 2:
-                        reads = [self._reader(r, s) for r, s, _ in word[j + 1 :]]
+                        reads = [self._arrow_read(r, s) for r, s, _ in word[j + 1 :]]
                         if sign < 0:
-                            reads.insert(0, self._reader(ref, -1))
+                            reads.insert(0, self._arrow_read(ref, -1))
                     else:
-                        reads = [self._reader(r, s) for r, s in twist or ()]
+                        reads = [self._arrow_read(r, s) for r, s in twist or ()]
                     occurrences.append((ref.core, sign, tuple(reads)))
         return out
-
-    @cached_property
-    def key_slots(self) -> dict:
-        """g -> (position, index): `colouring_key` holds index[v] at `position` when g has value v.
-
-        Only generators of dimension up to max(1, truncation) are listed;
-        higher ones are keyed 0 whatever the colouring.
-        """
-        X, A = self.X, self.A
-        index = {
-            0: {x: i for i, x in enumerate(A.objects)},
-            1: {a: i for i, a in enumerate(A.base.arrows)},
-        }
-        for n in range(2, A.truncation + 1):
-            index[n] = {(x, e): A.fibre(n, x).index(e) for x, e in A.level_elements(n)}
-        return {
-            g: (pos, index[X.dim_of[g]])
-            for pos, g in enumerate(X.all_gens())
-            if X.dim_of[g] in index
-        }
-
-    @cached_property
-    def key_tables(self) -> tuple:
-        """(comp, act, mul): the operations of A on the value indices of `key_slots`.
-
-        - `comp[a][b]`: the index of the composite of the arrows indexed a
-          then b, None when they do not compose;
-        - `act[n][a][i]`, n >= 2: the index, in the fibre at the target of
-          the arrow a, of the level-n element of index i at its source acted
-          on by a;
-        - `mul[n][a][i][j]`: the index of the product of the elements of
-          indices i and j in the level-n fibre at the target of the arrow a.
-
-        These are the walk's tables (`_Ops`), with the products listed by arrow.
-        """
-        ops = self._ops
-        mul = {n: [table[t] for t in ops.tgt] for n, table in ops.mul.items()}
-        return ops.comp, ops.act, mul
 
     def _walk(self, fixed: dict, emit) -> int:
         """The number of colourings extending `fixed`; each goes to `emit` if given.

@@ -22,7 +22,7 @@ from .colouring import Colouring, Plan, value_of_ref
 from .errors import BoundaryError
 from .finalg.crossed import CrossedComplex
 from .finalg.groupoids import partition
-from .homotopy import CrsResult, _key_movers, crs_pi1, rel_classes
+from .homotopy import CrsResult, _moves, crs_pi1, rel_classes
 from .simpset import Stratification, Window
 from .tqft import theta_weight
 
@@ -143,8 +143,8 @@ def _transports(crs: CrsResult, plan: Plan, over: dict, rep_keys: dict, class_of
     i-th element over the target.  Transports compose, T(g . a) = T(g) o T(a),
     so only the generators of the groupoid are evaluated: the representative
     homotopy of a generator, extended by identities off the boundary, moves
-    the key of each representative (`_key_movers`, which rewrites the
-    boundary slots and their star), and the moved key names its class.  A
+    the key of each representative (`homotopy._Moves.mover`, which rewrites
+    the boundary slots and their star), and the moved key names its class.  A
     generator's inverse is the inverse permutation.  Every other arrow is
     g . a for a generator or inverse g and an arrow a already done, breadth
     first from the identities: Schreier vectors (Holt, Eick and O'Brien,
@@ -152,7 +152,7 @@ def _transports(crs: CrsResult, plan: Plan, over: dict, rep_keys: dict, class_of
     """
     G, X, sub, trunc = crs.groupoid, plan.X, crs.X, crs.A.truncation
     slots = [(i, X.gen_index(g)) for i, g in enumerate(sub.all_gens()) if sub.dim_of[g] < trunc]
-    move = _key_movers(plan)([p for _, p in slots])
+    move = _moves(plan).mover(p for _, p in slots)
     position = {b: i for els in over.values() for i, b in enumerate(els)}
     done = {G.ident[x]: list(range(len(over[x]))) for x in G.objects}
     into = {}  # object -> the generators and their inverses that end there

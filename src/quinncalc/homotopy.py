@@ -8,30 +8,30 @@ i >= 2.  Levels with i+k above the truncation carry identities and are not
 stored.  `HomotopySequence.values` maps each generator to its value, the
 same shape as `Colouring.values`, and one key function serves both.
 
-The derived operations (the other end of a homotopy, composition,
-inversion, and the boundary of a 2-fold homotopy) are evaluated directly on
-these cell values, extending along the homotopy addition words by the
-derivation rule at level one and by equivariant homomorphisms above.  Every
-such word is read from the terms that a `Plan` of (X, A) compiles once:
-`_apply` gives the other end and `_delta2` the boundary, and the public
-`apply_homotopy`, `compose_homotopies`, `invert_homotopy` and `delta2` check
-their arguments and compile a plan per call.  `crs_pi1` and `holonomy_act`
-evaluate `_apply` on one plan per call, however many homotopies they apply.
-A homotopy with values on a few slots only needs no values dict:
-`_key_movers` evaluates the same terms on the key of the colouring, with the
-integer tables of the plan, and rewrites only the slots and their star.
-`rel_classes` moves fillings by one slot at a time this way, and
-`extprof.cobordism_profunctor` transports them along boundary homotopies.
-Composition needs no word: `_compose_keys` composes two 1-fold homotopies on
-their keys, cell by cell, with the integer tables of `Plan.key_tables`, and
-`_sequence` decodes a key into values when a `HomotopySequence` is wanted.
+The derived operations are evaluated on keys only: a colouring and a
+homotopy are both held by their `colouring_key`, the value index at each
+generator position, and each homotopy addition word is read from the terms
+that a `Plan` of (X, A) compiles once, with the integer tables of
+`Plan._ops`.  There is one evaluator for each derived operation:
+`_Moves.mover` gives the other end of a homotopy with values at a set of
+positions (identities elsewhere), rewriting only those positions and their
+star; `_delta2` gives the boundary of a 2-fold homotopy; `_compose_keys`
+composes two 1-fold homotopies cell by cell and `_invert_key` inverts one.
+The moves of a plan are compiled once per plan (`_moves`) and shared by
+`crs_pi1`, `rel_classes` and `extprof.cobordism_profunctor`.  The public
+`apply_homotopy`, `compose_homotopies`, `invert_homotopy` and `delta2`
+check their arguments, compile a plan per call, encode, evaluate on keys
+and decode; `_sequence` decodes a key into values when a `HomotopySequence`
+is wanted.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
+from weakref import WeakKeyDictionary
 
-from .colouring import Colouring, Plan, as_plan, as_simpset, colouring_key
+from .colouring import Colouring, Plan, as_plan, colouring_key
 from .finalg.crossed import CrossedComplex
 from .finalg.groupoids import FinGroupoid, partition
 from .finalg.groups import _generating_sequence
@@ -73,118 +73,15 @@ def _base_vertex(X: SimpSet, g):
     return X.initial_vertex(g)
 
 
-def _identity(f: Colouring, g, k: int):
-    """The identity value of a k-fold homotopy targeting f at the generator g.
-
-    It lies at level dim(g) + k: an identity arrow at level one, an identity
-    element above.
-    """
-    n = f.X.dim_of[g] + k
-    x = f.values[_base_vertex(f.X, g)]
-    return f.A.base.ident[x] if n == 1 else f.A.identity_elem(n, x)
-
-
-def sequence_domains(X: SimpSet, A: CrossedComplex, f: Colouring, k: int, fixed_identity=()):
-    """(generator, value domain) pairs of the k-fold homotopies targeting f.
-
-    Generators in `fixed_identity` are pinned to identity values (used for
-    homotopies relative to a subcomplex).
-    """
-    fixed_identity = set(fixed_identity)
-    domains = []
-    for g in X.all_gens():
-        n = X.dim_of[g] + k
-        if n > A.truncation:
-            continue  # implicit identity
-        base = f.values[_base_vertex(X, g)]
-        if g in fixed_identity:
-            dom = (_identity(f, g, k),)
-        elif n == 1:
-            dom = A.base.arrows_into(base)
-        else:
-            dom = tuple((base, e) for e in A.fibre(n, base).elements)
-        domains.append((g, dom))
-    return domains
-
-
-def expand_sequence(seq: HomotopySequence, X: SimpSet, target: Colouring) -> HomotopySequence:
-    """The k-fold homotopy targeting `target` with the values of `seq`, identities elsewhere.
-
-    Only generators with i + k <= truncation get a slot; values of `seq` on
-    generators outside X are dropped.
-    """
-    k = seq.k
-    values = {}
-    for g in X.all_gens():
-        if X.dim_of[g] + k > target.A.truncation:
-            continue
-        v = seq.values.get(g)
-        values[g] = _identity(target, g, k) if v is None else v
-    return HomotopySequence(k, target, values)
-
-
-def identity_sequence(f: Colouring, k: int = 1) -> HomotopySequence:
-    return expand_sequence(HomotopySequence(k, f, {}), f.X, f)
-
-
-def enumerate_sequences(X, A, f: Colouring, k: int):
-    """All k-fold homotopies targeting f, in canonical order; X may be a `Stratification`."""
-    X = as_simpset(X)
-    slots = sequence_domains(X, A, f, k)
-    gens = [g for g, _ in slots]
-    return [
-        HomotopySequence(k, f, dict(zip(gens, combo)))
-        for combo in product(*(dom for _, dom in slots))
-    ]
-
-
 def apply_homotopy(H: HomotopySequence, f: Colouring) -> Colouring:
     """The other end of a 1-fold homotopy targeting f."""
     if H.k != 1:
         raise ValueError("only 1-fold homotopies connect colourings")
     if f is not H.target and f.values != H.target.values:
         raise ValueError("homotopy does not target this colouring")
-    return Colouring(f.X, f.A, _apply(Plan(f.X, f.A), f.values, H.values))
-
-
-def _arrow(comp: dict, reads, f: dict):
-    """The composite of the edge values that `reads` give on f; None when there are none."""
-    out = None
-    for key, table in reads:
-        a = f[key] if table is None else table[f[key]]
-        out = a if out is None else comp[out, a]
-    return out
-
-
-def _term(A: CrossedComplex, n: int, h, sign: int, arrow):
-    """h^sign acted on by arrow (if any), at level n."""
-    if sign < 0:
-        h = A.inv_elem(n, h)
-    return h if arrow is None else A.act_elem(n, h, arrow)
-
-
-def _apply(plan: Plan, f: dict, h: dict) -> dict:
-    """`apply_homotopy` on the compiled terms: the values of the other end of h, which targets f.
-
-    `h` holds a value on every generator of dimension below the truncation,
-    as `HomotopySequence.values` does; nothing is checked.
-    """
-    X, A = plan.X, plan.A
-    comp, inv = A.base.comp_table, A.base.inv_table
-    out = {v: A.base.src[h[v]] for v in X.gens(0)}
-    for e in X.gens(1):
-        s, t = X.edge_ends(e)
-        mid = f[e] if e not in h else comp[f[e], A.bdry_of(2, h[e])]
-        out[e] = comp[comp[h[s], mid], inv[h[t]]]
-    for c, terms in plan.terms.items():
-        n = X.dim_of[c]
-        val = f[c]
-        for face, sign, reads in terms:
-            val = A.mul(n, val, _term(A, n, h[face], sign, _arrow(comp, reads, f)))
-        if c in h:
-            val = A.mul(n, val, A.bdry_of(n + 1, h[c]))
-        out[c] = A.act_elem(n, val, inv[h[plan.lead[c]]])
-    return out
+    plan = Plan(f.X, f.A)
+    other = _moves(plan).everywhere(colouring_key(plan.X, f.A, f.values), H.key())
+    return Colouring(f.X, f.A, plan._decode(other))
 
 
 def compose_homotopies(first: HomotopySequence, second: HomotopySequence) -> HomotopySequence:
@@ -196,46 +93,26 @@ def compose_homotopies(first: HomotopySequence, second: HomotopySequence) -> Hom
         raise ValueError("only 1-fold homotopies compose")
     f = second.target
     plan = Plan(f.X, f.A)
-    if first.target.values != _apply(plan, f.values, second.values):
+    hk = second.key()
+    if first.target.values != plan._decode(_moves(plan).everywhere(colouring_key(plan.X, f.A, f.values), hk)):
         raise ValueError("homotopies are not composable")
-    return _sequence(plan, f, _compose_keys(_compose_tables(plan), first.key(), second.key()))
+    return _sequence(plan, f, _compose_keys(_compose_tables(plan), first.key(), hk))
 
 
-def _compose_tables(plan: Plan) -> tuple:
-    """(vertices, comp, higher, tail): what `_compose_keys` reads, for 1-fold homotopies on plan.X.
-
-    The key of a 1-fold homotopy (`colouring_key` with k = 1) holds an arrow
-    index at each of the first `vertices` positions, then a fibre index at
-    each generator whose values lie at a level 2..truncation, then the zeros
-    `tail` of the generators above.  `higher` lists (position, position of
-    the base vertex, mul, act) for the middle positions in order, with the
-    level's tables from `Plan.key_tables`; `comp` is its level-1 table.
-    """
-    X, A = plan.X, plan.A
-    comp, act, mul = plan.key_tables
-    pos = {g: p for p, g in enumerate(X.all_gens())}
-    higher = [
-        (pos[g], pos[_base_vertex(X, g)], mul[n], act[n])
-        for g in X.all_gens()
-        if 2 <= (n := X.dim_of[g] + 1) <= A.truncation
-    ]
-    vertices = len(X.gens(0))
-    return vertices, comp, higher, (0,) * (len(pos) - vertices - len(higher))
+def invert_homotopy(H: HomotopySequence) -> HomotopySequence:
+    """The inverse arrow: targets the source of H."""
+    src = apply_homotopy(H, H.target)
+    plan = Plan(src.X, src.A)
+    return _sequence(plan, src, _invert_key(_compose_tables(plan), H.key()))
 
 
-def _compose_keys(tables: tuple, first: tuple, second: tuple) -> tuple:
-    """The key of the composite of `first` then `second`, given the keys of a composable pair.
-
-    `tables` is `_compose_tables` of the plan.  At a vertex the arrows compose;
-    at a higher generator g with base vertex y the value is
-    second(g) . (first(g) <| second(y)), as `compose_homotopies` defines it.
-    """
-    vertices, comp, higher, tail = tables
-    out = [comp[first[p]][second[p]] for p in range(vertices)]
-    for p, y, mul, act in higher:
-        a = second[y]
-        out.append(mul[a][second[p]][act[a][first[p]]])
-    return (*out, *tail)
+def delta2(H2: HomotopySequence) -> HomotopySequence:
+    """Boundary of a 2-fold homotopy: an endo-arrow at its target."""
+    if H2.k != 2:
+        raise ValueError("expected a 2-fold homotopy")
+    f = H2.target
+    plan = Plan(f.X, f.A)
+    return _sequence(plan, f, _delta2(plan)(colouring_key(plan.X, f.A, f.values), H2.key()))
 
 
 def _sequence(plan: Plan, f: Colouring, key: tuple) -> HomotopySequence:
@@ -252,61 +129,285 @@ def _sequence(plan: Plan, f: Colouring, key: tuple) -> HomotopySequence:
     return HomotopySequence(1, f, values)
 
 
-def invert_homotopy(H: HomotopySequence) -> HomotopySequence:
-    """The inverse arrow: targets the source of H."""
-    return _invert(H, apply_homotopy(H, H.target))
+# -- homotopies on keys ------------------------------------------------------------
 
 
-def _invert(H: HomotopySequence, src: Colouring) -> HomotopySequence:
-    """`invert_homotopy` given the source `src` of H."""
-    X, A = H.target.X, H.target.A
-    values = {}
-    for g, h in H.values.items():
-        i = X.dim_of[g]
-        if i == 0:
-            values[g] = A.base.inv(h)
-        else:
-            inv_h0 = A.base.inv(H.values[_base_vertex(X, g)])
-            values[g] = A.act_elem(i + 1, A.inv_elem(i + 1, h), inv_h0)
-    return HomotopySequence(1, src, values)
+def _compose_tables(plan: Plan) -> tuple:
+    """(vertices, comp, inv, higher, tail): what `_compose_keys` and `_invert_key` read.
 
-
-def delta2(H2: HomotopySequence) -> HomotopySequence:
-    """Boundary of a 2-fold homotopy: an endo-arrow at its target."""
-    if H2.k != 2:
-        raise ValueError("expected a 2-fold homotopy")
-    f = H2.target
-    return HomotopySequence(1, f, _delta2(Plan(f.X, f.A), f.values, H2.values))
-
-
-def _delta2(plan: Plan, f: dict, h: dict) -> dict:
-    """`delta2` on the compiled terms: the values of the boundary of the 2-fold homotopy h at f.
-
-    At a cell c of dimension n < truncation the terms of c are evaluated at
-    level n + 1, on the values of h, from the identity at the image of the
-    leading vertex; nothing is checked.
+    The key of a 1-fold homotopy on plan.X (`colouring_key` with k = 1)
+    holds an arrow index at each of the first `vertices` positions, then a
+    fibre index at each generator whose values lie at a level
+    2..truncation, then the zeros `tail` of the generators above.  `higher`
+    lists (position, position of the base vertex, mul, act, finv) for the
+    middle positions in order: `mul[a]` and `finv[a]` are the product and
+    inverse tables of the level's fibre at the target of the arrow a, and
+    `act` the level's action (`Plan._ops`).  `comp` and `inv` are the
+    level-1 tables.
     """
-    X, A = plan.X, plan.A
-    comp = A.base.comp_table
-    out = {v: A.bdry_of(2, h[v]) if v in h else A.base.ident[f[v]] for v in X.gens(0)}
-    if A.truncation >= 2:
+    X, A, ops = plan.X, plan.A, plan._ops
+    by_arrow = {
+        n: ([ops.mul[n][t] for t in ops.tgt], ops.act[n], [ops.finv[n][t] for t in ops.tgt])
+        for n in ops.mul
+    }
+    pos = {g: p for p, g in enumerate(X.all_gens())}
+    higher = [
+        (pos[g], pos[_base_vertex(X, g)], *by_arrow[n])
+        for g in X.all_gens()
+        if 2 <= (n := X.dim_of[g] + 1) <= A.truncation
+    ]
+    vertices = len(X.gens(0))
+    return vertices, ops.comp, ops.inv, higher, (0,) * (len(pos) - vertices - len(higher))
+
+
+def _compose_keys(tables: tuple, first: tuple, second: tuple) -> tuple:
+    """The key of the composite of `first` then `second`, given the keys of a composable pair.
+
+    `tables` is `_compose_tables` of the plan.  At a vertex the arrows compose;
+    at a higher generator g with base vertex y the value is
+    second(g) . (first(g) <| second(y)), as `compose_homotopies` defines it.
+    """
+    vertices, comp, _, higher, tail = tables
+    out = [comp[first[p]][second[p]] for p in range(vertices)]
+    for p, y, mul, act, _ in higher:
+        a = second[y]
+        out.append(mul[a][second[p]][act[a][first[p]]])
+    return (*out, *tail)
+
+
+def _invert_key(tables: tuple, key: tuple) -> tuple:
+    """The key of the inverse of the 1-fold homotopy with key `key`.
+
+    `tables` is `_compose_tables` of the plan.  At a vertex the arrow is
+    inverted; at a higher generator g with base vertex y the value is
+    h(g)^-1 <| h(y)^-1, so that the inverse composes with h to identities.
+    """
+    vertices, _, inv, higher, tail = tables
+    out = [inv[key[p]] for p in range(vertices)]
+    for p, y, _, act, finv in higher:
+        a = key[y]
+        out.append(act[inv[a]][finv[a][key[p]]])
+    return (*out, *tail)
+
+
+def _homotopy_slots(plan: Plan, k: int) -> list:
+    """[(base position, domains, identities)]: the k-fold homotopies on plan.X, by key position.
+
+    A k-fold homotopy targeting the colouring with key f takes, at the
+    position of a generator g whose values lie at the level n = dim g + k,
+    a value index in domains[f[base]], listed in ascending order, where base
+    is the position of g's base vertex; identities[f[base]] is the identity
+    there.  Above the truncation both are None and the key holds 0.
+    """
+    X, A, ops = plan.X, plan.A, plan._ops
+    into = [[] for _ in ops.ident]
+    for a, t in enumerate(ops.tgt):
+        into[t].append(a)
+    slots = []
+    for g in X.all_gens():
+        n = X.dim_of[g] + k
+        base = X.gen_index(_base_vertex(X, g))
+        if n == 1:
+            slots.append((base, into, ops.ident))
+        elif n <= A.truncation:
+            slots.append((base, [range(len(inv)) for inv in ops.finv[n]], ops.unit[n]))
+        else:
+            slots.append((base, None, None))
+    return slots
+
+
+def _twist(comp, reads):
+    """key -> the composite of the arrows that `reads` (of `Plan.terms`) give on a colouring key.
+
+    None when there are no reads, so the term is not acted on.
+    """
+    if not reads:
+        return None
+    (q0, t0), rest = reads[0], reads[1:]
+
+    def arrow(key):
+        a = key[q0] if t0 is None else t0[key[q0]]
+        for q, t in rest:
+            a = comp[a][key[q] if t is None else t[key[q]]]
+        return a
+
+    return arrow
+
+
+def _key_terms(plan: Plan) -> list:
+    """[(position, lead position, dimension, terms)]: `Plan.terms` on key positions.
+
+    Each term is (face position, position of the face's base vertex,
+    whether its sign is negative, its `_twist`).
+    """
+    X, comp, where = plan.X, plan._ops.comp, plan.X.gen_index
+    return [
+        (where(c), where(plan.lead[c]), X.dim_of[c], [
+            (where(face), where(_base_vertex(X, face)), sign < 0, _twist(comp, reads))
+            for face, sign, reads in terms
+        ])
+        for c, terms in plan.terms.items()
+    ]
+
+
+class _Moves:
+    """The other ends of 1-fold homotopies on the colouring keys of one plan.
+
+    `mover(positions)` gives `move(key, h)`: the key of the other end of the
+    1-fold homotopy that targets the colouring with key `key`, has the value
+    index h[p] at each key position p of `positions` (h holds one at every
+    one of them, as `colouring_key` with k = 1 indexes it) and identities
+    elsewhere.  It evaluates the homotopy addition words on value indices
+    with the tables of `Plan._ops`, and only where those values change the
+    colouring: at the positions, at the edges with a vertex among them as
+    an end, at the cells led by such a vertex and at the cells with one of
+    them as a face (their star).  The stars are compiled once, each set of
+    positions' mover on first use; no colouring or values dict is built.
+    `everywhere` moves by a whole homotopy: its positions are all those
+    below the truncation.  `generators` are the generating values of each
+    slot's domain (`_move_generators`).
+    """
+
+    def __init__(self, plan: Plan):
+        X, A = plan.X, plan.A
+        self._A, self._ops = A, plan._ops  # not the plan, which keys `_moves`' cache
+        where = X.gen_index
+        self._star = star = {where(g): set() for g in X.all_gens() if X.dim_of[g] < A.truncation}
+        self._edges, self._cells, self._movers = {}, {}, {}
         for e in X.gens(1):
-            s, t = X.edge_ends(e)
-            val = A.mul(2, A.act_elem(2, A.inv_elem(2, h[s]), f[e]), h[t])
-            if e in h:
-                val = A.mul(2, val, A.bdry_of(3, h[e]))
-            out[e] = val
-    for c, terms in plan.terms.items():
-        n = X.dim_of[c]
-        if n >= A.truncation:
-            continue
-        unit = A.identity_elem(n + 1, f[plan.lead[c]])
-        lower = unit
-        for face, sign, reads in terms:
-            lower = A.mul(n + 1, lower, _term(A, n + 1, h[face], sign, _arrow(comp, reads, f)))
-        val = A.bdry_of(n + 2, h[c]) if c in h else unit
-        out[c] = A.mul(n + 1, val, A.pow_elem(n + 1, lower, (-1) ** n))
-    return out
+            p, (s, t) = where(e), (where(u) for u in X.edge_ends(e))
+            self._edges[p] = s, t
+            for q in (s, t, p):
+                if q in star:
+                    star[q].add(p)
+        for p, lead, m, terms in _key_terms(plan):
+            self._cells[p] = lead, m, terms
+            for q in (lead, p, *(face for face, _, _, _ in terms)):
+                if q in star:
+                    star[q].add(p)
+
+    def mover(self, positions):
+        moved = frozenset(positions)
+        move = self._movers.get(moved)
+        if move is None:
+            move = self._movers[moved] = self._compile(moved)
+        return move
+
+    @cached_property
+    def everywhere(self):
+        return self.mover(self._star)
+
+    @cached_property
+    def generators(self) -> tuple:
+        return _move_generators(self._A, self._ops)
+
+    def _compile(self, moved: frozenset):
+        ops, star = self._ops, self._star
+        comp, inv, src = ops.comp, ops.inv, ops.src
+        vertices, edge_moves, cell_moves = [], [], []
+        for p in sorted(moved.union(*(star[p] for p in moved))):
+            if p in self._edges:
+                s, t = self._edges[p]
+                edge_moves.append((p, s, t, s in moved, t in moved, p in moved))
+            elif p in self._cells:
+                lead, m, terms = self._cells[p]
+                finv = ops.finv[m]
+                cell_moves.append((
+                    p, lead, lead in moved, ops.mul[m], ops.act[m],
+                    ops.bdry[m + 1] if p in moved else None,
+                    [(face, base, finv if negative else None, twist)
+                     for face, base, negative, twist in terms if face in moved],
+                ))
+            else:
+                vertices.append(p)
+        bdry2 = ops.bdry.get(2)
+
+        def move(key, h):
+            out = list(key)
+            for p in vertices:
+                out[p] = src[h[p]]
+            for p, s, t, s_moved, t_moved, own in edge_moves:
+                a = key[p]
+                if own:
+                    a = comp[a][bdry2[key[t]][h[p]]]
+                if s_moved:
+                    a = comp[h[s]][a]
+                if t_moved:
+                    a = comp[a][inv[h[t]]]
+                out[p] = a
+            for p, lead, lead_moved, mul, act, up, terms in cell_moves:
+                x = key[lead]
+                val, table = key[p], mul[x]
+                for face, base, finv, twist in terms:
+                    e = h[face] if finv is None else finv[key[base]][h[face]]
+                    if twist is not None:
+                        e = act[twist(key)][e]
+                    val = table[val][e]
+                if up is not None:
+                    val = table[val][up[x][h[p]]]
+                out[p] = act[inv[h[lead]]][val] if lead_moved else val
+            return tuple(out)
+
+        return move
+
+
+_COMPILED_MOVES: WeakKeyDictionary = WeakKeyDictionary()  # plan -> its _Moves
+
+
+def _moves(plan: Plan) -> _Moves:
+    """The `_Moves` of plan, compiled on first use and kept while the plan lives."""
+    moves = _COMPILED_MOVES.get(plan)
+    if moves is None:
+        moves = _COMPILED_MOVES[plan] = _Moves(plan)
+    return moves
+
+
+def _delta2(plan: Plan):
+    """(f, h) -> the key of the boundary of the 2-fold homotopy with key h at the colouring with key f.
+
+    The boundary is a 1-fold homotopy at f.  At a vertex v it is the
+    boundary of h(v) (an identity at truncation 1); at an edge e from s to
+    t it is (h(s)^-1 <| f(e)) . h(t) . bdry h(e); at a cell c of dimension
+    n < truncation it is bdry h(c) . W^((-1)^n), where W is the homotopy
+    addition word of c evaluated at level n + 1 on the values of h, from
+    the identity at the image of the leading vertex.  Terms above the
+    truncation are identities; positions that hold no value hold 0.
+    """
+    X, A, ops = plan.X, plan.A, plan._ops
+    trunc, where = A.truncation, X.gen_index
+    vertices = [where(v) for v in X.gens(0)]
+    edges = [(where(e), *(where(u) for u in X.edge_ends(e))) for e in X.gens(1)] if trunc >= 2 else []
+    cells = [
+        (p, lead, ops.mul[n + 1], ops.unit[n + 1], ops.finv[n + 1], ops.act[n + 1],
+         ops.bdry.get(n + 2), n % 2 == 1, terms)
+        for p, lead, n, terms in _key_terms(plan)
+        if n < trunc
+    ]
+    ident, bdry2, bdry3 = ops.ident, ops.bdry.get(2), ops.bdry.get(3)
+    mul2, finv2, act2 = ops.mul.get(2), ops.finv.get(2), ops.act.get(2)
+
+    def boundary(f, h):
+        out = [0] * len(f)
+        for p in vertices:
+            out[p] = ident[f[p]] if bdry2 is None else bdry2[f[p]][h[p]]
+        for p, s, t in edges:
+            x = f[t]
+            val = mul2[x][act2[f[p]][finv2[f[s]][h[s]]]][h[t]]
+            out[p] = val if bdry3 is None else mul2[x][val][bdry3[x][h[p]]]
+        for p, lead, mul, unit, finv, act, up, odd, terms in cells:
+            x = f[lead]
+            table, word = mul[x], unit[x]
+            for face, base, negative, twist in terms:
+                e = finv[f[base]][h[face]] if negative else h[face]
+                if twist is not None:
+                    e = act[twist(f)][e]
+                word = table[word][e]
+            if odd:
+                word = finv[x][word]
+            out[p] = table[unit[x] if up is None else up[x][h[p]]][word]
+        return tuple(out)
+
+    return boundary
 
 
 # -- the extended groupoid ------------------------------------------------------
@@ -329,7 +430,7 @@ class CrsResult:
         self.arrow_reps = arrow_reps  # arrow id -> HomotopySequence
         self.deltas = deltas  # target index -> list of boundary endo-homotopies
         self._index = {c.key(): i for i, c in enumerate(colourings)}
-        self._arrow = {(a[1], a[2]): a for a in groupoid.arrows}
+        self._by_key = {(a[1], a[2]): a for a in groupoid.arrows}
         self._tables = tables
 
     def colouring_index(self, col: Colouring) -> int:
@@ -343,48 +444,51 @@ class CrsResult:
         tgt = self.colouring_index(H.target)
         hk = H.key()
         rep = min(_compose_keys(self._tables, hk, d.key()) for d in self.deltas[tgt])
-        return self._arrow[(tgt, rep)]
+        return self._by_key[(tgt, rep)]
 
 
 def crs_pi1(X, A: CrossedComplex) -> CrsResult:
     """Colourings, homotopies up to 2-fold homotopy, as a finite groupoid.
 
     X is a `SimpSet` or a `Stratification`.  Homotopies are held by their
-    keys, and every composite (an arrow's orbit under the boundaries of
-    2-fold homotopies, a table entry) is one `_compose_keys` on two keys, on
-    integer tables compiled once on the plan; only the arrow representatives
-    are built as `HomotopySequence`s.
+    keys: the 1-fold and 2-fold homotopies targeting a colouring are the
+    product of their slots' index domains (`_homotopy_slots`), in ascending
+    order.  The boundary of each 2-fold homotopy is one `_delta2`, the other
+    end of each new arrow one move (`_Moves.everywhere`), and every composite
+    (an arrow's orbit under the boundaries, a table entry) one
+    `_compose_keys`; identities and inverses are keys too.  Only the arrow
+    representatives and the distinct boundaries are decoded into
+    `HomotopySequence`s.
     """
     plan = Plan(X, A)
     X = plan.X
     colourings = plan.colourings()
-    index = {c.key(): i for i, c in enumerate(colourings)}
+    fkeys = [c.key() for c in colourings]
+    index = {k: i for i, k in enumerate(fkeys)}
     tables = _compose_tables(plan)
+    ones, twos = _homotopy_slots(plan, 1), _homotopy_slots(plan, 2)
+    boundary, move = _delta2(plan), _moves(plan).everywhere
+
+    def homotopies(slots, f):
+        return product(*((0,) if dom is None else dom[f[y]] for y, dom, _ in slots))
+
     deltas, delta_keys = {}, {}
-    for ti, f in enumerate(colourings):
-        ds, keys = [], {}
-        for H2 in enumerate_sequences(X, A, f, 2):
-            d = HomotopySequence(1, f, _delta2(plan, f.values, H2.values))
-            k = d.key()
-            if k not in keys:
-                keys[k] = None
-                ds.append(d)
-        deltas[ti], delta_keys[ti] = ds, list(keys)
+    for ti, f in enumerate(fkeys):
+        keys = delta_keys[ti] = list(dict.fromkeys(boundary(f, h) for h in homotopies(twos, f)))
+        deltas[ti] = [_sequence(plan, colourings[ti], k) for k in keys]
     arrows = []
     arrow_reps = {}
     classes = [{} for _ in colourings]  # target index -> {homotopy key: arrow id}
-    for ti, f in enumerate(colourings):
-        for H in enumerate_sequences(X, A, f, 1):
-            hk = H.key()
+    for ti, f in enumerate(fkeys):
+        for hk in homotopies(ones, f):
             if hk in classes[ti]:
                 continue
             keys = sorted(_compose_keys(tables, hk, dk) for dk in delta_keys[ti])
-            si = index[colouring_key(X, A, _apply(plan, f.values, H.values))]
-            aid = (si, ti, keys[0])
+            aid = (index[move(f, hk)], ti, keys[0])
             for k in keys:
                 classes[ti][k] = aid
             arrows.append(aid)
-            arrow_reps[aid] = _sequence(plan, f, keys[0])
+            arrow_reps[aid] = _sequence(plan, colourings[ti], keys[0])
     src = {a: a[0] for a in arrows}
     tgt = {a: a[1] for a in arrows}
     objects = tuple(range(len(colourings)))
@@ -396,12 +500,11 @@ def crs_pi1(X, A: CrossedComplex) -> CrsResult:
         ka = a[2]
         for b, kb, classes_b in leaving[a[1]]:
             comp[(a, b)] = classes_b[_compose_keys(tables, ka, kb)]
-    ident = {}
-    for ti, f in enumerate(colourings):
-        ident[ti] = classes[ti][identity_sequence(f).key()]
-    inv = {}
-    for a in arrows:
-        inv[a] = classes[a[0]][_invert(arrow_reps[a], colourings[a[0]]).key()]
+    ident = {
+        ti: classes[ti][tuple(0 if u is None else u[f[y]] for y, _, u in ones)]
+        for ti, f in enumerate(fkeys)
+    }
+    inv = {a: classes[a[0]][_invert_key(tables, a[2])] for a in arrows}
     G = FinGroupoid(objects, tuple(arrows), src, tgt, comp, ident, inv, name=f"pi1CRS({X.name})")
     return CrsResult(X, A, colourings, G, arrow_reps, deltas, tables)
 
@@ -409,114 +512,7 @@ def crs_pi1(X, A: CrossedComplex) -> CrsResult:
 # -- homotopies relative to a subcomplex -------------------------------------------
 
 
-def _key_reads(plan: Plan, reads) -> tuple:
-    """`Plan.terms` reads as (key position, table) on value indices.
-
-    A read keyed at a vertex is a degenerate edge and reads its identity
-    arrow; a read of an edge through a table reads the inverse arrow.
-    """
-    X, ops = plan.X, plan._ops
-    out = []
-    for g, table in reads:
-        if X.dim_of[g] == 0:
-            table = ops.ident
-        elif table is not None:
-            table = ops.inv
-        out.append((X.gen_index(g), table))
-    return tuple(out)
-
-
-def _key_movers(plan: Plan):
-    """positions -> move: 1-fold homotopies with values at `positions` only, on colouring keys.
-
-    `move(key, h)` is the key of the other end of the 1-fold homotopy that
-    targets the colouring with key `key`, has the value index h[p] at each
-    key position p of `positions` (h holds one at every one of them, as
-    `colouring_key` with k = 1 indexes it) and identities elsewhere.  It is
-    `_apply` evaluated on value indices with the tables of `Plan._ops`, and
-    only where those values change the colouring: at the positions, at the
-    edges with a vertex among them as an end, at the cells led by such a
-    vertex and at the cells with one of them as a face (their star).  The
-    stars are compiled once per call of `_key_movers`, each mover's terms
-    once per call of `mover`; no colouring or values dict is built.
-    """
-    X, A, ops = plan.X, plan.A, plan._ops
-    where = X.gen_index
-    comp, inv, src = ops.comp, ops.inv, ops.src
-    star = {where(g): set() for g in X.all_gens() if X.dim_of[g] < A.truncation}
-    edges, cells = {}, {}
-    for e in X.gens(1):
-        p, (s, t) = where(e), (where(u) for u in X.edge_ends(e))
-        edges[p] = s, t
-        for q in (s, t, p):
-            if q in star:
-                star[q].add(p)
-    for c, terms in plan.terms.items():
-        p, lead = where(c), where(plan.lead[c])
-        cells[p] = lead, X.dim_of[c], [
-            (where(face), where(_base_vertex(X, face)), sign < 0, _key_reads(plan, reads))
-            for face, sign, reads in terms
-        ]
-        for q in (lead, p, *(where(face) for face, _, _ in terms)):
-            if q in star:
-                star[q].add(p)
-
-    def mover(positions):
-        moved = set(positions)
-        vertices, edge_moves, cell_moves = [], [], []
-        for p in sorted(moved.union(*(star[p] for p in moved))):
-            if p in edges:
-                s, t = edges[p]
-                edge_moves.append((p, s, t, s in moved, t in moved, p in moved))
-            elif p in cells:
-                lead, m, terms = cells[p]
-                finv = ops.finv[m]
-                cell_moves.append((
-                    p, lead, lead in moved, ops.mul[m], ops.act[m],
-                    ops.bdry[m + 1] if p in moved else None,
-                    [(face, base, finv if negative else None, reads)
-                     for face, base, negative, reads in terms if face in moved],
-                ))
-            else:
-                vertices.append(p)
-        bdry2 = ops.bdry.get(2)
-
-        def move(key, h):
-            out = list(key)
-            for p in vertices:
-                out[p] = src[h[p]]
-            for p, s, t, s_moved, t_moved, own in edge_moves:
-                a = key[p]
-                if own:
-                    a = comp[a][bdry2[key[t]][h[p]]]
-                if s_moved:
-                    a = comp[h[s]][a]
-                if t_moved:
-                    a = comp[a][inv[h[t]]]
-                out[p] = a
-            for p, lead, lead_moved, mul, act, up, terms in cell_moves:
-                x = key[lead]
-                val, table = key[p], mul[x]
-                for face, base, finv, reads in terms:
-                    e = h[face] if finv is None else finv[key[base]][h[face]]
-                    if reads:
-                        arrow = None
-                        for q, t in reads:
-                            a = key[q] if t is None else t[key[q]]
-                            arrow = a if arrow is None else comp[arrow][a]
-                        e = act[arrow][e]
-                    val = table[val][e]
-                if up is not None:
-                    val = table[val][up[x][h[p]]]
-                out[p] = act[inv[h[lead]]][val] if lead_moved else val
-            return tuple(out)
-
-        return move
-
-    return mover
-
-
-def _move_generators(plan: Plan) -> tuple:
+def _move_generators(A: CrossedComplex, ops) -> tuple:
     """(vertex, fibre): generating values of each slot domain, as value indices by object index.
 
     `vertex[x]`: the arrows of `A.base.generators` into the object of index
@@ -529,7 +525,6 @@ def _move_generators(plan: Plan) -> tuple:
     under generators of a finite group(oid) are its orbits, so the classes
     do not change.
     """
-    A, ops = plan.A, plan._ops
     base = A.base
     vertex = [[] for _ in A.objects]
     for a in base.generators:
@@ -558,9 +553,9 @@ def rel_classes(X, A: CrossedComplex, boundary_gens, fillings):
     higher slots compose untwisted, and every intermediate colouring agrees
     with the fillings on the boundary.  Moves at one slot compose as the
     slot's group (or, at a vertex, groupoid) does, so only the generating
-    values of `_move_generators` are applied.  Each free slot's star is
-    compiled once per call (`_key_movers`), and a move rewrites the
-    filling's key there with list lookups; no colouring is built.
+    values of `_move_generators` are applied.  Each free slot's mover is
+    compiled once per plan (`_moves`), and a move rewrites the filling's key
+    there with list lookups; no colouring is built.
 
     Returns (classes, class_of): classes are tuples of filling indices with
     the canonical minimum first; class_of maps a colouring key to its class
@@ -572,21 +567,21 @@ def rel_classes(X, A: CrossedComplex, boundary_gens, fillings):
     X = plan.X
     fkeys = [col.key() for col in fillings]
     keys = {k: i for i, k in enumerate(fkeys)}
-    mover = _key_movers(plan)
-    vertex_moves, fibre_moves = _move_generators(plan)
+    moves = _moves(plan)
+    vertex_moves, fibre_moves = moves.generators
     slots = []
     for g in X.all_gens():
         n = X.dim_of[g] + 1
         if g in boundary_gens or n > A.truncation:
             continue
         p = X.gen_index(g)
-        moves = vertex_moves if n == 1 else fibre_moves[n]
-        slots.append((p, X.gen_index(_base_vertex(X, g)), moves, mover((p,))))
+        values = vertex_moves if n == 1 else fibre_moves[n]
+        slots.append((p, X.gen_index(_base_vertex(X, g)), values, moves.mover((p,))))
 
     def links():
         for i, key in enumerate(fkeys):
-            for p, base, moves, move in slots:
-                for h in moves[key[base]]:
+            for p, base, values, move in slots:
+                for h in values[key[base]]:
                     j = keys.get(move(key, {p: h}))
                     if j is None:
                         raise ValueError("internal homotopy left the filling set")
@@ -595,25 +590,3 @@ def rel_classes(X, A: CrossedComplex, boundary_gens, fillings):
     classes = partition(len(fillings), links())
     class_of = {fkeys[i]: ci for ci, members in enumerate(classes) for i in members}
     return classes, class_of
-
-
-def holonomy_act(X, A, boundary_gens, eta: HomotopySequence, filling: Colouring) -> Colouring:
-    """Transport a filling along a boundary homotopy, by identity expansion.
-
-    X is a `SimpSet`, a `Stratification` or a `Plan` of one for A.
-    `eta` targets the restriction of `filling` to the boundary subcomplex;
-    the result restricts to the other end of `eta`.  The whole colouring is
-    evaluated and built; `extprof.cobordism_profunctor` moves keys instead,
-    through `_key_movers`.
-    """
-    plan = as_plan(X, A)
-    X = plan.X
-    for g in boundary_gens:
-        i = X.dim_of[g]
-        if i + 1 > A.truncation:
-            continue
-        want = filling.values[g]
-        if eta.target.values[g] != want:
-            raise ValueError("boundary homotopy does not target the filling's restriction")
-    H = expand_sequence(eta, X, filling)
-    return Colouring(X, A, _apply(plan, filling.values, H.values))

@@ -29,23 +29,29 @@ oracles of the key-vector moves, the transports by Schreier composition and
 the check on generating squares.
 """
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 
-from quinncalc.colouring import Colouring, Plan, as_plan, as_simpset, hal_word, value_of_ref
+from quinncalc.colouring import (
+    Colouring,
+    Plan,
+    as_plan,
+    as_simpset,
+    colouring_key,
+    hal_word,
+    value_of_ref,
+)
 from quinncalc.errors import BoundaryError
 from quinncalc.extprof import Profunctor
-from quinncalc.finalg.groupoids import partition
+from quinncalc.finalg.groupoids import FinGroupoid, partition
 from quinncalc.finalg.groups import _generating_sequence, find_group_iso
 from quinncalc.homotopy import (
+    CrsResult,
     HomotopySequence,
-    _arrow,
     _base_vertex,
-    _identity,
-    _invert,
-    _term,
-    crs_pi1,
-    enumerate_sequences,
-    holonomy_act,
-    identity_sequence,
+    _compose_keys,
+    _compose_tables,
+    _sequence,
 )
 from quinncalc.morita import Algebra, Bimodule, _monomial_image
 from quinncalc.tqft import theta_weight
@@ -248,6 +254,292 @@ def delta2(H2: HomotopySequence) -> HomotopySequence:
             lower = _h_on_hal(H2, c)
             values[c] = A.mul(n + 1, term, A.pow_elem(n + 1, lower, (-1) ** n))
     return HomotopySequence(1, f, values)
+
+
+# -- whole homotopies on values dicts, as the program evaluated them before keys ---------
+
+
+def _identity(f: Colouring, g, k: int):
+    """The identity value of a k-fold homotopy targeting f at the generator g.
+
+    It lies at level dim(g) + k: an identity arrow at level one, an identity
+    element above.
+    """
+    n = f.X.dim_of[g] + k
+    x = f.values[_base_vertex(f.X, g)]
+    return f.A.base.ident[x] if n == 1 else f.A.identity_elem(n, x)
+
+
+def sequence_domains(X, A, f: Colouring, k: int, fixed_identity=()):
+    """(generator, value domain) pairs of the k-fold homotopies targeting f.
+
+    Generators in `fixed_identity` are pinned to identity values (used for
+    homotopies relative to a subcomplex).
+    """
+    fixed_identity = set(fixed_identity)
+    domains = []
+    for g in X.all_gens():
+        n = X.dim_of[g] + k
+        if n > A.truncation:
+            continue  # implicit identity
+        base = f.values[_base_vertex(X, g)]
+        if g in fixed_identity:
+            dom = (_identity(f, g, k),)
+        elif n == 1:
+            dom = A.base.arrows_into(base)
+        else:
+            dom = tuple((base, e) for e in A.fibre(n, base).elements)
+        domains.append((g, dom))
+    return domains
+
+
+def expand_sequence(seq: HomotopySequence, X, target: Colouring) -> HomotopySequence:
+    """The k-fold homotopy targeting `target` with the values of `seq`, identities elsewhere.
+
+    Only generators with i + k <= truncation get a slot; values of `seq` on
+    generators outside X are dropped.
+    """
+    k = seq.k
+    values = {}
+    for g in X.all_gens():
+        if X.dim_of[g] + k > target.A.truncation:
+            continue
+        v = seq.values.get(g)
+        values[g] = _identity(target, g, k) if v is None else v
+    return HomotopySequence(k, target, values)
+
+
+def identity_sequence(f: Colouring, k: int = 1) -> HomotopySequence:
+    return expand_sequence(HomotopySequence(k, f, {}), f.X, f)
+
+
+def enumerate_sequences(X, A, f: Colouring, k: int):
+    """All k-fold homotopies targeting f, in canonical order; X may be a `Stratification`."""
+    X = as_simpset(X)
+    slots = sequence_domains(X, A, f, k)
+    gens = [g for g, _ in slots]
+    return [
+        HomotopySequence(k, f, dict(zip(gens, combo)))
+        for combo in product(*(dom for _, dom in slots))
+    ]
+
+
+def _reader(X, A, ref, sign: int = 1):
+    """(key, table): the value on ref is values[key], mapped through table if any.
+
+    Degenerate faces and faces above the truncation read the identity at
+    their leading vertex; a negative sign is folded into the table.
+    """
+    d = X.ref_dim(ref)
+    base = A.base
+    if not ref.word and not (d >= 2 and d > A.truncation):
+        if sign > 0:
+            return ref.core, None
+        if d == 1:
+            return ref.core, base.inv_table
+        return ref.core, {a: A.inv_elem(d, a) for a in A.level_elements(d)}
+    key = X.initial_vertex(ref)
+    if d == 1:
+        table = base.ident if sign > 0 else {x: base.inv(i) for x, i in base.ident.items()}
+    else:
+        table = {x: A.pow_elem(d, A.identity_elem(d, x), sign) for x in A.objects}
+    return key, table
+
+
+@lru_cache(maxsize=32)
+def terms(plan) -> dict:
+    """`Plan.terms` with reads of values dicts: (generator, dict table) in place of (position, table)."""
+    X, A = plan.X, plan.A
+    out = {}
+    for n in range(2, min(X.dim, A.truncation) + 1):
+        for c in X.gens(n):
+            word = hal_word(X, c)
+            out[c] = occurrences = []
+            for j, (ref, sign, twist) in enumerate(word):
+                if ref.word:
+                    continue  # degenerate: the homotopy is an identity there
+                if n == 2:
+                    reads = [_reader(X, A, r, s) for r, s, _ in word[j + 1 :]]
+                    if sign < 0:
+                        reads.insert(0, _reader(X, A, ref, -1))
+                else:
+                    reads = [_reader(X, A, r, s) for r, s in twist or ()]
+                occurrences.append((ref.core, sign, tuple(reads)))
+    return out
+
+
+@lru_cache(maxsize=32)
+def key_slots(plan) -> dict:
+    """g -> (position, index): `colouring_key` holds index[v] at `position` when g has value v.
+
+    Only generators of dimension up to max(1, truncation) are listed;
+    higher ones are keyed 0 whatever the colouring.
+    """
+    X, A = plan.X, plan.A
+    index = {
+        0: {x: i for i, x in enumerate(A.objects)},
+        1: {a: i for i, a in enumerate(A.base.arrows)},
+    }
+    for n in range(2, A.truncation + 1):
+        index[n] = {(x, e): A.fibre(n, x).index(e) for x, e in A.level_elements(n)}
+    return {
+        g: (pos, index[X.dim_of[g]])
+        for pos, g in enumerate(X.all_gens())
+        if X.dim_of[g] in index
+    }
+
+
+def _arrow(comp: dict, reads, f: dict):
+    """The composite of the edge values that `reads` give on f; None when there are none."""
+    out = None
+    for key, table in reads:
+        a = f[key] if table is None else table[f[key]]
+        out = a if out is None else comp[out, a]
+    return out
+
+
+def _term(A, n: int, h, sign: int, arrow):
+    """h^sign acted on by arrow (if any), at level n."""
+    if sign < 0:
+        h = A.inv_elem(n, h)
+    return h if arrow is None else A.act_elem(n, h, arrow)
+
+
+def _apply(plan, f: dict, h: dict) -> dict:
+    """The values of the other end of the 1-fold homotopy h, which targets f, on the dict terms."""
+    X, A = plan.X, plan.A
+    comp, inv = A.base.comp_table, A.base.inv_table
+    out = {v: A.base.src[h[v]] for v in X.gens(0)}
+    for e in X.gens(1):
+        s, t = X.edge_ends(e)
+        mid = f[e] if e not in h else comp[f[e], A.bdry_of(2, h[e])]
+        out[e] = comp[comp[h[s], mid], inv[h[t]]]
+    for c, occurrences in terms(plan).items():
+        n = X.dim_of[c]
+        val = f[c]
+        for face, sign, reads in occurrences:
+            val = A.mul(n, val, _term(A, n, h[face], sign, _arrow(comp, reads, f)))
+        if c in h:
+            val = A.mul(n, val, A.bdry_of(n + 1, h[c]))
+        out[c] = A.act_elem(n, val, inv[h[plan.lead[c]]])
+    return out
+
+
+def _delta2(plan, f: dict, h: dict) -> dict:
+    """The values of the boundary of the 2-fold homotopy h at f, on the dict terms."""
+    X, A = plan.X, plan.A
+    comp = A.base.comp_table
+    out = {v: A.bdry_of(2, h[v]) if v in h else A.base.ident[f[v]] for v in X.gens(0)}
+    if A.truncation >= 2:
+        for e in X.gens(1):
+            s, t = X.edge_ends(e)
+            val = A.mul(2, A.act_elem(2, A.inv_elem(2, h[s]), f[e]), h[t])
+            if e in h:
+                val = A.mul(2, val, A.bdry_of(3, h[e]))
+            out[e] = val
+    for c, occurrences in terms(plan).items():
+        n = X.dim_of[c]
+        if n >= A.truncation:
+            continue
+        unit = A.identity_elem(n + 1, f[plan.lead[c]])
+        lower = unit
+        for face, sign, reads in occurrences:
+            lower = A.mul(n + 1, lower, _term(A, n + 1, h[face], sign, _arrow(comp, reads, f)))
+        val = A.bdry_of(n + 2, h[c]) if c in h else unit
+        out[c] = A.mul(n + 1, val, A.pow_elem(n + 1, lower, (-1) ** n))
+    return out
+
+
+def _invert(H: HomotopySequence, src: Colouring) -> HomotopySequence:
+    """The inverse of H, given its source `src`, value by value."""
+    X, A = H.target.X, H.target.A
+    values = {}
+    for g, h in H.values.items():
+        i = X.dim_of[g]
+        if i == 0:
+            values[g] = A.base.inv(h)
+        else:
+            inv_h0 = A.base.inv(H.values[_base_vertex(X, g)])
+            values[g] = A.act_elem(i + 1, A.inv_elem(i + 1, h), inv_h0)
+    return HomotopySequence(1, src, values)
+
+
+def holonomy_act(X, A, boundary_gens, eta: HomotopySequence, filling: Colouring) -> Colouring:
+    """Transport a filling along a boundary homotopy, by identity expansion.
+
+    X is a `SimpSet`, a `Stratification` or a `Plan` of one for A.  `eta`
+    targets the restriction of `filling` to the boundary subcomplex; the
+    result restricts to the other end of `eta`.  The whole colouring is
+    evaluated by `_apply` and built.
+    """
+    plan = as_plan(X, A)
+    X = plan.X
+    for g in boundary_gens:
+        if X.dim_of[g] + 1 > A.truncation:
+            continue
+        if eta.target.values[g] != filling.values[g]:
+            raise ValueError("boundary homotopy does not target the filling's restriction")
+    H = expand_sequence(eta, X, filling)
+    return Colouring(X, A, _apply(plan, filling.values, H.values))
+
+
+def crs_pi1(X, A) -> CrsResult:
+    """`homotopy.crs_pi1` as it ran on values dicts: the oracle of its walk over keys.
+
+    Every 1-fold and 2-fold homotopy is enumerated as a `HomotopySequence`
+    (`enumerate_sequences`) and keyed with `colouring_key`; other ends come
+    from `_apply`, boundaries from `_delta2` and inverses from `_invert`, on
+    the dict terms.  Orbits and the table are composed on keys, as there.
+    """
+    plan = Plan(X, A)
+    X = plan.X
+    colourings = plan.colourings()
+    index = {c.key(): i for i, c in enumerate(colourings)}
+    tables = _compose_tables(plan)
+    deltas, delta_keys = {}, {}
+    for ti, f in enumerate(colourings):
+        ds, keys = [], {}
+        for H2 in enumerate_sequences(X, A, f, 2):
+            d = HomotopySequence(1, f, _delta2(plan, f.values, H2.values))
+            k = d.key()
+            if k not in keys:
+                keys[k] = None
+                ds.append(d)
+        deltas[ti], delta_keys[ti] = ds, list(keys)
+    arrows = []
+    arrow_reps = {}
+    classes = [{} for _ in colourings]  # target index -> {homotopy key: arrow id}
+    for ti, f in enumerate(colourings):
+        for H in enumerate_sequences(X, A, f, 1):
+            hk = H.key()
+            if hk in classes[ti]:
+                continue
+            keys = sorted(_compose_keys(tables, hk, dk) for dk in delta_keys[ti])
+            si = index[colouring_key(X, A, _apply(plan, f.values, H.values))]
+            aid = (si, ti, keys[0])
+            for k in keys:
+                classes[ti][k] = aid
+            arrows.append(aid)
+            arrow_reps[aid] = _sequence(plan, f, keys[0])
+    src = {a: a[0] for a in arrows}
+    tgt = {a: a[1] for a in arrows}
+    objects = tuple(range(len(colourings)))
+    leaving = {}
+    for b in arrows:
+        leaving.setdefault(b[0], []).append((b, b[2], classes[b[1]]))
+    comp = {}
+    for a in arrows:
+        ka = a[2]
+        for b, kb, classes_b in leaving[a[1]]:
+            comp[(a, b)] = classes_b[_compose_keys(tables, ka, kb)]
+    ident = {}
+    for ti, f in enumerate(colourings):
+        ident[ti] = classes[ti][identity_sequence(f).key()]
+    inv = {}
+    for a in arrows:
+        inv[a] = classes[a[0]][_invert(arrow_reps[a], colourings[a[0]]).key()]
+    G = FinGroupoid(objects, tuple(arrows), src, tgt, comp, ident, inv, name=f"pi1CRS({X.name})")
+    return CrsResult(X, A, colourings, G, arrow_reps, deltas, tables)
 
 
 # -- invariants ------------------------------------------------------------------------
@@ -496,21 +788,7 @@ class DictPlan:
 
     def _reader(self, ref, sign: int = 1):
         """(key, table): the value on ref is values[key], mapped through table if any."""
-        X, A = self.X, self.A
-        d = X.ref_dim(ref)
-        base = A.base
-        if not ref.word and not (d >= 2 and d > A.truncation):
-            if sign > 0:
-                return ref.core, None
-            if d == 1:
-                return ref.core, base.inv_table
-            return ref.core, {a: A.inv_elem(d, a) for a in A.level_elements(d)}
-        key = X.initial_vertex(ref)
-        if d == 1:
-            table = base.ident if sign > 0 else {x: base.inv(i) for x, i in base.ident.items()}
-        else:
-            table = {x: A.pow_elem(d, A.identity_elem(d, x), sign) for x in A.objects}
-        return key, table
+        return _reader(self.X, self.A, ref, sign)
 
     def _evaluator(self, c):
         """values -> the homotopy addition label of c, for c of dimension >= 2."""
@@ -648,7 +926,7 @@ def _stars(plan) -> dict:
     2..truncation led by v, as [(cell, dimension)].  A move at a generator g
     of dimension i >= 1 rewrites the (i+1)-cells with g as a nondegenerate
     face, as [(cell, [(sign, reads), ...])] with one entry per occurrence
-    of g in the cell's `Plan.terms`.
+    of g in the cell's dict `terms`.
     """
     X, A = plan.X, plan.A
     stars: dict = {v: ([], []) for v in X.gens(0)}
@@ -660,10 +938,10 @@ def _stars(plan) -> dict:
     for g in X.all_gens():
         if 1 <= X.dim_of[g] < A.truncation:
             stars[g] = []
-    for c, terms in plan.terms.items():
+    for c, occurrences in terms(plan).items():
         stars[plan.lead[c]][1].append((c, X.dim_of[c]))
         at: dict = {}
-        for face, sign, reads in terms:
+        for face, sign, reads in occurrences:
             at.setdefault(face, []).append((sign, reads))
         for face, occurrences in at.items():
             stars[face].append((c, occurrences))
@@ -757,7 +1035,7 @@ def rel_classes(X, A, boundary_gens, fillings):
     keys = {k: i for i, k in enumerate(fkeys)}
     free = [g for g in X.all_gens() if g not in boundary_gens and X.dim_of[g] < A.truncation]
     base_of = {g: _base_vertex(X, g) for g in free}
-    stars, slots = _stars(plan), plan.key_slots
+    stars, slots = _stars(plan), key_slots(plan)
     vertex_moves, fibre_moves = _move_generators(A)
 
     def links():

@@ -38,9 +38,10 @@ from quinncalc.simpset import (
     torus,
     window_support,
 )
-from quinncalc.homotopy import crs_pi1, enumerate_sequences, holonomy_act, rel_classes
+from quinncalc.homotopy import crs_pi1, rel_classes
 from quinncalc.tqft import chi_pi_rel_fibre, state_space
 from tests import reference
+from tests.reference import enumerate_sequences, holonomy_act
 from tests.conftest import abelian_tower, corpus_crossed_modules, corpus_groups
 
 

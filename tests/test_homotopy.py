@@ -2,6 +2,7 @@ import math
 import random
 from functools import lru_cache
 from itertools import islice, product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -31,23 +32,17 @@ from quinncalc.finalg.groupoids import FinGroupoid, partition
 from quinncalc.homotopy import (
     CrsResult,
     HomotopySequence,
-    _apply,
     _compose_keys,
     _compose_tables,
     _delta2,
-    _key_movers,
+    _moves,
     _sequence,
     apply_homotopy,
     compose_homotopies,
     crs_pi1,
     delta2,
-    enumerate_sequences,
-    expand_sequence,
-    holonomy_act,
-    identity_sequence,
     invert_homotopy,
     rel_classes,
-    sequence_domains,
 )
 from quinncalc.simpset import (
     SimpSet,
@@ -62,6 +57,13 @@ from quinncalc.simpset import (
 )
 from quinncalc.tqft import state_space
 from tests import reference
+from tests.reference import (
+    enumerate_sequences,
+    expand_sequence,
+    holonomy_act,
+    identity_sequence,
+    sequence_domains,
+)
 from tests.conftest import abelian_tower, corpus_crossed_modules, corpus_groups, inversion_tower
 
 
@@ -450,15 +452,17 @@ def test_crs_pi1_matches_the_seed_construction(space, algebra):
     """Same colourings, arrows, table (in insertion order), identities, inverses and deltas.
 
     The boundary of every 2-fold homotopy is also checked one by one, the
-    compiled `_delta2` against the reference `delta2`.
+    compiled `_delta2` on keys against the reference `delta2`.
     """
     X = CATALOG[space]
     A = TOWERS[algebra]() if algebra in TOWERS else CORPUS[algebra]
     got, want = crs_pi1(X, A), _crs_pi1_seed(X, A)
     plan = Plan(X, A)
+    boundary = _delta2(plan)
     for f in want.colourings:
         for H2 in enumerate_sequences(X, A, f, 2):
-            assert _delta2(plan, f.values, H2.values) == reference.delta2(H2).values
+            got_d = _sequence(plan, f, boundary(f.key(), H2.key()))
+            assert got_d.values == reference.delta2(H2).values
     assert [c.values for c in got.colourings] == [c.values for c in want.colourings]
     G, W = got.groupoid, want.groupoid
     assert G.objects == W.objects and G.arrows == W.arrows
@@ -476,11 +480,11 @@ def test_crs_pi1_matches_the_seed_construction(space, algebra):
 
 @pytest.mark.parametrize("space, algebra", [("prism-circle", "z3"), ("circle", "xmod-z2-z2-zero")])
 def test_crs_pi1_composes_once_per_table_entry_and_orbit_member(monkeypatch, space, algebra):
-    """One composite per table entry and per (arrow, delta) pair, one compiled apply per arrow."""
+    """One composite per table entry and per (arrow, delta) pair, one other-end move per arrow."""
     import quinncalc.homotopy as homotopy
 
-    calls = {"_compose_keys": 0, "_apply": 0, "apply_homotopy": 0}
-    for name in calls:
+    calls = {"_compose_keys": 0, "apply_homotopy": 0, "move": 0}
+    for name in ("_compose_keys", "apply_homotopy"):
         real = getattr(homotopy, name)
 
         def counted(*args, real=real, name=name):
@@ -488,10 +492,22 @@ def test_crs_pi1_composes_once_per_table_entry_and_orbit_member(monkeypatch, spa
             return real(*args)
 
         monkeypatch.setattr(homotopy, name, counted)
+    real_moves = homotopy._moves
+
+    def counted_moves(plan):
+        everywhere = real_moves(plan).everywhere
+
+        def move(key, h):
+            calls["move"] += 1
+            return everywhere(key, h)
+
+        return SimpleNamespace(everywhere=move)
+
+    monkeypatch.setattr(homotopy, "_moves", counted_moves)
     crs = crs_pi1(CATALOG[space], CORPUS[algebra])
     G = crs.groupoid
     assert calls["_compose_keys"] == len(G.comp_table) + sum(len(crs.deltas[a[1]]) for a in G.arrows)
-    assert calls["_apply"] == len(G.arrows)
+    assert calls["move"] == len(G.arrows)
     assert calls["apply_homotopy"] == 0
 
 
@@ -815,10 +831,10 @@ def test_compiled_move_rewrites_the_star_as_apply_homotopy(case, data):
     H.values[g] = h
     want = reference.apply_homotopy(H, col)
     p = X.gen_index(g)
-    move = _key_movers(plan)((p,))
+    move = _moves(plan).mover((p,))
     assert move(col.key(), {p: H.key()[p]}) == want.key()
     assert reference._moved_key(
-        plan.key_slots, col.key(), reference._mover(plan, reference._stars(plan), col.values, g)(h)
+        reference.key_slots(plan), col.key(), reference._mover(plan, reference._stars(plan), col.values, g)(h)
     ) == want.key()
 
 
@@ -840,14 +856,15 @@ def test_key_moves_on_several_slots_match_apply_homotopy(case, data):
             H.values[g] = data.draw(st.sampled_from(dom), label=str(g))
     positions = [X.gen_index(g) for g in chosen]
     hk = H.key()
-    move = _key_movers(plan)(positions)
+    move = _moves(plan).mover(positions)
     assert move(col.key(), {p: hk[p] for p in positions}) == reference.apply_homotopy(H, col).key()
 
 
 @settings(max_examples=100, deadline=None)
 @given(case=st.sampled_from(MOVE_CASES), data=st.data())
 def test_compiled_apply_matches_apply_homotopy(case, data):
-    """The whole-homotopy evaluation behind crs_pi1, holonomy_act and the public apply_homotopy."""
+    """The whole-homotopy move behind crs_pi1 and the public apply_homotopy, and the dict
+    evaluation of the reference crs_pi1 and holonomy_act."""
     X, A, plan, colourings = _move_case(*case)
     col = data.draw(st.sampled_from(colourings), label="colouring")
     values = {
@@ -856,7 +873,8 @@ def test_compiled_apply_matches_apply_homotopy(case, data):
     }
     H = HomotopySequence(1, col, values)
     want = reference.apply_homotopy(H, col).values
-    assert _apply(plan, col.values, values) == want
+    assert plan._decode(_moves(plan).everywhere(col.key(), H.key())) == want
+    assert reference._apply(plan, col.values, values) == want
     assert apply_homotopy(H, col).values == want
 
 
@@ -864,7 +882,7 @@ def test_compiled_apply_matches_apply_homotopy(case, data):
 @pytest.mark.parametrize("space", [*MOVE_SPACES, "delta4"])
 def test_compiled_delta2_matches_the_reference_on_towers(space, tower):
     """At truncation 3 a 2-fold homotopy has level-3 values on edges, so `_delta2` runs its
-    per-cell branch on every 2-cell.
+    per-cell branch on every 2-cell; the dict `_delta2` of the reference `crs_pi1` too.
 
     The boundary reads a colouring on its vertices and edges only, so the
     cells above are pinned to identities: one colouring per 1-skeleton.  For
@@ -875,13 +893,16 @@ def test_compiled_delta2_matches_the_reference_on_towers(space, tower):
     X = standard_simplex(4) if space == "delta4" else MOVE_SPACES[space]()
     A = TOWERS[tower]()
     plan = Plan(X, A)
+    boundary = _delta2(plan)
     cells = (c for n in range(2, A.truncation + 1) for c in X.gens(n))
     for f in plan.colourings({c: A.identity_elem(X.dim_of[c], "*") for c in cells}):
         slots = sequence_domains(X, A, f, 2)
         gens = [g for g, _ in slots]
         for combo in islice(product(*(dom for _, dom in slots)), 0, 350, 7):
             H2 = HomotopySequence(2, f, dict(zip(gens, combo)))
-            assert _delta2(plan, f.values, H2.values) == reference.delta2(H2).values
+            want = reference.delta2(H2).values
+            assert _sequence(plan, f, boundary(f.key(), H2.key())).values == want
+            assert reference._delta2(plan, f.values, H2.values) == want
 
 
 def _sampled_sequences(X, A, f, count, rng):

@@ -9,6 +9,7 @@ composing them; `rel_classes` moves filling keys by list lookups;
 arrows.
 """
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -101,16 +102,16 @@ def test_profunctor_matches_the_per_arrow_oracle(cobordism, algebra, monkeypatch
     moves = []
 
     def counted(plan):
-        mover = reference_movers(plan)
+        compiled = real_moves(plan)
 
-        def make(positions):
-            move = mover(positions)
+        def mover(positions):
+            move = compiled.mover(positions)
             return lambda key, h: moves.append(None) or move(key, h)
 
-        return make
+        return SimpleNamespace(mover=mover)
 
-    reference_movers = quinncalc.extprof._key_movers
-    monkeypatch.setattr(quinncalc.extprof, "_key_movers", counted)
+    real_moves = quinncalc.extprof._moves
+    monkeypatch.setattr(quinncalc.extprof, "_moves", counted)
     got = cobordism_profunctor(M, A)
     monkeypatch.undo()
     _same_profunctor(got, reference.cobordism_profunctor(M, A))
