@@ -238,7 +238,7 @@ class Plan:
     - `slots`: the walk order, levels 0..min(dim X, truncation) in generator
       order, which is a prefix of `X.all_gens()`;
     - `faces[c]`: the proper faces of c, for c of dimension 2..truncation;
-    - `terms[c]`: for the homotopy layer.
+    - `terms[c]`, `moves`: for the homotopy layer.
 
     Everything but `lead` is built on first use, so a plan that evaluates a
     homotopy or a label never builds the walk's domains and tests.
@@ -535,6 +535,17 @@ class Plan:
             return values
 
         return decode
+
+    @cached_property
+    def moves(self):
+        """The moves of 1-fold homotopies on colouring keys (`homotopy._Moves`), built on first use.
+
+        Kept on the plan, so every caller that moves keys on one plan shares
+        one compilation.
+        """
+        from .homotopy import _Moves  # the homotopy layer is built on this module
+
+        return _Moves(self)
 
     @cached_property
     def terms(self) -> dict:

@@ -22,7 +22,7 @@ from .colouring import Colouring, Plan, value_of_ref
 from .errors import BoundaryError
 from .finalg.crossed import CrossedComplex
 from .finalg.groupoids import partition
-from .homotopy import CrsResult, _moves, crs_pi1, rel_classes
+from .homotopy import CrsResult, crs_pi1, rel_classes
 from .simpset import Stratification, Window
 from .tqft import theta_weight
 
@@ -152,7 +152,7 @@ def _transports(crs: CrsResult, plan: Plan, over: dict, rep_keys: dict, class_of
     """
     G, X, sub, trunc = crs.groupoid, plan.X, crs.X, crs.A.truncation
     slots = [(i, X.gen_index(g)) for i, g in enumerate(sub.all_gens()) if sub.dim_of[g] < trunc]
-    move = _moves(plan).mover(p for _, p in slots)
+    move = plan.moves.mover(p for _, p in slots)
     position = {b: i for els in over.values() for i, b in enumerate(els)}
     done = {G.ident[x]: list(range(len(over[x]))) for x in G.objects}
     into = {}  # object -> the generators and their inverses that end there

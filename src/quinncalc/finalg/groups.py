@@ -119,7 +119,9 @@ class FinGroup:
     def validate(self) -> ValidationReport:
         els = set(self.elements)
         if len(els) != len(self.elements):
-            return ValidationReport.malformed("duplicate element ids")
+            seen = set()
+            repeated = next(e for e in self.elements if e in seen or seen.add(e))
+            return ValidationReport.malformed("duplicate element ids", (repeated,))
         for a in self.elements:
             for b in self.elements:
                 c = self._mul.get((a, b))

@@ -17,7 +17,7 @@ that a `Plan` of (X, A) compiles once, with the integer tables of
 positions (identities elsewhere), rewriting only those positions and their
 star; `_delta2` gives the boundary of a 2-fold homotopy; `_compose_keys`
 composes two 1-fold homotopies cell by cell and `_invert_key` inverts one.
-The moves of a plan are compiled once per plan (`_moves`) and shared by
+The moves are compiled once per plan (`Plan.moves`) and shared by
 `crs_pi1`, `rel_classes` and `extprof.cobordism_profunctor`.  The public
 `apply_homotopy`, `compose_homotopies`, `invert_homotopy` and `delta2`
 check their arguments, compile a plan per call, encode, evaluate on keys
@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from weakref import WeakKeyDictionary
 
 from .colouring import Colouring, Plan, as_plan, colouring_key
 from .finalg.crossed import CrossedComplex
@@ -80,7 +79,7 @@ def apply_homotopy(H: HomotopySequence, f: Colouring) -> Colouring:
     if f is not H.target and f.values != H.target.values:
         raise ValueError("homotopy does not target this colouring")
     plan = Plan(f.X, f.A)
-    other = _moves(plan).everywhere(colouring_key(plan.X, f.A, f.values), H.key())
+    other = plan.moves.everywhere(colouring_key(plan.X, f.A, f.values), H.key())
     return Colouring(f.X, f.A, plan._decode(other))
 
 
@@ -94,7 +93,7 @@ def compose_homotopies(first: HomotopySequence, second: HomotopySequence) -> Hom
     f = second.target
     plan = Plan(f.X, f.A)
     hk = second.key()
-    if first.target.values != plan._decode(_moves(plan).everywhere(colouring_key(plan.X, f.A, f.values), hk)):
+    if first.target.values != plan._decode(plan.moves.everywhere(colouring_key(plan.X, f.A, f.values), hk)):
         raise ValueError("homotopies are not composable")
     return _sequence(plan, f, _compose_keys(_compose_tables(plan), first.key(), hk))
 
@@ -251,7 +250,7 @@ def _key_terms(plan: Plan) -> list:
 
 
 class _Moves:
-    """The other ends of 1-fold homotopies on the colouring keys of one plan.
+    """The other ends of 1-fold homotopies on the colouring keys of one plan (`Plan.moves`).
 
     `mover(positions)` gives `move(key, h)`: the key of the other end of the
     1-fold homotopy that targets the colouring with key `key`, has the value
@@ -270,7 +269,7 @@ class _Moves:
 
     def __init__(self, plan: Plan):
         X, A = plan.X, plan.A
-        self._A, self._ops = A, plan._ops  # not the plan, which keys `_moves`' cache
+        self._A, self._ops = A, plan._ops
         where = X.gen_index
         self._star = star = {where(g): set() for g in X.all_gens() if X.dim_of[g] < A.truncation}
         self._edges, self._cells, self._movers = {}, {}, {}
@@ -349,17 +348,6 @@ class _Moves:
             return tuple(out)
 
         return move
-
-
-_COMPILED_MOVES: WeakKeyDictionary = WeakKeyDictionary()  # plan -> its _Moves
-
-
-def _moves(plan: Plan) -> _Moves:
-    """The `_Moves` of plan, compiled on first use and kept while the plan lives."""
-    moves = _COMPILED_MOVES.get(plan)
-    if moves is None:
-        moves = _COMPILED_MOVES[plan] = _Moves(plan)
-    return moves
 
 
 def _delta2(plan: Plan):
@@ -467,7 +455,7 @@ def crs_pi1(X, A: CrossedComplex) -> CrsResult:
     index = {k: i for i, k in enumerate(fkeys)}
     tables = _compose_tables(plan)
     ones, twos = _homotopy_slots(plan, 1), _homotopy_slots(plan, 2)
-    boundary, move = _delta2(plan), _moves(plan).everywhere
+    boundary, move = _delta2(plan), plan.moves.everywhere
 
     def homotopies(slots, f):
         return product(*((0,) if dom is None else dom[f[y]] for y, dom, _ in slots))
@@ -554,8 +542,8 @@ def rel_classes(X, A: CrossedComplex, boundary_gens, fillings):
     with the fillings on the boundary.  Moves at one slot compose as the
     slot's group (or, at a vertex, groupoid) does, so only the generating
     values of `_move_generators` are applied.  Each free slot's mover is
-    compiled once per plan (`_moves`), and a move rewrites the filling's key
-    there with list lookups; no colouring is built.
+    compiled once per plan (`Plan.moves`), and a move rewrites the filling's
+    key there with list lookups; no colouring is built.
 
     Returns (classes, class_of): classes are tuples of filling indices with
     the canonical minimum first; class_of maps a colouring key to its class
@@ -567,7 +555,7 @@ def rel_classes(X, A: CrossedComplex, boundary_gens, fillings):
     X = plan.X
     fkeys = [col.key() for col in fillings]
     keys = {k: i for i, k in enumerate(fkeys)}
-    moves = _moves(plan)
+    moves = plan.moves
     vertex_moves, fibre_moves = moves.generators
     slots = []
     for g in X.all_gens():

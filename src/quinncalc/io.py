@@ -88,6 +88,33 @@ def _rows(node, newline: str):
     return ("," + newline).join(map(layout.__getitem__, map(len, node))) % cells
 
 
+def _unique(what: str, items) -> dict:
+    """dict(items), as a schema error that names a key given twice: a later row would win."""
+    out = {}
+    for key, value in items:
+        if key in out:
+            raise SchemaError(f"{what} {key!r} given twice")
+        out[key] = value
+    return out
+
+
+def _table(what: str, rows, width: int) -> dict:
+    """{key: value} from rows [*key, value] of `width` entries, all as strings.
+
+    The key is the first entry, or the tuple of all but the last.  A row of
+    another shape, or a key given twice, is a schema error that names it.
+    """
+
+    def entries():
+        for row in rows:
+            if not isinstance(row, (list, tuple)) or len(row) != width:
+                raise SchemaError(f"{what} row {row!r} must have {width} entries")
+            *key, value = map(str, row)
+            yield (key[0] if width == 2 else tuple(key)), value
+
+    return _unique(f"{what} key", entries())
+
+
 def scalar_str(v) -> str:
     if isinstance(v, Fraction):
         return str(v)
@@ -131,8 +158,8 @@ def crossed_module_from_json(data) -> CrossedModulePresentation:
     try:
         G = group_from_json(data["G"])
         E = group_from_json(data["E"])
-        bdry = {str(e): str(g) for e, g in data["boundary"]}
-        act = {(str(e), str(g)): str(ep) for e, g, ep in data["action"]}
+        bdry = _table("crossed module boundary", data["boundary"], 2)
+        act = _table("crossed module action", data["action"], 3)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"crossed module schema: {exc}") from exc
     return CrossedModulePresentation(G, E, bdry, act, name=str(data.get("name", "")))
@@ -159,11 +186,12 @@ def crossed_complex_from_json(data) -> CrossedComplex:
     try:
         objects = tuple(str(o) for o in data["objects"])
         lvl1 = data["level1"]
-        arrows = tuple(str(a["id"]) for a in lvl1["arrows"])
-        src = {str(a["id"]): str(a["src"]) for a in lvl1["arrows"]}
-        tgt = {str(a["id"]): str(a["tgt"]) for a in lvl1["arrows"]}
-        comp = {(str(a), str(b)): str(c) for a, b, c in lvl1["compose"]}
-        inv = {str(a): str(b) for a, b in lvl1["inv"]}
+        rows = _unique("level 1 arrow id", ((str(a["id"]), a) for a in lvl1["arrows"]))
+        arrows = tuple(rows)
+        src = {g: str(a["src"]) for g, a in rows.items()}
+        tgt = {g: str(a["tgt"]) for g, a in rows.items()}
+        comp = _table("level 1 compose", lvl1["compose"], 3)
+        inv = _table("level 1 inv", lvl1["inv"], 2)
         truncation = int(data.get("truncation", 1))
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"crossed complex schema: {exc}") from exc
@@ -186,6 +214,8 @@ def crossed_complex_from_json(data) -> CrossedComplex:
         try:
             n = int(lvl["n"])
             where = f"level {n}"
+            if n in levels:
+                raise SchemaError(f"{where} given twice")
             groups = {}
             for x, g in lvl["groups"].items():
                 groups[str(x)] = group_from_json(g)
@@ -194,14 +224,14 @@ def crossed_complex_from_json(data) -> CrossedComplex:
                     if (n, e) in elem_owner:
                         raise SchemaError(f"level {n} element id {e!r} not unique")
                     elem_owner[(n, e)] = x
-            b = {}
-            for e, target in lvl["boundary"]:
-                x = elem_owner[(n, str(e))]
-                b[(x, str(e))] = str(target)
-            a = {}
-            for e, g, ep in lvl["action"]:
-                x = elem_owner[(n, str(e))]
-                a[((x, str(e)), str(g))] = str(ep)
+            b = {
+                (elem_owner[(n, e)], e): target
+                for e, target in _table(f"{where} boundary", lvl["boundary"], 2).items()
+            }
+            a = {
+                ((elem_owner[(n, e)], e), g): ep
+                for (e, g), ep in _table(f"{where} action", lvl["action"], 3).items()
+            }
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"crossed complex {where} schema: {exc}") from exc
         levels[n] = groups
@@ -279,11 +309,11 @@ def algebra_from_json(data) -> CrossedComplex:
 
 def simpset_from_json(data):
     try:
-        generators = {str(g["id"]): int(g["dim"]) for g in data["generators"]}
-        faces = {}
-        for f in data.get("faces", ()):
-            ref = SimplexRef(str(f["core"]), tuple(int(j) for j in f.get("deg", ())))
-            faces[(str(f["of"]), int(f["i"]))] = ref
+        generators = _unique("generator id", ((str(g["id"]), int(g["dim"])) for g in data["generators"]))
+        faces = _unique("face (of, i)", (
+            ((str(f["of"]), int(f["i"])), SimplexRef(str(f["core"]), tuple(map(int, f.get("deg", ())))))
+            for f in data.get("faces", ())
+        ))
         tags = {
             str(k): frozenset(str(g) for g in v) for k, v in data.get("tags", {}).items()
         }

@@ -1,14 +1,22 @@
-"""Reference evaluations of homotopy addition words, by walking `SimplexRef`s.
+"""Reference evaluations and the paths the program replaced, kept as oracles.
 
-The program evaluates every homotopy addition word on the terms that a
-`Plan` of (X, A) compiles once.  The functions here evaluate the same words
-again from the simplicial set itself: each face, degeneracy and twist edge is
-looked up through its `SimplexRef` on every call.  They are the oracles of the
-compiled paths: `boundary_label` of `Plan.label`, `apply_homotopy` of
-`homotopy._apply` and `delta2` of `homotopy._delta2`.  `compose_homotopies`
+The program evaluates every homotopy addition word on colouring keys, with
+the terms and integer tables that a `Plan` of (X, A) compiles once.  The
+functions first here evaluate the same words again from the simplicial set
+itself: each face, degeneracy and twist edge is looked up through its
+`SimplexRef` on every call.  They are the oracles of the compiled paths:
+`boundary_label` of `Plan.label`, `apply_homotopy` of the moves of
+`homotopy._Moves` and `delta2` of `homotopy._delta2`.  `compose_homotopies`
 composes cell values one generator at a time, the oracle of
 `homotopy._compose_keys`, which composes keys.  Oracle loops call these, not
 the public wrappers, which compile a plan per call.
+
+Whole homotopies on values dicts, as the program evaluated them before
+keys: `sequence_domains`, `enumerate_sequences`, `identity_sequence` and
+`expand_sequence` build `HomotopySequence`s, `_apply` and `_delta2` evaluate
+the dict form of `Plan.terms` (`terms`), and `crs_pi1` and `holonomy_act`
+run on them: the oracles of `homotopy.crs_pi1`'s key enumeration and of the
+profunctor transports.
 
 Also here: test-only checks that build on them (`is_valid_colouring`,
 `crs_homotopy_content`, `decategorified_matrix`).
@@ -22,11 +30,11 @@ The colouring walk on values (`DictPlan`), with its dict-based labels, tests
 and domains, is the oracle of `Plan`'s walk on value indices.
 
 The last section keeps relative classes by dict moves (`rel_classes`, with
-`_stars`, `_mover` and `_moved_key`), the profunctor of a cobordism with one
-`holonomy_act` per (boundary arrow, basis element) (`cobordism_profunctor`)
-and the naturality check over every pair of arrows (`naturality_check`): the
-oracles of the key-vector moves, the transports by Schreier composition and
-the check on generating squares.
+`_stars`, `_mover`, `_moved_key` and `key_slots`), the profunctor of a
+cobordism with one `holonomy_act` per (boundary arrow, basis element)
+(`cobordism_profunctor`) and the naturality check over every pair of
+arrows (`naturality_check`): the oracles of the key-vector moves, the
+transports by Schreier composition and the check on generating squares.
 """
 from fractions import Fraction
 from functools import lru_cache

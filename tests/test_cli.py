@@ -375,6 +375,104 @@ def test_malformed_inputs_exit_2(tmp_path, space, algebra, target, edit, message
     assert code == 2 and message in err
 
 
+def _append(*path, row):
+    """An edit of {"space": ..., "algebra": ...} that appends `row` to the list at `path`."""
+
+    def edit(inputs):
+        node = inputs
+        for key in path:
+            node = node[key]
+        node.append(copy.deepcopy(node[0]) if row is None else row)
+
+    return edit
+
+
+def _set(*path, value):
+    """An edit that sets the node at `path` to `value`."""
+
+    def edit(inputs):
+        node = inputs
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "space, algebra, edit, message",
+    [
+        pytest.param(
+            "circle", "xmod-z2-z2-zero", _append("algebra", "boundary", row=["1", "1"]),
+            "crossed module boundary key '1' given twice", id="xmod-boundary",
+        ),
+        pytest.param(
+            "circle", "xmod-z2-z2-zero", _append("algebra", "action", row=["1", "1", "1"]),
+            "crossed module action key ('1', '1') given twice", id="xmod-action",
+        ),
+        pytest.param(
+            "circle", "xmod-z2-z2-zero", _set("algebra", "boundary", 1, value=["1"]),
+            "crossed module boundary row ['1'] must have 2 entries", id="xmod-boundary-arity",
+        ),
+        pytest.param(
+            "circle", "xmod-z2-z2-zero", _set("algebra", "action", 0, value=["0", "0"]),
+            "crossed module action row ['0', '0'] must have 3 entries", id="xmod-action-arity",
+        ),
+        pytest.param(
+            "delta2", "z2",
+            _append("space", "faces", row={"of": "(0,1)", "i": 0, "core": "(0)", "deg": []}),
+            "face (of, i) ('(0,1)', 0) given twice", id="face",
+        ),
+        pytest.param(
+            "circle", "z2", _append("space", "generators", row={"id": "v", "dim": 1}),
+            "generator id 'v' given twice", id="generator",
+        ),
+        pytest.param(
+            "circle", "abelian-tower", _append("algebra", "level1", "arrows", row=None),
+            "level 1 arrow id '0' given twice", id="arrow",
+        ),
+        pytest.param(
+            "circle", "abelian-tower", _append("algebra", "level1", "compose", row=["0", "0", "1"]),
+            "level 1 compose key ('0', '0') given twice", id="compose",
+        ),
+        pytest.param(
+            "circle", "abelian-tower", _append("algebra", "level1", "inv", row=["0", "1"]),
+            "level 1 inv key '0' given twice", id="inv",
+        ),
+        pytest.param(
+            "circle", "abelian-tower", _append("algebra", "levels", row=None),
+            "level 2 given twice", id="level",
+        ),
+        pytest.param(
+            "circle", "abelian-tower", _append("algebra", "levels", 1, "boundary", row=None),
+            "level 3 boundary key '*:0' given twice", id="level-boundary",
+        ),
+        pytest.param(
+            "circle", "abelian-tower", _append("algebra", "levels", 1, "action", row=None),
+            "level 3 action key ('*:0', '0') given twice", id="level-action",
+        ),
+        pytest.param(
+            "circle", "z2", _set("algebra", "elements", value=["0", "0"]),
+            "duplicate element ids (witness ('0',))", id="group-element",
+        ),
+    ],
+)
+def test_repeated_rows_and_rows_of_the_wrong_length_exit_2(tmp_path, space, algebra, edit, message):
+    """A key given twice, where a later row would silently replace the first, and a row with
+    too few or too many entries are schema errors that name them."""
+    catalog = _catalog()
+    algebras = {**catalog["algebras"], **_towers()}
+    inputs = {"space": copy.deepcopy(catalog[space]), "algebra": copy.deepcopy(algebras[algebra])}
+    edit(inputs)
+    for name, value in inputs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(value))
+    code, err = _exit_code_and_stderr(
+        ["state-space", "--space", str(tmp_path / "space.json"),
+         "--algebra", str(tmp_path / "algebra.json")]
+    )
+    assert code == 2 and message in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["state-space", "colour-count"])
 @pytest.mark.parametrize("truncation", [0, -1])
 def test_truncation_below_1_exits_2(files, tmp_path, command, truncation):

@@ -35,7 +35,6 @@ from quinncalc.homotopy import (
     _compose_keys,
     _compose_tables,
     _delta2,
-    _moves,
     _sequence,
     apply_homotopy,
     compose_homotopies,
@@ -65,6 +64,7 @@ from tests.reference import (
     sequence_domains,
 )
 from tests.conftest import abelian_tower, corpus_crossed_modules, corpus_groups, inversion_tower
+from tests.test_index_walk import pair_module
 
 
 def conj_action(G):
@@ -478,6 +478,37 @@ def test_crs_pi1_matches_the_seed_construction(space, algebra):
         assert {d.key() for d in got.deltas[ti]} == {d.key() for d in ds}
 
 
+# the pair module has two objects; delta3 and prism-torus take seconds or more under it,
+# and under the towers prism-circle does too
+KEY_ORACLE_CASES = (
+    [(s, a) for s in CATALOG for a in CORPUS if (s, a) not in SLOW_SEED_CRS]
+    + [(s, t) for s in CATALOG for t in TOWERS if s not in ("delta3", "prism-circle", "prism-torus")]
+    + [(s, "pair-module") for s in CATALOG if s not in ("delta3", "prism-torus")]
+)
+
+
+@pytest.mark.parametrize("space, algebra", KEY_ORACLE_CASES)
+def test_crs_pi1_on_keys_matches_the_values_dict_construction(space, algebra):
+    """The key enumeration against `reference.crs_pi1`, which enumerates `HomotopySequence`s.
+
+    Same objects, arrows, table (in insertion order), identities, inverses,
+    representatives and boundary key sets.
+    """
+    X = CATALOG[space]
+    A = TOWERS[algebra]() if algebra in TOWERS else pair_module() if algebra == "pair-module" else CORPUS[algebra]
+    got, want = crs_pi1(X, A), reference.crs_pi1(X, A)
+    G, W = got.groupoid, want.groupoid
+    assert [c.values for c in got.colourings] == [c.values for c in want.colourings]
+    assert G.objects == W.objects and G.arrows == W.arrows
+    assert list(G.comp_table.items()) == list(W.comp_table.items())
+    assert G.ident == W.ident and G.inv_table == W.inv_table
+    assert list(got.arrow_reps) == list(want.arrow_reps)
+    assert all(got.arrow_reps[a].values == want.arrow_reps[a].values for a in W.arrows)
+    assert got.deltas.keys() == want.deltas.keys()
+    for ti, ds in want.deltas.items():
+        assert [d.key() for d in got.deltas[ti]] == [d.key() for d in ds]
+
+
 @pytest.mark.parametrize("space, algebra", [("prism-circle", "z3"), ("circle", "xmod-z2-z2-zero")])
 def test_crs_pi1_composes_once_per_table_entry_and_orbit_member(monkeypatch, space, algebra):
     """One composite per table entry and per (arrow, delta) pair, one other-end move per arrow."""
@@ -492,18 +523,18 @@ def test_crs_pi1_composes_once_per_table_entry_and_orbit_member(monkeypatch, spa
             return real(*args)
 
         monkeypatch.setattr(homotopy, name, counted)
-    real_moves = homotopy._moves
+    class CountingPlan(Plan):
+        @property
+        def moves(self):
+            everywhere = super().moves.everywhere
 
-    def counted_moves(plan):
-        everywhere = real_moves(plan).everywhere
+            def move(key, h):
+                calls["move"] += 1
+                return everywhere(key, h)
 
-        def move(key, h):
-            calls["move"] += 1
-            return everywhere(key, h)
+            return SimpleNamespace(everywhere=move)
 
-        return SimpleNamespace(everywhere=move)
-
-    monkeypatch.setattr(homotopy, "_moves", counted_moves)
+    monkeypatch.setattr(homotopy, "Plan", CountingPlan)
     crs = crs_pi1(CATALOG[space], CORPUS[algebra])
     G = crs.groupoid
     assert calls["_compose_keys"] == len(G.comp_table) + sum(len(crs.deltas[a[1]]) for a in G.arrows)
@@ -831,7 +862,7 @@ def test_compiled_move_rewrites_the_star_as_apply_homotopy(case, data):
     H.values[g] = h
     want = reference.apply_homotopy(H, col)
     p = X.gen_index(g)
-    move = _moves(plan).mover((p,))
+    move = plan.moves.mover((p,))
     assert move(col.key(), {p: H.key()[p]}) == want.key()
     assert reference._moved_key(
         reference.key_slots(plan), col.key(), reference._mover(plan, reference._stars(plan), col.values, g)(h)
@@ -856,7 +887,7 @@ def test_key_moves_on_several_slots_match_apply_homotopy(case, data):
             H.values[g] = data.draw(st.sampled_from(dom), label=str(g))
     positions = [X.gen_index(g) for g in chosen]
     hk = H.key()
-    move = _moves(plan).mover(positions)
+    move = plan.moves.mover(positions)
     assert move(col.key(), {p: hk[p] for p in positions}) == reference.apply_homotopy(H, col).key()
 
 
@@ -873,7 +904,7 @@ def test_compiled_apply_matches_apply_homotopy(case, data):
     }
     H = HomotopySequence(1, col, values)
     want = reference.apply_homotopy(H, col).values
-    assert plan._decode(_moves(plan).everywhere(col.key(), H.key())) == want
+    assert plan._decode(plan.moves.everywhere(col.key(), H.key())) == want
     assert reference._apply(plan, col.values, values) == want
     assert apply_homotopy(H, col).values == want
 

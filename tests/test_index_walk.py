@@ -23,7 +23,7 @@ from quinncalc.finalg import (
     symmetric_group,
 )
 from quinncalc.finalg.crossed import CrossedComplex, validate_crossed_complex
-from quinncalc.homotopy import _compose_tables, _delta2, _moves
+from quinncalc.homotopy import _compose_tables, _delta2
 from quinncalc.io import crossed_complex_from_json, crossed_complex_to_json
 from quinncalc.simpset import circle, prism, sphere, standard_simplex, torus
 from tests import reference
@@ -239,5 +239,5 @@ def test_plans_that_do_not_walk_build_no_walk_tables():
     c = Plan(X, A).colourings()[0]
     plan = Plan(X, A)
     assert plan.label[X.gens(2)[0]](c.values) == reference.boundary_label(X, A, c.values, X.gens(2)[0])
-    _compose_tables(plan), _delta2(plan), _moves(plan).everywhere
+    _compose_tables(plan), _delta2(plan), plan.moves.everywhere
     assert not set(vars(plan)) & {"_schedule", "_preimage", "_decode", "faces"}

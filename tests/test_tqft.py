@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from quinncalc.errors import ExactnessError
 from quinncalc.finalg import (
@@ -16,6 +18,7 @@ from quinncalc.simpset import (
     Stratification,
     circle,
     glue,
+    interval,
     point,
     prism,
     prism_end_matching,
@@ -34,6 +37,7 @@ from quinncalc.tqft import (
 )
 from tests import reference
 from tests.conftest import corpus_crossed_modules, corpus_groups
+from tests.test_colouring import CORPUS_ALGEBRAS
 
 
 def conjugacy_class_count(G):
@@ -275,6 +279,59 @@ def test_stratification_independence_double_vs_single():
         assert quinn_matrix(glued, A, Fraction(0)).as_lists() == quinn_matrix(
             C1, A, Fraction(0)
         ).as_lists()
+
+
+def _glued_prisms(base, tree):
+    """(M, in_map, out_map): the prisms over `base` glued along a binary tree, end to end.
+
+    A leaf (None) is `prism(base)`; a pair (left, right) glues the out end
+    of the left cobordism to the in end of the right one, generator by
+    generator of the base.  The maps take each generator of the base to its
+    copy in the in and out ends of M.
+    """
+    if tree is None:
+        P = prism(base)
+        return P, P.meta["in_map"], P.meta["out_map"]
+    (L, l_in, l_out), (R, r_in, r_out) = (_glued_prisms(base, t) for t in tree)
+    M = glue(L, R, {l_out[g]: r_in[g] for g in l_out})
+    left, right = M.meta["left_map"], M.meta["right_map"]
+    return M, {g: left[h] for g, h in l_in.items()}, {g: right[h] for g, h in r_out.items()}
+
+
+def _leaves(tree):
+    return 1 if tree is None else sum(map(_leaves, tree))
+
+
+GLUING_BASES = {"point": point, "interval": interval, "circle": circle, "torus": torus}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    base=st.sampled_from(sorted(GLUING_BASES)),
+    algebra=st.sampled_from(sorted(CORPUS_ALGEBRAS)),
+    tree=st.recursive(st.none(), lambda kids: st.tuples(kids, kids), max_leaves=3).filter(
+        lambda t: t is not None
+    ),
+    s=st.sampled_from([Fraction(0), Fraction(1)]),
+)
+def test_quinn_matrix_composes_under_random_gluings(base, algebra, tree, s):
+    """Functoriality: the matrix of a gluing is the product of the matrices of its pieces.
+
+    The cobordism is two to three prisms glued in a random bracketing; the
+    root gluing is checked against its two pieces, and the whole against
+    the power of the single prism's matrix.
+    """
+    assume(base != "torus" or algebra in ("z2", "z3"))  # larger algebras take seconds there
+    X, A = GLUING_BASES[base](), CORPUS_ALGEBRAS[algebra]()
+    M, _, _ = _glued_prisms(X, tree)
+    L, R = (_glued_prisms(X, t)[0] for t in tree)
+    Q = quinn_matrix(M, A, s)
+    assert approx_equal_matrices(quinn_matrix(L, A, s).matmul(quinn_matrix(R, A, s)), Q.as_lists())
+    P = quinn_matrix(prism(X), A, s)
+    power = P.as_lists()
+    for _ in range(_leaves(tree) - 1):
+        power = [[sum(a * b for a, b in zip(row, col)) for col in zip(*P.entries)] for row in power]
+    assert approx_equal_matrices(power, Q.as_lists())
 
 
 # -- s conjugation ------------------------------------------------------------------

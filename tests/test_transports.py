@@ -101,17 +101,16 @@ def test_profunctor_matches_the_per_arrow_oracle(cobordism, algebra, monkeypatch
     M, A = COBORDISMS[cobordism](), ALGEBRAS[algebra]()
     moves = []
 
-    def counted(plan):
-        compiled = real_moves(plan)
-
+    def counted(crs, plan, *rest):
         def mover(positions):
-            move = compiled.mover(positions)
+            move = plan.moves.mover(positions)
             return lambda key, h: moves.append(None) or move(key, h)
 
-        return SimpleNamespace(mover=mover)
+        counting = SimpleNamespace(X=plan.X, moves=SimpleNamespace(mover=mover))
+        return real_transports(crs, counting, *rest)
 
-    real_moves = quinncalc.extprof._moves
-    monkeypatch.setattr(quinncalc.extprof, "_moves", counted)
+    real_transports = quinncalc.extprof._transports
+    monkeypatch.setattr(quinncalc.extprof, "_transports", counted)
     got = cobordism_profunctor(M, A)
     monkeypatch.undo()
     _same_profunctor(got, reference.cobordism_profunctor(M, A))
