@@ -93,7 +93,8 @@ def compose_homotopies(first: HomotopySequence, second: HomotopySequence) -> Hom
     f = second.target
     plan = Plan(f.X, f.A)
     hk = second.key()
-    if first.target.values != plan._decode(plan.moves.everywhere(colouring_key(plan.X, f.A, f.values), hk)):
+    source = plan.moves.everywhere(colouring_key(plan.X, f.A, f.values), hk)
+    if first.target.values != plan._decode(source):
         raise ValueError("homotopies are not composable")
     return _sequence(plan, f, _compose_keys(_compose_tables(plan), first.key(), hk))
 
@@ -351,7 +352,7 @@ class _Moves:
 
 
 def _delta2(plan: Plan):
-    """(f, h) -> the key of the boundary of the 2-fold homotopy with key h at the colouring with key f.
+    """(f, h) -> the key of the boundary of the 2-fold homotopy with key h at the colouring f.
 
     The boundary is a 1-fold homotopy at f.  At a vertex v it is the
     boundary of h(v) (an identity at truncation 1); at an edge e from s to
@@ -364,7 +365,7 @@ def _delta2(plan: Plan):
     X, A, ops = plan.X, plan.A, plan._ops
     trunc, where = A.truncation, X.gen_index
     vertices = [where(v) for v in X.gens(0)]
-    edges = [(where(e), *(where(u) for u in X.edge_ends(e))) for e in X.gens(1)] if trunc >= 2 else []
+    edges = [(where(e), *map(where, X.edge_ends(e))) for e in X.gens(1)] if trunc >= 2 else []
     cells = [
         (p, lead, ops.mul[n + 1], ops.unit[n + 1], ops.finv[n + 1], ops.act[n + 1],
          ops.bdry.get(n + 2), n % 2 == 1, terms)

@@ -309,9 +309,12 @@ def algebra_from_json(data) -> CrossedComplex:
 
 def simpset_from_json(data):
     try:
-        generators = _unique("generator id", ((str(g["id"]), int(g["dim"])) for g in data["generators"]))
+        generators = _unique(
+            "generator id", ((str(g["id"]), int(g["dim"])) for g in data["generators"])
+        )
         faces = _unique("face (of, i)", (
-            ((str(f["of"]), int(f["i"])), SimplexRef(str(f["core"]), tuple(map(int, f.get("deg", ())))))
+            ((str(f["of"]), int(f["i"])),
+             SimplexRef(str(f["core"]), tuple(int(j) for j in f.get("deg", ()))))
             for f in data.get("faces", ())
         ))
         tags = {

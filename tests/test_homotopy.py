@@ -495,7 +495,10 @@ def test_crs_pi1_on_keys_matches_the_values_dict_construction(space, algebra):
     representatives and boundary key sets.
     """
     X = CATALOG[space]
-    A = TOWERS[algebra]() if algebra in TOWERS else pair_module() if algebra == "pair-module" else CORPUS[algebra]
+    if algebra in TOWERS:
+        A = TOWERS[algebra]()
+    else:
+        A = pair_module() if algebra == "pair-module" else CORPUS[algebra]
     got, want = crs_pi1(X, A), reference.crs_pi1(X, A)
     G, W = got.groupoid, want.groupoid
     assert [c.values for c in got.colourings] == [c.values for c in want.colourings]
@@ -864,9 +867,8 @@ def test_compiled_move_rewrites_the_star_as_apply_homotopy(case, data):
     p = X.gen_index(g)
     move = plan.moves.mover((p,))
     assert move(col.key(), {p: H.key()[p]}) == want.key()
-    assert reference._moved_key(
-        reference.key_slots(plan), col.key(), reference._mover(plan, reference._stars(plan), col.values, g)(h)
-    ) == want.key()
+    star = reference._mover(plan, reference._stars(plan), col.values, g)(h)
+    assert reference._moved_key(reference.key_slots(plan), col.key(), star) == want.key()
 
 
 @settings(max_examples=200, deadline=None)
