@@ -30,7 +30,8 @@ backtracking walk after one check and encoding of the fixed values.
 caller that walks one X for many boundary values compiles it once.  The
 homotopy layer reads the same compilation: `Plan.terms` resolves the
 homotopy addition word of each cell to reads of key positions once, and
-evaluates them on colouring keys with the walk's own tables (`_Ops`).
+the homotopy layer evaluates them on colouring keys with the walk's own
+tables (`_Ops`); its moves are kept on the plan (`Plan.moves`).
 Every homotopy addition word in the program is evaluated on a plan;
 `boundary_label` compiles one per call, and `value_of_ref` reads a single
 simplex.
