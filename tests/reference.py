@@ -794,10 +794,6 @@ class DictPlan:
             pos += len(gens)
         self.domains = [self._domain(g) for g in self.slots]
 
-    def _reader(self, ref, sign: int = 1):
-        """(key, table): the value on ref is values[key], mapped through table if any."""
-        return _reader(self.X, self.A, ref, sign)
-
     def _evaluator(self, c):
         """values -> the homotopy addition label of c, for c of dimension >= 2."""
         X, A = self.X, self.A
@@ -805,7 +801,7 @@ class DictPlan:
         terms = hal_word(X, c)
         comp = A.base.comp_table
         if n == 2:
-            (k0, t0), (k1, t1), (k2, t2) = (self._reader(r, s) for r, s, _ in terms)
+            (k0, t0), (k1, t1), (k2, t2) = (_reader(X, A, r, s) for r, s, _ in terms)
 
             def label(vals):
                 a0 = vals[k0] if t0 is None else t0[vals[k0]]
@@ -819,9 +815,9 @@ class DictPlan:
             ident = {x: A.identity_elem(m, x) for x in A.objects}
             return lambda vals: ident[vals[lead]]
         (ref0, _, ((edge, sign),)), rest = terms[0], terms[1:]
-        k0, t0 = self._reader(ref0)
-        k1, t1 = self._reader(edge, sign)
-        rest = [self._reader(r, s) for r, s, _ in rest]
+        k0, t0 = _reader(X, A, ref0)
+        k1, t1 = _reader(X, A, edge, sign)
+        rest = [_reader(X, A, r, s) for r, s, _ in rest]
         act = A.act[m]
         if m not in self._product:
             self._product[m] = {
