@@ -705,6 +705,14 @@ PINNED_RUNS = {
         "29ff7244c47416529e36ac67f1d417949f3b984838cb24788a613bb7619e5b47",
     "profunctor prism-circle xmod-z4-z2-zero":
         "16254d00a1502f0a0c99aa3e8ee0684c33503081ab12590d05a7ed1aa611ebd6",
+    "profunctor prism-torus z2":
+        "71fe3bb5968916750601a2a141a833ecf78a26fdb49d810ef4f988b3817ef1cf",
+    "profunctor prism-torus s3":
+        "cb70113f215d0275780d4ee43b8bba745857f02df0eb36459008aacd495593a9",
+    "profunctor prism-torus xmod-z2-z2-zero":
+        "7b74dd7a6ea84657412a9af7758295cc2401e7a8a77e2e447788027451fc33dc",
+    "profunctor prism-torus xmod-z2-id":
+        "8749d48f85a9985d3e08de48700236a6acc66f42bda601e14e782be2a879dc65",
     "algebra z3":
         "3381d7362392b91c26267c8ce0bee64461c874d294a5840e3f0306ed5080dbd3",
     "algebra s3":
