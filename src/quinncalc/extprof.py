@@ -6,19 +6,19 @@ A profunctor here is contravariant on the left: `lact[(g, b)]` transports a
 basis element of (tgt g, y) to one of (src g, y), and `ract[(b, h)]`
 transports (x, src h) to (x, tgt h).  For a cobordism the basis over a pair
 of boundary colourings is the set of classes of fillings relative to the
-boundary.  A transport moves a class representative along a boundary
-homotopy, extended by identities on the interior; it is evaluated on the
-representative's key, on the boundary slots and their star, and only for
-the generators of each boundary groupoid.  Transports along the other
-arrows are composed from those.  Naturality of a window's 2-cell is checked
-on the squares of generators.
+boundary, from one walk and one partition of all the fillings filed by their
+restrictions to the boundary.  A transport moves the key of a class
+representative along a boundary homotopy, extended by identities on the
+interior, on the boundary slots and their star; it is evaluated only for the
+generators of each boundary groupoid and composed along the other arrows.
+Naturality of a window's 2-cell is checked on the squares of generators.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .colouring import Colouring, Plan, value_of_ref
+from .colouring import Colouring, Plan, restrict_colouring, value_of_ref
 from .errors import BoundaryError
 from .finalg.crossed import CrossedComplex
 from .finalg.groupoids import partition
@@ -88,32 +88,32 @@ def identity_profunctor(crs: CrsResult) -> Profunctor:
 
 
 def cobordism_profunctor(M: Stratification, A: CrossedComplex) -> Profunctor:
-    """The profunctor of a stratified cobordism with tagged in/out boundaries."""
+    """The profunctor of a stratified cobordism with tagged in/out boundaries.
+
+    One walk and one `rel_classes` find all classes: a move fixes the face-closed
+    boundary, so each lies over one boundary pair, numbered there by least member.
+    """
     X = M.simpset
     in_gens, out_gens = M.tagged("in"), M.tagged("out")
     if in_gens & out_gens:
         raise BoundaryError("in and out subcomplexes must be disjoint")
     sub_in, sub_out = X.restrict(in_gens), X.restrict(out_gens)
     left, right = crs_pi1(sub_in, A), crs_pi1(sub_out, A)
-    boundary = in_gens | out_gens
-    plan = Plan(X, A)
-    basis, sizes, reps, rep_keys = {}, {}, {}, {}
-    class_of_key = {}
-    for li, f in enumerate(left.colourings):
-        for ri, fp in enumerate(right.colourings):
-            fillings = plan.colourings({**f.values, **fp.values})
-            classes, class_of = rel_classes(plan, A, boundary, fillings)
-            ids = []
-            for ci, members in enumerate(classes):
-                eid = (li, ri, ci)
-                ids.append(eid)
-                sizes[eid] = len(members)
-                reps[eid] = fillings[members[0]]
-                rep_keys[eid] = reps[eid].key()
-            basis[(li, ri)] = tuple(ids)
-            for key, ci in class_of.items():
-                class_of_key[key] = (li, ri, ci)
     GL, GR = left.groupoid, right.groupoid
+    plan = Plan(X, A)
+    fillings = plan.colourings()
+    classes, class_of = rel_classes(plan, A, in_gens | out_gens, fillings)
+    over = {(x, y): [] for x in GL.objects for y in GR.objects}
+    for ci, members in enumerate(classes):
+        rep = fillings[members[0]]
+        x = left.colouring_index(restrict_colouring(rep, sub_in))
+        over[(x, right.colouring_index(restrict_colouring(rep, sub_out)))].append(ci)
+    eid = {ci: (*pair, j) for pair, cis in over.items() for j, ci in enumerate(cis)}
+    basis = {pair: tuple(eid[ci] for ci in cis) for pair, cis in over.items()}
+    sizes = {eid[ci]: len(classes[ci]) for cis in over.values() for ci in cis}
+    reps = {eid[ci]: fillings[classes[ci][0]] for cis in over.values() for ci in cis}
+    rep_keys = {b: rep.key() for b, rep in reps.items()}
+    class_of_key = {key: eid[ci] for key, ci in class_of.items()}
     over_left = {x: [b for y in GR.objects for b in basis[(x, y)]] for x in GL.objects}
     over_right = {y: [b for x in GL.objects for b in basis[(x, y)]] for y in GR.objects}
     move_in = _transports(left, plan, over_left, rep_keys, class_of_key)
@@ -159,8 +159,7 @@ def _transports(crs: CrsResult, plan: Plan, over: dict, rep_keys: dict, class_of
     for g in G.generators:
         g_inv = G.inv(g)
         if g not in done:
-            hk = crs.arrow_reps[g].key()
-            h = {p: hk[i] for i, p in slots}
+            h = {p: g[2][i] for i, p in slots}
             t = done[g] = [position[class_of_key[move(rep_keys[b], h)]] for b in over[G.tgt[g]]]
             done[g_inv] = back = [0] * len(t)
             for i, j in enumerate(t):

@@ -317,9 +317,13 @@ def simpset_from_json(data):
              SimplexRef(str(f["core"]), tuple(int(j) for j in f.get("deg", ()))))
             for f in data.get("faces", ())
         ))
-        tags = {
-            str(k): frozenset(str(g) for g in v) for k, v in data.get("tags", {}).items()
-        }
+        tags = data.get("tags", {})
+        if not isinstance(tags, dict):
+            raise TypeError(f"'tags' must be an object, not {type(tags).__name__}")
+        for k, v in tags.items():
+            if not isinstance(v, list):
+                raise TypeError(f"tag {k!r} must be a list of generators, not {type(v).__name__}")
+        tags = {str(k): frozenset(map(str, v)) for k, v in tags.items()}
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"simplicial set schema: {exc}") from exc
     X = SimpSet(generators, faces, name=str(data.get("name", "")))

@@ -1065,8 +1065,11 @@ def rel_classes(X, A, boundary_gens, fillings):
 def cobordism_profunctor(M, A):
     """`extprof.cobordism_profunctor` with one `holonomy_act` per (arrow, basis element).
 
-    Classes come from the dict-move `rel_classes` above; `lact` and `ract`
-    are filled in (arrow, object, basis element) order.
+    The fillings are walked and partitioned pair by pair: one fixed-boundary
+    walk and one dict-move `rel_classes` (above) for each (in, out) boundary
+    colouring pair.  This is the oracle of the single walk and single
+    partition that `extprof` files by boundary restriction.  `lact` and
+    `ract` are filled in (arrow, object, basis element) order.
     """
     X = M.simpset
     in_gens, out_gens = M.tagged("in"), M.tagged("out")

@@ -358,11 +358,19 @@ def _exit_code_and_stderr(argv):
             },
             "level 1 lacks an identity at object 'y'",
         ),
+        ("circle", "z2", "space", {"tags": {"in": "ve", "out": []}},
+         "tag 'in' must be a list of generators, not str"),
+        ("circle", "z2", "space", {"tags": {"in": "abc", "out": []}},
+         "tag 'in' must be a list of generators, not str"),
+        ("circle", "z2", "space", {"tags": ["in"]}, "'tags' must be an object, not list"),
+        ("circle", "z2", "space", {"tags": {"in": [], "out": [], "extra": 5}},
+         "tag 'extra' must be a list of generators, not int"),
     ],
 )
 def test_malformed_inputs_exit_2(tmp_path, space, algebra, target, edit, message):
     """A tag list, a degeneracy past its simplex, a non-list group table, a boundary outside G,
-    a negative dimension, a tag missing a face, an object without an identity arrow."""
+    a negative dimension, a tag missing a face, an object without an identity arrow, and tag
+    values that are strings or numbers rather than lists."""
     catalog = _catalog()
     inputs = {"space": dict(catalog[space]), "algebra": dict(catalog["algebras"][algebra])}
     inputs[target].update(edit)

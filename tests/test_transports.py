@@ -21,21 +21,41 @@ from quinncalc.extprof import (
     cobordism_profunctor,
     window_nat_transform,
 )
-from quinncalc.finalg import pair_groupoid, symmetric_group
-from quinncalc.finalg.groupoids import groupoid_from_group
+from quinncalc.finalg import cyclic_group, iota1, pair_groupoid, symmetric_group
+from quinncalc.finalg.groupoids import action_groupoid, groupoid_from_group
 from quinncalc.homotopy import crs_pi1, rel_classes
-from quinncalc.simpset import circle, point, prism, window_support
+from quinncalc.simpset import Stratification, circle, point, prism, window_support
 from tests import reference
 from tests.test_colouring import CORPUS_ALGEBRAS, _cylinder
 from tests.test_homotopy import NON_REDUCED, _permutation_groupoid
 from tests.test_index_walk import pair_module
 
-# the corpus, a two-object crossed module and two groupoids with several objects
-ALGEBRAS = {**CORPUS_ALGEBRAS, "pair-module": pair_module, **NON_REDUCED}
+
+def _prism_circle_keeping(keep):
+    """prism(circle()) with each tag cut down to the generators g for which keep(tag, dim g)."""
+    M = prism(circle())
+    dim = M.simpset.dim_of
+    return Stratification(
+        M.simpset, {k: {g for g in gens if keep(k, dim[g])} for k, gens in M.tags.items()}
+    )
+
+
+# the corpus, a two-object crossed module, two groupoids with several objects, and one with
+# two components, over which some boundary pairs have no filling whenever both ends have a vertex
+ALGEBRAS = {
+    **CORPUS_ALGEBRAS,
+    "pair-module": pair_module,
+    **NON_REDUCED,
+    "two-components": lambda: iota1(action_groupoid(cyclic_group(2), (0, 1), lambda g, x: x)),
+}
+# the last three retag prism-circle: no out boundary, an out vertex only, and no boundary
 COBORDISMS = {
     "prism-point": lambda: prism(point()),
     "prism-circle": lambda: prism(circle()),
     "double-cylinder": lambda: _cylinder("double-cylinder"),
+    "prism-circle-out-empty": lambda: _prism_circle_keeping(lambda tag, d: tag == "in"),
+    "prism-circle-out-vertex": lambda: _prism_circle_keeping(lambda tag, d: tag == "in" or d == 0),
+    "prism-circle-untagged": lambda: _prism_circle_keeping(lambda tag, d: False),
 }
 WINDOWS = {
     "point": lambda: window_support(prism(point()), prism(point())),
