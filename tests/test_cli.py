@@ -689,8 +689,9 @@ def test_console_entrypoint_runs():
 
 
 # sha256 of "<exit code>\n<stdout>" for runs whose bytes no other tier-1 test
-# pins: profunctor actions, algebra triples, the double's verdict and the
-# window blocks and verdicts of nat-transform.  The output does not depend on
+# pins: profunctor actions, algebra triples, the double's verdict, the
+# window blocks and verdicts of nat-transform, and colour lists of 108 to
+# 2 048 colourings.  The output does not depend on
 # PYTHONHASHSEED.
 PINNED_RUNS = {
     "profunctor prism-point z2":
@@ -759,6 +760,14 @@ PINNED_RUNS = {
         "33644660be8f3738b27e1aeb24faac606c3a69dfa06eea675a66a8cdcdf516a6",
     "nat-transform circle xmod-z4-z2-zero":
         "31763d909e70167c78831377107207f260c0a719cd1acbd1eacd55c0bc3b2909",
+    "colour-list prism-torus s3":
+        "6a9b76e29a79c29b64778d46090bee2d7e5200488c9dd54cd8ee5f61d1d4867b",
+    "colour-list prism-torus xmod-z2-id":
+        "018f9ee4943ec9d01b22008beb49de462e5cad3645b6ad7aeffdb80a63a19d81",
+    "colour-list prism-torus xmod-z2-z2-zero":
+        "98f659a2bc022b3edc2749fd5a3e3c3db68c82ce10468711d423f8baa6a67a6e",
+    "colour-list delta3 xmod-z4-z2-zero":
+        "3f033f98421034f42cc2463173dd0d7afc235446ebbc095a014844e7b43d4a5a",
 }
 
 
@@ -768,8 +777,8 @@ def _pinned_argv(run, files):
         return ["profunctor", "--cobordism", files[names[0]], "--algebra", files[names[1]]]
     if command == "algebra":
         return ["algebra", "--from", files[names[0]]]
-    if command == "nat-transform":
-        return ["nat-transform", "--space", files[names[0]], "--algebra", files[names[1]]]
+    if command in ("nat-transform", "colour-list"):
+        return [command, "--space", files[names[0]], "--algebra", files[names[1]]]
     return ["double", "--group", files[names[0]]]
 
 
