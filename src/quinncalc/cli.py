@@ -12,7 +12,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .colouring import Plan, as_simpset, enumerate_colourings
+from .colouring import Plan, as_simpset
 from .errors import BoundaryError, QuinncalcError, SchemaError
 from .extprof import cobordism_profunctor, window_nat_transform
 from .finalg.crossed import chi_pi, validate_crossed_complex
@@ -20,13 +20,13 @@ from .homotopy import crs_pi1
 from .io import (
     LabelMap,
     algebra_from_json,
-    colour_list_json,
     dump_json,
     group_from_json,
     group_to_json,
     groupoid_to_json,
     crossed_module_to_json,
     load_json,
+    plan_colour_list,
     profunctor_to_json,
     scalar_str,
     simpset_from_json,
@@ -162,8 +162,7 @@ def cmd_colour_count(args):
 def cmd_colour_list(args):
     strat = _load_space(args.space)
     A = _load_algebra(args.algebra)
-    X = strat.simpset
-    _emit(args, colour_list_json(X, A, enumerate_colourings(X, A)))
+    _emit(args, plan_colour_list(Plan(strat.simpset, A)))
     return 0
 
 

@@ -22,9 +22,15 @@ identities, the fibres' products, inverses and units, the actions, the
 arrows between two objects and the boundary preimages), compiled once per
 plan; so are the schedule of label tests and each slot's domain.  A label
 test that exactness makes vacuous (pi_n(A, x) trivial at every object x)
-is left out.  `Plan.colourings(fixed)` lists the colourings extending some
-fixed values, decoding each vector into a values dict, and
-`Plan.count(fixed)` counts them without decoding any.  Both run one
+is left out.  A test whose cell's last face occurs once in its homotopy
+addition word is not run either: that face is solved for, since each
+passing label gives one value of it, and its slot takes just those values
+(solved slots).  A slot that admits at most one value at every earlier
+assignment is forced: the walk assigns it in a loop, without branching.
+`Plan.walk(emit, fixed)` hands the value vector of each colouring extending
+some fixed values to a callback, as the `colour-list` writer uses it;
+`Plan.colourings(fixed)` decodes each vector into a values dict, and
+`Plan.count(fixed)` counts them without decoding any.  Each runs one
 backtracking walk after one check and encoding of the fixed values.
 `enumerate_colourings` and `enumerate_relative` compile a plan per call; a
 caller that walks one X for many boundary values compiles it once.  The
@@ -64,19 +70,7 @@ class Colouring:
         return colouring_key(self.X, self.A, self.values)
 
     def as_dict(self):
-        levels: dict[str, dict] = {}
-        verts = {}
-        for g in self.X.all_gens():
-            d = self.X.dim_of[g]
-            if d >= 2 and d > self.A.truncation:
-                continue
-            if d == 0:
-                verts[str(g)] = self.values[g]
-            elif d == 1:
-                levels.setdefault("1", {})[str(g)] = self.values[g]
-            else:
-                levels.setdefault(str(d), {})[str(g)] = self.values[g][1]
-        return {"vertices": verts, "levels": levels}
+        return colouring_dict(self.X, self.A, self.values)
 
     def __eq__(self, other):
         return (
@@ -90,6 +84,27 @@ class Colouring:
 
     def __repr__(self):
         return f"Colouring({self.values})"
+
+
+def colouring_dict(X: SimpSet, A: CrossedComplex, values: dict) -> dict:
+    """The JSON shape of a colouring: its vertex values, and its values by level.
+
+    A level-n value, n >= 2, is a pair (object, element); the element is
+    written.  Generators above the truncation carry identities and are left out.
+    """
+    levels: dict[str, dict] = {}
+    verts = {}
+    for g in X.all_gens():
+        d = X.dim_of[g]
+        if d >= 2 and d > A.truncation:
+            continue
+        if d == 0:
+            verts[str(g)] = values[g]
+        elif d == 1:
+            levels.setdefault("1", {})[str(g)] = values[g]
+        else:
+            levels.setdefault(str(d), {})[str(g)] = values[g][1]
+    return {"vertices": verts, "levels": levels}
 
 
 def colouring_key(X: SimpSet, A: CrossedComplex, values: dict, k: int = 0) -> tuple:
@@ -230,7 +245,9 @@ class Plan:
     or an element of the fibre at the image of the generator's leading
     vertex), as `colouring_key` indexes it.  Labels, label tests and domains
     read positions of `v` and the nested lists of `_Ops`, and so does the
-    homotopy layer, on colouring keys.
+    homotopy layer, on colouring keys.  The walk solves the last face of a
+    cell for its label instead of testing it, and assigns forced slots
+    without branching (`_schedule`); `walk` hands each vector to a callback.
 
     - `lead[g]`: the leading vertex of g;
     - `label[c](values)`: the homotopy addition label of c under the values
@@ -394,14 +411,27 @@ class Plan:
 
     @cached_property
     def _schedule(self) -> tuple:
-        """(checks, domains) of the walk, on value indices.
+        """(checks, domains, forced, solved) of the walk, on value indices.
 
-        `checks[pos]`: the label tests run on arrival at position pos;
-        `domains[pos](v)`: the admissible value indices at `slots[pos]`,
-        given every earlier position.  The label test of an (n+1)-generator
-        runs once its last n-face is assigned, or on entry to level n when
-        all its n-faces are degenerate; a test that `_passes` shows can never
-        fail is left out.
+        - `checks[pos]`: the label tests run on arrival at position pos;
+        - `forced[pos](v)`: at a forced slot, the one value index it admits
+          given every earlier position, or None when it admits none; None at
+          the other slots;
+        - `domains[pos](v)`: at the other slots, the value indices admitted
+          given every earlier position, in domain order; None at forced slots;
+        - `solved[pos]`: the cell solved at `slots[pos]`, where one is.
+
+        The label test of an (n+1)-generator c is due once its last n-face f
+        is assigned, or on entry to level n when all its n-faces are
+        degenerate; a test that `_passes` shows can never fail is left out.
+        When f occurs once in the homotopy addition word of c and no other
+        cell is solved at f, the test is not run: f is solved for instead
+        (`_solved`), so its slot admits only the values that pass the test.
+        A slot is forced when it admits at most one value at every earlier
+        assignment: a vertex when A has at most one object, an edge when at
+        most one arrow joins any two objects, a solved slot whose one passing
+        label at every object is the identity, or an unsolved level-n slot
+        whose boundary preimages have at most one element each.
         """
         X, A, ops = self.X, self.A, self._ops
         where = X.gen_index
@@ -411,38 +441,136 @@ class Plan:
         ]
         top_constraint_dim = min(X.dim, A.truncation + 1)
         checks: list = [[] for _ in range(len(self.slots) + 1)]
+        solved = {}
         pos = 0
         for n in range(self._last_level + 1):
             gens = X.gens(n)
             if 2 <= n + 1 <= top_constraint_dim and (ok := self._passes(n, between)) is not None:
-                index = {g: pos + k + 1 for k, g in enumerate(gens)}
                 for c in X.gens(n + 1):
-                    faces = (X.face(c, i) for i in range(n + 2))
-                    at = max((index[f.core] for f in faces if not f.word), default=pos)
-                    checks[at].append(self._test(c, ok))
+                    cores = [f.core for f in (X.face(c, i) for i in range(n + 2)) if not f.word]
+                    last = max(cores, key=where, default=None)
+                    if last is not None and cores.count(last) == 1 and where(last) not in solved:
+                        solved[where(last)] = c, ok
+                    else:
+                        checks[pos if last is None else where(last) + 1].append(self._test(c, ok))
             pos += len(gens)
         objects = tuple(range(len(A.objects)))
-        domains = []
-        for g in self.slots:
+        domains, forced = [], []
+        for pos, g in enumerate(self.slots):
             n = X.dim_of[g]
-            if n == 0:
-                domains.append(lambda v: objects)
+            if pos in solved:
+                domain, force = self._solved(g, *solved[pos])
+            elif n == 0:
+                only = objects[0] if objects else None
+                domain, force = (None, lambda v: only) if len(objects) <= 1 else (lambda v: objects, None)
             elif n == 1:
                 s, t = (where(u) for u in X.edge_ends(g))
-                domains.append(lambda v, s=s, t=t: between[v[s]][v[t]])
+                if all(len(arrows) <= 1 for row in between for arrows in row):
+                    one = [[arrows[0] if arrows else None for arrows in row] for row in between]
+                    domain, force = None, lambda v, s=s, t=t: one[v[s]][v[t]]
+                else:
+                    domain, force = lambda v, s=s, t=t: between[v[s]][v[t]], None
             else:
-                domains.append(self._domain(g))
-        return checks, domains
+                domain, force = self._domain(g)
+            domains.append(domain)
+            forced.append(force)
+        return checks, domains, forced, {pos: c for pos, (c, _) in solved.items()}
 
     def _test(self, c, ok):
         lead, label = self.X.gen_index(self.lead[c]), self._evaluators[c]
         return lambda v: ok[v[lead]][label(v)]
 
-    def _domain(self, g):
-        """v -> the elements at g whose boundary is its label, g of dimension >= 2."""
+    def _domain(self, g) -> tuple:
+        """(domain, forced) at g of dimension >= 2: the elements whose boundary is its label."""
         lead, label = self.X.gen_index(self.lead[g]), self._evaluators[g]
         preimage = self._preimage[self.X.dim_of[g]]
-        return lambda v: preimage[v[lead]][label(v)]
+        if any(len(elements) > 1 for row in preimage for elements in row):
+            return lambda v: preimage[v[lead]][label(v)], None
+        one = [[elements[0] if elements else None for elements in row] for row in preimage]
+        return None, lambda v: one[v[lead]][label(v)]
+
+    def _solved(self, f, c, ok) -> tuple:
+        """(domain, forced) at f, the last n-face of the (n+1)-cell c, solved from c's test `ok`.
+
+        f occurs once in the homotopy addition word T_0...T_r of c, as T_j =
+        f^sign (or in the twisted leading term, j = 0), and the other faces
+        are set.  The label of c is P.T_j.S, with P = T_0...T_(j-1) and
+        S = T_(j+1)...T_r, so a label t gives T_j = P^-1.t.S^-1 and one
+        value of f.  The labels that pass c's test at the image x of c's
+        leading vertex form a normal subgroup T_x of the group at x: the
+        boundary image, or the identity alone just above the truncation.
+        Conjugation, inversion and the action carry one T to another, so
+        the values of f form the coset f0.T of the value f0 that the
+        identity gives, T taken at the end of f0 (its target, or its
+        object).  The slot admits that coset in domain order, from a table
+        built once; when every T_x is trivial, the slot is forced to f0.
+        Each value lies in the slot's own domain, so none is looked up
+        there: an edge P^-1.t.S^-1 runs between the images of its ends, and
+        a level-n value has its own label as boundary.  That is the homotopy
+        addition lemma one level down: the boundary of c's label is a product
+        in which the boundary of f occurs once, and it is the identity when
+        each face's boundary is its label; the other faces' are, and so is
+        the boundary of t.
+        """
+        X, ops = self.X, self._ops
+        n, word = X.dim_of[f], hal_word(X, c)
+        j = next(i for i, (ref, _, _) in enumerate(word) if ref.core == f and not ref.word)
+        value = self._solved_edge(word, j) if n == 1 else self._solved_element(n, word, j, c)
+        subgroups = [[k for k, passes in enumerate(row) if passes] for row in ok]
+        if all(len(T) == 1 for T in subgroups):
+            return None, value
+        if n == 1:
+            comp = ops.comp
+            coset = [tuple(sorted(comp[a][t] for t in subgroups[y])) for a, y in enumerate(ops.tgt)]
+            return lambda v: coset[value(v)], None
+        coset = [[tuple(sorted(row[t] for t in T)) for row in mul] for mul, T in zip(ops.mul[n], subgroups)]
+        y = X.gen_index(self.lead[f])
+        return lambda v: coset[v[y]][value(v)], None
+
+    def _solved_edge(self, word, j):
+        """v -> the edge T_j^sign of a 2-cell's word, given by the identity label: P^-1.S^-1."""
+        comp = self._ops.comp
+        # T_j = T_(j-1)^-1...T_0^-1 . T_2^-1...T_(j+1)^-1; its inverse reverses and inverts the factors
+        order = [*range(j - 1, -1, -1), *range(2, j, -1)]
+        if word[j][1] > 0:
+            reads = [self._arrow_read(word[i][0], -word[i][1]) for i in order]
+        else:
+            reads = [self._arrow_read(word[i][0], word[i][1]) for i in reversed(order)]
+        (k0, t0), (k1, t1) = reads
+        return lambda v: comp[v[k0] if t0 is None else t0[v[k0]]][v[k1] if t1 is None else t1[v[k1]]]
+
+    def _solved_element(self, n, word, j, c):
+        """v -> the level-n face of T_j in the word of the (n+1)-cell c, given by the identity label.
+
+        T_j = P^-1.S^-1 in the fibre at x.  T_0 is the leading face acted on
+        by the inverse leading edge, so a solved T_0 gives the face by
+        acting with the leading edge.
+        """
+        X, ops = self.X, self._ops
+        act, mul, finv, unit = ops.act[n], ops.mul[n], ops.finv[n], ops.unit[n]
+        (ref0, _, ((edge, edge_sign),)) = word[0]
+        k1, t1 = self._arrow_read(edge, edge_sign)  # T_0 = act[t1[v[k1]]][v[k0]]
+        k01, t01 = self._arrow_read(edge, -edge_sign)  # the leading edge
+        k0 = None if j == 0 or ref0.word else X.gen_index(ref0.core)
+        before = [(X.gen_index(r.core), s < 0) for r, s, _ in word[1:j] if not r.word]
+        after = [(X.gen_index(r.core), s > 0) for r, s, _ in reversed(word[j + 1 :]) if not r.word]
+        sign, lead = word[j][1], X.gen_index(self.lead[c])
+
+        def value(v):
+            x = v[lead]
+            table, inv = mul[x], finv[x]
+            p = unit[x] if k0 is None else act[t1[v[k1]]][v[k0]]
+            for k, negative in before:
+                p = table[p][inv[v[k]] if negative else v[k]]
+            s = unit[x]
+            for k, negative in after:
+                s = table[s][inv[v[k]] if negative else v[k]]
+            e = table[inv[p]][s]
+            if j == 0:
+                return act[v[k01] if t01 is None else t01[v[k01]]][e]
+            return inv[e] if sign < 0 else e
+
+        return value
 
     def _encode(self, values: dict) -> tuple:
         """(v, base): the value indices of `values` at the positions of `slots`, and the objects below.
@@ -498,16 +626,20 @@ class Plan:
                     raise BoundaryError(f"value at {g!r} violates its boundary condition")
         return v, base
 
-    def _pinned(self, pos: int, i, x, domain):
-        """`domain` at slots[pos], cut down to the fixed value of index i (over the object x)."""
+    def _pinned(self, pos: int, i, x, domain, force):
+        """The slot at pos, cut down to the fixed value of index i (over the object x).
+
+        `domain` and `force` are the slot's entries in `_schedule`; the value
+        is admitted where they admit it, so a pinned slot is never forced.
+        """
+        if i is None:
+            return lambda v: ()
+        fits = (lambda v: force(v) == i) if domain is None else (lambda v: i in domain(v))
         g = self.slots[pos]
-        n = self.X.dim_of[g]
-        if n == 0:
-            return lambda v: (i,)
-        if n == 1:
-            return lambda v: (i,) if i in domain(v) else ()
+        if self.X.dim_of[g] < 2:
+            return lambda v: (i,) if fits(v) else ()
         lead = self.X.gen_index(self.lead[g])
-        return lambda v: (i,) if v[lead] == x and i in domain(v) else ()
+        return lambda v: (i,) if v[lead] == x and fits(v) else ()
 
     @cached_property
     def _decode(self):
@@ -582,30 +714,40 @@ class Plan:
                     occurrences.append((ref.core, sign, tuple(reads)))
         return out
 
-    def _walk(self, fixed: dict, emit) -> int:
-        """The number of colourings extending `fixed`; each goes to `emit` if given.
+    def walk(self, emit, fixed: dict | None = None) -> int:
+        """The number of colourings extending `fixed`, handing each to `emit` if given.
 
-        `emit` receives the list of value indices at `slots`, which the walk
-        goes on to overwrite.
+        `emit` receives the list of value indices at `slots`, in canonical
+        order, and the walk goes on to overwrite that list.  Forced slots are
+        assigned in a loop; the walk branches only at the others.
         """
-        checks, domains = self._schedule
+        checks, domains, forced, _ = self._schedule
         if fixed:
-            domains = list(domains)
+            domains, forced = list(domains), list(forced)
             pinned, base = self._check_fixed(fixed)
             for g in fixed:
                 if (pos := self.X.gen_index(g)) < len(domains):
-                    domains[pos] = self._pinned(pos, pinned[pos], base.get(pos), domains[pos])
+                    domains[pos] = self._pinned(pos, pinned[pos], base.get(pos), domains[pos], forced[pos])
+                    forced[pos] = None
         end = len(domains)
         v: list = [None] * end
 
         def walk(pos):
-            for test in checks[pos]:
-                if not test(v):
+            while True:
+                for test in checks[pos]:
+                    if not test(v):
+                        return 0
+                if pos == end:
+                    if emit is not None:
+                        emit(v)
+                    return 1
+                force = forced[pos]
+                if force is None:
+                    break
+                if (i := force(v)) is None:
                     return 0
-            if pos == end:
-                if emit is not None:
-                    emit(v)
-                return 1
+                v[pos] = i
+                pos += 1
             n = 0
             for i in domains[pos](v):
                 v[pos] = i
@@ -617,12 +759,12 @@ class Plan:
     def colourings(self, fixed: dict | None = None) -> list:
         """The colourings extending `fixed`, in canonical order."""
         X, A, decode, out = self.X, self.A, self._decode, []
-        self._walk(fixed or {}, lambda v: out.append(Colouring(X, A, decode(v))))
+        self.walk(lambda v: out.append(Colouring(X, A, decode(v))), fixed)
         return out
 
     def count(self, fixed: dict | None = None) -> int:
         """The number of colourings extending `fixed`; no colouring is built."""
-        return self._walk(fixed or {}, None)
+        return self.walk(None, fixed)
 
 
 def as_plan(X, A: CrossedComplex) -> Plan:
@@ -649,8 +791,10 @@ def enumerate_colourings(X, A: CrossedComplex, fixed: dict | None = None):
     the edge's ends, or the boundary preimage of the generator's label) and
     each (n+1)-generator's label is tested as soon as its last n-face is
     set: it must lie in the boundary image below the truncation and be the
-    identity just above it.  To walk one X for many fixed values, compile
-    one `Plan` and call its `colourings` or `count`.
+    identity just above it.  When that face occurs once in the label, it is
+    solved for rather than tested: it takes only the values that the
+    passing labels give it.  To walk one X for many fixed values, compile
+    one `Plan` and call its `colourings`, `count` or `walk`.
     """
     return as_plan(X, A).colourings(fixed)
 

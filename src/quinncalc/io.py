@@ -11,7 +11,7 @@ import re
 from fractions import Fraction
 from itertools import chain
 
-from .colouring import Colouring, as_simpset
+from .colouring import Plan, colouring_dict
 from .errors import SchemaError
 from .finalg.crossed import CrossedComplex, CrossedModulePresentation, iota1, iota2
 from .finalg.groupoids import FinGroupoid
@@ -436,54 +436,80 @@ def profunctor_to_json(P) -> dict:
 _MARKER_LEAF = re.compile(r'(?<=: )"\\u0000(\d+)\\u0000"')
 
 
-class _Leaves(dict):
-    """value -> the encoder's text for its leaf, at one depth; one map per (depth, level kind).
-
-    Values of generators of dimension >= 2 are pairs (object, element), and
-    their leaf is the element.
-    """
-
-    def __init__(self, indent: str, element: bool):
-        super().__init__()
-        self.newline, self.element = "\n" + indent, element
-
-    def __missing__(self, v):
-        text = json.dumps(v[1] if self.element else v, sort_keys=True, indent=2)
-        text = self[v] = text.replace("\n", self.newline)
-        return text
-
-
 def colour_list_json(X: SimpSet, A: CrossedComplex, colourings) -> str:
     """`dump_json({"colourings": [c.as_dict() for c in colourings]})`, byte for byte.
 
     The colourings are colourings of X by A; X may be a `Stratification`.
-    The encoder renders one marker colouring, whose leaves are distinct
-    marker strings, at its depth in `{"colourings": [...]}`; that text is the
-    template, so `Colouring.as_dict` stays the one definition of the shape.
-    Each colouring fills the template straight from its `values`: a leaf is
-    the encoding of its value, re-indented to the leaf's depth and built once
-    per distinct value.
+    Each is encoded to its value vector (`Plan._encode`) and written by
+    `plan_colour_list`, the writer of the `colour-list` command.
     """
-    X = as_simpset(X)
+    plan = Plan(X, A)
+
+    def walk(emit):
+        for c in colourings:
+            emit(plan._encode(c.values)[0])
+
+    return plan_colour_list(plan, walk)
+
+
+def plan_colour_list(plan: Plan, walk=None) -> str:
+    """The colour list of the value vectors that `walk(emit)` hands to `emit`, as `colour_list_json` writes it.
+
+    `walk` defaults to `plan.walk`, which hands over every colouring of the
+    plan; no `Colouring` and no values dict is built for a vector.  The
+    encoder renders one marker colouring, whose leaves are distinct marker
+    strings, at its depth in `{"colourings": [...]}`; that text is the
+    template, so `colouring_dict` stays the one definition of the shape.
+    Each leaf of the template gets a table from value index to the encoding
+    of the value, re-indented to the leaf's depth, built once; a level-n
+    leaf, n >= 2, is indexed by the object at the generator's leading
+    vertex and then by the element.  Each vector fills the template from
+    those tables.
+    """
+    X, A = plan.X, plan.A
     gens = list(X.all_gens())
     marks = {g: f"\x00{i}\x00" for i, g in enumerate(gens)}
     marks.update({g: (None, m) for g, m in marks.items() if X.dim_of[g] >= 2})
-    doc = dump_json({"colourings": [Colouring(X, A, marks).as_dict()]})
+    doc = dump_json({"colourings": [colouring_dict(X, A, marks)]})
     # doc = head "[" "\n" item "\n  " "]" tail, with one item
     start, end = doc.index("["), doc.rindex("]")
     cut = doc.rindex("\n", 0, end)
     head, item, foot = doc[: start + 1], doc[start + 2 : cut], doc[cut:]
-    if not colourings:
-        return head + doc[end:]
     parts = _MARKER_LEAF.split(item)
-    literals, slots, leaves = parts[::2], [], {}
+    literals, slots, tables = parts[::2], [], {}
     for lit, i in zip(literals, parts[1::2]):
         g = gens[int(i)]
         line = lit[lit.rindex("\n") + 1 :]
-        key = (line[: len(line) - len(line.lstrip(" "))], X.dim_of[g] >= 2)
-        if key not in leaves:
-            leaves[key] = _Leaves(*key)
-        slots.append((g, leaves[key]))
+        key = line[: len(line) - len(line.lstrip(" "))], X.dim_of[g]
+        if key not in tables:
+            tables[key] = _leaf_table(A, *key)
+        lead = X.gen_index(plan.lead[g]) if key[1] >= 2 else None
+        slots.append((X.gen_index(g), lead, tables[key]))
     fmt = "%s".join(lit.replace("%", "%%") for lit in literals)
-    items = [fmt % tuple([leaf[vals[g]] for g, leaf in slots]) for vals in (c.values for c in colourings)]
-    return head + "\n" + ",\n".join(items) + foot
+    rows = []
+
+    def emit(v):
+        rows.append(fmt % tuple([t[v[k]] if lead is None else t[v[lead]][v[k]] for k, lead, t in slots]))
+
+    (walk or plan.walk)(emit)
+    if not rows:
+        return head + doc[end:]
+    return head + "\n" + ",\n".join(rows) + foot
+
+
+def _leaf_table(A: CrossedComplex, indent: str, n: int) -> list:
+    """The encoder's text for each level-n value at one depth, by value index.
+
+    Objects for n = 0, arrows for n = 1, and above, for each object, the
+    elements of the level-n fibre there.
+    """
+    newline = "\n" + indent
+
+    def text(value):
+        return json.dumps(value, sort_keys=True, indent=2).replace("\n", newline)
+
+    if n == 0:
+        return [text(x) for x in A.objects]
+    if n == 1:
+        return [text(a) for a in A.base.arrows]
+    return [[text(e) for e in A.fibre(n, x).elements] for x in A.objects]

@@ -16,19 +16,23 @@ from quinncalc.colouring import Plan
 from quinncalc.errors import BoundaryError
 from quinncalc.finalg import (
     crossed_module_identity,
+    crossed_module_zero,
     cyclic_group,
     iota1,
     iota2,
     pair_groupoid,
     symmetric_group,
 )
-from quinncalc.finalg.crossed import CrossedComplex, validate_crossed_complex
+from quinncalc.finalg.crossed import CrossedComplex, CrossedModulePresentation, validate_crossed_complex
+from quinncalc.finalg.groupoids import groupoid_from_group
+from quinncalc.finalg.groups import FinGroup
 from quinncalc.homotopy import _compose_tables, _delta2
 from quinncalc.io import crossed_complex_from_json, crossed_complex_to_json
-from quinncalc.simpset import circle, prism, sphere, standard_simplex, torus
+from quinncalc.simpset import SimpSet, circle, prism, sphere, standard_simplex, torus
 from tests import reference
 from tests.conftest import abelian_tower, inversion_tower
 from tests.test_colouring import CATALOG_SPACES, CORPUS_ALGEBRAS, _cylinder
+from tests.test_io import _odd_names
 
 
 def _outcome(walker, fixed=None):
@@ -48,8 +52,9 @@ def _assert_same_walk(X, A, fixed=None):
 
 
 def _tests_run(plan):
-    """The number of label tests in the plan's walk."""
-    return sum(len(tests) for tests in plan._schedule[0])
+    """The number of label tests in the plan's walk, counting a cell solved for its last face as one."""
+    checks, _, _, solved = plan._schedule
+    return sum(len(tests) for tests in checks) + len(solved)
 
 
 def id_tower():
@@ -80,13 +85,99 @@ def pair_module():
     )
 
 
+def coset_module():
+    """Z2 -> Z4 sending the generator to 2, trivial action: the boundary image is a proper,
+    non-trivial subgroup, so two labels pass a 2-cell's test and a solved edge ranges over a coset."""
+    z2, z4 = cyclic_group(2), cyclic_group(4)
+    act = {(e, g): e for e in z2.elements for g in z4.elements}
+    return iota2(CrossedModulePresentation(z4, z2, {e: 2 * e for e in z2.elements}, act))
+
+
+def coset_tower():
+    """Z2 -> Z4 at levels 3 -> 2, the generator to 2, over the trivial group (truncation 3).
+
+    Two labels pass a 3-cell's test, so a solved 2-face ranges over a coset.
+    """
+    z2, z4 = cyclic_group(2), cyclic_group(4)
+    base = groupoid_from_group(cyclic_group(1))
+    one = base.arrows[0]
+    return CrossedComplex(
+        base,
+        levels={2: {"*": z4}, 3: {"*": z2}},
+        bdry={2: {("*", e): one for e in z4.elements}, 3: {("*", e): 2 * e for e in z2.elements}},
+        act={2: {(("*", e), one): e for e in z4.elements}, 3: {(("*", e), one): e for e in z2.elements}},
+        truncation=3,
+    )
+
+
+def dihedral_module():
+    """D4 -> Z2 x Z2 with kernel the centre, Z2 x Z2 acting by conjugation with a lift.
+
+    pi_2 = Z2 keeps the tests of 3-cells, so their last 2-face is solved in
+    a nonabelian fibre, where the order of P^-1.t.S^-1 matters.
+    """
+    d4 = [(r, s) for s in range(2) for r in range(4)]
+
+    def mul(a, b):
+        return (a[0] + (-1) ** a[1] * b[0]) % 4, (a[1] + b[1]) % 2
+
+    def inv(a):
+        return next(b for b in d4 if mul(a, b) == (0, 0))
+
+    v4 = [(a, b) for b in range(2) for a in range(2)]
+    E = FinGroup(d4, {(a, b): mul(a, b) for a in d4 for b in d4})
+    G = FinGroup(v4, {(g, h): ((g[0] + h[0]) % 2, (g[1] + h[1]) % 2) for g in v4 for h in v4})
+    act = {(e, g): mul(mul(inv(g), e), g) for e in d4 for g in v4}
+    return iota2(CrossedModulePresentation(G, E, {e: (e[0] % 2, e[1]) for e in d4}, act))
+
+
+def rotation_module():
+    """0: Z2 x Z2 -> Z3, with Z3 permuting the three involutions cyclically.
+
+    An edge and its inverse act differently, so a solved twisted leading
+    term must be acted on by the leading edge and not by its inverse.
+    """
+    z3 = cyclic_group(3)
+    v4 = [(a, b) for b in range(2) for a in range(2)]
+    E = FinGroup(v4, {(g, h): ((g[0] + h[0]) % 2, (g[1] + h[1]) % 2) for g in v4 for h in v4})
+
+    def rotate(e, g):
+        for _ in range(g):
+            e = e[1], (e[0] + e[1]) % 2
+        return e
+
+    return iota2(crossed_module_zero(z3, E, {(e, g): rotate(e, g) for e in v4 for g in z3.elements}))
+
+
+def reordered_simplex(n, key):
+    """The n-simplex with the generators of each dimension declared in the order of `key`.
+
+    In the n-simplex the face d0 of each cell is declared last, so it is
+    the one solved; other orders reach the other terms of the word.
+    """
+    X = standard_simplex(n)
+    gens = sorted(X.dim_of, key=lambda g: (X.dim_of[g], key(g)))
+    return SimpSet({g: X.dim_of[g] for g in gens}, X.faces)
+
+
+REORDERED_SIMPLICES = {
+    # lexicographic order reversed: d2 of each 2-cell and d3 of each 3-cell come last
+    "reversed-delta2": lambda: reordered_simplex(2, lambda g: [-i for i in g]),
+    "reversed-delta3": lambda: reordered_simplex(3, lambda g: [-i for i in g]),
+    "reversed-delta4": lambda: reordered_simplex(4, lambda g: [-i for i in g]),
+    # the 3-cell's face d1 or d2 last, so P and S are both non-trivial
+    "delta3-d1-last": lambda: reordered_simplex(3, lambda g: g == (0, 2, 3)),
+    "delta3-d2-last": lambda: reordered_simplex(3, lambda g: g == (0, 1, 3)),
+}
+
+
 def _tower_file(tower):
     """The tower as the CLI reads it from a crossed-complex file."""
     return crossed_complex_from_json(crossed_complex_to_json(tower))
 
 
 def test_the_hand_built_complexes_validate():
-    for A in (id_tower(), pair_module()):
+    for A in (id_tower(), pair_module(), coset_module(), coset_tower(), dihedral_module()):
         assert validate_crossed_complex(A)
 
 
@@ -108,20 +199,67 @@ def test_index_walk_matches_dict_walk_on_simplices_with_id_s3(n):
     "tower, space",
     [
         (tower, space)
-        for tower in (abelian_tower, inversion_tower, id_tower)
-        for space in ("delta3", "delta4", "sphere3", "torus")
-        # about 10^6 colourings, 80 s in the dict walk
-        if (tower, space) != (inversion_tower, "delta4")
+        for tower in (abelian_tower, inversion_tower, id_tower, coset_tower)
+        for space in ("delta3", "delta4", *REORDERED_SIMPLICES, "sphere3", "torus")
+        # the 4-simplex with the inversion tower has about 10^6 colourings (80 s in the
+        # dict walk), with the coset tower 65 536 (8 s); the reordered one solves new
+        # terms only with the abelian tower, whose 4-cells are tested
+        if not space.endswith("delta4")
+        or (tower, space) in {(abelian_tower, "delta4"), (id_tower, "delta4"), (abelian_tower, "reversed-delta4")}
     ],
 )
 def test_index_walk_matches_dict_walk_on_towers(tower, space):
     X = {
         "delta3": lambda: standard_simplex(3),
         "delta4": lambda: standard_simplex(4),
+        **REORDERED_SIMPLICES,
         "sphere3": lambda: sphere(3),
         "torus": torus,
     }[space]()
     _assert_same_walk(X, _tower_file(tower()))
+
+
+SOLVED_SPACES = {**CATALOG_SPACES, **REORDERED_SIMPLICES}
+THREE_CELLS = ("delta3", "reversed-delta3", "delta3-d1-last", "delta3-d2-last")
+
+
+@pytest.mark.parametrize(
+    "algebra, space",
+    [(coset_module, s) for s in SOLVED_SPACES if s not in ("prism-torus", "reversed-delta4")]
+    # where the last face is d1 or d2, P and S are both non-trivial in a nonabelian fibre
+    + [(dihedral_module, s) for s in ("torus", "delta2", "prism-circle", "delta3-d1-last", "delta3-d2-last")]
+    + [(rotation_module, s) for s in ("torus", *THREE_CELLS)],
+)
+def test_index_walk_matches_dict_walk_on_solved_cosets_and_nonabelian_fibres(algebra, space):
+    _assert_same_walk(SOLVED_SPACES[space](), algebra())
+
+
+@pytest.mark.parametrize(
+    "algebra, space, levels, coset",
+    [
+        (coset_module, "delta3", {1}, True),
+        (dihedral_module, "delta3-d1-last", {2}, False),
+        (abelian_tower, "reversed-delta4", {1, 2, 3}, False),
+        (coset_tower, "delta3", {2}, True),
+    ],
+)
+def test_the_oracle_cases_reach_solved_slots(algebra, space, levels, coset):
+    """Solved slots at each level, forced (one passing label) or ranging over a coset."""
+    X = SOLVED_SPACES[space]()
+    plan = Plan(X, _tower_file(algebra()) if algebra in (abelian_tower, coset_tower) else algebra())
+    _, _, forced, solved = plan._schedule
+    assert {X.dim_of[plan.slots[pos]] for pos in solved} == levels
+    assert all((forced[pos] is None) == coset for pos in solved)
+
+
+def test_a_face_that_repeats_in_its_cell_keeps_its_test():
+    """The 2-cell of `_odd_names` has all three faces on one edge, so that edge is not solved."""
+    X, A = _odd_names()
+    checks, _, _, solved = Plan(X, A)._schedule
+    assert not solved and sum(map(len, checks)) == 1
+    _, _, count = _assert_same_walk(X, A)
+    # the loop's label a.a.a^-1 = a must be 1; the other edge and the 2-cell take any of 3 values
+    assert count == 9
 
 
 def test_index_walk_matches_dict_walk_on_a_stratification():
@@ -150,19 +288,20 @@ def test_index_walk_matches_dict_walk_on_boundary_pairs(space, algebra):
 
 
 ALGEBRAS = {**CORPUS_ALGEBRAS, "id:S3": lambda: iota2(crossed_module_identity(symmetric_group(3))),
-            "pair-module": pair_module}
+            "pair-module": pair_module, "coset-module": coset_module,
+            "coset-tower": lambda: _tower_file(coset_tower())}
 
 
 @lru_cache(maxsize=None)
 def _random_case(space, algebra):
-    X, A = CATALOG_SPACES[space](), ALGEBRAS[algebra]()
+    X, A = SOLVED_SPACES[space](), ALGEBRAS[algebra]()
     plan = Plan(X, A)
     return X, A, plan, reference.DictPlan(X, A), plan.colourings()
 
 
 @settings(max_examples=120, deadline=None)
 @given(
-    space=st.sampled_from(["circle", "torus", "sphere2", "delta2", "delta3", "prism-circle"]),
+    space=st.sampled_from(["circle", "torus", "sphere2", "delta2", "delta3", "delta3-d2-last", "prism-circle"]),
     algebra=st.sampled_from(list(ALGEBRAS)),
     data=st.data(),
 )

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quinncalc import cli
-from quinncalc.colouring import enumerate_colourings
+from quinncalc.colouring import Colouring, Plan, enumerate_colourings
 from quinncalc.errors import SchemaError
 from quinncalc.extprof import cobordism_profunctor, identity_profunctor
 from quinncalc.finalg import chi_pi, validate_crossed_complex
@@ -437,8 +437,22 @@ def test_profunctor_cli_matches_the_old_emitter(catalog_files, monkeypatch, caps
 @pytest.mark.parametrize("algebra", ["s3", "xmod-z2-z2-zero"])
 def test_colour_list_cli_matches_the_encoder(catalog_files, monkeypatch, capsys, space, algebra):
     argv = ["colour-list", "--space", catalog_files[space], "--algebra", catalog_files[algebra]]
-    out, cols = run_capturing(monkeypatch, capsys, "enumerate_colourings", argv)
-    assert out == old_colour_list(cols)
+    assert cli.main(argv) == 0
+    X, A = cli._load_space(catalog_files[space]), cli._load_algebra(catalog_files[algebra])
+    assert capsys.readouterr().out == old_colour_list(enumerate_colourings(X, A))
+
+
+def test_colour_list_cli_builds_no_colouring(catalog_files, monkeypatch, capsys):
+    """The rows are written from the walk's value vectors: no `Colouring`, no values dict."""
+
+    def refuse(*args):
+        raise AssertionError("a colouring was built")
+
+    monkeypatch.setattr(Colouring, "__init__", refuse)
+    monkeypatch.setattr(Plan, "_decode", property(refuse))
+    argv = ["colour-list", "--space", catalog_files["prism-circle"], "--algebra", catalog_files["s3"]]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.count('"vertices"') == 36
 
 
 # the three prism-torus crossed-module state spaces take 3-7 s each
