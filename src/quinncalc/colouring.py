@@ -428,10 +428,9 @@ class Plan:
         cell is solved at f, the test is not run: f is solved for instead
         (`_solved`), so its slot admits only the values that pass the test.
         A slot is forced when it admits at most one value at every earlier
-        assignment: a vertex when A has at most one object, an edge when at
-        most one arrow joins any two objects, a solved slot whose one passing
-        label at every object is the identity, or an unsolved level-n slot
-        whose boundary preimages have at most one element each.
+        assignment: a solved slot whose one passing label at every object is
+        the identity, or an unsolved level-n slot whose boundary preimages
+        have at most one element each.
         """
         X, A, ops = self.X, self.A, self._ops
         where = X.gen_index
@@ -461,15 +460,10 @@ class Plan:
             if pos in solved:
                 domain, force = self._solved(g, *solved[pos])
             elif n == 0:
-                only = objects[0] if objects else None
-                domain, force = (None, lambda v: only) if len(objects) <= 1 else (lambda v: objects, None)
+                domain, force = lambda v: objects, None
             elif n == 1:
                 s, t = (where(u) for u in X.edge_ends(g))
-                if all(len(arrows) <= 1 for row in between for arrows in row):
-                    one = [[arrows[0] if arrows else None for arrows in row] for row in between]
-                    domain, force = None, lambda v, s=s, t=t: one[v[s]][v[t]]
-                else:
-                    domain, force = lambda v, s=s, t=t: between[v[s]][v[t]], None
+                domain, force = lambda v, s=s, t=t: between[v[s]][v[t]], None
             else:
                 domain, force = self._domain(g)
             domains.append(domain)

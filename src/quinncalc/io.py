@@ -463,8 +463,8 @@ def plan_colour_list(plan: Plan, walk=None) -> str:
     Each leaf of the template gets a table from value index to the encoding
     of the value, re-indented to the leaf's depth, built once; a level-n
     leaf, n >= 2, is indexed by the object at the generator's leading
-    vertex and then by the element.  Each vector fills the template from
-    those tables.
+    vertex and then by the element.  Each vector fills the leaves of the
+    template from those tables, and the row is joined in one pass.
     """
     X, A = plan.X, plan.A
     gens = list(X.all_gens())
@@ -485,11 +485,12 @@ def plan_colour_list(plan: Plan, walk=None) -> str:
             tables[key] = _leaf_table(A, *key)
         lead = X.gen_index(plan.lead[g]) if key[1] >= 2 else None
         slots.append((X.gen_index(g), lead, tables[key]))
-    fmt = "%s".join(lit.replace("%", "%%") for lit in literals)
-    rows = []
+    row, rows = [None] * (2 * len(literals) - 1), []
+    row[::2] = literals
 
     def emit(v):
-        rows.append(fmt % tuple([t[v[k]] if lead is None else t[v[lead]][v[k]] for k, lead, t in slots]))
+        row[1::2] = [t[v[k]] if lead is None else t[v[lead]][v[k]] for k, lead, t in slots]
+        rows.append("".join(row))
 
     (walk or plan.walk)(emit)
     if not rows:
