@@ -517,7 +517,9 @@ class Plan:
             comp = ops.comp
             coset = [tuple(sorted(comp[a][t] for t in subgroups[y])) for a, y in enumerate(ops.tgt)]
             return lambda v: coset[value(v)], None
-        coset = [[tuple(sorted(row[t] for t in T)) for row in mul] for mul, T in zip(ops.mul[n], subgroups)]
+        coset = [
+            [tuple(sorted(row[t] for t in T)) for row in mul] for mul, T in zip(ops.mul[n], subgroups)
+        ]
         y = X.gen_index(self.lead[f])
         return lambda v: coset[v[y]][value(v)], None
 
@@ -721,8 +723,8 @@ class Plan:
             pinned, base = self._check_fixed(fixed)
             for g in fixed:
                 if (pos := self.X.gen_index(g)) < len(domains):
-                    domains[pos] = self._pinned(pos, pinned[pos], base.get(pos), domains[pos], forced[pos])
-                    forced[pos] = None
+                    pin = self._pinned(pos, pinned[pos], base.get(pos), domains[pos], forced[pos])
+                    domains[pos], forced[pos] = pin, None
         end = len(domains)
         v: list = [None] * end
 

@@ -453,7 +453,7 @@ def colour_list_json(X: SimpSet, A: CrossedComplex, colourings) -> str:
 
 
 def plan_colour_list(plan: Plan, walk=None) -> str:
-    """The colour list of the value vectors that `walk(emit)` hands to `emit`, as `colour_list_json` writes it.
+    """The colour list of the vectors that `walk(emit)` hands to `emit`, as `colour_list_json` writes it.
 
     `walk` defaults to `plan.walk`, which hands over every colouring of the
     plan; no `Colouring` and no values dict is built for a vector.  The

@@ -177,7 +177,8 @@ def _tower_file(tower):
 
 
 def test_the_hand_built_complexes_validate():
-    for A in (id_tower(), pair_module(), coset_module(), coset_tower(), dihedral_module()):
+    hand_built = (id_tower, pair_module, coset_module, coset_tower, dihedral_module, rotation_module)
+    for A in (build() for build in hand_built):
         assert validate_crossed_complex(A)
 
 
@@ -205,7 +206,8 @@ def test_index_walk_matches_dict_walk_on_simplices_with_id_s3(n):
         # dict walk), with the coset tower 65 536 (8 s); the reordered one solves new
         # terms only with the abelian tower, whose 4-cells are tested
         if not space.endswith("delta4")
-        or (tower, space) in {(abelian_tower, "delta4"), (id_tower, "delta4"), (abelian_tower, "reversed-delta4")}
+        or (tower, space)
+        in {(abelian_tower, "delta4"), (id_tower, "delta4"), (abelian_tower, "reversed-delta4")}
     ],
 )
 def test_index_walk_matches_dict_walk_on_towers(tower, space):
@@ -227,7 +229,8 @@ THREE_CELLS = ("delta3", "reversed-delta3", "delta3-d1-last", "delta3-d2-last")
     "algebra, space",
     [(coset_module, s) for s in SOLVED_SPACES if s not in ("prism-torus", "reversed-delta4")]
     # where the last face is d1 or d2, P and S are both non-trivial in a nonabelian fibre
-    + [(dihedral_module, s) for s in ("torus", "delta2", "prism-circle", "delta3-d1-last", "delta3-d2-last")]
+    + [(dihedral_module, s)
+       for s in ("torus", "delta2", "prism-circle", "delta3-d1-last", "delta3-d2-last")]
     + [(rotation_module, s) for s in ("torus", *THREE_CELLS)],
 )
 def test_index_walk_matches_dict_walk_on_solved_cosets_and_nonabelian_fibres(algebra, space):
@@ -301,7 +304,9 @@ def _random_case(space, algebra):
 
 @settings(max_examples=120, deadline=None)
 @given(
-    space=st.sampled_from(["circle", "torus", "sphere2", "delta2", "delta3", "delta3-d2-last", "prism-circle"]),
+    space=st.sampled_from(
+        ["circle", "torus", "sphere2", "delta2", "delta3", "delta3-d2-last", "prism-circle"]
+    ),
     algebra=st.sampled_from(list(ALGEBRAS)),
     data=st.data(),
 )
