@@ -264,6 +264,16 @@ def test_algebra_from_groupoid_file_is_validated(tmp_path, data, exit_code, mess
     assert code == exit_code and message in err
 
 
+def test_ext_groupoid_output_reads_back_as_a_groupoid_file(files, tmp_path, capsys):
+    """`algebra --from` on the torus x 0:Z2->Z2 groupoid: 256 arrows, validated, dimension 256."""
+    code, out = run_cli(capsys, "ext-groupoid", "--space", files["torus"], "--algebra", files["xmod"])
+    assert code == 0
+    path = tmp_path / "groupoid.json"
+    path.write_text(out)
+    code, out = run_cli(capsys, "algebra", "--from", str(path))
+    assert code == 0 and json.loads(out)["dimension"] == 256
+
+
 def test_byte_identical_reruns(files, capsys):
     args = ["state-space", "--space", files["torus"], "--algebra", files["s3"]]
     _, out1 = run_cli(capsys, *args)
@@ -690,9 +700,9 @@ def test_console_entrypoint_runs():
 
 # sha256 of "<exit code>\n<stdout>" for runs whose bytes no other tier-1 test
 # pins: profunctor actions, algebra triples, the double's verdict, the
-# window blocks and verdicts of nat-transform, and colour lists of 108 to
-# 2 048 colourings.  The output does not depend on
-# PYTHONHASHSEED.
+# window blocks and verdicts of nat-transform, colour lists of 108 to
+# 2 048 colourings, and groupoids of 256 to 1 296 arrows.  The output does
+# not depend on PYTHONHASHSEED.
 PINNED_RUNS = {
     "profunctor prism-point z2":
         "832e75f7652288cf34887e703792a3a3f6adeed05959ec39e90e6975565068cd",
@@ -768,6 +778,12 @@ PINNED_RUNS = {
         "98f659a2bc022b3edc2749fd5a3e3c3db68c82ce10468711d423f8baa6a67a6e",
     "colour-list delta3 xmod-z4-z2-zero":
         "3f033f98421034f42cc2463173dd0d7afc235446ebbc095a014844e7b43d4a5a",
+    "ext-groupoid prism-circle s3":
+        "0ee913ac8f758268e03ea1bdbf491974c85fc66e3b47f4c73bcecb949590460c",
+    "ext-groupoid prism-circle z4":
+        "fd5bf4c06da77eb5a57e9de5fd1ff1c8cf7d00dcdd74a7b257325c233a1895bf",
+    "ext-groupoid torus xmod-z2-z2-zero":
+        "686e73040e81c97ee3b8f8965f292e5faa08016068f1c46e1c822585a27edae0",
 }
 
 
@@ -777,7 +793,7 @@ def _pinned_argv(run, files):
         return ["profunctor", "--cobordism", files[names[0]], "--algebra", files[names[1]]]
     if command == "algebra":
         return ["algebra", "--from", files[names[0]]]
-    if command in ("nat-transform", "colour-list"):
+    if command in ("nat-transform", "colour-list", "ext-groupoid"):
         return [command, "--space", files[names[0]], "--algebra", files[names[1]]]
     return ["double", "--group", files[names[0]]]
 
