@@ -23,7 +23,7 @@ from .io import (
     dump_json,
     group_from_json,
     group_to_json,
-    groupoid_to_json,
+    groupoid_document,
     crossed_module_to_json,
     load_json,
     plan_colour_list,
@@ -215,7 +215,7 @@ def cmd_ext_groupoid(args):
     A = _load_algebra(args.algebra)
     crs = crs_pi1(strat.simpset, A)
     labels = LabelMap()
-    out = groupoid_to_json(crs.groupoid, labels)
+    out = groupoid_document(crs.groupoid, labels)
     out["components"] = [[labels[x] for x in comp] for comp in crs.components()]
     _emit(args, dump_json(out))
     return 0
@@ -256,9 +256,8 @@ def cmd_algebra(args):
         # groupoid file: reuse the crossed complex level-1 reader
         from .io import crossed_complex_from_json
 
-        A = crossed_complex_from_json(
-            {"objects": data.get("objects"), "level1": data, "truncation": 1}
-        )
+        objects = {"objects": data["objects"]} if "objects" in data else {}
+        A = crossed_complex_from_json({**objects, "level1": data, "truncation": 1})
         G = A.base
         G.validate().raise_if_failed()
     else:

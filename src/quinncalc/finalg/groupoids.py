@@ -5,6 +5,7 @@ when `tgt(a) == src(b)` and is the arrow "a then b".
 """
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property
 
 from .groups import FinGroup, ValidationReport, _generating_sequence
@@ -35,13 +36,32 @@ def partition(n: int, links):
     return tuple(tuple(c) for c in classes.values())
 
 
+def index_rows(table: dict, at: dict) -> list:
+    """The entries {(a, b): c} of a table as rows (at[a], (at[b],), (at[c],)), in table order.
+
+    The shape of `FinGroupoid.comp_rows`, one entry per row.
+    """
+    return [(at[a], (at[b],), (at[c],)) for (a, b), c in table.items()]
+
+
 class FinGroupoid:
+    """A groupoid with its composition table.
+
+    `comp` is the table, either as a dict {(a, b): a then b} or, on arrow
+    indices, as `products`: for the arrow of index i, the indices of its
+    composites with each arrow out of its target, in arrow order.  Given
+    `products`, `comp_table` is built on first use, in that order.
+    """
+
     def __init__(self, objects, arrows, src, tgt, comp, ident, inv=None, name=""):
         self.objects = tuple(objects)
         self.arrows = tuple(arrows)
         self.src = dict(src)
         self.tgt = dict(tgt)
-        self.comp_table = dict(comp)
+        if isinstance(comp, dict):
+            self.comp_table, self.products = dict(comp), None
+        else:
+            self.products = comp
         self.ident = dict(ident)
         self.name = name
         self._obj_index = {x: i for i, x in enumerate(self.objects)}
@@ -60,6 +80,29 @@ class FinGroupoid:
                     inv[a] = b
                     break
         return inv
+
+    @cached_property
+    def comp_table(self) -> dict:
+        """{(a, b): a then b}, from `products` on first use."""
+        arrows = self.arrows
+        rows = self.comp_rows()
+        return {(arrows[i], arrows[j]): arrows[k] for i, js, ks in rows for j, k in zip(js, ks)}
+
+    def comp_rows(self) -> list:
+        """The table in table order as rows (i, js, ks) of arrow indices.
+
+        A row holds the entries arrows[i] then arrows[js[p]] = arrows[ks[p]].
+        From `products`, a row holds all composites of one arrow; from a dict,
+        one entry (`index_rows`).
+        """
+        if self.products is None:
+            return index_rows(self.comp_table, self._arr_index)
+        out = {}
+        for i, a in enumerate(self.arrows):
+            out.setdefault(self.src[a], []).append(i)
+        out = {x: tuple(js) for x, js in out.items()}
+        tgt = [self.tgt[a] for a in self.arrows]
+        return [(i, out[tgt[i]], ks) for i, ks in enumerate(self.products)]
 
     @cached_property
     def ends(self) -> tuple:
@@ -151,34 +194,48 @@ class FinGroupoid:
         for a, b in self.inv_table.items():
             if not {a, b} <= arrows:
                 return ValidationReport.malformed("inverse names an unknown arrow", (a, b))
+        table, src, tgt = self.comp_table, self.src, self.tgt
+        into, out = Counter(tgt[a] for a in self.arrows), Counter(src[a] for a in self.arrows)
+        # every entry composable and as many entries as composable pairs: the table is complete
+        if len(table) != sum(n * out[y] for y, n in into.items()) or any(
+            tgt[a] != src[b] or src[c] != src[a] or tgt[c] != tgt[b] for (a, b), c in table.items()
+        ):
+            for a in self.arrows:
+                for b in self.arrows:
+                    defined = (a, b) in table
+                    if defined != (tgt[a] == src[b]):
+                        return ValidationReport.malformed("composition defined iff tgt=src", (a, b))
+                    if defined:
+                        c = table[(a, b)]
+                        if src.get(c) != src[a] or tgt.get(c) != tgt[b]:
+                            return ValidationReport.axiom("composite endpoints wrong", (a, b, c))
         for a in self.arrows:
-            for b in self.arrows:
-                defined = (a, b) in self.comp_table
-                composable = self.tgt[a] == self.src[b]
-                if defined != composable:
-                    return ValidationReport.malformed("composition defined iff tgt=src", (a, b))
-                if defined:
-                    c = self.comp_table[(a, b)]
-                    if self.src.get(c) != self.src[a] or self.tgt.get(c) != self.tgt[b]:
-                        return ValidationReport.axiom("composite endpoints wrong", (a, b, c))
-        for a in self.arrows:
-            x, y = self.src[a], self.tgt[a]
-            if self.comp_table.get((self.ident[x], a)) != a or self.comp_table.get((a, self.ident[y])) != a:
+            x, y = src[a], tgt[a]
+            if table.get((self.ident[x], a)) != a or table.get((a, self.ident[y])) != a:
                 return ValidationReport.axiom("identity is not a two-sided unit", (a,))
         for a in self.arrows:
             b = self.inv_table.get(a)
             if b is None:
                 return ValidationReport.axiom("arrow has no two-sided inverse", (a,))
-            if (
-                self.comp_table.get((a, b)) != self.ident[self.src[a]]
-                or self.comp_table.get((b, a)) != self.ident[self.tgt[a]]
-            ):
+            if table.get((a, b)) != self.ident[src[a]] or table.get((b, a)) != self.ident[tgt[a]]:
                 return ValidationReport.axiom("inverse table wrong", (a, b))
-        for a in self.arrows:
-            for b in self.arrows_from(self.tgt[a]):
-                for c in self.arrows_from(self.tgt[b]):
-                    if self.comp(self.comp(a, b), c) != self.comp(a, self.comp(b, c)):
-                        return ValidationReport.axiom("associativity fails", (a, b, c))
+        # on arrow indices: prod[i][p] is arrows[i] then the p-th arrow out of its target,
+        # and pos[j] the place of arrows[j] among the arrows out of its source
+        at, ids = self._arr_index, self.arrows
+        outs = {x: [at[b] for b in bs] for x, bs in self.ends[0].items()}
+        pos = [0] * len(ids)
+        for bs in outs.values():
+            for p, b in enumerate(bs):
+                pos[b] = p
+        prod = [[at[table[(a, b)]] for b in self.arrows_from(tgt[a])] for a in ids]
+        for a, row in zip(ids, prod):
+            for b, ab in zip(outs[tgt[a]], row):
+                # (a.b).c against a.(b.c), for each c out of tgt b, in that order
+                right = [row[pos[bc]] for bc in prod[b]]
+                if prod[ab] != right:
+                    q = next(q for q, (u, v) in enumerate(zip(prod[ab], right)) if u != v)
+                    c = outs[tgt[ids[b]]][q]
+                    return ValidationReport.axiom("associativity fails", (a, ids[b], ids[c]))
         return ValidationReport.passed()
 
     def __repr__(self):

@@ -443,11 +443,11 @@ def crs_pi1(X, A: CrossedComplex) -> CrsResult:
     keys: the 1-fold and 2-fold homotopies targeting a colouring are the
     product of their slots' index domains (`_homotopy_slots`), in ascending
     order.  The boundary of each 2-fold homotopy is one `_delta2`, the other
-    end of each new arrow one move (`_Moves.everywhere`), and every composite
-    (an arrow's orbit under the boundaries, a table entry) one
-    `_compose_keys`; identities and inverses are keys too.  Only the arrow
-    representatives and the distinct boundaries are decoded into
-    `HomotopySequence`s.
+    end of each new arrow one move (`_Moves.everywhere`), and each member of
+    an arrow's orbit under the boundaries one `_compose_keys`; identities
+    are keys too.  The table and the inverses come from the vertex groups
+    (`_vertex_products`).  Only the arrow representatives and the distinct
+    boundaries are decoded into `HomotopySequence`s.
     """
     plan = Plan(X, A)
     X = plan.X
@@ -467,7 +467,7 @@ def crs_pi1(X, A: CrossedComplex) -> CrsResult:
         deltas[ti] = [_sequence(plan, colourings[ti], k) for k in keys]
     arrows = []
     arrow_reps = {}
-    classes = [{} for _ in colourings]  # target index -> {homotopy key: arrow id}
+    classes = [{} for _ in colourings]  # target index -> {homotopy key: arrow index}
     for ti, f in enumerate(fkeys):
         for hk in homotopies(ones, f):
             if hk in classes[ti]:
@@ -475,27 +475,68 @@ def crs_pi1(X, A: CrossedComplex) -> CrsResult:
             keys = sorted(_compose_keys(tables, hk, dk) for dk in delta_keys[ti])
             aid = (index[move(f, hk)], ti, keys[0])
             for k in keys:
-                classes[ti][k] = aid
+                classes[ti][k] = len(arrows)
             arrows.append(aid)
             arrow_reps[aid] = _sequence(plan, colourings[ti], keys[0])
-    src = {a: a[0] for a in arrows}
-    tgt = {a: a[1] for a in arrows}
-    objects = tuple(range(len(colourings)))
-    leaving = {}
-    for b in arrows:
-        leaving.setdefault(b[0], []).append((b, b[2], classes[b[1]]))
-    comp = {}
-    for a in arrows:
-        ka = a[2]
-        for b, kb, classes_b in leaving[a[1]]:
-            comp[(a, b)] = classes_b[_compose_keys(tables, ka, kb)]
-    ident = {
-        ti: classes[ti][tuple(0 if u is None else u[f[y]] for y, _, u in ones)]
-        for ti, f in enumerate(fkeys)
-    }
-    inv = {a: classes[a[0]][_invert_key(tables, a[2])] for a in arrows}
-    G = FinGroupoid(objects, tuple(arrows), src, tgt, comp, ident, inv, name=f"pi1CRS({X.name})")
+    ident_keys = [tuple(0 if u is None else u[f[y]] for y, _, u in ones) for f in fkeys]
+    ident = [classes[ti][k] for ti, k in enumerate(ident_keys)]
+    products, inv = _vertex_products(tables, arrows, classes, ident)
+    G = FinGroupoid(
+        range(len(colourings)), arrows, {a: a[0] for a in arrows}, {a: a[1] for a in arrows},
+        products, {ti: arrows[i] for ti, i in enumerate(ident)},
+        {a: arrows[i] for a, i in zip(arrows, inv)}, name=f"pi1CRS({X.name})",
+    )
     return CrsResult(X, A, colourings, G, arrow_reps, deltas, tables)
+
+
+def _vertex_products(tables: tuple, arrows: list, classes: list, ident: list) -> tuple:
+    """(products, inv): the table and the inverses of `crs_pi1`'s groupoid, on arrow indices.
+
+    A connected groupoid is its vertex group times a tree groupoid (Higgins,
+    Categories and Groupoids, 1971).  In each component, with root r its
+    least object, t_x is the first arrow from r to x (the identity at r), as
+    in `FinGroupoid.generators`.  Each arrow a: x -> y is written once as
+    its loop g_a = t_x . a . t_y^-1 at r (two `_compose_keys` and a class
+    lookup), and a . b = t_x^-1 . (g_a . g_b) . t_z for b: y -> z is the
+    arrow from x to z whose loop is g_a . g_b in the vertex group's table.
+    `products[i]` lists the composites of the arrow of index i with each
+    arrow out of its target, in arrow order (`FinGroupoid.products`), and
+    `inv[i]` is the arrow from y to x whose loop is g_a^-1.  `classes[t]`
+    maps each homotopy key targeting the object t to its arrow's index, and
+    `ident[t]` is the identity's index.
+    """
+    leaving = [[] for _ in classes]
+    for i, (s, _, _) in enumerate(arrows):
+        leaving[s].append(i)
+    root, tree, loops, place = {}, {}, {}, {}  # place: a loop at a root -> its position there
+    for members in partition(len(classes), ((s, t) for s, t, _ in arrows)):
+        r = members[0]
+        loops[r] = [i for i in leaving[r] if arrows[i][1] == r]
+        place.update((i, p) for p, i in enumerate(loops[r]))
+        for i in reversed(leaving[r]):
+            root[arrows[i][1]], tree[arrows[i][1]] = r, i
+        tree[r] = ident[r]
+
+    def loop_of(r, first, second):
+        """The position of the loop at r whose class holds the key of `first` then `second`."""
+        return place[classes[r][_compose_keys(tables, first, second)]]
+
+    back = {x: _invert_key(tables, arrows[tree[x]][2]) for x in root}
+    loop, by_loop = [], [{} for _ in classes]  # by_loop[x][z][g]: the arrow x -> z with loop g
+    for i, (s, t, key) in enumerate(arrows):
+        r = root[s]
+        loop.append(loop_of(r, _compose_keys(tables, arrows[tree[s]][2], key), back[t]))
+        by_loop[s].setdefault(t, [None] * len(loops[r]))[loop[i]] = i
+    vmul = {}
+    for r, members in loops.items():
+        vmul[r] = [[loop_of(r, arrows[i][2], arrows[j][2]) for j in members] for i in members]
+    outs = [[(arrows[j][1], loop[j]) for j in out] for out in leaving]
+    products, inv = [], []
+    for (s, t, _), g in zip(arrows, loop):
+        row, to = vmul[root[s]][g], by_loop[s]
+        products.append([to[z][row[h]] for z, h in outs[t]])
+        inv.append(by_loop[t][s][row.index(place[ident[root[s]]])])
+    return products, inv
 
 
 # -- homotopies relative to a subcomplex -------------------------------------------

@@ -9,12 +9,13 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, groupby
+from operator import itemgetter
 
 from .colouring import Plan, colouring_dict
 from .errors import SchemaError
 from .finalg.crossed import CrossedComplex, CrossedModulePresentation, iota1, iota2
-from .finalg.groupoids import FinGroupoid
+from .finalg.groupoids import FinGroupoid, index_rows
 from .finalg.groups import FinGroup
 from .simpset import SimpSet, SimplexRef, Stratification
 
@@ -33,9 +34,10 @@ def dump_json(data) -> str:
     The one encoder of every CLI document.  Dicts with string keys, lists,
     tuples, strings, ints, bools and None are written here, strings by the
     C string encoder.  A list of flat rows (non-empty lists or tuples of
-    strings, as in groupoid tables) is laid out by `_rows`.  Every other
-    node (a float, a dict with a key that is not a string, any other type)
-    goes to `json.dumps` whole and is re-indented to its depth.
+    strings, as in groupoid tables) is laid out by `_rows`, and a sorted
+    table (`_Table`) as the list of its label rows.  Every other node (a
+    float, a dict with a key that is not a string, any other type) goes to
+    `json.dumps` whole and is re-indented to its depth.
     """
     return _text(data, "\n") + "\n"
 
@@ -43,6 +45,34 @@ def dump_json(data) -> str:
 _encode_str = json.encoder.encode_basestring_ascii
 _ROW_TYPES = frozenset((list, tuple))
 _CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+class _Table:
+    """The rows [names[i], names[j], names[k]] for i, j, k in zip(*columns).
+
+    `_label_sorted_rows` makes it, with the columns in sorted row order.
+    `dump_json` writes it as the list of those rows (`text`), and `labels`
+    gives the rows as lists.
+    """
+
+    def __init__(self, names: list, columns: tuple):
+        self.names, self.columns = names, columns
+
+    def __len__(self):
+        return len(self.columns[0])
+
+    def labels(self) -> list:
+        return list(map(list, zip(*(map(self.names.__getitem__, col) for col in self.columns))))
+
+    def text(self, newline: str) -> str:
+        """The rows as `_rows` lays them out, each joined from pieces made once per name."""
+        inner = newline + "  "
+        encoded = [_encode_str(name) for name in self.names]
+        first = ["[" + inner + e + "," + inner for e in encoded]
+        middle = [e + "," + inner for e in encoded]
+        last = [e + newline + "]" for e in encoded]
+        parts = zip((first, middle, last), self.columns)
+        return ("," + newline).join(map("".join, zip(*(map(p.__getitem__, c) for p, c in parts))))
 
 
 def _text(node, newline: str) -> str:
@@ -54,12 +84,14 @@ def _text(node, newline: str) -> str:
         return int.__repr__(node)
     if node is None or kind is bool:
         return _CONSTANTS[node]
-    if (kind is dict or kind in _ROW_TYPES) and not node:
+    if (kind is dict or kind in _ROW_TYPES or kind is _Table) and not node:
         return "{}" if kind is dict else "[]"
     inner = newline + "  "
     if kind is dict and set(map(type, node)) == {str}:
         items = [_encode_str(k) + ": " + _text(node[k], inner) for k in sorted(node)]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is _Table:
+        return "[" + inner + node.text(inner) + newline + "]"
     if kind in _ROW_TYPES:
         rows = _rows(node, inner)
         if rows is None:
@@ -182,16 +214,36 @@ def crossed_module_to_json(M: CrossedModulePresentation) -> dict:
 # -- crossed complexes -------------------------------------------------------------
 
 
+def _entry(node, key: str, where: str):
+    """node[key]; a schema error naming `where` and the key if node is not an object or lacks it."""
+    if not isinstance(node, dict):
+        raise SchemaError(f"{where} schema: must be an object, not {type(node).__name__}")
+    if key not in node:
+        raise SchemaError(f"{where} schema: {key!r} is missing")
+    return node[key]
+
+
+def _listed(node, key: str, where: str) -> list:
+    """`_entry`, as a schema error that names the key if its value is not a list."""
+    value = _entry(node, key, where)
+    if not isinstance(value, list):
+        raise SchemaError(f"{where} schema: {key!r} must be a list, not {type(value).__name__}")
+    return value
+
+
 def crossed_complex_from_json(data) -> CrossedComplex:
     try:
-        objects = tuple(str(o) for o in data["objects"])
-        lvl1 = data["level1"]
-        rows = _unique("level 1 arrow id", ((str(a["id"]), a) for a in lvl1["arrows"]))
+        objects = tuple(str(o) for o in _listed(data, "objects", "crossed complex"))
+        lvl1 = _entry(data, "level1", "crossed complex")
+        rows = _unique("level 1 arrow id", (
+            (str(_entry(a, "id", f"level 1 arrow {i}")), a)
+            for i, a in enumerate(_listed(lvl1, "arrows", "level 1"))
+        ))
         arrows = tuple(rows)
-        src = {g: str(a["src"]) for g, a in rows.items()}
-        tgt = {g: str(a["tgt"]) for g, a in rows.items()}
-        comp = _table("level 1 compose", lvl1["compose"], 3)
-        inv = _table("level 1 inv", lvl1["inv"], 2)
+        src = {g: str(_entry(a, "src", f"level 1 arrow {g!r}")) for g, a in rows.items()}
+        tgt = {g: str(_entry(a, "tgt", f"level 1 arrow {g!r}")) for g, a in rows.items()}
+        comp = _table("level 1 compose", _listed(lvl1, "compose", "level 1"), 3)
+        inv = _table("level 1 inv", _listed(lvl1, "inv", "level 1"), 2)
         truncation = int(data.get("truncation", 1))
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"crossed complex schema: {exc}") from exc
@@ -386,33 +438,70 @@ class LabelMap(dict):
         return label
 
 
-def _label_sorted_rows(table: dict, ids, lab: LabelMap) -> list:
-    """The rows [a, b, c] of a table {(a, b): c}, as labels, sorted on the labels of (a, b).
+def _label_sorted_rows(rows, ids, lab: LabelMap) -> _Table:
+    """The rows [a, b, c] of a table, as labels, sorted on the labels of (a, b).
 
-    `ids` lists every id the table names, each labelled once.  Rows are
-    sorted on the integer ranks of their labels; gen_label is not injective,
-    so equal labels share a rank and ties keep table order.
+    `rows` holds the table in table order as (i, js, ks) on indices into
+    `ids`: the entries (ids[i], ids[js[p]]) -> ids[ks[p]] (`index_rows`,
+    `FinGroupoid.comp_rows`).  Each id is labelled once.  The rows are
+    sorted on the integer rank of the label of i; the entries of each run
+    of rows of equal rank, on the rank of the label of j.  That order
+    depends only on the run's js, so it is found once per distinct js.
+    gen_label is not injective, so equal labels share a rank, and as both
+    sorts are stable, ties keep table order.
     """
-    at = {g: i for i, g in enumerate(ids)}
     names = [lab[g] for g in ids]
     rank_of = {name: r for r, name in enumerate(sorted(set(names)))}
     rank = [rank_of[name] for name in names]
-    n = len(names)
-    rows = [(at[a], at[b], at[c]) for (a, b), c in table.items()]
-    rows.sort(key=lambda e: rank[e[0]] * n + rank[e[1]])
-    return [[names[i], names[j], names[k]] for i, j, k in rows]
+    columns, pickers = ([], [], []), {}
+    for _, run in groupby(sorted(rows, key=lambda row: rank[row[0]]), key=lambda row: rank[row[0]]):
+        run = list(run)
+        if len(run) == 1:
+            (i, js, ks), = run
+            heads = (i,) * len(js)
+        else:
+            heads = [i for i, js, _ in run for _ in js]
+            js = tuple(chain.from_iterable(js for _, js, _ in run))
+            ks = list(chain.from_iterable(ks for _, _, ks in run))
+        pick = pickers.get(js)
+        if pick is None:
+            pick = pickers[js] = _picker(sorted(range(len(js)), key=lambda p: rank[js[p]]))
+        for column, values in zip(columns, (heads, js, ks)):
+            column += pick(values)
+    return _Table(names, columns)
+
+
+def _picker(order: list):
+    """values -> the tuple of values[p] for p in order."""
+    if len(order) > 1:
+        return itemgetter(*order)
+    return lambda values: tuple(map(values.__getitem__, order))
 
 
 def groupoid_to_json(G: FinGroupoid, labels: LabelMap | None = None) -> dict:
     """Objects, arrows, the composition table and inverses, labelled by `gen_label`."""
+    doc = groupoid_document(G, labels)
+    doc["compose"] = doc["compose"].labels()
+    return doc
+
+
+def groupoid_document(G: FinGroupoid, labels: LabelMap | None = None) -> dict:
+    """`groupoid_to_json` for `dump_json`: the table stays a `_Table`, which it writes from the
+    encoding of each label."""
     lab = LabelMap() if labels is None else labels
     arrows = [{"id": lab[a], "src": lab[G.src[a]], "tgt": lab[G.tgt[a]]} for a in G.arrows]
     return {
         "objects": [lab[x] for x in G.objects],
         "arrows": arrows,
-        "compose": _label_sorted_rows(G.comp_table, G.arrows, lab),
+        "compose": _label_sorted_rows(G.comp_rows(), G.arrows, lab),
         "inv": [[lab[a], lab[b]] for a, b in sorted(G.inv_table.items(), key=lambda kv: lab[kv[0]])],
     }
+
+
+def _action_rows(table: dict, ids, lab: LabelMap) -> list:
+    """`_label_sorted_rows` of an action table {(a, b): c} on `ids`, as lists."""
+    rows = index_rows(table, {g: i for i, g in enumerate(ids)})
+    return _label_sorted_rows(rows, ids, lab).labels()
 
 
 def profunctor_to_json(P) -> dict:
@@ -423,8 +512,8 @@ def profunctor_to_json(P) -> dict:
         "left": groupoid_to_json(P.left.groupoid, lab),
         "right": groupoid_to_json(P.right.groupoid, lab),
         "basis": basis,
-        "leftAct": _label_sorted_rows(P.lact, (*P.left.groupoid.arrows, *elements), lab),
-        "rightAct": _label_sorted_rows(P.ract, (*elements, *P.right.groupoid.arrows), lab),
+        "leftAct": _action_rows(P.lact, (*P.left.groupoid.arrows, *elements), lab),
+        "rightAct": _action_rows(P.ract, (*elements, *P.right.groupoid.arrows), lab),
     }
 
 

@@ -16,7 +16,9 @@ keys: `sequence_domains`, `enumerate_sequences`, `identity_sequence` and
 `expand_sequence` build `HomotopySequence`s, `_apply` and `_delta2` evaluate
 the dict form of `Plan.terms` (`terms`), and `crs_pi1` and `holonomy_act`
 run on them: the oracles of `homotopy.crs_pi1`'s key enumeration and of the
-profunctor transports.
+profunctor transports.  `crs_pi1_per_entry` is that key enumeration with
+one `_compose_keys` per table entry: the oracle of the table that
+`homotopy.crs_pi1` builds from vertex groups.
 
 Also here: test-only checks that build on them (`is_valid_colouring`,
 `crs_homotopy_content`, `decategorified_matrix`).
@@ -24,7 +26,8 @@ Also here: test-only checks that build on them (`is_valid_colouring`,
 The groupoid and Morita section keeps the code that found incident
 arrows and composable pairs by scanning every arrow, or every pair of
 arrows, and filtering: the oracles of `FinGroupoid.ends`, of the walks of
-`comp_table`, and of `tensor_over`'s walk of the action tables' rows.
+`comp_table`, of `FinGroupoid.validate` (`validate_groupoid`) and of
+`tensor_over`'s walk of the action tables' rows.
 
 The colouring walk on values (`DictPlan`), with its dict-based labels, tests
 and domains, is the oracle of `Plan`'s walk on value indices.
@@ -52,13 +55,16 @@ from quinncalc.colouring import (
 from quinncalc.errors import BoundaryError
 from quinncalc.extprof import Profunctor
 from quinncalc.finalg.groupoids import FinGroupoid, partition
-from quinncalc.finalg.groups import _generating_sequence, find_group_iso
+from quinncalc.finalg.groups import ValidationReport, _generating_sequence, find_group_iso
 from quinncalc.homotopy import (
     CrsResult,
     HomotopySequence,
     _base_vertex,
     _compose_keys,
     _compose_tables,
+    _delta2 as _key_delta2,
+    _homotopy_slots,
+    _invert_key,
     _sequence,
 )
 from quinncalc.morita import Algebra, Bimodule, _monomial_image
@@ -529,9 +535,24 @@ def crs_pi1(X, A) -> CrsResult:
                 classes[ti][k] = aid
             arrows.append(aid)
             arrow_reps[aid] = _sequence(plan, f, keys[0])
+    ident = {}
+    for ti, f in enumerate(colourings):
+        ident[ti] = classes[ti][identity_sequence(f).key()]
+    inv = {}
+    for a in arrows:
+        inv[a] = classes[a[0]][_invert(arrow_reps[a], colourings[a[0]]).key()]
+    G = _groupoid_per_entry(X, tables, arrows, classes, ident, inv)
+    return CrsResult(X, A, colourings, G, arrow_reps, deltas, tables)
+
+
+def _groupoid_per_entry(X, tables, arrows, classes, ident, inv) -> FinGroupoid:
+    """The groupoid of `crs_pi1` with its table filled one `_compose_keys` per entry.
+
+    `classes[t]` maps each homotopy key targeting the object t to its arrow.
+    """
     src = {a: a[0] for a in arrows}
     tgt = {a: a[1] for a in arrows}
-    objects = tuple(range(len(colourings)))
+    objects = tuple(range(len(classes)))
     leaving = {}
     for b in arrows:
         leaving.setdefault(b[0], []).append((b, b[2], classes[b[1]]))
@@ -540,13 +561,52 @@ def crs_pi1(X, A) -> CrsResult:
         ka = a[2]
         for b, kb, classes_b in leaving[a[1]]:
             comp[(a, b)] = classes_b[_compose_keys(tables, ka, kb)]
-    ident = {}
-    for ti, f in enumerate(colourings):
-        ident[ti] = classes[ti][identity_sequence(f).key()]
-    inv = {}
-    for a in arrows:
-        inv[a] = classes[a[0]][_invert(arrow_reps[a], colourings[a[0]]).key()]
-    G = FinGroupoid(objects, tuple(arrows), src, tgt, comp, ident, inv, name=f"pi1CRS({X.name})")
+    return FinGroupoid(objects, tuple(arrows), src, tgt, comp, ident, inv, name=f"pi1CRS({X.name})")
+
+
+def crs_pi1_per_entry(X, A) -> CrsResult:
+    """`homotopy.crs_pi1` as it filled its table: one `_compose_keys` per table entry.
+
+    The same key enumeration of arrows, identities and boundaries; each
+    entry a . b is the class of the composite of the representatives, and
+    each inverse the class of `_invert_key`.  The oracle of the table and
+    inverses that `homotopy.crs_pi1` reads from the vertex groups.
+    """
+    plan = Plan(X, A)
+    X = plan.X
+    colourings = plan.colourings()
+    fkeys = [c.key() for c in colourings]
+    index = {k: i for i, k in enumerate(fkeys)}
+    tables = _compose_tables(plan)
+    ones, twos = _homotopy_slots(plan, 1), _homotopy_slots(plan, 2)
+    boundary, move = _key_delta2(plan), plan.moves.everywhere
+
+    def homotopies(slots, f):
+        return product(*((0,) if dom is None else dom[f[y]] for y, dom, _ in slots))
+
+    deltas, delta_keys = {}, {}
+    for ti, f in enumerate(fkeys):
+        keys = delta_keys[ti] = list(dict.fromkeys(boundary(f, h) for h in homotopies(twos, f)))
+        deltas[ti] = [_sequence(plan, colourings[ti], k) for k in keys]
+    arrows = []
+    arrow_reps = {}
+    classes = [{} for _ in colourings]  # target index -> {homotopy key: arrow id}
+    for ti, f in enumerate(fkeys):
+        for hk in homotopies(ones, f):
+            if hk in classes[ti]:
+                continue
+            keys = sorted(_compose_keys(tables, hk, dk) for dk in delta_keys[ti])
+            aid = (index[move(f, hk)], ti, keys[0])
+            for k in keys:
+                classes[ti][k] = aid
+            arrows.append(aid)
+            arrow_reps[aid] = _sequence(plan, colourings[ti], keys[0])
+    ident = {
+        ti: classes[ti][tuple(0 if u is None else u[f[y]] for y, _, u in ones)]
+        for ti, f in enumerate(fkeys)
+    }
+    inv = {a: classes[a[0]][_invert_key(tables, a[2])] for a in arrows}
+    G = _groupoid_per_entry(X, tables, arrows, classes, ident, inv)
     return CrsResult(X, A, colourings, G, arrow_reps, deltas, tables)
 
 
@@ -607,6 +667,55 @@ def arrows_into(G, x):
 
 def arrows_between(G, x, y):
     return tuple(a for a in G.arrows if G.src[a] == x and G.tgt[a] == y)
+
+
+def validate_groupoid(G) -> ValidationReport:
+    """`FinGroupoid.validate` testing every pair of arrows for composability, and reading
+    a . b again for each c in the associativity check."""
+    objs = set(G.objects)
+    for a in G.arrows:
+        if G.src.get(a) not in objs or G.tgt.get(a) not in objs:
+            return ValidationReport.malformed("dangling arrow endpoints", (a,))
+    for x in G.objects:
+        e = G.ident.get(x)
+        if e is None or G.src.get(e) != x or G.tgt.get(e) != x:
+            return ValidationReport.malformed("missing or misplaced identity", (x,))
+    arrows = set(G.arrows)
+    for (a, b), c in G.comp_table.items():
+        if not {a, b, c} <= arrows:
+            return ValidationReport.malformed("composition names an unknown arrow", (a, b, c))
+    for a, b in G.inv_table.items():
+        if not {a, b} <= arrows:
+            return ValidationReport.malformed("inverse names an unknown arrow", (a, b))
+    for a in G.arrows:
+        for b in G.arrows:
+            defined = (a, b) in G.comp_table
+            composable = G.tgt[a] == G.src[b]
+            if defined != composable:
+                return ValidationReport.malformed("composition defined iff tgt=src", (a, b))
+            if defined:
+                c = G.comp_table[(a, b)]
+                if G.src.get(c) != G.src[a] or G.tgt.get(c) != G.tgt[b]:
+                    return ValidationReport.axiom("composite endpoints wrong", (a, b, c))
+    for a in G.arrows:
+        x, y = G.src[a], G.tgt[a]
+        if G.comp_table.get((G.ident[x], a)) != a or G.comp_table.get((a, G.ident[y])) != a:
+            return ValidationReport.axiom("identity is not a two-sided unit", (a,))
+    for a in G.arrows:
+        b = G.inv_table.get(a)
+        if b is None:
+            return ValidationReport.axiom("arrow has no two-sided inverse", (a,))
+        if (
+            G.comp_table.get((a, b)) != G.ident[G.src[a]]
+            or G.comp_table.get((b, a)) != G.ident[G.tgt[a]]
+        ):
+            return ValidationReport.axiom("inverse table wrong", (a, b))
+    for a in G.arrows:
+        for b in arrows_from(G, G.tgt[a]):
+            for c in arrows_from(G, G.tgt[b]):
+                if G.comp(G.comp(a, b), c) != G.comp(a, G.comp(b, c)):
+                    return ValidationReport.axiom("associativity fails", (a, b, c))
+    return ValidationReport.passed()
 
 
 def groupoid_algebra(G) -> Algebra:

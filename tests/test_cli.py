@@ -254,10 +254,27 @@ IDEMPOTENT_LOOP = {
         pytest.param(GROUPOID_WITHOUT_A_COMPOSITE, 2, "composition defined iff tgt=src",
                      id="composite-missing"),
         pytest.param(IDEMPOTENT_LOOP, 3, "inverse table wrong", id="idempotent-loop"),
+        pytest.param(
+            dict(IDEMPOTENT_LOOP, arrows=[_arrow("e", "*", "*"), {"id": "a", "tgt": "*"}]), 2,
+            "level 1 arrow 'a' schema: 'src' is missing", id="arrow-without-src",
+        ),
+        pytest.param(
+            {k: v for k, v in IDEMPOTENT_LOOP.items() if k != "inv"}, 2,
+            "level 1 schema: 'inv' is missing", id="no-inv",
+        ),
+        pytest.param(
+            {k: v for k, v in IDEMPOTENT_LOOP.items() if k != "objects"}, 2,
+            "crossed complex schema: 'objects' is missing", id="no-objects",
+        ),
+        pytest.param(
+            dict(IDEMPOTENT_LOOP, compose="no"), 2,
+            "level 1 schema: 'compose' must be a list, not str", id="compose-not-a-list",
+        ),
     ],
 )
 def test_algebra_from_groupoid_file_is_validated(tmp_path, data, exit_code, message):
-    """A groupoid file with a missing composite exits 2, one that fails an axiom exits 3."""
+    """A groupoid file with a missing composite exits 2, one that fails an axiom exits 3, and
+    one without a key, or with a key that is not a list, exits 2 with a message naming them."""
     path = tmp_path / "groupoid.json"
     path.write_text(json.dumps(data))
     code, err = _exit_code_and_stderr(["algebra", "--from", str(path)])

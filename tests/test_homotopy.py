@@ -512,9 +512,14 @@ def test_crs_pi1_on_keys_matches_the_values_dict_construction(space, algebra):
         assert [d.key() for d in got.deltas[ti]] == [d.key() for d in ds]
 
 
-@pytest.mark.parametrize("space, algebra", [("prism-circle", "z3"), ("circle", "xmod-z2-z2-zero")])
-def test_crs_pi1_composes_once_per_table_entry_and_orbit_member(monkeypatch, space, algebra):
-    """One composite per table entry and per (arrow, delta) pair, one other-end move per arrow."""
+@pytest.mark.parametrize(
+    "space, algebra",
+    [("prism-circle", "z3"), ("circle", "xmod-z2-z2-zero"), ("prism-circle", "s3")],
+)
+def test_crs_pi1_composes_per_arrow_not_per_table_entry(monkeypatch, space, algebra):
+    """One composite per (arrow, delta) pair, two per arrow for its loop at the root, and the
+    vertex groups' products; one other-end move per arrow.  prism-circle x S3 has 1 296 arrows
+    and 46 656 table entries; no dict of the table is built."""
     import quinncalc.homotopy as homotopy
 
     calls = {"_compose_keys": 0, "apply_homotopy": 0, "move": 0}
@@ -540,9 +545,52 @@ def test_crs_pi1_composes_once_per_table_entry_and_orbit_member(monkeypatch, spa
     monkeypatch.setattr(homotopy, "Plan", CountingPlan)
     crs = crs_pi1(CATALOG[space], CORPUS[algebra])
     G = crs.groupoid
-    assert calls["_compose_keys"] == len(G.comp_table) + sum(len(crs.deltas[a[1]]) for a in G.arrows)
+    assert "comp_table" not in vars(G)
+    orbits = sum(len(crs.deltas[a[1]]) for a in G.arrows)
+    vertex = sum(len(G.arrows_between(c[0], c[0])) ** 2 for c in G.components())
+    assert calls["_compose_keys"] - orbits == 2 * len(G.arrows) + vertex < 3000
     assert calls["move"] == len(G.arrows)
     assert calls["apply_homotopy"] == 0
+
+
+# catalog x corpus but the pairs whose groupoid needs a gigabyte or more, and those that
+# take more than a few seconds here (delta2 x S3 has 5 832 arrows and 1.9 M entries)
+PER_ENTRY_SLOW = (
+    {("delta3", a) for a in CORPUS if a not in ("z2", "z3", "xmod-z2-id")}
+    | {("prism-torus", a) for a in CORPUS if a not in ("z2", "z3", "z4")}
+    | {("delta2", "s3"), ("prism-circle", "xmod-z4-z2-zero")}
+)
+
+
+@pytest.mark.parametrize(
+    "space, algebra",
+    [(s, a) for s in CATALOG for a in CORPUS if (s, a) not in PER_ENTRY_SLOW]
+    + [(s, t) for s in ("point", "circle", "delta2", "torus", "prism-circle") for t in TOWERS]
+    + [("circle", "s4")],
+)
+def test_crs_pi1_table_matches_the_per_entry_fill(space, algebra):
+    """The table, identities and inverses from vertex groups against `reference.crs_pi1_per_entry`,
+    which composes the representatives of each table entry.
+
+    Same arrows, table (values and insertion order), identities, inverses,
+    representatives and boundaries.
+    """
+    X = CATALOG[space]
+    if algebra in TOWERS:
+        A = TOWERS[algebra]()
+    else:
+        A = iota1(symmetric_group(4)) if algebra == "s4" else CORPUS[algebra]
+    got, want = crs_pi1(X, A), reference.crs_pi1_per_entry(X, A)
+    G, W = got.groupoid, want.groupoid
+    assert G.objects == W.objects and G.arrows == W.arrows
+    assert G.src == W.src and G.tgt == W.tgt
+    assert list(G.comp_table.items()) == list(W.comp_table.items())
+    assert G.ident == W.ident and G.inv_table == W.inv_table
+    assert list(got.arrow_reps) == list(want.arrow_reps)
+    assert all(got.arrow_reps[a].values == want.arrow_reps[a].values for a in W.arrows)
+    assert got.deltas.keys() == want.deltas.keys()
+    for ti, ds in want.deltas.items():
+        assert [d.key() for d in got.deltas[ti]] == [d.key() for d in ds]
 
 
 # -- Extend / Restrict / rel classes ------------------------------------------------

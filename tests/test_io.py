@@ -33,6 +33,7 @@ from quinncalc.io import (
     gen_label,
     group_from_json,
     group_to_json,
+    groupoid_document,
     groupoid_to_json,
     profunctor_to_json,
     scalar_str,
@@ -424,6 +425,14 @@ def test_ext_groupoid_cli_matches_the_old_emitter(catalog_files, monkeypatch, ca
     data = old_groupoid_to_json(crs.groupoid, label)
     data["components"] = [list(map(gen_label, comp)) for comp in crs.components()]
     assert out == oracle(data)
+
+
+def test_the_ext_groupoid_writer_builds_no_table_dict():
+    """The table is written from the arrows' products; `comp_table` is built only when read."""
+    G = crs_pi1(CATALOG["prism-circle"], CORPUS["z4"]).groupoid
+    text = dump_json(groupoid_document(G))
+    assert "comp_table" not in vars(G)
+    assert text == oracle(old_groupoid_to_json(G))
 
 
 @pytest.mark.parametrize("cylinder", ["prism-point", "prism-circle", "prism-torus"])
