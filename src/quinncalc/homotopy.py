@@ -17,12 +17,14 @@ that a `Plan` of (X, A) compiles once, with the integer tables of
 positions (identities elsewhere), rewriting only those positions and their
 star; `_delta2` gives the boundary of a 2-fold homotopy; `_compose_keys`
 composes two 1-fold homotopies cell by cell and `_invert_key` inverts one.
-The moves are compiled once per plan (`Plan.moves`) and shared by
-`crs_pi1`, `rel_classes` and `extprof.cobordism_profunctor`.  The public
-`apply_homotopy`, `compose_homotopies`, `invert_homotopy` and `delta2`
-check their arguments, compile a plan per call, encode, evaluate on keys
-and decode; `_sequence` decodes a key into values when a `HomotopySequence`
-is wanted.
+`crs_pi1` composes keys only for orbits and for each arrow's loop at its
+component's root, and reads its table from the vertex groups' products
+(`_vertex_products`).  The moves are compiled once per plan (`Plan.moves`)
+and shared by `crs_pi1`, `rel_classes` and `extprof.cobordism_profunctor`.
+The public `apply_homotopy`, `compose_homotopies`, `invert_homotopy` and
+`delta2` check their arguments, compile a plan per call, encode, evaluate
+on keys and decode; `_sequence` decodes a key into values when a
+`HomotopySequence` is wanted.
 """
 from __future__ import annotations
 
@@ -496,8 +498,9 @@ def _vertex_products(tables: tuple, arrows: list, classes: list, ident: list) ->
     Categories and Groupoids, 1971).  In each component, with root r its
     least object, t_x is the first arrow from r to x (the identity at r), as
     in `FinGroupoid.generators`.  Each arrow a: x -> y is written once as
-    its loop g_a = t_x . a . t_y^-1 at r (two `_compose_keys` and a class
-    lookup), and a . b = t_x^-1 . (g_a . g_b) . t_z for b: y -> z is the
+    its loop g_a = t_x . a . t_y^-1 at r (a `_compose_keys` for each tree
+    arrow that is not the identity, and a class lookup), and
+    a . b = t_x^-1 . (g_a . g_b) . t_z for b: y -> z is the
     arrow from x to z whose loop is g_a . g_b in the vertex group's table.
     `products[i]` lists the composites of the arrow of index i with each
     arrow out of its target, in arrow order (`FinGroupoid.products`), and
@@ -509,27 +512,31 @@ def _vertex_products(tables: tuple, arrows: list, classes: list, ident: list) ->
     for i, (s, _, _) in enumerate(arrows):
         leaving[s].append(i)
     root, tree, loops, place = {}, {}, {}, {}  # place: a loop at a root -> its position there
-    for members in partition(len(classes), ((s, t) for s, t, _ in arrows)):
-        r = members[0]
-        loops[r] = [i for i in leaving[r] if arrows[i][1] == r]
-        place.update((i, p) for p, i in enumerate(loops[r]))
-        for i in reversed(leaving[r]):
+    for r, out in enumerate(leaving):
+        if r in root:
+            continue
+        # r is the least object of its component, and its arrows reach every object there
+        for i in reversed(out):
             root[arrows[i][1]], tree[arrows[i][1]] = r, i
         tree[r] = ident[r]
+        loops[r] = [i for i in out if arrows[i][1] == r]
+        place.update((i, p) for p, i in enumerate(loops[r]))
 
-    def loop_of(r, first, second):
-        """The position of the loop at r whose class holds the key of `first` then `second`."""
-        return place[classes[r][_compose_keys(tables, first, second)]]
-
-    back = {x: _invert_key(tables, arrows[tree[x]][2]) for x in root}
+    back = {x: _invert_key(tables, arrows[tree[x]][2]) for x, r in root.items() if x != r}
     loop, by_loop = [], [{} for _ in classes]  # by_loop[x][z][g]: the arrow x -> z with loop g
     for i, (s, t, key) in enumerate(arrows):
         r = root[s]
-        loop.append(loop_of(r, _compose_keys(tables, arrows[tree[s]][2], key), back[t]))
+        if s != r:  # the identity at r leaves a class as it is
+            key = _compose_keys(tables, arrows[tree[s]][2], key)
+        if t != r:
+            key = _compose_keys(tables, key, back[t])
+        loop.append(place[classes[r][key]])
         by_loop[s].setdefault(t, [None] * len(loops[r]))[loop[i]] = i
-    vmul = {}
-    for r, members in loops.items():
-        vmul[r] = [[loop_of(r, arrows[i][2], arrows[j][2]) for j in members] for i in members]
+    vmul = {
+        r: [[place[classes[r][_compose_keys(tables, arrows[i][2], arrows[j][2])]] for j in members]
+            for i in members]
+        for r, members in loops.items()
+    }
     outs = [[(arrows[j][1], loop[j]) for j in out] for out in leaving]
     products, inv = [], []
     for (s, t, _), g in zip(arrows, loop):

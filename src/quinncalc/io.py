@@ -486,8 +486,11 @@ def groupoid_to_json(G: FinGroupoid, labels: LabelMap | None = None) -> dict:
 
 
 def groupoid_document(G: FinGroupoid, labels: LabelMap | None = None) -> dict:
-    """`groupoid_to_json` for `dump_json`: the table stays a `_Table`, which it writes from the
-    encoding of each label."""
+    """`groupoid_to_json`'s document with the table left a `_Table`, for `dump_json`.
+
+    `dump_json` joins the table's rows from pieces encoded once per arrow,
+    so no list of label rows is built.
+    """
     lab = LabelMap() if labels is None else labels
     arrows = [{"id": lab[a], "src": lab[G.src[a]], "tgt": lab[G.tgt[a]]} for a in G.arrows]
     return {

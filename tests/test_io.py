@@ -359,6 +359,20 @@ def test_groupoid_with_colliding_labels_matches_the_old_emitter():
     assert tied == ["(a,b)", "1", "1", "(a,b)"]
 
 
+def test_products_table_with_colliding_labels_matches_the_old_emitter():
+    """Z4 with its table given as `products`, g^2 and g^3 sharing one label: in g's
+    composites those two tie, and they keep arrow order though their products differ."""
+    arrows = ("1", "g", ("a", "b"), "(a,b)")  # the powers of g
+    power = {a: n for n, a in enumerate(arrows)}
+    table = {(a, b): arrows[(power[a] + power[b]) % 4] for a in arrows for b in arrows}
+    products = [[power[table[(a, b)]] for b in arrows] for a in arrows]
+    src = {a: "*" for a in arrows}
+    D, H = (FinGroupoid(("*",), arrows, src, src, comp, {"*": "1"}) for comp in (table, products))
+    assert list(H.comp_table.items()) == list(table.items())
+    assert dump_json(groupoid_document(H)) == oracle(old_groupoid_to_json(D))
+    assert groupoid_to_json(H) == groupoid_to_json(D)
+
+
 def test_profunctor_with_colliding_labels_matches_the_old_emitter():
     """The hom profunctor of that groupoid: both actions are its composition table, and
     the action rows are sorted by the same label ranks as the table."""
