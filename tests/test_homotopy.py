@@ -556,8 +556,8 @@ def test_crs_pi1_composes_per_arrow_not_per_table_entry(monkeypatch, space, alge
     assert calls["apply_homotopy"] == 0
 
 
-# catalog x corpus but the pairs whose groupoid needs a gigabyte or more, and those that
-# take more than a few seconds here (delta2 x S3 has 5 832 arrows and 1.9 M entries)
+# catalog x corpus but the ten pairs on which the per-entry fill takes a second or more,
+# up to minutes and gigabytes (delta2 x S3 has 7 776 arrows and 1 679 616 entries)
 PER_ENTRY_SLOW = (
     {("delta3", a) for a in CORPUS if a not in ("z2", "z3", "xmod-z2-id")}
     | {("prism-torus", a) for a in CORPUS if a not in ("z2", "z3", "z4")}
