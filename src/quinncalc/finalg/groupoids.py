@@ -5,7 +5,6 @@ when `tgt(a) == src(b)` and is the arrow "a then b".
 """
 from __future__ import annotations
 
-from collections import Counter
 from functools import cached_property
 
 from .groups import FinGroup, ValidationReport, _generating_sequence
@@ -195,9 +194,9 @@ class FinGroupoid:
             if not {a, b} <= arrows:
                 return ValidationReport.malformed("inverse names an unknown arrow", (a, b))
         table, src, tgt = self.comp_table, self.src, self.tgt
-        into, out = Counter(tgt[a] for a in self.arrows), Counter(src[a] for a in self.arrows)
+        out, into, _ = self.ends
         # every entry composable and as many entries as composable pairs: the table is complete
-        if len(table) != sum(n * out[y] for y, n in into.items()) or any(
+        if len(table) != sum(len(arr) * len(out.get(y, ())) for y, arr in into.items()) or any(
             tgt[a] != src[b] or src[c] != src[a] or tgt[c] != tgt[b] for (a, b), c in table.items()
         ):
             for a in self.arrows:
@@ -222,12 +221,12 @@ class FinGroupoid:
         # on arrow indices: prod[i][p] is arrows[i] then the p-th arrow out of its target,
         # and pos[j] the place of arrows[j] among the arrows out of its source
         at, ids = self._arr_index, self.arrows
-        outs = {x: [at[b] for b in bs] for x, bs in self.ends[0].items()}
+        outs = {x: [at[b] for b in bs] for x, bs in out.items()}
         pos = [0] * len(ids)
         for bs in outs.values():
             for p, b in enumerate(bs):
                 pos[b] = p
-        prod = [[at[table[(a, b)]] for b in self.arrows_from(tgt[a])] for a in ids]
+        prod = [[at[table[(a, b)]] for b in out[tgt[a]]] for a in ids]
         for a, row in zip(ids, prod):
             for b, ab in zip(outs[tgt[a]], row):
                 # (a.b).c against a.(b.c), for each c out of tgt b, in that order
