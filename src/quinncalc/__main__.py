@@ -1,0 +1,7 @@
+"""`python -m quinncalc`: the `quinncalc` command."""
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -7,10 +7,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io as _io
 import math
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .colouring import Plan, as_simpset
 from .errors import BoundaryError, QuinncalcError, SchemaError
@@ -20,17 +20,17 @@ from .homotopy import crs_pi1
 from .io import (
     LabelMap,
     algebra_from_json,
-    dump_json,
     group_from_json,
     group_to_json,
     groupoid_document,
     crossed_module_to_json,
     load_json,
-    plan_colour_list,
     profunctor_to_json,
     scalar_str,
     simpset_from_json,
     simpset_to_json,
+    write_colour_list,
+    write_json,
 )
 from .morita import groupoid_algebra, quantum_double_oracle
 from .simpset import (
@@ -112,12 +112,25 @@ def _parse_s(text):
     return s
 
 
-def _emit(args, text):
-    if getattr(args, "out", None):
+def _emit(args, writer, data):
+    """`writer(data, write)` hands its document to `write` in pieces: to `--out`, or to stdout.
+
+    The file is opened only now, so an error raised before leaves none.
+    """
+    if not args.out:
+        writer(data, sys.stdout.write)
+        return
+    try:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+            writer(data, fh.write)
+    except OSError as exc:
+        raise SchemaError(f"cannot write {args.out}: {exc}") from exc
+
+
+def _write_csv(rows, write):
+    writer = csv.writer(SimpleNamespace(write=write), lineterminator="\n")
+    for row in rows:
+        writer.writerow([scalar_str(v) for v in row])
 
 
 def cmd_validate(args):
@@ -133,7 +146,7 @@ def cmd_validate(args):
         "message": report.message,
         "witness": None if report.witness is None else [str(w) for w in report.witness],
     }
-    _emit(args, dump_json(out))
+    _emit(args, write_json, out)
     if report.ok:
         return 0
     return 2 if report.kind == "malformed" else 3
@@ -147,7 +160,7 @@ def cmd_catalog(args):
         out["algebras"].update(
             {name: crossed_module_to_json(M) for name, M in xmods.items()}
         )
-    _emit(args, dump_json(out))
+    _emit(args, write_json, out)
     return 0
 
 
@@ -155,14 +168,14 @@ def cmd_colour_count(args):
     strat = _load_space(args.space)
     A = _load_algebra(args.algebra)
     n = Plan(strat.simpset, A).count()
-    _emit(args, dump_json({"count": n}))
+    _emit(args, write_json, {"count": n})
     return 0
 
 
 def cmd_colour_list(args):
     strat = _load_space(args.space)
     A = _load_algebra(args.algebra)
-    _emit(args, plan_colour_list(Plan(strat.simpset, A)))
+    _emit(args, write_colour_list, Plan(strat.simpset, A))
     return 0
 
 
@@ -181,7 +194,7 @@ def cmd_state_space(args):
             for ci in range(ss.dim)
         ],
     }
-    _emit(args, dump_json(out))
+    _emit(args, write_json, out)
     return 0
 
 
@@ -193,11 +206,7 @@ def cmd_quinn_matrix(args):
     s = _parse_s(args.s)
     Q = quinn_matrix(strat, A, s, exact_only=args.exact_only)
     if args.format == "csv":
-        buf = _io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        for row in Q.entries:
-            writer.writerow([scalar_str(v) for v in row])
-        _emit(args, buf.getvalue())
+        _emit(args, _write_csv, Q.entries)
     else:
         out = {
             "s": str(args.s),
@@ -206,7 +215,7 @@ def cmd_quinn_matrix(args):
             "col_labels": [Q.cols.representative(j).as_dict() for j in range(Q.cols.dim)],
             "entries": [[scalar_str(v) for v in row] for row in Q.entries],
         }
-        _emit(args, dump_json(out))
+        _emit(args, write_json, out)
     return 0
 
 
@@ -217,7 +226,7 @@ def cmd_ext_groupoid(args):
     labels = LabelMap()
     out = groupoid_document(crs.groupoid, labels)
     out["components"] = [[labels[x] for x in comp] for comp in crs.components()]
-    _emit(args, dump_json(out))
+    _emit(args, write_json, out)
     return 0
 
 
@@ -227,7 +236,7 @@ def cmd_profunctor(args):
         raise BoundaryError("cobordism file must tag 'in' and 'out' subcomplexes")
     A = _load_algebra(args.algebra)
     P = cobordism_profunctor(strat, A)
-    _emit(args, dump_json(profunctor_to_json(P)))
+    _emit(args, write_json, profunctor_to_json(P))
     return 0
 
 
@@ -246,7 +255,7 @@ def cmd_nat_transform(args):
         "natural": nt.naturality_check(),
         "blocks": blocks,
     }
-    _emit(args, dump_json(out))
+    _emit(args, write_json, out)
     return 0
 
 
@@ -270,7 +279,7 @@ def cmd_algebra(args):
         "triples": alg.structure_triples(),
         "unit": sorted(str(k) for k in alg.unit),
     }
-    _emit(args, dump_json(out))
+    _emit(args, write_json, out)
     return 0
 
 
@@ -281,96 +290,74 @@ def cmd_double(args):
         "dim": res.double.dim,
         "iso": "found" if res.ok else "missing",
     }
-    _emit(args, dump_json(out))
+    _emit(args, write_json, out)
     return 0 if res.ok else 1
 
 
 def cmd_chi_pi(args):
     A = _load_algebra(args.algebra)
-    _emit(args, dump_json({"chi_pi": scalar_str(chi_pi(A))}))
+    _emit(args, write_json, {"chi_pi": scalar_str(chi_pi(A))})
     return 0
 
 
-def build_parser():
+def _required(*flags):
+    return [(flag, {"required": True}) for flag in flags]
+
+
+# name: (help, handler, options).  Each option is the flag and the keyword
+# arguments of `add_argument`; every command also takes `--out`, last.
+COMMANDS = {
+    "validate": (
+        "validate a group/module/complex/space file", cmd_validate, _required("--input"),
+    ),
+    "catalog": (
+        "emit the built-in spaces (and algebras)", cmd_catalog,
+        [("--algebras", {"action": "store_true"})],
+    ),
+    "colour-count": (None, cmd_colour_count, _required("--space", "--algebra")),
+    "colour-list": (None, cmd_colour_list, _required("--space", "--algebra")),
+    "state-space": (None, cmd_state_space, _required("--space", "--algebra")),
+    "quinn-matrix": (None, cmd_quinn_matrix, [
+        *_required("--cobordism", "--algebra"),
+        ("--s", {"default": "0"}),
+        ("--format", {"choices": ["csv", "json"], "default": "csv"}),
+        ("--exact-only", {"action": "store_true"}),
+    ]),
+    "ext-groupoid": (None, cmd_ext_groupoid, _required("--space", "--algebra")),
+    "profunctor": (None, cmd_profunctor, _required("--cobordism", "--algebra")),
+    "nat-transform": (
+        "vertical identity window over a prism", cmd_nat_transform,
+        _required("--space", "--algebra"),
+    ),
+    "algebra": (None, cmd_algebra, _required("--from")),
+    "double": (None, cmd_double, _required("--group")),
+    "chi-pi": (None, cmd_chi_pi, _required("--algebra")),
+}
+
+
+def build_parser(only=None):
+    """The parser of every command in `COMMANDS`, or of the command named `only`.
+
+    The one-command parser lists every command in its usage line, so each
+    usage, help and error text it prints is the full parser's.
+    """
     parser = argparse.ArgumentParser(prog="quinncalc")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="validate a group/module/complex/space file")
-    p.add_argument("--input", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("catalog", help="emit the built-in spaces (and algebras)")
-    p.add_argument("--algebras", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_catalog)
-
-    p = sub.add_parser("colour-count")
-    p.add_argument("--space", required=True)
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_colour_count)
-
-    p = sub.add_parser("colour-list")
-    p.add_argument("--space", required=True)
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_colour_list)
-
-    p = sub.add_parser("state-space")
-    p.add_argument("--space", required=True)
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_state_space)
-
-    p = sub.add_parser("quinn-matrix")
-    p.add_argument("--cobordism", required=True)
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--s", default="0")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--exact-only", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_quinn_matrix)
-
-    p = sub.add_parser("ext-groupoid")
-    p.add_argument("--space", required=True)
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_ext_groupoid)
-
-    p = sub.add_parser("profunctor")
-    p.add_argument("--cobordism", required=True)
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_profunctor)
-
-    p = sub.add_parser("nat-transform", help="vertical identity window over a prism")
-    p.add_argument("--space", required=True)
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_nat_transform)
-
-    p = sub.add_parser("algebra")
-    p.add_argument("--from", dest="from", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_algebra)
-
-    p = sub.add_parser("double")
-    p.add_argument("--group", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_double)
-
-    p = sub.add_parser("chi-pi")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_chi_pi)
-
+    metavar = None if only is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if only is None else [only]:
+        help_text, handler, options = COMMANDS[name]
+        p = sub.add_parser(name, **({} if help_text is None else {"help": help_text}))
+        for flag, kwargs in [*options, ("--out", {})]:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; only its parser is built when `argv` starts with its name."""
+    argv = sys.argv[1:] if argv is None else argv
+    only = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(only).parse_args(argv)
     try:
         return args.func(args)
     except QuinncalcError as exc:

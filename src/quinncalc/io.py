@@ -24,12 +24,12 @@ def load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
 
 
-def dump_json(data) -> str:
-    """`json.dumps(data, sort_keys=True, indent=2) + "\\n"`, byte for byte.
+def write_json(data, write) -> None:
+    """Write `json.dumps(data, sort_keys=True, indent=2) + "\\n"` through `write`, in pieces.
 
     The one encoder of every CLI document.  Dicts with string keys, lists,
     tuples, strings, ints, bools and None are written here, strings by the
@@ -37,21 +37,56 @@ def dump_json(data) -> str:
     strings, as in groupoid tables) is laid out by `_rows`, and a sorted
     table (`_Table`) as the list of its label rows.  Every other node (a
     float, a dict with a key that is not a string, any other type) goes to
-    `json.dumps` whole and is re-indented to its depth.
+    `json.dumps` whole and is re-indented to its depth.  The text reaches
+    `write` in pieces of about `_BLOCK` characters: rows in blocks, other
+    lists item by item, so no document is held whole.
     """
-    return _text(data, "\n") + "\n"
+    put, flush = _gather(write)
+    _write(data, "\n", put)
+    put("\n")
+    flush()
 
 
+def dump_json(data) -> str:
+    """What `write_json` writes, joined."""
+    parts = []
+    write_json(data, parts.append)
+    return "".join(parts)
+
+
+_BLOCK = 1 << 16  # characters handed to `write` at a time, about
 _encode_str = json.encoder.encode_basestring_ascii
 _ROW_TYPES = frozenset((list, tuple))
 _CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _gather(write):
+    """(put, flush): put gathers texts and hands them to `write` joined, once they reach
+    `_BLOCK` characters; flush hands over the rest."""
+    parts, size = [], 0
+
+    def put(text):
+        nonlocal size
+        parts.append(text)
+        size += len(text)
+        if size >= _BLOCK:
+            flush()
+
+    def flush():
+        nonlocal size
+        if parts:
+            write("".join(parts))
+            parts.clear()
+            size = 0
+
+    return put, flush
 
 
 class _Table:
     """The rows [names[i], names[j], names[k]] for i, j, k in zip(*columns).
 
     `_label_sorted_rows` makes it, with the columns in sorted row order.
-    `dump_json` writes it as the list of those rows (`text`), and `labels`
+    `write_json` writes it as the list of those rows (`rows`), and `labels`
     gives the rows as lists.
     """
 
@@ -64,55 +99,90 @@ class _Table:
     def labels(self) -> list:
         return list(map(list, zip(*(map(self.names.__getitem__, col) for col in self.columns))))
 
-    def text(self, newline: str) -> str:
-        """The rows as `_rows` lays them out, each joined from pieces made once per name."""
+    def rows(self, newline: str):
+        """(lo, hi) -> the text of rows lo..hi-1 as `_rows` lays them out.
+
+        Each row is joined from pieces made once per name.
+        """
         inner = newline + "  "
         encoded = [_encode_str(name) for name in self.names]
         first = ["[" + inner + e + "," + inner for e in encoded]
         middle = [e + "," + inner for e in encoded]
         last = [e + newline + "]" for e in encoded]
-        parts = zip((first, middle, last), self.columns)
-        return ("," + newline).join(map("".join, zip(*(map(p.__getitem__, c) for p, c in parts))))
+        parts = tuple(zip((first, middle, last), self.columns))
+
+        def text(lo, hi):
+            pieces = (map(p.__getitem__, c[lo:hi]) for p, c in parts)
+            return ("," + newline).join(map("".join, zip(*pieces)))
+
+        return text
 
 
-def _text(node, newline: str) -> str:
-    """The encoder's text for node; `newline` ends a line at node's depth."""
+def _write(node, newline: str, put) -> None:
+    """Put the encoder's text for node; `newline` ends a line at node's depth."""
     kind = type(node)
     if kind is str:
-        return _encode_str(node)
-    if kind is int:
-        return int.__repr__(node)
-    if node is None or kind is bool:
-        return _CONSTANTS[node]
-    if (kind is dict or kind in _ROW_TYPES or kind is _Table) and not node:
-        return "{}" if kind is dict else "[]"
+        put(_encode_str(node))
+    elif kind is int:
+        put(int.__repr__(node))
+    elif node is None or kind is bool:
+        put(_CONSTANTS[node])
+    elif (kind is dict or kind in _ROW_TYPES or kind is _Table) and not node:
+        put("{}" if kind is dict else "[]")
+    elif kind is dict and set(map(type, node)) == {str}:
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(node):
+            put(sep + _encode_str(key) + ": ")
+            _write(node[key], inner, put)
+            sep = "," + inner
+        put(newline + "}")
+    elif kind is _Table:
+        _write_rows(len(node), node.rows(newline + "  "), newline, put)
+    elif kind in _ROW_TYPES and _flat(node):
+        inner = newline + "  "
+        _write_rows(len(node), lambda lo, hi: _rows(node[lo:hi], inner), newline, put)
+    elif kind in _ROW_TYPES:
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in node:
+            put(sep)
+            _write(item, inner, put)
+            sep = "," + inner
+        put(newline + "]")
+    else:
+        put(json.dumps(node, sort_keys=True, indent=2).replace("\n", newline))
+
+
+def _write_rows(count: int, text, newline: str, put) -> None:
+    """Put a list of `count` rows, `text(lo, hi)` giving rows lo..hi-1, in blocks of about `_BLOCK`."""
     inner = newline + "  "
-    if kind is dict and set(map(type, node)) == {str}:
-        items = [_encode_str(k) + ": " + _text(node[k], inner) for k in sorted(node)]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if kind is _Table:
-        return "[" + inner + node.text(inner) + newline + "]"
-    if kind in _ROW_TYPES:
-        rows = _rows(node, inner)
-        if rows is None:
-            rows = ("," + inner).join([_text(item, inner) for item in node])
-        return "[" + inner + rows + newline + "]"
-    return json.dumps(node, sort_keys=True, indent=2).replace("\n", newline)
+    head = text(0, 1)
+    step = max(1, _BLOCK // len(head))
+    put("[" + inner)
+    put(head)
+    for lo in range(1, count, step):
+        put("," + inner)
+        put(text(lo, lo + step))
+    put(newline + "]")
 
 
-def _rows(node, newline: str):
-    """The encoder's text for the items of a list of flat rows, or None if node is not one.
+def _flat(node) -> bool:
+    """Whether the non-empty list node holds only flat rows: non-empty lists or tuples of strings."""
+    return (
+        set(map(type, node)) <= _ROW_TYPES
+        and all(node)
+        and set(map(type, chain.from_iterable(node))) == {str}
+    )
 
-    A flat row is a non-empty list or tuple of strings; `newline` ends a
-    line at the depth of the rows.  Every string is encoded in one pass, and
-    one format string per row length lays the rows out.
+
+def _rows(node, newline: str) -> str:
+    """The encoder's text for the items of a list of flat rows.
+
+    `newline` ends a line at the depth of the rows.  Every string is encoded
+    in one pass, and one format string per row length lays the rows out.
     """
-    if not set(map(type, node)) <= _ROW_TYPES or not all(node):
-        return None
-    try:
-        cells = tuple(map(_encode_str, chain.from_iterable(node)))
-    except TypeError:  # an item that is not a string
-        return None
+    cells = tuple(map(_encode_str, chain.from_iterable(node)))
     inner = newline + "  "
     layout = {
         n: "[" + inner + ("," + inner).join(["%s"] * n) + newline + "]" for n in set(map(len, node))
@@ -533,7 +603,7 @@ def colour_list_json(X: SimpSet, A: CrossedComplex, colourings) -> str:
 
     The colourings are colourings of X by A; X may be a `Stratification`.
     Each is encoded to its value vector (`Plan._encode`) and written by
-    `plan_colour_list`, the writer of the `colour-list` command.
+    `write_colour_list`, the writer of the `colour-list` command.
     """
     plan = Plan(X, A)
 
@@ -545,18 +615,27 @@ def colour_list_json(X: SimpSet, A: CrossedComplex, colourings) -> str:
 
 
 def plan_colour_list(plan: Plan, walk=None) -> str:
-    """The colour list of the vectors that `walk(emit)` hands to `emit`, as `colour_list_json` writes it.
+    """What `write_colour_list` writes, joined."""
+    parts = []
+    write_colour_list(plan, parts.append, walk)
+    return "".join(parts)
 
-    `walk` defaults to `plan.walk`, which hands over every colouring of the
-    plan; no `Colouring` and no values dict is built for a vector.  The
-    encoder renders one marker colouring, whose leaves are distinct marker
-    strings, at its depth in `{"colourings": [...]}`; that text is the
-    template, so `colouring_dict` stays the one definition of the shape.
-    Each leaf of the template gets a table from value index to the encoding
-    of the value, re-indented to the leaf's depth, built once; a level-n
-    leaf, n >= 2, is indexed by the object at the generator's leading
-    vertex and then by the element.  Each vector fills the leaves of the
-    template from those tables, and the row is joined in one pass.
+
+def write_colour_list(plan: Plan, write, walk=None) -> None:
+    """Write the colour list of the vectors that `walk(emit)` hands to `emit` through `write`.
+
+    The text is `colour_list_json`'s.  `walk` defaults to `plan.walk`, which
+    hands over every colouring of the plan; no `Colouring` and no values
+    dict is built for a vector.  The encoder renders one marker colouring,
+    whose leaves are distinct marker strings, at its depth in
+    `{"colourings": [...]}`; that text is the template, so `colouring_dict`
+    stays the one definition of the shape.  Each leaf of the template gets
+    a table from value index to the encoding of the value, re-indented to
+    the leaf's depth, built once; a level-n leaf, n >= 2, is indexed by the
+    object at the generator's leading vertex and then by the element.  Each
+    vector fills the leaves of the template from those tables, the row is
+    joined in one pass, and rows reach `write` in blocks of about `_BLOCK`
+    characters as the walk hands them over.
     """
     X, A = plan.X, plan.A
     gens = list(X.all_gens())
@@ -579,15 +658,27 @@ def plan_colour_list(plan: Plan, walk=None) -> str:
         slots.append((X.gen_index(g), lead, tables[key]))
     row, rows = [None] * (2 * len(literals) - 1), []
     row[::2] = literals
+    per_block = max(1, _BLOCK // len(item))
+    sep = "\n"
+
+    def flush():
+        nonlocal sep
+        write(sep)
+        write(",\n".join(rows))
+        rows.clear()
+        sep = ",\n"
 
     def emit(v):
         row[1::2] = [t[v[k]] if lead is None else t[v[lead]][v[k]] for k, lead, t in slots]
         rows.append("".join(row))
+        if len(rows) == per_block:
+            flush()
 
+    write(head)
     (walk or plan.walk)(emit)
-    if not rows:
-        return head + doc[end:]
-    return head + "\n" + ",\n".join(rows) + foot
+    if rows:
+        flush()
+    write(doc[end:] if sep == "\n" else foot)
 
 
 def _leaf_table(A: CrossedComplex, indent: str, n: int) -> list:

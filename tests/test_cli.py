@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import hashlib
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from quinncalc.cli import main
+from quinncalc.cli import COMMANDS, build_parser, main
 from quinncalc.io import (
     crossed_complex_to_json,
     crossed_module_to_json,
@@ -158,12 +159,12 @@ def test_validate_good_and_bad(files, capsys, tmp_path):
 def test_validate_schema_error(tmp_path, capsys):
     f = tmp_path / "junk.json"
     f.write_text("{\"elements\": [\"a\"]}")
-    code = main(["validate", "--input", str(f)])
+    code, _ = _exit_code_and_stderr(["validate", "--input", str(f)])
     assert code == 2
 
 
 def test_boundary_mismatch_exit_code(files, capsys):
-    code = main(
+    code, _ = _exit_code_and_stderr(
         ["quinn-matrix", "--cobordism", files["torus"], "--algebra", files["z2"]]
     )
     assert code == 4
@@ -308,10 +309,9 @@ DANGLING_EDGE = {
 def test_space_with_dangling_face_exits_2(files, tmp_path, capsys, tags):
     bad = tmp_path / "dangling.json"
     bad.write_text(json.dumps(dict(DANGLING_EDGE, tags=tags) if tags else DANGLING_EDGE))
-    code = main(["colour-count", "--space", str(bad), "--algebra", files["z2"]])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert "dangling face reference" in captured.err and "Traceback" not in captured.err
+    code, err = _exit_code_and_stderr(["colour-count", "--space", str(bad), "--algebra", files["z2"]])
+    assert code == 2
+    assert "dangling face reference" in err and "Traceback" not in err
 
 
 def test_space_with_unknown_tagged_generator_exits_2(files, tmp_path, capsys):
@@ -319,20 +319,86 @@ def test_space_with_unknown_tagged_generator_exits_2(files, tmp_path, capsys):
     data = simpset_to_json(circle())
     data["tags"] = {"in": ["zz"], "out": []}
     bad.write_text(json.dumps(data))
-    code = main(["colour-count", "--space", str(bad), "--algebra", files["z2"]])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert "'in'" in captured.err and "'zz'" in captured.err
-    assert "Traceback" not in captured.err
+    code, err = _exit_code_and_stderr(["colour-count", "--space", str(bad), "--algebra", files["z2"]])
+    assert code == 2
+    assert "'in'" in err and "'zz'" in err
+    assert "Traceback" not in err
 
 
 def test_group_product_outside_elements_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad-group.json"
     bad.write_text(json.dumps({"elements": ["a", "b"], "table": [["a", "b"], ["b", "c"]]}))
-    code = main(["chi-pi", "--algebra", str(bad)])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert "product outside element set" in captured.err
+    code, err = _exit_code_and_stderr(["chi-pi", "--algebra", str(bad)])
+    assert code == 2
+    assert "product outside element set" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--input", "{bad}"],
+        ["colour-count", "--space", "{bad}", "--algebra", "{z2}"],
+        ["colour-count", "--space", "{circle}", "--algebra", "{bad}"],
+        ["algebra", "--from", "{bad}"],
+        ["double", "--group", "{bad}"],
+        ["chi-pi", "--algebra", "{bad}"],
+    ],
+    ids=lambda argv: " ".join(argv[::2]),
+)
+def test_input_that_is_not_utf8_exits_2(files, tmp_path, argv):
+    """A file starting with the bytes ff fe (a UTF-16 mark) cannot be read as UTF-8 JSON."""
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    code, err = _exit_code_and_stderr([a.format(bad=bad, **files) for a in argv])
+    assert code == 2 and f"cannot read {bad}: 'utf-8' codec can't decode" in err
+    assert "Traceback" not in err
+
+
+def test_unwritable_out_exits_2(files, tmp_path):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = _run(
+        ["colour-list", "--space", files["circle"], "--algebra", files["z2"], "--out", str(path)]
+    )
+    assert code == 2 and out == "" and not path.exists()
+    assert err.startswith(f"error: cannot write {path}: ") and "Traceback" not in err
+
+
+PARSER_ARGVS = [
+    [], ["--help"], ["-h"], ["bogus"], ["colour-count"], ["colour-count", "--help"],
+    ["colour-count", "--space", "a"], ["colour-count", "--space", "a", "--algebra", "b", "extra"],
+    ["quinn-matrix", "--cobordism", "a", "--algebra", "b", "--format", "xml"],
+    ["validate", "--input"], ["catalog", "--algebras", "--bogus"], ["--help", "colour-count"],
+    ["chi-pi", "-h"], ["double", "--group"],
+]
+
+
+def _parsed(parse, argv):
+    """(exit code, stdout, stderr) of `parse(argv)`, which argparse ends with SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as stop:
+            parse(argv)
+    return stop.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
+def test_main_prints_what_the_full_parser_prints(argv):
+    """Usage, help and error texts do not depend on how many subparsers `main` builds."""
+    assert _parsed(main, argv) == _parsed(build_parser().parse_args, argv)
+
+
+def test_a_command_builds_only_its_own_parser(files, monkeypatch):
+    """Each call builds the parser of its command again, and no other: none is kept across calls."""
+    built, add_parser = [], argparse._SubParsersAction.add_parser
+    monkeypatch.setattr(
+        argparse._SubParsersAction, "add_parser",
+        lambda self, name, **kwargs: built.append(name) or add_parser(self, name, **kwargs),
+    )
+    for _ in range(2):
+        assert _run(["chi-pi", "--algebra", files["s3"]])[0] == 0
+    assert built == ["chi-pi", "chi-pi"]
+    _parsed(main, ["-h"])
+    assert built[2:] == list(COMMANDS)
 
 
 @lru_cache(maxsize=None)
@@ -343,11 +409,32 @@ def _catalog():
     return json.loads(out.getvalue())
 
 
-def _exit_code_and_stderr(argv):
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+def _run(argv):
+    """(exit code, stdout, stderr) of the CLI on argv, in-process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def _exit_code_and_stderr(argv):
+    """The exit code and stderr of the CLI on argv, run once to stdout and once with `--out`.
+
+    Both runs exit alike, and the file holds what stdout got.  A run that
+    exits 2, 3 or 4 writes nothing to stdout and leaves no `--out` file, so
+    every error is raised before the first write; the one exception is the
+    verdict `validate` writes on an input that fails its checks.
+    """
+    code, out, err = _run(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.json"
+        assert _run([*argv, "--out", str(path)])[:2] == (code, "")
+        written = path.read_text(encoding="utf-8") if path.exists() else None
+    if code in (2, 3, 4) and not (argv[0] == "validate" and out and not json.loads(out)["ok"]):
+        assert out == "" and written is None, (argv, code, out[:200])
+    else:
+        assert written == out, argv
+    return code, err
 
 
 @pytest.mark.parametrize(
@@ -706,13 +793,14 @@ def test_malformed_tower_levels_exit_2(files, tmp_path, tower, edit, message, co
 
 
 def test_console_entrypoint_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "quinncalc.cli", "catalog"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    assert "circle" in proc.stdout
+    for module in ("quinncalc.cli", "quinncalc"):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "catalog"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, (module, proc.stderr)
+        assert "circle" in proc.stdout
 
 
 # sha256 of "<exit code>\n<stdout>" for runs whose bytes no other tier-1 test

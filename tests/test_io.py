@@ -1,6 +1,7 @@
 import json
 from functools import lru_cache
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from quinncalc.finalg import (
 from quinncalc.finalg.crossed import semidirect
 from quinncalc.finalg.groupoids import FinGroupoid
 from quinncalc.homotopy import crs_pi1
+from quinncalc import io as qio
 from quinncalc.io import (
     algebra_from_json,
     colour_list_json,
@@ -39,6 +41,8 @@ from quinncalc.io import (
     scalar_str,
     simpset_from_json,
     simpset_to_json,
+    write_colour_list,
+    write_json,
 )
 from quinncalc.simpset import SimplexRef, SimpSet, circle, point, prism, standard_simplex, torus
 from tests.conftest import abelian_tower
@@ -181,8 +185,14 @@ _ROWS = st.lists(
     ),
     max_size=5,
 )
+# sorted tables: up to 40 rows of three indices into a list of names, some of them equal
+_TABLES = st.lists(_TEXT, min_size=1, max_size=6).flatmap(
+    lambda names: st.lists(
+        st.tuples(*[st.integers(0, len(names) - 1)] * 3), max_size=40
+    ).map(lambda rows: qio._Table(names, tuple(map(list, zip(*rows))) if rows else ([], [], [])))
+)
 _TREES = st.recursive(
-    st.one_of(_SCALARS, _TEXT, _ROWS),
+    st.one_of(_SCALARS, _TEXT, _ROWS, _TABLES),
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=3).map(tuple),
@@ -201,10 +211,40 @@ def _text_or_error(encode, data):
         return type(exc)
 
 
+def _labels(node):
+    """node with each `_Table` replaced by its label rows, for the oracle.
+
+    A dict with a key that is not a string goes to `json.dumps` whole, which
+    knows no `_Table`, so it is left as it is: both sides raise TypeError.
+    """
+    if isinstance(node, qio._Table):
+        return node.labels()
+    if isinstance(node, dict):
+        if not all(type(k) is str for k in node):
+            return node
+        return {k: _labels(v) for k, v in node.items()}
+    if isinstance(node, (list, tuple)):
+        return type(node)(map(_labels, node))
+    return node
+
+
+def streamed(data, block):
+    """The pieces `write_json` hands over, joined, with blocks of `block` characters."""
+    pieces = []
+    with mock.patch.object(qio, "_BLOCK", block):
+        write_json(data, pieces.append)
+    assert all(pieces)
+    return "".join(pieces)
+
+
 @settings(max_examples=250, deadline=None)
-@given(data=_TREES)
-def test_dump_json_matches_the_encoder_on_random_trees(data):
-    assert _text_or_error(dump_json, data) == _text_or_error(oracle, data)
+@given(data=_TREES, block=st.sampled_from([1, 40, 1 << 16]))
+def test_dump_json_matches_the_encoder_on_random_trees(data, block):
+    """`dump_json`, and `write_json` in blocks of one character, of 40 (tables of 40 rows span
+    several) and of the default size."""
+    expected = _text_or_error(oracle, _labels(data))
+    assert _text_or_error(dump_json, data) == expected
+    assert _text_or_error(lambda d: streamed(d, block), data) == expected
 
 
 def test_dump_json_writes_each_shape_as_the_encoder_does():
@@ -277,10 +317,17 @@ SLOW_COLOUR_LISTS = {("prism-torus", "xmod-z4-z2-zero")}
     [(s, a) for s in CATALOG for a in CORPUS if (s, a) not in SLOW_COLOUR_LISTS],
 )
 def test_colour_list_matches_the_encoder_on_the_catalog(space, algebra):
-    """Library-built algebras: S3 elements are tuples, so leaves span several lines."""
+    """Library-built algebras: S3 elements are tuples, so leaves span several lines.  The
+    `colour-list` writer, in blocks of about 2 kB, writes the same text."""
     X, A = CATALOG[space], CORPUS[algebra]
     cols = enumerate_colourings(X, A)
-    assert colour_list_json(X, A, cols) == old_colour_list(cols)
+    expected = old_colour_list(cols)
+    assert colour_list_json(X, A, cols) == expected
+    pieces = []
+    with mock.patch.object(qio, "_BLOCK", 2048):
+        write_colour_list(Plan(X, A), pieces.append)
+    assert "".join(pieces) == expected
+    assert len(pieces) >= len(expected) // 4096
 
 
 def _klein_level_two():
@@ -325,6 +372,8 @@ def test_colour_list_edge_cases_match_the_encoder(case):
     assert cols
     assert colour_list_json(X, A, cols) == old_colour_list(cols)
     assert colour_list_json(X, A, []) == old_colour_list([])
+    with mock.patch.object(qio, "_BLOCK", 1):  # a block per row
+        assert colour_list_json(X, A, cols) == old_colour_list(cols)
 
 
 def test_colour_list_of_point_has_empty_levels():
