@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
@@ -118,7 +119,15 @@ def _emit(args, writer, data):
     The file is opened only now, so an error raised before leaves none.
     """
     if not args.out:
-        writer(data, sys.stdout.write)
+        try:
+            writer(data, sys.stdout.write)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader has stopped (`quinncalc ... | head`): stop writing, and send what
+            # is still buffered to the null device so that the exit is quiet
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return
     try:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -363,6 +363,20 @@ def test_unwritable_out_exits_2(files, tmp_path):
     assert err.startswith(f"error: cannot write {path}: ") and "Traceback" not in err
 
 
+def test_a_reader_that_stops_early_ends_the_output_quietly(files):
+    """`quinncalc ... | head`: the 5.6 MB document outgrows the pipe, and the command exits 0
+    with nothing on stderr when the reader closes it."""
+    argv = ["ext-groupoid", "--space", files["prism-circle"], "--algebra", files["s3"]]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "quinncalc", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    assert proc.stdout.read(10) == b'{\n  "arrow'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0 and err == b""
+
+
 PARSER_ARGVS = [
     [], ["--help"], ["-h"], ["bogus"], ["colour-count"], ["colour-count", "--help"],
     ["colour-count", "--space", "a"], ["colour-count", "--space", "a", "--algebra", "b", "extra"],
