@@ -213,7 +213,7 @@ class _Ops:
         self.inv = [arr[base.inv_table[a]] for a in base.arrows]
         self.ident = [arr[base.ident[x]] for x in A.objects]
         self.comp = [[None] * len(arr) for _ in arr]
-        for (a, b), c in base.comp_table.items():
+        for a, b, c in base.entries():
             self.comp[arr[a]][arr[b]] = arr[c]
         self.index, self.mul, self.finv, self.unit, self.bdry, self.act = {}, {}, {}, {}, {}, {}
         for n in range(2, A.truncation + 1):

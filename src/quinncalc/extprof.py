@@ -59,12 +59,12 @@ class Profunctor:
                     return False
                 if self.ract[(b, GR.ident[ri])] != b:
                     return False
-        for (g1, g2), g12 in GL.comp_table.items():
+        for g1, g2, g12 in GL.entries():
             for ri in GR.objects:
                 for b in self.basis.get((GL.tgt[g2], ri), ()):
                     if self.lact[(g12, b)] != self.lact[(g1, self.lact[(g2, b)])]:
                         return False
-        for (h1, h2), h12 in GR.comp_table.items():
+        for h1, h2, h12 in GR.entries():
             for li in GL.objects:
                 for b in self.basis.get((li, GR.src[h1]), ()):
                     if self.ract[(b, h12)] != self.ract[(self.ract[(b, h1)], h2)]:
@@ -84,7 +84,8 @@ def identity_profunctor(crs: CrsResult) -> Profunctor:
     basis = {(x, y): G.arrows_between(x, y) for x in G.objects for y in G.objects}
     sizes = {b: 1 for b in G.arrows}
     # g acts on b by g.b on the left and b.g on the right: both tables are the composition table
-    return Profunctor(crs, crs, basis, dict(G.comp_table), dict(G.comp_table), sizes)
+    table = {(a, b): c for a, b, c in G.entries()}
+    return Profunctor(crs, crs, basis, table, dict(table), sizes)
 
 
 def cobordism_profunctor(M: Stratification, A: CrossedComplex) -> Profunctor:
@@ -172,7 +173,7 @@ def _transports(crs: CrsResult, plan: Plan, over: dict, rep_keys: dict, class_of
         for a in frontier:
             ta = done[a]
             for g in into.get(G.src[a], ()):
-                c = G.comp_table[(g, a)]
+                c = G.comp(g, a)
                 if c not in done:
                     tg = done[g]
                     done[c] = [tg[j] for j in ta]

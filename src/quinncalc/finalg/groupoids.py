@@ -5,6 +5,7 @@ when `tgt(a) == src(b)` and is the arrow "a then b".
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import cached_property
 
 from .groups import FinGroup, ValidationReport, _generating_sequence
@@ -35,21 +36,15 @@ def partition(n: int, links):
     return tuple(tuple(c) for c in classes.values())
 
 
-def index_rows(table: dict, at: dict) -> list:
-    """The entries {(a, b): c} of a table as rows (at[a], (at[b],), (at[c],)), in table order.
-
-    The shape of `FinGroupoid.comp_rows`, one entry per row.
-    """
-    return [(at[a], (at[b],), (at[c],)) for (a, b), c in table.items()]
-
-
 class FinGroupoid:
-    """A groupoid with its composition table.
+    """A groupoid with its composition table on arrow indices.
 
-    `comp` is the table, either as a dict {(a, b): a then b} or, on arrow
-    indices, as `products`: for the arrow of index i, the indices of its
-    composites with each arrow out of its target, in arrow order.  Given
-    `products`, `comp_table` is built on first use, in that order.
+    `products[i]` is the list of the indices of the composites of the arrow of
+    index i with each arrow out of its target, in arrow order, None for a
+    missing entry.  `comp` may be that list or a dict {(a, b): a then b}, which is
+    converted once, here.  An entry of the dict with no place in `products`
+    (a pair that does not compose, or a name that is not an arrow) is kept
+    only for `validate` to report.  `comp_table` is a read-only view.
     """
 
     def __init__(self, objects, arrows, src, tgt, comp, ident, inv=None, name=""):
@@ -57,51 +52,60 @@ class FinGroupoid:
         self.arrows = tuple(arrows)
         self.src = dict(src)
         self.tgt = dict(tgt)
-        if isinstance(comp, dict):
-            self.comp_table, self.products = dict(comp), None
-        else:
-            self.products = comp
         self.ident = dict(ident)
         self.name = name
         self._obj_index = {x: i for i, x in enumerate(self.objects)}
         self._arr_index = {a: i for i, a in enumerate(self.arrows)}
+        self.products, self._strays = comp, []
+        if isinstance(comp, Mapping):
+            (outs, pos), at = self._outs, self._arr_index
+            self.products = [[None] * len(outs.get(self.tgt.get(a), ())) for a in self.arrows]
+            for (a, b), c in comp.items():
+                i, j, k = at.get(a), at.get(b), at.get(c)
+                if None in (i, j, k) or self.tgt.get(a) != self.src.get(b):
+                    self._strays.append((a, b, c))
+                else:
+                    self.products[i][pos[j]] = k
         self.inv_table = dict(inv) if inv is not None else self._find_inverses()
 
     def _find_inverses(self):
-        inv = {}
+        inv, table = {}, self.comp_table
         for a in self.arrows:
             x, y = self.src[a], self.tgt[a]
             for b in self.arrows_between(y, x):
-                if (
-                    self.comp_table.get((a, b)) == self.ident.get(x)
-                    and self.comp_table.get((b, a)) == self.ident.get(y)
-                ):
+                if table.get((a, b)) == self.ident.get(x) and table.get((b, a)) == self.ident.get(y):
                     inv[a] = b
                     break
         return inv
 
     @cached_property
-    def comp_table(self) -> dict:
-        """{(a, b): a then b}, from `products` on first use."""
-        arrows = self.arrows
-        rows = self.comp_rows()
-        return {(arrows[i], arrows[j]): arrows[k] for i, js, ks in rows for j, k in zip(js, ks)}
+    def _outs(self) -> tuple:
+        """(outs, pos): source -> the indices of the arrows out of it, in arrow order, and
+        pos[j], the place of arrows[j] among the arrows out of its source."""
+        outs, pos = {}, []
+        for b in self.arrows:
+            js = outs.setdefault(self.src.get(b), [])
+            pos.append(len(js))
+            js.append(len(pos) - 1)
+        return {x: tuple(js) for x, js in outs.items()}, pos
+
+    @property
+    def comp_table(self) -> Mapping:
+        """{(a, b): a then b}, a read-only view of `products` in arrow-major order."""
+        return _TableView(self)
 
     def comp_rows(self) -> list:
-        """The table in table order as rows (i, js, ks) of arrow indices.
+        """The table as rows (i, js, ks) of arrow indices, one per arrow, in arrow order: the
+        entries arrows[i] then arrows[js[p]] = arrows[ks[p]], with js the arrows out of the
+        target of arrows[i] and ks = `products[i]`."""
+        outs, tgt, rows = self._outs[0], self.tgt, zip(self.arrows, self.products)
+        return [(i, outs.get(tgt.get(a), ()), ks) for i, (a, ks) in enumerate(rows)]
 
-        A row holds the entries arrows[i] then arrows[js[p]] = arrows[ks[p]].
-        From `products`, a row holds all composites of one arrow; from a dict,
-        one entry (`index_rows`).
-        """
-        if self.products is None:
-            return index_rows(self.comp_table, self._arr_index)
-        out = {}
-        for i, a in enumerate(self.arrows):
-            out.setdefault(self.src[a], []).append(i)
-        out = {x: tuple(js) for x, js in out.items()}
-        tgt = [self.tgt[a] for a in self.arrows]
-        return [(i, out[tgt[i]], ks) for i, ks in enumerate(self.products)]
+    def entries(self):
+        """The entries (a, b, a then b) of the table, in arrow-major order."""
+        ids = self.arrows
+        for i, js, ks in self.comp_rows():
+            yield from ((ids[i], ids[j], ids[k]) for j, k in zip(js, ks) if k is not None)
 
     @cached_property
     def ends(self) -> tuple:
@@ -125,7 +129,12 @@ class FinGroupoid:
         return self._arr_index[a]
 
     def comp(self, a, b):
-        return self.comp_table[(a, b)]
+        """a then b, read from `products`; KeyError if they do not compose or the entry is missing."""
+        if self.tgt[a] == self.src[b]:
+            k = self.products[self._arr_index[a]][self._outs[1][self._arr_index[b]]]
+            if k is not None:
+                return self.arrows[k]
+        raise KeyError((a, b))
 
     def inv(self, a):
         return self.inv_table[a]
@@ -177,77 +186,90 @@ class FinGroupoid:
                 out[x] = comp[0]
         return out
 
-    def validate(self) -> ValidationReport:
+    def validate_names(self) -> ValidationReport:
+        """The first checks of `validate`: arrows end at objects, and the tables name only arrows."""
         objs = set(self.objects)
         for a in self.arrows:
             if self.src.get(a) not in objs or self.tgt.get(a) not in objs:
                 return ValidationReport.malformed("dangling arrow endpoints", (a,))
-        for x in self.objects:
-            e = self.ident.get(x)
-            if e is None or self.src.get(e) != x or self.tgt.get(e) != x:
-                return ValidationReport.malformed("missing or misplaced identity", (x,))
         arrows = set(self.arrows)
-        for (a, b), c in self.comp_table.items():
+        for a, b, c in self._strays:
             if not {a, b, c} <= arrows:
                 return ValidationReport.malformed("composition names an unknown arrow", (a, b, c))
         for a, b in self.inv_table.items():
             if not {a, b} <= arrows:
                 return ValidationReport.malformed("inverse names an unknown arrow", (a, b))
-        table, src, tgt = self.comp_table, self.src, self.tgt
-        out, into, _ = self.ends
-        # every entry composable and as many entries as composable pairs: the table is complete
-        if len(table) != sum(len(arr) * len(out.get(y, ())) for y, arr in into.items()) or any(
-            tgt[a] != src[b] or src[c] != src[a] or tgt[c] != tgt[b] for (a, b), c in table.items()
-        ):
-            for a in self.arrows:
-                for b in self.arrows:
-                    defined = (a, b) in table
-                    if defined != (tgt[a] == src[b]):
-                        return ValidationReport.malformed("composition defined iff tgt=src", (a, b))
-                    if defined:
-                        c = table[(a, b)]
-                        if src.get(c) != src[a] or tgt.get(c) != tgt[b]:
-                            return ValidationReport.axiom("composite endpoints wrong", (a, b, c))
-        for a in self.arrows:
-            x, y = src[a], tgt[a]
-            if table.get((self.ident[x], a)) != a or table.get((a, self.ident[y])) != a:
+        return ValidationReport.passed()
+
+    def validate(self) -> ValidationReport:
+        report = self.validate_names()
+        if not report:
+            return report
+        for x in self.objects:
+            e = self.ident.get(x)
+            if e is None or self.src.get(e) != x or self.tgt.get(e) != x:
+                return ValidationReport.malformed("missing or misplaced identity", (x,))
+        ids, prod, (outs, pos), table = self.arrows, self.products, self._outs, self.comp_table
+        src, tgt = [self.src[a] for a in ids], [self.tgt[a] for a in ids]
+        # pairs (i, j) out of place: a stray entry, a missing one, or a composite with wrong ends
+        faults = [(self.arr_index(a), self.arr_index(b)) for a, b, _ in self._strays]
+        for i, row in enumerate(prod):
+            ends = zip(outs[tgt[i]], row)
+            faults += [(i, j) for j, k in ends if k is None or src[k] != src[i] or tgt[k] != tgt[j]]
+        if faults:
+            a, b = (ids[i] for i in min(faults))
+            c = table.get((a, b))
+            if c is None:
+                return ValidationReport.malformed("composition defined iff tgt=src", (a, b))
+            return ValidationReport.axiom("composite endpoints wrong", (a, b, c))
+        for i, a in enumerate(ids):
+            if table[(self.ident[src[i]], a)] != a or table[(a, self.ident[tgt[i]])] != a:
                 return ValidationReport.axiom("identity is not a two-sided unit", (a,))
-        for a in self.arrows:
+        for i, a in enumerate(ids):
             b = self.inv_table.get(a)
             if b is None:
                 return ValidationReport.axiom("arrow has no two-sided inverse", (a,))
-            if table.get((a, b)) != self.ident[src[a]] or table.get((b, a)) != self.ident[tgt[a]]:
+            if table.get((a, b)) != self.ident[src[i]] or table.get((b, a)) != self.ident[tgt[i]]:
                 return ValidationReport.axiom("inverse table wrong", (a, b))
-        # on arrow indices: prod[i][p] is arrows[i] then the p-th arrow out of its target,
-        # and pos[j] the place of arrows[j] among the arrows out of its source
-        at, ids = self._arr_index, self.arrows
-        outs = {x: [at[b] for b in bs] for x, bs in out.items()}
-        pos = [0] * len(ids)
-        for bs in outs.values():
-            for p, b in enumerate(bs):
-                pos[b] = p
-        prod = [[at[table[(a, b)]] for b in out[tgt[a]]] for a in ids]
-        for a, row in zip(ids, prod):
-            for b, ab in zip(outs[tgt[a]], row):
-                # (a.b).c against a.(b.c), for each c out of tgt b, in that order
-                right = [row[pos[bc]] for bc in prod[b]]
-                if prod[ab] != right:
-                    q = next(q for q, (u, v) in enumerate(zip(prod[ab], right)) if u != v)
-                    c = outs[tgt[ids[b]]][q]
-                    return ValidationReport.axiom("associativity fails", (a, ids[b], ids[c]))
+        for i, row in enumerate(prod):
+            for j, ij in zip(outs[tgt[i]], row):
+                # (i.j).k against i.(j.k), for each k out of tgt j, in that order
+                right = [row[pos[jk]] for jk in prod[j]]
+                if prod[ij] != right:  # also when rows are tuples: then compare entry by entry
+                    q = next((q for q, (u, v) in enumerate(zip(prod[ij], right)) if u != v), None)
+                    if q is not None:
+                        k = outs[tgt[j]][q]
+                        return ValidationReport.axiom("associativity fails", (ids[i], ids[j], ids[k]))
         return ValidationReport.passed()
 
     def __repr__(self):
         return f"FinGroupoid({self.name or ''}, {len(self.objects)} objects, {len(self.arrows)} arrows)"
 
 
+class _TableView(Mapping):
+    """A groupoid's table {(a, b): a then b}, read from its `products`: keys in
+    arrow-major order, lookups through `comp`."""
+
+    def __init__(self, G: FinGroupoid):
+        self._G = G
+
+    def __getitem__(self, key):
+        return self._G.comp(*key)
+
+    def __len__(self):
+        return sum(len(row) - row.count(None) for row in self._G.products)
+
+    def __iter__(self):
+        return ((a, b) for a, b, _ in self._G.entries())
+
+
 def groupoid_from_group(G: FinGroup, obj="*") -> FinGroupoid:
     """The one-object groupoid carrying G, with compose(a, b) = a*b."""
     src = {a: obj for a in G.elements}
-    comp = {(a, b): G.mul(a, b) for a in G.elements for b in G.elements}
+    products = [[G.index(G.mul(a, b)) for b in G.elements] for a in G.elements]
     ident = {obj: G.unit}
     inv = {a: G.inv(a) for a in G.elements}
-    return FinGroupoid((obj,), G.elements, src, dict(src), comp, ident, inv, name=G.name)
+    return FinGroupoid((obj,), G.elements, src, dict(src), products, ident, inv, name=G.name)
 
 
 def pair_groupoid(k: int) -> FinGroupoid:
@@ -256,10 +278,11 @@ def pair_groupoid(k: int) -> FinGroupoid:
     arrows = tuple((x, y) for x in objects for y in objects)
     src = {(x, y): x for (x, y) in arrows}
     tgt = {(x, y): y for (x, y) in arrows}
-    comp = {((x, y), (y2, z)): (x, z) for (x, y) in arrows for (y2, z) in arrows if y == y2}
+    # (x, y) then (y, z) is (x, z), the arrow of index (x - 1) * k + z - 1
+    products = [[(x - 1) * k + z - 1 for z in objects] for (x, y) in arrows]
     ident = {x: (x, x) for x in objects}
     inv = {(x, y): (y, x) for (x, y) in arrows}
-    return FinGroupoid(objects, arrows, src, tgt, comp, ident, inv, name=f"I({k})")
+    return FinGroupoid(objects, arrows, src, tgt, products, ident, inv, name=f"I({k})")
 
 
 def validate_left_action(G: FinGroup, points, act) -> ValidationReport:
@@ -298,14 +321,12 @@ def action_groupoid(G: FinGroup, points, act) -> FinGroupoid:
     arrows = tuple((x, g) for x in points for g in G.elements)
     src = {(x, g): x for (x, g) in arrows}
     tgt = {(x, g): act[(g, x)] for (x, g) in arrows}
-    comp = {}
-    for (x, g) in arrows:
-        y = tgt[(x, g)]
-        for h in G.elements:
-            comp[((x, g), (y, h))] = (x, G.mul(h, g))
+    # the arrow of index i is (x, g) with x the point of index i // n; (x, g)(g.x, h) = (x, hg)
+    n = len(G.elements)
+    products = [[i // n * n + G.index(G.mul(h, g)) for h in G.elements] for i, (_, g) in enumerate(arrows)]
     ident = {x: (x, G.unit) for x in points}
     inv = {(x, g): (tgt[(x, g)], G.inv(g)) for (x, g) in arrows}
-    return FinGroupoid(points, arrows, src, tgt, comp, ident, inv, name=f"{G.name}-action")
+    return FinGroupoid(points, arrows, src, tgt, products, ident, inv, name=f"{G.name}-action")
 
 
 def quotient_groupoid(G: FinGroupoid, normal: dict) -> tuple[FinGroupoid, dict]:
@@ -328,16 +349,13 @@ def quotient_groupoid(G: FinGroupoid, normal: dict) -> tuple[FinGroupoid, dict]:
                 raise ValueError("normal family is not closed; cosets overlap")
             proj[c] = rep
     reps = tuple(a for a in G.arrows if proj[a] == a)
-    comp = {}
-    for a in reps:
-        for b in G.arrows_from(G.tgt[a]):
-            if proj[b] == b:
-                comp[(a, b)] = proj[G.comp(a, b)]
+    at = {a: i for i, a in enumerate(reps)}
+    products = [[at[proj[G.comp(a, b)]] for b in G.arrows_from(G.tgt[a]) if b in at] for a in reps]
     ident = {x: proj[G.ident[x]] for x in G.objects}
     inv = {a: proj[G.inv(a)] for a in reps}
     src = {a: G.src[a] for a in reps}
     tgt = {a: G.tgt[a] for a in reps}
-    quot = FinGroupoid(G.objects, reps, src, tgt, comp, ident, inv, name=f"{G.name}/N")
+    quot = FinGroupoid(G.objects, reps, src, tgt, products, ident, inv, name=f"{G.name}/N")
     return quot, proj
 
 
@@ -391,7 +409,7 @@ def find_groupoid_iso(G: FinGroupoid, H: FinGroupoid):
     for cg in comps_G:
         if not match_component(cg):
             return None
-    for (a, b), ab in G.comp_table.items():
+    for a, b, ab in G.entries():
         if arr_map[ab] != H.comp(arr_map[a], arr_map[b]):
             return None
     if len(set(arr_map.values())) != len(H.arrows):

@@ -15,7 +15,7 @@ from operator import itemgetter
 from .colouring import Plan, colouring_dict
 from .errors import SchemaError
 from .finalg.crossed import CrossedComplex, CrossedModulePresentation, iota1, iota2
-from .finalg.groupoids import FinGroupoid, index_rows
+from .finalg.groupoids import FinGroupoid
 from .finalg.groups import FinGroup
 from .simpset import SimpSet, SimplexRef, Stratification
 
@@ -324,6 +324,8 @@ def crossed_complex_from_json(data) -> CrossedComplex:
                 base.ident[x] = a
                 break
         else:
+            # a dangling arrow or an entry naming no arrow also hides an identity: name that first
+            base.validate_names().raise_if_failed()
             raise SchemaError(f"level 1 lacks an identity at object {x!r}")
     levels, bdry, act = {}, {}, {}
     elem_owner = {}
@@ -372,9 +374,7 @@ def crossed_complex_to_json(A: CrossedComplex) -> dict:
         ],
         "compose": [
             [str(a), str(b), str(c)]
-            for (a, b), c in sorted(
-                base.comp_table.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1]))
-            )
+            for a, b, c in sorted(base.entries(), key=lambda abc: (str(abc[0]), str(abc[1])))
         ],
         "inv": [[str(a), str(base.inv(a))] for a in base.arrows],
     }
@@ -512,8 +512,8 @@ def _label_sorted_rows(rows, ids, lab: LabelMap) -> _Table:
     """The rows [a, b, c] of a table, as labels, sorted on the labels of (a, b).
 
     `rows` holds the table in table order as (i, js, ks) on indices into
-    `ids`: the entries (ids[i], ids[js[p]]) -> ids[ks[p]] (`index_rows`,
-    `FinGroupoid.comp_rows`).  Each id is labelled once.  The rows are
+    `ids`: the entries (ids[i], ids[js[p]]) -> ids[ks[p]] (`FinGroupoid.comp_rows`,
+    or one entry a row).  Each id is labelled once.  The rows are
     sorted on the integer rank of the label of i; the entries of each run
     of rows of equal rank, on the rank of the label of j.  That order
     depends only on the run's js, so it is found once per distinct js.
@@ -573,7 +573,8 @@ def groupoid_document(G: FinGroupoid, labels: LabelMap | None = None) -> dict:
 
 def _action_rows(table: dict, ids, lab: LabelMap) -> list:
     """`_label_sorted_rows` of an action table {(a, b): c} on `ids`, as lists."""
-    rows = index_rows(table, {g: i for i, g in enumerate(ids)})
+    at = {g: i for i, g in enumerate(ids)}
+    rows = [(at[a], (at[b],), (at[c],)) for (a, b), c in table.items()]
     return _label_sorted_rows(rows, ids, lab).labels()
 
 

@@ -76,7 +76,7 @@ class Algebra:
 
 def groupoid_algebra(G: FinGroupoid) -> Algebra:
     """Arrows as basis; the product concatenates when endpoints match."""
-    mul = {ab: {c: _ONE} for ab, c in G.comp_table.items()}
+    mul = {(a, b): {c: _ONE} for a, b, c in G.entries()}
     unit = {G.ident[x]: _ONE for x in G.objects}
     return Algebra(tuple(G.arrows), mul, unit, name=f"Lin2({G.name})")
 

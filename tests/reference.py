@@ -26,8 +26,9 @@ Also here: test-only checks that build on them (`is_valid_colouring`,
 The groupoid and Morita section keeps the code that found incident
 arrows and composable pairs by scanning every arrow, or every pair of
 arrows, and filtering: the oracles of `FinGroupoid.ends`, of the walks of
-`comp_table`, of `FinGroupoid.validate` (`validate_groupoid`) and of
-`tensor_over`'s walk of the action tables' rows.
+the composition table, of `FinGroupoid.validate` (`validate_groupoid`, on
+the table the caller gave, or on `table_of` a groupoid given `products`)
+and of `tensor_over`'s walk of the action tables' rows.
 
 The colouring walk on values (`DictPlan`), with its dict-based labels, tests
 and domains, is the oracle of `Plan`'s walk on value indices.
@@ -422,7 +423,7 @@ def _term(A, n: int, h, sign: int, arrow):
 def _apply(plan, f: dict, h: dict) -> dict:
     """The values of the other end of the 1-fold homotopy h, which targets f, on the dict terms."""
     X, A = plan.X, plan.A
-    comp, inv = A.base.comp_table, A.base.inv_table
+    comp, inv = table_of(A.base), A.base.inv_table
     out = {v: A.base.src[h[v]] for v in X.gens(0)}
     for e in X.gens(1):
         s, t = X.edge_ends(e)
@@ -442,7 +443,7 @@ def _apply(plan, f: dict, h: dict) -> dict:
 def _delta2(plan, f: dict, h: dict) -> dict:
     """The values of the boundary of the 2-fold homotopy h at f, on the dict terms."""
     X, A = plan.X, plan.A
-    comp = A.base.comp_table
+    comp = table_of(A.base)
     out = {v: A.bdry_of(2, h[v]) if v in h else A.base.ident[f[v]] for v in X.gens(0)}
     if A.truncation >= 2:
         for e in X.gens(1):
@@ -669,51 +670,63 @@ def arrows_between(G, x, y):
     return tuple(a for a in G.arrows if G.src[a] == x and G.tgt[a] == y)
 
 
-def validate_groupoid(G) -> ValidationReport:
-    """`FinGroupoid.validate` testing every pair of arrows for composability, and reading
-    a . b again for each c in the associativity check."""
+@lru_cache(maxsize=16)
+def table_of(G) -> dict:
+    """{(a, b): a then b} from a groupoid's `products`, in arrow-major order, missing
+    entries left out: the table a caller would give for a groupoid given `products`, and
+    the dict the oracles below look composites up in.  Shared between calls: read only."""
+    ids = G.arrows
+    return {
+        (ids[i], ids[j]): ids[k]
+        for i, js, ks in G.comp_rows()
+        for j, k in zip(js, ks)
+        if k is not None
+    }
+
+
+def validate_groupoid(G, table: dict) -> ValidationReport:
+    """`FinGroupoid.validate` of G with the composition table `table`, as the caller
+    gave it, testing every pair of arrows for composability, and reading a . b again
+    for each c in the associativity check."""
     objs = set(G.objects)
     for a in G.arrows:
         if G.src.get(a) not in objs or G.tgt.get(a) not in objs:
             return ValidationReport.malformed("dangling arrow endpoints", (a,))
-    for x in G.objects:
-        e = G.ident.get(x)
-        if e is None or G.src.get(e) != x or G.tgt.get(e) != x:
-            return ValidationReport.malformed("missing or misplaced identity", (x,))
     arrows = set(G.arrows)
-    for (a, b), c in G.comp_table.items():
+    for (a, b), c in table.items():
         if not {a, b, c} <= arrows:
             return ValidationReport.malformed("composition names an unknown arrow", (a, b, c))
     for a, b in G.inv_table.items():
         if not {a, b} <= arrows:
             return ValidationReport.malformed("inverse names an unknown arrow", (a, b))
+    for x in G.objects:
+        e = G.ident.get(x)
+        if e is None or G.src.get(e) != x or G.tgt.get(e) != x:
+            return ValidationReport.malformed("missing or misplaced identity", (x,))
     for a in G.arrows:
         for b in G.arrows:
-            defined = (a, b) in G.comp_table
+            defined = (a, b) in table
             composable = G.tgt[a] == G.src[b]
             if defined != composable:
                 return ValidationReport.malformed("composition defined iff tgt=src", (a, b))
             if defined:
-                c = G.comp_table[(a, b)]
+                c = table[(a, b)]
                 if G.src.get(c) != G.src[a] or G.tgt.get(c) != G.tgt[b]:
                     return ValidationReport.axiom("composite endpoints wrong", (a, b, c))
     for a in G.arrows:
         x, y = G.src[a], G.tgt[a]
-        if G.comp_table.get((G.ident[x], a)) != a or G.comp_table.get((a, G.ident[y])) != a:
+        if table.get((G.ident[x], a)) != a or table.get((a, G.ident[y])) != a:
             return ValidationReport.axiom("identity is not a two-sided unit", (a,))
     for a in G.arrows:
         b = G.inv_table.get(a)
         if b is None:
             return ValidationReport.axiom("arrow has no two-sided inverse", (a,))
-        if (
-            G.comp_table.get((a, b)) != G.ident[G.src[a]]
-            or G.comp_table.get((b, a)) != G.ident[G.tgt[a]]
-        ):
+        if table.get((a, b)) != G.ident[G.src[a]] or table.get((b, a)) != G.ident[G.tgt[a]]:
             return ValidationReport.axiom("inverse table wrong", (a, b))
     for a in G.arrows:
         for b in arrows_from(G, G.tgt[a]):
             for c in arrows_from(G, G.tgt[b]):
-                if G.comp(G.comp(a, b), c) != G.comp(a, G.comp(b, c)):
+                if table[(table[(a, b)], c)] != table[(a, table[(b, c)])]:
                     return ValidationReport.axiom("associativity fails", (a, b, c))
     return ValidationReport.passed()
 
@@ -862,7 +875,7 @@ class DictPlan:
     """The colouring walk as it ran on values: the oracle of `Plan`'s walk on value indices.
 
     Labels, tests and domains read a dict from generator to value and look
-    values up in tuple-keyed tables of A (`comp_table`, `act`, fibre
+    values up in tuple-keyed tables of A (`table_of` its base, `act`, fibre
     products); every label test runs, including those that exactness makes
     vacuous.  The schedule is `Plan`'s: levels in generator order, the test
     of an (n+1)-generator once its last n-face is assigned.
@@ -908,7 +921,7 @@ class DictPlan:
         X, A = self.X, self.A
         n = X.dim_of[c]
         terms = hal_word(X, c)
-        comp = A.base.comp_table
+        comp = table_of(A.base)
         if n == 2:
             (k0, t0), (k1, t1), (k2, t2) = (_reader(X, A, r, s) for r, s, _ in terms)
 
@@ -1069,7 +1082,7 @@ def _mover(plan, stars: dict, f: dict, g):
     Values are read and combined through the dict tables of A.
     """
     A = plan.A
-    comp, inv = A.base.comp_table, A.base.inv_table
+    comp, inv = table_of(A.base), A.base.inv_table
     n = plan.X.dim_of[g] + 1  # the level of h
     if n == 1:
         edges, cells = stars[g]

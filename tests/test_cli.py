@@ -26,6 +26,7 @@ from quinncalc.io import (
 from quinncalc.finalg import (
     crossed_module_zero,
     cyclic_group,
+    iota1,
     iota2,
     pair_groupoid,
     symmetric_group,
@@ -280,6 +281,42 @@ def test_algebra_from_groupoid_file_is_validated(tmp_path, data, exit_code, mess
     path.write_text(json.dumps(data))
     code, err = _exit_code_and_stderr(["algebra", "--from", str(path)])
     assert code == exit_code and message in err
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        pytest.param(
+            "unknown-composite",
+            "composition names an unknown arrow (witness ('(0, 1, 2)', '(0, 1, 2)', 'nope'))",
+            id="unknown-composite",
+        ),
+        pytest.param("dangling-arrow", "dangling arrow endpoints (witness ('z',))", id="dangling-arrow"),
+    ],
+)
+@pytest.mark.parametrize("route", ["algebra-from", "algebra-file"])
+def test_a_fault_that_hides_an_identity_is_named(tmp_path, fault, message, route):
+    """An identity row entry naming no arrow, or an added arrow ending at no object, keeps
+    the identity search of level 1 from finding one.  The error names that entry or arrow,
+    exit 2, whether the table comes as a groupoid file or as a crossed complex file."""
+    data = crossed_complex_to_json(iota1(symmetric_group(3)))
+    level1 = data["level1"]
+    if fault == "unknown-composite":
+        row = next(r for r in level1["compose"] if r[:2] == ["(0, 1, 2)", "(0, 1, 2)"])
+        row[2] = "nope"
+    else:
+        level1["arrows"].append({"id": "z", "src": "*", "tgt": "nowhere"})
+    path = tmp_path / "input.json"
+    if route == "algebra-from":
+        path.write_text(json.dumps({"objects": data["objects"], **level1}))
+        argv = ["algebra", "--from", str(path)]
+    else:
+        path.write_text(json.dumps(data))
+        space = tmp_path / "circle.json"
+        space.write_text(dump_json(simpset_to_json(circle())))
+        argv = ["colour-count", "--space", str(space), "--algebra", str(path)]
+    code, err = _exit_code_and_stderr(argv)
+    assert code == 2 and message in err and "identity" not in err
 
 
 def test_ext_groupoid_output_reads_back_as_a_groupoid_file(files, tmp_path, capsys):

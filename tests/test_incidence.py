@@ -1,10 +1,13 @@
 """The endpoint index of `FinGroupoid` and the walks that read it, against the
 all-arrow and all-pair scans they replace (kept in `tests/reference.py`)."""
+import ast
 import random
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
+import quinncalc
 from quinncalc.extprof import cobordism_profunctor
 from quinncalc.finalg import (
     action_groupoid,
@@ -86,48 +89,119 @@ def test_groupoid_algebra_matches_the_all_pairs_scan(name):
     assert new.structure_triples() == old.structure_triples()
 
 
-def _mutant(G, rng):
-    """G with one or two random faults in its composition or inverse table."""
-    comp, inv = dict(G.comp_table), dict(G.inv_table)
+def _mutant(G, rng, products=False):
+    """(G with one or two random faults in its composition or inverse table, that table).
+
+    The table is given as a dict, or with `products` as rows of arrow indices: there a
+    dropped entry is None and a rerouted one names another arrow, with any ends or the
+    right ones; the table returned is then `reference.table_of` the broken groupoid.
+    """
+    comp, inv = (list(map(list, G.products)) if products else dict(G.comp_table)), dict(G.inv_table)
     for _ in range(rng.choice((1, 2))):
         a, b = rng.choice(G.arrows), rng.choice(G.arrows)
-        edit = rng.choice(["drop", "reroute", "same-ends", "inverse", "unknown"])
-        if edit == "drop":
+        edit = rng.choice(["drop", "reroute", "same-ends", "inverse"] + ["unknown"] * (not products))
+        if edit == "inverse":
+            inv[a] = b
+        elif products:  # the entry of arrow a with the arrow b out of its target
+            b = rng.choice(G.arrows_from(G.tgt[a]))
+            row, p = comp[G.arr_index(a)], G.arrows_from(G.tgt[a]).index(b)
+            ends = G.arrows_between(G.src[a], G.tgt[b]) if edit == "same-ends" else G.arrows
+            row[p] = None if edit == "drop" else G.arr_index(rng.choice(ends))
+        elif edit == "drop":
             comp.pop(rng.choice(list(comp)))
         elif edit == "reroute":  # an entry for any pair, composable or not, to any arrow
             comp[(a, b)] = rng.choice(G.arrows)
         elif edit == "same-ends":  # a composable pair to another arrow with the right ends
             b = rng.choice(G.arrows_from(G.tgt[a]))
             comp[(a, b)] = rng.choice(G.arrows_between(G.src[a], G.tgt[b]))
-        elif edit == "inverse":
-            inv[a] = b
         else:
             comp[(a, b)] = "no such arrow"
-    return FinGroupoid(G.objects, G.arrows, G.src, G.tgt, comp, G.ident, inv)
+    broken = FinGroupoid(G.objects, G.arrows, G.src, G.tgt, comp, G.ident, inv)
+    return broken, (reference.table_of(broken) if products else comp)
+
+
+def _mutant_messages(products=False):
+    """The messages of `validate` on 60 broken tables for each of five groupoids, each
+    report (verdict, kind, message, witness) equal to the all-pairs check's."""
+    messages = set()
+    for name in ["group-S3", "pair-3", "pair-4", "s3-conjugation", "circle-s3"]:
+        G = _groupoids()[name]
+        passed = reference.validate_groupoid(G, reference.table_of(G))
+        assert G.validate() == passed == ValidationReport.passed()
+        rng = random.Random(f"{name} products" if products else name)
+        for _ in range(60):
+            broken, table = _mutant(G, rng, products)
+            got = broken.validate()
+            assert got == reference.validate_groupoid(broken, table), name
+            messages.add(got.message)
+    return messages
+
+
+AXIOM_MESSAGES = {
+    "composite endpoints wrong",
+    "identity is not a two-sided unit",
+    "inverse table wrong",
+    "associativity fails",
+}
 
 
 def test_validate_matches_the_all_pairs_check_on_broken_tables():
     """The same verdict, message and witness as the check over every pair of arrows,
     on 60 tables with one or two faults for each of five groupoids."""
-    messages = set()
-    for name in ["group-S3", "pair-3", "pair-4", "s3-conjugation", "circle-s3"]:
-        G = _groupoids()[name]
-        assert G.validate() == reference.validate_groupoid(G) == ValidationReport.passed()
-        rng = random.Random(name)
-        for _ in range(60):
-            broken = _mutant(G, rng)
-            got = broken.validate()
-            assert got == reference.validate_groupoid(broken), name
-            messages.add(got.message)
-    assert messages == {
+    assert _mutant_messages() == {
         "",
         "composition names an unknown arrow",
         "composition defined iff tgt=src",
-        "composite endpoints wrong",
-        "identity is not a two-sided unit",
-        "inverse table wrong",
-        "associativity fails",
+        *AXIOM_MESSAGES,
     }
+
+
+def test_validate_matches_the_all_pairs_check_on_broken_products():
+    """As above, with the broken tables given as `products`."""
+    assert _mutant_messages(products=True) == {"", "composition defined iff tgt=src", *AXIOM_MESSAGES}
+
+
+def test_comp_raises_key_error_on_a_pair_without_an_entry():
+    """On a table given as a dict and as `products`, `comp` of a pair that does not
+    compose, or whose entry is missing, raises KeyError instead of naming another arrow."""
+    G = pair_groupoid(3)
+    (a, b), c = ((1, 2), (2, 3)), (1, 3)
+    products = [list(row) for row in G.products]
+    products[G.arr_index(a)][G.arrows_from(2).index(b)] = None
+    table = {ab: ac for ab, ac in G.comp_table.items() if ab != (a, b)}
+    for comp in (table, products):
+        H = FinGroupoid(G.objects, G.arrows, G.src, G.tgt, comp, G.ident, G.inv_table)
+        assert H.comp(a, (2, 1)) == (1, 1) and (a, b) not in H.comp_table
+        for pair in [(a, b), (a, a), (b, a), (a, "no such arrow")]:
+            with pytest.raises(KeyError):
+                H.comp(*pair)
+    assert G.comp(a, b) == c
+
+
+def test_validate_takes_products_rows_given_as_tuples():
+    """Rows of `products` may be tuples: the associativity check compares them with
+    lists of composites, which then differ as objects while their entries agree."""
+    for G in (pair_groupoid(3), _groupoids()["circle-s3"]):
+        rows = [tuple(row) for row in G.products]
+        H = FinGroupoid(G.objects, G.arrows, G.src, G.tgt, rows, G.ident, G.inv_table)
+        assert H.validate() == ValidationReport.passed()
+        rows[1] = rows[1][::-1]
+        H = FinGroupoid(G.objects, G.arrows, G.src, G.tgt, rows, G.ident, G.inv_table)
+        broken = reference.table_of(H)
+        assert H.validate() == reference.validate_groupoid(H, broken) != ValidationReport.passed()
+
+
+def test_only_the_groupoid_module_reads_comp_table():
+    """`comp_table` is a view for library callers: the library itself reads the table
+    through `products`, `comp_rows`, `entries` or `comp`."""
+    root = Path(quinncalc.__file__).parent
+    readers = []
+    for path in sorted(set(root.rglob("*.py")) - {root / "finalg" / "groupoids.py"}):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            named = node.attr if isinstance(node, ast.Attribute) else getattr(node, "value", None)
+            if named == "comp_table":  # an attribute read, or the name as a string (getattr)
+                readers.append(f"{path.relative_to(root)}:{node.lineno}")
+    assert readers == []
 
 
 @pytest.mark.parametrize("G", corpus_groups(), ids=lambda G: G.name)
