@@ -28,10 +28,15 @@ passing label gives one value of it, and its slot takes just those values
 (solved slots).  A slot that admits at most one value at every earlier
 assignment is forced: the walk assigns it in a loop, without branching.
 `Plan.walk(emit, fixed)` hands the value vector of each colouring extending
-some fixed values to a callback, as the `colour-list` writer uses it;
-`Plan.colourings(fixed)` decodes each vector into a values dict, and
-`Plan.count(fixed)` counts them without decoding any.  Each runs one
-backtracking walk after one check and encoding of the fixed values.
+some fixed values to a callback, as the `colour-list` writer uses it, and
+`Plan.colourings(fixed)` decodes each vector into a values dict.  Each runs
+one backtracking walk after one check and encoding of the fixed values; a
+sequence of fixed generators is compiled once per plan (`_Pins`), so a
+repeated walk only encodes and checks values.  `Plan.count(fixed)` walks
+the levels below the top level L = min(dim X, truncation) and, for L >= 2,
+counts the completions of each leaf at once (`_Top`): the free level-L
+slots range over cosets of the abelian group K = ker d_L, and the cells
+above them ask one affine system over K, solved by a Hermite normal form.
 `enumerate_colourings` and `enumerate_relative` compile a plan per call; a
 caller that walks one X for many boundary values compiles it once.  The
 homotopy layer reads the same compilation: `Plan.terms` resolves the
@@ -45,6 +50,7 @@ simplex.
 from __future__ import annotations
 
 from functools import cached_property
+from math import prod
 
 from .errors import BoundaryError
 from .finalg.crossed import CrossedComplex
@@ -247,7 +253,9 @@ class Plan:
     read positions of `v` and the nested lists of `_Ops`, and so does the
     homotopy layer, on colouring keys.  The walk solves the last face of a
     cell for its label instead of testing it, and assigns forced slots
-    without branching (`_schedule`); `walk` hands each vector to a callback.
+    without branching (`_schedule`); `walk` hands each vector to a callback,
+    and `count` walks the levels below the top one and counts the top
+    level from a normal form (`_Top`).
 
     - `lead[g]`: the leading vertex of g;
     - `label[c](values)`: the homotopy addition label of c under the values
@@ -267,6 +275,7 @@ class Plan:
         self.X, self.A = X, A
         self.lead = {g: X.initial_vertex(g) for g in X.all_gens()}
         self._last_level = min(X.dim, A.truncation)  # the top level the walk assigns
+        self._pin_sets: dict = {}  # fixed generator sequence -> `_Pins`
 
     @cached_property
     def slots(self) -> list:
@@ -355,12 +364,12 @@ class Plan:
         evaluate, m, encode = self._evaluators[c], self.X.dim_of[c] - 1, self._encode
         if m == 1:
             arrows = self.A.base.arrows
-            return lambda values: arrows[evaluate(encode(values)[0])]
+            return lambda values: arrows[evaluate(encode(values))]
         lead, fibre = self.lead[c], self.A.fibre
 
         def label(values):
             x = values[lead]
-            return x, fibre(m, x).elements[evaluate(encode(values)[0])]
+            return x, fibre(m, x).elements[evaluate(encode(values))]
 
         return label
 
@@ -568,74 +577,29 @@ class Plan:
 
         return value
 
-    def _encode(self, values: dict) -> tuple:
-        """(v, base): the value indices of `values` at the positions of `slots`, and the objects below.
+    def _encode(self, values: dict) -> list:
+        """The value indices of `values` at the positions of `slots`.
 
         v[pos] indexes the value at slots[pos] as the walk holds it: an
-        object, an arrow, or an element of the fibre over the object of
-        index base[pos].  It is None where `values` has no value or A does
-        not have it.  Generators that are not in X are ignored.
+        object, an arrow, or an element of the fibre over the value's object.
+        It is None where `values` has no value or A does not have it.
+        Generators that are not in X are ignored.
         """
-        X, ops, end = self.X, self._ops, len(self.slots)
-        v, base = [None] * end, {}
-        for g, value in values.items():
-            if g not in X.dim_of or (pos := X.gen_index(g)) >= end:
-                continue
-            n = X.dim_of[g]
-            if n == 0:
-                v[pos] = ops.obj.get(value)
-            elif n == 1:
-                v[pos] = ops.arr.get(value)
-            else:
-                x, e = value
-                base[pos] = x = ops.obj.get(x)
-                v[pos] = None if x is None else ops.index[n][x].get(e)
-        return v, base
+        X, end = self.X, len(self.slots)
+        layout = [(g, pos, X.dim_of[g]) for g in values if g in X.dim_of and (pos := X.gen_index(g)) < end]
+        v = [None] * end
+        _encode_into(self._ops, layout, values, v, {})
+        return v
 
-    def _check_fixed(self, fixed: dict) -> tuple:
-        """Reject fixed values that cannot be part of a colouring; return their `_encode`.
-
-        Only conditions fully determined by the fixed set are checked, so
-        partial (non-face-closed) data passes through to the walk.  Lower
-        dimensions are checked first, so a label is evaluated only on faces
-        whose values have passed.
-        """
-        X, A = self.X, self.A
-        for g in fixed:
-            if g not in X.dim_of:
-                raise BoundaryError(f"fixed value on unknown generator {g!r}")
-        v, base = self._encode(fixed)
-        where = X.gen_index
-        for g in sorted(fixed, key=X.dim_of.__getitem__):
-            d, value = X.dim_of[g], fixed[g]
-            if d == 0:
-                if v[where(g)] is None:
-                    raise BoundaryError(f"vertex value {value!r} is not an object")
-            elif d == 1:
-                s, t = X.edge_ends(g)
-                if s in fixed and t in fixed:
-                    if A.base.src.get(value) != fixed[s] or A.base.tgt.get(value) != fixed[t]:
-                        raise BoundaryError(f"edge value at {g!r} has wrong endpoints")
-            elif 2 <= d <= A.truncation and self.faces[g] <= fixed.keys():
-                pos, x = where(g), v[where(self.lead[g])]
-                if base[pos] != x or v[pos] not in self._preimage[d][x][self._evaluators[g](v)]:
-                    raise BoundaryError(f"value at {g!r} violates its boundary condition")
-        return v, base
-
-    def _pinned(self, pos: int, i, x, domain, force):
-        """The slot at pos, cut down to the fixed value of index i (over the object x).
-
-        `domain` and `force` are the slot's entries in `_schedule`; the value
-        is admitted where they admit it, so a pinned slot is never forced.
-        """
-        if i is None:
-            return lambda v: ()
-        fits = (lambda v: force(v) == i) if domain is None else (lambda v: i in domain(v))
-        g = self.slots[pos]
-        if self.X.dim_of[g] < 2:
-            return lambda v: (i,) if fits(v) else ()
-        lead = self.X.gen_index(self.lead[g])
-        return lambda v: (i,) if v[lead] == x and fits(v) else ()
+    def _pins(self, fixed: dict) -> "_Pins":
+        """The fixed generators of `fixed`, compiled once per plan and generator sequence."""
+        key = tuple(fixed)
+        pins = self._pin_sets.get(key)
+        if pins is None:
+            if len(self._pin_sets) >= _PIN_SETS:
+                self._pin_sets.clear()
+            pins = self._pin_sets[key] = _Pins(self, key)
+        return pins
 
     @cached_property
     def _decode(self):
@@ -717,16 +681,37 @@ class Plan:
         order, and the walk goes on to overwrite that list.  Forced slots are
         assigned in a loop; the walk branches only at the others.
         """
-        checks, domains, forced, _ = self._schedule
-        if fixed:
-            domains, forced = list(domains), list(forced)
-            pinned, base = self._check_fixed(fixed)
-            for g in fixed:
-                if (pos := self.X.gen_index(g)) < len(domains):
-                    pin = self._pinned(pos, pinned[pos], base.get(pos), domains[pos], forced[pos])
-                    domains[pos], forced[pos] = pin, None
-        end = len(domains)
-        v: list = [None] * end
+        return self._walk(emit, fixed or {}, False)
+
+    def colourings(self, fixed: dict | None = None) -> list:
+        """The colourings extending `fixed`, in canonical order."""
+        X, A, decode, out = self.X, self.A, self._decode, []
+        self.walk(lambda v: out.append(Colouring(X, A, decode(v))), fixed)
+        return out
+
+    def count(self, fixed: dict | None = None) -> int:
+        """The number of colourings extending `fixed`; no colouring is built.
+
+        Below the top level L = min(dim X, truncation) this is the walk.  At
+        L >= 2 each of its leaves, an assignment of the levels below L,
+        counts its completions at once (`_Top`): every free level-L slot
+        ranges over a coset of the abelian group K = ker d_L, so they are the
+        solutions of one affine system over K, counted from a Hermite normal
+        form kept per fixed generator set and twist pattern.  At L = 1 the
+        top level is a nonabelian groupoid, and the count walks it.
+        """
+        return self._walk(None, fixed or {}, self._last_level >= 2)
+
+    def _walk(self, emit, fixed: dict, top: bool) -> int:
+        """The backtracking walk, down to the top level's leaf count (`_Top`) if `top`."""
+        pins = self._pins(fixed)
+        if (v := pins.start(fixed)) is None:
+            return 0
+        domains, forced = pins.domains, pins.forced
+        if top:
+            checks, end, leaf = self._top.checks, self._top.start, pins.leaf
+        else:
+            checks, end, leaf = self._schedule[0], pins.end, None
 
         def walk(pos):
             while True:
@@ -736,7 +721,7 @@ class Plan:
                 if pos == end:
                     if emit is not None:
                         emit(v)
-                    return 1
+                    return 1 if leaf is None else leaf(v)
                 force = forced[pos]
                 if force is None:
                     break
@@ -752,15 +737,368 @@ class Plan:
 
         return walk(0)
 
-    def colourings(self, fixed: dict | None = None) -> list:
-        """The colourings extending `fixed`, in canonical order."""
-        X, A, decode, out = self.X, self.A, self._decode, []
-        self.walk(lambda v: out.append(Colouring(X, A, decode(v))), fixed)
-        return out
+    @cached_property
+    def _top(self) -> "_Top":
+        return _Top(self)
 
-    def count(self, fixed: dict | None = None) -> int:
-        """The number of colourings extending `fixed`; no colouring is built."""
-        return self.walk(None, fixed)
+
+_PIN_SETS = 64  # fixed generator sequences kept per plan; the cache starts again when full
+
+
+def _encode_into(ops: _Ops, layout, values: dict, v: list, objects: dict) -> None:
+    """Write the value index of values[g] to v[pos] for each (g, pos, n) of `layout`.
+
+    n is the dimension of g; a level-n value, n >= 2, is a pair (object,
+    element), and the index of its object goes to objects[pos].  An index
+    is None where A lacks the value or its object.
+    """
+    obj, arr, index = ops.obj, ops.arr, ops.index
+    for g, pos, n in layout:
+        value = values[g]
+        if n == 0:
+            v[pos] = obj.get(value)
+        elif n == 1:
+            v[pos] = arr.get(value)
+        else:
+            x, e = value
+            objects[pos] = x = obj.get(x)
+            v[pos] = None if x is None else index[n][x].get(e)
+
+
+class _Pins:
+    """A sequence of fixed generators, compiled once for the walks of a plan.
+
+    Nothing here depends on the fixed values, so a walk that fixes the same
+    generators again only encodes and checks its values (`start`).
+
+    - `layout`: (g, pos, n) for each fixed generator the walk assigns, of
+      dimension n at position pos;
+    - `checks`: the conditions on the fixed values that the fixed set fully
+      determines, lowest dimension first, each raising `BoundaryError`: a
+      vertex value must be an object, an edge whose ends are fixed must run
+      between their values, and a level-n value whose faces are all fixed
+      must have its label as boundary;
+    - `leads`: (pos, lead) for each fixed level-n value, n >= 2, and the
+      position of the leading vertex of its generator, whose value must be
+      the value's object: `start` pins it there;
+    - `domains`, `forced`: the walk's schedule with each pinned slot forced
+      to the value `start` puts in place, where its old domain admits it;
+    - `leaf`: the top-level count of `Plan.count` under these pins (`_Top`).
+    """
+
+    def __init__(self, plan: Plan, gens: tuple):
+        X, where = plan.X, plan.X.gen_index
+        for g in gens:
+            if g not in X.dim_of:
+                raise BoundaryError(f"fixed value on unknown generator {g!r}")
+        self.plan, self.end = plan, len(plan.slots)
+        self.layout = [(g, pos, X.dim_of[g]) for g in gens if (pos := where(g)) < self.end]
+        self.leads = [(pos, where(plan.lead[g])) for g, pos, n in self.layout if n >= 2]
+        given = set(gens)
+        checks = (self._check(g, given) for g in sorted(gens, key=X.dim_of.__getitem__))
+        self.checks = [check for check in checks if check is not None]
+        _, domains, forced, _ = plan._schedule
+        self.domains, self.forced = list(domains), list(forced)
+        for pos in {pos for _, pos, _ in self.layout} | {lead for _, lead in self.leads}:
+            self.domains[pos], self.forced[pos] = None, self._pin(pos, domains[pos], forced[pos])
+
+    def _check(self, g, given: set):
+        """(v, objects, fixed) -> None, raising `BoundaryError` if the fixed value at g fails; or None."""
+        plan = self.plan
+        X, ops, where = plan.X, plan._ops, plan.X.gen_index
+        d, pos = X.dim_of[g], where(g)
+        if d == 0:
+
+            def check(v, objects, fixed):
+                if v[pos] is None:
+                    raise BoundaryError(f"vertex value {fixed[g]!r} is not an object")
+
+            return check
+        if d == 1:
+            s, t = X.edge_ends(g)
+            if s not in given or t not in given:
+                return None
+            s, t, src, tgt = where(s), where(t), ops.src, ops.tgt
+
+            def check(v, objects, fixed):
+                a = v[pos]
+                if a is None or src[a] != v[s] or tgt[a] != v[t]:
+                    raise BoundaryError(f"edge value at {g!r} has wrong endpoints")
+
+            return check
+        if d > plan.A.truncation or not plan.faces[g] <= given:
+            return None
+        lead, label, preimage = where(plan.lead[g]), plan._evaluators[g], plan._preimage[d]
+
+        def check(v, objects, fixed):
+            x = v[lead]
+            if objects[pos] != x or v[pos] not in preimage[x][label(v)]:
+                raise BoundaryError(f"value at {g!r} violates its boundary condition")
+
+        return check
+
+    @staticmethod
+    def _pin(pos: int, domain, force):
+        """v -> v[pos] where the slot's schedule entry admits it, else None."""
+        if force is not None:
+            return lambda v: v[pos] if force(v) == v[pos] else None
+        return lambda v: v[pos] if v[pos] in domain(v) else None
+
+    def start(self, fixed: dict) -> list | None:
+        """The walk's first vector: the fixed values at their positions, checked.
+
+        None when no colouring extends them: a fixed value that A lacks, or
+        two values that disagree on the object of a leading vertex.
+        """
+        v, objects = [None] * self.end, {}
+        _encode_into(self.plan._ops, self.layout, fixed, v, objects)
+        for check in self.checks:
+            check(v, objects, fixed)
+        for _, pos, _ in self.layout:
+            if v[pos] is None:
+                return None
+        for pos, lead in self.leads:
+            if v[lead] is None:
+                v[lead] = objects[pos]
+            elif v[lead] != objects[pos]:
+                return None
+        return v
+
+    @cached_property
+    def leaf(self):
+        return self.plan._top.leaf({pos for _, pos, _ in self.layout})
+
+
+class _Top:
+    """The top level L = min(dim X, truncation) >= 2 of a plan, counted by linear algebra.
+
+    At a leaf of the walk below L, each level-L slot g ranges over the
+    elements whose boundary is its label: a coset s.K of K = ker d_L at
+    the image x of its leading vertex.  K is abelian (central in the fibre
+    for L = 2), and the action carries it to itself.  An (L+1)-cell c asks
+    for the unit as its label; with each value written s.k its label is
+    label(s) times the sum of the k's of its faces, with their signs, the
+    leading one acted on by the leading edge's inverse.  So the completions
+    of a leaf are the solutions k of M.k = -label(s) over the product of the
+    K's, M depending only on the objects and on the leading edges' actions
+    on K (the twist pattern).  With K at each object written as a sum of
+    cyclic groups Z/d (`_cyclic_basis`), they number |K|^free / |image M|
+    when label(s) lies in the image lattice of [M | D], D holding the orders
+    d, and none otherwise (`_hermite`).  label(s) lies in K, by the homotopy
+    addition lemma one level down, as `Plan._solved` argues.
+
+    - `start`, `checks`: the first level-L position and the walk's tests
+      below it; the level-L tests at `start` ask for a non-empty preimage,
+      which the leaf looks up anyway;
+    - `slots[pos]`: (lead, label) of the level-L slot at pos, read on `v`;
+    - `cells`: (lead, label) of each (L+1)-cell;
+    - `terms[pos]`: (cell, sign, twist) for each occurrence of the slot at
+      pos in a cell's word, twist being the `_arrow_read` of the arrow
+      that acts on the leading term, else None;
+    - `kernel[x]`: `_cyclic_basis` of K at the object x;
+    - `twist_id[a]`: the number of the matrix of the arrow a on K.
+    """
+
+    def __init__(self, plan: Plan):
+        X, ops, L = plan.X, plan._ops, plan._last_level
+        where = X.gen_index
+        self.start = start = sum(len(X.gens(n)) for n in range(L))
+        self.checks = plan._schedule[0][:start] + [()]
+        self.slots = {
+            pos: (where(plan.lead[g]), plan._evaluators[g])
+            for pos, g in enumerate(plan.slots)
+            if pos >= start
+        }
+        self.preimage, self.act = plan._preimage[L], ops.act[L]
+        flat = ops.ident if L == 2 else ops.unit[L - 1]
+        self.kernel = [
+            _cyclic_basis(
+                [i for i, k in enumerate(bdry) if k == flat[x]], ops.mul[L][x], ops.finv[L][x], ops.unit[L][x]
+            )
+            for x, bdry in enumerate(ops.bdry[L])
+        ]
+        # with K trivial everywhere a label lies in K, so it is the unit: the cells ask nothing
+        cells = X.gens(L + 1) if L < X.dim and any(gens for gens, _, _ in self.kernel) else ()
+        self.cells = [(where(plan.lead[c]), plan._evaluators[c]) for c in cells]
+        self.terms = {pos: [] for pos in self.slots}
+        for i, c in enumerate(cells):
+            for ref, sign, twist in hal_word(X, c):
+                if not ref.word:
+                    read = None if twist is None else plan._arrow_read(*twist[0])
+                    self.terms[where(ref.core)].append((i, sign, read))
+        ids: dict = {}
+        self.twist_id = [
+            ids.setdefault(tuple(self.kernel[t][2][act[g]] for g in self.kernel[s][0]), len(ids))
+            for act, s, t in zip(self.act, ops.src, ops.tgt)
+        ]
+        self.one_form = len(ops.ident) == 1 and len(ids) == 1  # one normal form per pin set
+
+    def leaf(self, pinned: set):
+        """v -> the number of completions of v's levels below L, under the pinned level-L slots.
+
+        Free slots take a coset representative, pinned ones keep their
+        value and must lie in the preimage of their label.  The normal form
+        of the system is built on first use for each twist pattern.
+        """
+        free = [(pos, *self.slots[pos]) for pos in self.slots if pos not in pinned]
+        fixed = [(pos, *self.slots[pos]) for pos in self.slots if pos in pinned]
+        cells, preimage = self.cells, self.preimage
+        coords = [c for _, _, c in self.kernel]
+        leads = sorted({lead for _, lead, _ in free} | {lead for lead, _ in cells})
+        twists = [read for pos, _, _ in free for _, _, read in self.terms[pos] if read is not None]
+        twist_id, one_form, forms = self.twist_id, self.one_form, {}
+
+        def leaf(v):
+            for pos, lead, label in free:
+                row = preimage[v[lead]][label(v)]
+                if not row:
+                    return 0
+                v[pos] = row[0]
+            for pos, lead, label in fixed:
+                if v[pos] not in preimage[v[lead]][label(v)]:
+                    return 0
+            b = []
+            for lead, label in cells:
+                c = coords[v[lead]].get(label(v))
+                if c is None:
+                    return 0
+                b += c
+            if one_form:
+                key = None
+            else:
+                key = tuple(v[p] for p in leads), tuple(twist_id[_arrow(read, v)] for read in twists)
+            form = forms.get(key)
+            if form is None:
+                form = forms[key] = self._form(v, free)
+            pivots, weight = form
+            for i, (d, g, below) in pivots:
+                bi = b[i] % d
+                if bi:
+                    if bi % g:
+                        return 0
+                    q = bi // g
+                    for j, h in below:
+                        b[j] -= q * h
+            return weight
+
+        return leaf
+
+    def _form(self, v: list, free: list) -> tuple:
+        """(pivots, weight) of the system at v's objects and twists.
+
+        pivots lists (i, (d, g, below)) for the rows i of the Hermite form
+        that are not the unit row: d the row's order, g its pivot, below the
+        pivot column's other entries (j, h).  weight is the number of
+        solutions of a consistent system.
+        """
+        kernel, act = self.kernel, self.act
+        rows = [kernel[v[lead]] for lead, _ in self.cells]
+        offsets, moduli = [], []
+        for _, orders, _ in rows:
+            offsets.append(len(moduli))
+            moduli += orders
+        columns, size = [], 1
+        for pos, lead, _ in free:
+            gens, orders, _ = kernel[v[lead]]
+            size *= prod(orders)
+            for g in gens:
+                column = [0] * len(moduli)
+                for i, sign, read in self.terms[pos]:
+                    e = g if read is None else act[_arrow(read, v)][g]
+                    for k, c in enumerate(rows[i][2][e], offsets[i]):
+                        column[k] += sign * c
+                columns.append(column)
+        pivots = _hermite(columns, moduli)
+        weight = size * prod(g for _, g, _ in pivots) // prod(moduli)
+        return [(i, p) for i, p in enumerate(pivots) if p[1] > 1 or p[2]], weight
+
+
+def _arrow(read: tuple, v: list) -> int:
+    """The arrow that an `_arrow_read` (position, table) gives on v."""
+    k, table = read
+    return v[k] if table is None else table[v[k]]
+
+
+def _cyclic_basis(K: list, mul: list, inv: list, unit: int) -> tuple:
+    """(gens, orders, coords): the abelian group K as a sum of cyclic groups.
+
+    K lists the members of a finite abelian subgroup, as indices into the
+    group tables `mul` and `inv`.  K is the sum of the cyclic groups of the
+    elements gens[i], of orders orders[i], and coords[e] gives the
+    multiples (c_i), 0 <= c_i < orders[i], that sum to e.  Each generator
+    is an element of the largest order modulo the span of those before it,
+    h, with h^m = p in the span: every coordinate of p is then a multiple
+    of m, and h / p^(1/m) has order m and meets the span only in the unit.
+    """
+    coords: dict = {unit: ()}
+    gens, orders = [], []
+    while len(coords) < len(K):
+        best = 0
+        for h in K:
+            m, p = 1, h
+            while p not in coords:
+                p, m = mul[p][h], m + 1
+            if m > best:
+                best, top, power = m, h, p
+        m, element = best, {c: e for e, c in coords.items()}
+        assert all(c % m == 0 for c in coords[power])
+        g = mul[top][inv[element[tuple(c // m for c in coords[power])]]]
+        span = {}
+        for e, c in coords.items():
+            for j in range(m):
+                span[e] = (*c, j)
+                e = mul[e][g]
+        coords = span
+        gens.append(g)
+        orders.append(m)
+    return gens, orders, coords
+
+
+def _xgcd(a: int, b: int) -> tuple:
+    """(g, x, y) with g = gcd(a, b) = x.a + y.b."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, y0, x1, y1 = x1, y1, x0 - q * x1, y0 - q * y1
+    return a, x0, y0
+
+
+def _hermite(columns: list, moduli: list) -> list:
+    """The Hermite form of the lattice spanned by `columns` and the columns d_i.e_i, d_i = moduli[i].
+
+    Returns, for each row i, (d_i, g_i, below): the pivot g_i > 0, which
+    divides d_i, and the pivot column's entries (j, h) at rows j > i, each
+    reduced modulo d_j.  The pivot columns are a lower triangular basis of
+    the lattice, which contains every d_i.e_i; so a vector b lies in it
+    when, row by row, b_i is a multiple of g_i modulo d_i once the earlier
+    pivot columns are taken off, and the lattice has index prod(g_i) in
+    Z^rows.  Column operations are unimodular and entries stay reduced
+    modulo the d_j whose columns are not yet used (Cohen 1993, 2.4.2).
+    """
+    rows = len(moduli)
+    columns = [[c % d for c, d in zip(column, moduli)] for column in columns]
+    columns = [column for column in columns if any(column)]
+    out = []
+    for i, d in enumerate(moduli):
+        pivot = [0] * rows
+        pivot[i] = d
+        rest = []
+        for column in columns:
+            b = column[i]
+            if b:
+                a = pivot[i]
+                g, x, y = _xgcd(a, b)
+                p, q = b // g, a // g  # [[x, y], [p, -q]] has determinant -1
+                for j in range(i + 1, rows):
+                    s, t, m = pivot[j], column[j], moduli[j]
+                    pivot[j], column[j] = (x * s + y * t) % m, (p * s - q * t) % m
+                pivot[i], column[i] = g, 0
+            if any(column):
+                rest.append(column)
+        columns = rest
+        out.append((d, pivot[i], [(j, h) for j, h in enumerate(pivot[i + 1 :], i + 1) if h]))
+    return out
 
 
 def as_plan(X, A: CrossedComplex) -> Plan:

@@ -359,12 +359,28 @@ def quotient_groupoid(G: FinGroupoid, normal: dict) -> tuple[FinGroupoid, dict]:
     return quot, proj
 
 
+def _composer(K: FinGroupoid):
+    """(i, j) -> the index of arrows[i] then arrows[j], read from `products`; KeyError as `comp`."""
+    products, pos, at = K.products, K._outs[1], K._obj_index
+    src = [at.get(K.src[a]) for a in K.arrows]
+    tgt = [at.get(K.tgt[a]) for a in K.arrows]
+
+    def compose(i, j):
+        if tgt[i] != src[j] or (k := products[i][pos[j]]) is None:
+            raise KeyError((K.arrows[i], K.arrows[j]))
+        return k
+
+    return compose
+
+
 def find_groupoid_iso(G: FinGroupoid, H: FinGroupoid):
     """Search for an isomorphism of groupoids.
 
     Returns (object map, arrow map) or None.  Components are matched by
     (object count, arrow count, vertex group order), then a vertex-group
     isomorphism at matched base objects is transported along spanning trees.
+    The arrows are composed, and the map checked on every entry of G's
+    table, on arrow indices.
     """
     from .groups import find_group_iso
 
@@ -379,6 +395,9 @@ def find_groupoid_iso(G: FinGroupoid, H: FinGroupoid):
 
     used = [False] * len(comps_H)
     obj_map, arr_map = {}, {}
+    at_G, at_H = G._arr_index, H._arr_index
+    comp_G, comp_H = _composer(G), _composer(H)
+    image = [None] * len(G.arrows)  # the arrow map on indices
 
     def match_component(cg):
         base = cg[0]
@@ -391,27 +410,33 @@ def find_groupoid_iso(G: FinGroupoid, H: FinGroupoid):
             if phi is None:
                 continue
             used[j] = True
+            phi = {at_G[a]: at_H[b] for a, b in phi.items()}
             tree_G = {x: min(G.arrows_between(base, x), key=G.arr_index) for x in cg}
             tree_H = {y: min(H.arrows_between(ch[0], y), key=H.arr_index) for y in ch}
             for x, y in zip(cg, ch):
                 obj_map[x] = y
+            into_G = {x: at_G[t] for x, t in tree_G.items()}
+            out_of_G = {x: at_G[G.inv(t)] for x, t in tree_G.items()}
+            into_H = {y: at_H[t] for y, t in tree_H.items()}
+            out_of_H = {y: at_H[H.inv(t)] for y, t in tree_H.items()}
             for x in cg:
                 for z in cg:
                     for a in G.arrows_between(x, z):
-                        loop = G.comp(G.comp(tree_G[x], a), G.inv(tree_G[z]))
-                        img_loop = phi[loop]
-                        arr_map[a] = H.comp(
-                            H.comp(H.inv(tree_H[obj_map[x]]), img_loop), tree_H[obj_map[z]]
-                        )
+                        i = at_G[a]
+                        loop = comp_G(comp_G(into_G[x], i), out_of_G[z])
+                        k = comp_H(comp_H(out_of_H[obj_map[x]], phi[loop]), into_H[obj_map[z]])
+                        image[i] = k
+                        arr_map[a] = H.arrows[k]
             return True
         return False
 
     for cg in comps_G:
         if not match_component(cg):
             return None
-    for a, b, ab in G.entries():
-        if arr_map[ab] != H.comp(arr_map[a], arr_map[b]):
-            return None
-    if len(set(arr_map.values())) != len(H.arrows):
+    for i, js, ks in G.comp_rows():
+        for j, k in zip(js, ks):
+            if k is not None and image[k] != comp_H(image[i], image[j]):
+                return None
+    if len(set(image)) != len(H.arrows):
         return None
     return obj_map, arr_map

@@ -232,17 +232,29 @@ def group_from_json(data) -> FinGroup:
         table = data["table"]
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"group schema needs 'elements' and 'table': {exc}") from exc
-    rows = table if isinstance(table, list) else ()
-    if len(rows) != len(elements) or any(
-        not isinstance(r, list) or len(r) != len(elements) for r in rows
-    ):
-        raise SchemaError("group table must be square over the element list")
+    name, n = str(data.get("name", "group")), len(elements)
+    rows = table if isinstance(table, list) else []
+    bad = next((i for i, r in enumerate(rows) if not isinstance(r, list) or len(r) != n), None)
+    if not isinstance(table, list):
+        fault = f"the table is {type(table).__name__}, not a list"
+    elif bad is not None:
+        r = table[bad]
+        if isinstance(r, list):
+            fault = f"row {bad} has {len(r)} entries for {n} elements"
+        else:
+            fault = f"row {bad} is a {type(r).__name__}, not a list of {n} entries"
+    elif len(table) != n:
+        fault = f"the table has {len(table)} rows for {n} elements"
+    else:
+        fault = None
+    if fault is not None:
+        raise SchemaError(f"group table must be square over the element list: group {name!r}, {fault}")
     mul = {
         (elements[i], elements[j]): str(table[i][j])
         for i in range(len(elements))
         for j in range(len(elements))
     }
-    G = FinGroup(tuple(elements), mul, name=str(data.get("name", "group")))
+    G = FinGroup(tuple(elements), mul, name=name)
     G.validate().raise_if_failed()
     return G
 
@@ -610,7 +622,7 @@ def colour_list_json(X: SimpSet, A: CrossedComplex, colourings) -> str:
 
     def walk(emit):
         for c in colourings:
-            emit(plan._encode(c.values)[0])
+            emit(plan._encode(c.values))
 
     return plan_colour_list(plan, walk)
 

@@ -168,6 +168,8 @@ class SimpSet:
         for (g, i), ref in self.faces.items():
             if g not in self.dim_of or ref.core not in self.dim_of:
                 return ValidationReport.malformed("dangling face reference", (g, i))
+            if not 0 <= i <= self.dim_of[g]:
+                return ValidationReport.malformed("face index out of range", (g, i))
             if self.ref_dim(ref) != self.dim_of[g] - 1:
                 return ValidationReport.malformed("face has wrong dimension", (g, i))
             if self.normalise(ref) != ref:

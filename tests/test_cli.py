@@ -548,6 +548,37 @@ def test_malformed_inputs_exit_2(tmp_path, space, algebra, target, edit, message
     assert code == 2 and message in err
 
 
+@pytest.mark.parametrize("i", [7, 2, -1])
+@pytest.mark.parametrize("deg", [True, False])
+def test_a_face_index_out_of_range_exits_2(tmp_path, i, deg):
+    """An extra face row of the edge 'a' of the torus, at an index outside 0..1."""
+    catalog = _catalog()
+    space = copy.deepcopy(catalog["torus"])
+    space["faces"].append({"of": "a", "i": i, "core": "v", **({"deg": []} if deg else {})})
+    (tmp_path / "space.json").write_text(json.dumps(space))
+    (tmp_path / "algebra.json").write_text(json.dumps(catalog["algebras"]["z2"]))
+    for command in ("colour-count", "state-space"):
+        code, err = _exit_code_and_stderr(
+            [command, "--space", str(tmp_path / "space.json"), "--algebra", str(tmp_path / "algebra.json")]
+        )
+        assert code == 2 and f"face index out of range (witness ('a', {i}))" in err
+    code, out, _ = _run(["validate", "--input", str(tmp_path / "space.json")])
+    assert code == 2 and json.loads(out)["message"] == "face index out of range"
+
+
+def test_a_table_that_is_not_square_names_its_group_and_row(tmp_path):
+    catalog = _catalog()
+    algebra = copy.deepcopy(catalog["algebras"]["xmod-z4-z2-zero"])
+    algebra["G"]["table"][2] = algebra["G"]["table"][2][:3]
+    (tmp_path / "space.json").write_text(json.dumps(catalog["circle"]))
+    (tmp_path / "algebra.json").write_text(json.dumps(algebra))
+    code, err = _exit_code_and_stderr(
+        ["colour-count", "--space", str(tmp_path / "space.json"), "--algebra", str(tmp_path / "algebra.json")]
+    )
+    assert code == 2
+    assert "must be square over the element list: group 'Z4', row 2 has 3 entries for 4 elements" in err
+
+
 def _append(*path, row):
     """An edit of {"space": ..., "algebra": ...} that appends `row` to the list at `path`."""
 

@@ -229,6 +229,34 @@ def test_groupoid_iso_matches_the_all_pairs_check(left, right):
     assert (new is None) == ((left, right) == ("circle-s3", "pair-3"))
 
 
+@pytest.mark.parametrize(
+    "left, right",
+    [(name, name) for name in SMALL]
+    + [("circle-s3", "s3-conjugation"), ("s3-conjugation", "circle-s3"), ("pair-4", "group-Z4"),
+       ("group-Z4", "circle-s3"), ("group-S3", "group-Z3")],
+)
+def test_groupoid_iso_on_index_rows_keeps_both_maps_in_order(left, right):
+    """The search composes and checks on arrow indices; both maps, their insertion order
+    included, are the all-pairs search's."""
+    G, H = _groupoids()[left], _groupoids()[right]
+    new, old = find_groupoid_iso(G, H), reference.find_groupoid_iso(G, H)
+    assert new == old
+    if new is not None:
+        assert [list(m.items()) for m in new] == [list(m.items()) for m in old]
+
+
+def test_groupoid_iso_rejects_a_broken_composite_of_the_target():
+    """One composite of H changed to another arrow with the same ends: the final check fails."""
+    G, H = _groupoids()["circle-s3"], _groupoids()["s3-conjugation"]
+    a = next(a for a in H.arrows if H.src[a] != H.tgt[a])
+    b = next(b for b in H.arrows_from(H.tgt[a]) if H.tgt[b] != H.src[a])
+    wrong = next(c for c in H.arrows_between(H.src[a], H.tgt[b]) if c != H.comp(a, b))
+    comp = {**H.comp_table, (a, b): wrong}
+    broken = FinGroupoid(H.objects, H.arrows, H.src, H.tgt, comp, H.ident, H.inv_table)
+    assert find_groupoid_iso(G, broken) is None
+    assert reference.find_groupoid_iso(G, broken) is None
+
+
 def test_groupoid_iso_rejects_one_broken_composite():
     """One composite away from the base objects is changed to another arrow with
     the same ends; only the final check of the search sees it."""

@@ -7,6 +7,7 @@ exactness makes vacuous, so the towers and crossed modules below cover each
 rule that drops one.
 """
 from functools import lru_cache
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -385,3 +386,310 @@ def test_plans_that_do_not_walk_build_no_walk_tables():
     assert plan.label[X.gens(2)[0]](c.values) == reference.boundary_label(X, A, c.values, X.gens(2)[0])
     _compose_tables(plan), _delta2(plan), plan.moves.everywhere
     assert not set(vars(plan)) & {"_schedule", "_preimage", "_decode", "faces"}
+
+
+# -- the top level counted by its normal form --------------------------------------------
+
+
+def _counts(walker, fixed=None, count=True):
+    """`count(fixed)` or the walk's own count (`walk(None, fixed)`), or the BoundaryError raised."""
+    try:
+        return walker.count(fixed) if count else walker.walk(None, fixed)
+    except BoundaryError as exc:
+        return "BoundaryError", str(exc)
+
+
+def _assert_same_count(X, A, fixed=None):
+    """`Plan.count` == `Plan.walk(None, ...)` == `reference.DictPlan.count`, on one fresh plan each."""
+    plan = Plan(X, A)
+    n = _counts(plan, fixed)
+    assert n == _counts(Plan(X, A), fixed, count=False) == _counts(reference.DictPlan(X, A), fixed)
+    assert _counts(plan, fixed) == n  # again, from the compiled pins and the cached form
+    return n
+
+
+def zero_z4_z4():
+    """0: Z4 -> Z4 with trivial action: K = Z4 at level 2, so a 3-cell asks a sum in Z4 to vanish."""
+    return iota2(crossed_module_zero(cyclic_group(4), cyclic_group(4)))
+
+
+TOP_ALGEBRAS = {
+    **CORPUS_ALGEBRAS,
+    "0:Z4->Z4": zero_z4_z4,
+    "coset-module": coset_module,
+    "dihedral-module": dihedral_module,
+    "rotation-module": rotation_module,
+    "pair-module": pair_module,
+}
+
+
+@pytest.mark.parametrize(
+    "space, algebra",
+    [
+        (space, algebra)
+        for space in CATALOG_SPACES
+        for algebra in TOP_ALGEBRAS
+        # the dict walk takes seconds on these; the catalog test covers the corpus there
+        if space != "prism-torus" or algebra in ("0:Z2->Z4", "id:Z2", "coset-module")
+    ],
+)
+def test_top_level_count_matches_the_walks_on_catalog(space, algebra):
+    _assert_same_count(CATALOG_SPACES[space](), TOP_ALGEBRAS[algebra]())
+
+
+@pytest.mark.parametrize(
+    "tower, space",
+    [
+        (tower, space)
+        for tower in (abelian_tower, inversion_tower, coset_tower)
+        for space in ("delta3", "reversed-delta3", "delta3-d1-last", "sphere3", "torus", "prism-circle")
+    ]
+    + [(abelian_tower, "delta4"), (abelian_tower, "reversed-delta4")],
+)
+def test_top_level_count_matches_the_walks_on_towers(tower, space):
+    X = {
+        "delta4": lambda: standard_simplex(4),
+        **REORDERED_SIMPLICES,
+        "delta3": lambda: standard_simplex(3),
+        "sphere3": lambda: sphere(3),
+        "torus": torus,
+        "prism-circle": lambda: prism(circle()).simpset,
+    }[space]()
+    _assert_same_count(X, _tower_file(tower()))
+
+
+@pytest.mark.parametrize("order", ["delta4", "reversed-delta4"])
+@pytest.mark.parametrize("potential", [(0, 1, 0, 1, 1), (0, 0, 1, 1, 0), (0, 0, 0, 0, 0)])
+def test_top_level_count_follows_the_twist_of_the_inversion_tower(order, potential):
+    """Level 3 of the 4-simplex under Z2 acting on Z3 by inversion.
+
+    The edges are pinned to the flat connection of a vertex potential and
+    the 2-cells to the unit, so the walks range over the 3-cells only.  Where
+    the potential differs on a 4-cell's first two vertices, its leading
+    edge inverts the leading term of the 4-cell's label.
+    """
+    X = standard_simplex(4) if order == "delta4" else REORDERED_SIMPLICES[order]()
+    A = _tower_file(inversion_tower())
+    fixed = {}
+    for g in X.all_gens():
+        d = X.dim_of[g]
+        if d == 0:
+            fixed[g] = "*"
+        elif d == 1:
+            s, t = X.edge_ends(g)
+            fixed[g] = A.base.arrows[(potential[t[0]] - potential[s[0]]) % 2]
+        elif d == 2:
+            fixed[g] = ("*", A.fibre(2, "*").unit)
+    assert _assert_same_count(X, A, fixed) > 0
+    three = X.gens(3)
+    for k, values in enumerate([(1, 2, 0, 0, 1), (2, 2, 2, 2, 2), (1, 0, 0, 0, 0)]):
+        pinned = {g: ("*", A.fibre(3, "*").elements[e]) for g, e in zip(three[: k + 2], values)}
+        _assert_same_count(X, A, {**fixed, **pinned})
+
+
+@pytest.mark.parametrize("space", ["prism-circle", "double-cylinder"])
+@pytest.mark.parametrize("algebra", ["0:Z4->Z4", "rotation-module", "dihedral-module", "pair-module"])
+def test_top_level_count_matches_the_walks_on_boundary_pairs(space, algebra):
+    """Every (in, out) pair; under 0: Z4 -> Z4 most of them admit no filling."""
+    M, A = _cylinder(space), TOP_ALGEBRAS[algebra]()
+    X = M.simpset
+    plan, walker, old = Plan(X, A), Plan(X, A), reference.DictPlan(X, A)
+    ins = Plan(X.restrict(M.tagged("in")), A).colourings()
+    outs = Plan(X.restrict(M.tagged("out")), A).colourings()
+    counts = []
+    for f in ins:
+        for fp in outs:
+            fixed = {**f.values, **fp.values}
+            n = _counts(plan, fixed)
+            assert n == _counts(walker, fixed, count=False) == _counts(old, fixed)
+            counts.append(n)
+    if algebra == "0:Z4->Z4":
+        assert 0 < counts.count(0) and 2 * counts.count(0) > len(counts)
+
+
+def _glued_simplices(n):
+    """Two n-simplices of the (n+1)-simplex on one shared face, (1, ..., n).
+
+    The shared face is the leading face of (0, ..., n), acted on by the
+    value of the edge (0, 1), and the last face of (1, ..., n + 1), of sign
+    (-1)^n; so the image of the top-level system depends on the twist and
+    on the signs, unlike a system where each cell has a free face of its own.
+    """
+    X = standard_simplex(n + 1)
+    return X.restrict(X.subcomplex_closure({tuple(range(n + 1)), tuple(range(1, n + 2))}))
+
+
+def _flat_edges(X, A, potential):
+    """The edges of X coloured by the differences of a vertex potential in a cyclic base group."""
+    order = len(A.base.arrows)
+    return {
+        g: A.base.arrows[(potential[X.edge_ends(g)[1][0]] - potential[X.edge_ends(g)[0][0]]) % order]
+        for g in X.gens(1)
+    }
+
+
+@pytest.mark.parametrize("algebra", ["rotation-module", "0:Z4->Z4"])
+@pytest.mark.parametrize("potential", [(0, 1, 2, 0, 1), (0, 0, 1, 1, 2), (0, 2, 2, 1, 0)])
+def test_top_level_count_on_a_face_shared_by_two_cells(algebra, potential):
+    """The shared 2-face is the one free slot, or one of two; with the edges pinned, and
+    with the edges free so that the twist changes from leaf to leaf."""
+    X, A = _glued_simplices(3), TOP_ALGEBRAS[algebra]()
+    shared = (1, 2, 3)
+    potential = [k % len(A.base.arrows) for k in potential]
+    edges = _flat_edges(X, A, potential)
+    colourings = Plan(X, A).colourings(edges)
+    assert colourings
+    for c in colourings[:: max(1, len(colourings) // 6)]:
+        cells = {g: c.values[g] for g in X.gens(2) if g != shared}
+        assert _assert_same_count(X, A, {**edges, **cells}) == 1
+        _assert_same_count(X, A, cells)
+        other = {g: v for g, v in cells.items() if g != (0, 1, 2)}
+        _assert_same_count(X, A, {**edges, **other})
+        _assert_same_count(X, A, other)
+
+
+@pytest.mark.parametrize("potential", [(0, 1, 0, 1, 1, 0), (0, 0, 1, 1, 0, 1)])
+def test_top_level_count_on_a_3_face_shared_by_two_4_cells(potential):
+    """The same at level 3, under the inversion tower: the 2-cells are pinned to the unit."""
+    X, A = _glued_simplices(4), _tower_file(inversion_tower())
+    shared = (1, 2, 3, 4)
+    edges = _flat_edges(X, A, potential)
+    units = {g: ("*", A.fibre(2, "*").unit) for g in X.gens(2)}
+    colourings = Plan(X, A).colourings({**edges, **units})
+    for c in colourings[:: len(colourings) // 5]:
+        cells = {g: c.values[g] for g in X.gens(3) if g != shared}
+        assert _assert_same_count(X, A, {**edges, **units, **cells}) == 1
+        _assert_same_count(X, A, {**units, **cells})
+        other = dict(list(cells.items())[1:])
+        _assert_same_count(X, A, {**units, **other})
+
+
+def test_fixed_values_are_checked_lowest_dimension_first():
+    """A 2-cell given before its unknown edge value: the edge is named, and no label is
+    evaluated on a value A lacks."""
+    X, A = standard_simplex(2), zero_z4_z4()
+    c = Plan(X, A).colourings()[7]
+    g, edge = X.gens(2)[0], X.gens(1)[0]
+    fixed = {g: c.values[g], **c.values}
+    fixed[edge] = "no such arrow"
+    with pytest.raises(BoundaryError) as exc:
+        Plan(X, A).count(fixed)
+    assert str(exc.value) == f"edge value at {edge!r} has wrong endpoints"
+
+
+TOP_RANDOM = {
+    "0:Z4->Z4": zero_z4_z4,
+    "coset-module": coset_module,
+    "dihedral-module": dihedral_module,
+    "rotation-module": rotation_module,
+    "pair-module": pair_module,
+    "coset-tower": lambda: _tower_file(coset_tower()),
+    "abelian-tower": lambda: _tower_file(abelian_tower()),
+}
+
+
+@lru_cache(maxsize=None)
+def _random_top_case(space, algebra):
+    X, A = SOLVED_SPACES[space](), TOP_RANDOM[algebra]()
+    return X, A, Plan(X, A).colourings()
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    space=st.sampled_from(["delta3", "delta3-d1-last", "delta3-d2-last", "prism-circle", "torus"]),
+    algebra=st.sampled_from(list(TOP_RANDOM)),
+    data=st.data(),
+)
+def test_top_level_count_matches_the_walks_on_random_pins(space, algebra, data):
+    """Random pinned subsets of a colouring; a pinned top value may move off its coset."""
+    X, A, colourings = _random_top_case(space, algebra)
+    c = data.draw(st.sampled_from(colourings), label="colouring")
+    pinned = data.draw(st.sets(st.sampled_from(sorted(c.values, key=X.gen_index))), label="pinned")
+    fixed = {g: c.values[g] for g in sorted(pinned, key=X.gen_index)}
+    top = min(X.dim, A.truncation)
+    cells = [g for g in fixed if X.dim_of[g] == top]
+    if cells and data.draw(st.booleans(), label="moved"):
+        g = data.draw(st.sampled_from(cells), label="cell")
+        x, e = fixed[g]
+        fixed[g] = x, data.draw(st.sampled_from(A.fibre(top, x).elements), label="element")
+    _assert_same_count(X, A, fixed)
+
+
+def test_a_top_value_off_its_coset_counts_no_colouring():
+    """The edges and one 2-cell of a 3-simplex are pinned, the 2-cell to a value whose
+    boundary is not its label: no colouring extends it, and with its vertices pinned as
+    well the fixed values fail their check."""
+    X, A = standard_simplex(3), dihedral_module()
+    c = Plan(X, A).colourings()[5]
+    g = X.gens(2)[0]
+    x, e = c.values[g]
+    off = next(h for h in A.fibre(2, x).elements if A.bdry_of(2, (x, h)) != A.bdry_of(2, (x, e)))
+    edges = {a: c.values[a] for a in X.gens(1)}
+    assert _assert_same_count(X, A, {**edges, g: (x, e)}) > 0
+    assert _assert_same_count(X, A, {**edges, g: (x, off)}) == 0
+    vertices = {u: c.values[u] for u in X.gens(0)}
+    assert _assert_same_count(X, A, {**vertices, **edges, g: (x, off)}) == (
+        "BoundaryError",
+        f"value at {g!r} violates its boundary condition",
+    )
+
+
+def test_cyclic_basis_writes_each_kernel_as_a_sum_of_cyclic_groups():
+    from quinncalc.colouring import _cyclic_basis
+
+    def assert_basis(K, mul, gens, orders, coords):
+        """coords is a bijection from K onto the product of the Z/orders, and a homomorphism."""
+        assert sorted(coords) == sorted(K) and len(set(coords.values())) == len(K) == prod(orders)
+        for a in K:
+            for b in K:
+                total = tuple((x + y) % d for x, y, d in zip(coords[a], coords[b], orders))
+                assert coords[mul[a][b]] == total
+        for g, c in zip(gens, ([int(i == j) for i in range(len(gens))] for j in range(len(gens)))):
+            assert list(coords[g]) == c
+
+    for A in (zero_z4_z4(), rotation_module(), dihedral_module(), _tower_file(abelian_tower())):
+        plan = Plan(standard_simplex(3), A)
+        n = plan._last_level
+        for x, (gens, orders, coords) in enumerate(plan._top.kernel):
+            assert_basis(list(coords), plan._ops.mul[n][x], gens, orders, coords)
+    # Z2 x Z4 listed so that the first element of order 2 modulo <(0, 1)> is (1, 1),
+    # whose square (0, 2) must be taken off to give a generator of order 2
+    els = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 0), (1, 2), (1, 3)]
+    mul = [[els.index(((a + c) % 2, (b + d) % 4)) for c, d in els] for a, b in els]
+    inv = [els.index(((-a) % 2, (-b) % 4)) for a, b in els]
+    gens, orders, coords = _cyclic_basis(list(range(8)), mul, inv, 0)
+    assert orders == [4, 2]
+    assert_basis(list(range(8)), mul, gens, orders, coords)
+
+
+def test_hermite_form_counts_the_solutions_of_small_systems():
+    """Against counting every k: the number of k with M.k = b over Z/d, for all b."""
+    from itertools import product as tuples
+
+    from quinncalc.colouring import _hermite
+
+    cases = [
+        ([[1, 1], [0, 2]], [4, 4], [4, 4]),  # columns over Z/4 x Z/4
+        ([[2, 0], [0, 2]], [4, 2], [2, 4]),
+        ([[1, 0, 1], [1, 1, 0]], [2, 2, 2], [2, 2]),
+        ([[3, 1], [2, 2], [3, 0]], [6, 3], [6, 3, 2]),
+    ]
+    for columns, moduli, orders in cases:
+        rows = len(moduli)
+        pivots = _hermite([list(col) for col in columns], moduli)
+        solutions = {}
+        for k in tuples(*(range(d) for d in orders)):
+            b = tuple(sum(kc * col[i] for kc, col in zip(k, columns)) % moduli[i] for i in range(rows))
+            solutions[b] = solutions.get(b, 0) + 1
+        image = len(solutions)
+        assert prod(moduli) // prod(g for _, g, _ in pivots) == image
+        for b0 in tuples(*(range(d) for d in moduli)):
+            b, inside = list(b0), True
+            for i, (d, g, below) in enumerate(pivots):
+                bi = b[i] % d
+                if bi % g:
+                    inside = False
+                    break
+                for j, h in below:
+                    b[j] -= bi // g * h
+            assert inside == (b0 in solutions)

@@ -102,6 +102,23 @@ def test_group_schema_rejects_ragged_table():
         group_from_json({"elements": ["a", "b"], "table": [["a", "b"]]})
 
 
+@pytest.mark.parametrize(
+    "table, fault",
+    [
+        (5, "the table is int, not a list"),
+        ([["a", "b"], ["b", "a", "a"]], "row 1 has 3 entries for 2 elements"),
+        ([["a"], ["b", "a", "a"]], "row 0 has 1 entries for 2 elements"),
+        ([["a", "b"], "ba"], "row 1 is a str, not a list of 2 entries"),
+        ([["a", "b"]], "the table has 1 rows for 2 elements"),
+        ([["a", "b"], ["b", "a"], ["a", "a"]], "the table has 3 rows for 2 elements"),
+    ],
+)
+def test_a_table_that_is_not_square_names_the_group_and_its_first_bad_row(table, fault):
+    with pytest.raises(SchemaError) as exc:
+        group_from_json({"elements": ["a", "b"], "table": table, "name": "Z2"})
+    assert str(exc.value) == f"group table must be square over the element list: group 'Z2', {fault}"
+
+
 def test_level_element_ids_must_be_unique():
     payload = full_complex_payload()
     payload["objects"] = ["*", "o2"]
