@@ -423,18 +423,22 @@ TOP_ALGEBRAS = {
 }
 
 
+# the spheres of dimension 3 and 4 have no 2-cells: a truncation-2 top level is empty
+TOP_SPACES = {**CATALOG_SPACES, "sphere3": lambda: sphere(3), "sphere4": lambda: sphere(4)}
+
+
 @pytest.mark.parametrize(
     "space, algebra",
     [
         (space, algebra)
-        for space in CATALOG_SPACES
+        for space in TOP_SPACES
         for algebra in TOP_ALGEBRAS
         # the dict walk takes seconds on these; the catalog test covers the corpus there
         if space != "prism-torus" or algebra in ("0:Z2->Z4", "id:Z2", "coset-module")
     ],
 )
 def test_top_level_count_matches_the_walks_on_catalog(space, algebra):
-    _assert_same_count(CATALOG_SPACES[space](), TOP_ALGEBRAS[algebra]())
+    _assert_same_count(TOP_SPACES[space](), TOP_ALGEBRAS[algebra]())
 
 
 @pytest.mark.parametrize(
@@ -580,7 +584,6 @@ def test_fixed_values_are_checked_lowest_dimension_first():
 TOP_RANDOM = {
     "0:Z4->Z4": zero_z4_z4,
     "coset-module": coset_module,
-    "dihedral-module": dihedral_module,
     "rotation-module": rotation_module,
     "pair-module": pair_module,
     "coset-tower": lambda: _tower_file(coset_tower()),
@@ -594,9 +597,9 @@ def _random_top_case(space, algebra):
     return X, A, Plan(X, A).colourings()
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
-    space=st.sampled_from(["delta3", "delta3-d1-last", "delta3-d2-last", "prism-circle", "torus"]),
+    space=st.sampled_from(["delta3", "delta3-d1-last", "delta3-d2-last", "torus"]),
     algebra=st.sampled_from(list(TOP_RANDOM)),
     data=st.data(),
 )
