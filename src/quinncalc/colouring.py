@@ -28,15 +28,17 @@ passing label gives one value of it, and its slot takes just those values
 (solved slots).  A slot that admits at most one value at every earlier
 assignment is forced: the walk assigns it in a loop, without branching.
 `Plan.walk(emit, fixed)` hands the value vector of each colouring extending
-some fixed values to a callback, as the `colour-list` writer uses it, and
-`Plan.colourings(fixed)` decodes each vector into a values dict.  Each runs
-one backtracking walk after one check and encoding of the fixed values; a
-sequence of fixed generators is compiled once per plan (`_Pins`), so a
-repeated walk only encodes and checks values.  `Plan.count(fixed)` walks
-the levels below the top level L = min(dim X, truncation) and, for L >= 2,
-counts the completions of each leaf at once (`_Top`): the free level-L
-slots range over cosets of the abelian group K = ker d_L, and the cells
-above them ask one affine system over K, solved by a Hermite normal form.
+some fixed values to a callback, as the `colour-list` writer uses it;
+`Plan.keys(fixed)` pads each vector into its `colouring_key`, the one form
+of a filling in the homotopy layer, and `Plan.colourings(fixed)` decodes
+each vector into a values dict.  Each runs one backtracking walk after one
+check and encoding of the fixed values; a sequence of fixed generators is
+compiled once per plan (`_Pins`), so a repeated walk only encodes and
+checks values.  `Plan.count(fixed)` walks the levels below the top level
+L = min(dim X, truncation) and, for L >= 2, counts the completions of each
+leaf at once (`_Top`): the free level-L slots range over cosets of the
+abelian group K = ker d_L, and the cells above them ask one affine system
+over K, solved by a Hermite normal form.
 `enumerate_colourings` and `enumerate_relative` compile a plan per call; a
 caller that walks one X for many boundary values compiles it once.  The
 homotopy layer reads the same compilation: `Plan.terms` resolves the
@@ -603,7 +605,7 @@ class Plan:
 
     @cached_property
     def _decode(self):
-        """v -> the values dict of the colouring whose value indices at `slots` are v.
+        """v -> the values dict of the colouring whose value indices at `slots` are v, or whose key is v.
 
         The level-n values (x, e) are read from tables built here, so a
         colouring allocates its dict and nothing else.
@@ -682,6 +684,12 @@ class Plan:
         assigned in a loop; the walk branches only at the others.
         """
         return self._walk(emit, fixed or {}, False)
+
+    def keys(self, fixed: dict | None = None) -> list:
+        """The `colouring_key`s of the colourings extending `fixed`, in canonical order; none is decoded."""
+        pad, out = (0,) * (len(self.X.all_gens()) - len(self.slots)), []
+        self.walk(lambda v: out.append((*v, *pad)), fixed)
+        return out
 
     def colourings(self, fixed: dict | None = None) -> list:
         """The colourings extending `fixed`, in canonical order."""
@@ -1128,7 +1136,7 @@ def enumerate_colourings(X, A: CrossedComplex, fixed: dict | None = None):
     identity just above it.  When that face occurs once in the label, it is
     solved for rather than tested: it takes only the values that the
     passing labels give it.  To walk one X for many fixed values, compile
-    one `Plan` and call its `colourings`, `count` or `walk`.
+    one `Plan` and call its `colourings`, `keys`, `count` or `walk`.
     """
     return as_plan(X, A).colourings(fixed)
 

@@ -6,8 +6,8 @@ A profunctor here is contravariant on the left: `lact[(g, b)]` transports a
 basis element of (tgt g, y) to one of (src g, y), and `ract[(b, h)]`
 transports (x, src h) to (x, tgt h).  For a cobordism the basis over a pair
 of boundary colourings is the set of classes of fillings relative to the
-boundary, from one walk and one partition of all the fillings filed by their
-restrictions to the boundary.  A transport moves the key of a class
+boundary, from one walk and one partition of all the fillings' keys, filed
+by their values at the boundary.  A transport moves the key of a class
 representative along a boundary homotopy, extended by identities on the
 interior, on the boundary slots and their star; it is evaluated only for the
 generators of each boundary groupoid and composed along the other arrows.
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .colouring import Colouring, Plan, restrict_colouring, value_of_ref
+from .colouring import Colouring, Plan, value_of_ref
 from .errors import BoundaryError
 from .finalg.crossed import CrossedComplex
 from .finalg.groupoids import partition
@@ -91,8 +91,9 @@ def identity_profunctor(crs: CrsResult) -> Profunctor:
 def cobordism_profunctor(M: Stratification, A: CrossedComplex) -> Profunctor:
     """The profunctor of a stratified cobordism with tagged in/out boundaries.
 
-    One walk and one `rel_classes` find all classes: a move fixes the face-closed
-    boundary, so each lies over one boundary pair, numbered there by least member.
+    One walk of filling keys and one `rel_classes` find all classes: a move fixes
+    the face-closed boundary, so each lies over the boundary pair its least
+    member's key holds, numbered there by least member, and only it is decoded.
     """
     X = M.simpset
     in_gens, out_gens = M.tagged("in"), M.tagged("out")
@@ -102,46 +103,45 @@ def cobordism_profunctor(M: Stratification, A: CrossedComplex) -> Profunctor:
     left, right = crs_pi1(sub_in, A), crs_pi1(sub_out, A)
     GL, GR = left.groupoid, right.groupoid
     plan = Plan(X, A)
-    fillings = plan.colourings()
-    classes, class_of = rel_classes(plan, A, in_gens | out_gens, fillings)
+    keys = plan.keys()
+    classes, class_of = rel_classes(plan, A, in_gens | out_gens, keys)
+    reps = [keys[members[0]] for members in classes]
+    at_in, at_out = ([X.gen_index(g) for g in sub.all_gens()] for sub in (sub_in, sub_out))
     over = {(x, y): [] for x in GL.objects for y in GR.objects}
-    for ci, members in enumerate(classes):
-        rep = fillings[members[0]]
-        x = left.colouring_index(restrict_colouring(rep, sub_in))
-        over[(x, right.colouring_index(restrict_colouring(rep, sub_out)))].append(ci)
+    for ci, rep in enumerate(reps):
+        x = left._index[tuple(rep[p] for p in at_in)]
+        over[(x, right._index[tuple(rep[p] for p in at_out)])].append(ci)
     eid = {ci: (*pair, j) for pair, cis in over.items() for j, ci in enumerate(cis)}
     basis = {pair: tuple(eid[ci] for ci in cis) for pair, cis in over.items()}
-    sizes = {eid[ci]: len(classes[ci]) for cis in over.values() for ci in cis}
-    reps = {eid[ci]: fillings[classes[ci][0]] for cis in over.values() for ci in cis}
-    rep_keys = {b: rep.key() for b, rep in reps.items()}
-    class_of_key = {key: eid[ci] for key, ci in class_of.items()}
-    over_left = {x: [b for y in GR.objects for b in basis[(x, y)]] for x in GL.objects}
-    over_right = {y: [b for x in GL.objects for b in basis[(x, y)]] for y in GR.objects}
-    move_in = _transports(left, plan, over_left, rep_keys, class_of_key)
-    move_out = _transports(right, plan, over_right, rep_keys, class_of_key)
+    sizes = {eid[ci]: len(classes[ci]) for ci in eid}
+    decoded = {eid[ci]: Colouring(X, A, plan._decode(reps[ci])) for ci in eid}
+    over_left = {x: [ci for y in GR.objects for ci in over[(x, y)]] for x in GL.objects}
+    over_right = {y: [ci for x in GL.objects for ci in over[(x, y)]] for y in GR.objects}
+    move_in = _transports(left, plan, over_left, reps, class_of)
+    move_out = _transports(right, plan, over_right, reps, class_of)
     lact = {
-        (eta, b): over_left[GL.src[eta]][j]
+        (eta, eid[ci]): eid[over_left[GL.src[eta]][j]]
         for eta in GL.arrows
-        for b, j in zip(over_left[GL.tgt[eta]], move_in[eta])
+        for ci, j in zip(over_left[GL.tgt[eta]], move_in[eta])
     }
     # a right transport along zeta is the transport along its inverse
     ract = {
-        (b, zeta): over_right[GR.tgt[zeta]][j]
+        (eid[ci], zeta): eid[over_right[GR.tgt[zeta]][j]]
         for zeta in GR.arrows
-        for b, j in zip(over_right[GR.src[zeta]], move_out[GR.inv(zeta)])
+        for ci, j in zip(over_right[GR.src[zeta]], move_out[GR.inv(zeta)])
     }
-    return Profunctor(left, right, basis, lact, ract, sizes, reps)
+    return Profunctor(left, right, basis, lact, ract, sizes, decoded)
 
 
-def _transports(crs: CrsResult, plan: Plan, over: dict, rep_keys: dict, class_of_key: dict) -> dict:
+def _transports(crs: CrsResult, plan: Plan, over: dict, reps: list, class_of: dict) -> dict:
     """arrow -> T: the transports along the arrows of the groupoid of one boundary.
 
-    `over[x]` lists the basis elements whose boundary colouring there is
-    the object x, `rep_keys` holds the keys of their representative fillings
-    and `class_of_key` the basis element of each filling key.  A transport
-    along an arrow takes the elements over its target to those over its
-    source: T[i] is the position in over[source] of the transport of the
-    i-th element over the target.  Transports compose, T(g . a) = T(g) o T(a),
+    `over[x]` lists the classes of fillings whose boundary colouring there
+    is the object x, `reps[ci]` is the representative key of the class ci
+    and `class_of` the class of each filling key.  A transport along an
+    arrow takes the classes over its target to those over its source: T[i]
+    is the position in over[source] of the transport of the i-th class over
+    the target.  Transports compose, T(g . a) = T(g) o T(a),
     so only the generators of the groupoid are evaluated: the representative
     homotopy of a generator, extended by identities off the boundary, moves
     the key of each representative (`homotopy._Moves.mover`, which rewrites
@@ -154,14 +154,14 @@ def _transports(crs: CrsResult, plan: Plan, over: dict, rep_keys: dict, class_of
     G, X, sub, trunc = crs.groupoid, plan.X, crs.X, crs.A.truncation
     slots = [(i, X.gen_index(g)) for i, g in enumerate(sub.all_gens()) if sub.dim_of[g] < trunc]
     move = plan.moves.mover(p for _, p in slots)
-    position = {b: i for els in over.values() for i, b in enumerate(els)}
+    position = {ci: i for cis in over.values() for i, ci in enumerate(cis)}
     done = {G.ident[x]: list(range(len(over[x]))) for x in G.objects}
     into = {}  # object -> the generators and their inverses that end there
     for g in G.generators:
         g_inv = G.inv(g)
         if g not in done:
             h = {p: g[2][i] for i, p in slots}
-            t = done[g] = [position[class_of_key[move(rep_keys[b], h)]] for b in over[G.tgt[g]]]
+            t = done[g] = [position[class_of[move(reps[ci], h)]] for ci in over[G.tgt[g]]]
             done[g_inv] = back = [0] * len(t)
             for i, j in enumerate(t):
                 back[j] = i
@@ -183,9 +183,7 @@ def _transports(crs: CrsResult, plan: Plan, over: dict, rep_keys: dict, class_of
 
 
 def _aligned(crs1: CrsResult, crs2: CrsResult) -> bool:
-    keys1 = [c.key() for c in crs1.colourings]
-    keys2 = [c.key() for c in crs2.colourings]
-    return keys1 == keys2 and set(crs1.groupoid.arrows) == set(crs2.groupoid.arrows)
+    return crs1.keys == crs2.keys and set(crs1.groupoid.arrows) == set(crs2.groupoid.arrows)
 
 
 def reverse_profunctor(P: Profunctor) -> Profunctor:
@@ -384,32 +382,38 @@ def _positions(P: Profunctor) -> dict:
     return {pair: {b: i for i, b in enumerate(els)} for pair, els in P.basis.items()}
 
 
-def _frame_assignment(W: Window, A, H_top: Colouring, H_bottom: Colouring) -> dict:
-    """Fixed values on the frame of W from fillings of its top and bottom."""
-    fixed = {}
+def _frame_map(X, A, H: Colouring, images: dict) -> dict:
+    """The values of H, a colouring of X, at the frame `images` of its generators up to the truncation."""
+    out = {}
+    for g, zg in images.items():
+        if X.dim_of[g] < 2 or X.dim_of[g] <= A.truncation:
+            if out.setdefault(zg, H.values[g]) != H.values[g]:
+                raise BoundaryError("inconsistent frame colouring")
+    return out
 
-    def put(g, v):
-        if g in fixed and fixed[g] != v:
+
+def _frame_top(W: Window, A, H: Colouring) -> tuple:
+    """(on_top, on_sides): the frame values of W that a filling H of its top gives.
+
+    on_top is at the images of the top's generators, on_sides at the sides' others."""
+    top = W.top_cob.simpset
+    on_top, on_sides = _frame_map(top, A, H, W.top_map), {}
+    for zg, ref in [*W.east_proj.items(), *W.west_proj.items()]:
+        if W.simpset.dim_of[zg] < 2 or W.simpset.dim_of[zg] <= A.truncation:
+            v = value_of_ref(top, A, H.values, ref)
+            if (on_top if zg in on_top else on_sides).setdefault(zg, v) != v:
+                raise BoundaryError("inconsistent frame colouring")
+    return on_top, on_sides
+
+
+def _frame_assignment(top: tuple, bottom: dict) -> dict:
+    """The fixed frame values of a window from a `_frame_top` and a bottom filling's `_frame_map`.
+
+    Top, bottom, then sides: one order for every pair, so one pin set (`Plan._pins`)."""
+    for half in top:
+        if any(half[g] != bottom[g] for g in half.keys() & bottom.keys()):
             raise BoundaryError("inconsistent frame colouring")
-        fixed[g] = v
-
-    top_simp = W.top_cob.simpset
-    bottom_simp = W.bottom_cob.simpset
-    for g, zg in W.top_map.items():
-        if top_simp.dim_of[g] >= 2 and top_simp.dim_of[g] > A.truncation:
-            continue
-        put(zg, H_top.values[g])
-    for g, zg in W.bottom_map.items():
-        if bottom_simp.dim_of[g] >= 2 and bottom_simp.dim_of[g] > A.truncation:
-            continue
-        put(zg, H_bottom.values[g])
-    for proj in (W.east_proj, W.west_proj):
-        for zg, ref in proj.items():
-            d = W.simpset.dim_of[zg]
-            if d >= 2 and d > A.truncation:
-                continue
-            put(zg, value_of_ref(top_simp, A, H_top.values, ref))
-    return fixed
+    return {**top[0], **bottom, **top[1]}
 
 
 def window_nat_transform(W: Window, A: CrossedComplex) -> NatTransform:
@@ -419,7 +423,8 @@ def window_nat_transform(W: Window, A: CrossedComplex) -> NatTransform:
     count of fillings of the window support extending the frame colouring
     assembled from H and H' (sides extended constantly), weighted by the
     relative Theta product of the support and the content of the class of H'
-    relative to the boundary.
+    relative to the boundary.  The frame values of each representative are
+    read once, and each entry merges two of them.
     """
     top = cobordism_profunctor(W.top_cob, A)
     bottom = cobordism_profunctor(W.bottom_cob, A)
@@ -430,17 +435,13 @@ def window_nat_transform(W: Window, A: CrossedComplex) -> NatTransform:
     bottom_rel = theta_weight(W.bottom_cob.simpset, A, W.bottom_cob.boundary_gens())
     blocks = {}
     for pair in top.pairs():
-        rows, cols = top.basis[pair], bottom.basis[pair]
-        m = []
-        for b in rows:
-            H_t = top.reps[b]
-            row = []
-            for bp in cols:
-                H_b = bottom.reps[bp]
-                n = plan.count(_frame_assignment(W, A, H_t, H_b))
-                row.append(n * theta_support * bottom.sizes[bp] * bottom_rel)
-            m.append(row)
-        blocks[pair] = m
+        cols = [(_frame_map(W.bottom_cob.simpset, A, bottom.reps[bp], W.bottom_map), bottom.sizes[bp])
+                for bp in bottom.basis[pair]]
+        blocks[pair] = [
+            [plan.count(_frame_assignment(H_t, H_b)) * theta_support * size * bottom_rel
+             for H_b, size in cols]
+            for H_t in (_frame_top(W, A, top.reps[b]) for b in top.basis[pair])
+        ]
     return NatTransform(top, bottom, blocks)
 
 

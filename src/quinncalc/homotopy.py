@@ -17,14 +17,15 @@ that a `Plan` of (X, A) compiles once, with the integer tables of
 positions (identities elsewhere), rewriting only those positions and their
 star; `_delta2` gives the boundary of a 2-fold homotopy; `_compose_keys`
 composes two 1-fold homotopies cell by cell and `_invert_key` inverts one.
-`crs_pi1` composes keys only for orbits and for each arrow's loop at its
-component's root, and reads its table from the vertex groups' products
-(`_vertex_products`).  The moves are compiled once per plan (`Plan.moves`)
-and shared by `crs_pi1`, `rel_classes` and `extprof.cobordism_profunctor`.
+`crs_pi1` walks the colourings as keys (`Plan.keys`), composes keys only for
+orbits and for each arrow's loop at its component's root, and reads its
+table from the vertex groups' products (`_vertex_products`).  The moves are
+compiled once per plan (`Plan.moves`) and shared by `crs_pi1`, `rel_classes`
+and `extprof.cobordism_profunctor`.
 The public `apply_homotopy`, `compose_homotopies`, `invert_homotopy` and
 `delta2` check their arguments, compile a plan per call, encode, evaluate
-on keys and decode; `_sequence` decodes a key into values when a
-`HomotopySequence` is wanted.
+on keys and decode; `_sequence` decodes a key into values where a
+`HomotopySequence` is read.
 """
 from __future__ import annotations
 
@@ -410,19 +411,30 @@ class CrsResult:
     Objects are colourings of X (canonical order); arrows are equivalence
     classes of homotopies under right composition with boundaries of 2-fold
     homotopies.  Arrow ids are triples (source index, target index, class
-    representative key).  `tables` is `_compose_tables` of a plan of (X, A).
+    representative key).  `keys` holds the colourings' keys, `delta_keys[t]`
+    the distinct keys of boundaries of 2-fold homotopies at the object t, and
+    `colourings`, `arrow_reps` and `deltas` are decoded from them when read.
+    `tables` is `_compose_tables` of the plan.
     """
 
-    def __init__(self, X, A, colourings, groupoid, arrow_reps, deltas, tables):
-        self.X = X
-        self.A = A
-        self.colourings = colourings
-        self.groupoid = groupoid
-        self.arrow_reps = arrow_reps  # arrow id -> HomotopySequence
-        self.deltas = deltas  # target index -> list of boundary endo-homotopies
-        self._index = {c.key(): i for i, c in enumerate(colourings)}
+    def __init__(self, plan: Plan, keys: list, groupoid: FinGroupoid, delta_keys: dict, tables: tuple):
+        self.X, self.A, self._plan, self._tables = plan.X, plan.A, plan, tables
+        self.keys, self.groupoid, self.delta_keys = keys, groupoid, delta_keys
+        self._index = {k: i for i, k in enumerate(keys)}
         self._by_key = {(a[1], a[2]): a for a in groupoid.arrows}
-        self._tables = tables
+
+    @cached_property
+    def colourings(self) -> list:
+        return [Colouring(self.X, self.A, self._plan._decode(k)) for k in self.keys]
+
+    @cached_property
+    def arrow_reps(self) -> dict:
+        return {a: _sequence(self._plan, self.colourings[a[1]], a[2]) for a in self.groupoid.arrows}
+
+    @cached_property
+    def deltas(self) -> dict:
+        plan, cols = self._plan, self.colourings
+        return {t: [_sequence(plan, cols[t], k) for k in keys] for t, keys in self.delta_keys.items()}
 
     def colouring_index(self, col: Colouring) -> int:
         return self._index[col.key()]
@@ -434,27 +446,24 @@ class CrsResult:
         """The groupoid arrow represented by the homotopy H."""
         tgt = self.colouring_index(H.target)
         hk = H.key()
-        rep = min(_compose_keys(self._tables, hk, d.key()) for d in self.deltas[tgt])
+        rep = min(_compose_keys(self._tables, hk, dk) for dk in self.delta_keys[tgt])
         return self._by_key[(tgt, rep)]
 
 
 def crs_pi1(X, A: CrossedComplex) -> CrsResult:
     """Colourings, homotopies up to 2-fold homotopy, as a finite groupoid.
 
-    X is a `SimpSet` or a `Stratification`.  Homotopies are held by their
-    keys: the 1-fold and 2-fold homotopies targeting a colouring are the
-    product of their slots' index domains (`_homotopy_slots`), in ascending
-    order.  The boundary of each 2-fold homotopy is one `_delta2`, the other
-    end of each new arrow one move (`_Moves.everywhere`), and each member of
-    an arrow's orbit under the boundaries one `_compose_keys`; identities
-    are keys too.  The table and the inverses come from the vertex groups
-    (`_vertex_products`).  Only the arrow representatives and the distinct
-    boundaries are decoded into `HomotopySequence`s.
+    X is a `SimpSet` or a `Stratification`.  Colourings and homotopies are
+    held by their keys: the 1-fold and 2-fold homotopies targeting a
+    colouring are the product of their slots' index domains
+    (`_homotopy_slots`), in ascending order.  The boundary of each 2-fold
+    homotopy is one `_delta2`, the other end of each new arrow one move
+    (`_Moves.everywhere`), and each member of an arrow's orbit under the
+    boundaries one `_compose_keys`; identities are keys too.  The table and
+    the inverses come from the vertex groups (`_vertex_products`).
     """
     plan = Plan(X, A)
-    X = plan.X
-    colourings = plan.colourings()
-    fkeys = [c.key() for c in colourings]
+    fkeys = plan.keys()
     index = {k: i for i, k in enumerate(fkeys)}
     tables = _compose_tables(plan)
     ones, twos = _homotopy_slots(plan, 1), _homotopy_slots(plan, 2)
@@ -463,32 +472,27 @@ def crs_pi1(X, A: CrossedComplex) -> CrsResult:
     def homotopies(slots, f):
         return product(*((0,) if dom is None else dom[f[y]] for y, dom, _ in slots))
 
-    deltas, delta_keys = {}, {}
-    for ti, f in enumerate(fkeys):
-        keys = delta_keys[ti] = list(dict.fromkeys(boundary(f, h) for h in homotopies(twos, f)))
-        deltas[ti] = [_sequence(plan, colourings[ti], k) for k in keys]
+    delta_keys = {ti: list(dict.fromkeys(boundary(f, h) for h in homotopies(twos, f)))
+                  for ti, f in enumerate(fkeys)}
     arrows = []
-    arrow_reps = {}
-    classes = [{} for _ in colourings]  # target index -> {homotopy key: arrow index}
+    classes = [{} for _ in fkeys]  # target index -> {homotopy key: arrow index}
     for ti, f in enumerate(fkeys):
         for hk in homotopies(ones, f):
             if hk in classes[ti]:
                 continue
             keys = sorted(_compose_keys(tables, hk, dk) for dk in delta_keys[ti])
-            aid = (index[move(f, hk)], ti, keys[0])
             for k in keys:
                 classes[ti][k] = len(arrows)
-            arrows.append(aid)
-            arrow_reps[aid] = _sequence(plan, colourings[ti], keys[0])
+            arrows.append((index[move(f, hk)], ti, keys[0]))
     ident_keys = [tuple(0 if u is None else u[f[y]] for y, _, u in ones) for f in fkeys]
     ident = [classes[ti][k] for ti, k in enumerate(ident_keys)]
     products, inv = _vertex_products(tables, arrows, classes, ident)
     G = FinGroupoid(
-        range(len(colourings)), arrows, {a: a[0] for a in arrows}, {a: a[1] for a in arrows},
+        range(len(fkeys)), arrows, {a: a[0] for a in arrows}, {a: a[1] for a in arrows},
         products, {ti: arrows[i] for ti, i in enumerate(ident)},
-        {a: arrows[i] for a, i in zip(arrows, inv)}, name=f"pi1CRS({X.name})",
+        {a: arrows[i] for a, i in zip(arrows, inv)}, name=f"pi1CRS({plan.X.name})",
     )
-    return CrsResult(X, A, colourings, G, arrow_reps, deltas, tables)
+    return CrsResult(plan, fkeys, G, delta_keys, tables)
 
 
 def _vertex_products(tables: tuple, arrows: list, classes: list, ident: list) -> tuple:
@@ -577,7 +581,7 @@ def _move_generators(A: CrossedComplex, ops) -> tuple:
 
 
 def rel_classes(X, A: CrossedComplex, boundary_gens, fillings):
-    """Partition of `fillings` under homotopies that fix `boundary_gens`.
+    """Partition of `fillings`, a sequence of colouring keys, under homotopies that fix `boundary_gens`.
 
     X is a `SimpSet`, a `Stratification` or a `Plan` of one for A.
 
@@ -595,15 +599,14 @@ def rel_classes(X, A: CrossedComplex, boundary_gens, fillings):
     key there with list lookups; no colouring is built.
 
     Returns (classes, class_of): classes are tuples of filling indices with
-    the canonical minimum first; class_of maps a colouring key to its class
+    the canonical minimum first; class_of maps a filling's key to its class
     index.
     """
     if not fillings:
         return (), {}
     plan = as_plan(X, A)
     X = plan.X
-    fkeys = [col.key() for col in fillings]
-    keys = {k: i for i, k in enumerate(fkeys)}
+    keys = {k: i for i, k in enumerate(fillings)}
     moves = plan.moves
     vertex_moves, fibre_moves = moves.generators
     slots = []
@@ -616,7 +619,7 @@ def rel_classes(X, A: CrossedComplex, boundary_gens, fillings):
         slots.append((p, X.gen_index(_base_vertex(X, g)), values, moves.mover((p,))))
 
     def links():
-        for i, key in enumerate(fkeys):
+        for i, key in enumerate(fillings):
             for p, base, values, move in slots:
                 for h in values[key[base]]:
                     j = keys.get(move(key, {p: h}))
@@ -625,5 +628,5 @@ def rel_classes(X, A: CrossedComplex, boundary_gens, fillings):
                     yield i, j
 
     classes = partition(len(fillings), links())
-    class_of = {fkeys[i]: ci for ci, members in enumerate(classes) for i in members}
+    class_of = {fillings[i]: ci for ci, members in enumerate(classes) for i in members}
     return classes, class_of

@@ -11,8 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .colouring import Plan, enumerate_colourings
+from .colouring import Colouring, Plan
 from .errors import BoundaryError, ExactnessError
 from .finalg.crossed import CrossedComplex
 from .homotopy import rel_classes
@@ -87,14 +88,12 @@ def theta_weight(X: SimpSet, A: CrossedComplex, sub=frozenset()) -> Fraction:
     return out
 
 
-@dataclass
 class StateSpace:
-    """Basis of homotopy classes of colourings of a closed stratified piece."""
+    """Basis of homotopy classes of colourings of a closed stratified piece, held as keys."""
 
-    space: SimpSet
-    A: CrossedComplex
-    colourings: list  # all colourings of the space, canonical order
-    classes: tuple  # tuples of colouring indices, canonical representative first
+    def __init__(self, plan: Plan, keys: list, classes: tuple, class_of: dict):
+        self.space, self.A, self._plan = plan.X, plan.A, plan
+        self.keys, self.classes, self.class_of = keys, classes, class_of
 
     @property
     def dim(self):
@@ -105,16 +104,19 @@ class StateSpace:
         size = len(self.classes[ci])
         return size * theta_weight(self.space, self.A)
 
-    def representative(self, ci):
-        return self.colourings[self.classes[ci][0]]
+    @cached_property
+    def colourings(self) -> list:
+        return [Colouring(self.space, self.A, self._plan._decode(k)) for k in self.keys]
+
+    def representative(self, ci) -> Colouring:
+        return Colouring(self.space, self.A, self._plan._decode(self.keys[self.classes[ci][0]]))
 
 
 def state_space(X, A: CrossedComplex) -> StateSpace:
     """Homotopy classes of colourings: pi_0 of the mapping space, as a partition."""
     plan = Plan(X, A)
-    colourings = enumerate_colourings(plan, A)
-    classes, _ = rel_classes(plan, A, frozenset(), colourings)
-    return StateSpace(plan.X, A, colourings, classes)
+    keys = plan.keys()
+    return StateSpace(plan, keys, *rel_classes(plan, A, frozenset(), keys))
 
 
 @dataclass
@@ -162,12 +164,12 @@ def quinn_matrix(M: Stratification, A: CrossedComplex, s=Fraction(0), exact_only
     theta_rel = theta_weight(M.simpset, A, M.boundary_gens())
     entries = []
     exact = True
+    outs = [ss_out.representative(cj).values for cj in range(ss_out.dim)]
     for ci in range(ss_in.dim):
-        f = ss_in.representative(ci)
+        f = ss_in.representative(ci).values
         row = []
-        for cj in range(ss_out.dim):
-            fp = ss_out.representative(cj)
-            n = plan.count({**f.values, **fp.values})
+        for cj, fp in enumerate(outs):
+            n = plan.count({**f, **fp})
             if n == 0:
                 row.append(Fraction(0))
                 continue
@@ -188,11 +190,9 @@ def quinn_matrix(M: Stratification, A: CrossedComplex, s=Fraction(0), exact_only
 def chi_pi_component(X, A: CrossedComplex, f) -> Fraction:
     """Class size of f times the Theta weight of X: the component content."""
     ss = state_space(X, A)
-    key = f.key()
-    for ci, members in enumerate(ss.classes):
-        if any(ss.colourings[i].key() == key for i in members):
-            return ss.class_content(ci)
-    raise ValueError("colouring not found")
+    if (ci := ss.class_of.get(f.key())) is None:
+        raise ValueError("colouring not found")
+    return ss.class_content(ci)
 
 
 def chi_pi_rel_fibre(X, A: CrossedComplex, fixed: dict) -> Fraction:

@@ -509,20 +509,17 @@ def crs_pi1(X, A) -> CrsResult:
     plan = Plan(X, A)
     X = plan.X
     colourings = plan.colourings()
-    index = {c.key(): i for i, c in enumerate(colourings)}
+    fkeys = [c.key() for c in colourings]
+    index = {k: i for i, k in enumerate(fkeys)}
     tables = _compose_tables(plan)
-    deltas, delta_keys = {}, {}
+    delta_keys = {}
     for ti, f in enumerate(colourings):
-        ds, keys = [], {}
+        keys = delta_keys[ti] = []
         for H2 in enumerate_sequences(X, A, f, 2):
-            d = HomotopySequence(1, f, _delta2(plan, f.values, H2.values))
-            k = d.key()
+            k = HomotopySequence(1, f, _delta2(plan, f.values, H2.values)).key()
             if k not in keys:
-                keys[k] = None
-                ds.append(d)
-        deltas[ti], delta_keys[ti] = ds, list(keys)
+                keys.append(k)
     arrows = []
-    arrow_reps = {}
     classes = [{} for _ in colourings]  # target index -> {homotopy key: arrow id}
     for ti, f in enumerate(colourings):
         for H in enumerate_sequences(X, A, f, 1):
@@ -535,15 +532,15 @@ def crs_pi1(X, A) -> CrsResult:
             for k in keys:
                 classes[ti][k] = aid
             arrows.append(aid)
-            arrow_reps[aid] = _sequence(plan, f, keys[0])
     ident = {}
     for ti, f in enumerate(colourings):
         ident[ti] = classes[ti][identity_sequence(f).key()]
     inv = {}
     for a in arrows:
-        inv[a] = classes[a[0]][_invert(arrow_reps[a], colourings[a[0]]).key()]
+        rep = _sequence(plan, colourings[a[1]], a[2])
+        inv[a] = classes[a[0]][_invert(rep, colourings[a[0]]).key()]
     G = _groupoid_per_entry(X, tables, arrows, classes, ident, inv)
-    return CrsResult(X, A, colourings, G, arrow_reps, deltas, tables)
+    return CrsResult(plan, fkeys, G, delta_keys, tables)
 
 
 def _groupoid_per_entry(X, tables, arrows, classes, ident, inv) -> FinGroupoid:
@@ -575,8 +572,7 @@ def crs_pi1_per_entry(X, A) -> CrsResult:
     """
     plan = Plan(X, A)
     X = plan.X
-    colourings = plan.colourings()
-    fkeys = [c.key() for c in colourings]
+    fkeys = [c.key() for c in plan.colourings()]
     index = {k: i for i, k in enumerate(fkeys)}
     tables = _compose_tables(plan)
     ones, twos = _homotopy_slots(plan, 1), _homotopy_slots(plan, 2)
@@ -585,13 +581,11 @@ def crs_pi1_per_entry(X, A) -> CrsResult:
     def homotopies(slots, f):
         return product(*((0,) if dom is None else dom[f[y]] for y, dom, _ in slots))
 
-    deltas, delta_keys = {}, {}
-    for ti, f in enumerate(fkeys):
-        keys = delta_keys[ti] = list(dict.fromkeys(boundary(f, h) for h in homotopies(twos, f)))
-        deltas[ti] = [_sequence(plan, colourings[ti], k) for k in keys]
+    delta_keys = {
+        ti: list(dict.fromkeys(boundary(f, h) for h in homotopies(twos, f))) for ti, f in enumerate(fkeys)
+    }
     arrows = []
-    arrow_reps = {}
-    classes = [{} for _ in colourings]  # target index -> {homotopy key: arrow id}
+    classes = [{} for _ in fkeys]  # target index -> {homotopy key: arrow id}
     for ti, f in enumerate(fkeys):
         for hk in homotopies(ones, f):
             if hk in classes[ti]:
@@ -601,14 +595,13 @@ def crs_pi1_per_entry(X, A) -> CrsResult:
             for k in keys:
                 classes[ti][k] = aid
             arrows.append(aid)
-            arrow_reps[aid] = _sequence(plan, colourings[ti], keys[0])
     ident = {
         ti: classes[ti][tuple(0 if u is None else u[f[y]] for y, _, u in ones)]
         for ti, f in enumerate(fkeys)
     }
     inv = {a: classes[a[0]][_invert_key(tables, a[2])] for a in arrows}
     G = _groupoid_per_entry(X, tables, arrows, classes, ident, inv)
-    return CrsResult(X, A, colourings, G, arrow_reps, deltas, tables)
+    return CrsResult(plan, fkeys, G, delta_keys, tables)
 
 
 # -- invariants ------------------------------------------------------------------------
@@ -985,6 +978,8 @@ class DictPlan:
         return lambda vals: preimage[vals[lead]].get(label(vals), ())
 
     def _check_fixed(self, fixed: dict):
+        """`Plan`'s checks of fixed values, lowest dimension first and in the given order within
+        one, so a label is evaluated only once the edges below it have passed theirs."""
         X, A = self.X, self.A
         for g in fixed:
             if g not in X.dim_of:
@@ -993,7 +988,7 @@ class DictPlan:
         for g, v in fixed.items():
             if X.dim_of[g] == 0 and v not in objs:
                 raise BoundaryError(f"vertex value {v!r} is not an object")
-        for g, v in fixed.items():
+        for g, v in sorted(fixed.items(), key=lambda gv: X.dim_of[gv[0]]):
             d = X.dim_of[g]
             if d == 1:
                 s, t = X.edge_ends(g)

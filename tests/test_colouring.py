@@ -540,7 +540,7 @@ def test_plan_matches_seed_walker_on_random_fixed_values(space, algebra, data):
 )
 def test_plan_matches_seed_walker_on_window_frames(space, algebra):
     """The frames `window_nat_transform` walks: one per pair of class representatives."""
-    from quinncalc.extprof import _frame_assignment, cobordism_profunctor
+    from quinncalc.extprof import _frame_assignment, _frame_map, _frame_top, cobordism_profunctor
 
     base = {"point": point, "circle": circle}[space]
     W, A = window_support(prism(base()), prism(base())), CORPUS_ALGEBRAS[algebra]()
@@ -549,7 +549,8 @@ def test_plan_matches_seed_walker_on_window_frames(space, algebra):
     for pair in top.pairs():
         for b in top.basis[pair]:
             for bp in bottom.basis[pair]:
-                fixed = _frame_assignment(W, A, top.reps[b], bottom.reps[bp])
+                bottom_half = _frame_map(W.bottom_cob.simpset, A, bottom.reps[bp], W.bottom_map)
+                fixed = _frame_assignment(_frame_top(W, A, top.reps[b]), bottom_half)
                 seed = _on_fresh_thread(_enumerate_colourings_seed, W.simpset, A, fixed)
                 assert _values(plan.colourings(fixed)) == _values(seed)
                 assert plan.count(fixed) == len(seed)
@@ -591,7 +592,7 @@ STRATIFIED_ENTRY_POINTS = {
     "state_space": lambda X, A, fixed: state_space(X, A).classes,
     "chi_pi_rel_fibre": lambda X, A, fixed: chi_pi_rel_fibre(X, A, fixed),
     "crs_pi1": _crs_data,
-    "rel_classes": lambda X, A, fixed: rel_classes(X, A, fixed, enumerate_relative(X, A, fixed)),
+    "rel_classes": lambda X, A, fixed: rel_classes(X, A, fixed, Plan(X, A).keys(fixed)),
     "enumerate_sequences": lambda X, A, fixed: [
         H.values for H in enumerate_sequences(X, A, enumerate_colourings(X, A)[-1], 1)
     ],

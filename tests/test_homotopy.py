@@ -30,7 +30,6 @@ from quinncalc.finalg import (
 )
 from quinncalc.finalg.groupoids import FinGroupoid, partition
 from quinncalc.homotopy import (
-    CrsResult,
     HomotopySequence,
     _compose_keys,
     _compose_tables,
@@ -372,6 +371,8 @@ def _crs_pi1_seed(X, A):
     It tries every arrow pair for the composition table, and each composite
     and inverse recomputes the other end of a homotopy with the reference
     apply_homotopy, which walks the simplicial set instead of a `Plan`.
+    What it builds is returned as decoded values, which `CrsResult` holds as
+    keys.
     """
     X = as_simpset(X)
     colourings = enumerate_colourings(X, A)
@@ -423,7 +424,7 @@ def _crs_pi1_seed(X, A):
         Hinv = reference.invert_homotopy(arrow_reps[a])
         inv[a] = seq_class[(a[0], Hinv.key())]
     G = FinGroupoid(objects, tuple(arrows), src, tgt, comp, ident, inv, name=f"pi1CRS({X.name})")
-    return CrsResult(X, A, colourings, G, arrow_reps, deltas, _compose_tables(Plan(X, A)))
+    return SimpleNamespace(colourings=colourings, groupoid=G, arrow_reps=arrow_reps, deltas=deltas)
 
 
 CATALOG = cli._builders()
@@ -632,7 +633,7 @@ def test_rel_classes_cylinder(s3):
         from quinncalc.colouring import enumerate_relative
 
         fillings = enumerate_relative(X, A, fixed)
-        classes, _ = rel_classes(X, A, boundary, fillings)
+        classes, _ = rel_classes(X, A, boundary, _keys(fillings))
         centraliser = [h for h in s3.elements if s3.mul(h, g) == s3.mul(g, h)]
         assert len(fillings) == len(centraliser)
         assert len(classes) == len(centraliser)  # rigid fillings for iota1
@@ -642,9 +643,9 @@ def test_rel_classes_whole_and_empty_boundary(s3):
     A = iota1(s3)
     X = torus()
     fillings = enumerate_colourings(X, A)
-    classes_all, _ = rel_classes(X, A, frozenset(X.all_gens()), fillings)
+    classes_all, _ = rel_classes(X, A, frozenset(X.all_gens()), _keys(fillings))
     assert len(classes_all) == len(fillings)
-    classes_none, _ = rel_classes(X, A, frozenset(), fillings)
+    classes_none, _ = rel_classes(X, A, frozenset(), _keys(fillings))
     assert classes_none == crs_pi1(X, A).components()
 
 
@@ -682,6 +683,11 @@ def test_state_space_classes_match_crs_components(space, algebra):
     """The partition behind state_space against the components of the full groupoid."""
     X, A = ORACLE_SPACES[space](), ORACLE_ALGEBRAS[algebra]()
     assert state_space(X, A).classes == crs_pi1(X, A).components()
+
+
+def _keys(colourings) -> list:
+    """What `rel_classes` partitions: the colourings' keys."""
+    return [c.key() for c in colourings]
 
 
 def _rel_classes_product(X, A, boundary_gens, fillings):
@@ -775,7 +781,7 @@ def test_rel_classes_match_product_oracle(space, algebra):
         M = _cylinder(space)
         cases = [(M.simpset, M.boundary_gens(), fs) for fs in _boundary_filling_sets(M, A)]
     for X, boundary, fillings in cases:
-        got = rel_classes(X, A, boundary, fillings)
+        got = rel_classes(X, A, boundary, _keys(fillings))
         assert got == _rel_classes_product(X, A, boundary, fillings)
         assert got == _rel_classes_all_values(X, A, boundary, fillings)
 
@@ -798,7 +804,7 @@ def test_rel_classes_match_product_oracle_on_random_boundaries(space, algebra, d
     boundary = X.subcomplex_closure(seed)
     c = data.draw(st.sampled_from(colourings), label="colouring")
     fillings = enumerate_relative(X, A, {g: v for g, v in c.values.items() if g in boundary})
-    got = rel_classes(X, A, boundary, fillings)
+    got = rel_classes(X, A, boundary, _keys(fillings))
     assert got == _rel_classes_product(X, A, boundary, fillings)
     assert got == _rel_classes_all_values(X, A, boundary, fillings)
 
@@ -833,7 +839,7 @@ def test_rel_classes_on_non_reduced_algebras_match_both_oracles(space, algebra):
         M = prism(point() if space == "prism-point" else circle())
         cases = [(M.simpset, M.boundary_gens(), fs) for fs in _boundary_filling_sets(M, A)]
     for X, boundary, fillings in cases:
-        got = rel_classes(X, A, boundary, fillings)
+        got = rel_classes(X, A, boundary, _keys(fillings))
         assert got == _rel_classes_all_values(X, A, boundary, fillings)
         assert got == _rel_classes_product(X, A, boundary, fillings)
 
@@ -849,14 +855,14 @@ def test_rel_classes_applies_no_homotopy(monkeypatch):
     calls = []
     real = homotopy.apply_homotopy
     monkeypatch.setattr(homotopy, "apply_homotopy", lambda *args: calls.append(args) or real(*args))
-    assert rel_classes(M.simpset, A, M.boundary_gens(), fillings) == want
+    assert rel_classes(M.simpset, A, M.boundary_gens(), _keys(fillings)) == want
     assert calls == []
 
 
 def test_a_plan_stands_for_its_space_only_with_its_algebra():
     M = prism(circle())
     A, other = ORACLE_ALGEBRAS["s3"](), ORACLE_ALGEBRAS["z3"]()
-    fillings = enumerate_colourings(M.simpset, A)
+    fillings = Plan(M, A).keys()
     boundary = M.boundary_gens()
     plan = Plan(M, A)
     assert rel_classes(plan, A, boundary, fillings) == rel_classes(M, A, boundary, fillings)
@@ -868,7 +874,7 @@ def test_rel_classes_rejects_a_move_out_of_the_filling_set():
     A = ORACLE_ALGEBRAS["s3"]()
     X = torus()
     with pytest.raises(ValueError, match="internal homotopy left the filling set"):
-        rel_classes(X, A, frozenset(), enumerate_colourings(X, A)[:3])
+        rel_classes(X, A, frozenset(), Plan(X, A).keys()[:3])
 
 
 def _one_vertex_space(name, faces_of_c):
@@ -1072,7 +1078,7 @@ def test_holonomy_well_defined_on_classes():
         fillings = enumerate_relative(X, A, dict(bcol.values))
         if not fillings:
             continue
-        classes, class_of = rel_classes(X, A, boundary, fillings)
+        classes, class_of = rel_classes(X, A, boundary, _keys(fillings))
         h = fillings[0]
         for H in enumerate_sequences(sub, A, bcol, 1)[:6]:
             results = set()
@@ -1081,7 +1087,7 @@ def test_holonomy_well_defined_on_classes():
                 moved = holonomy_act(X, A, boundary, member, h)
                 mcol = restrict_colouring(moved, sub)
                 fillings2 = enumerate_relative(X, A, dict(mcol.values))
-                _, class_of2 = rel_classes(X, A, boundary, fillings2)
+                _, class_of2 = rel_classes(X, A, boundary, _keys(fillings2))
                 results.add(class_of2[moved.key()])
             assert len(results) == 1
 

@@ -581,6 +581,18 @@ def test_fixed_values_are_checked_lowest_dimension_first():
     assert str(exc.value) == f"edge value at {edge!r} has wrong endpoints"
 
 
+def test_the_oracle_checks_fixed_values_lowest_dimension_first():
+    """`reference.DictPlan` names the unknown edge as `Plan` does, and raises no `KeyError`
+    from the label of the 2-cell given before it."""
+    X, A = standard_simplex(2), zero_z4_z4()
+    c = Plan(X, A).colourings()[7]
+    g, edge = X.gens(2)[0], X.gens(1)[0]
+    fixed = {g: c.values[g], **c.values}
+    fixed[edge] = "no such arrow"
+    want = "BoundaryError", f"edge value at {edge!r} has wrong endpoints"
+    assert _outcome(reference.DictPlan(X, A), fixed) == _outcome(Plan(X, A), fixed) == want
+
+
 TOP_RANDOM = {
     "0:Z4->Z4": zero_z4_z4,
     "coset-module": coset_module,
@@ -604,7 +616,11 @@ def _random_top_case(space, algebra):
     data=st.data(),
 )
 def test_top_level_count_matches_the_walks_on_random_pins(space, algebra, data):
-    """Random pinned subsets of a colouring; a pinned top value may move off its coset."""
+    """Random pinned subsets of a colouring; a pinned top value may move off its coset.
+
+    The pins are given in generator order and again in a shuffled order, in
+    which both walks check them lowest dimension first.
+    """
     X, A, colourings = _random_top_case(space, algebra)
     c = data.draw(st.sampled_from(colourings), label="colouring")
     pinned = data.draw(st.sets(st.sampled_from(sorted(c.values, key=X.gen_index))), label="pinned")
@@ -615,7 +631,9 @@ def test_top_level_count_matches_the_walks_on_random_pins(space, algebra, data):
         g = data.draw(st.sampled_from(cells), label="cell")
         x, e = fixed[g]
         fixed[g] = x, data.draw(st.sampled_from(A.fibre(top, x).elements), label="element")
-    _assert_same_count(X, A, fixed)
+    n = _assert_same_count(X, A, fixed)
+    shuffled = {g: fixed[g] for g in data.draw(st.permutations(list(fixed)), label="order")}
+    assert _counts(Plan(X, A), shuffled) == _counts(reference.DictPlan(X, A), shuffled) == n
 
 
 def test_a_top_value_off_its_coset_counts_no_colouring():

@@ -18,6 +18,8 @@ from quinncalc.colouring import Plan
 from quinncalc.extprof import (
     NatTransform,
     _frame_assignment,
+    _frame_map,
+    _frame_top,
     cobordism_profunctor,
     window_nat_transform,
 )
@@ -27,7 +29,7 @@ from quinncalc.homotopy import crs_pi1, rel_classes
 from quinncalc.simpset import Stratification, circle, point, prism, window_support
 from tests import reference
 from tests.test_colouring import CORPUS_ALGEBRAS, _cylinder
-from tests.test_homotopy import NON_REDUCED, _permutation_groupoid
+from tests.test_homotopy import NON_REDUCED, _keys, _permutation_groupoid
 from tests.test_index_walk import pair_module
 
 
@@ -157,7 +159,7 @@ def _boundary_cases(M, A):
 def test_rel_classes_match_the_dict_moves_on_boundary_pairs(cobordism, algebra):
     M, A = COBORDISMS[cobordism](), ALGEBRAS[algebra]()
     for plan, boundary, fillings in _boundary_cases(M, A):
-        got = rel_classes(plan, A, boundary, fillings)
+        got = rel_classes(plan, A, boundary, _keys(fillings))
         want = reference.rel_classes(plan, A, boundary, fillings)
         assert got == want
         assert _items(got[1]) == _items(want[1])
@@ -170,7 +172,7 @@ def test_rel_classes_match_the_dict_moves_on_windows(window, algebra):
     W, A = WINDOWS[window](), ALGEBRAS[algebra]()
     for M in (W.top_cob, W.bottom_cob):
         for plan, boundary, fillings in _boundary_cases(M, A):
-            assert rel_classes(plan, A, boundary, fillings) == reference.rel_classes(
+            assert rel_classes(plan, A, boundary, _keys(fillings)) == reference.rel_classes(
                 plan, A, boundary, fillings
             )
     top, bottom = cobordism_profunctor(W.top_cob, A), cobordism_profunctor(W.bottom_cob, A)
@@ -178,8 +180,10 @@ def test_rel_classes_match_the_dict_moves_on_windows(window, algebra):
     for pair in top.pairs():
         for b in top.basis[pair]:
             for bp in bottom.basis[pair]:
-                fillings = plan.colourings(_frame_assignment(W, A, top.reps[b], bottom.reps[bp]))
-                assert rel_classes(plan, A, frame, fillings) == reference.rel_classes(
+                bottom_half = _frame_map(W.bottom_cob.simpset, A, bottom.reps[bp], W.bottom_map)
+                fixed = _frame_assignment(_frame_top(W, A, top.reps[b]), bottom_half)
+                fillings = plan.colourings(fixed)
+                assert rel_classes(plan, A, frame, _keys(fillings)) == reference.rel_classes(
                     plan, A, frame, fillings
                 )
 
