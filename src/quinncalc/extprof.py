@@ -2,15 +2,17 @@
 cobordisms, coend composition, and natural-transformation matrices for
 windows.
 
-A profunctor here is contravariant on the left: `lact[(g, b)]` transports a
-basis element of (tgt g, y) to one of (src g, y), and `ract[(b, h)]`
-transports (x, src h) to (x, tgt h).  For a cobordism the basis over a pair
-of boundary colourings is the set of classes of fillings relative to the
-boundary, from one walk and one partition of all the fillings' keys, filed
-by their values at the boundary.  A transport moves the key of a class
-representative along a boundary homotopy, extended by identities on the
-interior, on the boundary slots and their star; it is evaluated only for the
-generators of each boundary groupoid and composed along the other arrows.
+A profunctor here is contravariant on the left, and it holds one map of
+basis elements per arrow: `lact[g]` transports each basis element of
+(tgt g, y) to one of (src g, y), and `ract[h]` each of (x, src h) to one of
+(x, tgt h).  For a cobordism the basis over a pair of boundary colourings is
+the set of classes of fillings relative to the boundary, from one walk and
+one partition of all the fillings' keys, filed by their values at the
+boundary.  A transport moves the key of a class representative along a
+boundary homotopy, extended by identities on the interior, on the boundary
+slots and their star; it is evaluated only for the generators of each
+boundary groupoid and composed along the other arrows.  The coend of two
+profunctors links its nodes along the generators of the middle groupoid.
 Naturality of a window's 2-cell is checked on the squares of generators.
 """
 from __future__ import annotations
@@ -32,8 +34,8 @@ class Profunctor:
     left: CrsResult
     right: CrsResult
     basis: dict  # (li, ri) -> tuple of element ids
-    lact: dict  # (left arrow, elem) -> elem
-    ract: dict  # (elem, right arrow) -> elem
+    lact: dict  # left arrow g -> {elem over (tgt g, y): elem over (src g, y)}
+    ract: dict  # right arrow h -> {elem over (x, src h): elem over (x, tgt h)}
     sizes: dict = field(default_factory=dict)  # elem -> class size (cobordism case)
     reps: dict = field(default_factory=dict)  # elem -> representative filling or node
     members: dict = field(default_factory=dict)  # elem -> class member nodes (coend case)
@@ -49,32 +51,32 @@ class Profunctor:
 
     def transport(self, eta, b, zeta):
         """basis(tgt eta, src zeta) -> basis(src eta, tgt zeta)."""
-        return self.ract[(self.lact[(eta, b)], zeta)]
+        return self.ract[zeta][self.lact[eta][b]]
 
     def check_functorial(self) -> bool:
-        GL, GR = self.left.groupoid, self.right.groupoid
-        for (li, ri), els in self.basis.items():
-            for b in els:
-                if self.lact[(GL.ident[li], b)] != b:
-                    return False
-                if self.ract[(b, GR.ident[ri])] != b:
-                    return False
-        for g1, g2, g12 in GL.entries():
-            for ri in GR.objects:
-                for b in self.basis.get((GL.tgt[g2], ri), ()):
-                    if self.lact[(g12, b)] != self.lact[(g1, self.lact[(g2, b)])]:
-                        return False
-        for h1, h2, h12 in GR.entries():
-            for li in GL.objects:
-                for b in self.basis.get((li, GR.src[h1]), ()):
-                    if self.ract[(b, h12)] != self.ract[(self.ract[(b, h1)], h2)]:
-                        return False
+        """Identities, every table entry of each side, and the squares over each basis pair."""
+        GL, GR, lact, ract = self.left.groupoid, self.right.groupoid, self.lact, self.ract
+        on_left, on_right = {x: [] for x in GL.objects}, {y: [] for y in GR.objects}
         for (x, y), els in self.basis.items():
-            for g in GL.arrows_into(x):
+            on_left[x] += els
+            on_right[y] += els
+            if any(lact[GL.ident[x]][b] != b or ract[GR.ident[y]][b] != b for b in els):
+                return False
+        for g1, g2, g12 in GL.entries():
+            t1, t2, t12 = lact[g1], lact[g2], lact[g12]
+            if any(t12[b] != t1[t2[b]] for b in on_left[GL.tgt[g2]]):
+                return False
+        for h1, h2, h12 in GR.entries():
+            t1, t2, t12 = ract[h1], ract[h2], ract[h12]
+            if any(t12[b] != t2[t1[b]] for b in on_right[GR.src[h1]]):
+                return False
+        for (x, y), els in self.basis.items():
+            for g in GL.arrows_into(x) if els else ():
+                tg = lact[g]
                 for h in GR.arrows_from(y):
-                    for b in els:
-                        if self.ract[(self.lact[(g, b)], h)] != self.lact[(g, self.ract[(b, h)])]:
-                            return False
+                    th = ract[h]
+                    if any(th[tg[b]] != tg[th[b]] for b in els):
+                        return False
         return True
 
 
@@ -83,9 +85,11 @@ def identity_profunctor(crs: CrsResult) -> Profunctor:
     G = crs.groupoid
     basis = {(x, y): G.arrows_between(x, y) for x in G.objects for y in G.objects}
     sizes = {b: 1 for b in G.arrows}
-    # g acts on b by g.b on the left and b.g on the right: both tables are the composition table
-    table = {(a, b): c for a, b, c in G.entries()}
-    return Profunctor(crs, crs, basis, table, dict(table), sizes)
+    # g acts on b by g.b on the left and b.g on the right: both are read off the composition table
+    lact, ract = {g: {} for g in G.arrows}, {h: {} for h in G.arrows}
+    for a, b, c in G.entries():
+        lact[a][b] = ract[b][a] = c
+    return Profunctor(crs, crs, basis, lact, ract, sizes)
 
 
 def cobordism_profunctor(M: Stratification, A: CrossedComplex) -> Profunctor:
@@ -119,17 +123,13 @@ def cobordism_profunctor(M: Stratification, A: CrossedComplex) -> Profunctor:
     over_right = {y: [ci for x in GL.objects for ci in over[(x, y)]] for y in GR.objects}
     move_in = _transports(left, plan, over_left, reps, class_of)
     move_out = _transports(right, plan, over_right, reps, class_of)
-    lact = {
-        (eta, eid[ci]): eid[over_left[GL.src[eta]][j]]
-        for eta in GL.arrows
-        for ci, j in zip(over_left[GL.tgt[eta]], move_in[eta])
-    }
-    # a right transport along zeta is the transport along its inverse
-    ract = {
-        (eid[ci], zeta): eid[over_right[GR.tgt[zeta]][j]]
-        for zeta in GR.arrows
-        for ci, j in zip(over_right[GR.src[zeta]], move_out[GR.inv(zeta)])
-    }
+    on_left = {x: [eid[ci] for ci in cis] for x, cis in over_left.items()}
+    on_right = {y: [eid[ci] for ci in cis] for y, cis in over_right.items()}
+    lact = {g: dict(zip(on_left[GL.tgt[g]], map(on_left[GL.src[g]].__getitem__, move_in[g])))
+            for g in GL.arrows}
+    # a right transport along h is the transport along its inverse
+    ract = {h: dict(zip(on_right[GR.src[h]], map(on_right[GR.tgt[h]].__getitem__, move_out[GR.inv(h)])))
+            for h in GR.arrows}
     return Profunctor(left, right, basis, lact, ract, sizes, decoded)
 
 
@@ -190,25 +190,21 @@ def reverse_profunctor(P: Profunctor) -> Profunctor:
     """The reverse profunctor, transporting along inverted arrows."""
     GL, GR = P.left.groupoid, P.right.groupoid
     basis = {(y, x): els for (x, y), els in P.basis.items()}
-    lact, ract = {}, {}
-    for (x, y), els in P.basis.items():
-        for h in GR.arrows_into(y):
-            hinv = GR.inv(h)
-            for b in els:
-                lact[(h, b)] = P.ract[(b, hinv)]
-        for g in GL.arrows_from(x):
-            ginv = GL.inv(g)
-            for b in els:
-                ract[(b, g)] = P.lact[(ginv, b)]
+    lact = {h: P.ract[GR.inv(h)] for h in GR.arrows}
+    ract = {g: P.lact[GL.inv(g)] for g in GL.arrows}
     return Profunctor(P.right, P.left, basis, lact, ract, dict(P.sizes), dict(P.reps))
 
 
 def compose_profunctors(P: Profunctor, Q: Profunctor) -> Profunctor:
-    """Coend composite over the middle groupoid, by orbit identification."""
+    """Coend composite over the middle groupoid, by orbit identification.
+
+    Nodes (p.h, q) ~ (p, h.q) are linked only for the generators h: links along
+    h1 h2 follow, (p.h1.h2, q) ~ (p.h1, h2.q) ~ (p, h1.h2.q), and so do links
+    along inverses, which are the generators' links read backwards."""
     if not _aligned(P.right, Q.left):
         raise BoundaryError("middle groupoids do not match")
     GL, GM, GR = P.left.groupoid, P.right.groupoid, Q.right.groupoid
-    basis, lact, ract = {}, {}, {}
+    basis, lact, ract = {}, {g: {} for g in GL.arrows}, {k: {} for k in GR.arrows}
     node_class: dict = {}
     class_reps: dict = {}
     class_members: dict = {}
@@ -222,12 +218,13 @@ def compose_profunctors(P: Profunctor, Q: Profunctor) -> Profunctor:
             )
             index = {n: i for i, n in enumerate(nodes)}
             links = []
-            for h in GM.arrows:
+            for h in GM.generators:
                 y1, y2 = GM.src[h], GM.tgt[h]
-                for p in P.basis.get((x, y1), ()):
-                    ph = P.ract[(p, h)]
-                    for q in Q.basis.get((y2, z), ()):
-                        links.append((index[(y2, ph, q)], index[(y1, p, Q.lact[(h, q)])]))
+                ps, qs = P.basis.get((x, y1), ()), Q.basis.get((y2, z), ())
+                if ps and qs:
+                    ph, hq = P.ract[h], Q.lact[h]
+                    links += [(index[(y2, ph[p], q)], index[(y1, p, hq[q])])
+                              for p in ps for q in qs]
             ids = []
             for ci, members in enumerate(partition(len(nodes), links)):
                 eid = (x, z, ci)
@@ -241,9 +238,9 @@ def compose_profunctors(P: Profunctor, Q: Profunctor) -> Profunctor:
         for eid in ids:
             y, p, q = class_reps[eid]
             for g in GL.arrows_into(x):
-                lact[(g, eid)] = node_class[(GL.src[g], z, (y, P.lact[(g, p)], q))]
+                lact[g][eid] = node_class[(GL.src[g], z, (y, P.lact[g][p], q))]
             for k in GR.arrows_from(z):
-                ract[(eid, k)] = node_class[(x, GR.tgt[k], (y, p, Q.ract[(q, k)]))]
+                ract[k][eid] = node_class[(x, GR.tgt[k], (y, p, Q.ract[k][q]))]
     return Profunctor(
         P.left, Q.right, basis, lact, ract, reps=class_reps, members=class_members
     )
@@ -284,20 +281,15 @@ def profunctor_iso_check(P: Profunctor, Q: Profunctor):
             added.append((pr, e))
             x, y = pr
             for g in GL.arrows_into(x):
-                stack.append(((GL.src[g], y), P.lact[(g, e)], Q.lact[(g, im)]))
+                stack.append(((GL.src[g], y), P.lact[g][e], Q.lact[g][im]))
             for h in GRo.arrows_from(y):
-                stack.append(((x, GRo.tgt[h]), P.ract[(e, h)], Q.ract[(im, h)]))
+                stack.append(((x, GRo.tgt[h]), P.ract[h][e], Q.ract[h][im]))
         return added
 
     slots = [(pair, e) for pair in sorted(P.basis) for e in P.basis[pair]]
 
     def injective():
-        images = set()
-        for (pr, e), (pr2, im) in assignment.items():
-            if (pr2, im) in images:
-                return False
-            images.add((pr2, im))
-        return True
+        return len(set(assignment.values())) == len(assignment)
 
     def backtrack(k):
         while k < len(slots) and slots[k] in assignment:

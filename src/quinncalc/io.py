@@ -583,10 +583,11 @@ def groupoid_document(G: FinGroupoid, labels: LabelMap | None = None) -> dict:
     }
 
 
-def _action_rows(table: dict, ids, lab: LabelMap) -> list:
-    """`_label_sorted_rows` of an action table {(a, b): c} on `ids`, as lists."""
+def _action_rows(rows, ids, lab: LabelMap) -> list:
+    """`_label_sorted_rows` of the rows (a, bs, cs) of an action, the entries (a, bs[p]) -> cs[p],
+    on `ids`, as lists.  Entries with tied labels keep their order in the rows."""
     at = {g: i for i, g in enumerate(ids)}
-    rows = [(at[a], (at[b],), (at[c],)) for (a, b), c in table.items()]
+    rows = [(at[a], tuple(map(at.__getitem__, bs)), [at[c] for c in cs]) for a, bs, cs in rows]
     return _label_sorted_rows(rows, ids, lab).labels()
 
 
@@ -594,12 +595,16 @@ def profunctor_to_json(P) -> dict:
     lab = LabelMap()
     basis = {f"({li},{ri})": [lab[b] for b in els] for (li, ri), els in sorted(P.basis.items())}
     elements = P.elements()
+    left = ((g, moves.keys(), moves.values()) for g, moves in P.lact.items())
+    # element by element, as a hom profunctor's table is, so that tied entries keep its order
+    right = ((b, hs, [P.ract[h][b] for h in hs]) for (_, y), els in sorted(P.basis.items())
+             for hs in [P.right.groupoid.arrows_from(y)] for b in els)
     return {
         "left": groupoid_to_json(P.left.groupoid, lab),
         "right": groupoid_to_json(P.right.groupoid, lab),
         "basis": basis,
-        "leftAct": _action_rows(P.lact, (*P.left.groupoid.arrows, *elements), lab),
-        "rightAct": _action_rows(P.ract, (*elements, *P.right.groupoid.arrows), lab),
+        "leftAct": _action_rows(left, (*P.left.groupoid.arrows, *elements), lab),
+        "rightAct": _action_rows(right, (*elements, *P.right.groupoid.arrows), lab),
     }
 
 

@@ -247,9 +247,9 @@ def lin2_bimodule(P: Profunctor) -> Bimodule:
     for (x, y), els in P.basis.items():
         for m in els:
             for g in GL.arrows_into(x):
-                lact[(g, m)] = {P.lact[(g, m)]: _ONE}
+                lact[(g, m)] = {P.lact[g][m]: _ONE}
             for h in GR.arrows_from(y):
-                ract[(m, h)] = {P.ract[(m, h)]: _ONE}
+                ract[(m, h)] = {P.ract[h][m]: _ONE}
     return Bimodule(AL, AR, basis, lact, ract, name="Lin2(P)")
 
 

@@ -36,10 +36,15 @@ and domains, is the oracle of `Plan`'s walk on value indices.
 The last section keeps relative classes by dict moves (`rel_classes`, with
 `_stars`, `_mover`, `_moved_key` and `key_slots`), the profunctor of a
 cobordism with one `holonomy_act` per (boundary arrow, basis element)
-(`cobordism_profunctor`) and the naturality check over every pair of
-arrows (`naturality_check`): the oracles of the key-vector moves, the
-transports by Schreier composition and the check on generating squares.
+(`cobordism_profunctor`), the coend linked along every middle arrow
+(`compose_profunctors`) and the naturality check over every pair of arrows
+(`naturality_check`): the oracles of the key-vector moves, the transports by
+Schreier composition, the coend linked along generators and the check on
+generating squares.  These two profunctor oracles keep each action as one
+dict on (arrow, element) pairs; `pair_keyed` flattens the program's maps
+per arrow to that form.
 """
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -1227,6 +1232,63 @@ def cobordism_profunctor(M, A):
                 moved = holonomy_act(plan, A, out_gens, inv_seq, reps[b])
                 ract[(b, zeta)] = class_of_key[(li, ti, moved.key())]
     return Profunctor(left, right, basis, lact, ract, sizes, reps)
+
+
+def pair_keyed(P):
+    """P with each action as one dict on (arrow, element) pairs, arrow by arrow.
+
+    `extprof` holds a map of elements per arrow; this is the form that
+    `cobordism_profunctor` and `compose_profunctors` here build and read."""
+    lact = {(g, b): c for g, moves in P.lact.items() for b, c in moves.items()}
+    ract = {(b, h): c for h, moves in P.ract.items() for b, c in moves.items()}
+    return replace(P, lact=lact, ract=ract)
+
+
+def compose_profunctors(P, Q):
+    """`extprof.compose_profunctors` on `pair_keyed` profunctors, linking nodes along
+    every arrow of the middle groupoid."""
+    if P.right.keys != Q.left.keys or set(P.right.groupoid.arrows) != set(Q.left.groupoid.arrows):
+        raise BoundaryError("middle groupoids do not match")
+    GL, GM, GR = P.left.groupoid, P.right.groupoid, Q.right.groupoid
+    basis, lact, ract = {}, {}, {}
+    node_class: dict = {}
+    class_reps: dict = {}
+    class_members: dict = {}
+    for x in GL.objects:
+        for z in GR.objects:
+            nodes = sorted(
+                (y, p, q)
+                for y in GM.objects
+                for p in P.basis.get((x, y), ())
+                for q in Q.basis.get((y, z), ())
+            )
+            index = {n: i for i, n in enumerate(nodes)}
+            links = []
+            for h in GM.arrows:
+                y1, y2 = GM.src[h], GM.tgt[h]
+                for p in P.basis.get((x, y1), ()):
+                    ph = P.ract[(p, h)]
+                    for q in Q.basis.get((y2, z), ()):
+                        links.append((index[(y2, ph, q)], index[(y1, p, Q.lact[(h, q)])]))
+            ids = []
+            for ci, members in enumerate(partition(len(nodes), links)):
+                eid = (x, z, ci)
+                ids.append(eid)
+                class_reps[eid] = nodes[members[0]]
+                class_members[eid] = tuple(nodes[i] for i in members)
+                for i in members:
+                    node_class[(x, z, nodes[i])] = eid
+            basis[(x, z)] = tuple(ids)
+    for (x, z), ids in basis.items():
+        for eid in ids:
+            y, p, q = class_reps[eid]
+            for g in GL.arrows_into(x):
+                lact[(g, eid)] = node_class[(GL.src[g], z, (y, P.lact[(g, p)], q))]
+            for k in GR.arrows_from(z):
+                ract[(eid, k)] = node_class[(x, GR.tgt[k], (y, p, Q.ract[(q, k)]))]
+    return Profunctor(
+        P.left, Q.right, basis, lact, ract, reps=class_reps, members=class_members
+    )
 
 
 def naturality_check(nt) -> bool:

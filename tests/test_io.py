@@ -1,3 +1,4 @@
+import hashlib
 import json
 from functools import lru_cache
 from types import SimpleNamespace
@@ -46,6 +47,7 @@ from quinncalc.io import (
 )
 from quinncalc.simpset import SimplexRef, SimpSet, circle, point, prism, standard_simplex, torus
 from tests.conftest import abelian_tower
+from tests import reference
 
 
 def full_complex_payload():
@@ -298,6 +300,7 @@ def old_groupoid_to_json(G, label=gen_label):
 
 
 def old_profunctor_to_json(P, label=gen_label):
+    P = reference.pair_keyed(P)
     basis = {
         f"({li},{ri})": [label(b) for b in els] for (li, ri), els in sorted(P.basis.items())
     }
@@ -448,6 +451,26 @@ def test_profunctor_with_colliding_labels_matches_the_old_emitter():
     for act in ("leftAct", "rightAct"):
         tied = [c for a, b, c in data[act] if (a, b) == ("(a,b)", "(a,b)")]
         assert tied == ["(a,b)", "1", "1", "(a,b)"]
+
+
+def test_profunctor_json_keeps_the_table_order_of_tied_labels_that_do_not_commute():
+    """The hom profunctor of S3 with its first two non-identity elements named ("p", "q")
+    and "(p,q)": the two share one label and do not commute, so the four tied entries of
+    each action are written in the composition table's order."""
+    S3 = symmetric_group(3)
+    first, second = [e for e in S3.elements if e != S3.unit][:2]
+    name = {**{e: e for e in S3.elements}, first: ("p", "q"), second: "(p,q)"}
+    arrows = tuple(name[e] for e in S3.elements)
+    comp = {(name[a], name[b]): name[S3.mul(a, b)] for a in S3.elements for b in S3.elements}
+    src = {a: "o" for a in arrows}
+    G = FinGroupoid(("o",), arrows, src, src, comp, {"o": name[S3.unit]})
+    assert comp[(name[first], name[second])] != comp[(name[second], name[first])]
+    data = profunctor_to_json(identity_profunctor(SimpleNamespace(groupoid=G)))
+    digest = hashlib.sha256(dump_json(data).encode()).hexdigest()
+    assert digest == "d2686ef4c91a4a97fa3fd81827d34abc99ecb28b857223ee505dfeeefd4c5fa2"
+    for act in ("leftAct", "rightAct"):
+        tied = [c for a, b, c in data[act] if (a, b) == ("(p,q)", "(p,q)")]
+        assert tied == ["(0,1,2)", "(1,2,0)", "(2,0,1)", "(0,1,2)"]
 
 
 @pytest.mark.parametrize(

@@ -3,10 +3,11 @@
 `cobordism_profunctor` evaluates transports only along the generators of
 each boundary groupoid, on key vectors, and fills every other arrow by
 composing them; `rel_classes` moves filling keys by list lookups;
-`NatTransform.naturality_check` tests only the squares of generators.
-`tests/reference.py` keeps the paths these replace: one `holonomy_act` per
-(arrow, basis element), moves through dicts of values, and every pair of
-arrows.
+`NatTransform.naturality_check` tests only the squares of generators;
+`compose_profunctors` links coend nodes only along the generators of the
+middle groupoid.  `tests/reference.py` keeps the paths these replace: one
+`holonomy_act` per (arrow, basis element), moves through dicts of values,
+every pair of arrows, and links along every middle arrow.
 """
 from fractions import Fraction
 from types import SimpleNamespace
@@ -21,12 +22,15 @@ from quinncalc.extprof import (
     _frame_map,
     _frame_top,
     cobordism_profunctor,
+    compose_profunctors,
+    identity_profunctor,
+    reverse_profunctor,
     window_nat_transform,
 )
 from quinncalc.finalg import cyclic_group, iota1, pair_groupoid, symmetric_group
 from quinncalc.finalg.groupoids import action_groupoid, groupoid_from_group
 from quinncalc.homotopy import crs_pi1, rel_classes
-from quinncalc.simpset import Stratification, circle, point, prism, window_support
+from quinncalc.simpset import Stratification, circle, point, prism, torus, window_support
 from tests import reference
 from tests.test_colouring import CORPUS_ALGEBRAS, _cylinder
 from tests.test_homotopy import NON_REDUCED, _keys, _permutation_groupoid
@@ -102,14 +106,16 @@ def _items(d):
 
 
 def _same_profunctor(got, want):
-    """Equal bases, sizes, representatives and actions, in insertion order."""
+    """Equal bases, sizes, representatives and actions, in insertion order; the actions
+    of `got` are flattened arrow by arrow to the oracle's (arrow, element) pairs."""
     assert _items(got.basis) == _items(want.basis)
     assert _items(got.sizes) == _items(want.sizes)
     assert [(b, r.values) for b, r in got.reps.items()] == [
         (b, r.values) for b, r in want.reps.items()
     ]
-    assert _items(got.lact) == _items(want.lact)
-    assert _items(got.ract) == _items(want.ract)
+    flat = reference.pair_keyed(got)
+    assert _items(flat.lact) == _items(want.lact)
+    assert _items(flat.ract) == _items(want.ract)
 
 
 @pytest.mark.parametrize("algebra", list(ALGEBRAS))
@@ -141,7 +147,66 @@ def test_profunctor_matches_the_per_arrow_oracle(cobordism, algebra, monkeypatch
     per_generator = sum(got.dim(GL.tgt[g], y) for g in GL.generators for y in GR.objects)
     per_generator += sum(got.dim(x, GR.tgt[h]) for h in GR.generators for x in GL.objects)
     assert len(moves) == per_generator
-    assert len(moves) <= len(got.lact) + len(got.ract)
+    entries = reference.pair_keyed(got)
+    assert len(moves) <= len(entries.lact) + len(entries.ract)
+
+
+CYLINDERS = {
+    "prism-point": lambda: prism(point()),
+    "prism-circle": lambda: prism(circle()),
+    "prism-torus": lambda: prism(torus()),
+    "double-cylinder": lambda: _cylinder("double-cylinder"),
+}
+
+
+@pytest.mark.parametrize(
+    "cylinder, algebra",
+    # the all-arrow oracle takes about 5.5 s on prism-torus x 0:Z2->Z4
+    [(c, a) for c in CYLINDERS for a in CORPUS_ALGEBRAS if (c, a) != ("prism-torus", "0:Z2->Z4")],
+)
+def test_coend_along_generators_matches_the_all_arrow_oracle(cylinder, algebra):
+    """Links along the generators of the middle groupoid give the classes, in the same
+    order, with the same members and representatives and the same actions, as links
+    along every middle arrow."""
+    P = cobordism_profunctor(CYLINDERS[cylinder](), CORPUS_ALGEBRAS[algebra]())
+    got = compose_profunctors(P, P)
+    flat = reference.pair_keyed(P)
+    want = reference.compose_profunctors(flat, flat)
+    assert _items(got.basis) == _items(want.basis)
+    assert _items(got.reps) == _items(want.reps)
+    assert _items(got.members) == _items(want.members)
+    got = reference.pair_keyed(got)
+    assert (got.lact, got.ract) == (want.lact, want.ract)
+
+
+def _assert_one_map_per_arrow(P):
+    """lact[g] maps the elements over (tgt g, .) one to one onto those over (src g, .), and
+    ract[h] those over (., src h) onto those over (., tgt h), for every arrow with an element
+    over its end."""
+    for act, G, side, start, end in (
+        (P.lact, P.left.groupoid, 0, P.left.groupoid.tgt, P.left.groupoid.src),
+        (P.ract, P.right.groupoid, 1, P.right.groupoid.src, P.right.groupoid.tgt),
+    ):
+        over = {x: set() for x in G.objects}
+        for pair, els in P.basis.items():
+            over[pair[side]].update(els)
+        for a in G.arrows:
+            if over[start[a]]:
+                assert set(act[a]) == over[start[a]]
+                assert set(act[a].values()) == over[end[a]] and len(over[end[a]]) == len(act[a])
+
+
+@pytest.mark.parametrize("algebra", ["s3", "0:Z2->Z2"])
+@pytest.mark.parametrize("cylinder", ["prism-point", "prism-circle", "prism-torus"])
+def test_actions_are_one_map_per_arrow(cylinder, algebra):
+    """The cobordism, identity, coend and reverse profunctors hold one map of basis elements
+    per arrow, and reversing twice gives back the maps."""
+    P = cobordism_profunctor(CYLINDERS[cylinder](), CORPUS_ALGEBRAS[algebra]())
+    for Q in (P, identity_profunctor(P.left), compose_profunctors(P, P), reverse_profunctor(P)):
+        _assert_one_map_per_arrow(Q)
+        assert Q.check_functorial()
+    twice = reverse_profunctor(reverse_profunctor(P))
+    assert (twice.basis, twice.lact, twice.ract) == (P.basis, P.lact, P.ract)
 
 
 def _boundary_cases(M, A):
