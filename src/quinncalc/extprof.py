@@ -63,13 +63,15 @@ class Profunctor:
             if any(lact[GL.ident[x]][b] != b or ract[GR.ident[y]][b] != b for b in els):
                 return False
         for g1, g2, g12 in GL.entries():
-            t1, t2, t12 = lact[g1], lact[g2], lact[g12]
-            if any(t12[b] != t1[t2[b]] for b in on_left[GL.tgt[g2]]):
-                return False
+            if els := on_left[GL.tgt[g2]]:
+                t1, t2, t12 = lact[g1], lact[g2], lact[g12]
+                if any(t12[b] != t1[t2[b]] for b in els):
+                    return False
         for h1, h2, h12 in GR.entries():
-            t1, t2, t12 = ract[h1], ract[h2], ract[h12]
-            if any(t12[b] != t2[t1[b]] for b in on_right[GR.src[h1]]):
-                return False
+            if els := on_right[GR.src[h1]]:
+                t1, t2, t12 = ract[h1], ract[h2], ract[h12]
+                if any(t12[b] != t2[t1[b]] for b in els):
+                    return False
         for (x, y), els in self.basis.items():
             for g in GL.arrows_into(x) if els else ():
                 tg = lact[g]
@@ -190,8 +192,10 @@ def reverse_profunctor(P: Profunctor) -> Profunctor:
     """The reverse profunctor, transporting along inverted arrows."""
     GL, GR = P.left.groupoid, P.right.groupoid
     basis = {(y, x): els for (x, y), els in P.basis.items()}
-    lact = {h: P.ract[GR.inv(h)] for h in GR.arrows}
-    ract = {g: P.lact[GL.inv(g)] for g in GL.arrows}
+    # an arrow's map is read only when an element lies over its end; with none there it is empty
+    xs, ys = {x for (x, _), els in P.basis.items() if els}, {y for (_, y), els in P.basis.items() if els}
+    lact = {h: P.ract[GR.inv(h)] if GR.tgt[h] in ys else {} for h in GR.arrows}
+    ract = {g: P.lact[GL.inv(g)] if GL.src[g] in xs else {} for g in GL.arrows}
     return Profunctor(P.right, P.left, basis, lact, ract, dict(P.sizes), dict(P.reps))
 
 

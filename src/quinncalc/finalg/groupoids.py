@@ -187,7 +187,13 @@ class FinGroupoid:
         return out
 
     def validate_names(self) -> ValidationReport:
-        """The first checks of `validate`: arrows end at objects, and the tables name only arrows."""
+        """The first checks of `validate`: ids are unique, arrows end at objects, and the
+        tables name only arrows."""
+        for kind, ids, at in (("object", self.objects, self._obj_index), ("arrow", self.arrows, self._arr_index)):
+            if len(at) != len(ids):
+                # the index keeps the last place of an id, so the first repeated one is off it
+                first = next(x for i, x in enumerate(ids) if at[x] != i)
+                return ValidationReport.malformed(f"{kind} id given twice", (first,))
         objs = set(self.objects)
         for a in self.arrows:
             if self.src.get(a) not in objs or self.tgt.get(a) not in objs:

@@ -3,6 +3,9 @@ Frobenius/separability data, and the quantum double oracle.
 
 Structure constants are exact rationals; for groupoid algebras they are 0/1
 and multiplication of basis elements is composability-gated concatenation.
+A bimodule's actions are monomial: one map of basis elements per algebra
+element, which for Lin2 of a profunctor is the profunctor's own map per
+arrow.
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ from .finalg.groups import FinGroup
 from .finalg.groupoids import FinGroupoid, action_groupoid, find_groupoid_iso, partition
 from .extprof import Profunctor
 
-# the one coefficient of every basis product and action; sharing it lets equal
+# the one coefficient of every basis product and unit; sharing it lets equal
 # rows compare by identity instead of through Fraction.__eq__
 _ONE = Fraction(1)
 
@@ -165,118 +168,78 @@ def quantum_double_oracle(G: FinGroup) -> DoubleOracleResult:
 
 @dataclass
 class Bimodule:
+    """A bimodule with monomial actions, one basis map per algebra element.
+
+    `lact[a]` maps each module element m that a acts on to a.m, and
+    `ract[b]` each m to m.b; a product missing from a map is zero, and so is
+    a missing map.  Every coefficient is 1, so an action is monomial by
+    construction.
+    """
     left: Algebra
     right: Algebra
     basis: tuple
-    lact: dict  # (a, m) -> {m': coeff}
-    ract: dict  # (m, b) -> {m': coeff}
+    lact: dict  # a -> {m: a.m}
+    ract: dict  # b -> {m: m.b}
     name: str = ""
 
     @property
     def dim(self):
         return len(self.basis)
 
-    def _lapply(self, a, v: dict) -> dict:
-        out: dict = {}
-        for m, cm in v.items():
-            for mp, c in self.lact.get((a, m), {}).items():
-                _addinto(out, mp, cm * c)
-        return out
-
-    def _rapply(self, v: dict, b) -> dict:
-        out: dict = {}
-        for m, cm in v.items():
-            for mp, c in self.ract.get((m, b), {}).items():
-                _addinto(out, mp, cm * c)
-        return out
-
     def validate(self) -> bool:
+        """Units act as identities, products act as composites on each side, and the actions commute."""
+
+        def act(maps: dict, v: dict, m) -> dict:
+            # the sum over v's basis elements x, with their coefficients, of the images of m
+            out: dict = {}
+            for x, c in v.items():
+                if (img := maps.get(x, {}).get(m)) is not None:
+                    _addinto(out, img, c)
+            return out
+
+        def then(t1: dict, t2: dict, m) -> dict:
+            k = t1.get(m)
+            return {} if k is None or (k2 := t2.get(k)) is None else {k2: _ONE}
+
+        L, R = self.lact, self.ract
         for m in self.basis:
-            vm = {m: _ONE}
-            lhs: dict = {}
-            for a, ca in self.left.unit.items():
-                for k, c in self._lapply(a, vm).items():
-                    _addinto(lhs, k, ca * c)
-            if lhs != vm:
+            if act(L, self.left.unit, m) != {m: _ONE} or act(R, self.right.unit, m) != {m: _ONE}:
                 return False
-            rhs: dict = {}
-            for b, cb in self.right.unit.items():
-                for k, c in self._rapply(vm, b).items():
-                    _addinto(rhs, k, cb * c)
-            if rhs != vm:
-                return False
-        for a1 in self.left.basis:
-            for a2 in self.left.basis:
-                prod = self.left.mul.get((a1, a2), {})
-                for m in self.basis:
-                    vm = {m: _ONE}
-                    lhs = {}
-                    for k, ck in prod.items():
-                        for mp, c in self._lapply(k, vm).items():
-                            _addinto(lhs, mp, ck * c)
-                    if lhs != self._lapply(a1, self._lapply(a2, vm)):
-                        return False
-        for b1 in self.right.basis:
-            for b2 in self.right.basis:
-                prod = self.right.mul.get((b1, b2), {})
-                for m in self.basis:
-                    vm = {m: _ONE}
-                    lhs = {}
-                    for k, ck in prod.items():
-                        for mp, c in self._rapply(vm, k).items():
-                            _addinto(lhs, mp, ck * c)
-                    if lhs != self._rapply(self._rapply(vm, b1), b2):
+        # a1.(a2.m) = (a1 a2).m, but (m.b1).b2 = m.(b1 b2)
+        for maps, alg, left in ((L, self.left, True), (R, self.right, False)):
+            for x in alg.basis:
+                tx = maps.get(x, {})
+                for y in alg.basis:
+                    ty, prod = maps.get(y, {}), alg.mul.get((x, y), {})
+                    t1, t2 = (ty, tx) if left else (tx, ty)
+                    if any(act(maps, prod, m) != then(t1, t2, m) for m in self.basis):
                         return False
         for a in self.left.basis:
+            ta = L.get(a, {})
             for b in self.right.basis:
-                for m in self.basis:
-                    vm = {m: _ONE}
-                    if self._rapply(self._lapply(a, vm), b) != self._lapply(
-                        a, self._rapply(vm, b)
-                    ):
-                        return False
+                tb = R.get(b, {})
+                if any(then(ta, tb, m) != then(tb, ta, m) for m in self.basis):
+                    return False
         return True
 
 
 def lin2_bimodule(P: Profunctor) -> Bimodule:
-    """Direct sum of the basis sets of a profunctor, with matrix actions."""
-    GL, GR = P.left.groupoid, P.right.groupoid
-    AL, AR = groupoid_algebra(GL), groupoid_algebra(GR)
-    basis = P.elements()
-    lact, ract = {}, {}
-    for (x, y), els in P.basis.items():
-        for m in els:
-            for g in GL.arrows_into(x):
-                lact[(g, m)] = {P.lact[g][m]: _ONE}
-            for h in GR.arrows_from(y):
-                ract[(m, h)] = {P.ract[h][m]: _ONE}
-    return Bimodule(AL, AR, basis, lact, ract, name="Lin2(P)")
+    """Direct sum of the basis sets of a profunctor, acted on by its groupoid algebras.
 
-
-def _monomial_image(row: dict):
-    if not row:
-        return None
-    if len(row) == 1:
-        (k, c), = row.items()
-        if c == 1:
-            return k
-    return ...
-
-
-def _images(table: dict, side: int) -> dict:
-    """Module element -> {algebra element: image} over the rows of a monomial action table.
-
-    `side` is the position of the module element in the table's keys.  An
-    empty row has image None; a row that is not monomial raises
-    NotImplementedError.
+    An arrow acts on the basis by the profunctor's map of basis elements, so
+    the bimodule shares `P.lact` and `P.ract` as they are.
     """
-    out: dict = {}
-    for key, row in table.items():
-        img = _monomial_image(row)
-        if img is ...:
-            raise NotImplementedError("non-monomial actions are outside the desk corpus")
-        out.setdefault(key[side], {})[key[1 - side]] = img
-    return out
+    AL, AR = groupoid_algebra(P.left.groupoid), groupoid_algebra(P.right.groupoid)
+    return Bimodule(AL, AR, P.elements(), P.lact, P.ract, name="Lin2(P)")
+
+
+def _rows(maps: dict) -> dict:
+    """{x: {m: image}} -> {m: {x: image}}: the algebra elements acting on each module element."""
+    rows: dict = {}
+    for x, t in maps.items():
+        for m, img in t.items():
+            rows.setdefault(m, {})[x] = img
+    return rows
 
 
 def tensor_over(M: Bimodule, N: Bimodule):
@@ -284,16 +247,14 @@ def tensor_over(M: Bimodule, N: Bimodule):
 
     Returns (bimodule, classes) where classes maps each spanning pair to its
     basis label in the quotient (or None when the pair is identified to
-    zero).  Every action must be monomial: the quotient is then computed by
-    orbit identification, and a class is zero when any of its pairs is
-    balanced against zero.  A pair (m, n) is balanced only over the middle
-    elements with a row at m or at n, read from the keys of the action
-    tables.  Non-monomial actions raise NotImplementedError.
+    zero).  The actions are monomial, so the quotient is computed by orbit
+    identification, and a class is zero when any of its pairs is balanced
+    against zero.  A pair (m, n) is balanced only over the middle elements
+    that act on m or on n, read from the per-element rows of the maps.
     """
     if M.right.basis != N.left.basis:
         raise ValueError("middle algebras do not match")
-    m_left, m_right = _images(M.lact, 1), _images(M.ract, 0)
-    n_left, n_right = _images(N.lact, 1), _images(N.ract, 0)
+    m_left, m_right, n_left, n_right = map(_rows, (M.lact, M.ract, N.lact, N.ract))
     pairs = tuple((m, n) for m in M.basis for n in N.basis)
     index = {p: i for i, p in enumerate(pairs)}
     links, zero_marks = [], []
@@ -301,8 +262,6 @@ def tensor_over(M: Bimodule, N: Bimodule):
         mrow, nrow = m_right.get(m, {}), n_left.get(n, {})
         for b in mrow.keys() | nrow.keys():
             mi, ni = mrow.get(b), nrow.get(b)
-            if mi is None and ni is None:
-                continue
             if mi is None:
                 zero_marks.append(index[(m, ni)])
             elif ni is None:
@@ -319,16 +278,15 @@ def tensor_over(M: Bimodule, N: Bimodule):
         p: None if class_id[i] in zero else pairs[parts[class_id[i]][0]]
         for i, p in enumerate(pairs)
     }
-    reps = [pairs[members[0]] for ci, members in enumerate(parts) if ci not in zero]
-    basis = tuple(reps)
-    lact, ract = {}, {}
+    basis = tuple(pairs[members[0]] for ci, members in enumerate(parts) if ci not in zero)
+    lact, ract = {a: {} for a in M.left.basis}, {c: {} for c in N.right.basis}
     for (m, n) in basis:
         for a, img in m_left.get(m, {}).items():
-            if img is not None and (tgt := classes[(img, n)]) is not None:
-                lact[(a, (m, n))] = {tgt: _ONE}
+            if (tgt := classes[(img, n)]) is not None:
+                lact[a][(m, n)] = tgt
         for c, img in n_right.get(n, {}).items():
-            if img is not None and (tgt := classes[(m, img)]) is not None:
-                ract[((m, n), c)] = {tgt: _ONE}
+            if (tgt := classes[(m, img)]) is not None:
+                ract[c][(m, n)] = tgt
     T = Bimodule(M.left, N.right, basis, lact, ract, name="tensor")
     return T, classes
 

@@ -28,7 +28,11 @@ arrows and composable pairs by scanning every arrow, or every pair of
 arrows, and filtering: the oracles of `FinGroupoid.ends`, of the walks of
 the composition table, of `FinGroupoid.validate` (`validate_groupoid`, on
 the table the caller gave, or on `table_of` a groupoid given `products`)
-and of `tensor_over`'s walk of the action tables' rows.
+and of `tensor_over`'s balancing over the middle elements that act.  The
+Morita oracles `tensor_over` and `bimodule_validate` read a bimodule's
+actions as linear tables on (algebra element, basis element) pairs;
+`pair_keyed_bimodule` flattens `morita`'s maps per algebra element to that
+form.
 
 The colouring walk on values (`DictPlan`), with its dict-based labels, tests
 and domains, is the oracle of `Plan`'s walk on value indices.
@@ -73,7 +77,7 @@ from quinncalc.homotopy import (
     _invert_key,
     _sequence,
 )
-from quinncalc.morita import Algebra, Bimodule, _monomial_image
+from quinncalc.morita import Algebra, Bimodule, _addinto
 from quinncalc.tqft import theta_weight
 
 # -- colourings ----------------------------------------------------------------------
@@ -804,6 +808,90 @@ def find_groupoid_iso(G, H):
     if len(set(arr_map.values())) != len(H.arrows):
         return None
     return obj_map, arr_map
+
+
+def pair_keyed_bimodule(B):
+    """B with its actions as linear tables on (algebra element, basis element) pairs.
+
+    `morita` holds one map of basis elements per algebra element; here each
+    entry m -> a.m becomes the row (a, m) -> {a.m: 1}, and m -> m.b the row
+    (m, b) -> {m.b: 1}: the form `tensor_over` and `bimodule_validate` here read."""
+    lact = {(a, m): {img: Fraction(1)} for a, moves in B.lact.items() for m, img in moves.items()}
+    ract = {(m, b): {img: Fraction(1)} for b, moves in B.ract.items() for m, img in moves.items()}
+    return replace(B, lact=lact, ract=ract)
+
+
+def _monomial_image(row: dict):
+    if not row:
+        return None
+    if len(row) == 1:
+        (k, c), = row.items()
+        if c == 1:
+            return k
+    return ...
+
+
+def bimodule_validate(B) -> bool:
+    """`Bimodule.validate` on `pair_keyed_bimodule` tables: the unit, product and
+    commutation equations, each side applied to a vector of basis elements."""
+
+    def lapply(a, v):
+        out: dict = {}
+        for m, cm in v.items():
+            for mp, c in B.lact.get((a, m), {}).items():
+                _addinto(out, mp, cm * c)
+        return out
+
+    def rapply(v, b):
+        out: dict = {}
+        for m, cm in v.items():
+            for mp, c in B.ract.get((m, b), {}).items():
+                _addinto(out, mp, cm * c)
+        return out
+
+    for m in B.basis:
+        vm = {m: Fraction(1)}
+        lhs: dict = {}
+        for a, ca in B.left.unit.items():
+            for k, c in lapply(a, vm).items():
+                _addinto(lhs, k, ca * c)
+        if lhs != vm:
+            return False
+        rhs: dict = {}
+        for b, cb in B.right.unit.items():
+            for k, c in rapply(vm, b).items():
+                _addinto(rhs, k, cb * c)
+        if rhs != vm:
+            return False
+    for a1 in B.left.basis:
+        for a2 in B.left.basis:
+            prod = B.left.mul.get((a1, a2), {})
+            for m in B.basis:
+                vm = {m: Fraction(1)}
+                lhs = {}
+                for k, ck in prod.items():
+                    for mp, c in lapply(k, vm).items():
+                        _addinto(lhs, mp, ck * c)
+                if lhs != lapply(a1, lapply(a2, vm)):
+                    return False
+    for b1 in B.right.basis:
+        for b2 in B.right.basis:
+            prod = B.right.mul.get((b1, b2), {})
+            for m in B.basis:
+                vm = {m: Fraction(1)}
+                lhs = {}
+                for k, ck in prod.items():
+                    for mp, c in rapply(vm, k).items():
+                        _addinto(lhs, mp, ck * c)
+                if lhs != rapply(rapply(vm, b1), b2):
+                    return False
+    for a in B.left.basis:
+        for b in B.right.basis:
+            for m in B.basis:
+                vm = {m: Fraction(1)}
+                if rapply(lapply(a, vm), b) != lapply(a, rapply(vm, b)):
+                    return False
+    return True
 
 
 def tensor_over(M, N):

@@ -548,6 +548,47 @@ def test_malformed_inputs_exit_2(tmp_path, space, algebra, target, edit, message
     assert code == 2 and message in err
 
 
+REPEATED_OBJECT = {
+    "objects": ["a", "a"],
+    "level1": {
+        "arrows": [{"id": "i", "src": "a", "tgt": "a"}],
+        "compose": [["i", "i", "i"]],
+        "inv": [["i", "i"]],
+    },
+    "truncation": 1,
+}
+
+
+@pytest.mark.parametrize(
+    "command", ["validate", "colour-count", "chi-pi", "ext-groupoid", "profunctor", "algebra"]
+)
+def test_a_repeated_object_id_exits_2(tmp_path, command):
+    """An object listed twice is malformed before any work: `validate` reports it with the
+    id as witness, and every other command exits 2 with a message that names it."""
+    catalog = _catalog()
+    algebra, groupoid = tmp_path / "algebra.json", tmp_path / "groupoid.json"
+    algebra.write_text(json.dumps(REPEATED_OBJECT))
+    groupoid.write_text(json.dumps({"objects": REPEATED_OBJECT["objects"], **REPEATED_OBJECT["level1"]}))
+    for name in ("circle", "prism-circle"):
+        (tmp_path / f"{name}.json").write_text(json.dumps(catalog[name]))
+    argv = {
+        "validate": ["--input", algebra],
+        "colour-count": ["--space", tmp_path / "circle.json", "--algebra", algebra],
+        "chi-pi": ["--algebra", algebra],
+        "ext-groupoid": ["--space", tmp_path / "circle.json", "--algebra", algebra],
+        "profunctor": ["--cobordism", tmp_path / "prism-circle.json", "--algebra", algebra],
+        "algebra": ["--from", groupoid],
+    }[command]
+    argv = [command, *map(str, argv)]
+    code, err = _exit_code_and_stderr(argv)
+    assert code == 2
+    if command == "validate":
+        out = json.loads(_run(argv)[1])
+        assert (out["ok"], out["kind"], out["witness"]) == (False, "malformed", ["a"])
+    else:
+        assert "'a'" in err
+
+
 @pytest.mark.parametrize("i", [7, 2, -1])
 @pytest.mark.parametrize("deg", [True, False])
 def test_a_face_index_out_of_range_exits_2(tmp_path, i, deg):

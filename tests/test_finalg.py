@@ -21,7 +21,7 @@ from quinncalc.finalg import (
     validate_crossed_complex,
 )
 from quinncalc.finalg.crossed import CrossedModulePresentation
-from quinncalc.finalg.groupoids import partition
+from quinncalc.finalg.groupoids import FinGroupoid, partition
 from tests.conftest import corpus_crossed_modules, corpus_groups
 
 
@@ -313,3 +313,20 @@ def test_partition_orders_classes_by_least_member():
     assert partition(6, [(4, 1), (5, 3), (3, 0), (1, 1)]) == ((0, 3, 5), (1, 4), (2,))
     assert partition(3, iter([])) == ((0,), (1,), (2,))
     assert partition(0, []) == ()
+
+
+def test_a_repeated_object_or_arrow_id_is_malformed():
+    """A groupoid listing an object or an arrow twice is malformed, with the id as witness;
+    before, a repeated object made every count over it double."""
+    ok = FinGroupoid(("a", "b"), ("i", "j"), {"i": "a", "j": "b"}, {"i": "a", "j": "b"},
+                     {("i", "i"): "i", ("j", "j"): "j"}, {"a": "i", "b": "j"})
+    assert ok.validate()
+    for objects, arrows, kind, first in (
+        (("a", "b", "a"), ("i", "j"), "object", "a"),
+        (("a", "b"), ("i", "j", "i"), "arrow", "i"),
+    ):
+        G = FinGroupoid(objects, arrows, ok.src, ok.tgt, dict(ok.comp_table), ok.ident)
+        report = G.validate()
+        assert (report.ok, report.kind, report.witness) == (False, "malformed", (first,))
+        assert report.message == f"{kind} id given twice"
+        assert G.validate_names() == report

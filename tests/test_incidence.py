@@ -2,13 +2,14 @@
 all-arrow and all-pair scans they replace (kept in `tests/reference.py`)."""
 import ast
 import random
+from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
 import quinncalc
-from quinncalc.extprof import cobordism_profunctor
+from quinncalc.extprof import cobordism_profunctor, compose_profunctors, identity_profunctor, reverse_profunctor
 from quinncalc.finalg import (
     action_groupoid,
     crossed_module_zero,
@@ -24,10 +25,11 @@ from quinncalc.finalg.groupoids import FinGroupoid
 from quinncalc.finalg.groups import ValidationReport
 from quinncalc.homotopy import crs_pi1
 from quinncalc.io import groupoid_to_json
-from quinncalc.morita import Bimodule, groupoid_algebra, lin2_bimodule, quantum_double, tensor_over
+from quinncalc.morita import groupoid_algebra, lin2_bimodule, quantum_double, tensor_over
 from quinncalc.simpset import circle, point, prism
 from tests import reference
 from tests.conftest import corpus_crossed_modules, corpus_groups
+from tests.test_colouring import CORPUS_ALGEBRAS
 
 
 def _conjugation_groupoid(G):
@@ -280,10 +282,12 @@ def _cylinder_bimodules():
 
 
 def _same_tensor(M, N):
-    (T, classes), (T_old, classes_old) = tensor_over(M, N), reference.tensor_over(M, N)
+    T, classes = tensor_over(M, N)
+    T_old, classes_old = reference.tensor_over(reference.pair_keyed_bimodule(M), reference.pair_keyed_bimodule(N))
     assert classes == classes_old
     assert T.basis == T_old.basis
-    assert (T.lact, T.ract) == (T_old.lact, T_old.ract)
+    flat = reference.pair_keyed_bimodule(T)
+    assert (flat.lact, flat.ract) == (T_old.lact, T_old.ract)
     return T, classes
 
 
@@ -292,39 +296,107 @@ def test_tensor_matches_the_all_middle_scan_on_the_cylinders():
         _same_tensor(M, M)
 
 
+def test_tensor_maps_hold_only_basis_elements():
+    for _, M in _cylinder_bimodules():
+        T, _ = tensor_over(M, M)
+        basis = set(T.basis)
+        assert set(T.lact) == set(M.left.basis) and set(T.ract) == set(M.right.basis)
+        for maps in (T.lact, T.ract):
+            assert all(set(t) <= basis and set(t.values()) <= basis for t in maps.values())
+
+
 def _regular_z2_bimodule():
     return lin2_bimodule(cobordism_profunctor(prism(circle()), iota1(cyclic_group(2))))
 
 
 def test_tensor_matches_the_all_middle_scan_with_empty_or_missing_rows():
-    """One module element of either factor acts by zero on the middle algebra,
-    through explicit empty rows or through no rows at all.  Its pairs are
-    balanced against zero either way, from the other factor's rows too."""
+    """One module element of either factor is acted on by no middle element: it is
+    absent from every map of that side, the one way a map holds a zero product.
+    Its pairs are balanced against zero, from the other factor's rows too."""
     M = _regular_z2_bimodule()
     m0, n0 = M.basis[0], M.basis[-1]
 
-    def with_actions(lact, ract):
-        return Bimodule(M.left, M.right, M.basis, lact, ract)
+    def without(maps, m):
+        return {x: {k: img for k, img in t.items() if k != m} for x, t in maps.items()}
 
-    empty_right = {**M.ract, **{(m0, b): {} for b in M.right.basis}}
-    empty_left = {**M.lact, **{(b, n0): {} for b in M.left.basis}}
-    cases = {
-        "empty right rows": (with_actions(M.lact, empty_right), M),
-        "missing right rows": (with_actions(M.lact, {k: r for k, r in M.ract.items() if k[0] != m0}), M),
-        "empty left rows": (M, with_actions(empty_left, M.ract)),
-        "missing left rows": (M, with_actions({k: r for k, r in M.lact.items() if k[1] != n0}, M.ract)),
-    }
-    classes = {name: _same_tensor(*pair)[1] for name, pair in cases.items()}
-    for side in ("right", "left"):
-        assert classes[f"empty {side} rows"] == classes[f"missing {side} rows"]
-        assert None in classes[f"empty {side} rows"].values()
+    for left, right in ((replace(M, ract=without(M.ract, m0)), M), (M, replace(M, lact=without(M.lact, n0)))):
+        _, classes = _same_tensor(left, right)
+        assert None in classes.values()
 
 
-def test_non_monomial_balancing_still_raises():
-    M = _regular_z2_bimodule()
-    key, row = next(iter(M.ract.items()))
-    (img,) = row
-    bad = Bimodule(M.left, M.right, M.basis, M.lact, {**M.ract, key: {img: 2}})
-    for tensor in (tensor_over, reference.tensor_over):
-        with pytest.raises(NotImplementedError):
-            tensor(bad, M)
+def _commutes(B):
+    for ta in B.lact.values():
+        for tb in B.ract.values():
+            for m in B.basis:
+                k, k2 = ta.get(m), tb.get(m)
+                if (None if k is None else tb.get(k)) != (None if k2 is None else ta.get(k2)):
+                    return False
+    return True
+
+
+def _broken_bimodules(B, over):
+    """B with one identity entry dropped, one right entry pointed at another element over
+    the same pair as its image (where that pair has two), and one left entry changed so
+    that the two actions stop commuting; then B with no left action, and, where one
+    exists, B with its right action conjugated by a swap of two elements over one pair
+    that no longer commutes with the left.  `over` is the basis pair of each element."""
+    e = next(a for a in B.left.unit if B.lact.get(a))
+    m = next(iter(B.lact[e]))
+    yield "identity dropped", replace(B, lact={**B.lact, e: {k: v for k, v in B.lact[e].items() if k != m}})
+    on_pair = {}
+    for n in B.basis:
+        on_pair.setdefault(over[n], []).append(n)
+    b, m, other = next(
+        (b, m, other)
+        for b, t in B.ract.items() for m, img in t.items()
+        for other in on_pair[over[img]] if other != img
+    )
+    yield "entry moved", replace(B, ract={**B.ract, b: {**B.ract[b], m: other}})
+    # m0.b = m with m0 != m: a changed a.m then differs from (a.m0).b = a.(m0.b)
+    moved = {m for t in B.ract.values() for m0, m in t.items() if m != m0}
+    a, m, other = next(
+        (a, m, other)
+        for a, t in B.lact.items() for m, img in t.items() if m in moved
+        for other in on_pair[over[img]] if other != img
+    )
+    broken = replace(B, lact={**B.lact, a: {**B.lact[a], m: other}})
+    assert _commutes(B) and not _commutes(broken)
+    yield "no longer commuting", broken
+    # two more that break one equation each: with no left action, only the unit fails;
+    # with the right action conjugated by a swap within one pair, only commuting can fail
+    yield "no left action", replace(B, lact={})
+    for m1, m2 in ((ns[0], n) for ns in on_pair.values() for n in ns[1:]):
+        swap = {m1: m2, m2: m1}
+        ract = {b: {swap.get(k, k): swap.get(v, v) for k, v in t.items()} for b, t in B.ract.items()}
+        if not _commutes(broken := replace(B, ract=ract)):
+            yield "right action conjugated", broken
+            break
+
+
+PROFUNCTORS = {
+    "cobordism": lambda P: P,
+    "identity": lambda P: identity_profunctor(P.left),
+    "coend": lambda P: compose_profunctors(P, P),
+    "reverse": reverse_profunctor,
+}
+
+
+@pytest.mark.parametrize("tensor", [False, True], ids=["Lin2", "tensor"])
+@pytest.mark.parametrize("kind", list(PROFUNCTORS))
+@pytest.mark.parametrize("algebra", ["s3", "0:Z2->Z2", "0:Z2->Z4"])
+@pytest.mark.parametrize("cylinder", ["point", "circle"])
+def test_bimodule_validate_matches_the_linear_tables(cylinder, algebra, kind, tensor):
+    """`Bimodule.validate` on maps gives what the check on the pair-keyed linear tables
+    gives, on the Lin2 bimodule of a cylinder's profunctor or its tensor with itself, and
+    on the broken variants of each, which both read False."""
+    X = {"point": point, "circle": circle}[cylinder]()
+    Q = PROFUNCTORS[kind](cobordism_profunctor(prism(X), CORPUS_ALGEBRAS[algebra]()))
+    over = {e: pair for pair, els in Q.basis.items() for e in els}
+    B = lin2_bimodule(Q)
+    if tensor:
+        B, _ = tensor_over(B, B)
+        over = {(m, n): (over[m][0], over[n][1]) for (m, n) in B.basis}
+    assert B.validate() and reference.bimodule_validate(reference.pair_keyed_bimodule(B))
+    for broken, bad in _broken_bimodules(B, over):
+        assert not bad.validate(), broken
+        assert not reference.bimodule_validate(reference.pair_keyed_bimodule(bad)), broken

@@ -1,6 +1,13 @@
 from fractions import Fraction
 
-from quinncalc.extprof import cobordism_profunctor, compose_profunctors, identity_profunctor
+import pytest
+
+from quinncalc.extprof import (
+    cobordism_profunctor,
+    compose_profunctors,
+    identity_profunctor,
+    reverse_profunctor,
+)
 from quinncalc.finalg import (
     action_groupoid,
     cyclic_group,
@@ -24,6 +31,8 @@ from quinncalc.morita import (
 )
 from quinncalc.simpset import circle, prism
 from tests.conftest import corpus_crossed_modules, corpus_groups
+from tests.test_colouring import CORPUS_ALGEBRAS
+from tests.test_transports import CYLINDERS
 
 
 def conj_action(G):
@@ -170,6 +179,17 @@ def test_zero_bimodule():
     assert B.dim == 0 and B.validate()
 
 
+@pytest.mark.parametrize("algebra", ["s3", "0:Z2->Z2"])
+@pytest.mark.parametrize("cylinder", list(CYLINDERS))
+def test_lin2_shares_the_profunctor_maps(cylinder, algebra):
+    """An arrow acts on Lin2(P) by P's map of basis elements, so the bimodule holds P's maps."""
+    P = cobordism_profunctor(CYLINDERS[cylinder](), CORPUS_ALGEBRAS[algebra]())
+    for Q in (P, identity_profunctor(P.left), compose_profunctors(P, P), reverse_profunctor(P)):
+        B = lin2_bimodule(Q)
+        assert B.lact is Q.lact and B.ract is Q.ract
+        assert B.basis == Q.elements()
+
+
 # -- tensor over the middle algebra ------------------------------------------------
 
 
@@ -204,16 +224,12 @@ def test_lin2_is_monoidal_on_corpus():
         assert all(v is not None for v in phi.values())
         for g in C.left.groupoid.arrows:
             for eid in C.elements():
-                if (g, eid) in L.lact:
-                    (img,) = L.lact[(g, eid)]
-                    (timg,) = T.lact[(g, phi[eid])]
-                    assert phi[img] == timg
+                if eid in L.lact[g]:
+                    assert phi[L.lact[g][eid]] == T.lact[g][phi[eid]]
         for h in C.right.groupoid.arrows:
             for eid in C.elements():
-                if (eid, h) in L.ract:
-                    (img,) = L.ract[(eid, h)]
-                    (timg,) = T.ract[(phi[eid], h)]
-                    assert phi[img] == timg
+                if eid in L.ract[h]:
+                    assert phi[L.ract[h][eid]] == T.ract[h][phi[eid]]
 
 
 def test_cylinder_bimodule_invertible_up_to_iso():

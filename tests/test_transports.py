@@ -18,6 +18,7 @@ import quinncalc.extprof
 from quinncalc.colouring import Plan
 from quinncalc.extprof import (
     NatTransform,
+    Profunctor,
     _frame_assignment,
     _frame_map,
     _frame_top,
@@ -30,6 +31,7 @@ from quinncalc.extprof import (
 from quinncalc.finalg import cyclic_group, iota1, pair_groupoid, symmetric_group
 from quinncalc.finalg.groupoids import action_groupoid, groupoid_from_group
 from quinncalc.homotopy import crs_pi1, rel_classes
+from quinncalc.morita import lin2_bimodule
 from quinncalc.simpset import Stratification, circle, point, prism, torus, window_support
 from tests import reference
 from tests.test_colouring import CORPUS_ALGEBRAS, _cylinder
@@ -207,6 +209,19 @@ def test_actions_are_one_map_per_arrow(cylinder, algebra):
         assert Q.check_functorial()
     twice = reverse_profunctor(reverse_profunctor(P))
     assert (twice.basis, twice.lact, twice.ract) == (P.basis, P.lact, P.ract)
+
+
+@pytest.mark.parametrize("cylinder", ["prism-point", "prism-circle"])
+def test_empty_action_profunctor_reads_no_arrow_map(cylinder):
+    """A profunctor with no basis elements and no maps: every reader reaches an arrow's
+    map only through an element over its end, so none is read."""
+    P = cobordism_profunctor(CYLINDERS[cylinder](), CORPUS_ALGEBRAS["z2"]())
+    E = Profunctor(P.left, P.right, {pair: () for pair in P.basis}, {}, {})
+    assert E.check_functorial()
+    R = reverse_profunctor(E)
+    assert R.check_functorial()
+    assert reverse_profunctor(R).basis == E.basis
+    assert lin2_bimodule(E).validate()
 
 
 def _boundary_cases(M, A):
