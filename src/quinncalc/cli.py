@@ -1,11 +1,12 @@
 """Batch front end: JSON in, deterministic JSON/CSV out.
 
 Exit codes: 0 success, 2 schema violation, 3 axiom violation, 4 boundary
-mismatch.  All algorithms are exhaustive and deterministic.
+mismatch, 5 out of memory.  All algorithms are exhaustive and deterministic.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import os
@@ -116,7 +117,8 @@ def _parse_s(text):
 def _emit(args, writer, data):
     """`writer(data, write)` hands its document to `write` in pieces: to `--out`, or to stdout.
 
-    The file is opened only now, so an error raised before leaves none.
+    The file is opened only now, so an error raised before leaves none, and
+    one raised while writing (out of memory, disk full) removes the file.
     """
     if not args.out:
         try:
@@ -129,11 +131,17 @@ def _emit(args, writer, data):
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
         return
+    fh = None
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             writer(data, fh.write)
-    except OSError as exc:
-        raise SchemaError(f"cannot write {args.out}: {exc}") from exc
+    except BaseException as exc:
+        if fh is not None:
+            with contextlib.suppress(OSError):
+                os.remove(args.out)
+        if isinstance(exc, OSError):
+            raise SchemaError(f"cannot write {args.out}: {exc}") from exc
+        raise
 
 
 def _write_csv(rows, write):
@@ -372,6 +380,9 @@ def main(argv=None) -> int:
     except QuinncalcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except MemoryError:
+        print(f"error: out of memory in {args.command}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

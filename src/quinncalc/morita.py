@@ -1,23 +1,25 @@
 """Groupoid algebras, bimodules from profunctors, tensor composition,
 Frobenius/separability data, and the quantum double oracle.
 
-Structure constants are exact rationals; for groupoid algebras they are 0/1
-and multiplication of basis elements is composability-gated concatenation.
-A bimodule's actions are monomial: one map of basis elements per algebra
-element, which for Lin2 of a profunctor is the profunctor's own map per
-arrow.
+Every algebra here is monomial: its product is a table on basis indices in
+the shape of `FinGroupoid.comp_rows()`, which a groupoid algebra shares with
+its groupoid.  A bimodule's actions are one map of basis elements per
+algebra element, for Lin2 of a profunctor its own map per arrow.  Exact
+rationals appear only in linear combinations and the Frobenius data.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .finalg.groups import FinGroup
 from .finalg.groupoids import FinGroupoid, action_groupoid, find_groupoid_iso, partition
 from .extprof import Profunctor
 
-# the one coefficient of every basis product and unit; sharing it lets equal
-# rows compare by identity instead of through Fraction.__eq__
+# coefficient 1; sharing it lets equal dicts compare by identity instead of
+# through Fraction.__eq__
 _ONE = Fraction(1)
 
 
@@ -31,99 +33,106 @@ def _addinto(acc: dict, key, coeff):
 
 @dataclass
 class Algebra:
+    """A monomial algebra.  `rows[i]` is (i, js, ks): basis[i] basis[js[p]] is
+    basis[ks[p]], zero where ks[p] is None or for an index missing from js."""
     basis: tuple
-    mul: dict  # (i, j) -> {k: coeff}; missing means zero product
-    unit: dict  # {i: coeff}
+    rows: list  # (i, js, ks) per basis element
+    unit: tuple  # the basis elements whose sum is the unit
     name: str = ""
 
     @property
     def dim(self):
         return len(self.basis)
 
+    @cached_property
+    def index(self) -> dict:
+        return {b: i for i, b in enumerate(self.basis)}
+
     def product(self, v: dict, w: dict) -> dict:
-        out: dict = {}
+        """The product of two linear combinations {basis element: coefficient}."""
+        basis, out = self.basis, {}
         for a, ca in v.items():
-            for b, cb in w.items():
-                for k, ck in self.mul.get((a, b), {}).items():
-                    _addinto(out, k, ca * cb * ck)
+            _, js, ks = self.rows[self.index[a]]
+            for j, k in zip(js, ks):
+                if k is not None and basis[j] in w:
+                    _addinto(out, basis[k], ca * w[basis[j]])
         return out
 
     def validate(self) -> bool:
-        for a in self.basis:
-            va = {a: _ONE}
-            if self.product(self.unit, va) != va or self.product(va, self.unit) != va:
+        """The unit is two-sided and the product associative, read from the non-zero products."""
+        prod = _row_maps(self)
+        units = [self.index[u] for u in self.unit]
+        # the non-zero products u.a over the units u must be a alone, and so must the a.u
+        for a, row in enumerate(prod):
+            left = [prod[u][a] for u in units if a in prod[u]]
+            if left != [a] or [row[u] for u in units if u in row] != [a]:
                 return False
-        for a in self.basis:
-            for b in self.basis:
-                ab = self.mul.get((a, b), {})
-                for c in self.basis:
-                    lhs: dict = {}
-                    for k, ck in ab.items():
-                        for m, cm in self.mul.get((k, c), {}).items():
-                            _addinto(lhs, m, ck * cm)
-                    rhs: dict = {}
-                    for k, ck in self.mul.get((b, c), {}).items():
-                        for m, cm in self.mul.get((a, k), {}).items():
-                            _addinto(rhs, m, ck * cm)
-                    if lhs != rhs:
-                        return False
-        return True
+        # each non-zero (ab)c must be a(bc), and there must be no other non-zero a(bc): with
+        # into[k] the a's with a.k non-zero, there are into[bc] over each non-zero bc
+        into = Counter(j for row in prod for j in row)
+        triples = sum(into[k] for row in prod for k in row.values())
+        for row in prod:
+            for b, ab in row.items():
+                if any(row.get(prod[b].get(c)) != abc for c, abc in prod[ab].items()):
+                    return False
+                triples -= len(prod[ab])
+        return triples == 0
 
     def structure_triples(self):
+        """(a, b, a b, "1") for each non-zero product of basis elements, as strings, sorted."""
+        names = [str(b) for b in self.basis]
         return sorted(
-            (str(a), str(b), str(k), str(c))
-            for (a, b), row in self.mul.items()
-            for k, c in row.items()
+            (names[i], names[j], names[k], "1") for i, row in enumerate(_row_maps(self)) for j, k in row.items()
         )
 
 
+def _row_maps(A: Algebra) -> list:
+    """One dict {j: k} per row i of A: its non-zero products basis[i] basis[j] = basis[k]."""
+    return [{j: k for j, k in zip(js, ks) if k is not None} for _, js, ks in A.rows]
+
+
 def groupoid_algebra(G: FinGroupoid) -> Algebra:
-    """Arrows as basis; the product concatenates when endpoints match."""
-    mul = {(a, b): {c: _ONE} for a, b, c in G.entries()}
-    unit = {G.ident[x]: _ONE for x in G.objects}
-    return Algebra(tuple(G.arrows), mul, unit, name=f"Lin2({G.name})")
+    """Arrows as basis; the rows are `G.comp_rows()`, G's own `products`, copying no entry."""
+    unit = tuple(G.ident[x] for x in G.objects)
+    return Algebra(G.arrows, G.comp_rows(), unit, name=f"Lin2({G.name})")
 
 
 def check_algebra_iso(A: Algebra, B: Algebra, bij: dict) -> bool:
     """Whether a basis bijection matches the structure constants exactly.
 
-    Each non-empty row of A must map to B's row at the image pair.  The
-    image pairs of distinct pairs are distinct, so B matches on every pair
-    when it also has no more non-empty rows than A: the walk is over the
-    non-zero products, not over all pairs of basis elements.
+    The bijection becomes a permutation of basis indices once, and each row
+    of A, carried over by it, must be B's row at the image, which reaches
+    every row of B: a walk over the non-zero products, not over all pairs.
     """
     if set(bij) != set(A.basis) or set(bij.values()) != set(B.basis):
         return False
     if len(set(bij.values())) != len(bij):
         return False
-    rows = 0
-    for (a, b), row in A.mul.items():
-        if not row or a not in bij or b not in bij:
-            continue
-        if B.mul.get((bij[a], bij[b]), {}) != {bij[k]: c for k, c in row.items()}:
+    perm = [B.index[bij[a]] for a in A.basis]
+    prod_B = _row_maps(B)
+    for i, js, ks in A.rows:
+        if prod_B[perm[i]] != {perm[j]: perm[k] for j, k in zip(js, ks) if k is not None}:
             return False
-        rows += 1
-    in_B = set(B.basis)
-    if rows != sum(1 for (a, b), row in B.mul.items() if row and a in in_B and b in in_B):
-        return False
-    return {bij[k]: c for k, c in A.unit.items()} == B.unit
+    return len(A.unit) == len(B.unit) and {bij[u] for u in A.unit} == set(B.unit)
 
 
 def quantum_double(G: FinGroup) -> Algebra:
-    """The quantum double on pairs (g, a), as an explicit structure table.
+    """The quantum double on pairs (g, a), its rows written from the product formula.
 
-    (g, a) (g', a') is zero unless g' = a g a^-1, and is then (g, a'a); this
-    is the associative composition-gated product of conjugation arrows
-    (g, a): g -> a g a^-1.
+    (g, a) (g', a') is zero unless g' = a g a^-1, and is then (g, a'a): the
+    product of conjugation arrows (g, a): g -> a g a^-1.  On G's element
+    indices (g, a) is g n + a, so its row runs over the block of a g a^-1.
     """
-    els = tuple((g, a) for g in G.elements for a in G.elements)
-    mul = {}
-    for (g, a) in els:
-        target = G.mul(G.mul(a, g), G.inv(a))
-        for ap in G.elements:
-            mul[((g, a), (target, ap))] = {(g, G.mul(ap, a)): _ONE}
-    unit = {(g, G.unit): _ONE for g in G.elements}
-    return Algebra(els, mul, unit, name=f"D({G.name})")
+    els, n, at = G.elements, len(G.elements), G.index
+    blocks = [tuple(range(t * n, t * n + n)) for t in range(n)]
+    after = [[at(G.mul(ap, a)) for ap in els] for a in els]  # after[a][a'] is the index of a'a
+    rows = [
+        (gi * n + ai, blocks[at(G.conj(g, G.inv(a)))], [gi * n + k for k in after[ai]])
+        for gi, g in enumerate(els)
+        for ai, a in enumerate(els)
+    ]
+    basis = tuple((g, a) for g in els for a in els)
+    return Algebra(basis, rows, tuple((g, G.unit) for g in els), name=f"D({G.name})")
 
 
 @dataclass
@@ -154,12 +163,9 @@ def quantum_double_oracle(G: FinGroup) -> DoubleOracleResult:
     conj = {(a, g): G.mul(G.mul(a, g), G.inv(a)) for a in G.elements for g in G.elements}
     AG = action_groupoid(G, G.elements, conj)
     iso = find_groupoid_iso(crs.groupoid, AG)
-    bij = None
-    if iso is not None:
-        _, arrow_map = iso
-        bij = {arrow: arrow_map[arrow] for arrow in crs.groupoid.arrows}
-        if not check_algebra_iso(B, D, bij):
-            bij = None
+    bij = None if iso is None else iso[1]  # the arrow map, on every arrow of the loop groupoid
+    if bij is not None and not check_algebra_iso(B, D, bij):
+        bij = None
     return DoubleOracleResult(D, B, bij)
 
 
@@ -189,30 +195,24 @@ class Bimodule:
     def validate(self) -> bool:
         """Units act as identities, products act as composites on each side, and the actions commute."""
 
-        def act(maps: dict, v: dict, m) -> dict:
-            # the sum over v's basis elements x, with their coefficients, of the images of m
-            out: dict = {}
-            for x, c in v.items():
-                if (img := maps.get(x, {}).get(m)) is not None:
-                    _addinto(out, img, c)
-            return out
-
-        def then(t1: dict, t2: dict, m) -> dict:
+        def then(t1: dict, t2: dict, m):
             k = t1.get(m)
-            return {} if k is None or (k2 := t2.get(k)) is None else {k2: _ONE}
+            return None if k is None else t2.get(k)
 
         L, R = self.lact, self.ract
-        for m in self.basis:
-            if act(L, self.left.unit, m) != {m: _ONE} or act(R, self.right.unit, m) != {m: _ONE}:
-                return False
-        # a1.(a2.m) = (a1 a2).m, but (m.b1).b2 = m.(b1 b2)
         for maps, alg, left in ((L, self.left, True), (R, self.right, False)):
-            for x in alg.basis:
-                tx = maps.get(x, {})
-                for y in alg.basis:
-                    ty, prod = maps.get(y, {}), alg.mul.get((x, y), {})
+            # the images of m under the units, summed, must be m
+            units = [maps.get(u, {}) for u in alg.unit]
+            if any([t[m] for t in units if m in t] != [m] for m in self.basis):
+                return False
+            # a1.(a2.m) = (a1 a2).m, but (m.b1).b2 = m.(b1 b2); a zero product acts as zero
+            ts = [maps.get(x, {}) for x in alg.basis]
+            for tx, row in zip(ts, _row_maps(alg)):
+                for j, ty in enumerate(ts):
+                    k = row.get(j)
+                    prod = {} if k is None else ts[k]
                     t1, t2 = (ty, tx) if left else (tx, ty)
-                    if any(act(maps, prod, m) != then(t1, t2, m) for m in self.basis):
+                    if any(prod.get(m) != then(t1, t2, m) for m in self.basis):
                         return False
         for a in self.left.basis:
             ta = L.get(a, {})
@@ -305,7 +305,8 @@ class FrobeniusData:
 def frobenius_data(G: FinGroupoid) -> FrobeniusData:
     """The symmetric Frobenius and separability structure on a groupoid algebra."""
     A = groupoid_algebra(G)
-    lam = {a: _ONE if a in set(G.ident.values()) else Fraction(0) for a in G.arrows}
+    ids = set(G.ident.values())
+    lam = {a: _ONE if a in ids else Fraction(0) for a in G.arrows}
     casimir = [(a, G.inv(a), _ONE) for a in G.arrows]
     sep = [
         (a, G.inv(a), Fraction(1, len(G.arrows_from(G.src[a])))) for a in G.arrows
@@ -314,44 +315,40 @@ def frobenius_data(G: FinGroupoid) -> FrobeniusData:
 
 
 def verify_frobenius(data: FrobeniusData) -> bool:
-    A = data.algebra
-    lam = data.lam
-    # symmetry of the trace
-    for a in A.basis:
-        for b in A.basis:
-            ab = sum(lam[k] * c for k, c in A.mul.get((a, b), {}).items())
-            ba = sum(lam[k] * c for k, c in A.mul.get((b, a), {}).items())
-            if ab != ba:
-                return False
+    A, at = data.algebra, data.algebra.index
+    prod = _row_maps(A)
+    lam = [data.lam[b] for b in A.basis]
+    # symmetry of the trace: lam(ab) = lam(ba), where a zero product has trace 0
+    if any(lam[ab] != (0 if (ba := prod[b].get(a)) is None else lam[ba])
+           for a, row in enumerate(prod) for b, ab in row.items()):
+        return False
 
     def casimir_holds(tensor):
-        for w in A.basis:
-            lhs: dict = {}
-            rhs: dict = {}
-            for (x, y, c) in tensor:
-                for k, ck in A.mul.get((w, x), {}).items():
-                    _addinto(lhs, (k, y), c * ck)
-                for k, ck in A.mul.get((y, w), {}).items():
-                    _addinto(rhs, (x, k), c * ck)
+        terms = [(at[x], at[y], c) for x, y, c in tensor]
+        for w, w_row in enumerate(prod):
+            lhs, rhs = {}, {}
+            for (x, y, c) in terms:
+                if (k := w_row.get(x)) is not None:
+                    _addinto(lhs, (k, y), c)
+                if (k := prod[y].get(w)) is not None:
+                    _addinto(rhs, (x, k), c)
             if lhs != rhs:
                 return False
         return True
 
-    if not casimir_holds(data.casimir):
+    if not (casimir_holds(data.casimir) and casimir_holds(data.separability)):
         return False
-    if not casimir_holds(data.separability):
-        return False
+    unit = dict.fromkeys(A.unit, _ONE)
     # compatibility: (lam tensor id)(e) = 1 = (id tensor lam)(e)
-    left: dict = {}
-    right: dict = {}
+    left, right = {}, {}
     for (x, y, c) in data.casimir:
-        _addinto(left, y, c * lam[x])
-        _addinto(right, x, c * lam[y])
-    if left != A.unit or right != A.unit:
+        _addinto(left, y, c * data.lam[x])
+        _addinto(right, x, c * data.lam[y])
+    if left != unit or right != unit:
         return False
     # separability witness multiplies to the unit
     total: dict = {}
     for (x, y, c) in data.separability:
-        for k, ck in A.mul.get((x, y), {}).items():
-            _addinto(total, k, c * ck)
-    return total == A.unit
+        if (k := prod[at[x]].get(at[y])) is not None:
+            _addinto(total, A.basis[k], c)
+    return total == unit

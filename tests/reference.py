@@ -28,11 +28,15 @@ arrows and composable pairs by scanning every arrow, or every pair of
 arrows, and filtering: the oracles of `FinGroupoid.ends`, of the walks of
 the composition table, of `FinGroupoid.validate` (`validate_groupoid`, on
 the table the caller gave, or on `table_of` a groupoid given `products`)
-and of `tensor_over`'s balancing over the middle elements that act.  The
-Morita oracles `tensor_over` and `bimodule_validate` read a bimodule's
-actions as linear tables on (algebra element, basis element) pairs;
-`pair_keyed_bimodule` flattens `morita`'s maps per algebra element to that
-form.
+and of `tensor_over`'s balancing over the middle elements that act, and
+`validate_left_action`, which scans every group element, the oracle of the
+check on a generating sequence.  The Morita oracles hold an algebra as
+linear rows (a, b) -> {a b: 1} (`DictAlgebra`, whose `validate` scans every
+triple); `dict_algebra` decodes `morita.Algebra`'s index rows to that form
+and `index_algebra` encodes it back.  `tensor_over` and `bimodule_validate`
+read a bimodule's actions as linear tables on (algebra element, basis
+element) pairs; `pair_keyed_bimodule` flattens `morita`'s maps per algebra
+element to that form.
 
 The colouring walk on values (`DictPlan`), with its dict-based labels, tests
 and domains, is the oracle of `Plan`'s walk on value indices.
@@ -48,7 +52,7 @@ generating squares.  These two profunctor oracles keep each action as one
 dict on (arrow, element) pairs; `pair_keyed` flattens the program's maps
 per arrow to that form.
 """
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -733,7 +737,110 @@ def validate_groupoid(G, table: dict) -> ValidationReport:
     return ValidationReport.passed()
 
 
-def groupoid_algebra(G) -> Algebra:
+def validate_left_action(G, points, act) -> ValidationReport:
+    """The action check scanning h.(g.x) = (hg).x for every g, h and x: the oracle of
+    `validate_left_action`, which checks g over a generating sequence."""
+    points = tuple(points)
+    members = set(points)
+    for g in G.elements:
+        for x in points:
+            if (g, x) not in act:
+                return ValidationReport.malformed("action not total", (g, x))
+            if act[(g, x)] not in members:
+                return ValidationReport.malformed("action leaves the set", (g, x))
+    for x in points:
+        if act[(G.unit, x)] != x:
+            return ValidationReport.axiom("unit does not act trivially", (x,))
+    for g in G.elements:
+        for h in G.elements:
+            for x in points:
+                if act[(h, act[(g, x)])] != act[(G.mul(h, g), x)]:
+                    return ValidationReport.axiom("action not compatible with product", (g, h, x))
+    return ValidationReport.passed()
+
+
+@dataclass
+class DictAlgebra:
+    """An algebra with its product as one linear row (a, b) -> {c: coefficient} per
+    non-zero product of basis elements, keyed by the elements themselves, and its unit
+    as {element: coefficient}.  Its `validate` scans every triple of basis elements: the
+    oracle of `morita.Algebra`'s index rows and of its check on the non-zero products."""
+    basis: tuple
+    mul: dict  # (a, b) -> {c: coeff}; missing means zero product
+    unit: dict  # {a: coeff}
+    name: str = ""
+
+    @property
+    def dim(self):
+        return len(self.basis)
+
+    def product(self, v: dict, w: dict) -> dict:
+        out: dict = {}
+        for a, ca in v.items():
+            for b, cb in w.items():
+                for k, ck in self.mul.get((a, b), {}).items():
+                    _addinto(out, k, ca * cb * ck)
+        return out
+
+    def validate(self) -> bool:
+        """The unit on every basis element, and associativity on every triple."""
+        for a in self.basis:
+            va = {a: Fraction(1)}
+            if self.product(self.unit, va) != va or self.product(va, self.unit) != va:
+                return False
+        for a in self.basis:
+            for b in self.basis:
+                ab = self.mul.get((a, b), {})
+                for c in self.basis:
+                    lhs: dict = {}
+                    for k, ck in ab.items():
+                        for m, cm in self.mul.get((k, c), {}).items():
+                            _addinto(lhs, m, ck * cm)
+                    rhs: dict = {}
+                    for k, ck in self.mul.get((b, c), {}).items():
+                        for m, cm in self.mul.get((a, k), {}).items():
+                            _addinto(rhs, m, ck * cm)
+                    if lhs != rhs:
+                        return False
+        return True
+
+    def structure_triples(self):
+        return sorted(
+            (str(a), str(b), str(k), str(c))
+            for (a, b), row in self.mul.items()
+            for k, c in row.items()
+        )
+
+
+def dict_algebra(A) -> DictAlgebra:
+    """`morita.Algebra`'s index rows decoded to linear rows (a, b) -> {a b: 1}, in row order,
+    and its unit to {e: 1}."""
+    basis = A.basis
+    mul = {
+        (basis[i], basis[j]): {basis[k]: Fraction(1)}
+        for i, js, ks in A.rows
+        for j, k in zip(js, ks)
+        if k is not None
+    }
+    return DictAlgebra(basis, mul, {e: Fraction(1) for e in A.unit}, A.name)
+
+
+def index_algebra(D: DictAlgebra) -> Algebra:
+    """`dict_algebra` inverted: a monomial DictAlgebra as `morita.Algebra` index rows, each
+    row's products in the order of D's table."""
+    at = {b: i for i, b in enumerate(D.basis)}
+    js, ks = [[] for _ in D.basis], [[] for _ in D.basis]
+    for (a, b), row in D.mul.items():
+        if row:
+            (c, coeff), = row.items()
+            assert coeff == 1, "not monomial"
+            js[at[a]].append(at[b])
+            ks[at[a]].append(at[c])
+    rows = [(i, tuple(j), k) for i, (j, k) in enumerate(zip(js, ks))]
+    return Algebra(D.basis, rows, tuple(D.unit), D.name)
+
+
+def groupoid_algebra(G) -> DictAlgebra:
     """The groupoid algebra, testing every pair of arrows for composability."""
     mul = {}
     for a in G.arrows:
@@ -741,10 +848,10 @@ def groupoid_algebra(G) -> Algebra:
             if G.tgt[a] == G.src[b]:
                 mul[(a, b)] = {G.comp(a, b): Fraction(1)}
     unit = {G.ident[x]: Fraction(1) for x in G.objects}
-    return Algebra(tuple(G.arrows), mul, unit, name=f"Lin2({G.name})")
+    return DictAlgebra(tuple(G.arrows), mul, unit, name=f"Lin2({G.name})")
 
 
-def quantum_double(G) -> Algebra:
+def quantum_double(G) -> DictAlgebra:
     """The quantum double, testing all |G|^4 pairs of basis elements."""
     els = tuple((g, a) for g in G.elements for a in G.elements)
     mul = {}
@@ -754,7 +861,7 @@ def quantum_double(G) -> Algebra:
             if gp == target:
                 mul[((g, a), (gp, ap))] = {(g, G.mul(ap, a)): Fraction(1)}
     unit = {(g, G.unit): Fraction(1) for g in G.elements}
-    return Algebra(els, mul, unit, name=f"D({G.name})")
+    return DictAlgebra(els, mul, unit, name=f"D({G.name})")
 
 
 def find_groupoid_iso(G, H):
@@ -815,10 +922,11 @@ def pair_keyed_bimodule(B):
 
     `morita` holds one map of basis elements per algebra element; here each
     entry m -> a.m becomes the row (a, m) -> {a.m: 1}, and m -> m.b the row
-    (m, b) -> {m.b: 1}: the form `tensor_over` and `bimodule_validate` here read."""
+    (m, b) -> {m.b: 1}: the form `tensor_over` and `bimodule_validate` here read.
+    The two algebras are decoded by `dict_algebra`."""
     lact = {(a, m): {img: Fraction(1)} for a, moves in B.lact.items() for m, img in moves.items()}
     ract = {(m, b): {img: Fraction(1)} for b, moves in B.ract.items() for m, img in moves.items()}
-    return replace(B, lact=lact, ract=ract)
+    return replace(B, left=dict_algebra(B.left), right=dict_algebra(B.right), lact=lact, ract=ract)
 
 
 def _monomial_image(row: dict):

@@ -47,7 +47,7 @@ from quinncalc.simpset import (
 )
 from quinncalc.tqft import closed_invariant, quinn_matrix, s_conjugation_check, state_space
 from tests.conftest import corpus_crossed_modules, corpus_groups
-from tests.reference import crs_homotopy_content
+from tests.reference import crs_homotopy_content, dict_algebra
 
 
 def report(number, text):
@@ -251,9 +251,10 @@ def test_criterion_10_morita_layer():
         G = pair_groupoid(k)
         alg = groupoid_algebra(G)
         assert alg.validate()
+        mul = dict_algebra(alg).mul
         for (i, j) in G.arrows:
             for (k2, l) in G.arrows:
-                row = alg.mul.get(((i, j), (k2, l)), {})
+                row = mul.get(((i, j), (k2, l)), {})
                 assert row == ({(i, l): Fraction(1)} if j == k2 else {})
     from quinncalc.finalg import groupoid_from_group
 

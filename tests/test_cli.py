@@ -400,6 +400,41 @@ def test_unwritable_out_exits_2(files, tmp_path):
     assert err.startswith(f"error: cannot write {path}: ") and "Traceback" not in err
 
 
+def _raise_memory_error(*args, **kwargs):
+    raise MemoryError
+
+
+def test_running_out_of_memory_in_a_command_exits_5(files, tmp_path, monkeypatch):
+    """A MemoryError raised while the command computes ends in one `error:` line and
+    exit 5, with nothing on stdout and no `--out` file."""
+    options = COMMANDS["ext-groupoid"][2]
+    monkeypatch.setitem(COMMANDS, "ext-groupoid", (None, _raise_memory_error, options))
+    path = tmp_path / "x.json"
+    argv = ["ext-groupoid", "--space", files["circle"], "--algebra", files["s3"]]
+    for extra in ([], ["--out", str(path)]):
+        assert _run([*argv, *extra]) == (5, "", "error: out of memory in ext-groupoid\n")
+        assert not path.exists()
+
+
+@pytest.mark.parametrize("error, code", [(MemoryError, 5), (OSError, 2)])
+def test_an_error_while_writing_out_removes_the_file(files, tmp_path, monkeypatch, error, code):
+    """A writer that fails after its first piece leaves no partial `--out` file, also
+    where the path held a file before."""
+    import quinncalc.cli
+
+    def cut_short(data, write):
+        write('{"dimension": ')
+        raise error("cut short")
+
+    monkeypatch.setattr(quinncalc.cli, "write_json", cut_short)
+    path = tmp_path / "x.json"
+    path.write_text("old")
+    got, out, err = _run(["algebra", "--from", files["s3"], "--out", str(path)])
+    assert (got, out) == (code, "") and not path.exists()
+    want = "error: out of memory in algebra\n" if code == 5 else f"error: cannot write {path}: cut short\n"
+    assert err == want
+
+
 def test_a_reader_that_stops_early_ends_the_output_quietly(files):
     """`quinncalc ... | head`: the 5.6 MB document outgrows the pipe, and the command exits 0
     with nothing on stderr when the reader closes it."""
@@ -960,16 +995,22 @@ PINNED_RUNS = {
         "7b74dd7a6ea84657412a9af7758295cc2401e7a8a77e2e447788027451fc33dc",
     "profunctor prism-torus xmod-z2-id":
         "8749d48f85a9985d3e08de48700236a6acc66f42bda601e14e782be2a879dc65",
+    "algebra z2":
+        "d506ba8f1f72d361071ace05adb408670e0344c5916687db2bcc3ef7e6cee384",
     "algebra z3":
         "3381d7362392b91c26267c8ce0bee64461c874d294a5840e3f0306ed5080dbd3",
     "algebra s3":
         "537fe4c256f0e6de7f89c4707390398056e7f16cfcf4f3e9b0f717781a39c410",
     "algebra pair-groupoid-2":
         "efd893fe867d055befe13bb291c4c89bc48feece8690915edab03325a0716761",
+    "algebra ext-groupoid-circle-z2":
+        "4563efbf1d09fab01cf419b33e308cee1dc2510daedc7d42704764e42bdbbb9a",
     "double z3":
         "9e8a3a912434340bab598989be82c2a88a9cf9b80e764f721bc88b414bab17af",
     "double s3":
         "70d22ad8f1a2504659f1dac545dd49d15f34348fb404e256c683c2a7c5d12513",
+    "double s4":
+        "9dddfa029b789a5d3b1157f673df5b851b8c539908f9a5041be1fe723ff09744",
     "nat-transform point z2":
         "cf82a9bd1cb21039bffba94b62e3979764a6c8ce3b6cea1e3f7065f4bd77a5e5",
     "nat-transform point z3":
@@ -1028,11 +1069,15 @@ def _pinned_argv(run, files):
 
 def test_pinned_outputs_keep_their_bytes(tmp_path):
     catalog = _catalog()
-    inputs = {**catalog.pop("algebras"), **catalog, **GROUPOID_FILES}
+    inputs = {**catalog.pop("algebras"), **catalog, **GROUPOID_FILES, "s4": group_to_json(symmetric_group(4))}
     files = {}
     for name, data in inputs.items():
         files[name] = str(tmp_path / f"{name}.json")
         Path(files[name]).write_text(dump_json(data))
+    # a groupoid file as `ext-groupoid` writes it, which `algebra --from` reads back
+    files["ext-groupoid-circle-z2"] = str(tmp_path / "ext-groupoid-circle-z2.json")
+    argv = ["ext-groupoid", "--space", files["circle"], "--algebra", files["z2"]]
+    assert main([*argv, "--out", files["ext-groupoid-circle-z2"]]) == 0
     digests = {}
     for run in PINNED_RUNS:
         out = io.StringIO()

@@ -21,7 +21,9 @@ from quinncalc.finalg import (
     validate_crossed_complex,
 )
 from quinncalc.finalg.crossed import CrossedModulePresentation
-from quinncalc.finalg.groupoids import FinGroupoid, partition
+from quinncalc.finalg.groupoids import FinGroupoid, partition, validate_left_action
+from quinncalc.finalg.groups import ValidationReport, _generating_sequence
+from tests import reference
 from tests.conftest import corpus_crossed_modules, corpus_groups
 
 
@@ -245,6 +247,39 @@ def test_action_groupoid_component_count_matches_orbits():
         act = conj_action(G)
         AG = action_groupoid(G, G.elements, act)
         assert len(AG.components()) == orbit_count(G, G.elements, act)
+
+
+def _broken_actions(G, act):
+    """act on G's elements with one entry not total, one leaving the set, one unit entry
+    changed, and one entry of a g that is neither the unit nor a generator changed (where
+    G has such a g)."""
+    points, g = G.elements, G.elements[-1]
+    yield "not total", {k: v for k, v in act.items() if k != (g, points[-1])}
+    yield "leaves the set", {**act, (g, points[-1]): "outside"}
+    yield "unit entry changed", {**act, (G.unit, points[0]): points[1]}
+    gens = set(_generating_sequence(G))
+    g = next((g for g in G.elements if g != G.unit and g not in gens), None)
+    if g is not None:
+        y = next(y for y in points if y != act[(g, points[0])])
+        yield "non-generator entry changed", {**act, (g, points[0]): y}
+
+
+@pytest.mark.parametrize("G", [*corpus_groups(), symmetric_group(4)], ids=lambda G: G.name)
+def test_validate_left_action_matches_the_full_scan(G):
+    """The check on a generating sequence returns the full scan's report: on conjugation
+    and left multiplication, on right multiplication (an action only when G is abelian)
+    and on four broken tables, which all fail."""
+    els = G.elements
+    left = {(g, x): G.mul(g, x) for g in els for x in els}
+    right = {(g, x): G.mul(x, g) for g in els for x in els}
+    for act in (conj_action(G), left):
+        assert validate_left_action(G, els, act) == ValidationReport.passed()
+        assert reference.validate_left_action(G, els, act) == ValidationReport.passed()
+        for broken, bad in _broken_actions(G, act):
+            got = validate_left_action(G, els, bad)
+            assert not got and got == reference.validate_left_action(G, els, bad), broken
+    got = validate_left_action(G, els, right)
+    assert bool(got) == G.is_abelian() and got == reference.validate_left_action(G, els, right)
 
 
 # -- semidirect products -----------------------------------------------------

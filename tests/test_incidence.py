@@ -3,6 +3,7 @@ all-arrow and all-pair scans they replace (kept in `tests/reference.py`)."""
 import ast
 import random
 from dataclasses import replace
+from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
@@ -87,7 +88,8 @@ def test_the_index_is_built_on_first_use():
 def test_groupoid_algebra_matches_the_all_pairs_scan(name):
     G = _groupoids()[name]
     new, old = groupoid_algebra(G), reference.groupoid_algebra(G)
-    assert (new.basis, new.mul, new.unit) == (old.basis, old.mul, old.unit)
+    decoded = reference.dict_algebra(new)
+    assert (decoded.basis, decoded.mul, decoded.unit) == (old.basis, old.mul, old.unit)
     assert new.structure_triples() == old.structure_triples()
 
 
@@ -209,8 +211,95 @@ def test_only_the_groupoid_module_reads_comp_table():
 @pytest.mark.parametrize("G", corpus_groups(), ids=lambda G: G.name)
 def test_quantum_double_matches_the_quartic_scan(G):
     new, old = quantum_double(G), reference.quantum_double(G)
-    assert new.basis == old.basis and new.unit == old.unit
-    assert list(new.mul.items()) == list(old.mul.items())
+    decoded = reference.dict_algebra(new)
+    assert decoded.basis == old.basis and decoded.unit == old.unit
+    assert list(decoded.mul.items()) == list(old.mul.items())
+    assert new.structure_triples() == old.structure_triples()
+
+
+@pytest.mark.parametrize("name", [*SMALL, "prism-circle-z2-z4-zero"])
+def test_groupoid_algebra_shares_the_table(name):
+    """The algebra's basis is G's arrows and each row's products are G's own list: no
+    table entry is copied."""
+    G = _groupoids()[name]
+    A = groupoid_algebra(G)
+    assert A.basis is G.arrows and len(A.rows) == len(G.products)
+    for i, (r, js, ks) in enumerate(A.rows):
+        assert r == i and ks is G.products[i]
+
+
+def _algebras():
+    out = {name: groupoid_algebra(G) for name, G in _groupoids().items() if name in SMALL}
+    out.update({f"double-{G.name}": quantum_double(G) for G in corpus_groups()})
+    return out
+
+
+def _variants(A):
+    """(name, algebra): A, then A with one product moved to another element, with one unit
+    element dropped, and, where one of its last row's products is zero, with it made non-zero."""
+    yield "as built", A
+    i, js, ks = A.rows[-1]
+    yield "product moved", replace(A, rows=[*A.rows[:-1], (i, js, [(ks[0] + 1) % A.dim, *ks[1:]])])
+    yield "unit dropped", replace(A, unit=A.unit[1:])
+    zero = next((j for j in range(A.dim) if j not in js), None)
+    if zero is not None:
+        yield "product added", replace(A, rows=[*A.rows[:-1], (i, (*js, zero), [*ks, 0])])
+
+
+# every triple of a 576-element basis is too many for the oracle
+@pytest.mark.parametrize("name", [name for name in _algebras() if name != "circle-s4"])
+def test_algebra_validate_matches_the_triple_scan(name):
+    """`Algebra.validate` on the non-zero products gives what the scan of every triple on
+    the decoded linear table gives, and both fail on each broken variant."""
+    for variant, A in _variants(_algebras()[name]):
+        want = reference.dict_algebra(A).validate()
+        assert A.validate() == want == (variant == "as built"), variant
+
+
+def _handmade(basis, products, unit):
+    """The DictAlgebra on `basis` with unit `unit`, its products with the unit and `products`
+    {(a, b): a b} non-zero, every coefficient 1."""
+    mul = {(unit, t): {t: Fraction(1)} for t in basis}
+    mul.update({(t, unit): {t: Fraction(1)} for t in basis})
+    mul.update({pair: {c: Fraction(1)} for pair, c in products.items()})
+    return reference.DictAlgebra(basis, mul, {unit: Fraction(1)})
+
+
+HANDMADE = {
+    # e is a unit on one side only: a.e = 0, or e.a = 0
+    "left unit only": (reference.DictAlgebra(
+        ("e", "a"), {("e", "e"): {"e": Fraction(1)}, ("e", "a"): {"a": Fraction(1)}}, {"e": Fraction(1)}
+    ), False),
+    "right unit only": (reference.DictAlgebra(
+        ("e", "a"), {("e", "e"): {"e": Fraction(1)}, ("a", "e"): {"a": Fraction(1)}}, {"e": Fraction(1)}
+    ), False),
+    # x(yz) = xw = v but (xy)z = 0, which no non-zero (ab)c shows
+    "x(yz) without (xy)z": (_handmade("1xyzwv", {("y", "z"): "w", ("x", "w"): "v"}, "1"), False),
+    "associative": (_handmade("1xyzwv", {("y", "z"): "w", ("x", "y"): "v"}, "1"), True),
+}
+
+
+@pytest.mark.parametrize("name", list(HANDMADE))
+def test_algebra_validate_on_handmade_tables(name):
+    """Tables that fail one axiom only: the unit on one side, or an a(bc) with (ab)c zero."""
+    linear, valid = HANDMADE[name]
+    A = reference.index_algebra(linear)
+    assert A.validate() == linear.validate() == valid
+
+
+@pytest.mark.parametrize("name", ["group-S3", "pair-3", "circle-s3", "double-S3"])
+def test_algebra_product_matches_the_linear_table(name):
+    """The product of linear combinations, with rational coefficients that cancel, is the
+    decoded linear table's."""
+    A = _algebras()[name]
+    basis = A.basis
+    v = {b: Fraction(i % 5 - 2, i % 3 + 1) for i, b in enumerate(basis)}
+    w = {b: Fraction(1, i + 1) for i, b in enumerate(basis[::2])}
+    unit = dict.fromkeys(A.unit, Fraction(1))
+    linear = reference.dict_algebra(A)
+    for x, y in [(v, w), (w, v), (v, v), (unit, v), (v, unit), ({}, v)]:
+        assert A.product(x, y) == linear.product(x, y)
+    assert A.product(unit, v) == {b: c for b, c in v.items() if c}
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,7 @@ from quinncalc.morita import (
 )
 from quinncalc.simpset import circle, prism
 from tests.conftest import corpus_crossed_modules, corpus_groups
+from tests.reference import DictAlgebra, dict_algebra, index_algebra
 from tests.test_colouring import CORPUS_ALGEBRAS
 from tests.test_transports import CYLINDERS
 
@@ -53,9 +55,10 @@ def test_pair_groupoid_algebra_is_matrix_algebra():
         A = groupoid_algebra(G)
         assert A.dim == k * k and A.validate()
         # elementary matrix relations E_ij E_kl = delta(j,k) E_il
+        mul = dict_algebra(A).mul
         for (i, j) in G.arrows:
             for (k2, l) in G.arrows:
-                row = A.mul.get(((i, j), (k2, l)), {})
+                row = mul.get(((i, j), (k2, l)), {})
                 if j == k2:
                     assert row == {(i, l): Fraction(1)}
                 else:
@@ -89,8 +92,9 @@ def test_naive_product_order_fails_associativity(s3):
             if gp == tgt:
                 mul[((g, a), (gp, ap))] = {(g, s3.mul(a, ap)): Fraction(1)}
     unit = {(g, s3.unit): Fraction(1) for g in s3.elements}
-    naive = Algebra(els, mul, unit)
+    naive = DictAlgebra(els, mul, unit)
     assert not naive.validate()
+    assert not index_algebra(naive).validate()
 
 
 def test_quantum_double_oracle_corpus():
@@ -101,7 +105,8 @@ def test_quantum_double_oracle_corpus():
 
 
 def _check_algebra_iso_pairs(A, B, bij):
-    """Oracle for check_algebra_iso: compare the structure constants on every pair of basis elements."""
+    """Oracle for check_algebra_iso: compare the structure constants of the linear tables
+    (`dict_algebra`) on every pair of basis elements."""
     if set(bij) != set(A.basis) or set(bij.values()) != set(B.basis):
         return False
     for a in A.basis:
@@ -115,7 +120,7 @@ def _check_algebra_iso_pairs(A, B, bij):
 
 def _broken_products(res):
     """The genuine bijection with two images swapped so that a product breaks and the unit holds."""
-    A, B, bij = res.crs_algebra, res.double, res.bijection
+    A, B, bij = dict_algebra(res.crs_algebra), dict_algebra(res.double), res.bijection
     units = set(A.unit)
     rest = [a for a in A.basis if a not in units]
     for i, a1 in enumerate(rest):
@@ -131,12 +136,13 @@ def test_check_algebra_iso_matches_the_all_pairs_oracle():
     for G in [*corpus_groups(), symmetric_group(4)]:
         res = quantum_double_oracle(G)
         A, B, bij = res.crs_algebra, res.double, res.bijection
-        assert check_algebra_iso(A, B, bij) and _check_algebra_iso_pairs(A, B, bij)
-        empty = next((p, q) for p in B.basis for q in B.basis if (p, q) not in B.mul)
-        extra = Algebra(B.basis, {**B.mul, empty: {B.basis[0]: Fraction(1)}}, B.unit)
-        wrong_unit = Algebra(B.basis, B.mul, dict(list(B.unit.items())[1:]))
+        linear = dict_algebra(B)
+        assert check_algebra_iso(A, B, bij) and _check_algebra_iso_pairs(dict_algebra(A), linear, bij)
+        empty = next((p, q) for p in B.basis for q in B.basis if (p, q) not in linear.mul)
+        extra = index_algebra(replace(linear, mul={**linear.mul, empty: {B.basis[0]: Fraction(1)}}))
+        wrong_unit = Algebra(B.basis, B.rows, B.unit[1:])
         for other, m in [(B, _broken_products(res)), (extra, bij), (wrong_unit, bij)]:
-            assert not _check_algebra_iso_pairs(A, other, m)
+            assert not _check_algebra_iso_pairs(dict_algebra(A), dict_algebra(other), m)
             assert not check_algebra_iso(A, other, m)
 
 
@@ -287,6 +293,21 @@ def test_frobenius_pair_groupoid():
     for (x, y, c) in data.separability:
         assert c == Fraction(1, 2)
     assert verify_frobenius(data)
+
+
+@pytest.mark.parametrize("kind", ["s3-conjugation", "pair-2", "group-z2"])
+def test_frobenius_fails_with_one_identity_coefficient_changed(kind):
+    s3 = symmetric_group(3)
+    G = {
+        "s3-conjugation": lambda: action_groupoid(s3, s3.elements, conj_action(s3)),
+        "pair-2": lambda: pair_groupoid(2),
+        "group-z2": lambda: groupoid_from_group(cyclic_group(2)),
+    }[kind]()
+    data = frobenius_data(G)
+    assert verify_frobenius(data)
+    for x in G.objects:
+        e = G.ident[x]
+        assert not verify_frobenius(replace(data, lam={**data.lam, e: Fraction(2)})), x
 
 
 def test_frobenius_corpus_groupoids(s3):
