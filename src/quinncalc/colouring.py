@@ -41,10 +41,14 @@ abelian group K = ker d_L, and the cells above them ask one affine system
 over K, solved by a Hermite normal form.
 `enumerate_colourings` and `enumerate_relative` compile a plan per call; a
 caller that walks one X for many boundary values compiles it once.  The
-homotopy layer reads the same compilation: `Plan.terms` resolves the
-homotopy addition word of each cell to reads of key positions once, and
-the homotopy layer evaluates them on colouring keys with the walk's own
-tables (`_Ops`); its moves are kept on the plan (`Plan.moves`).
+homotopy layer reads the same compilation, and the plan is the one place
+that says where a key's values lie: `Plan.layout(k)` gives the key
+positions of a k-fold homotopy's values with their levels and base
+positions (`Plan.base`), `Plan.ends` the end positions of each edge, and
+`Plan.terms` the homotopy addition word of each cell on key positions,
+each term with its twist, compiled once.  The homotopy layer evaluates
+them on colouring keys with the walk's own tables (`_Ops`); its moves are
+kept on the plan (`Plan.moves`).
 Every homotopy addition word in the program is evaluated on a plan;
 `boundary_label` compiles one per call, and `value_of_ref` reads a single
 simplex.
@@ -260,22 +264,32 @@ class Plan:
     level from a normal form (`_Top`).
 
     - `lead[g]`: the leading vertex of g;
+    - `ends[p]`: the key positions (s, t) of the source d1 e and the target
+      d0 e of the edge e at the key position p;
+    - `base[p]`: the key position of the vertex over whose image a homotopy
+      value at p lies: a vertex's own, an edge's target vertex d0, and a
+      higher generator's leading vertex;
     - `label[c](values)`: the homotopy addition label of c under the values
       dict `values`, for c of dimension >= 2; it encodes `values` and calls
       the index evaluator of c;
     - `slots`: the walk order, levels 0..min(dim X, truncation) in generator
       order, which is a prefix of `X.all_gens()`;
     - `faces[c]`: the proper faces of c, for c of dimension 2..truncation;
-    - `terms[c]`, `moves`: for the homotopy layer.
+    - `layout(k)`, `terms`, `moves`: for the homotopy layer.
 
-    Everything but `lead` is built on first use, so a plan that evaluates a
-    homotopy or a label never builds the walk's domains and tests.
+    Everything but `lead`, `ends` and `base` is built on first use, so a
+    plan that evaluates a homotopy or a label never builds the walk's
+    domains and tests.
     """
 
     def __init__(self, X, A: CrossedComplex):
         X = as_simpset(X)
-        self.X, self.A = X, A
+        self.X, self.A, where = X, A, X.gen_index
         self.lead = {g: X.initial_vertex(g) for g in X.all_gens()}
+        self.ends = {where(e): tuple(map(where, X.edge_ends(e))) for e in X.gens(1)}
+        self.base = [
+            self.ends[p][1] if p in self.ends else where(self.lead[g]) for p, g in enumerate(X.all_gens())
+        ]
         self._last_level = min(X.dim, A.truncation)  # the top level the walk assigns
         self._pin_sets: dict = {}  # fixed generator sequence -> `_Pins`
 
@@ -293,6 +307,18 @@ class Plan:
             for n in range(2, self._last_level + 1)
             for c in X.gens(n)
         }
+
+    def layout(self, k: int) -> list:
+        """[(p, n, base[p])]: the key positions that hold a value of a k-fold homotopy, at level n.
+
+        The value at an i-generator lies at level n = i + k (k = 0 for a
+        colouring), and the key holds its index where n <= max(1,
+        truncation): above, it is an identity, indexed 0.  Generators are
+        ordered by dimension, so these positions are a prefix of the key.
+        """
+        top, dims = max(1, self.A.truncation), self.X.dim_of
+        gens = self.X.all_gens()
+        return [(p, n, b) for p, (g, b) in enumerate(zip(gens, self.base)) if (n := dims[g] + k) <= top]
 
     @cached_property
     def _ops(self) -> _Ops:
@@ -473,7 +499,7 @@ class Plan:
             elif n == 0:
                 domain, force = lambda v: objects, None
             elif n == 1:
-                s, t = (where(u) for u in X.edge_ends(g))
+                s, t = self.ends[pos]
                 domain, force = lambda v, s=s, t=t: between[v[s]][v[t]], None
             else:
                 domain, force = self._domain(g)
@@ -607,21 +633,17 @@ class Plan:
     def _decode(self):
         """v -> the values dict of the colouring whose value indices at `slots` are v, or whose key is v.
 
-        The level-n values (x, e) are read from tables built here, so a
-        colouring allocates its dict and nothing else.
+        The positions are `layout(0)`, those of `slots`.  The level-n values
+        (x, e) are read from tables built here, so a colouring allocates its
+        dict and nothing else.
         """
-        X, A = self.X, self.A
+        gens, A, layout = self.X.all_gens(), self.A, self.layout(0)
         pairs = {
             n: [tuple((x, e) for e in A.fibre(n, x).elements) for x in A.objects]
             for n in range(2, self._last_level + 1)
         }
-        low, high = [], []
-        for pos, g in enumerate(self.slots):
-            n = X.dim_of[g]
-            if n < 2:
-                low.append((g, pos, A.objects if n == 0 else A.base.arrows))
-            else:
-                high.append((g, pos, X.gen_index(self.lead[g]), pairs[n]))
+        low = [(gens[pos], pos, A.objects if n == 0 else A.base.arrows) for pos, n, _ in layout if n < 2]
+        high = [(gens[pos], pos, lead, pairs[n]) for pos, n, lead in layout if n >= 2]
 
         def decode(v):
             values = {g: table[v[pos]] for g, pos, table in low}
@@ -643,27 +665,27 @@ class Plan:
         return _Moves(self)
 
     @cached_property
-    def terms(self) -> dict:
-        """c -> [(face, sign, reads)], for c of dimension n = 2..truncation.
+    def terms(self) -> list:
+        """[(p, lead, n, terms)]: the cells c of dimension n = 2..truncation, at key positions p.
 
-        One entry for each occurrence of a nondegenerate face in the homotopy
-        addition word of c, in word order, so a face that repeats appears
-        once per occurrence.  A k-fold homotopy h targeting a colouring f
-        takes the word to the product, at level n + k - 1, of the terms
-        h(face)^sign, each acted on by the composite of the edge values that
-        its `reads` give on f (no action when there are none).  A read is
-        an `_arrow_read` (position, table) of the value indices of f.  k = 1
-        gives the other end of h, k = 2 its boundary.  For a 2-generator the
-        derivation rule acts on a term by the edges after it, and first by
-        its own inverse edge when its sign is negative; above, only the
-        leading term is twisted, by the inverse leading edge.
+        `lead` is the position of c's leading vertex, and `terms` holds one
+        (face, base, negative, twist) for each occurrence of a nondegenerate
+        face in the homotopy addition word of c, in word order: the face's
+        position and `base`, whether its sign is -1, and its `_twist`.  A
+        k-fold homotopy h targeting a colouring f takes the word to the
+        product, at level n + k - 1, of the terms h(face)^sign, each acted
+        on by its twist of f (not when None).  k = 1 gives the other end of
+        h, k = 2 its boundary.  For a 2-generator the derivation rule acts
+        on a term by the edges after it, and first by its own inverse edge
+        when its sign is negative; above, only the leading term is twisted,
+        by the inverse leading edge.
         """
-        X = self.X
-        out = {}
+        X, comp, where = self.X, self._ops.comp, self.X.gen_index
+        out = []
         for n in range(2, self._last_level + 1):
             for c in X.gens(n):
                 word = hal_word(X, c)
-                out[c] = occurrences = []
+                occurrences = []
                 for j, (ref, sign, twist) in enumerate(word):
                     if ref.word:
                         continue  # degenerate: the homotopy is an identity there
@@ -673,7 +695,9 @@ class Plan:
                             reads.insert(0, self._arrow_read(ref, -1))
                     else:
                         reads = [self._arrow_read(r, s) for r, s in twist or ()]
-                    occurrences.append((ref.core, sign, tuple(reads)))
+                    face = where(ref.core)
+                    occurrences.append((face, self.base[face], sign < 0, _twist(comp, reads)))
+                out.append((where(c), where(self.lead[c]), n, occurrences))
         return out
 
     def walk(self, emit, fixed: dict | None = None) -> int:
@@ -823,10 +847,10 @@ class _Pins:
 
             return check
         if d == 1:
-            s, t = X.edge_ends(g)
-            if s not in given or t not in given:
+            s, t = plan.ends[pos]
+            if not {X.all_gens()[s], X.all_gens()[t]} <= given:
                 return None
-            s, t, src, tgt = where(s), where(t), ops.src, ops.tgt
+            src, tgt = ops.src, ops.tgt
 
             def check(v, objects, fixed):
                 a = v[pos]
@@ -1025,6 +1049,24 @@ def _arrow(read: tuple, v: list) -> int:
     """The arrow that an `_arrow_read` (position, table) gives on v."""
     k, table = read
     return v[k] if table is None else table[v[k]]
+
+
+def _twist(comp, reads):
+    """key -> the composite of the arrows that the `_arrow_read`s `reads` give on a colouring key.
+
+    None when there are no reads, so the term is not acted on.
+    """
+    if not reads:
+        return None
+    (q0, t0), rest = reads[0], reads[1:]
+
+    def arrow(key):
+        a = key[q0] if t0 is None else t0[key[q0]]
+        for q, t in rest:
+            a = comp[a][key[q] if t is None else t[key[q]]]
+        return a
+
+    return arrow
 
 
 def _cyclic_basis(K: list, mul: list, inv: list, unit: int) -> tuple:

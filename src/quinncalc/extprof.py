@@ -153,8 +153,8 @@ def _transports(crs: CrsResult, plan: Plan, over: dict, reps: list, class_of: di
     first from the identities: Schreier vectors (Holt, Eick and O'Brien,
     Handbook of Computational Group Theory, 2005, section 4.1).
     """
-    G, X, sub, trunc = crs.groupoid, plan.X, crs.X, crs.A.truncation
-    slots = [(i, X.gen_index(g)) for i, g in enumerate(sub.all_gens()) if sub.dim_of[g] < trunc]
+    G, X, gens = crs.groupoid, plan.X, crs.X.all_gens()
+    slots = [(i, X.gen_index(gens[i])) for i, _, _ in crs._plan.layout(1)]
     move = plan.moves.mover(p for _, p in slots)
     position = {ci: i for cis in over.values() for i, ci in enumerate(cis)}
     done = {G.ident[x]: list(range(len(over[x]))) for x in G.objects}
@@ -378,38 +378,34 @@ def _positions(P: Profunctor) -> dict:
     return {pair: {b: i for i, b in enumerate(els)} for pair, els in P.basis.items()}
 
 
-def _frame_map(X, A, H: Colouring, images: dict) -> dict:
-    """The values of H, a colouring of X, at the frame `images` of its generators up to the truncation."""
+def _frame_map(X, A, H: Colouring, images: dict, sides: dict) -> dict:
+    """The values of H, a colouring of X, at the frame `images` of its generators up to the truncation.
+
+    Frame generators on `sides` are left out: `_frames` reads them once per pair."""
     out = {}
     for g, zg in images.items():
-        if X.dim_of[g] < 2 or X.dim_of[g] <= A.truncation:
+        if zg not in sides and X.dim_of[g] <= max(1, A.truncation):
             if out.setdefault(zg, H.values[g]) != H.values[g]:
                 raise BoundaryError("inconsistent frame colouring")
     return out
 
 
-def _frame_top(W: Window, A, H: Colouring) -> tuple:
-    """(on_top, on_sides): the frame values of W that a filling H of its top gives.
+def _frames(W: Window, A, top: Profunctor, bottom: Profunctor, pair) -> tuple:
+    """(sides, tops, bottoms): the frame values of W over a boundary pair, in three disjoint parts.
 
-    on_top is at the images of the top's generators, on_sides at the sides' others."""
-    top = W.top_cob.simpset
-    on_top, on_sides = _frame_map(top, A, H, W.top_map), {}
-    for zg, ref in [*W.east_proj.items(), *W.west_proj.items()]:
-        if W.simpset.dim_of[zg] < 2 or W.simpset.dim_of[zg] <= A.truncation:
-            v = value_of_ref(top, A, H.values, ref)
-            if (on_top if zg in on_top else on_sides).setdefault(zg, v) != v:
-                raise BoundaryError("inconsistent frame colouring")
-    return on_top, on_sides
-
-
-def _frame_assignment(top: tuple, bottom: dict) -> dict:
-    """The fixed frame values of a window from a `_frame_top` and a bottom filling's `_frame_map`.
-
-    Top, bottom, then sides: one order for every pair, so one pin set (`Plan._pins`)."""
-    for half in top:
-        if any(half[g] != bottom[g] for g in half.keys() & bottom.keys()):
-            raise BoundaryError("inconsistent frame colouring")
-    return {**top[0], **bottom, **top[1]}
+    The sides project to the boundary, where every representative over the
+    pair has the pair's colourings, so they are read once, from those.
+    `tops` and `bottoms` hold each representative's other values, in basis
+    order.  A frame is {**sides, **tops[i], **bottoms[j]}, one order for
+    every entry, so one pin set (`Plan._pins`).
+    """
+    values = {**top.left.colourings[pair[0]].values, **top.right.colourings[pair[1]].values}
+    sides = {zg: value_of_ref(W.top_cob.simpset, A, values, ref) for zg, ref in (W.east_proj | W.west_proj).items()
+             if W.simpset.dim_of[zg] <= max(1, A.truncation)}
+    tops = [_frame_map(W.top_cob.simpset, A, top.reps[b], W.top_map, sides) for b in top.basis[pair]]
+    bottoms = [_frame_map(W.bottom_cob.simpset, A, bottom.reps[b], W.bottom_map, sides)
+               for b in bottom.basis[pair]]
+    return sides, tops, bottoms
 
 
 def window_nat_transform(W: Window, A: CrossedComplex) -> NatTransform:
@@ -419,8 +415,9 @@ def window_nat_transform(W: Window, A: CrossedComplex) -> NatTransform:
     count of fillings of the window support extending the frame colouring
     assembled from H and H' (sides extended constantly), weighted by the
     relative Theta product of the support and the content of the class of H'
-    relative to the boundary.  The frame values of each representative are
-    read once, and each entry merges two of them.
+    relative to the boundary.  The frame values on the sides are read once
+    per pair, those of each representative once (`_frames`), and each entry
+    merges three parts.
     """
     top = cobordism_profunctor(W.top_cob, A)
     bottom = cobordism_profunctor(W.bottom_cob, A)
@@ -431,12 +428,11 @@ def window_nat_transform(W: Window, A: CrossedComplex) -> NatTransform:
     bottom_rel = theta_weight(W.bottom_cob.simpset, A, W.bottom_cob.boundary_gens())
     blocks = {}
     for pair in top.pairs():
-        cols = [(_frame_map(W.bottom_cob.simpset, A, bottom.reps[bp], W.bottom_map), bottom.sizes[bp])
-                for bp in bottom.basis[pair]]
+        sides, tops, bottoms = _frames(W, A, top, bottom, pair)
         blocks[pair] = [
-            [plan.count(_frame_assignment(H_t, H_b)) * theta_support * size * bottom_rel
-             for H_b, size in cols]
-            for H_t in (_frame_top(W, A, top.reps[b]) for b in top.basis[pair])
+            [plan.count({**sides, **H_t, **H_b}) * theta_support * bottom.sizes[bp] * bottom_rel
+             for H_b, bp in zip(bottoms, bottom.basis[pair])]
+            for H_t in tops
         ]
     return NatTransform(top, bottom, blocks)
 

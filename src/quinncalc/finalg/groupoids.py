@@ -342,7 +342,8 @@ def action_groupoid(G: FinGroup, points, act) -> FinGroupoid:
     tgt = {(x, g): act[(g, x)] for (x, g) in arrows}
     # the arrow of index i is (x, g) with x the point of index i // n; (x, g)(g.x, h) = (x, hg)
     n = len(G.elements)
-    products = [[i // n * n + G.index(G.mul(h, g)) for h in G.elements] for i, (_, g) in enumerate(arrows)]
+    left = [[G.index(G.mul(h, g)) for h in G.elements] for g in G.elements]  # left[j]: the h.g, g of index j
+    products = [[i // n * n + k for k in left[i % n]] for i in range(len(arrows))]
     ident = {x: (x, G.unit) for x in points}
     inv = {(x, g): (tgt[(x, g)], G.inv(g)) for (x, g) in arrows}
     return FinGroupoid(points, arrows, src, tgt, products, ident, inv, name=f"{G.name}-action")
@@ -410,7 +411,7 @@ def find_groupoid_iso(G: FinGroupoid, H: FinGroupoid):
         return None
 
     def invariant(K, comp):
-        return (len(comp), len(K.vertex_group(comp[0])))
+        return (len(comp), len(K.arrows_between(comp[0], comp[0])))
 
     used = [False] * len(comps_H)
     obj_map, arr_map = {}, {}

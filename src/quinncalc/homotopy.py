@@ -10,9 +10,12 @@ same shape as `Colouring.values`, and one key function serves both.
 
 The derived operations are evaluated on keys only: a colouring and a
 homotopy are both held by their `colouring_key`, the value index at each
-generator position, and each homotopy addition word is read from the terms
-that a `Plan` of (X, A) compiles once, with the integer tables of
-`Plan._ops`.  There is one evaluator for each derived operation:
+generator position.  Where a key's values lie is read from the `Plan` of
+(X, A), never from the simplicial set: the positions, levels and base
+positions of a k-fold homotopy's values (`Plan.layout`), the end positions
+of each edge (`Plan.ends`) and each cell's homotopy addition word on key
+positions (`Plan.terms`), all compiled once per plan, with the integer
+tables of `Plan._ops`.  There is one evaluator for each derived operation:
 `_Moves.mover` gives the other end of a homotopy with values at a set of
 positions (identities elsewhere), rewriting only those positions and their
 star; `_delta2` gives the boundary of a 2-fold homotopy; `_compose_keys`
@@ -37,7 +40,6 @@ from .colouring import Colouring, Plan, as_plan, colouring_key
 from .finalg.crossed import CrossedComplex
 from .finalg.groupoids import FinGroupoid, partition
 from .finalg.groups import _generating_sequence
-from .simpset import SimpSet
 
 
 @dataclass
@@ -59,20 +61,6 @@ class HomotopySequence:
 
     def __repr__(self):
         return f"HomotopySequence(k={self.k}, values={self.values})"
-
-
-def _base_vertex(X: SimpSet, g):
-    """The vertex over whose image a homotopy value at the generator g lies.
-
-    A vertex is its own base, an edge is based at its target vertex d0, and
-    a higher generator at its leading vertex.
-    """
-    i = X.dim_of[g]
-    if i == 0:
-        return g
-    if i == 1:
-        return X.face(g, 0).core
-    return X.initial_vertex(g)
 
 
 def apply_homotopy(H: HomotopySequence, f: Colouring) -> Colouring:
@@ -120,15 +108,14 @@ def delta2(H2: HomotopySequence) -> HomotopySequence:
 
 def _sequence(plan: Plan, f: Colouring, key: tuple) -> HomotopySequence:
     """The 1-fold homotopy targeting f whose key is `key`."""
-    X, A = plan.X, plan.A
+    gens, A = plan.X.all_gens(), plan.A
     values = {}
-    for g, i in zip(X.all_gens(), key):
-        n = X.dim_of[g] + 1
+    for p, n, base in plan.layout(1):
         if n == 1:
-            values[g] = A.base.arrows[i]
-        elif n <= A.truncation:
-            x = f.values[_base_vertex(X, g)]
-            values[g] = (x, A.fibre(n, x).elements[i])
+            values[gens[p]] = A.base.arrows[key[p]]
+        else:
+            x = f.values[gens[base]]
+            values[gens[p]] = (x, A.fibre(n, x).elements[key[p]])
     return HomotopySequence(1, f, values)
 
 
@@ -138,29 +125,23 @@ def _sequence(plan: Plan, f: Colouring, key: tuple) -> HomotopySequence:
 def _compose_tables(plan: Plan) -> tuple:
     """(vertices, comp, inv, higher, tail): what `_compose_keys` and `_invert_key` read.
 
-    The key of a 1-fold homotopy on plan.X (`colouring_key` with k = 1)
+    The key of a 1-fold homotopy on plan.X (`Plan.layout` with k = 1)
     holds an arrow index at each of the first `vertices` positions, then a
-    fibre index at each generator whose values lie at a level
-    2..truncation, then the zeros `tail` of the generators above.  `higher`
-    lists (position, position of the base vertex, mul, act, finv) for the
-    middle positions in order: `mul[a]` and `finv[a]` are the product and
-    inverse tables of the level's fibre at the target of the arrow a, and
-    `act` the level's action (`Plan._ops`).  `comp` and `inv` are the
-    level-1 tables.
+    fibre index at each position whose values lie at a level
+    2..truncation, then the zeros `tail` of the positions above.  `higher`
+    lists (position, base position, mul, act, finv) for the middle
+    positions in order: `mul[a]` and `finv[a]` are the product and inverse
+    tables of the level's fibre at the target of the arrow a, and `act` the
+    level's action (`Plan._ops`).  `comp` and `inv` are the level-1 tables.
     """
-    X, A, ops = plan.X, plan.A, plan._ops
+    ops, layout = plan._ops, plan.layout(1)
     by_arrow = {
         n: ([ops.mul[n][t] for t in ops.tgt], ops.act[n], [ops.finv[n][t] for t in ops.tgt])
         for n in ops.mul
     }
-    pos = {g: p for p, g in enumerate(X.all_gens())}
-    higher = [
-        (pos[g], pos[_base_vertex(X, g)], *by_arrow[n])
-        for g in X.all_gens()
-        if 2 <= (n := X.dim_of[g] + 1) <= A.truncation
-    ]
-    vertices = len(X.gens(0))
-    return vertices, ops.comp, ops.inv, higher, (0,) * (len(pos) - vertices - len(higher))
+    higher = [(p, base, *by_arrow[n]) for p, n, base in layout if n >= 2]
+    vertices = len(layout) - len(higher)
+    return vertices, ops.comp, ops.inv, higher, (0,) * (len(plan.base) - len(layout))
 
 
 def _compose_keys(tables: tuple, first: tuple, second: tuple) -> tuple:
@@ -194,62 +175,20 @@ def _invert_key(tables: tuple, key: tuple) -> tuple:
 
 
 def _homotopy_slots(plan: Plan, k: int) -> list:
-    """[(base position, domains, identities)]: the k-fold homotopies on plan.X, by key position.
+    """[(base position, domains, identities)]: the k-fold homotopies on plan.X, by `Plan.layout`.
 
-    A k-fold homotopy targeting the colouring with key f takes, at the
-    position of a generator g whose values lie at the level n = dim g + k,
-    a value index in domains[f[base]], listed in ascending order, where base
-    is the position of g's base vertex; identities[f[base]] is the identity
-    there.  Above the truncation both are None and the key holds 0.
+    A k-fold homotopy targeting the colouring with key f takes, at each
+    position of `plan.layout(k)`, with level n, a value index in
+    domains[f[base]], listed in ascending order; identities[f[base]] is the
+    identity there.  The key holds 0 at the positions after these.
     """
-    X, A, ops = plan.X, plan.A, plan._ops
+    ops = plan._ops
     into = [[] for _ in ops.ident]
     for a, t in enumerate(ops.tgt):
         into[t].append(a)
-    slots = []
-    for g in X.all_gens():
-        n = X.dim_of[g] + k
-        base = X.gen_index(_base_vertex(X, g))
-        if n == 1:
-            slots.append((base, into, ops.ident))
-        elif n <= A.truncation:
-            slots.append((base, [range(len(inv)) for inv in ops.finv[n]], ops.unit[n]))
-        else:
-            slots.append((base, None, None))
-    return slots
-
-
-def _twist(comp, reads):
-    """key -> the composite of the arrows that `reads` (of `Plan.terms`) give on a colouring key.
-
-    None when there are no reads, so the term is not acted on.
-    """
-    if not reads:
-        return None
-    (q0, t0), rest = reads[0], reads[1:]
-
-    def arrow(key):
-        a = key[q0] if t0 is None else t0[key[q0]]
-        for q, t in rest:
-            a = comp[a][key[q] if t is None else t[key[q]]]
-        return a
-
-    return arrow
-
-
-def _key_terms(plan: Plan) -> list:
-    """[(position, lead position, dimension, terms)]: `Plan.terms` on key positions.
-
-    Each term is (face position, position of the face's base vertex,
-    whether its sign is negative, its `_twist`).
-    """
-    X, comp, where = plan.X, plan._ops.comp, plan.X.gen_index
     return [
-        (where(c), where(plan.lead[c]), X.dim_of[c], [
-            (where(face), where(_base_vertex(X, face)), sign < 0, _twist(comp, reads))
-            for face, sign, reads in terms
-        ])
-        for c, terms in plan.terms.items()
+        (base, into, ops.ident) if n == 1 else (base, [range(len(inv)) for inv in ops.finv[n]], ops.unit[n])
+        for _, n, base in plan.layout(k)
     ]
 
 
@@ -272,18 +211,14 @@ class _Moves:
     """
 
     def __init__(self, plan: Plan):
-        X, A = plan.X, plan.A
-        self._A, self._ops = A, plan._ops
-        where = X.gen_index
-        self._star = star = {where(g): set() for g in X.all_gens() if X.dim_of[g] < A.truncation}
-        self._edges, self._cells, self._movers = {}, {}, {}
-        for e in X.gens(1):
-            p, (s, t) = where(e), (where(u) for u in X.edge_ends(e))
-            self._edges[p] = s, t
+        self._A, self._ops, self._edges = plan.A, plan._ops, plan.ends
+        self._star = star = {p: set() for p, _, _ in plan.layout(1)}
+        self._cells, self._movers = {}, {}
+        for p, (s, t) in self._edges.items():
             for q in (s, t, p):
                 if q in star:
                     star[q].add(p)
-        for p, lead, m, terms in _key_terms(plan):
+        for p, lead, m, terms in plan.terms:
             self._cells[p] = lead, m, terms
             for q in (lead, p, *(face for face, _, _, _ in terms)):
                 if q in star:
@@ -365,14 +300,13 @@ def _delta2(plan: Plan):
     the identity at the image of the leading vertex.  Terms above the
     truncation are identities; positions that hold no value hold 0.
     """
-    X, A, ops = plan.X, plan.A, plan._ops
-    trunc, where = A.truncation, X.gen_index
-    vertices = [where(v) for v in X.gens(0)]
-    edges = [(where(e), *map(where, X.edge_ends(e))) for e in X.gens(1)] if trunc >= 2 else []
+    ops, trunc = plan._ops, plan.A.truncation
+    vertices = range(len(plan.X.gens(0)))
+    edges = [(p, s, t) for p, (s, t) in plan.ends.items()] if trunc >= 2 else []
     cells = [
         (p, lead, ops.mul[n + 1], ops.unit[n + 1], ops.finv[n + 1], ops.act[n + 1],
          ops.bdry.get(n + 2), n % 2 == 1, terms)
-        for p, lead, n, terms in _key_terms(plan)
+        for p, lead, n, terms in plan.terms
         if n < trunc
     ]
     ident, bdry2, bdry3 = ops.ident, ops.bdry.get(2), ops.bdry.get(3)
@@ -467,10 +401,10 @@ def crs_pi1(X, A: CrossedComplex) -> CrsResult:
     index = {k: i for i, k in enumerate(fkeys)}
     tables = _compose_tables(plan)
     ones, twos = _homotopy_slots(plan, 1), _homotopy_slots(plan, 2)
-    boundary, move = _delta2(plan), plan.moves.everywhere
+    boundary, move, size = _delta2(plan), plan.moves.everywhere, len(plan.base)
 
-    def homotopies(slots, f):
-        return product(*((0,) if dom is None else dom[f[y]] for y, dom, _ in slots))
+    def homotopies(slots, f):  # the key holds 0 after the slots
+        return product(*(dom[f[y]] for y, dom, _ in slots), *[(0,)] * (size - len(slots)))
 
     delta_keys = {ti: list(dict.fromkeys(boundary(f, h) for h in homotopies(twos, f)))
                   for ti, f in enumerate(fkeys)}
@@ -484,7 +418,8 @@ def crs_pi1(X, A: CrossedComplex) -> CrsResult:
             for k in keys:
                 classes[ti][k] = len(arrows)
             arrows.append((index[move(f, hk)], ti, keys[0]))
-    ident_keys = [tuple(0 if u is None else u[f[y]] for y, _, u in ones) for f in fkeys]
+    pad = (0,) * (size - len(ones))
+    ident_keys = [(*(u[f[y]] for y, _, u in ones), *pad) for f in fkeys]
     ident = [classes[ti][k] for ti, k in enumerate(ident_keys)]
     products, inv = _vertex_products(tables, arrows, classes, ident)
     G = FinGroupoid(
@@ -605,18 +540,15 @@ def rel_classes(X, A: CrossedComplex, boundary_gens, fillings):
     if not fillings:
         return (), {}
     plan = as_plan(X, A)
-    X = plan.X
+    gens = plan.X.all_gens()
     keys = {k: i for i, k in enumerate(fillings)}
     moves = plan.moves
     vertex_moves, fibre_moves = moves.generators
-    slots = []
-    for g in X.all_gens():
-        n = X.dim_of[g] + 1
-        if g in boundary_gens or n > A.truncation:
-            continue
-        p = X.gen_index(g)
-        values = vertex_moves if n == 1 else fibre_moves[n]
-        slots.append((p, X.gen_index(_base_vertex(X, g)), values, moves.mover((p,))))
+    slots = [
+        (p, base, vertex_moves if n == 1 else fibre_moves[n], moves.mover((p,)))
+        for p, n, base in plan.layout(1)
+        if gens[p] not in boundary_gens
+    ]
 
     def links():
         for i, key in enumerate(fillings):

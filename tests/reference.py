@@ -16,9 +16,10 @@ keys: `sequence_domains`, `enumerate_sequences`, `identity_sequence` and
 `expand_sequence` build `HomotopySequence`s, `_apply` and `_delta2` evaluate
 the dict form of `Plan.terms` (`terms`), and `crs_pi1` and `holonomy_act`
 run on them: the oracles of `homotopy.crs_pi1`'s key enumeration and of the
-profunctor transports.  `crs_pi1_per_entry` is that key enumeration with
-one `_compose_keys` per table entry: the oracle of the table that
-`homotopy.crs_pi1` builds from vertex groups.
+profunctor transports.  `_base_vertex` reads a value's base vertex from the
+faces, the oracle of `Plan.base`.  `crs_pi1_per_entry` is that key
+enumeration with one `_compose_keys` per table entry: the oracle of the
+table that `homotopy.crs_pi1` builds from vertex groups.
 
 Also here: test-only checks that build on them (`is_valid_colouring`,
 `crs_homotopy_content`, `decategorified_matrix`).
@@ -30,7 +31,9 @@ the composition table, of `FinGroupoid.validate` (`validate_groupoid`, on
 the table the caller gave, or on `table_of` a groupoid given `products`)
 and of `tensor_over`'s balancing over the middle elements that act, and
 `validate_left_action`, which scans every group element, the oracle of the
-check on a generating sequence.  The Morita oracles hold an algebra as
+check on a generating sequence, and `crossed_module_validate`, the axioms
+of a crossed module checked on its own tables, the oracle of validating
+the complex it presents.  The Morita oracles hold an algebra as
 linear rows (a, b) -> {a b: 1} (`DictAlgebra`, whose `validate` scans every
 triple); `dict_algebra` decodes `morita.Algebra`'s index rows to that form
 and `index_algebra` encodes it back.  `tensor_over` and `bimodule_validate`
@@ -50,7 +53,9 @@ cobordism with one `holonomy_act` per (boundary arrow, basis element)
 Schreier composition, the coend linked along generators and the check on
 generating squares.  These two profunctor oracles keep each action as one
 dict on (arrow, element) pairs; `pair_keyed` flattens the program's maps
-per arrow to that form.
+per arrow to that form.  `window_frame` reads a window's frame from a whole
+top and bottom filling, the oracle of the frame read in parts per boundary
+pair.
 """
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -67,13 +72,12 @@ from quinncalc.colouring import (
     value_of_ref,
 )
 from quinncalc.errors import BoundaryError
-from quinncalc.extprof import Profunctor
+from quinncalc.extprof import Profunctor, _frame_map
 from quinncalc.finalg.groupoids import FinGroupoid, partition
 from quinncalc.finalg.groups import ValidationReport, _generating_sequence, find_group_iso
 from quinncalc.homotopy import (
     CrsResult,
     HomotopySequence,
-    _base_vertex,
     _compose_keys,
     _compose_tables,
     _delta2 as _key_delta2,
@@ -285,6 +289,20 @@ def delta2(H2: HomotopySequence) -> HomotopySequence:
 
 
 # -- whole homotopies on values dicts, as the program evaluated them before keys ---------
+
+
+def _base_vertex(X, g):
+    """The vertex over whose image a homotopy value at the generator g lies.
+
+    A vertex is its own base, an edge is based at its target vertex d0, and
+    a higher generator at its leading vertex: the oracle of `Plan.base`.
+    """
+    i = X.dim_of[g]
+    if i == 0:
+        return g
+    if i == 1:
+        return X.face(g, 0).core
+    return X.initial_vertex(g)
 
 
 def _identity(f: Colouring, g, k: int):
@@ -589,10 +607,10 @@ def crs_pi1_per_entry(X, A) -> CrsResult:
     index = {k: i for i, k in enumerate(fkeys)}
     tables = _compose_tables(plan)
     ones, twos = _homotopy_slots(plan, 1), _homotopy_slots(plan, 2)
-    boundary, move = _key_delta2(plan), plan.moves.everywhere
+    boundary, move, size = _key_delta2(plan), plan.moves.everywhere, len(X.all_gens())
 
-    def homotopies(slots, f):
-        return product(*((0,) if dom is None else dom[f[y]] for y, dom, _ in slots))
+    def homotopies(slots, f):  # the key holds 0 after the slots
+        return product(*(dom[f[y]] for y, dom, _ in slots), *[(0,)] * (size - len(slots)))
 
     delta_keys = {
         ti: list(dict.fromkeys(boundary(f, h) for h in homotopies(twos, f))) for ti, f in enumerate(fkeys)
@@ -609,7 +627,7 @@ def crs_pi1_per_entry(X, A) -> CrsResult:
                 classes[ti][k] = aid
             arrows.append(aid)
     ident = {
-        ti: classes[ti][tuple(0 if u is None else u[f[y]] for y, _, u in ones)]
+        ti: classes[ti][(*(u[f[y]] for y, _, u in ones), *(0,) * (size - len(ones)))]
         for ti, f in enumerate(fkeys)
     }
     inv = {a: classes[a[0]][_invert_key(tables, a[2])] for a in arrows}
@@ -756,6 +774,46 @@ def validate_left_action(G, points, act) -> ValidationReport:
             for x in points:
                 if act[(h, act[(g, x)])] != act[(G.mul(h, g), x)]:
                     return ValidationReport.axiom("action not compatible with product", (g, h, x))
+    return ValidationReport.passed()
+
+
+def crossed_module_validate(M) -> ValidationReport:
+    """The crossed-module axioms checked by hand on the presentation's own tables: the oracle of
+    `CrossedModulePresentation.validate`, which validates the complex `iota2(M)`."""
+    for e in M.E.elements:
+        if e not in M.bdry:
+            return ValidationReport.malformed("boundary not total", (e,))
+        if M.bdry[e] not in M.G:
+            return ValidationReport.malformed("boundary value outside G", (e,))
+        for g in M.G.elements:
+            if (e, g) not in M.act:
+                return ValidationReport.malformed("action not total", (e, g))
+            if M.act[(e, g)] not in M.E:
+                return ValidationReport.malformed("action value outside E", (e, g))
+    for a in M.E.elements:
+        for b in M.E.elements:
+            if M.bdry[M.E.mul(a, b)] != M.G.mul(M.bdry[a], M.bdry[b]):
+                return ValidationReport.axiom("boundary is not a homomorphism", (a, b))
+    for e in M.E.elements:
+        if M.act[(e, M.G.unit)] != e:
+            return ValidationReport.axiom("unit acts nontrivially", (e,))
+        for g in M.G.elements:
+            for h in M.G.elements:
+                if M.act[(M.act[(e, g)], h)] != M.act[(e, M.G.mul(g, h))]:
+                    return ValidationReport.axiom("action not functorial", (e, g, h))
+    for g in M.G.elements:
+        for a in M.E.elements:
+            for b in M.E.elements:
+                if M.act[(M.E.mul(a, b), g)] != M.E.mul(M.act[(a, g)], M.act[(b, g)]):
+                    return ValidationReport.axiom("action not by automorphisms", (a, b, g))
+    for a in M.E.elements:
+        for g in M.G.elements:
+            if M.bdry[M.act[(a, g)]] != M.G.conj(M.bdry[a], g):
+                return ValidationReport.axiom("first Peiffer identity fails", (a, g))
+    for a in M.E.elements:
+        for b in M.E.elements:
+            if M.act[(a, M.bdry[b])] != M.E.conj(a, b):
+                return ValidationReport.axiom("second Peiffer identity fails", (a, b))
     return ValidationReport.passed()
 
 
@@ -1508,3 +1566,24 @@ def naturality_check(nt) -> bool:
                     if lhs != rhs:
                         return False
     return True
+
+
+def window_frame(W, A, H_top: Colouring, H_bottom: Colouring) -> dict:
+    """The frame of the window W that a filling of its top and one of its bottom give, as it was read.
+
+    The sides are read from the whole top filling, at each representative
+    pair, and every value where two parts meet is compared: the oracle of
+    `extprof._frames`, which reads the sides once per boundary pair.
+    """
+    top = W.top_cob.simpset
+    on_top, on_sides = _frame_map(top, A, H_top, W.top_map, {}), {}
+    for zg, ref in [*W.east_proj.items(), *W.west_proj.items()]:
+        if W.simpset.dim_of[zg] < 2 or W.simpset.dim_of[zg] <= A.truncation:
+            v = value_of_ref(top, A, H_top.values, ref)
+            if (on_top if zg in on_top else on_sides).setdefault(zg, v) != v:
+                raise BoundaryError("inconsistent frame colouring")
+    bottom = _frame_map(W.bottom_cob.simpset, A, H_bottom, W.bottom_map, {})
+    for half in (on_top, on_sides):
+        if any(half[g] != bottom[g] for g in half.keys() & bottom.keys()):
+            raise BoundaryError("inconsistent frame colouring")
+    return {**on_top, **bottom, **on_sides}

@@ -540,17 +540,19 @@ def test_plan_matches_seed_walker_on_random_fixed_values(space, algebra, data):
 )
 def test_plan_matches_seed_walker_on_window_frames(space, algebra):
     """The frames `window_nat_transform` walks: one per pair of class representatives."""
-    from quinncalc.extprof import _frame_assignment, _frame_map, _frame_top, cobordism_profunctor
+    from quinncalc.extprof import _frames, cobordism_profunctor
 
     base = {"point": point, "circle": circle}[space]
     W, A = window_support(prism(base()), prism(base())), CORPUS_ALGEBRAS[algebra]()
     top, bottom = cobordism_profunctor(W.top_cob, A), cobordism_profunctor(W.bottom_cob, A)
     plan = Plan(W.simpset, A)
     for pair in top.pairs():
-        for b in top.basis[pair]:
-            for bp in bottom.basis[pair]:
-                bottom_half = _frame_map(W.bottom_cob.simpset, A, bottom.reps[bp], W.bottom_map)
-                fixed = _frame_assignment(_frame_top(W, A, top.reps[b]), bottom_half)
+        sides, tops, bottoms = _frames(W, A, top, bottom, pair)
+        for b, H_t in zip(top.basis[pair], tops):
+            for bp, H_b in zip(bottom.basis[pair], bottoms):
+                fixed = {**sides, **H_t, **H_b}
+                assert len(fixed) == len(sides) + len(H_t) + len(H_b)  # three disjoint parts
+                assert fixed == reference.window_frame(W, A, top.reps[b], bottom.reps[bp])
                 seed = _on_fresh_thread(_enumerate_colourings_seed, W.simpset, A, fixed)
                 assert _values(plan.colourings(fixed)) == _values(seed)
                 assert plan.count(fixed) == len(seed)

@@ -338,6 +338,45 @@ def test_crossed_module_validates():
     assert not bad.validate()
 
 
+PRESENTATIONS = {
+    **{M.name: (lambda M=M: M) for M in corpus_crossed_modules()},
+    "id:S3": lambda: crossed_module_identity(symmetric_group(3)),
+    "0:Z3->S3": lambda: crossed_module_zero(symmetric_group(3), cyclic_group(3)),
+    "0:S3->S3": lambda: crossed_module_zero(symmetric_group(3), symmetric_group(3)),
+    "0:Z4->Z2": lambda: crossed_module_zero(cyclic_group(2), cyclic_group(4)),
+}
+
+
+def _presentation_variants(M):
+    """M; M with each boundary or action entry changed to each other value; and M with a
+    boundary entry and an action entry missing, or sent outside G and E."""
+    def variant(bdry=M.bdry, act=M.act):
+        return CrossedModulePresentation(M.G, M.E, bdry, act, name=M.name)
+
+    yield M
+    for e, b in M.bdry.items():
+        yield from (variant(bdry={**M.bdry, e: v}) for v in M.G.elements if v != b)
+    for eg, a in M.act.items():
+        yield from (variant(act={**M.act, eg: v}) for v in M.E.elements if v != a)
+    e, eg = M.E.elements[-1], (M.E.elements[-1], M.G.elements[-1])
+    yield variant(bdry={d: v for d, v in M.bdry.items() if d != e})
+    yield variant(act={d: v for d, v in M.act.items() if d != eg})
+    yield variant(bdry={**M.bdry, e: "outside"})
+    yield variant(act={**M.act, eg: "outside"})
+
+
+@pytest.mark.parametrize("name", list(PRESENTATIONS))
+def test_crossed_module_validates_as_the_complex_it_presents(name):
+    """`CrossedModulePresentation.validate` (the complex `iota2(M)`) passes and fails as the
+    checks on the presentation's own tables do, with the same kind of failure."""
+    seen = set()
+    for M in _presentation_variants(PRESENTATIONS[name]()):
+        got, want = M.validate(), reference.crossed_module_validate(M)
+        assert (got.ok, got.kind) == (want.ok, want.kind)
+        seen.add((got.ok, got.kind))
+    assert {(False, "malformed"), (False, "axiom")} <= seen
+
+
 def test_crossed_module_malformed_vs_axiom(z2):
     M = CrossedModulePresentation(z2, z2, {0: 0}, {})
     rep = M.validate()

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 import random
 from functools import lru_cache
@@ -8,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quinncalc import cli
+from quinncalc import cli, homotopy
 from quinncalc.colouring import (
+    Colouring,
     Plan,
     as_simpset,
+    colouring_key,
     enumerate_colourings,
     enumerate_relative,
     restrict_colouring,
@@ -1110,3 +1114,65 @@ def test_crs_homotopy_content_torus_s3(s3):
 def test_crs_homotopy_content_sphere_crossed_module():
     M = corpus_crossed_modules()[0]
     assert reference.crs_homotopy_content(sphere(2), iota2(M)) == 2
+
+
+# -- the key layout, read from the plan -----------------------------------------------
+
+
+class _Reads(dict):
+    """A values dict that records the generators read from it, in order."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.read = []
+
+    def __getitem__(self, g):
+        self.read.append(g)
+        return super().__getitem__(g)
+
+
+def _constant_colouring(X, A):
+    """Every vertex at the first object, every edge and cell at its identity there."""
+    x = A.objects[0]
+    values = {v: x for v in X.gens(0)}
+    values.update((e, A.base.ident[x]) for e in X.gens(1))
+    values.update((c, A.identity_elem(X.dim_of[c], x)) for c in X.all_gens() if X.dim_of[c] >= 2)
+    return Colouring(X, A, values)
+
+
+@pytest.mark.parametrize(
+    "space, algebra",
+    [(s, a) for s in CATALOG for a in CORPUS] + [(s, t) for s in ("circle", "delta3") for t in TOWERS],
+)
+def test_the_plan_lays_out_the_key_that_colouring_key_writes(space, algebra):
+    """`Plan.layout(k)` lists the positions at which `colouring_key(..., k)` stores a value,
+    in key order and before the padding, each at level dim + k; `Plan.base` is the oracle's
+    `_base_vertex` and `Plan.ends` the edges' ends, by key position."""
+    X = as_simpset(CATALOG[space])
+    A = TOWERS[algebra]() if algebra in TOWERS else CORPUS[algebra]
+    plan, gens = Plan(X, A), X.all_gens()
+    assert plan.base == [X.gen_index(reference._base_vertex(X, g)) for g in gens]
+    assert plan.ends == {X.gen_index(e): tuple(map(X.gen_index, X.edge_ends(e))) for e in X.gens(1)}
+    f = _constant_colouring(X, A)
+    for k in (0, 1, 2):
+        values = _Reads(f.values if k == 0 else reference.identity_sequence(f, k).values)
+        key = colouring_key(X, A, values, k)
+        layout = plan.layout(k)
+        assert [p for p, _, _ in layout] == [X.gen_index(g) for g in values.read]
+        assert [p for p, _, _ in layout] == list(range(len(layout)))
+        assert all(i == 0 for i in key[len(layout):])
+        assert [(n, b) for p, n, b in layout] == [(X.dim_of[gens[p]] + k, plan.base[p]) for p, _, _ in layout]
+
+
+def test_the_homotopy_layer_reads_its_layout_from_the_plan():
+    """`homotopy.py` takes key positions, bases, edge ends and word terms from `Plan`: it calls
+    none of the simplicial lookups they are compiled from, and defines no layout of its own."""
+    tree = ast.parse(inspect.getsource(homotopy))
+    called = {
+        node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    }
+    assert not called & {"edge_ends", "initial_vertex", "face", "face_of_ref", "hal_word"}
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not defined & {"_base_vertex", "_key_terms"}

@@ -19,9 +19,7 @@ from quinncalc.colouring import Plan
 from quinncalc.extprof import (
     NatTransform,
     Profunctor,
-    _frame_assignment,
-    _frame_map,
-    _frame_top,
+    _frames,
     cobordism_profunctor,
     compose_profunctors,
     identity_profunctor,
@@ -258,10 +256,12 @@ def test_rel_classes_match_the_dict_moves_on_windows(window, algebra):
     top, bottom = cobordism_profunctor(W.top_cob, A), cobordism_profunctor(W.bottom_cob, A)
     plan, frame = Plan(W.simpset, A), W.frame_gens()
     for pair in top.pairs():
-        for b in top.basis[pair]:
-            for bp in bottom.basis[pair]:
-                bottom_half = _frame_map(W.bottom_cob.simpset, A, bottom.reps[bp], W.bottom_map)
-                fixed = _frame_assignment(_frame_top(W, A, top.reps[b]), bottom_half)
+        sides, tops, bottoms = _frames(W, A, top, bottom, pair)
+        for b, H_t in zip(top.basis[pair], tops):
+            for bp, H_b in zip(bottom.basis[pair], bottoms):
+                fixed = {**sides, **H_t, **H_b}
+                assert len(fixed) == len(sides) + len(H_t) + len(H_b)  # three disjoint parts
+                assert fixed == reference.window_frame(W, A, top.reps[b], bottom.reps[bp])
                 fillings = plan.colourings(fixed)
                 assert rel_classes(plan, A, frame, _keys(fillings)) == reference.rel_classes(
                     plan, A, frame, fillings
