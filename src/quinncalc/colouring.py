@@ -46,12 +46,12 @@ that says where a key's values lie: `Plan.layout(k)` gives the key
 positions of a k-fold homotopy's values with their levels and base
 positions (`Plan.base`), `Plan.ends` the end positions of each edge, and
 `Plan.terms` the homotopy addition word of each cell on key positions,
-each term with its twist, compiled once.  The homotopy layer evaluates
-them on colouring keys with the walk's own tables (`_Ops`); its moves are
-kept on the plan (`Plan.moves`).
-Every homotopy addition word in the program is evaluated on a plan;
-`boundary_label` compiles one per call, and `value_of_ref` reads a single
-simplex.
+each term with its twist.  The homotopy layer evaluates them on colouring
+keys with the walk's own tables (`_Ops`); its moves are kept on the plan
+(`Plan.moves`).  Each cell's word is compiled once per plan (`Plan.word`),
+and the label evaluators, the solved slots, `Plan.terms` and `_Top` all
+read it; `boundary_label` compiles the word of its one cell, and
+`value_of_ref` reads a single simplex.
 """
 from __future__ import annotations
 
@@ -184,12 +184,20 @@ def boundary_label(X: SimpSet, A: CrossedComplex, values: dict, c):
     """The homotopy addition label of the n-generator c, n >= 2.
 
     Returns an A1 loop for n = 2 and a level-(n-1) element for n >= 3, based
-    at the image of the leading vertex of c.  (X, A) is compiled into a
-    `Plan` for this call.
+    at the image of the leading vertex of c.  X is a `SimpSet`, a
+    `Stratification` or a `Plan` of one for A; only the word of c is
+    compiled, and only the values it reads need be given.
     """
-    if X.dim_of[c] < 2:
+    plan = as_plan(X, A)
+    m = plan.X.dim_of[c] - 1
+    if m < 1:
         raise ValueError("labels are defined for generators of dimension >= 2")
-    return Plan(X, A).label[c](values)
+    _, label = plan._evaluator(c)
+    index = label(plan._encode(values))
+    if m == 1:
+        return A.base.arrows[index]
+    x = values[plan.lead[c]]
+    return x, A.fibre(m, x).elements[index]
 
 
 def as_simpset(X) -> SimpSet:
@@ -257,11 +265,13 @@ class Plan:
     or an element of the fibre at the image of the generator's leading
     vertex), as `colouring_key` indexes it.  Labels, label tests and domains
     read positions of `v` and the nested lists of `_Ops`, and so does the
-    homotopy layer, on colouring keys.  The walk solves the last face of a
-    cell for its label instead of testing it, and assigns forced slots
-    without branching (`_schedule`); `walk` hands each vector to a callback,
-    and `count` walks the levels below the top one and counts the top
-    level from a normal form (`_Top`).
+    homotopy layer, on colouring keys.  Each cell's homotopy addition word
+    is compiled once, on key positions (`word`); the label evaluators, the
+    solved slots, `terms` and `_Top` all read it.  The walk solves the last
+    face of a cell for its label instead of testing it, and assigns forced
+    slots without branching (`_schedule`); `walk` hands each vector to a
+    callback, and `count` walks the levels below the top one and counts the
+    top level from a normal form (`_Top`).
 
     - `lead[g]`: the leading vertex of g;
     - `ends[p]`: the key positions (s, t) of the source d1 e and the target
@@ -269,9 +279,8 @@ class Plan:
     - `base[p]`: the key position of the vertex over whose image a homotopy
       value at p lies: a vertex's own, an edge's target vertex d0, and a
       higher generator's leading vertex;
-    - `label[c](values)`: the homotopy addition label of c under the values
-      dict `values`, for c of dimension >= 2; it encodes `values` and calls
-      the index evaluator of c;
+    - `word(c)`: the homotopy addition word of c on key positions, for c
+      of dimension 2..dim X;
     - `slots`: the walk order, levels 0..min(dim X, truncation) in generator
       order, which is a prefix of `X.all_gens()`;
     - `faces[c]`: the proper faces of c, for c of dimension 2..truncation;
@@ -292,6 +301,7 @@ class Plan:
         ]
         self._last_level = min(X.dim, A.truncation)  # the top level the walk assigns
         self._pin_sets: dict = {}  # fixed generator sequence -> `_Pins`
+        self._words: dict = {}  # cell -> `word(c)`
 
     @cached_property
     def slots(self) -> list:
@@ -324,15 +334,26 @@ class Plan:
     def _ops(self) -> _Ops:
         return _Ops(self.A)
 
-    @cached_property
-    def _evaluators(self) -> dict:
-        """c -> v -> the homotopy addition label of c as a value index, for c of dimension >= 2.
+    def word(self, c) -> tuple:
+        """(lead, terms): the homotopy addition word of c, of dimension n >= 2, on key positions.
 
-        The label of a 2-generator is an arrow; above, it is an element of
-        the level-(n-1) fibre at the image of the leading vertex.
+        `lead` is the position of c's leading vertex; `terms` holds (face,
+        sign, read, twist) for each term T_j = f^sign of `hal_word`, in
+        order: f's position (None when f is degenerate), for n = 2 the
+        `_arrow_read` of T_j (above, None: a degenerate face is a unit), and
+        the `_arrow_read` of the arrow acting on T_j from the right (the
+        inverse leading edge on the leading term for n >= 3), else None.
+        Each cell's word is compiled on first use and kept.
         """
-        X = self.X
-        return {c: self._evaluator(c) for n in range(2, X.dim + 1) for c in X.gens(n)}
+        word = self._words.get(c)
+        if word is None:
+            X, terms = self.X, []
+            for ref, sign, twist in hal_word(X, c):
+                face = None if ref.word else X.gen_index(ref.core)
+                read = self._arrow_read(ref, sign) if X.dim_of[c] == 2 else None
+                terms.append((face, sign, read, None if twist is None else self._arrow_read(*twist[0])))
+            word = self._words[c] = X.gen_index(self.lead[c]), terms
+        return word
 
     def _arrow_read(self, ref: SimplexRef, sign: int) -> tuple:
         """(position, table): the arrow on the edge ref, to the power sign, is table[v[position]].
@@ -345,14 +366,22 @@ class Plan:
             return X.gen_index(X.initial_vertex(ref)), ops.ident
         return X.gen_index(ref.core), (None if sign > 0 else ops.inv)
 
-    def _evaluator(self, c):
-        """v -> the homotopy addition label of c, for c of dimension n >= 2, on value indices."""
-        X, ops = self.X, self._ops
-        n = X.dim_of[c]
-        word = hal_word(X, c)
+    def _inverse(self, read: tuple) -> tuple:
+        """The `_arrow_read` of the inverse of the arrow that `read` gives."""
+        k, table = read
+        ops = self._ops
+        return k, (table if table is ops.ident else ops.inv if table is None else None)
+
+    def _evaluator(self, c) -> tuple:
+        """(lead, label): label(v) is the homotopy addition label of c on value indices, from its `word`.
+
+        It indexes an arrow for n = 2, and above an element of the level-(n-1) fibre at v[lead].
+        """
+        ops, (lead, terms) = self._ops, self.word(c)
+        n = len(terms) - 1
         if n == 2:
             comp = ops.comp
-            (k0, t0), (k1, t1), (k2, t2) = (self._arrow_read(r, s) for r, s, _ in word)
+            (k0, t0), (k1, t1), (k2, t2) = (read for _, _, read, _ in terms)
 
             def label(v):
                 a0 = v[k0] if t0 is None else t0[v[k0]]
@@ -360,17 +389,14 @@ class Plan:
                 a2 = v[k2] if t2 is None else t2[v[k2]]
                 return comp[comp[a0][a1]][a2]
 
-            return label
+            return lead, label
         m = n - 1
         if m > self.A.truncation:
-            return lambda v: 0  # the unit of the trivial fibre
+            return lead, lambda v: 0  # the unit of the trivial fibre
         # the leading term, of sign +1, is twisted by the inverse leading edge;
         # degenerate faces carry units, which leave the product unchanged
-        (ref0, _, ((edge, sign),)), rest = word[0], word[1:]
-        k1, t1 = self._arrow_read(edge, sign)
-        k0 = None if ref0.word else X.gen_index(ref0.core)
-        rest = [(X.gen_index(r.core), s < 0) for r, s, _ in rest if not r.word]
-        lead = X.gen_index(self.lead[c])
+        (k0, _, _, (k1, t1)), rest = terms[0], terms[1:]
+        rest = [(k, s < 0) for k, s, _, _ in rest if k is not None]
         act, mul, finv, unit = ops.act[m], ops.mul[m], ops.finv[m], ops.unit[m]
 
         def label(v):
@@ -381,25 +407,7 @@ class Plan:
                 out = table[out][inv[v[k]] if negative else v[k]]
             return out
 
-        return label
-
-    @cached_property
-    def label(self) -> dict:
-        return {c: self._decoded(c) for c in self._evaluators}
-
-    def _decoded(self, c):
-        """values -> the label of c under the values dict `values`, through its index evaluator."""
-        evaluate, m, encode = self._evaluators[c], self.X.dim_of[c] - 1, self._encode
-        if m == 1:
-            arrows = self.A.base.arrows
-            return lambda values: arrows[evaluate(encode(values))]
-        lead, fibre = self.lead[c], self.A.fibre
-
-        def label(values):
-            x = values[lead]
-            return x, fibre(m, x).elements[evaluate(encode(values))]
-
-        return label
+        return lead, label
 
     @cached_property
     def _preimage(self) -> dict:
@@ -470,7 +478,6 @@ class Plan:
         have at most one element each.
         """
         X, A, ops = self.X, self.A, self._ops
-        where = X.gen_index
         between = [
             [tuple(ops.arr[a] for a in A.base.arrows_between(x, y)) for y in A.objects]
             for x in A.objects
@@ -483,12 +490,12 @@ class Plan:
             gens = X.gens(n)
             if 2 <= n + 1 <= top_constraint_dim and (ok := self._passes(n, between)) is not None:
                 for c in X.gens(n + 1):
-                    cores = [f.core for f in (X.face(c, i) for i in range(n + 2)) if not f.word]
-                    last = max(cores, key=where, default=None)
-                    if last is not None and cores.count(last) == 1 and where(last) not in solved:
-                        solved[where(last)] = c, ok
+                    faces = [face for face, _, _, _ in self.word(c)[1] if face is not None]
+                    last = max(faces, default=None)
+                    if last is not None and faces.count(last) == 1 and last not in solved:
+                        solved[last] = c, ok
                     else:
-                        checks[pos if last is None else where(last) + 1].append(self._test(c, ok))
+                        checks[pos if last is None else last + 1].append(self._test(c, ok))
             pos += len(gens)
         objects = tuple(range(len(A.objects)))
         domains, forced = [], []
@@ -508,12 +515,12 @@ class Plan:
         return checks, domains, forced, {pos: c for pos, (c, _) in solved.items()}
 
     def _test(self, c, ok):
-        lead, label = self.X.gen_index(self.lead[c]), self._evaluators[c]
+        lead, label = self._evaluator(c)
         return lambda v: ok[v[lead]][label(v)]
 
     def _domain(self, g) -> tuple:
         """(domain, forced) at g of dimension >= 2: the elements whose boundary is its label."""
-        lead, label = self.X.gen_index(self.lead[g]), self._evaluators[g]
+        lead, label = self._evaluator(g)
         preimage = self._preimage[self.X.dim_of[g]]
         if any(len(elements) > 1 for row in preimage for elements in row):
             return lambda v: preimage[v[lead]][label(v)], None
@@ -544,9 +551,8 @@ class Plan:
         the boundary of t.
         """
         X, ops = self.X, self._ops
-        n, word = X.dim_of[f], hal_word(X, c)
-        j = next(i for i, (ref, _, _) in enumerate(word) if ref.core == f and not ref.word)
-        value = self._solved_edge(word, j) if n == 1 else self._solved_element(n, word, j, c)
+        n, word = X.dim_of[f], self.word(c)
+        value = self._solution(word, [face for face, _, _, _ in word[1]].index(X.gen_index(f)))
         subgroups = [[k for k, passes in enumerate(row) if passes] for row in ok]
         if all(len(T) == 1 for T in subgroups):
             return None, value
@@ -560,34 +566,35 @@ class Plan:
         y = X.gen_index(self.lead[f])
         return lambda v: coset[v[y]][value(v)], None
 
-    def _solved_edge(self, word, j):
-        """v -> the edge T_j^sign of a 2-cell's word, given by the identity label: P^-1.S^-1."""
-        comp = self._ops.comp
-        # T_j = T_(j-1)^-1...T_0^-1 . T_2^-1...T_(j+1)^-1; its inverse reverses and inverts the factors
-        order = [*range(j - 1, -1, -1), *range(2, j, -1)]
-        if word[j][1] > 0:
-            reads = [self._arrow_read(word[i][0], -word[i][1]) for i in order]
-        else:
-            reads = [self._arrow_read(word[i][0], word[i][1]) for i in reversed(order)]
-        (k0, t0), (k1, t1) = reads
-        return lambda v: comp[v[k0] if t0 is None else t0[v[k0]]][v[k1] if t1 is None else t1[v[k1]]]
+    def _solution(self, word, j):
+        """v -> the face of T_j in a cell's `word` that the identity label gives: T_j = P^-1.S^-1.
 
-    def _solved_element(self, n, word, j, c):
-        """v -> the level-n face of T_j in the word of the (n+1)-cell c, given by the identity label.
-
-        T_j = P^-1.S^-1 in the fibre at x.  T_0 is the leading face acted on
+        For a 2-cell the face is an edge: T_j = T_(j-1)^-1...T_0^-1 .
+        T_2^-1...T_(j+1)^-1 composes the inverses of the other two terms,
+        and the edge T_j^sign is that or its inverse, which reverses and
+        inverts the factors.  Above, the face is an element of the fibre at
+        the image x of the leading vertex.  T_0 is the leading face acted on
         by the inverse leading edge, so a solved T_0 gives the face by
         acting with the leading edge.
         """
-        X, ops = self.X, self._ops
+        ops, (lead, terms) = self._ops, word
+        sign = terms[j][1]
+        if len(terms) == 3:
+            comp = ops.comp
+            order = [*range(j - 1, -1, -1), *range(2, j, -1)]
+            if sign > 0:
+                reads = [self._inverse(terms[i][2]) for i in order]
+            else:
+                reads = [terms[i][2] for i in reversed(order)]
+            (k0, t0), (k1, t1) = reads
+            return lambda v: comp[v[k0] if t0 is None else t0[v[k0]]][v[k1] if t1 is None else t1[v[k1]]]
+        n = len(terms) - 2
         act, mul, finv, unit = ops.act[n], ops.mul[n], ops.finv[n], ops.unit[n]
-        (ref0, _, ((edge, edge_sign),)) = word[0]
-        k1, t1 = self._arrow_read(edge, edge_sign)  # T_0 = act[t1[v[k1]]][v[k0]]
-        k01, t01 = self._arrow_read(edge, -edge_sign)  # the leading edge
-        k0 = None if j == 0 or ref0.word else X.gen_index(ref0.core)
-        before = [(X.gen_index(r.core), s < 0) for r, s, _ in word[1:j] if not r.word]
-        after = [(X.gen_index(r.core), s > 0) for r, s, _ in reversed(word[j + 1 :]) if not r.word]
-        sign, lead = word[j][1], X.gen_index(self.lead[c])
+        k0, _, _, (k1, t1) = terms[0]  # T_0 = act[t1[v[k1]]][v[k0]]
+        k01, t01 = self._inverse((k1, t1))  # the leading edge
+        k0 = None if j == 0 else k0
+        before = [(k, s < 0) for k, s, _, _ in terms[1:j] if k is not None]
+        after = [(k, s > 0) for k, s, _, _ in reversed(terms[j + 1 :]) if k is not None]
 
         def value(v):
             x = v[lead]
@@ -670,7 +677,7 @@ class Plan:
 
         `lead` is the position of c's leading vertex, and `terms` holds one
         (face, base, negative, twist) for each occurrence of a nondegenerate
-        face in the homotopy addition word of c, in word order: the face's
+        face in c's compiled `word`, in word order: the face's
         position and `base`, whether its sign is -1, and its `_twist`.  A
         k-fold homotopy h targeting a colouring f takes the word to the
         product, at level n + k - 1, of the terms h(face)^sign, each acted
@@ -680,24 +687,22 @@ class Plan:
         when its sign is negative; above, only the leading term is twisted,
         by the inverse leading edge.
         """
-        X, comp, where = self.X, self._ops.comp, self.X.gen_index
+        X, comp = self.X, self._ops.comp
         out = []
         for n in range(2, self._last_level + 1):
             for c in X.gens(n):
-                word = hal_word(X, c)
+                lead, word = self.word(c)
                 occurrences = []
-                for j, (ref, sign, twist) in enumerate(word):
-                    if ref.word:
+                for j, (face, sign, _, twist) in enumerate(word):
+                    if face is None:
                         continue  # degenerate: the homotopy is an identity there
                     if n == 2:
-                        reads = [self._arrow_read(r, s) for r, s, _ in word[j + 1 :]]
-                        if sign < 0:
-                            reads.insert(0, self._arrow_read(ref, -1))
+                        # a negative term T_j = f^-1 is its own inverse edge, so its read comes first
+                        reads = [read for _, _, read, _ in word[j if sign < 0 else j + 1 :]]
                     else:
-                        reads = [self._arrow_read(r, s) for r, s in twist or ()]
-                    face = where(ref.core)
+                        reads = [] if twist is None else [twist]
                     occurrences.append((face, self.base[face], sign < 0, _twist(comp, reads)))
-                out.append((where(c), where(self.lead[c]), n, occurrences))
+                out.append((X.gen_index(c), lead, n, occurrences))
         return out
 
     def walk(self, emit, fixed: dict | None = None) -> int:
@@ -860,7 +865,7 @@ class _Pins:
             return check
         if d > plan.A.truncation or not plan.faces[g] <= given:
             return None
-        lead, label, preimage = where(plan.lead[g]), plan._evaluators[g], plan._preimage[d]
+        (lead, label), preimage = plan._evaluator(g), plan._preimage[d]
 
         def check(v, objects, fixed):
             x = v[lead]
@@ -925,22 +930,17 @@ class _Top:
     - `slots[pos]`: (lead, label) of the level-L slot at pos, read on `v`;
     - `cells`: (lead, label) of each (L+1)-cell;
     - `terms[pos]`: (cell, sign, twist) for each occurrence of the slot at
-      pos in a cell's word, twist being the `_arrow_read` of the arrow
-      that acts on the leading term, else None;
+      pos in a cell's word (`Plan.word`), twist being the `_arrow_read` of
+      the arrow that acts on the leading term, else None;
     - `kernel[x]`: `_cyclic_basis` of K at the object x;
     - `twist_id[a]`: the number of the matrix of the arrow a on K.
     """
 
     def __init__(self, plan: Plan):
         X, ops, L = plan.X, plan._ops, plan._last_level
-        where = X.gen_index
         self.start = start = sum(len(X.gens(n)) for n in range(L))
         self.checks = plan._schedule[0][:start] + [()]
-        self.slots = {
-            pos: (where(plan.lead[g]), plan._evaluators[g])
-            for pos, g in enumerate(plan.slots)
-            if pos >= start
-        }
+        self.slots = {pos: plan._evaluator(g) for pos, g in enumerate(plan.slots) if pos >= start}
         self.preimage, self.act = plan._preimage[L], ops.act[L]
         flat = ops.ident if L == 2 else ops.unit[L - 1]
         self.kernel = [
@@ -951,13 +951,12 @@ class _Top:
         ]
         # with K trivial everywhere a label lies in K, so it is the unit: the cells ask nothing
         cells = X.gens(L + 1) if L < X.dim and any(gens for gens, _, _ in self.kernel) else ()
-        self.cells = [(where(plan.lead[c]), plan._evaluators[c]) for c in cells]
+        self.cells = [plan._evaluator(c) for c in cells]
         self.terms = {pos: [] for pos in self.slots}
         for i, c in enumerate(cells):
-            for ref, sign, twist in hal_word(X, c):
-                if not ref.word:
-                    read = None if twist is None else plan._arrow_read(*twist[0])
-                    self.terms[where(ref.core)].append((i, sign, read))
+            for face, sign, _, twist in plan.word(c)[1]:
+                if face is not None:
+                    self.terms[face].append((i, sign, twist))
         ids: dict = {}
         self.twist_id = [
             ids.setdefault(tuple(self.kernel[t][2][act[g]] for g in self.kernel[s][0]), len(ids))

@@ -14,11 +14,12 @@ generator position.  Where a key's values lie is read from the `Plan` of
 (X, A), never from the simplicial set: the positions, levels and base
 positions of a k-fold homotopy's values (`Plan.layout`), the end positions
 of each edge (`Plan.ends`) and each cell's homotopy addition word on key
-positions (`Plan.terms`), all compiled once per plan, with the integer
-tables of `Plan._ops`.  There is one evaluator for each derived operation:
-`_Moves.mover` gives the other end of a homotopy with values at a set of
-positions (identities elsewhere), rewriting only those positions and their
-star; `_delta2` gives the boundary of a 2-fold homotopy; `_compose_keys`
+positions (`Plan.terms`, read from the word that the plan compiles once
+for each cell, `Plan.word`), with the integer tables of `Plan._ops`.
+There is one evaluator for each derived operation: `_Moves.mover` gives
+the other end of a homotopy with values at a set of positions
+(identities elsewhere), rewriting only those positions and their star;
+`_delta2` gives the boundary of a 2-fold homotopy; `_compose_keys`
 composes two 1-fold homotopies cell by cell and `_invert_key` inverts one.
 `crs_pi1` walks the colourings as keys (`Plan.keys`), composes keys only for
 orbits and for each arrow's loop at its component's root, and reads its
@@ -26,7 +27,7 @@ table from the vertex groups' products (`_vertex_products`).  The moves are
 compiled once per plan (`Plan.moves`) and shared by `crs_pi1`, `rel_classes`
 and `extprof.cobordism_profunctor`.
 The public `apply_homotopy`, `compose_homotopies`, `invert_homotopy` and
-`delta2` check their arguments, compile a plan per call, encode, evaluate
+`delta2` check their arguments, compile one plan per call, encode, evaluate
 on keys and decode; `_sequence` decodes a key into values where a
 `HomotopySequence` is read.
 """
@@ -63,13 +64,13 @@ class HomotopySequence:
         return f"HomotopySequence(k={self.k}, values={self.values})"
 
 
-def apply_homotopy(H: HomotopySequence, f: Colouring) -> Colouring:
-    """The other end of a 1-fold homotopy targeting f."""
+def apply_homotopy(H: HomotopySequence, f: Colouring, plan: Plan | None = None) -> Colouring:
+    """The other end of a 1-fold homotopy targeting f, on `plan`, f's compiled X and A if given."""
     if H.k != 1:
         raise ValueError("only 1-fold homotopies connect colourings")
     if f is not H.target and f.values != H.target.values:
         raise ValueError("homotopy does not target this colouring")
-    plan = Plan(f.X, f.A)
+    plan = Plan(f.X, f.A) if plan is None else plan
     other = plan.moves.everywhere(colouring_key(plan.X, f.A, f.values), H.key())
     return Colouring(f.X, f.A, plan._decode(other))
 
@@ -83,17 +84,15 @@ def compose_homotopies(first: HomotopySequence, second: HomotopySequence) -> Hom
         raise ValueError("only 1-fold homotopies compose")
     f = second.target
     plan = Plan(f.X, f.A)
-    hk = second.key()
-    source = plan.moves.everywhere(colouring_key(plan.X, f.A, f.values), hk)
-    if first.target.values != plan._decode(source):
+    if first.target.values != apply_homotopy(second, f, plan).values:
         raise ValueError("homotopies are not composable")
-    return _sequence(plan, f, _compose_keys(_compose_tables(plan), first.key(), hk))
+    return _sequence(plan, f, _compose_keys(_compose_tables(plan), first.key(), second.key()))
 
 
 def invert_homotopy(H: HomotopySequence) -> HomotopySequence:
     """The inverse arrow: targets the source of H."""
-    src = apply_homotopy(H, H.target)
-    plan = Plan(src.X, src.A)
+    plan = Plan(H.target.X, H.target.A)
+    src = apply_homotopy(H, H.target, plan)
     return _sequence(plan, src, _invert_key(_compose_tables(plan), H.key()))
 
 

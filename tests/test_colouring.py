@@ -531,7 +531,7 @@ def test_plan_matches_seed_walker_on_random_fixed_values(space, algebra, data):
     assert plan.count(fixed) == len(seed)
     for n in range(2, X.dim + 1):
         for g in X.gens(n):
-            assert plan.label[g](c.values) == reference.boundary_label(X, A, c.values, g)
+            assert boundary_label(plan, A, c.values, g) == reference.boundary_label(X, A, c.values, g)
 
 
 @pytest.mark.parametrize(

@@ -189,6 +189,28 @@ def test_invert_homotopy_targets_the_other_end():
                 assert invert_homotopy(H).target.values == apply_homotopy(H, H.target).values
 
 
+def test_invert_homotopy_builds_one_plan(monkeypatch):
+    """The source of H and its inverse key are read from one compiled plan, and match the oracle."""
+    X, A = torus(), iota1(symmetric_group(3))
+    built = []
+
+    class CountedPlan(Plan):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(homotopy, "Plan", CountedPlan)
+    col = enumerate_colourings(X, A)[7]
+    for H in enumerate_sequences(X, A, col, 1)[:6]:
+        built.clear()
+        inverse = invert_homotopy(H)
+        assert len(built) == 1
+        want = reference.invert_homotopy(H)
+        assert inverse.target.values == want.target.values and inverse.key() == want.key()
+    with pytest.raises(ValueError, match="only 1-fold homotopies connect colourings"):
+        invert_homotopy(reference.identity_sequence(col, 2))
+
+
 def test_associativity_of_composition():
     M = corpus_crossed_modules()[0]
     A = iota2(M)
@@ -1162,6 +1184,41 @@ def test_the_plan_lays_out_the_key_that_colouring_key_writes(space, algebra):
         assert [p for p, _, _ in layout] == list(range(len(layout)))
         assert all(i == 0 for i in key[len(layout):])
         assert [(n, b) for p, n, b in layout] == [(X.dim_of[gens[p]] + k, plan.base[p]) for p, _, _ in layout]
+
+
+@pytest.mark.parametrize(
+    "space, algebra",
+    [(s, a) for s in CATALOG for a in CORPUS]
+    + [(s, t) for s in ("delta3", "delta4", "sphere3") for t in TOWERS],
+)
+def test_the_plans_terms_are_the_dict_terms_on_key_positions(space, algebra):
+    """`Plan.terms`, read from the plan's compiled words, against `reference.terms`, which reads
+    `hal_word` on values dicts: the same cells, faces, bases and signs, and on random vertex and
+    edge values each twist gives the arrow that the reference's reads compose."""
+    extra = {"delta4": lambda: standard_simplex(4), "sphere3": lambda: sphere(3)}
+    X = as_simpset(extra[space]() if space in extra else CATALOG[space])
+    A = TOWERS[algebra]() if algebra in TOWERS else CORPUS[algebra]
+    plan, base, where = Plan(X, A), A.base, X.gen_index
+    rng, comp = random.Random(f"{space} {algebra}"), reference.table_of(base)
+    samples = []
+    for _ in range(3):
+        values = {v: rng.choice(A.objects) for v in X.gens(0)}
+        values.update((e, rng.choice(base.arrows)) for e in X.gens(1))
+        index = {0: base.obj_index, 1: base.arr_index}
+        key = [index[X.dim_of[g]](values[g]) if X.dim_of[g] < 2 else 0 for g in X.all_gens()]
+        samples.append((values, key))
+    want = reference.terms(plan)
+    assert [p for p, _, _, _ in plan.terms] == [where(c) for c in want]
+    for (p, lead, n, occurrences), (c, expected) in zip(plan.terms, want.items()):
+        assert (lead, n) == (where(plan.lead[c]), X.dim_of[c])
+        assert [(face, b, negative) for face, b, negative, _ in occurrences] == [
+            (where(g), plan.base[where(g)], sign < 0) for g, sign, _ in expected
+        ]
+        for (_, _, _, twist), (_, _, reads) in zip(occurrences, expected):
+            assert (twist is None) == (not reads)
+            for values, key in samples:
+                if twist is not None:
+                    assert base.arrows[twist(key)] == reference._arrow(comp, reads, values)
 
 
 def test_the_homotopy_layer_reads_its_layout_from_the_plan():

@@ -6,14 +6,18 @@ extends.  `DictPlan` runs every label test; `Plan` leaves out the tests that
 exactness makes vacuous, so the towers and crossed modules below cover each
 rule that drops one.
 """
+import ast
+import random
 from functools import lru_cache
 from math import prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quinncalc.colouring import Plan
+import quinncalc
+from quinncalc.colouring import Plan, _arrow, boundary_label, hal_word, value_of_ref
 from quinncalc.errors import BoundaryError
 from quinncalc.finalg import (
     crossed_module_identity,
@@ -303,14 +307,13 @@ def _random_case(space, algebra):
     return X, A, plan, reference.DictPlan(X, A), plan.colourings()
 
 
-@settings(max_examples=120, deadline=None)
-@given(
-    space=st.sampled_from(
-        ["circle", "torus", "sphere2", "delta2", "delta3", "delta3-d2-last", "prism-circle"]
-    ),
-    algebra=st.sampled_from(list(ALGEBRAS)),
-    data=st.data(),
+# each space is its own test and builds only its own cases: 18 examples each draw 126 in
+# all, against the 120 that one test over the seven spaces drew
+@pytest.mark.parametrize(
+    "space", ["circle", "torus", "sphere2", "delta2", "delta3", "delta3-d2-last", "prism-circle"]
 )
+@settings(max_examples=18, deadline=None)
+@given(algebra=st.sampled_from(list(ALGEBRAS)), data=st.data())
 def test_index_walk_matches_dict_walk_on_random_fixed_values(space, algebra, data):
     """Random partial data, some of it a value A lacks or a level-2 element over the wrong object."""
     X, A, plan, old, colourings = _random_case(space, algebra)
@@ -328,7 +331,7 @@ def test_index_walk_matches_dict_walk_on_random_fixed_values(space, algebra, dat
     assert _outcome(plan, fixed) == _outcome(old, fixed)
     for n in range(2, X.dim + 1):
         for g in X.gens(n):
-            assert plan.label[g](c.values) == old.label[g](c.values)
+            assert boundary_label(plan, A, c.values, g) == old.label[g](c.values)
 
 
 def test_a_level_2_value_over_the_wrong_object_fits_no_colouring():
@@ -382,8 +385,8 @@ def test_vacuous_label_tests_are_left_out(algebra, space, tests):
 def test_plans_that_do_not_walk_build_no_walk_tables():
     X, A = torus(), iota2(crossed_module_identity(symmetric_group(3)))
     c = Plan(X, A).colourings()[0]
-    plan = Plan(X, A)
-    assert plan.label[X.gens(2)[0]](c.values) == reference.boundary_label(X, A, c.values, X.gens(2)[0])
+    plan, g = Plan(X, A), X.gens(2)[0]
+    assert boundary_label(plan, A, c.values, g) == reference.boundary_label(X, A, c.values, g)
     _compose_tables(plan), _delta2(plan), plan.moves.everywhere
     assert not set(vars(plan)) & {"_schedule", "_preimage", "_decode", "faces"}
 
@@ -714,3 +717,127 @@ def test_hermite_form_counts_the_solutions_of_small_systems():
                 for j, h in below:
                     b[j] -= bi // g * h
             assert inside == (b0 in solutions)
+
+
+# -- the compiled word ---------------------------------------------------------------
+
+WORD_TOWERS = {
+    "abelian-tower": abelian_tower,
+    "inversion-tower": inversion_tower,
+    "id-tower": id_tower,
+    "coset-tower": coset_tower,
+}
+WORD_SPACES = {
+    **CATALOG_SPACES,
+    "delta4": lambda: standard_simplex(4),
+    "sphere3": lambda: sphere(3),
+    **REORDERED_SIMPLICES,
+    "prism-circle-stratified": lambda: prism(circle()),
+}
+WORD_ALGEBRAS = {**CORPUS_ALGEBRAS, "id:S3": ALGEBRAS["id:S3"], **WORD_TOWERS}
+
+
+@pytest.mark.parametrize(
+    "space, algebra",
+    [(space, algebra) for space in CATALOG_SPACES for algebra in CORPUS_ALGEBRAS]
+    + [(s, tower) for s in ("delta3", "delta4", "reversed-delta4", "sphere3") for tower in WORD_TOWERS]
+    + [(space, algebra) for space in REORDERED_SIMPLICES for algebra in ("id:S3", "abelian-tower")]
+    + [("prism-circle-stratified", algebra) for algebra in ("s3", "0:Z2->Z4")],
+)
+def test_each_cells_word_is_its_hal_word_on_key_positions(space, algebra):
+    """`Plan.word(c)` is `hal_word(X, c)` on key positions, for every cell c of dimension >= 2.
+
+    Each term keeps its sign, and holds its face's position (None where the
+    face is degenerate); the lead is the position of c's leading vertex.  On
+    random vertex and edge values, a 2-cell term's read gives the arrow that
+    `value_of_ref` gives on its face, to the term's power, and a twist gives
+    its edge's arrow, to the twist's power.
+    """
+    A = WORD_ALGEBRAS[algebra]()
+    plan = Plan(WORD_SPACES[space](), A)
+    X, base, rng = plan.X, A.base, random.Random(f"{space} {algebra}")
+    samples = []
+    for _ in range(3):
+        values = {v: rng.choice(A.objects) for v in X.gens(0)}
+        values.update((e, rng.choice(base.arrows)) for e in X.gens(1))
+        index = {0: base.obj_index, 1: base.arr_index}
+        key = [index[X.dim_of[g]](values[g]) if X.dim_of[g] < 2 else None for g in X.all_gens()]
+        samples.append((values, key))
+
+    def arrow(ref, sign, values):
+        a = value_of_ref(X, A, values, ref)
+        return a if sign > 0 else base.inv_table[a]
+
+    for c in (c for n in range(2, X.dim + 1) for c in X.gens(n)):
+        lead, terms = plan.word(c)
+        word = hal_word(X, c)
+        assert plan.word(c) is plan.word(c)
+        assert lead == X.gen_index(X.initial_vertex(c))
+        assert [(face, sign) for face, sign, _, _ in terms] == [
+            (None if ref.word else X.gen_index(ref.core), sign) for ref, sign, _ in word
+        ]
+        for (_, sign, read, twist), (ref, _, edges) in zip(terms, word):
+            assert (read is None) == (X.dim_of[c] > 2)
+            assert (twist is None) == (edges is None)
+            for values, key in samples:
+                if read is not None:
+                    assert base.arrows[_arrow(read, key)] == arrow(ref, sign, values)
+                if twist is not None:
+                    ((edge, edge_sign),) = edges
+                    assert base.arrows[_arrow(twist, key)] == arrow(edge, edge_sign, values)
+
+
+def test_boundary_label_compiles_only_the_word_of_its_cell():
+    X, A = standard_simplex(3), CORPUS_ALGEBRAS["0:Z2->Z4"]()
+    c = Plan(X, A).colourings()[-1]
+    for g in (X.gens(3)[0], X.gens(2)[1]):
+        fresh = Plan(X, A)
+        assert boundary_label(fresh, A, c.values, g) == reference.boundary_label(X, A, c.values, g)
+        assert set(fresh._words) == {g}
+
+
+def _callers(name: str) -> set:
+    """Where the `quinncalc` package calls `name`: module.Class.function or module.function,
+    a call in a nested function counting for the function or method that holds it, and the
+    module's name for a call outside every function."""
+
+    def calls(node) -> set:
+        found = set()
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call):
+                f = call.func
+                if (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) == name:
+                    found.add(id(call))
+        return found
+
+    def functions(body) -> list:
+        return [node for node in body if isinstance(node, ast.FunctionDef)]
+
+    out = set()
+    for module in sorted(Path(quinncalc.__file__).parent.rglob("*.py")):
+        tree, stem = ast.parse(module.read_text()), module.stem
+        owners = {f"{stem}.{node.name}": node for node in functions(tree.body)}
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            owners.update((f"{stem}.{cls.name}.{node.name}", node) for node in functions(cls.body))
+        held = set()
+        for owner, node in owners.items():
+            if found := calls(node):
+                out.add(owner)
+                held |= found
+        if calls(tree) - held:
+            out.add(stem)
+    return out
+
+
+def test_each_cells_word_is_compiled_in_one_place():
+    """`hal_word` is called from `Plan.word` alone, and so is `_arrow_read`; the solved
+    slots read the compiled word, with no edge or element solver of their own."""
+    assert _callers("hal_word") == {"colouring.Plan.word"}
+    assert _callers("_arrow_read") == {"colouring.Plan.word"}
+    defined = {
+        node.name
+        for module in Path(quinncalc.__file__).parent.rglob("*.py")
+        for node in ast.walk(ast.parse(module.read_text()))
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert not defined & {"_solved_edge", "_solved_element"}
